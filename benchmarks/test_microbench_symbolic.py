@@ -47,8 +47,9 @@ def test_microbench_union_and_difference(benchmark):
     assert not merged.is_false()
     assert not missing.is_false()
 
-    # The optimizer runs this on every query; it must be milliseconds.
-    assert benchmark.stats.stats.mean < 0.25
+    # The optimizer runs this on every query; it must be milliseconds
+    # (measured mean 6.7 ms; the gate is ~3x that).
+    assert benchmark.stats.stats.mean < 0.02
 
 
 def test_microbench_full_optimizer_pass(benchmark):
@@ -70,5 +71,6 @@ def test_microbench_full_optimizer_pass(benchmark):
     optimized = benchmark(lambda: session.optimizer.optimize(statement))
     assert optimized.detector_sources
     # A full materialization-aware optimizer pass stays well under the
-    # cost of a single detector invocation batch.
-    assert benchmark.stats.stats.mean < 0.5
+    # cost of a single detector invocation batch (measured mean 2.0 ms;
+    # the gate is ~3x that).
+    assert benchmark.stats.stats.mean < 0.006

@@ -16,9 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import sympy
-from sympy import FiniteSet, Interval, Union as SymUnion
-
 from repro.catalog.udf_registry import UdfDefinition
 from repro.config import ModelSelectionMode, ReusePolicy
 from repro.errors import OptimizerError, UnsupportedPredicateError
@@ -449,7 +446,7 @@ def scan_ranges(predicate: DnfPredicate, num_frames: int
         constraint = conjunctive.constraint("id")
         if constraint is None:
             return [(0, num_frames)]
-        intervals.extend(_integer_ranges(constraint.sset, num_frames))
+        intervals.extend(_integer_ranges(constraint.pieces, num_frames))
     if not intervals:
         return []
     intervals.sort()
@@ -463,39 +460,23 @@ def scan_ranges(predicate: DnfPredicate, num_frames: int
     return merged
 
 
-def _integer_ranges(sset: sympy.Set, num_frames: int
-                    ) -> list[tuple[int, int]]:
+def _integer_ranges(pieces, num_frames: int) -> list[tuple[int, int]]:
     ranges: list[tuple[int, int]] = []
-    parts = (sset.args if isinstance(sset, SymUnion) else (sset,))
-    for part in parts:
-        if isinstance(part, FiniteSet):
-            for point in part.args:
-                value = float(point)
-                if value == int(value) and 0 <= value < num_frames:
-                    ranges.append((int(value), int(value) + 1))
-        elif isinstance(part, Interval):
-            if part.start == -sympy.oo:
-                start = 0
-            else:
-                lo = float(part.start)
-                start = math.ceil(lo)
-                if part.left_open and start == lo:
-                    start += 1
-            if part.end == sympy.oo:
-                stop = num_frames - 1
-            else:
-                hi = float(part.end)
-                stop = math.floor(hi)
-                if part.right_open and stop == hi:
-                    stop -= 1
-            start = max(0, start)
-            stop = min(num_frames - 1, stop)
-            if stop >= start:
-                ranges.append((start, stop + 1))
-        elif part == sympy.S.Reals:
-            ranges.append((0, num_frames))
-        elif part is sympy.S.EmptySet:
-            continue
+    for lo, lo_open, hi, hi_open in pieces:
+        if lo == -math.inf:
+            start = 0
         else:
-            raise OptimizerError(f"cannot derive scan range from {part}")
+            start = math.ceil(lo)
+            if lo_open and start == lo:
+                start += 1
+        if hi == math.inf:
+            stop = num_frames - 1
+        else:
+            stop = math.floor(hi)
+            if hi_open and stop == hi:
+                stop -= 1
+        start = max(0, start)
+        stop = min(num_frames - 1, stop)
+        if stop >= start:
+            ranges.append((start, stop + 1))
     return ranges

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.symbolic.dnf import DnfPredicate
-from repro.symbolic.engine import SymbolicEngine
+from repro.symbolic.engine import SymbolicEngine, predicate_key
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,23 @@ class UdfManager:
 
     def record_execution(self, signature: UdfSignature,
                          guard: DnfPredicate,
-                         per_tuple_cost: float = 0.0) -> None:
-        """After executing a query: p_u := UNION(p_u, q)."""
+                         per_tuple_cost: float = 0.0) -> bool:
+        """After executing a query: p_u := UNION(p_u, q).
+
+        Returns whether ``p_u`` changed.  Reduction may hand an unchanged
+        ``p_u`` (``q`` already covered) back with its conjunctives in
+        another order, so the comparison ignores order and an unchanged
+        ``p_u`` keeps its previous one: ``version`` — and with it every
+        cached plan — and the reduction memo's keys stay put.
+        """
         entry = self.history(signature, per_tuple_cost)
-        merged = self._engine.union(entry.aggregated_predicate, guard)
-        if merged.conjunctives != entry.aggregated_predicate.conjunctives:
-            entry.aggregated_predicate = merged
-            self.version += 1
-        else:
-            entry.aggregated_predicate = merged
+        previous = entry.aggregated_predicate
+        merged = self._engine.union(previous, guard)
+        if set(predicate_key(merged)) == set(predicate_key(previous)):
+            return False
+        entry.aggregated_predicate = merged
+        self.version += 1
+        return True
 
     def reset(self) -> None:
         self._histories.clear()

@@ -766,12 +766,11 @@ class ShardedUdfManager:
             guard)
 
     def record_execution(self, signature: UdfSignature, guard,
-                         per_tuple_cost: float = 0.0) -> None:
+                         per_tuple_cost: float = 0.0) -> bool:
         local = self._local(signature)
         if local is not None:
-            local.record_execution(signature, guard, per_tuple_cost)
-            return
-        self._peer(signature).call(
+            return local.record_execution(signature, guard, per_tuple_cost)
+        return self._peer(signature).call(
             "udf_record", signature.udf_name, signature.sources, guard,
             per_tuple_cost)
 
@@ -1036,8 +1035,7 @@ def handle_shard_request(state: ShardedWorkerState, method: str,
         if method == "udf_difference":
             return manager.difference_with_history(signature, args[2])
         if method == "udf_record":
-            manager.record_execution(signature, args[2], args[3])
-            return None
+            return manager.record_execution(signature, args[2], args[3])
         raise ServerError(f"unknown udf method {method!r}")
 
     raise ServerError(f"unknown shard method {method!r}")

@@ -124,9 +124,10 @@ class LockedUdfManager:
 
     def record_execution(self, signature: UdfSignature,
                          guard: DnfPredicate,
-                         per_tuple_cost: float = 0.0) -> None:
+                         per_tuple_cost: float = 0.0) -> bool:
         with self._guarded():
-            self._base.record_execution(signature, guard, per_tuple_cost)
+            return self._base.record_execution(signature, guard,
+                                               per_tuple_cost)
 
     def reset(self) -> None:
         with self._guarded():

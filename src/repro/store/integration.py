@@ -39,17 +39,17 @@ class PersistentUdfManager(UdfManager):
         self._store = store
 
     def record_execution(self, signature, guard, per_tuple_cost=0.0):
-        super().record_execution(signature, guard, per_tuple_cost)
+        if not super().record_execution(signature, guard, per_tuple_cost):
+            return False  # p_u unchanged: the log already holds it
         entry = self.history(signature)
-        if not entry.aggregated_predicate.conjunctives:
-            return  # still FALSE: nothing materialized to reuse yet
         try:
             sql = entry.aggregated_predicate.to_expression().to_sql()
         except Exception:
-            return  # predicate durability is best-effort; views still log
+            return True  # predicate durability is best-effort; views still log
         self._store.log_udf_history(
             signature.udf_name, list(signature.sources),
             entry.per_tuple_cost, sql)
+        return True
 
 
 def restore_udf_histories(store: DurableViewStore, manager: UdfManager,

@@ -1,7 +1,7 @@
 """Symbolic predicate analysis (section 4.1 of the paper).
 
 Predicates are normalized into disjunctive normal form over *dimensions*
-(columns and UDF terms).  Numeric dimensions carry sympy interval sets;
+(columns and UDF terms).  Numeric dimensions carry exact interval sets;
 categorical dimensions carry finite value sets with complements.  On top of
 this representation the engine implements the paper's Algorithm 1
 (predicate reduction), the INTER/DIFF/UNION derived predicates, and

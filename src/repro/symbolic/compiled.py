@@ -1,6 +1,6 @@
 """Compiled membership tests for DNF predicates.
 
-Sympy set ``contains`` calls are far too slow for per-row checks inside the
+Exact-rational ``contains`` calls are too slow for per-row checks inside the
 execution engine, so predicates that operators must evaluate per tuple are
 compiled once into plain-python closures over float interval bounds and
 frozensets.
@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Mapping
-
-import sympy
-from sympy import FiniteSet, Interval, Union as SymUnion, S
 
 from repro.symbolic.conjunctive import Conjunctive
 from repro.symbolic.dnf import DnfPredicate
@@ -64,7 +61,7 @@ def _compile_constraint(constraint: Constraint) -> Callable[[object], bool]:
             return lambda v: v not in members
         return lambda v: v in members
     if isinstance(constraint, NumericConstraint):
-        pieces = _numeric_pieces(constraint.sset)
+        pieces = _numeric_pieces(constraint.pieces)
 
         def check(value: object) -> bool:
             if not isinstance(value, (int, float)):
@@ -76,44 +73,15 @@ def _compile_constraint(constraint: Constraint) -> Callable[[object], bool]:
     raise TypeError(f"cannot compile constraint {constraint!r}")
 
 
-def _numeric_pieces(sset: sympy.Set):
-    """Flatten a canonical real set into (low-check, high-check) pairs."""
-    pieces = []
-    for part in _iter_parts(sset):
-        if isinstance(part, FiniteSet):
-            for point in part.args:
-                p = float(point)
-                pieces.append((_eq_check(p), _always))
-        elif isinstance(part, Interval):
-            lo = (-math.inf if part.start == -sympy.oo
-                  else float(part.start))
-            hi = math.inf if part.end == sympy.oo else float(part.end)
-            lo_check = _lower_check(lo, part.left_open)
-            hi_check = _upper_check(hi, part.right_open)
-            pieces.append((lo_check, hi_check))
-        elif part == S.Reals:
-            pieces.append((_always, _always))
-        elif part is S.EmptySet:
-            continue
-        else:
-            raise TypeError(f"cannot compile sympy set {part}")
-    return pieces
-
-
-def _iter_parts(sset: sympy.Set):
-    if isinstance(sset, SymUnion):
-        for arg in sset.args:
-            yield from _iter_parts(arg)
-    else:
-        yield sset
+def _numeric_pieces(pieces):
+    """Interval pieces as (low-check, high-check) pairs over floats."""
+    return [(_lower_check(float(lo), lo_open),
+             _upper_check(float(hi), hi_open))
+            for lo, lo_open, hi, hi_open in pieces]
 
 
 def _always(_v: float) -> bool:
     return True
-
-
-def _eq_check(point: float) -> Callable[[float], bool]:
-    return lambda v: v == point
 
 
 def _lower_check(lo: float, is_open: bool) -> Callable[[float], bool]:

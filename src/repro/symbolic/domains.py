@@ -1,11 +1,12 @@
 """Per-dimension constraint domains.
 
 A *constraint* restricts one dimension (a column or a UDF term).  Numeric
-dimensions use sympy real sets — intervals, finite point sets, and their
-unions — which is exactly the "inequality solver" capability of a computer
-algebra system the paper leverages (section 5.4).  Categorical dimensions
-(labels, classifier outputs) use finite value sets with an optional
-complement flag, since their universe is open-ended.
+dimensions use exact interval sets — sorted disjoint intervals and points
+with rational endpoints — which is the "inequality solver" capability of a
+computer algebra system the paper leverages (section 5.4), implemented
+natively as linear sweeps.  Categorical dimensions (labels, classifier
+outputs) use finite value sets with an optional complement flag, since
+their universe is open-ended.
 
 Every constraint supports the algebra Algorithm 1 needs — intersection,
 union, complement, subset tests — plus an *atom count*: the number of
@@ -14,34 +15,33 @@ atomic comparison formulas required to express it, the metric Fig. 7 plots.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-
-import sympy
-from sympy import Interval, FiniteSet, S, Union as SymUnion
+from fractions import Fraction
 
 from repro.errors import UnsupportedPredicateError
-from repro.expressions.expr import CompOp, Comparison, Expression, Literal, Or
+from repro.expressions.analysis import conjunction_of
+from repro.expressions.expr import (
+    FALSE, CompOp, Comparison, Expression, Literal, Or)
 
 
-def _rationalize(value):
-    """Exact rational for a numeric literal.
+def _rationalize(value) -> Fraction:
+    """Exact rational for a finite numeric literal.
 
-    ``sympy.nsimplify(..., rational=True)`` runs a PSLQ constant search —
-    tens of milliseconds per float — but query literals are decimal text,
-    so ``Rational(str(v))`` recovers the same exact rational directly
-    (Python's shortest-repr floats round-trip the typed decimal).
-    Anything exotic falls back to nsimplify.
+    Query literals are decimal text, so ``Fraction(str(v))`` recovers the
+    typed rational exactly (Python's shortest-repr floats round-trip the
+    decimal).  NaN, infinities and non-numbers have no place on the real
+    line and raise :class:`UnsupportedPredicateError`.
     """
-    if isinstance(value, bool):
-        return sympy.Integer(int(value))
-    if isinstance(value, int):
-        return sympy.Integer(value)
-    if isinstance(value, float):
-        try:
-            return sympy.Rational(str(value))
-        except (ValueError, TypeError):
-            return sympy.nsimplify(value, rational=True)
-    return sympy.nsimplify(value, rational=True)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, numbers.Integral):  # bool, int, numpy integers
+        return Fraction(int(value))
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(str(value))
+    raise UnsupportedPredicateError(
+        f"not a finite numeric literal: {value!r}")
 
 
 class Constraint:
@@ -67,7 +67,7 @@ class Constraint:
         raise NotImplementedError
 
     def is_subset(self, other: "Constraint") -> bool:
-        """Conservative subset test (False when undecidable)."""
+        """Is every value satisfying ``self`` also in ``other``?"""
         raise NotImplementedError
 
     def atom_count(self) -> int:
@@ -82,92 +82,135 @@ class Constraint:
         raise NotImplementedError
 
 
+#: One piece ``(lo, lo_open, hi, hi_open)``; endpoints are exact
+#: ``Fraction``s or ``±math.inf`` (infinite endpoints are always open).
+Piece = tuple
+
+_UNIVERSE: tuple[Piece, ...] = ((-math.inf, True, math.inf, True),)
+
+
 @dataclass(frozen=True)
 class NumericConstraint(Constraint):
-    """A set of reals, held as a canonical sympy set."""
+    """A set of reals in one canonical form.
 
-    sset: sympy.Set
+    ``pieces`` is a tuple of ``(lo, lo_open, hi, hi_open)`` intervals
+    sorted by lower endpoint, pairwise disjoint and non-coalescible (no
+    two pieces share a point or touch at a point either contains); a
+    single value is the closed piece ``[v, v]``.  Equal sets therefore
+    have equal ``pieces``, so dataclass equality and hashing are set
+    equality.  Construct through the classmethods and the algebra, which
+    keep the form canonical.
+    """
+
+    pieces: tuple[Piece, ...]
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def universe(cls) -> "NumericConstraint":
-        return cls(S.Reals)
+        return cls(_UNIVERSE)
 
     @classmethod
     def empty(cls) -> "NumericConstraint":
-        return cls(S.EmptySet)
+        return cls(())
 
     @classmethod
     def from_comparison(cls, op: CompOp, value) -> "NumericConstraint":
-        value = _rationalize(value)
+        v = _rationalize(value)
         if op is CompOp.LT:
-            return cls(Interval.open(-sympy.oo, value))
+            return cls(((-math.inf, True, v, True),))
         if op is CompOp.LE:
-            return cls(Interval(-sympy.oo, value))
+            return cls(((-math.inf, True, v, False),))
         if op is CompOp.GT:
-            return cls(Interval.open(value, sympy.oo))
+            return cls(((v, True, math.inf, True),))
         if op is CompOp.GE:
-            return cls(Interval(value, sympy.oo))
+            return cls(((v, False, math.inf, True),))
         if op is CompOp.EQ:
-            return cls(FiniteSet(value))
+            return cls(((v, False, v, False),))
         if op is CompOp.NE:
-            return cls(SymUnion(Interval.open(-sympy.oo, value),
-                                Interval.open(value, sympy.oo)))
+            return cls(((-math.inf, True, v, True),
+                        (v, True, math.inf, True)))
         raise UnsupportedPredicateError(f"unsupported operator {op}")
 
     @classmethod
     def interval(cls, lo, hi, left_open: bool = False,
                  right_open: bool = False) -> "NumericConstraint":
-        return cls(Interval(_rationalize(lo), _rationalize(hi),
-                            left_open, right_open))
+        start = (_rationalize(lo), bool(left_open))
+        end = (_rationalize(hi), not right_open)
+        return cls(_from_cuts([start, end]) if start < end else ())
 
     # -- algebra ----------------------------------------------------------------
 
     def intersect(self, other: Constraint) -> "NumericConstraint":
-        other = self._coerce(other)
-        return NumericConstraint(self.sset.intersect(other.sset))
+        return NumericConstraint(_sweep(
+            self.pieces, self._coerce(other).pieces, _BOTH))
 
     def union(self, other: Constraint) -> "NumericConstraint":
-        other = self._coerce(other)
-        return NumericConstraint(SymUnion(self.sset, other.sset))
+        return NumericConstraint(_sweep(
+            self.pieces, self._coerce(other).pieces, _EITHER))
+
+    def subtract(self, other: Constraint) -> "NumericConstraint":
+        return NumericConstraint(_sweep(
+            self.pieces, self._coerce(other).pieces, _ONLY_FIRST))
 
     def complement(self) -> "NumericConstraint":
-        return NumericConstraint(S.Reals - self.sset)
+        return NumericConstraint(_sweep(_UNIVERSE, self.pieces, _ONLY_FIRST))
 
     def is_empty(self) -> bool:
-        return self.sset is S.EmptySet or self.sset.is_empty is True
+        return not self.pieces
 
     def is_universe(self) -> bool:
-        return self.sset == S.Reals
+        return self.pieces == _UNIVERSE
 
     def is_subset(self, other: Constraint) -> bool:
-        other = self._coerce(other)
-        result = self.sset.is_subset(other.sset)
-        return bool(result) if result is not None else False
+        return not _sweep(self.pieces, self._coerce(other).pieces,
+                          _ONLY_FIRST)
 
     def contains(self, value) -> bool:
         try:
-            return bool(self.sset.contains(_rationalize(value)))
-        except (TypeError, ValueError):
+            v = _rationalize(value)
+        except UnsupportedPredicateError:
             return False
+        return any((lo < v or (lo == v and not lo_open))
+                   and (v < hi or (v == hi and not hi_open))
+                   for lo, lo_open, hi, hi_open in self.pieces)
 
     # -- rendering ----------------------------------------------------------------
 
     def atom_count(self) -> int:
-        return _set_atom_count(self.sset)
+        """Atomic comparison formulas needed to express the set.
+
+        A two-sided interval costs 2 atoms, a half-line 1, a point 1;
+        the empty set is the one formula FALSE, and the shape
+        ``(-inf, v) U (v, inf)`` is a single ``!=`` atom.
+        """
+        pieces = self.pieces
+        if not pieces:
+            return 1
+        if (len(pieces) == 2 and pieces[0][0] == -math.inf
+                and pieces[1][2] == math.inf
+                and pieces[0][2] == pieces[1][0]):
+            return 1
+        return sum(1 if lo == hi else (lo != -math.inf) + (hi != math.inf)
+                   for lo, _, hi, _ in pieces)
 
     def to_comparisons(self, term: Expression) -> Expression | None:
         if self.is_universe():
             return None
-        pieces = _set_pieces(self.sset)
         disjuncts: list[Expression] = []
-        for piece in pieces:
-            expr = _piece_to_expression(piece, term)
-            if expr is not None:
-                disjuncts.append(expr)
+        for lo, lo_open, hi, hi_open in self.pieces:
+            if lo == hi:
+                disjuncts.append(Comparison(term, CompOp.EQ, _literal(lo)))
+                continue
+            atoms: list[Expression] = []
+            if lo != -math.inf:
+                atoms.append(Comparison(
+                    term, CompOp.GT if lo_open else CompOp.GE, _literal(lo)))
+            if hi != math.inf:
+                atoms.append(Comparison(
+                    term, CompOp.LT if hi_open else CompOp.LE, _literal(hi)))
+            disjuncts.append(conjunction_of(atoms))
         if not disjuncts:
-            from repro.expressions.expr import FALSE
             return FALSE
         if len(disjuncts) == 1:
             return disjuncts[0]
@@ -181,7 +224,11 @@ class NumericConstraint(Constraint):
         return other
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Num({self.sset})"
+        if not self.pieces:
+            return "Num({})"
+        return "Num(" + " U ".join(
+            f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+            for lo, lo_open, hi, hi_open in self.pieces) + ")"
 
 
 @dataclass(frozen=True)
@@ -269,15 +316,12 @@ class CategoricalConstraint(Constraint):
         return len(self.values)
 
     def to_comparisons(self, term: Expression) -> Expression | None:
-        from repro.expressions.analysis import conjunction_of
-
         if self.is_universe():
             return None
         op = CompOp.NE if self.complemented else CompOp.EQ
         atoms = [Comparison(term, op, Literal(v))
                  for v in sorted(self.values, key=repr)]
         if not atoms:
-            from repro.expressions.expr import FALSE
             return FALSE  # empty inclusion set: unsatisfiable
         if self.complemented:
             return conjunction_of(atoms)
@@ -295,96 +339,58 @@ class CategoricalConstraint(Constraint):
         return f"Cat({prefix}{set(self.values) or '{}'})"
 
 
-# -- sympy set helpers ------------------------------------------------------------
+# -- interval-set sweeps ----------------------------------------------------------
+#
+# A *cut* is a position between reals: ``(v, False)`` sits just below ``v``
+# and ``(v, True)`` just above it, so cuts order as tuples.  A piece runs
+# from the cut ``(lo, lo_open)`` to the cut ``(hi, not hi_open)``, and a
+# canonical set is exactly a strictly increasing, even-length cut sequence.
+
+#: Truth tables for :func:`_sweep`, indexed by ``in_a + 2 * in_b``.
+_BOTH = (False, False, False, True)
+_EITHER = (False, True, True, True)
+_ONLY_FIRST = (False, True, False, False)
 
 
-def _set_pieces(sset: sympy.Set) -> list[sympy.Set]:
-    """Decompose a canonical real set into disjoint intervals/points."""
-    if isinstance(sset, SymUnion):
-        pieces: list[sympy.Set] = []
-        for arg in sset.args:
-            pieces.extend(_set_pieces(arg))
-        return pieces
-    if isinstance(sset, FiniteSet):
-        return [FiniteSet(v) for v in sset.args]
-    if sset is S.EmptySet:
-        return []
-    return [sset]
+def _cuts(pieces: tuple[Piece, ...]) -> list[tuple]:
+    return [cut for lo, lo_open, hi, hi_open in pieces
+            for cut in ((lo, lo_open), (hi, not hi_open))]
 
 
-def _set_atom_count(sset: sympy.Set) -> int:
-    """Atomic comparison formulas needed to express ``sset``.
+def _from_cuts(cuts: list[tuple]) -> tuple[Piece, ...]:
+    return tuple((cuts[k][0], cuts[k][1], cuts[k + 1][0], not cuts[k + 1][1])
+                 for k in range(0, len(cuts), 2))
 
-    A two-sided interval costs 2 atoms, a half-line 1, a point 1; the
-    special shape (-oo, v) U (v, oo) is a single ``!=`` atom.
+
+def _sweep(a: tuple[Piece, ...], b: tuple[Piece, ...],
+           keep: tuple[bool, bool, bool, bool]) -> tuple[Piece, ...]:
+    """Canonical pieces of ``{x : keep[(x in a) + 2 * (x in b)]}``.
+
+    One merge pass over both cut sequences; membership in each operand
+    flips at each of its cuts, and a cut is emitted only where the
+    combined membership flips, which keeps the output canonical.
+    ``keep[0]`` must be False (the result cannot extend past both operands).
     """
-    if sset == S.Reals:
-        return 0
-    if sset is S.EmptySet:
-        return 1  # the formula FALSE
-    if isinstance(sset, FiniteSet):
-        return len(sset.args)
-    if isinstance(sset, Interval):
-        atoms = 0
-        if sset.start != -sympy.oo:
-            atoms += 1
-        if sset.end != sympy.oo:
-            atoms += 1
-        return max(atoms, 1)
-    if isinstance(sset, SymUnion):
-        point = _not_equal_point(sset)
-        if point is not None:
-            return 1
-        return sum(_set_atom_count(arg) for arg in sset.args)
-    if isinstance(sset, sympy.Complement):
-        universe, removed = sset.args
-        if universe == S.Reals and isinstance(removed, FiniteSet):
-            return len(removed.args)
-    # Unknown shape: count leaf sets conservatively.
-    return max(1, len(sset.args))
+    cuts_a, cuts_b = _cuts(a), _cuts(b)
+    len_a, len_b = len(cuts_a), len(cuts_b)
+    out: list[tuple] = []
+    i = j = 0
+    inside = False
+    while i < len_a or j < len_b:
+        if j == len_b or (i < len_a and cuts_a[i] <= cuts_b[j]):
+            cut = cuts_a[i]
+            if j < len_b and cuts_b[j] == cut:
+                j += 1
+            i += 1
+        else:
+            cut = cuts_b[j]
+            j += 1
+        now = keep[(i & 1) + ((j & 1) << 1)]
+        if now != inside:
+            out.append(cut)
+            inside = now
+    return _from_cuts(out)
 
 
-def _not_equal_point(sset: SymUnion):
-    """If ``sset`` is (-oo, v) U (v, oo), return v, else None."""
-    if len(sset.args) != 2:
-        return None
-    left, right = sorted(sset.args, key=lambda s: str(s))
-    if not (isinstance(left, Interval) and isinstance(right, Interval)):
-        return None
-    candidates = [(left, right), (right, left)]
-    for lo, hi in candidates:
-        if (lo.start == -sympy.oo and hi.end == sympy.oo
-                and lo.end == hi.start and lo.right_open and hi.left_open):
-            return lo.end
-    return None
-
-
-def _piece_to_expression(piece: sympy.Set, term: Expression
-                         ) -> Expression | None:
-    from repro.expressions.analysis import conjunction_of
-
-    if isinstance(piece, FiniteSet):
-        values = [_to_python_number(v) for v in piece.args]
-        atoms = [Comparison(term, CompOp.EQ, Literal(v)) for v in values]
-        return atoms[0] if len(atoms) == 1 else Or(tuple(atoms))
-    if isinstance(piece, Interval):
-        atoms: list[Expression] = []
-        if piece.start != -sympy.oo:
-            op = CompOp.GT if piece.left_open else CompOp.GE
-            atoms.append(Comparison(term, op,
-                                    Literal(_to_python_number(piece.start))))
-        if piece.end != sympy.oo:
-            op = CompOp.LT if piece.right_open else CompOp.LE
-            atoms.append(Comparison(term, op,
-                                    Literal(_to_python_number(piece.end))))
-        if not atoms:
-            return None
-        return conjunction_of(atoms)
-    raise UnsupportedPredicateError(
-        f"cannot render sympy set {piece} back to a predicate")
-
-
-def _to_python_number(value: sympy.Expr):
-    if value.is_Integer:
-        return int(value)
-    return float(value)
+def _literal(value: Fraction) -> Literal:
+    return Literal(int(value) if value.denominator == 1 else float(value))

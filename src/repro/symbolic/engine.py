@@ -40,11 +40,6 @@ from typing import Callable, Hashable, Mapping
 
 from repro.expressions.expr import Expression
 from repro.symbolic.dnf import DnfPredicate, dnf_from_expression
-from repro.symbolic.domains import (
-    CategoricalConstraint,
-    Constraint,
-    NumericConstraint,
-)
 from repro.symbolic.operations import (
     difference,
     intersection,
@@ -58,27 +53,18 @@ from repro.symbolic.selectivity import SelectivityEstimator, StatsResolver
 DEFAULT_MEMO_SIZE = 4096
 
 
-def _constraint_key(constraint: Constraint) -> Hashable:
-    if isinstance(constraint, NumericConstraint):
-        return ("num", constraint.sset)
-    if isinstance(constraint, CategoricalConstraint):
-        return ("cat", constraint.values, constraint.complemented)
-    raise TypeError(f"unmemoizable constraint {type(constraint).__name__}")
-
-
 def predicate_key(predicate: DnfPredicate) -> Hashable:
     """Canonical hashable form of a DNF predicate.
 
     A tuple of per-conjunctive keys in disjunct order; each conjunctive
-    key is its ``(dimension, constraint-content)`` pairs in the
-    conjunctive's own (dimension-sorted) order.  Two predicates with
-    equal keys denote the same symbolic set and render over the same
-    terms, so every memoized operation is a pure function of its keys.
+    key is its ``(dimension, constraint)`` pairs in the conjunctive's own
+    (dimension-sorted) order — constraints are canonical, so they hash
+    and compare as the sets they denote.  Two predicates with equal keys
+    denote the same symbolic set and render over the same terms, so every
+    memoized operation is a pure function of its keys.
     """
-    return tuple(
-        tuple((dim, _constraint_key(constraint))
-              for dim, constraint in conjunctive.constraints.items())
-        for conjunctive in predicate.conjunctives)
+    return tuple(tuple(conjunctive.constraints.items())
+                 for conjunctive in predicate.conjunctives)
 
 
 @dataclass(frozen=True)
@@ -158,7 +144,7 @@ class SymbolicEngine:
                   terms: Mapping[str, Expression]) -> DnfPredicate:
         """LRU-memoized ``compute()``, re-termed for this caller.
 
-        The value is computed outside the lock (sympy reductions can be
+        The value is computed outside the lock (reductions can be
         slow); two racing threads may both compute the same entry — the
         results are identical by construction and the second store is a
         no-op overwrite.

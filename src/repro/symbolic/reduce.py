@@ -16,7 +16,7 @@ of ``c1 OR c2``, the union is reducible:
   out of ``c2`` along ``d`` so the conjunctives become disjoint    (case iii)
 
 The remaining-dimension unions and differences are delegated to the
-computer algebra system (sympy set arithmetic inside the constraints).
+constraints' own exact set arithmetic (``domains.py``).
 """
 
 from __future__ import annotations

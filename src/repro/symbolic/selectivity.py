@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import sympy
-from sympy import FiniteSet, Interval, S, Union as SymUnion
-
 from repro.catalog.statistics import ColumnStatistics, TableStatistics
 from repro.symbolic.conjunctive import Conjunctive
 from repro.symbolic.dnf import DnfPredicate
@@ -75,7 +72,7 @@ class SelectivityEstimator:
         if stats is None:
             return self._default
         if isinstance(constraint, NumericConstraint):
-            return _clamp(_numeric_mass(stats, constraint.sset))
+            return _clamp(_numeric_mass(stats, constraint.pieces))
         if isinstance(constraint, CategoricalConstraint):
             return _clamp(stats.categorical_mass(
                 constraint.values, constraint.complemented))
@@ -101,28 +98,10 @@ class SelectivityEstimator:
         return _clamp(total)
 
 
-def _numeric_mass(stats: ColumnStatistics, sset: sympy.Set) -> float:
-    if sset is S.EmptySet:
-        return 0.0
-    if sset == S.Reals:
-        return 1.0
-    if isinstance(sset, FiniteSet):
-        return sum(stats.numeric_mass(float(v), float(v))
-                   for v in sset.args)
-    if isinstance(sset, Interval):
-        lo = float("-inf") if sset.start == -sympy.oo else float(sset.start)
-        hi = float("inf") if sset.end == sympy.oo else float(sset.end)
-        return stats.numeric_mass(lo, hi, bool(sset.left_open),
-                                  bool(sset.right_open))
-    if isinstance(sset, SymUnion):
-        # Canonical sympy unions are disjoint; masses add.
-        return sum(_numeric_mass(stats, arg) for arg in sset.args)
-    if isinstance(sset, sympy.Complement):
-        universe, removed = sset.args
-        return (_numeric_mass(stats, universe)
-                - _numeric_mass(stats, removed))
-    # Unknown set shape: uninformative.
-    return TableStatistics.DEFAULT_SELECTIVITY
+def _numeric_mass(stats: ColumnStatistics, pieces) -> float:
+    # Pieces are disjoint; masses add.
+    return sum(stats.numeric_mass(float(lo), float(hi), lo_open, hi_open)
+               for lo, lo_open, hi, hi_open in pieces)
 
 
 def _clamp(value: float) -> float:

@@ -6,6 +6,7 @@ from repro.clock import CostCategory
 from repro.config import EvaConfig, ReusePolicy
 from repro.session import EvaSession
 from repro.storage.view_store import MaterializedView, ViewStore
+from repro.store.wal import scan_wal
 from repro.types import BoundingBox
 
 
@@ -98,3 +99,43 @@ class TestSessionPersistence:
             sorted(baseline.execute(wider).rows, key=repr)
         stats = second.metrics.udf_stats["fasterrcnn_resnet50"]
         assert stats.reused_invocations == 40
+
+
+class TestDurableHistoryLog:
+    """A durable session logs ``p_u`` only when it changes, and a
+    restarted session recovers the same reuse from that log."""
+
+    SECOND = TestSessionPersistence.QUERY.replace(
+        "id < 40", "id >= 60 AND id < 90 AND score > 0.5")
+
+    def _session(self, video, path) -> EvaSession:
+        session = EvaSession(config=EvaConfig(
+            reuse_policy=ReusePolicy.EVA, store_mode="durable",
+            store_path=str(path)))
+        session.register_video(video)
+        return session
+
+    def test_repeated_queries_append_no_history_records(self, tiny_video,
+                                                        tmp_path):
+        queries = (TestSessionPersistence.QUERY, self.SECOND)
+        first = self._session(tiny_video, tmp_path)
+
+        def udf_records() -> int:
+            scan = scan_wal(first.view_store.layout.control_log_path)
+            return sum(r["op"] == "udf" for r in scan.records)
+
+        expected = [first.execute(q).rows for q in queries]
+        settled = udf_records()
+        assert settled > 0
+        version = first.udf_manager.version
+        for query in queries * 2:
+            first.execute(query)
+        assert udf_records() == settled
+        assert first.udf_manager.version == version
+        first.close()
+
+        second = self._session(tiny_video, tmp_path)
+        assert [second.execute(q).rows for q in queries] == expected
+        assert second.last_query_metrics().time(CostCategory.UDF) < 0.5
+        assert second.hit_percentage() > 90.0
+        second.close()

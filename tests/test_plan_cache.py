@@ -2,7 +2,10 @@
 
 
 from repro.config import EvaConfig, ReusePolicy
+from repro.optimizer.udf_manager import UdfManager, UdfSignature
+from repro.parser.parser import parse_predicate
 from repro.session import EvaSession
+from repro.symbolic.engine import SymbolicEngine
 
 
 def _session(video, policy=ReusePolicy.EVA, **kwargs):
@@ -80,6 +83,57 @@ class TestPlanCache:
         first = session.execute(QUERY)
         second = session.execute(QUERY)  # cached plan
         assert first.rows == second.rows
+
+
+class TestNoOpUnion:
+    """``UNION(p_u, q)`` with ``q`` already covered may come back with
+    the conjunctives of ``p_u`` in another order; that is not a change."""
+
+    def test_covered_guard_changes_nothing(self):
+        engine = SymbolicEngine()
+        manager = UdfManager(engine)
+        signature = UdfSignature("CarType", ("tiny",))
+
+        def record(text: str) -> bool:
+            return manager.record_execution(
+                signature, engine.analyze(parse_predicate(text)))
+
+        assert record("id < 20 AND area > 0.05")
+        assert record("id >= 30 AND id < 50 AND score > 0.5")
+        history = manager.history(signature)
+        settled = history.aggregated_predicate
+        assert len(settled.conjunctives) == 2
+        version = manager.version
+        for covered in ("id < 20 AND area > 0.05",
+                        "id >= 30 AND id < 50 AND score > 0.5",
+                        "id < 10 AND area > 0.1"):
+            assert not record(covered)
+            assert history.aggregated_predicate is settled
+        assert manager.version == version
+        assert record("id >= 50")
+        assert manager.version == version + 1
+
+    def test_two_conjunctive_history_keeps_cached_plans(self, tiny_video):
+        """Two queries whose ``CarType`` guards stay two conjunctives:
+        alternating between them re-optimizes nothing once settled."""
+        first = QUERY.replace("label = 'car'",
+                              "label = 'car' AND area > 0.05")
+        second = first.replace("id < 20", "id >= 30 AND id < 50") \
+            .replace("area > 0.05", "score > 0.5")
+        session = _session(tiny_video, ReusePolicy.EVA)
+        session.execute(first)
+        session.execute(second)
+        plans = {}
+        for query in (first, second):
+            session.execute(query)  # re-optimized once against the views
+            plans[query] = session.last_optimized
+        version = session.udf_manager.version
+        assert [len(h.aggregated_predicate.conjunctives)
+                for h in session.udf_manager.histories()] == [1, 2]
+        for query in (first, second, first, second):
+            session.execute(query)
+            assert session.last_optimized is plans[query]
+        assert session.udf_manager.version == version
 
 
 def _query(limit: int) -> str:

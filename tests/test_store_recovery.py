@@ -22,8 +22,12 @@ import pytest
 
 import repro
 from repro.errors import StorageError
-from repro.store import DurableViewStore
+from repro.optimizer.udf_manager import UdfSignature
+from repro.parser.parser import parse_predicate
+from repro.store import (DurableViewStore, PersistentUdfManager,
+                         restore_udf_histories)
 from repro.store.wal import WalWriter, scan_wal
+from repro.symbolic.engine import SymbolicEngine, predicate_key
 
 
 def make_store(path, **kwargs) -> DurableViewStore:
@@ -104,6 +108,41 @@ class TestDurableRoundTrip:
         assert len(records) == 1
         assert records[0]["predicate"] == "id < 40"
         assert second.recovery_report.udf_histories == 1
+        second.close()
+
+    def test_unchanged_history_appends_no_wal_record(self, tmp_path):
+        """Only a real change of ``p_u`` is logged; a covered guard —
+        which reduction may hand back reordered — is not, and recovery
+        rebuilds the same history from the shorter log."""
+        engine = SymbolicEngine()
+        signature = UdfSignature("CarType", ("tiny",))
+
+        def udf_records() -> int:
+            scan = scan_wal(first.layout.control_log_path)
+            return sum(r["op"] == "udf" for r in scan.records)
+
+        first = make_store(tmp_path)
+        manager = PersistentUdfManager(engine, first)
+        for text in ("id < 20 AND area > 0.05",
+                     "id >= 30 AND id < 50 AND score > 0.5"):
+            assert manager.record_execution(
+                signature, engine.analyze(parse_predicate(text)), 0.031)
+        assert udf_records() == 2
+        for text in ("id < 20 AND area > 0.05", "id < 10 AND area > 0.1",
+                     "id >= 30 AND id < 50 AND score > 0.5"):
+            assert not manager.record_execution(
+                signature, engine.analyze(parse_predicate(text)), 0.031)
+        assert udf_records() == 2
+        expected = manager.history(signature)
+        first.close()
+
+        second = make_store(tmp_path)
+        recovered = PersistentUdfManager(engine, second)
+        assert restore_udf_histories(second, recovered, engine) == 1
+        history = recovered.history(signature)
+        assert set(predicate_key(history.aggregated_predicate)) \
+            == set(predicate_key(expected.aggregated_predicate))
+        assert history.per_tuple_cost == expected.per_tuple_cost
         second.close()
 
     def test_closed_store_refuses_writes(self, tmp_path):
