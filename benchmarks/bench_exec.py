@@ -11,17 +11,8 @@ speedup of the second over the first:
   materialized views: the filter + APPLY hot path of exploratory
   analytics, dominated by bulk view probes (``get_many``).
 * ``apply_miss_heavy`` (``row`` vs ``vectorized``) — no-reuse policy,
-  cold models: dominated by model evaluation (``predict_batch``).  The
-  fusion compiler defers on miss-dominated plans (see
-  ``docs/execution.md``), so vectorized execution must not fall below
-  row mode here either.
-* ``fused_vs_vectorized`` (``vectorized`` vs ``fused``) — the
-  filter-heavy workload run twice in vectorized mode, first with
-  ``kernel_fusion=False`` and then with the whole-plan kernel compiler
-  on: isolates the speedup of fused streaming suffixes over
-  operator-at-a-time vectorized dispatch (the hit-heavy path is
-  view-probe dominated, so the filter pipeline is where fusion's
-  per-operator savings are visible).
+  cold models: dominated by model evaluation (``predict_batch``);
+  vectorized execution must not fall below row mode here either.
 * ``parallel_filter`` (``serial`` vs ``parallel``) — the same
   filter + APPLY path under morsel-driven parallelism
   (``EvaConfig.parallelism``) with simulated per-call model serving
@@ -163,11 +154,9 @@ def build_mode_scenarios(frames: int, repetitions: int) -> dict:
 
 
 def run_mode(video: SyntheticVideo, policy: ReusePolicy, mode: str,
-             warmup: list[str], queries: list[str],
-             kernel_fusion: bool = True) -> dict:
+             warmup: list[str], queries: list[str]) -> dict:
     session = EvaSession(config=EvaConfig(reuse_policy=policy,
-                                          execution_mode=mode,
-                                          kernel_fusion=kernel_fusion))
+                                          execution_mode=mode))
     session.register_video(video)
     for sql in warmup:
         session.execute(sql)
@@ -201,29 +190,6 @@ def pair_entry(pair: tuple[str, str], baseline: dict, candidate: dict,
     }
     entry.update(extra)
     return entry
-
-
-def run_fused_vs_vectorized(frames: int, repetitions: int) -> dict:
-    """Vectorized filter-heavy pass with the kernel compiler off vs on.
-
-    Both halves use ``execution_mode="vectorized"``; only
-    ``EvaConfig.kernel_fusion`` differs, so the speedup is exactly the
-    contribution of whole-plan kernel compilation (fused streaming
-    suffixes, zero-copy batch views) over operator-at-a-time dispatch.
-    One warmup query per half keeps the (identical) parse/optimize cost
-    of the first sighting out of the measured window.
-    """
-    video = make_video(frames)
-    query = (
-        "SELECT id, timestamp FROM bench "
-        f"WHERE id * 3 + 1 < {frames * 2} AND timestamp > 0.5;")
-    unfused = run_mode(video, ReusePolicy.NONE, "vectorized",
-                       [query], [query] * (repetitions * 4),
-                       kernel_fusion=False)
-    fused = run_mode(video, ReusePolicy.NONE, "vectorized",
-                     [query], [query] * (repetitions * 4),
-                     kernel_fusion=True)
-    return pair_entry(("vectorized", "fused"), unfused, fused)
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +802,6 @@ def main(argv: list[str] | None = None) -> int:
                        spec["warmup"], spec["queries"])
         report["scenarios"][name] = pair_entry(("row", "vectorized"),
                                                row, vec)
-    report["scenarios"]["fused_vs_vectorized"] = run_fused_vs_vectorized(
-        frames, repetitions)
     report["scenarios"]["parallel_filter"] = run_parallel_filter(
         frames, args.quick)
     report["scenarios"]["cold_start_hit_heavy"] = run_cold_start_hit_heavy(
@@ -906,8 +870,6 @@ def main(argv: list[str] | None = None) -> int:
 
     report["hot_path_speedup"] = \
         report["scenarios"]["apply_hit_heavy"]["real_speedup"]
-    report["fused_speedup"] = \
-        report["scenarios"]["fused_vs_vectorized"]["real_speedup"]
     report["miss_path_speedup"] = \
         report["scenarios"]["apply_miss_heavy"]["real_speedup"]
     report["parallel_speedup"] = \

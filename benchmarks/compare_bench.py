@@ -33,16 +33,13 @@ Comparison rules:
   (default +/-25%).  A ``--quick`` CI run against the committed
   full-size baseline skips raw-wall checks and instead applies
   scale-free checks: the hot-path speedup must stay >= ``--min-speedup``
-  (default 2.0 — the fused vectorized hot path earns >=2x over row
+  (default 2.0 — the vectorized hot path earns >=2x over row
   mode even at CI smoke sizes, and regressing below that loses the
   tentpole win the committed baseline records),
   the morsel-parallel speedup must stay >= ``--min-parallel-speedup``
-  (default 1.0), the whole-plan kernel compiler must stay >=
-  ``--min-fused-speedup`` over unfused vectorized execution (default
-  1.0), the miss-dominated APPLY path must stay >=
-  ``--min-miss-speedup`` over row mode (default 1.0 — the fusion
-  compiler's skip-fusion deferral must keep cold model evaluation from
-  regressing), the multi-process worker pool must stay >=
+  (default 1.0), the miss-dominated APPLY path must stay >=
+  ``--min-miss-speedup`` over row mode (default 1.0 — the pipeline
+  must not cost cold model evaluation anything), the multi-process worker pool must stay >=
   ``--min-pool-speedup`` over single-process serving (default 1.0; CI
   passes 2.0 on the sleep-bound stress workload), and per-scenario
   speedup regressions beyond the tolerance are reported as warnings.
@@ -94,7 +91,6 @@ def scenario_pair(scenario: dict) -> tuple[str, str]:
 
 def compare(baseline: dict, fresh: dict, *, tolerance: float,
             min_speedup: float, min_parallel_speedup: float,
-            min_fused_speedup: float = 1.0,
             min_miss_speedup: float = 1.0,
             min_pool_speedup: float = 1.0) -> tuple[list[str], list[str]]:
     """Diff ``fresh`` against ``baseline``.
@@ -186,7 +182,7 @@ def compare(baseline: dict, fresh: dict, *, tolerance: float,
     if hot is not None and hot < min_speedup:
         failures.append(
             f"hot_path_speedup {hot:.2f}x < required {min_speedup:.2f}x "
-            f"(the fused vectorized hot path must keep its >=2x win "
+            f"(the vectorized hot path must keep its >=2x win "
             f"over row mode)")
     par = fresh.get("parallel_speedup")
     if par is not None and par < min_parallel_speedup:
@@ -194,15 +190,6 @@ def compare(baseline: dict, fresh: dict, *, tolerance: float,
             f"parallel_speedup {par:.2f}x < required "
             f"{min_parallel_speedup:.2f}x (morsel-driven execution must "
             f"not regress below serial)")
-    fused = fresh.get("fused_speedup")
-    if fused is None:
-        scenario = fresh.get("scenarios", {}).get("fused_vs_vectorized")
-        fused = scenario.get("real_speedup") if scenario else None
-    if fused is not None and fused < min_fused_speedup:
-        failures.append(
-            f"fused_speedup {fused:.2f}x < required "
-            f"{min_fused_speedup:.2f}x (the whole-plan kernel compiler "
-            f"must not regress below unfused vectorized execution)")
     miss = fresh.get("miss_path_speedup")
     if miss is None:
         scenario = fresh.get("scenarios", {}).get("apply_miss_heavy")
@@ -210,8 +197,8 @@ def compare(baseline: dict, fresh: dict, *, tolerance: float,
     if miss is not None and miss < min_miss_speedup:
         failures.append(
             f"apply_miss_heavy speedup {miss:.2f}x < required "
-            f"{min_miss_speedup:.2f}x (skip-fusion deferral must keep "
-            f"the miss-dominated path from regressing below row mode)")
+            f"{min_miss_speedup:.2f}x (the miss-dominated path must not "
+            f"regress below row mode)")
     pool = fresh.get("pool_speedup")
     if pool is None:
         scenario = fresh.get("scenarios", {}).get("pool_stress")
@@ -279,7 +266,6 @@ def history_entry(baseline: dict, fresh: dict, failures: list[str],
         "repetitions": fresh.get("repetitions"),
         "comparable_to_baseline": same_configuration(baseline, fresh),
         "hot_path_speedup": fresh.get("hot_path_speedup"),
-        "fused_speedup": fresh.get("fused_speedup"),
         "miss_path_speedup": fresh.get("miss_path_speedup"),
         "parallel_speedup": fresh.get("parallel_speedup"),
         "batcher_mean_batch_requests":
@@ -327,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-parallel-speedup", type=float, default=1.0,
                         help="hard floor for parallel_speedup "
                              "(serial vs --parallelism 4)")
-    parser.add_argument("--min-fused-speedup", type=float, default=1.0,
-                        help="hard floor for fused_speedup (kernel "
-                             "compiler on vs off, vectorized mode)")
     parser.add_argument("--min-miss-speedup", type=float, default=1.0,
                         help="hard floor for the apply_miss_heavy "
                              "real_speedup (vectorized vs row on the "
@@ -370,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         baseline, fresh, tolerance=args.tolerance,
         min_speedup=args.min_speedup,
         min_parallel_speedup=args.min_parallel_speedup,
-        min_fused_speedup=args.min_fused_speedup,
         min_miss_speedup=args.min_miss_speedup,
         min_pool_speedup=args.min_pool_speedup)
     for line in warnings:
@@ -393,7 +375,6 @@ def main(argv: list[str] | None = None) -> int:
             else "scale-free (configurations differ)")
     print(f"benchmark regression check passed [{mode}], "
           f"hot path {fresh.get('hot_path_speedup')}x, "
-          f"fused {fresh.get('fused_speedup')}x, "
           f"parallel {fresh.get('parallel_speedup')}x, "
           f"pool {fresh.get('pool_speedup')}x, "
           f"mean coalesced batch "

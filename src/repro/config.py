@@ -14,23 +14,9 @@ these enums so benchmarks can switch behavior without code changes:
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 
 from repro.costs import CostConstants
-
-
-def _fusion_default() -> bool:
-    """Default for :attr:`EvaConfig.kernel_fusion`.
-
-    CI's fused-execution job flips fusion globally through the
-    ``REPRO_KERNEL_FUSION`` environment variable (``0``/``false``/``off``
-    disable, anything else enables) without touching call sites.
-    """
-    value = os.environ.get("REPRO_KERNEL_FUSION")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "off", "no", "")
 
 
 class ReusePolicy(enum.Enum):
@@ -70,8 +56,6 @@ class EvaConfig:
     ranking: RankingMode | None = None
     model_selection: ModelSelectionMode = ModelSelectionMode.SET_COVER
     predicate_ordering: PredicateOrdering = PredicateOrdering.RANK
-    #: Wall-clock budget for symbolic reduction (Algorithm 1's TimeOut).
-    symbolic_time_budget: float = 0.5
     #: Virtual-cost calibration.
     costs: CostConstants = field(default_factory=CostConstants)
     #: Rows per execution batch.
@@ -84,14 +68,6 @@ class EvaConfig:
     #: unbounded cache keyed by raw SQL is a slow leak under ad-hoc
     #: exploratory workloads where nearly every statement is distinct.
     plan_cache_size: int = 128
-    #: Whole-plan kernel fusion (vectorized mode only): compile each
-    #: plan's streaming suffix (scan → filter → project → APPLY prologue)
-    #: into one generated function per batch instead of N operator calls.
-    #: Results, view contents and virtual clocks are identical either way
-    #: (the fused differential suite asserts this); fusion only changes
-    #: real seconds.  Defaults on; ``REPRO_KERNEL_FUSION=0`` in the
-    #: environment flips the default for A/B runs and CI.
-    kernel_fusion: bool = field(default_factory=_fusion_default)
     #: Maximum entries in the process-wide plan→kernel cache (LRU).
     #: Keyed structurally (scan ranges stripped) so morsels and repeat
     #: queries share compiled plans; invalidated by cost-calibration
@@ -107,12 +83,15 @@ class EvaConfig:
     fuzzy_reuse: bool = False
     #: Minimum IoU between the query box and a stored box for fuzzy reuse.
     fuzzy_iou_threshold: float = 0.80
-    #: Execution engine mode: ``"vectorized"`` runs compiled column-at-a-time
-    #: batch kernels, bulk view probes and batched model invocation;
-    #: ``"row"`` keeps the legacy row-at-a-time interpreter.  Both modes
-    #: produce identical result batches, view contents and virtual-cost
-    #: totals (the differential suite asserts this); vectorized is simply
-    #: faster in *real* seconds.
+    #: Execution engine: ``"vectorized"`` runs each plan's streaming
+    #: suffix (scan → filter → project → APPLY) as one pipeline of
+    #: compiled column-at-a-time kernels, bulk view probes and batched
+    #: model invocation; ``"row"`` builds the row-at-a-time operator tree
+    #: — the test oracle.  Both produce identical result batches, view
+    #: contents and virtual-cost totals (the differential suite asserts
+    #: this); vectorized is simply faster in *real* seconds.  Sessions
+    #: whose reuse is inherently per-row (``FUNCACHE``, ``HASHSTASH``,
+    #: ``fuzzy_reuse``) run on the row tree whatever this says.
     execution_mode: str = "vectorized"
     #: Cost-model calibration from observed telemetry
     #: (:mod:`repro.obs.calibration`): ``"off"`` never compares,

@@ -91,7 +91,7 @@ class ExecutionContext:
     #: (:class:`repro.executor.fusion.KernelCache`), duck-typed to avoid
     #: a context->fusion import cycle.  Shared by every client of a
     #: server and every morsel worker (``for_morsel`` clones keep it);
-    #: None disables whole-plan fusion.
+    #: None compiles every pipeline afresh.
     kernel_cache: object | None = None
     evaluator: ExpressionEvaluator = field(init=False)
 

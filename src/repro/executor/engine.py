@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from repro.config import ReusePolicy
 from repro.errors import ExecutorError
 from repro.executor.context import ExecutionContext
+from repro.executor.fusion import build_pipeline, streaming_suffix_start
 from repro.executor.operators import (
     ClassifierApplyOperator,
     DetectorApplyOperator,
@@ -27,12 +29,20 @@ from repro.optimizer.plans import (
     PhysProject,
     PhysScan,
     PhysicalPlan,
+    walk_plan,
 )
 from repro.storage.batch import Batch
 
 
 class ExecutionEngine:
     """Builds operator trees from physical plans and runs them.
+
+    Two engines, chosen per session by :meth:`uses_row_tree`: the
+    **streaming pipeline** (:mod:`repro.executor.fusion`) runs a plan's
+    whole streaming suffix as one operator under the blocking operators
+    of its prefix; the **row operator tree** builds one row-at-a-time
+    operator per plan node — the test oracle, and the host of the
+    per-row baselines.
 
     With ``EvaConfig.parallelism >= 2``, eligible plans run through the
     morsel-driven :class:`~repro.executor.parallel.ParallelExecutor`
@@ -50,29 +60,42 @@ class ExecutionEngine:
         self.context = context
         self._parallel = None
 
-    def build(self, plan: PhysicalPlan) -> Operator:
-        fused = self.maybe_fuse(plan)
-        if fused is not None:
-            return fused
-        child: Operator | None = None
-        plan_child = getattr(plan, "child", None)
-        if plan_child is not None:
-            child = self.build(plan_child)
-        return self.build_node(plan, child)
+    def uses_row_tree(self) -> bool:
+        """Does this session run on the row operator tree?
 
-    def maybe_fuse(self, plan: PhysicalPlan) -> Operator | None:
-        """Replace ``plan``'s streaming suffix with one fused operator.
-
-        Tried at every level of the recursive build, so the *maximal*
-        fusable suffix fuses: an unfusable boundary (GROUP BY, LIMIT,
-        a row-only expression) simply recurses past, and its fusable
-        subtree fuses on the next level down.  Returns None whenever
-        fusion is disabled, ineligible, or deferred — the normal
-        operator tree is built instead.
+        ``execution_mode="row"`` asks for it.  FunCache charges hashing
+        per lookup interleaved with stores, HashStash reads its recycler
+        union up front per operator, and fuzzy bbox reuse walks per-row
+        spatial candidates: those sessions resolve row-at-a-time
+        whatever ``execution_mode`` says.
         """
-        from repro.executor.fusion import maybe_fuse
+        config = self.context.config
+        return (config.execution_mode == "row"
+                or config.reuse_policy in (ReusePolicy.FUNCACHE,
+                                           ReusePolicy.HASHSTASH)
+                or config.fuzzy_reuse)
 
-        return maybe_fuse(plan, self.context)
+    def build(self, plan: PhysicalPlan) -> Operator:
+        chain = list(walk_plan(plan))
+        if self.uses_row_tree():
+            return self.build_over(chain, None)
+        split = streaming_suffix_start(chain)
+        pipeline = build_pipeline(chain[split:], self.context)
+        return self.build_over(chain[:split],
+                               self.built(chain[split], pipeline))
+
+    def build_over(self, nodes: list[PhysicalPlan],
+                   source: Operator | None) -> Operator:
+        """Stack one operator per node of ``nodes`` (root first) on
+        ``source``."""
+        for node in reversed(nodes):
+            source = self.built(node, self.build_node(node, source))
+        return source
+
+    def built(self, node: PhysicalPlan, operator: Operator) -> Operator:
+        """Hook: the operator that stands for ``node`` in the tree (the
+        instrumented engine wraps it)."""
+        return operator
 
     def build_node(self, plan: PhysicalPlan,
                    child: Operator | None) -> Operator:
@@ -115,12 +138,12 @@ class ExecutionEngine:
     def record_kernel_fallbacks(self, root: Operator) -> None:
         """Roll per-operator runtime-fallback counts into the metrics.
 
-        Every operator tracks ``kernel_fallback_batches`` — batches that
-        started on the vectorized path but re-ran through the row
-        interpreter.  Harvesting them once per query (under a single
-        ``kernel_fallback:<Operator>`` counter name) keeps the operators
-        free of metrics plumbing while the Prometheus exposition can
-        still report fallbacks per operator
+        Every operator reports :meth:`Operator.fallback_counts` —
+        batches that started on a compiled kernel but re-ran through the
+        row interpreter, by plan-node label.  Harvesting them once per
+        query (as ``kernel_fallback:<Label>`` counters) keeps the
+        operators free of metrics plumbing while the Prometheus
+        exposition can still report fallbacks per operator
         (``eva_kernel_fallback_batches_total``).
         """
         metrics = self.context.metrics
@@ -128,21 +151,7 @@ class ExecutionEngine:
         while op is not None:
             # Instrumented wrappers expose the real operator as .inner.
             real = getattr(op, "inner", op)
-            stage_counts = getattr(real, "stage_fallback_batches", None)
-            if stage_counts is not None:
-                # A fused pipeline attributes fallbacks to the plan node
-                # whose stage demoted, matching the unfused counters.
-                for label, count in stage_counts.items():
-                    if count:
-                        metrics.increment(f"kernel_fallback:{label}", count)
-            else:
-                count = getattr(real, "kernel_fallback_batches", 0)
+            for label, count in real.fallback_counts().items():
                 if count:
-                    node = getattr(real, "node", None)
-                    label = (type(node).__name__.removeprefix("Phys")
-                             if node is not None else type(real).__name__)
                     metrics.increment(f"kernel_fallback:{label}", count)
-            op = getattr(op, "child", None) or getattr(real, "child", None)
-
-    # Backwards-compatible alias (pre-parallel name).
-    _record_kernel_fallbacks = record_kernel_fallbacks
+            op = getattr(real, "child", None)

@@ -1,73 +1,54 @@
-"""Whole-plan kernel fusion: one generated function per streaming suffix.
+"""The streaming engine: one pipeline per plan.
 
-The vectorized executor (docs/execution.md) still dispatches
-operator-at-a-time: every batch climbs the operator tree through N
-generator resumptions, N ``filter_mask``/``with_column`` hops, and N
-per-operator bookkeeping passes.  BlazeIt-style engines show that once
-model cost is amortized by reuse, the cheap pipeline *is* the query — so
-this module compiles each plan's **streaming suffix** (scan → filter →
-project → classifier/detector APPLY prologue up to the view probe) into a
-single generated Python function over columnar batches.
+Every physical plan is a blocking prefix (``[Limit][OrderBy][Distinct]
+[GroupBy]``) over a **streaming suffix** (``Project``/``Filter``/APPLY
+nodes down to the ``Scan``).  BlazeIt-style engines show that once model
+cost is amortized by reuse, the cheap pipeline *is* the query — so under
+``execution_mode="vectorized"`` the whole suffix runs as one
+:class:`FusedPipelineOperator`: compiled expression kernels, a stage
+tuple, a pruned scan column set, and one plain loop that pushes each
+columnar scan batch through the stages.  Nothing is generated or
+``exec``-ed; a stage is data.
 
-How a plan fuses
-----------------
+A kernel the expression compiler could not vectorize
+(``vectorized=False``) takes ``run_kernel_*``'s row fallback inside its
+stage, and an APPLY batch that trips a row-fallback precondition demotes
+only that stage for that batch.
 
-``maybe_fuse`` walks the chain from a node down to its scan.  If every
-node is streaming (scan / filter / project / classifier-apply /
-detector-apply), every expression passes
-:func:`~repro.expressions.compiler.supports_vectorized`, and the APPLY
-nodes meet the same preconditions the vectorized operators require, the
-chain compiles into a :class:`FusedPlan`: compiled expression kernels,
-a stage list, a pruned scan column set, and one ``fused_pipeline(batch,
-rt)`` function produced by ``exec`` of generated source (kept on the
-plan for debugging).  A node that fails the check simply is not fused —
-recursion continues below it, so an unfusable *tail* demotes only
-itself, never the whole plan.  At runtime, any APPLY batch that trips a
-row-fallback precondition demotes only that stage for that batch.
-
-Semantics are bit-identical to serial vectorized execution by
-construction: the generated function mirrors each operator's per-batch
-body (including the exact virtual-clock charges, empty-batch gating, and
-the project operator's empty-schema emission via the end-of-stream
-drain), and filter groups that combine masks speculatively re-run
-sequentially whenever an upper kernel errors, so errors never surface
-for rows a lower filter would have removed.
+Semantics are bit-identical to the row operator tree (the test oracle,
+``execution_mode="row"``) by construction: each stage mirrors its
+operator's per-batch body (including the exact virtual-clock charges,
+empty-batch gating, and the project operator's empty-schema emission via
+the end-of-stream drain), and filter groups that combine masks
+speculatively re-run sequentially whenever an upper kernel errors, so
+errors never surface for rows a lower filter would have removed.
 
 The plan→kernel cache
 ---------------------
 
 Compilation is off the hot path: a process-wide :class:`KernelCache`
 (LRU, ``EvaConfig.kernel_cache_size``) maps a *structural* plan key —
-the chain's node reprs with scan ranges stripped, plus the reuse-policy
-knobs that shape fusion — to its ``FusedPlan``.  Stripping the ranges is
-what lets every morsel of a parallel query (and every client of a shared
-server) reuse one compiled plan.  Cost-calibration catalog rebuilds
-invalidate the cache the same way they clear the session plan cache.
-
-Miss-dominated deferral
------------------------
-
-A single miss-dominated query (every APPLY evaluates the model; no view
-to probe) spends its wall time inside model evaluation, so fusing its
-dispatch cannot amortize the compile.  The first sighting of such a plan
-stores a deferral sentinel and runs unfused; only a second sighting
-compiles.  Deterministic, and semantics-free either way.
+the chain's node reprs with scan ranges stripped, plus the reuse policy
+— to its ``FusedPlan``.  Stripping the ranges is what lets every morsel
+of a parallel query (and every client of a shared server) reuse one
+compiled plan.  Cost-calibration catalog rebuilds invalidate the cache
+the same way they clear the session plan cache.  A context without a
+cache compiles the same pipeline on every build.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
-from repro.catalog.udf_registry import UdfKind
 from repro.clock import CostCategory
 from repro.config import ReusePolicy
 from repro.executor.context import ExecutionContext
-from repro.executor.operators.base import Operator
+from repro.executor.operators.base import Operator, node_label
 from repro.executor.operators.classifier import ClassifierApplyOperator
 from repro.executor.operators.detector import DetectorApplyOperator
 from repro.expressions.compiler import (
@@ -76,7 +57,6 @@ from repro.expressions.compiler import (
     run_kernel_mask,
     run_kernel_mask_vectorized,
     run_kernel_values,
-    supports_vectorized,
 )
 from repro.expressions.expr import ColumnRef, Star
 from repro.optimizer.plans import (
@@ -89,20 +69,26 @@ from repro.optimizer.plans import (
 )
 from repro.storage.batch import Batch
 
-#: Chain members allowed between the boundary and the scan.
-_FUSABLE_MID = (PhysFilter, PhysProject, PhysClassifierApply,
-                PhysDetectorApply)
+#: Plan nodes that stream batches without cross-batch state: the
+#: pipeline runs them, and morsels may run them per frame range.
+#: Everything else (GROUP BY, DISTINCT, ORDER BY, LIMIT) is a blocking
+#: operator above the pipeline.
+STREAMING_NODES = (PhysScan, PhysFilter, PhysProject,
+                   PhysClassifierApply, PhysDetectorApply)
 
 #: Base scan columns, in schema order.
 _SCAN_COLUMNS = ("id", "timestamp", "frame")
 
-#: Cache entry marking a miss-dominated plan seen once: compile on the
-#: second sighting.
-_DEFERRED = object()
 
+def streaming_suffix_start(chain: list[PhysicalPlan]) -> int:
+    """Index in root-to-scan ``chain`` where the streaming suffix begins.
 
-def _node_label(node: PhysicalPlan) -> str:
-    return type(node).__name__.removeprefix("Phys")
+    0 means the whole plan streams (no blocking prefix).
+    """
+    split = len(chain) - 1
+    while split > 0 and isinstance(chain[split - 1], STREAMING_NODES):
+        split -= 1
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -125,26 +111,25 @@ class KernelCache:
             raise ValueError(f"kernel cache capacity must be >= 1, "
                              f"got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, FusedPlan]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
-    def lookup(self, key: tuple):
-        """The cached entry for ``key`` (a FusedPlan, the deferral
-        sentinel, or None).  Only a compiled-plan hit counts as a hit."""
+    def lookup(self, key: tuple) -> "FusedPlan | None":
+        """The compiled plan cached under ``key``, or None."""
         with self._lock:
             entry = self._entries.get(key)
-            if isinstance(entry, FusedPlan):
+            if entry is None:
+                self.misses += 1
+            else:
                 self._entries.move_to_end(key)
                 self.hits += 1
-            else:
-                self.misses += 1
             return entry
 
-    def store(self, key: tuple, entry) -> None:
+    def store(self, key: tuple, entry: "FusedPlan") -> None:
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -179,62 +164,49 @@ class KernelCache:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class FusedPlan:
     """The context-free compiled form of one streaming suffix.
 
-    Holds only shareable state: compiled expression kernels (stateless
-    when run through the ``run_kernel_*`` counters-outside runners), the
-    stage list, the pruned scan column set, and the generated pipeline
-    function (+ its source, for debugging and EXPLAIN).  Everything
-    per-execution — APPLY operator instances, fallback counters, clocks —
-    lives in the :class:`_FusedRuntime` threaded through each call.
+    Holds only shareable state: the stage tuple (whose compiled
+    expression kernels are stateless when run through the
+    ``run_kernel_*`` counters-outside runners) and the pruned scan
+    column set.  Everything per-execution — APPLY operator instances,
+    fallback counters, clocks — lives in the :class:`_FusedRuntime` of
+    the operator running it.
+
+    A stage is ``(kind, payload, index)``:
+
+    * ``("filters", ((kernel, label), ...), None)`` — a run of adjacent
+      filters (scan residual included) applied as one mask group;
+    * ``("detector" | "classifier", label, apply_index)`` — one APPLY,
+      run by the runtime's ``ops[apply_index]``;
+    * ``("project", ((name, kernel | None), ...), project_index)`` — a
+      select list; a ``None`` kernel is ``*``.
     """
 
-    __slots__ = ("key", "kernels", "stages", "scan_columns", "source",
-                 "fn", "num_applies", "num_projects", "boundary_label")
-
-    def __init__(self, key, kernels, stages, scan_columns, source, fn,
-                 num_applies, num_projects, boundary_label):
-        self.key = key
-        self.kernels = kernels
-        self.stages = stages
-        self.scan_columns = scan_columns
-        self.source = source
-        self.fn = fn
-        self.num_applies = num_applies
-        self.num_projects = num_projects
-        self.boundary_label = boundary_label
+    stages: tuple[tuple, ...]
+    scan_columns: tuple[str, ...] | None
 
 
 class _FusedRuntime:
-    """Per-execution state threaded through the generated function."""
+    """Per-execution state threaded through the stages."""
 
-    __slots__ = ("policy", "ops", "fallbacks", "project_reached")
+    __slots__ = ("policy", "ops", "fallbacks", "projects_reached")
 
-    def __init__(self, policy: ReusePolicy, ops: list,
-                 num_projects: int):
+    def __init__(self, policy: ReusePolicy, ops: list):
         self.policy = policy
         self.ops = ops
-        #: plan-node label -> batches demoted to the row path, so the
-        #: ``kernel_fallback:<Label>`` metrics stay comparable with the
-        #: unfused executor.
+        #: plan-node label -> batches demoted to the row path (the
+        #: ``kernel_fallback:<Label>`` metrics).
         self.fallbacks: dict[str, int] = {}
-        self.project_reached = [False] * num_projects
+        #: ``project_index`` of every project stage a batch has reached.
+        self.projects_reached: set[int] = set()
 
 
 # ---------------------------------------------------------------------------
-# stage helpers (bound into the generated function's namespace)
+# stage bodies
 # ---------------------------------------------------------------------------
-
-
-def _mask(kernel: CompiledKernel, batch: Batch, rt: _FusedRuntime,
-          label: str):
-    return run_kernel_mask(kernel, batch, rt.fallbacks, label)
-
-
-def _values(kernel: CompiledKernel, batch: Batch, rt: _FusedRuntime,
-            label: str):
-    return run_kernel_values(kernel, batch, rt.fallbacks, label)
 
 
 def _filter_group(batch: Batch, rt: _FusedRuntime, group: tuple
@@ -249,9 +221,12 @@ def _filter_group(batch: Batch, rt: _FusedRuntime, group: tuple
     would never see a batch), and if a speculative kernel raises — its
     error might be caused by a row a lower filter removes — the group
     demotes and re-runs sequentially, reproducing serial values, errors,
-    and charges (expression kernels never touch the clock).
+    and charges (expression kernels never touch the clock).  A lone
+    filter, or a group holding a kernel that did not vectorize, runs
+    sequentially from the start.
     """
-    if all(kernel.vectorized for kernel, _ in group[1:]):
+    if len(group) > 1 and all(kernel.vectorized
+                              for kernel, _ in group[1:]):
         first_kernel, first_label = group[0]
         mask = run_kernel_mask(first_kernel, batch, rt.fallbacks,
                                first_label)
@@ -282,8 +257,8 @@ def _classifier_step(batch: Batch, rt: _FusedRuntime,
                          context.costs.apply_per_batch)
     values = op._resolve_batch(batch, rt.policy)
     if values is None:
-        # Unfusable tail for this batch only: the stage (not the plan)
-        # demotes to the row interpreter.
+        # This batch only: the stage (not the plan) demotes to the row
+        # interpreter.
         rt.fallbacks[label] = rt.fallbacks.get(label, 0) + 1
         values = [op._resolve(row, rt.policy) for row in batch.iter_rows()]
     return batch.with_column(op.column, values)
@@ -302,86 +277,33 @@ def _detector_step(batch: Batch, rt: _FusedRuntime,
     return out if out.num_rows else None
 
 
-def _project_batch(batch: Batch, rt: _FusedRuntime, spec: tuple,
-                   kernels: list) -> Batch:
-    """Interpreted project stage (used by the end-of-stream drain)."""
+def _project_batch(batch: Batch, rt: _FusedRuntime, spec: tuple) -> Batch:
+    """One project stage: the select list over ``batch``."""
     columns: dict[str, list] = {}
-    for name, kernel_index in spec:
-        if kernel_index is None:  # star: pass through input columns
+    for name, kernel in spec:
+        if kernel is None:  # star: pass through input columns
             for column in batch.column_names:
                 if not column.startswith("__udf::"):
                     columns[column] = batch.column(column)
         else:
-            columns[name] = run_kernel_values(kernels[kernel_index],
-                                              batch, rt.fallbacks,
+            columns[name] = run_kernel_values(kernel, batch, rt.fallbacks,
                                               "Project")
     return Batch(columns)
 
 
 # ---------------------------------------------------------------------------
-# eligibility + cache key
+# cache key + scan pruning
 # ---------------------------------------------------------------------------
 
 
-def _fusable_chain(plan: PhysicalPlan, context: ExecutionContext
-                   ) -> list[PhysicalPlan] | None:
-    """The boundary→scan node chain when ``plan`` heads a fusable suffix.
-
-    Mirrors the per-operator vectorization preconditions exactly: a chain
-    fuses only when every operator it replaces would have taken its
-    vectorized path.
-    """
-    config = context.config
-    policy = config.reuse_policy
-    chain: list[PhysicalPlan] = []
-    node = plan
-    while not isinstance(node, PhysScan):
-        if not isinstance(node, _FUSABLE_MID):
-            return None
-        chain.append(node)
-        node = node.child
-    chain.append(node)
-    if len(chain) < 2:
-        return None  # a bare scan gains nothing from fusion
-    for member in chain:
-        if isinstance(member, PhysScan):
-            if (member.residual is not None
-                    and not supports_vectorized(member.residual)):
-                return None
-        elif isinstance(member, PhysFilter):
-            if not supports_vectorized(member.predicate):
-                return None
-        elif isinstance(member, PhysProject):
-            for expr, _name in member.items:
-                if not isinstance(expr, Star) \
-                        and not supports_vectorized(expr):
-                    return None
-        elif isinstance(member, PhysClassifierApply):
-            if policy is ReusePolicy.FUNCACHE:
-                return None
-            if (policy is ReusePolicy.EVA and member.use_view
-                    and config.fuzzy_reuse):
-                # Fuzzy bbox reuse stays on the per-row legacy path.
-                try:
-                    kind = context.catalog.udfs.get(member.call.name).kind
-                except Exception:
-                    return None
-                if kind is UdfKind.PATCH_CLASSIFIER:
-                    return None
-        else:  # PhysDetectorApply
-            if policy not in (ReusePolicy.EVA, ReusePolicy.NONE):
-                return None
-    return chain
-
-
 def fusion_key(chain: list[PhysicalPlan], config) -> tuple:
-    """Structural cache key for a fusable chain.
+    """Structural cache key for a streaming chain.
 
     Scan ranges are stripped so the morsel clones of a parallel query
     (which differ *only* in ranges) share one compiled plan; everything
     else the compiled form depends on — node structure, expressions,
-    signatures, and the reuse-policy knobs that gate APPLY fusion — is
-    captured through the frozen-dataclass reprs.
+    signatures — is captured through the frozen-dataclass reprs, plus
+    the reuse policy the APPLY stages run under.
     """
     parts = []
     for node in chain:
@@ -389,33 +311,12 @@ def fusion_key(chain: list[PhysicalPlan], config) -> tuple:
             parts.append(repr(replace(node, ranges=())))
         else:
             parts.append(repr(replace(node, child=None)))
-    return (config.reuse_policy.value, bool(config.fuzzy_reuse),
-            tuple(parts))
+    return (config.reuse_policy.value, tuple(parts))
 
 
-def _miss_dominated(chain: list[PhysicalPlan], config) -> bool:
-    """Every APPLY stage evaluates the model (no view to probe)."""
-    if config.parallelism >= 2:
-        # Morsels amortize one compile across the whole scan; deferral
-        # is a single-query economy only.
-        return False
-    policy = config.reuse_policy
-    applies = [n for n in chain
-               if isinstance(n, (PhysClassifierApply, PhysDetectorApply))]
-    if not applies:
-        return False
-    for node in applies:
-        if isinstance(node, PhysClassifierApply):
-            if policy is ReusePolicy.EVA and node.use_view:
-                return False
-        elif policy is ReusePolicy.EVA and any(
-                source.use_view for source in node.sources):
-            return False
-    return True
-
-
-def _scan_column_pruning(chain: list[PhysicalPlan]) -> list[str] | None:
-    """Scan columns the fused chain actually needs, or None for all.
+def _scan_column_pruning(chain: list[PhysicalPlan]
+                         ) -> tuple[str, ...] | None:
+    """Scan columns the chain actually needs, or None for all.
 
     Pruning applies only when the boundary is a star-free project: the
     project's output then fully determines what downstream operators can
@@ -452,12 +353,10 @@ def _scan_column_pruning(chain: list[PhysicalPlan]) -> list[str] | None:
             needed.add("frame")
         else:  # PhysDetectorApply
             needed.update(_SCAN_COLUMNS)
-    columns = [c for c in _SCAN_COLUMNS if c in needed]
-    if not columns:
-        columns = ["id"]  # keep the row count observable
+    columns = tuple(c for c in _SCAN_COLUMNS if c in needed)
     if len(columns) == len(_SCAN_COLUMNS):
         return None
-    return columns
+    return columns or ("id",)  # keep the row count observable
 
 
 # ---------------------------------------------------------------------------
@@ -466,156 +365,54 @@ def _scan_column_pruning(chain: list[PhysicalPlan]) -> list[str] | None:
 
 
 def compile_fused_plan(chain: list[PhysicalPlan],
-                       context: ExecutionContext, key: tuple) -> FusedPlan:
-    """Compile a fusable chain into a :class:`FusedPlan`."""
+                       context: ExecutionContext) -> FusedPlan:
+    """Compile a streaming chain (boundary first, scan last)."""
     evaluator = context.evaluator
-    kernels: list[CompiledKernel] = []
     stages: list[tuple] = []
-    pending_filters: list[tuple[int, str]] = []
+    pending_filters: list[tuple[CompiledKernel, str]] = []
     num_applies = 0
     num_projects = 0
 
     def flush_filters() -> None:
         nonlocal pending_filters
         if pending_filters:
-            stages.append(("filters", tuple(pending_filters)))
+            stages.append(("filters", tuple(pending_filters), None))
             pending_filters = []
 
     for node in reversed(chain):  # bottom-up = execution order
-        label = _node_label(node)
+        label = node_label(node)
         if isinstance(node, PhysScan):
             if node.residual is not None:
-                kernels.append(compile_expression(node.residual, evaluator))
-                pending_filters.append((len(kernels) - 1, label))
+                pending_filters.append(
+                    (compile_expression(node.residual, evaluator), label))
         elif isinstance(node, PhysFilter):
-            kernels.append(compile_expression(node.predicate, evaluator))
-            pending_filters.append((len(kernels) - 1, label))
-        elif isinstance(node, PhysDetectorApply):
+            pending_filters.append(
+                (compile_expression(node.predicate, evaluator), label))
+        elif isinstance(node, (PhysDetectorApply, PhysClassifierApply)):
             flush_filters()
-            stages.append(("detector", num_applies, label))
-            num_applies += 1
-        elif isinstance(node, PhysClassifierApply):
-            flush_filters()
-            stages.append(("classifier", num_applies, label))
+            kind = ("detector" if isinstance(node, PhysDetectorApply)
+                    else "classifier")
+            stages.append((kind, label, num_applies))
             num_applies += 1
         else:  # PhysProject
             flush_filters()
-            spec = []
-            for expr, name in node.items:
-                if isinstance(expr, Star):
-                    spec.append((name, None))
-                else:
-                    kernels.append(compile_expression(expr, evaluator))
-                    spec.append((name, len(kernels) - 1))
-            stages.append(("project", tuple(spec), num_projects))
+            spec = tuple(
+                (name, None if isinstance(expr, Star)
+                 else compile_expression(expr, evaluator))
+                for expr, name in node.items)
+            stages.append(("project", spec, num_projects))
             num_projects += 1
     flush_filters()
-
-    source, namespace = _generate_source(stages, kernels)
-    code = compile(source, f"<fused:{_node_label(chain[0])}>", "exec")
-    exec(code, namespace)
-    return FusedPlan(
-        key=key,
-        kernels=kernels,
-        stages=tuple(stages),
-        scan_columns=_scan_column_pruning(chain),
-        source=source,
-        fn=namespace["fused_pipeline"],
-        num_applies=num_applies,
-        num_projects=num_projects,
-        boundary_label=_node_label(chain[0]),
-    )
-
-
-def _generate_source(stages: list[tuple], kernels: list[CompiledKernel]
-                     ) -> tuple[str, dict]:
-    """Generate the per-batch pipeline function and its exec namespace."""
-    lines = ["def fused_pipeline(batch, rt):"]
-    namespace: dict = {
-        "_mask": _mask,
-        "_values": _values,
-        "_filter_group": _filter_group,
-        "_detector_step": _detector_step,
-        "_classifier_step": _classifier_step,
-        "_Batch": Batch,
-    }
-    for index, kernel in enumerate(kernels):
-        namespace[f"_K{index}"] = kernel
-    group_count = 0
-    for stage in stages:
-        kind = stage[0]
-        if kind == "filters":
-            group = stage[1]
-            if len(group) == 1:
-                kernel_index, label = group[0]
-                lines += [
-                    f"    # filter ({label}): "
-                    f"{kernels[kernel_index].expr.to_sql()}",
-                    f"    mask = _mask(_K{kernel_index}, batch, rt, "
-                    f"{label!r})",
-                    "    batch = batch.filter_mask(mask)",
-                    "    if not batch.num_rows:",
-                    "        return None",
-                ]
-            else:
-                name = f"_G{group_count}"
-                group_count += 1
-                namespace[name] = tuple(
-                    (kernels[kernel_index], label)
-                    for kernel_index, label in group)
-                labels = ", ".join(label for _, label in group)
-                lines += [
-                    f"    # combined mask group: {labels}",
-                    f"    batch = _filter_group(batch, rt, {name})",
-                    "    if batch is None:",
-                    "        return None",
-                ]
-        elif kind == "detector":
-            _, apply_index, label = stage
-            lines += [
-                f"    # {label}: bulk view probe + conditional APPLY",
-                f"    batch = _detector_step(batch, rt, "
-                f"rt.ops[{apply_index}], {label!r})",
-                "    if batch is None:",
-                "        return None",
-            ]
-        elif kind == "classifier":
-            _, apply_index, label = stage
-            lines += [
-                f"    # {label}: bulk view probe + conditional APPLY",
-                f"    batch = _classifier_step(batch, rt, "
-                f"rt.ops[{apply_index}], {label!r})",
-            ]
-        else:  # project
-            _, spec, project_index = stage
-            lines += [
-                "    # project",
-                f"    rt.project_reached[{project_index}] = True",
-                "    _cols = {}",
-            ]
-            for name, kernel_index in spec:
-                if kernel_index is None:
-                    lines += [
-                        "    for _name in batch.column_names:",
-                        "        if not _name.startswith('__udf::'):",
-                        "            _cols[_name] = batch.column(_name)",
-                    ]
-                else:
-                    lines.append(
-                        f"    _cols[{name!r}] = _values(_K{kernel_index}, "
-                        f"batch, rt, 'Project')")
-            lines.append("    batch = _Batch(_cols)")
-    lines.append("    return batch")
-    return "\n".join(lines) + "\n", namespace
+    return FusedPlan(tuple(stages), _scan_column_pruning(chain))
 
 
 # ---------------------------------------------------------------------------
-# the fused operator
+# the pipeline operator
 # ---------------------------------------------------------------------------
 
 
 class FusedPipelineOperator(Operator):
-    """Runs a whole streaming suffix as one generated function per batch.
+    """Runs a whole streaming suffix, one loop over its stages per batch.
 
     Built by the engine in place of the chain's operator tree.  Owns the
     scan loop (cancel checks and READ_VIDEO charges exactly where the
@@ -641,14 +438,12 @@ class FusedPipelineOperator(Operator):
                 ops.append(ClassifierApplyOperator(None, node, context))
             elif isinstance(node, PhysDetectorApply):
                 ops.append(DetectorApplyOperator(None, node, context))
-        self.rt = _FusedRuntime(context.config.reuse_policy, ops,
-                                fused.num_projects)
+        self.rt = _FusedRuntime(context.config.reuse_policy, ops)
 
     def execute(self) -> Iterator[Batch]:
         context = self.context
         table = context.storage.table(self._scan.table_name)
-        fn = self.fused.fn
-        rt = self.rt
+        run_stages = self._run_stages
         clock_charge = context.clock.charge
         per_frame = context.costs.read_video_per_frame
         batch_rows = context.config.batch_rows
@@ -662,85 +457,74 @@ class FusedPipelineOperator(Operator):
                     context.check_cancelled()
                     clock_charge(CostCategory.READ_VIDEO,
                                  batch.num_rows * per_frame)
-                    out = fn(batch, rt)
+                    out = run_stages(batch)
                     if out is not None and out.num_rows:
                         produced = True
                         yield out
             if not produced:
-                tail = self._drain_empty()
+                tail = run_stages(None)
                 if tail is not None:
                     yield tail
         finally:
-            self.kernel_fallback_batches = sum(rt.fallbacks.values())
+            self.kernel_fallback_batches = sum(self.rt.fallbacks.values())
 
-    def _drain_empty(self) -> Batch | None:
-        """End-of-stream bookkeeping when no batch survived the pipeline.
+    def _run_stages(self, batch: Batch | None) -> Batch | None:
+        """Push one scan batch through the stages; None when it dies.
 
-        Serial project operators emit their (empty) output schema when
-        they never received input, and anything stacked above them reacts
-        to that empty batch — classifiers charge APPLY for it, filters
-        and detectors swallow it, upper projects re-map it.  Replaying
-        the stage list once with an empty batch reproduces those exact
-        semantics (and charges).
+        ``batch=None`` is the end-of-stream drain, run once when no
+        batch survived the pipeline.  Row project operators emit their
+        (empty) output schema when they never received input, and
+        anything stacked above them reacts to that empty batch —
+        classifiers charge APPLY for it, filters and detectors swallow
+        it, upper projects re-map it.  So where a live batch that dies
+        ends the walk, the drain keeps walking: the first project no
+        batch ever reached revives it as that empty schema, and the
+        stages above treat it like any other batch.
         """
         rt = self.rt
-        kernels = self.fused.kernels
-        current: Batch | None = None
-        for stage in self.fused.stages:
-            kind = stage[0]
-            if kind == "filters":
+        draining = batch is None
+        for kind, payload, index in self.fused.stages:
+            if batch is None:
+                if not draining:
+                    return None
+                if kind == "project" and index not in rt.projects_reached:
+                    batch = Batch({name: [] for name, kernel in payload
+                                   if kernel is not None})
+            elif kind == "filters":
                 # A filter never yields an empty batch.
-                current = None
+                batch = (_filter_group(batch, rt, payload)
+                         if batch.num_rows else None)
             elif kind == "detector":
-                if current is not None:
-                    current = _detector_step(current, rt,
-                                             rt.ops[stage[1]], stage[2])
+                batch = _detector_step(batch, rt, rt.ops[index], payload)
             elif kind == "classifier":
-                if current is not None:
-                    current = _classifier_step(current, rt,
-                                               rt.ops[stage[1]], stage[2])
+                batch = _classifier_step(batch, rt, rt.ops[index], payload)
             else:  # project
-                _, spec, project_index = stage
-                if current is not None:
-                    current = _project_batch(current, rt, spec, kernels)
-                elif not rt.project_reached[project_index]:
-                    current = Batch({name: [] for name, kernel_index in spec
-                                     if kernel_index is not None})
-        return current
+                rt.projects_reached.add(index)
+                batch = _project_batch(batch, rt, payload)
+        return batch
 
-    @property
-    def stage_fallback_batches(self) -> dict[str, int]:
+    def fallback_counts(self) -> dict[str, int]:
         """Per-stage row-fallback batch counts, keyed by plan-node label."""
         return dict(self.rt.fallbacks)
 
 
-# ---------------------------------------------------------------------------
-# entry point
-# ---------------------------------------------------------------------------
+def build_pipeline(chain: list[PhysicalPlan], context: ExecutionContext
+                   ) -> FusedPipelineOperator:
+    """The pipeline operator for a streaming ``chain`` (scan last).
 
-
-def maybe_fuse(plan: PhysicalPlan, context: ExecutionContext
-               ) -> FusedPipelineOperator | None:
-    """Fuse ``plan``'s chain if eligible; None routes to normal build."""
-    config = context.config
-    cache: KernelCache | None = getattr(context, "kernel_cache", None)
-    if (cache is None or not config.kernel_fusion
-            or config.execution_mode != "vectorized"):
-        return None
-    chain = _fusable_chain(plan, context)
-    if chain is None:
-        return None
-    key = fusion_key(chain, config)
-    entry = cache.lookup(key)
-    metrics = context.metrics
-    if isinstance(entry, FusedPlan):
-        metrics.increment("kernel_cache:hit", 1)
-        return FusedPipelineOperator(chain, entry, context)
-    if entry is None and _miss_dominated(chain, config):
-        cache.store(key, _DEFERRED)
-        metrics.increment("kernel_cache:deferred", 1)
-        return None
-    fused = compile_fused_plan(chain, context, key)
-    cache.store(key, fused)
-    metrics.increment("kernel_cache:compile", 1)
+    The compiled plan comes from the context's :class:`KernelCache`;
+    a context without one compiles the chain for this build alone.
+    """
+    cache: KernelCache | None = context.kernel_cache
+    if cache is None:
+        fused = compile_fused_plan(chain, context)
+    else:
+        key = fusion_key(chain, context.config)
+        fused = cache.lookup(key)
+        if fused is None:
+            fused = compile_fused_plan(chain, context)
+            cache.store(key, fused)
+            context.metrics.increment("kernel_cache:compile", 1)
+        else:
+            context.metrics.increment("kernel_cache:hit", 1)
     return FusedPipelineOperator(chain, fused, context)

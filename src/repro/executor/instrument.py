@@ -21,7 +21,7 @@ from typing import Iterator
 
 from repro.executor.context import ExecutionContext
 from repro.executor.engine import ExecutionEngine
-from repro.executor.operators.base import Operator
+from repro.executor.operators.base import Operator, node_label
 from repro.optimizer.plans import PhysicalPlan, plan_children
 from repro.storage.batch import Batch
 
@@ -80,15 +80,14 @@ class InstrumentedEngine(ExecutionEngine):
         #: instead of silently dropping them.
         self.fused_markers: dict[int, str] = {}
 
-    def build(self, plan: PhysicalPlan) -> Operator:
-        inner = super().build(plan)
-        wrapper = InstrumentedOperator(inner, self.context)
-        self.instrumented[id(plan)] = wrapper
-        covered = getattr(inner, "covered_nodes", None)
+    def built(self, node: PhysicalPlan, operator: Operator) -> Operator:
+        wrapper = InstrumentedOperator(operator, self.context)
+        self.instrumented[id(node)] = wrapper
+        covered = getattr(operator, "covered_nodes", None)
         if covered:
-            boundary_label = type(covered[0]).__name__.removeprefix("Phys")
-            for node in covered[1:]:
-                self.fused_markers[id(node)] = boundary_label
+            boundary_label = node_label(covered[0])
+            for below in covered[1:]:
+                self.fused_markers[id(below)] = boundary_label
         return wrapper
 
     def operator_stats(self, plan: PhysicalPlan
@@ -114,14 +113,14 @@ class OperatorStats:
     #: clamped at zero against scheduling noise).
     self_elapsed: float
     self_virtual: float
-    #: Kernel mode the operator ran with (``"fused"``, ``"vectorized"``,
-    #: ``"row-fallback"``, ``"row"``) or None when not applicable.
+    #: Kernel mode the operator ran with (see ``Operator.kernel_mode``)
+    #: or None when not applicable.
     kernel_mode: str | None = None
     #: Batches re-run through the row interpreter (runtime fallback).
     kernel_fallbacks: int = 0
     #: Label of the fusion boundary this node was compiled into, for
-    #: nodes a fused pipeline covers (they run inside the boundary's
-    #: generated function and have no operator of their own).
+    #: nodes a fused pipeline covers (they run as stages of the
+    #: boundary's pipeline and have no operator of their own).
     fused_into: str | None = None
     #: On a fusion boundary: how many plan nodes the fused pipeline
     #: replaced (itself included).
@@ -138,9 +137,9 @@ def collect_operator_stats(plan: PhysicalPlan,
     subtree times: the wrappers measure whole pipelines (a parent's pull
     blocks on its child's ``next()``), so without the subtraction every
     ancestor double-counts the leaf work below it.  Nodes listed in
-    ``fused_markers`` executed inside a fused pipeline's generated
-    function: their work is measured at the fusion boundary, so they
-    report zero of their own and carry the boundary's label instead.
+    ``fused_markers`` executed as stages of a fused pipeline: their work
+    is measured at the fusion boundary, so they report zero of their own
+    and carry the boundary's label instead.
     """
     out: list[OperatorStats] = []
     fused_markers = fused_markers or {}
@@ -151,7 +150,7 @@ def collect_operator_stats(plan: PhysicalPlan,
         if stats is None and id(node) in fused_markers:
             out.append(OperatorStats(
                 node=node,
-                label=type(node).__name__.removeprefix("Phys"),
+                label=node_label(node),
                 depth=depth,
                 rows_out=0,
                 batches_out=0,
@@ -171,7 +170,7 @@ def collect_operator_stats(plan: PhysicalPlan,
                 if id(c) in instrumented)
             out.append(OperatorStats(
                 node=node,
-                label=type(node).__name__.removeprefix("Phys"),
+                label=node_label(node),
                 depth=depth,
                 rows_out=stats.rows_out,
                 batches_out=stats.batches_out,

@@ -9,25 +9,37 @@ from repro.executor.context import ExecutionContext
 from repro.storage.batch import Batch
 
 
+def node_label(node) -> str:
+    """A plan node's display label (``PhysFilter`` -> ``Filter``)."""
+    return type(node).__name__.removeprefix("Phys")
+
+
 class Operator(abc.ABC):
     """A pull-based physical operator producing batches."""
 
     def __init__(self, context: ExecutionContext):
         self.context = context
-        #: How this operator evaluates batches: ``"vectorized"`` (compiled
-        #: batch kernels / bulk probes), ``"row-fallback"`` (vectorization
-        #: requested but compiled away to the row interpreter), ``"row"``
-        #: (legacy row-at-a-time path), or ``None`` when the distinction
-        #: does not apply (scans without residuals, LIMIT, ...).  EXPLAIN
-        #: ANALYZE and the obs layer report it per operator.
+        #: How this operator evaluates batches: ``"fused"`` (the
+        #: streaming pipeline), ``"row"`` (the row operator tree),
+        #: ``"vectorized"`` / ``"row-fallback"`` (a blocking operator
+        #: whose expression kernels all compiled / did not), or ``None``
+        #: when the distinction does not apply (scans without residuals,
+        #: DISTINCT, LIMIT).  EXPLAIN ANALYZE and the obs layer report it
+        #: per operator.
         self.kernel_mode: str | None = None
-        #: Batches that started on the vectorized path but re-ran through
+        #: Batches that started on a compiled kernel but re-ran through
         #: the row interpreter (runtime fallback).  Always 0 in row mode.
         self.kernel_fallback_batches: int = 0
 
     @abc.abstractmethod
     def execute(self) -> Iterator[Batch]:
         """Stream output batches."""
+
+    def fallback_counts(self) -> dict[str, int]:
+        """Runtime row-fallback batches, keyed by plan-node label."""
+        node = getattr(self, "node", None)
+        label = node_label(node) if node is not None else type(self).__name__
+        return {label: self.kernel_fallback_batches}
 
     def run_to_completion(self) -> Batch:
         """Drain the operator into a single batch (for plan roots).

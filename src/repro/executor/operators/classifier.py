@@ -63,35 +63,18 @@ class ClassifierApplyOperator(Operator):
         #: Once-per-query gate key: stable across the morsel clones of
         #: this plan node, so exactly one morsel charges the join setup.
         self._join_gate_key = ("join", "classifier", node.signature)
-        config = context.config
-        policy = config.reuse_policy
-        # Fuzzy bbox reuse walks per-row spatial candidates; it stays on
-        # the (exact-per-row) legacy path.  FunCache charges hashing costs
-        # per lookup, interleaved with stores — also row-at-a-time.
-        fuzzy = (policy is ReusePolicy.EVA and node.use_view
-                 and config.fuzzy_reuse
-                 and self.kind is UdfKind.PATCH_CLASSIFIER)
-        self._vectorized = (config.execution_mode == "vectorized"
-                            and policy is not ReusePolicy.FUNCACHE
-                            and not fuzzy)
-        self.kernel_mode = "vectorized" if self._vectorized else "row"
+        self.kernel_mode = "row"
 
     def execute(self) -> Iterator[Batch]:
         policy = self.context.config.reuse_policy
-        vectorized = self._vectorized
         for batch in self.child.execute():
             self.context.clock.charge(
                 CostCategory.APPLY, self.context.costs.apply_per_batch)
-            values = self._resolve_batch(batch, policy) if vectorized \
-                else None
-            if values is None:
-                if vectorized:
-                    self.kernel_fallback_batches += 1
-                values = [self._resolve(row, policy)
-                          for row in batch.iter_rows()]
+            values = [self._resolve(row, policy)
+                      for row in batch.iter_rows()]
             yield batch.with_column(self.column, values)
 
-    # -- batch resolution (vectorized path) --------------------------------------
+    # -- batch resolution (called by the streaming pipeline) ---------------------
 
     def _resolve_batch(self, batch: Batch,
                        policy: ReusePolicy) -> list | None:
@@ -127,7 +110,7 @@ class ClassifierApplyOperator(Operator):
                     for frame, bbox in zip(frames, bboxes)]
         use_view = policy is ReusePolicy.EVA and self.node.use_view
         if not use_view:
-            # NONE / HASHSTASH / EVA-without-view: evaluate everything.
+            # NONE / EVA-without-view: evaluate everything.
             values: list = [None] * n
             self._evaluate_batch(batch, frames, keys, range(n), values)
             return values

@@ -57,13 +57,7 @@ class DetectorApplyOperator(Operator):
         #: Once-per-query gate key: stable across the morsel clones of
         #: this plan node, so exactly one morsel charges the join setup.
         self._join_gate_key = ("join", "detector", node.signature)
-        # HashStash reads its recycler union up front and FunCache charges
-        # per-lookup hashing — both resolve row-at-a-time.
-        self._vectorized = (
-            context.config.execution_mode == "vectorized"
-            and context.config.reuse_policy in (ReusePolicy.EVA,
-                                                ReusePolicy.NONE))
-        self.kernel_mode = "vectorized" if self._vectorized else "row"
+        self.kernel_mode = "row"
         # HashStash state: combined recycler results and this query's
         # fresh output (a new recycler entry).
         self._hashstash_combined: dict | None = None
@@ -88,19 +82,13 @@ class DetectorApplyOperator(Operator):
 
     def execute(self) -> Iterator[Batch]:
         policy = self.context.config.reuse_policy
-        vectorized = self._vectorized
         if policy is ReusePolicy.HASHSTASH:
             self._prepare_hashstash()
         try:
             for batch in self.child.execute():
                 self.context.clock.charge(
                     CostCategory.APPLY, self.context.costs.apply_per_batch)
-                out = (self._apply_batch_vectorized(batch)
-                       if vectorized else None)
-                if out is None:
-                    if vectorized:
-                        self.kernel_fallback_batches += 1
-                    out = self._apply_batch_rows(batch, policy)
+                out = self._apply_batch_rows(batch, policy)
                 if out.num_rows:
                     yield out
         finally:
@@ -128,7 +116,7 @@ class DetectorApplyOperator(Operator):
         return Batch({name: [r[name] for r in out_rows]
                       for name in columns})
 
-    # -- batch resolution (vectorized path) ---------------------------------------
+    # -- batch resolution (called by the streaming pipeline) ----------------------
 
     def _apply_batch_vectorized(self, batch: Batch) -> Batch | None:
         """Resolve a whole batch of frames against the source list at once.

@@ -1,11 +1,14 @@
-"""Filter, project, group-by, order-by, and limit operators.
+"""Filter, project, group-by, distinct, order-by, and limit operators.
 
-Under ``execution_mode="vectorized"`` (the default) the expression-heavy
-operators compile their expressions once into batch kernels
-(:mod:`repro.expressions.compiler`) and evaluate them column-at-a-time;
-``execution_mode="row"`` keeps the legacy row interpreter.  Results are
-identical in both modes — the kernels fall back to the row interpreter
-for any construct (or runtime error) they cannot reproduce exactly.
+``FilterOperator`` and ``ProjectOperator`` belong to the row operator
+tree (the oracle; under ``execution_mode="vectorized"`` the streaming
+pipeline of :mod:`repro.executor.fusion` runs those nodes) and interpret
+their expressions per row.  The blocking operators sit above either
+engine: under ``execution_mode="vectorized"`` GROUP BY and ORDER BY
+compile their expressions once into batch kernels
+(:mod:`repro.expressions.compiler`), which fall back to the row
+interpreter for any construct (or runtime error) they cannot reproduce
+exactly, so results are identical in both modes.
 """
 
 from __future__ import annotations
@@ -42,24 +45,9 @@ class FilterOperator(Operator):
         super().__init__(context)
         self.child = child
         self.node = node
-        self._kernel: CompiledKernel | None = None
-        if context.config.execution_mode == "vectorized":
-            self._kernel = compile_expression(node.predicate,
-                                              context.evaluator)
-            self.kernel_mode = self._kernel.mode
-        else:
-            self.kernel_mode = "row"
+        self.kernel_mode = "row"
 
     def execute(self) -> Iterator[Batch]:
-        kernel = self._kernel
-        if kernel is not None:
-            for batch in self.child.execute():
-                mask = kernel.evaluate_mask(batch)
-                self.kernel_fallback_batches = kernel.fallback_batches
-                filtered = batch.filter_mask(mask)
-                if filtered.num_rows:
-                    yield filtered
-            return
         evaluator = self.context.evaluator
         predicate = self.node.predicate
         for batch in self.child.execute():
@@ -78,40 +66,22 @@ class ProjectOperator(Operator):
         super().__init__(context)
         self.child = child
         self.node = node
-        self._kernels: dict[int, CompiledKernel] | None = None
-        if context.config.execution_mode == "vectorized":
-            self._kernels = {
-                index: compile_expression(expr, context.evaluator)
-                for index, (expr, _) in enumerate(node.items)
-                if not isinstance(expr, Star)
-            }
-            self.kernel_mode = _combined_mode(list(self._kernels.values())) \
-                if self._kernels else "vectorized"
-        else:
-            self.kernel_mode = "row"
+        self.kernel_mode = "row"
 
     def execute(self) -> Iterator[Batch]:
         evaluator = self.context.evaluator
-        kernels = self._kernels
         produced = False
         for batch in self.child.execute():
             produced = True
             columns: dict[str, list] = {}
-            for index, (expr, name) in enumerate(self.node.items):
+            for expr, name in self.node.items:
                 if isinstance(expr, Star):
                     for column in batch.column_names:
                         if not column.startswith("__udf::"):
                             columns[column] = batch.column(column)
                     continue
-                if kernels is not None:
-                    kernel = kernels[index]
-                    columns[name] = kernel.evaluate(batch)
-                else:
-                    columns[name] = [evaluator.evaluate(expr, row)
-                                     for row in batch.iter_rows()]
-            if kernels is not None:
-                self.kernel_fallback_batches = sum(
-                    k.fallback_batches for k in kernels.values())
+                columns[name] = [evaluator.evaluate(expr, row)
+                                 for row in batch.iter_rows()]
             yield Batch(columns)
         if not produced:
             # Empty result: still emit the output schema (star columns

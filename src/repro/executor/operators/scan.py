@@ -1,4 +1,4 @@
-"""Video scan operator."""
+"""Video scan operator of the row operator tree."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from typing import Iterator
 from repro.clock import CostCategory
 from repro.executor.context import ExecutionContext
 from repro.executor.operators.base import Operator
-from repro.expressions.compiler import CompiledKernel, compile_expression
 from repro.optimizer.plans import PhysScan
 from repro.storage.batch import Batch
 
@@ -17,29 +16,21 @@ class ScanOperator(Operator):
 
     Charges the per-frame read cost (decode + transfer) to the virtual
     clock; both the paper's No-Reuse and EVA configurations pay this cost
-    (Table 4's "Read Video" row).  The read charge is already batched
-    (one multiply per batch); under vectorized execution the residual
-    predicate is also evaluated column-at-a-time through a compiled
-    kernel, so the scan never materializes per-row dicts.
+    (Table 4's "Read Video" row).  The read charge is batched (one
+    multiply per batch); the residual predicate is interpreted per row.
     """
 
     def __init__(self, node: PhysScan, context: ExecutionContext):
         super().__init__(context)
         self.node = node
-        self._kernel: CompiledKernel | None = None
         if node.residual is not None:
-            if context.config.execution_mode == "vectorized":
-                self._kernel = compile_expression(node.residual,
-                                                  context.evaluator)
-                self.kernel_mode = self._kernel.mode
-            else:
-                self.kernel_mode = "row"
+            self.kernel_mode = "row"
 
     def execute(self) -> Iterator[Batch]:
         table = self.context.storage.table(self.node.table_name)
         costs = self.context.costs
         evaluator = self.context.evaluator
-        kernel = self._kernel
+        residual = self.node.residual
         for start, stop in self.node.ranges:
             for batch in table.scan(start, stop,
                                     self.context.config.batch_rows):
@@ -51,14 +42,9 @@ class ScanOperator(Operator):
                 self.context.clock.charge(
                     CostCategory.READ_VIDEO,
                     batch.num_rows * costs.read_video_per_frame)
-                if kernel is not None:
-                    mask = kernel.evaluate_mask(batch)
-                    self.kernel_fallback_batches = kernel.fallback_batches
-                    batch = batch.filter_mask(mask)
-                elif self.node.residual is not None:
-                    mask = [evaluator.evaluate_predicate(
-                        self.node.residual, row)
-                        for row in batch.iter_rows()]
+                if residual is not None:
+                    mask = [evaluator.evaluate_predicate(residual, row)
+                            for row in batch.iter_rows()]
                     batch = batch.filter(mask)
                 if batch.num_rows:
                     yield batch

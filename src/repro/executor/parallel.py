@@ -53,6 +53,7 @@ from typing import Iterator
 from repro.clock import SimulationClock
 from repro.config import ReusePolicy
 from repro.executor.context import ExecutionContext, OnceGates
+from repro.executor.fusion import streaming_suffix_start
 from repro.obs.flight import record_morsels
 from repro.obs.lineage import (
     current_lineage,
@@ -64,20 +65,12 @@ from repro.metrics import MetricsCollector
 from repro.optimizer.plans import (
     PhysClassifierApply,
     PhysDetectorApply,
-    PhysFilter,
     PhysLimit,
-    PhysProject,
     PhysScan,
     PhysicalPlan,
     walk_plan,
 )
 from repro.storage.batch import Batch
-
-#: Plan nodes that stream batches without cross-batch state: safe to run
-#: per-morsel.  Everything else (GROUP BY, DISTINCT, ORDER BY, LIMIT)
-#: runs serially above the ordered merge.
-STREAMING_NODES = (PhysScan, PhysFilter, PhysProject,
-                   PhysClassifierApply, PhysDetectorApply)
 
 
 @dataclass(frozen=True)
@@ -242,7 +235,7 @@ class ParallelExecutor:
                 self.context.metrics.increment("parallel_fallback_serial")
             return None
         chain = list(walk_plan(plan))
-        split = _streaming_suffix_start(chain)
+        split = streaming_suffix_start(chain)
         suffix_root = chain[split]
         gates = OnceGates()
         wall_start = time.perf_counter()
@@ -255,12 +248,10 @@ class ParallelExecutor:
         self._emit_spans(results, time.perf_counter() - wall_start)
         if split == 0:
             return merged
-        # Blocking prefix: rebuild the operators above the suffix over a
+        # Blocking prefix: build the operators above the suffix over a
         # source that replays the merged stream.
-        prefix_plan = _rebuild_prefix(chain[:split], _SourcePlan())
         source = _SourceOperator(self.context, merged)
-        root = _build_prefix(engine, prefix_plan, source)
-        return root.run_to_completion()
+        return engine.build_over(chain[:split], source).run_to_completion()
 
     def _run_morsels(self, suffix_root: PhysicalPlan,
                      morsels: list[Morsel],
@@ -373,17 +364,6 @@ class ParallelExecutor:
 # -- plan surgery -------------------------------------------------------------
 
 
-def _streaming_suffix_start(chain: list[PhysicalPlan]) -> int:
-    """Index in root-to-scan ``chain`` where the streaming suffix begins.
-
-    0 means the whole plan streams (no blocking prefix).
-    """
-    split = len(chain) - 1
-    while split > 0 and isinstance(chain[split - 1], STREAMING_NODES):
-        split -= 1
-    return split
-
-
 def _replace_scan(suffix_root: PhysicalPlan,
                   ranges: tuple[tuple[int, int], ...]) -> PhysicalPlan:
     """A copy of the streaming suffix with the scan's ranges swapped.
@@ -398,20 +378,6 @@ def _replace_scan(suffix_root: PhysicalPlan,
     return replace(suffix_root, child=_replace_scan(child, ranges))
 
 
-@dataclass(frozen=True)
-class _SourcePlan(PhysicalPlan):
-    """Placeholder leaf for the rebuilt blocking prefix."""
-
-
-def _rebuild_prefix(prefix: list[PhysicalPlan],
-                    leaf: PhysicalPlan) -> PhysicalPlan:
-    """Rebuild the blocking prefix chain over ``leaf``."""
-    node = leaf
-    for original in reversed(prefix):
-        node = replace(original, child=node)
-    return node
-
-
 class _SourceOperator(Operator):
     """Feeds an already-computed batch into a rebuilt operator chain."""
 
@@ -422,15 +388,6 @@ class _SourceOperator(Operator):
     def execute(self) -> Iterator[Batch]:
         if self._batch.num_rows or self._batch.column_names:
             yield self._batch
-
-
-def _build_prefix(engine, prefix_plan: PhysicalPlan,
-                  source: _SourceOperator) -> Operator:
-    """Build operators for the blocking prefix, bottoming out at source."""
-    if isinstance(prefix_plan, _SourcePlan):
-        return source
-    child = _build_prefix(engine, getattr(prefix_plan, "child"), source)
-    return engine.build_node(prefix_plan, child)
 
 
 def _ranges_overlap(ranges: list[tuple[int, int]]) -> bool:

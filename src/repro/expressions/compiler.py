@@ -189,14 +189,14 @@ def compile_expression(expr: Expression,
 
 
 # ---------------------------------------------------------------------------
-# shared-kernel runners (used by plan-level fusion)
+# shared-kernel runners (used by the streaming pipeline)
 # ---------------------------------------------------------------------------
 #
 # Fused plans (executor/fusion.py) cache compiled kernels and share them
 # across queries, sessions, and morsel threads.  The kernel's own
 # ``batches`` / ``fallback_batches`` counters are per-instance state and
-# would race (and misattribute) under sharing, so fusion runs kernels
-# through these functions, which report runtime fallbacks into a
+# would race (and misattribute) under sharing, so the pipeline runs
+# kernels through these functions, which report runtime fallbacks into a
 # caller-owned per-execution ``counts`` dict instead.
 
 

@@ -8,6 +8,8 @@ with ``ACCURACY 'LOW'``) to concrete physical models through a
 
 from __future__ import annotations
 
+import copy
+
 from repro.errors import CatalogError
 from repro.types import Accuracy
 from repro.models.base import ObjectDetectorModel, VisionModel
@@ -35,6 +37,21 @@ class ModelZoo:
         self._models[model.name] = model
         if logical_type is not None:
             self._logical.setdefault(logical_type, []).append(model.name)
+
+    def clone(self) -> "ModelZoo":
+        """A fresh zoo over shallow copies of this zoo's models.
+
+        Same names, same logical types, same behaviour — but a setting
+        poked on a clone's model (``service_latency_per_*``,
+        ``per_tuple_cost``) stays off the originals, which
+        :func:`default_zoo` shares process-wide.
+        """
+        other = ModelZoo()
+        other._models = {name: copy.copy(model)
+                         for name, model in self._models.items()}
+        other._logical = {logical: list(names)
+                          for logical, names in self._logical.items()}
+        return other
 
     def get(self, name: str) -> VisionModel:
         try:

@@ -76,7 +76,6 @@ class OptimizerConfig:
     reuse_policy: ReusePolicy
     ranking: RankingMode
     model_selection: ModelSelectionMode
-    symbolic_time_budget: float = 0.5
     predicate_ordering: PredicateOrdering = PredicateOrdering.RANK
 
     @classmethod
@@ -85,7 +84,6 @@ class OptimizerConfig:
             reuse_policy=config.reuse_policy,
             ranking=config.ranking,
             model_selection=config.model_selection,
-            symbolic_time_budget=config.symbolic_time_budget,
             predicate_ordering=config.predicate_ordering,
         )
 

@@ -461,7 +461,6 @@ class SharedReuseState:
         self.catalog = Catalog(self.zoo)
         self.storage = StorageEngine()
         self.symbolic = SymbolicEngine(
-            self.config.symbolic_time_budget,
             memo_size=self.config.symbolic_memo_size)
         self._init_reuse_state()
         #: Cross-client inference micro-batching: every client's

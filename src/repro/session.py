@@ -58,6 +58,7 @@ from repro.parser.parser import parse
 from repro.storage.engine import StorageEngine
 from repro.storage.view_store import ViewStore
 from repro.symbolic.engine import SymbolicEngine
+from repro.symbolic.reduce import budget_exhaustions
 from repro.types import QueryResult
 from repro.video.synthetic import SyntheticVideo
 
@@ -124,7 +125,7 @@ class SessionState:
     #: (:class:`repro.obs.flight.FlightStats`); shared under the server
     #: for the same reason.
     flight_stats: object | None = None
-    #: Plan→kernel cache for whole-plan fusion
+    #: Plan→kernel cache of the streaming pipeline
     #: (:class:`repro.executor.fusion.KernelCache`).  Private per session
     #: by default; the server substitutes one shared cache so every
     #: client reuses the same compiled plans.
@@ -161,8 +162,7 @@ class SessionState:
               zoo: ModelZoo | None = None) -> "SessionState":
         """A fully isolated component set (single-user session)."""
         config = config or EvaConfig()
-        symbolic = SymbolicEngine(config.symbolic_time_budget,
-                                  memo_size=config.symbolic_memo_size)
+        symbolic = SymbolicEngine(memo_size=config.symbolic_memo_size)
         if config.store_mode == "durable":
             from repro.store import (PersistentUdfManager, open_view_store,
                                      restore_udf_histories)
@@ -385,6 +385,7 @@ class EvaSession:
         flight_ctx = self.flight.begin(queue_wait_s) \
             if tracer.enabled else None
         kernel_fallbacks_before = self._kernel_fallback_total()
+        exhaustions_before = budget_exhaustions()
         # Per-query view-touch accumulator (repro.obs.lineage): the
         # store's probe/write hooks feed it from every executor thread;
         # it folds into the ledger once the query finishes.
@@ -417,6 +418,12 @@ class EvaSession:
                             self.udf_manager.record_execution(
                                 update.signature, update.guard,
                                 update.per_tuple_cost)
+                exhausted = budget_exhaustions() - exhaustions_before
+                if exhausted:
+                    # Process-wide deltas: under a server, concurrent
+                    # clients' reductions can land in each other's count.
+                    self.metrics.increment("symbolic_budget_exhausted",
+                                           exhausted)
                 query_metrics = self.metrics.end_query(self.clock,
                                                        batch.num_rows)
                 reused = any(r.reused for r in optimized.audit)
@@ -805,9 +812,9 @@ class EvaSession:
         self.optimizer.calibrated_costs.update(result.calibrated)
         # Cached plans were costed (and their sources chosen) with the
         # stale constants; the UdfManager version they key on does not
-        # change when the catalog's beliefs do.  Compiled fused kernels
-        # key on plan structure, so plans the rebuild re-shapes would
-        # otherwise keep hitting stale deferral decisions.
+        # change when the catalog's beliefs do.  Compiled pipelines key
+        # on plan structure: the shapes the rebuild retires would sit
+        # in the kernel cache unhit, so they go with the plans.
         self._plan_cache.clear()
         if self.context.kernel_cache is not None:
             self.context.kernel_cache.invalidate()

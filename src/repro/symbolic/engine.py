@@ -1,8 +1,7 @@
 """The SymbolicEngine facade the optimizer talks to (Fig. 1).
 
 Wraps DNF conversion, Algorithm 1 reduction, the INTER/DIFF/UNION derived
-predicates, and selectivity estimation behind one object with a shared time
-budget.
+predicates, and selectivity estimation behind one object.
 
 The engine also carries a **reduction memo**: an LRU cache over the
 expensive symbolic operations (``reduce`` / ``intersection`` /
@@ -25,10 +24,9 @@ contents, in disjunct order), and dimension names canonically determine
 the term expressions they render as (columns render as themselves; UDF
 dims embed the :func:`~repro.expressions.analysis.term_key`).  Results
 are re-wrapped with the caller's own term mapping on every hit, so a
-memoized result is indistinguishable from a fresh computation.
-Memoization can only *stabilize* outcomes: ``reduce_predicate`` runs
-under a real-time budget, so a cache hit returns the already-reduced
-form instead of re-racing the clock.
+memoized result is indistinguishable from a fresh computation:
+``reduce_predicate`` is a pure function of its input (its budget counts
+steps, not seconds).
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from repro.symbolic.operations import (
     negation,
     union,
 )
-from repro.symbolic.reduce import DEFAULT_TIME_BUDGET, reduce_predicate
+from repro.symbolic.reduce import reduce_predicate
 from repro.symbolic.selectivity import SelectivityEstimator, StatsResolver
 
 #: Default bound on the reduction memo (entries, LRU; 0 disables).
@@ -85,17 +83,14 @@ class MemoStats:
 
 
 class SymbolicEngine:
-    """Symbolic predicate analysis with a configurable time budget.
+    """Symbolic predicate analysis with a cross-query reduction memo.
 
     Args:
-        time_budget: real-seconds budget per Algorithm 1 reduction.
         memo_size: LRU bound of the cross-query reduction memo
             (``0`` disables memoization entirely).
     """
 
-    def __init__(self, time_budget: float = DEFAULT_TIME_BUDGET,
-                 memo_size: int = DEFAULT_MEMO_SIZE):
-        self.time_budget = time_budget
+    def __init__(self, memo_size: int = DEFAULT_MEMO_SIZE):
         self.memo_size = memo_size
         self._memo: OrderedDict[Hashable, DnfPredicate] = OrderedDict()
         self._memo_lock = threading.RLock()
@@ -112,7 +107,7 @@ class SymbolicEngine:
     def reduce(self, predicate: DnfPredicate) -> DnfPredicate:
         return self._memoized(
             lambda: ("reduce", predicate_key(predicate)),
-            lambda: reduce_predicate(predicate, self.time_budget),
+            lambda: reduce_predicate(predicate),
             predicate.terms)
 
     # -- derived predicates ------------------------------------------------
@@ -121,21 +116,21 @@ class SymbolicEngine:
                      ) -> DnfPredicate:
         return self._memoized(
             lambda: ("inter", predicate_key(p1), predicate_key(p2)),
-            lambda: intersection(p1, p2, self.time_budget),
+            lambda: intersection(p1, p2),
             p1.merged_terms(p2))
 
     def difference(self, p1: DnfPredicate, p2: DnfPredicate
                    ) -> DnfPredicate:
         return self._memoized(
             lambda: ("diff", predicate_key(p1), predicate_key(p2)),
-            lambda: difference(p1, p2, self.time_budget),
+            lambda: difference(p1, p2),
             p1.merged_terms(p2))
 
     def union(self, p1: DnfPredicate, p2: DnfPredicate) -> DnfPredicate:
-        return union(p1, p2, self.time_budget)
+        return union(p1, p2)
 
     def negation(self, p: DnfPredicate) -> DnfPredicate:
-        return negation(p, self.time_budget)
+        return negation(p)
 
     # -- memo ------------------------------------------------------------------
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from repro.symbolic.conjunctive import Conjunctive
 from repro.symbolic.dnf import DnfPredicate
-from repro.symbolic.reduce import DEFAULT_TIME_BUDGET, reduce_predicate
+from repro.symbolic.reduce import reduce_predicate
 
 
-def intersection(p1: DnfPredicate, p2: DnfPredicate,
-                 time_budget: float = DEFAULT_TIME_BUDGET) -> DnfPredicate:
+def intersection(p1: DnfPredicate, p2: DnfPredicate) -> DnfPredicate:
     """``p1 AND p2`` in reduced DNF."""
     conjunctives = []
     for c1 in p1.conjunctives:
@@ -27,41 +26,38 @@ def intersection(p1: DnfPredicate, p2: DnfPredicate,
             if not merged.is_empty():
                 conjunctives.append(merged)
     raw = DnfPredicate(tuple(conjunctives), p1.merged_terms(p2))
-    return reduce_predicate(raw, time_budget)
+    return reduce_predicate(raw)
 
 
-def union(p1: DnfPredicate, p2: DnfPredicate,
-          time_budget: float = DEFAULT_TIME_BUDGET) -> DnfPredicate:
+def union(p1: DnfPredicate, p2: DnfPredicate) -> DnfPredicate:
     """``p1 OR p2`` in reduced DNF."""
     raw = DnfPredicate(p1.conjunctives + p2.conjunctives,
                        p1.merged_terms(p2))
-    return reduce_predicate(raw, time_budget)
+    return reduce_predicate(raw)
 
 
-def negation(p: DnfPredicate,
-             time_budget: float = DEFAULT_TIME_BUDGET) -> DnfPredicate:
+def negation(p: DnfPredicate) -> DnfPredicate:
     """``NOT p`` in reduced DNF.
 
     The negation of a DNF is a CNF whose clauses are the dimension-wise
     complements of each conjunctive; distributing it back to DNF is
     exponential in the worst case, which is why the result is immediately
-    reduced (and why the paper bounds symbolic analysis with a time budget).
+    reduced (and why the paper bounds symbolic analysis with a budget).
     """
     result = DnfPredicate.true()
     for conjunctive in p.conjunctives:
         clause = _negate_conjunctive(conjunctive, p)
-        result = intersection(result, clause, time_budget)
+        result = intersection(result, clause)
         if result.is_false():
             break
     return result
 
 
-def difference(p1: DnfPredicate, p2: DnfPredicate,
-               time_budget: float = DEFAULT_TIME_BUDGET) -> DnfPredicate:
+def difference(p1: DnfPredicate, p2: DnfPredicate) -> DnfPredicate:
     """``(NOT p1) AND p2``: the tuples only ``p2`` covers."""
     if p1.is_false():
-        return reduce_predicate(p2, time_budget)
-    return intersection(negation(p1, time_budget), p2, time_budget)
+        return reduce_predicate(p2)
+    return intersection(negation(p1), p2)
 
 
 def _negate_conjunctive(conjunctive: Conjunctive,

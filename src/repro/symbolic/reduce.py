@@ -4,7 +4,7 @@ The input predicate is already in DNF (step 1) with every conjunctive
 internally reduced (per-dimension constraint intersection happens at
 construction time, step 2).  This module implements step 3: repeatedly pop
 pairs of conjunctives and attempt ``ReduceUnionConjunctives`` until no pair
-can be reduced or a time budget expires.
+can be reduced or the step budget is spent.
 
 ``ReduceUnionConjunctives`` implements the paper's N-1-dimension rule: when
 conjunctive ``c2`` is a subset of ``c1`` in at least N-1 of the N dimensions
@@ -21,28 +21,61 @@ constraints' own exact set arithmetic (``domains.py``).
 
 from __future__ import annotations
 
-import time
+import threading
 
 from repro.symbolic.conjunctive import Conjunctive
 from repro.symbolic.dnf import DnfPredicate
 
-#: Default wall-clock budget for the cross-conjunctive reduction loop.
-DEFAULT_TIME_BUDGET = 0.5
+#: Algorithm 1's TimeOut, as a budget of pair comparisons
+#: (``reduce_union_conjunctives`` calls) per reduction rather than
+#: seconds, so the same input reduces to the same output on any machine
+#: (memo keys, plan-cache keys, WAL SQL and ledger text all derive from
+#: it).  The largest reduction of the four e2e workloads makes 76
+#: comparisons; the 0.5 s this replaces was about 16 000.
+MAX_REDUCTION_STEPS = 16384
+
+_exhaustions = 0
+_exhaustions_lock = threading.Lock()
+
+
+def budget_exhaustions() -> int:
+    """Reductions this process has stopped at their step budget.
+
+    Monotone and process-wide; callers read deltas (the session reports
+    its queries' as the ``symbolic_budget_exhausted`` counter).
+    """
+    return _exhaustions
+
+
+def _count_exhaustion() -> None:
+    global _exhaustions
+    with _exhaustions_lock:
+        _exhaustions += 1
 
 
 def reduce_predicate(dnf: DnfPredicate,
-                     time_budget: float = DEFAULT_TIME_BUDGET
-                     ) -> DnfPredicate:
-    """Simplify ``dnf``: fewer conjunctives and atoms, same semantics."""
+                     max_steps: int | None = None) -> DnfPredicate:
+    """Simplify ``dnf``: fewer conjunctives and atoms, same semantics.
+
+    Stops after ``max_steps`` (default ``MAX_REDUCTION_STEPS``) pair
+    comparisons with whatever (equivalent, less reduced) form it has
+    reached.
+    """
+    if max_steps is None:
+        max_steps = MAX_REDUCTION_STEPS
     conjunctives = [c for c in dnf.conjunctives if not c.is_empty()]
     if any(c.is_universe() for c in conjunctives):
         return DnfPredicate((Conjunctive(),), dnf.terms)
-    deadline = time.monotonic() + time_budget
+    steps = 0
     changed = True
-    while changed and time.monotonic() < deadline:
+    while changed:
         changed = False
         for i in range(len(conjunctives)):
             for j in range(i + 1, len(conjunctives)):
+                if steps >= max_steps:
+                    _count_exhaustion()
+                    return DnfPredicate(tuple(conjunctives), dnf.terms)
+                steps += 1
                 replacement = reduce_union_conjunctives(
                     conjunctives[i], conjunctives[j])
                 if replacement is None:

@@ -71,7 +71,7 @@ class TestEventStructure:
         detector = [e for e in events
                     if e.get("name") == "op:DetectorApply"]
         assert detector
-        assert detector[0]["args"]["tag.kernel"] == "vectorized"
+        assert detector[0]["args"]["tag.kernel"] == "fused"
 
     def test_traces_are_sequential_and_non_overlapping(self):
         session = traced_session()

@@ -1,20 +1,23 @@
-"""Tests for whole-plan kernel fusion and the zero-copy batch core.
+"""Tests for the streaming pipeline and the zero-copy batch core.
 
-Covers the compiler/fusion fallback edges: constant-only predicates,
-``__udf::`` column resolution inside fused plans, short-circuit semantics
-preserved across fusion boundaries, kernel-cache eviction and
-invalidation-on-calibration, the miss-dominated deferral heuristic, and
-the one-allocation-per-column ``Batch.concat`` guarantee (via the debug
-aliasing checker).  The bit-identical fused-vs-row/vectorized sweep at
-parallelism 1/2/8 lives at the bottom.
+Covers the compiler/pipeline fallback edges: constant-only predicates,
+``__udf::`` column resolution inside the pipeline, short-circuit
+semantics preserved across the pipeline boundary, kernel-cache eviction
+and invalidation-on-calibration, and the one-allocation-per-column
+``Batch.concat`` guarantee (via the debug aliasing checker).  The
+bit-identical oracle-vs-engine sweep lives in
+``tests/test_vectorized_differential.py``.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 
+import repro.executor
 from repro.clock import CostCategory
 from repro.config import EvaConfig, ReusePolicy
 from repro.errors import ExecutorError
@@ -34,11 +37,10 @@ def make_video(name="tiny", frames=FRAMES):
                       fps=25.0, vehicles_per_frame=8.3), seed=7)
 
 
-def make_session(*, fusion=True, mode="vectorized",
-                 policy=ReusePolicy.EVA, video=None, **kwargs):
+def make_session(*, mode="vectorized", policy=ReusePolicy.EVA,
+                 video=None, **kwargs):
     session = EvaSession(config=EvaConfig(
-        reuse_policy=policy, execution_mode=mode, kernel_fusion=fusion,
-        **kwargs))
+        reuse_policy=policy, execution_mode=mode, **kwargs))
     session.register_video(video or make_video())
     return session
 
@@ -133,19 +135,19 @@ class TestFusionEdges:
             "SELECT id FROM tiny WHERE 3 + 4 > 100;",
             "SELECT id, timestamp FROM tiny WHERE 1 = 1 AND id >= 395;",
         ]
-        fused = run_all(make_session(fusion=True), queries)
+        fused = run_all(make_session(), queries)
         plain = run_all(make_session(mode="row"), queries)
         assert fused == plain
 
     def test_udf_column_resolution_inside_fused_plan(self):
         # CarType's output lands in a ``__udf::`` column that the fused
         # filter above the classifier stage must resolve.
-        fused_session = make_session(fusion=True)
+        fused_session = make_session()
         row_session = make_session(mode="row")
         assert run_all(fused_session, [UDF_QUERY, UDF_QUERY]) == \
             run_all(row_session, [UDF_QUERY, UDF_QUERY])
-        # The repeat (hit-heavy) run fused for real.
-        assert fused_session.context.kernel_cache.stats()["size"] > 0
+        # Both runs (miss-heavy, then hit-heavy) went through pipelines.
+        assert fused_session.context.kernel_cache.stats()["size"] == 2
 
     def test_filter_group_demotes_when_upper_kernel_errors(self):
         from repro.executor.fusion import _FusedRuntime, _filter_group
@@ -160,7 +162,7 @@ class TestFusionEdges:
         # cannot evaluate vectorized; serial execution never sees them.
         batch = Batch({"id": [0, 1, 2, 5, 6],
                        "x": [1, 2, 3, "boom", object()]})
-        rt = _FusedRuntime(ReusePolicy.EVA, [], 0)
+        rt = _FusedRuntime(ReusePolicy.EVA, [])
         out = _filter_group(batch, rt,
                             ((lower, "Scan"), (upper, "Filter")))
         assert out.column("id") == [0, 1, 2]
@@ -171,8 +173,8 @@ class TestFusionEdges:
         # charges) exactly where the unfused pipeline would.
         query = "SELECT id FROM tiny WHERE id >= 0 LIMIT 5;"
         charges = {}
-        for key, fusion in (("fused", True), ("plain", False)):
-            session = make_session(fusion=fusion)
+        for key, mode in (("fused", "vectorized"), ("plain", "row")):
+            session = make_session(mode=mode)
             session.execute(query)
             charges[key] = session.clock.breakdown()[
                 CostCategory.READ_VIDEO]
@@ -180,12 +182,12 @@ class TestFusionEdges:
 
     def test_unfusable_boundary_demotes_only_the_tail(self):
         # GROUP BY cannot fuse, but the streaming suffix below it can.
-        session = make_session(fusion=True)
+        session = make_session()
         query = ("SELECT label, COUNT(*) FROM tiny CROSS APPLY "
                  "FastRCNNObjectDetector(frame) WHERE id < 40 "
                  "GROUP BY label;")
         session.execute(query)
-        out = session.execute(query)  # hit-heavy repeat fuses
+        out = session.execute(query)
         assert session.context.kernel_cache.stats()["size"] > 0
         plain = make_session(mode="row")
         plain.execute(query)
@@ -201,16 +203,12 @@ class TestKernelCache:
     def test_lru_eviction_counts(self):
         cache = KernelCache(capacity=2)
 
-        def plan(tag):
-            return FusedPlan(key=tag, kernels=[], stages=(),
-                             scan_columns=None, source="", fn=None,
-                             num_applies=0, num_projects=0,
-                             boundary_label="Project")
-
-        cache.store(("a",), plan("a"))
-        cache.store(("b",), plan("b"))
-        assert cache.lookup(("a",)).key == "a"   # refreshes a's slot
-        cache.store(("c",), plan("c"))           # evicts b
+        plan_a, plan_b, plan_c = (FusedPlan(stages=(), scan_columns=None)
+                                  for _ in range(3))
+        cache.store(("a",), plan_a)
+        cache.store(("b",), plan_b)
+        assert cache.lookup(("a",)) is plan_a    # refreshes a's slot
+        cache.store(("c",), plan_c)              # evicts b
         assert cache.lookup(("b",)) is None
         stats = cache.stats()
         assert stats["evictions"] == 1
@@ -243,7 +241,7 @@ class TestKernelCache:
         assert fusion_key([other, scan], config) != key
 
     def test_session_cache_evicts_under_pressure(self):
-        session = make_session(fusion=True, kernel_cache_size=1)
+        session = make_session(kernel_cache_size=1)
         q1 = "SELECT id FROM tiny WHERE id < 5;"
         q2 = "SELECT timestamp FROM tiny WHERE id < 5;"
         run_all(session, [q1, q2, q1, q2])
@@ -252,8 +250,7 @@ class TestKernelCache:
         assert stats["evictions"] >= 2
 
     def test_calibration_rebuild_invalidates_kernel_cache(self):
-        session = EvaSession(config=EvaConfig(cost_calibration="apply",
-                                              kernel_fusion=True),
+        session = EvaSession(config=EvaConfig(cost_calibration="apply"),
                              zoo=copy.deepcopy(default_zoo()))
         session.register_video(make_video(name="v", frames=120))
         # Drift after registration: the post-query calibration pass
@@ -269,7 +266,7 @@ class TestKernelCache:
         assert stats["size"] == 0
 
     def test_reset_reuse_state_invalidates(self):
-        session = make_session(fusion=True)
+        session = make_session()
         run_all(session, ["SELECT id FROM tiny WHERE id < 5;"])
         assert session.context.kernel_cache.stats()["size"] > 0
         session.reset_reuse_state()
@@ -279,76 +276,42 @@ class TestKernelCache:
 
 
 # ---------------------------------------------------------------------------
-# miss-dominated deferral (apply_miss_heavy regression fix)
+# one engine: no code generation, no compiled kernels in the row tree
 # ---------------------------------------------------------------------------
 
 
-class TestMissDominatedDeferral:
-    MISS_QUERY = ("SELECT id, label FROM tiny CROSS APPLY "
-                  "FastRCNNObjectDetector(frame) WHERE id < 30;")
+class TestNoCodegen:
+    """Enforced syntactically with :mod:`ast` (style of
+    ``tests/test_obs_imports.py``) so the ban holds for every path."""
 
-    def test_first_sighting_defers_second_compiles(self):
-        session = make_session(fusion=True, policy=ReusePolicy.NONE)
-        session.execute(self.MISS_QUERY)
-        counters = session.metrics.counters
-        # The boundary chain defers (so does each sub-chain the build
-        # recursion walks below it); nothing compiles on first sight.
-        assert counters.get("kernel_cache:deferred", 0) >= 1
-        assert counters.get("kernel_cache:compile", 0) == 0
-        session.execute(self.MISS_QUERY)
-        counters = session.metrics.counters
-        assert counters.get("kernel_cache:compile", 0) == 1
+    EXECUTOR_DIR = Path(repro.executor.__file__).resolve().parent
 
-    def test_deferred_run_matches_row_mode(self):
-        fused = run_all(make_session(fusion=True, policy=ReusePolicy.NONE),
-                        [self.MISS_QUERY])
-        plain = run_all(make_session(mode="row", policy=ReusePolicy.NONE),
-                        [self.MISS_QUERY])
-        assert fused == plain
+    @staticmethod
+    def _names(tree: ast.AST) -> set[str]:
+        return {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
 
-    def test_hit_heavy_plans_fuse_immediately(self):
-        # With EVA reuse, the classifier/detector prologue probes views:
-        # not miss-dominated, so the very first sighting compiles.
-        session = make_session(fusion=True)
-        session.execute(UDF_QUERY)
-        assert session.metrics.counters.get("kernel_cache:compile", 0) >= 1
+    def test_executor_never_calls_exec_or_compile(self):
+        files = sorted(self.EXECUTOR_DIR.rglob("*.py"))
+        assert files
+        violations = [
+            f"{path.name}:{node.lineno}: {node.func.id}()"
+            for path in files
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "compile", "eval")]
+        assert not violations, "\n".join(violations)
 
-
-# ---------------------------------------------------------------------------
-# bit-identical differential at parallelism 1/2/8
-# ---------------------------------------------------------------------------
-
-
-def _clock_totals(session):
-    return {category: seconds
-            for category, seconds in session.clock.breakdown().items()
-            if category is not CostCategory.OPTIMIZE}
-
-
-def _view_contents(session):
-    out = {}
-    for name in session.view_store.names():
-        view = session.view_store.get(name)
-        out[name] = {key: view.get(key) for key in view.keys()}
-    return out
-
-
-class TestFusedDifferential:
-    @pytest.mark.parametrize("parallelism", [1, 2, 8])
-    def test_fused_matches_row_and_vectorized(self, parallelism):
-        from repro.vbench.queries import vbench_high
-
-        queries = vbench_high("tiny", FRAMES)[:4]
-        reference = make_session(mode="row")
-        ref_out = run_all(reference, queries)
-        vec = make_session(fusion=False)
-        assert run_all(vec, queries) == ref_out
-        fused = make_session(fusion=True, parallelism=parallelism)
-        assert run_all(fused, queries) == ref_out
-        assert _view_contents(fused) == _view_contents(reference)
-        ref_clock = _clock_totals(reference)
-        fused_clock = _clock_totals(fused)
-        assert set(fused_clock) == set(ref_clock)
-        for category, seconds in ref_clock.items():
-            assert fused_clock[category] == pytest.approx(
-                seconds, rel=1e-9, abs=1e-12), category
+    def test_row_operators_hold_no_compiled_kernels(self):
+        operators = self.EXECUTOR_DIR / "operators"
+        scan = ast.parse((operators / "scan.py").read_text())
+        assert "compile_expression" not in self._names(scan)
+        assert not any(isinstance(node, ast.ImportFrom)
+                       and node.module == "repro.expressions.compiler"
+                       for node in ast.walk(scan))
+        relational = ast.parse((operators / "relational.py").read_text())
+        classes = {node.name: node for node in relational.body
+                   if isinstance(node, ast.ClassDef)}
+        for name in ("FilterOperator", "ProjectOperator"):
+            assert "compile_expression" not in self._names(classes[name])

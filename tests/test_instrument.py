@@ -8,11 +8,12 @@ from repro.session import EvaSession
 
 @pytest.fixture
 def session(tiny_video):
-    # Per-operator attribution needs one operator per plan node; fused
-    # pipelines collapse the streaming suffix into a single operator
-    # (their reporting is covered by TestFusedReporting below).
+    # Per-operator attribution needs one operator per plan node: the
+    # row operator tree.  The pipeline collapses the streaming suffix
+    # into a single operator (its reporting is covered by
+    # TestFusedReporting below).
     session = EvaSession(config=EvaConfig(reuse_policy=ReusePolicy.EVA,
-                                          kernel_fusion=False))
+                                          execution_mode="row"))
     session.register_video(tiny_video)
     return session
 
@@ -161,7 +162,7 @@ class TestFusedReporting:
     @pytest.fixture
     def fused_session(self, tiny_video):
         session = EvaSession(config=EvaConfig(
-            reuse_policy=ReusePolicy.EVA, kernel_fusion=True))
+            reuse_policy=ReusePolicy.EVA))
         session.register_video(tiny_video)
         return session
 

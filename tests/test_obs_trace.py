@@ -16,15 +16,20 @@ DETECT = ("SELECT id, label FROM tiny CROSS APPLY "
           "WHERE id < 40 AND label = 'car';")
 
 
+def _traced_session(video, **config):
+    session = EvaSession(config=EvaConfig(reuse_policy=ReusePolicy.EVA,
+                                          **config))
+    session.register_video(video)
+    session.tracer.sink = InMemorySink()
+    session.tracer.capture_operators = True
+    return session
+
+
 @pytest.fixture
 def traced_session(tiny_video):
     """An EVA session whose tracer buffers events and captures
     per-operator spans."""
-    session = EvaSession(config=EvaConfig(reuse_policy=ReusePolicy.EVA))
-    session.register_video(tiny_video)
-    session.tracer.sink = InMemorySink()
-    session.tracer.capture_operators = True
-    return session
+    return _traced_session(tiny_video)
 
 
 class TestTracerUnit:
@@ -139,7 +144,10 @@ class TestSessionTracing:
                       if s.name.startswith("rule:")]
         assert rule_spans, "no optimizer rule spans"
 
-    def test_per_operator_spans_recorded(self, traced_session):
+    def test_per_operator_spans_recorded(self, tiny_video):
+        # Per-operator actuals need one operator per plan node: the row
+        # tree (the pipeline reports them at its boundary).
+        traced_session = _traced_session(tiny_video, execution_mode="row")
         traced_session.execute(DETECT)
         op_spans = [s for s in traced_session.tracer.spans()
                     if s.name.startswith("op:")]

@@ -48,10 +48,12 @@ def make_video(name: str = TABLE, frames: int = FRAMES) -> SyntheticVideo:
 def latency_zoo(per_call: float = 0.0):
     """Picklable zoo factory: default zoo with simulated serving latency
     (spawned workers build their own zoo, so the knob must travel in
-    the factory, not be poked on the parent's singletons)."""
+    the factory — and onto a clone: ``PoolServer`` also calls the
+    factory in the parent, whose ``default_zoo()`` models are singletons
+    every later test shares)."""
     from repro.models.zoo import default_zoo
 
-    zoo = default_zoo()
+    zoo = default_zoo().clone()
     for name in zoo.names():
         zoo.get(name).service_latency_per_call = per_call
     return zoo

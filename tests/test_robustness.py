@@ -159,21 +159,33 @@ class TestDegenerateInputs:
 
 
 class TestSymbolicTimeBudget:
-    def test_reduce_respects_time_budget(self):
-        """Algorithm 1's TimeOut: a tiny budget still returns a correct
-        (just less-reduced) predicate."""
+    """Algorithm 1's TimeOut is a budget of pair comparisons, not of
+    seconds: what a reduction returns cannot depend on the machine."""
+
+    @staticmethod
+    def _wide_dnf():
         from repro.parser.parser import parse as parse_stmt
         from repro.symbolic.dnf import dnf_from_expression
-        from repro.symbolic.reduce import reduce_predicate
 
         clauses = " OR ".join(
             f"(x >= {i} AND x < {i + 15} AND y > {i % 7})"
             for i in range(0, 200, 10))
         predicate = parse_stmt(
             f"SELECT id FROM v WHERE {clauses};").where
-        dnf = dnf_from_expression(predicate)
-        fast = reduce_predicate(dnf, time_budget=0.0)
-        slow = reduce_predicate(dnf, time_budget=2.0)
+        return dnf_from_expression(predicate)
+
+    def test_reduce_respects_time_budget(self):
+        """A spent budget still returns a correct (just less-reduced)
+        predicate, and says so in the exhaustion count."""
+        from repro.symbolic.reduce import (budget_exhaustions,
+                                           reduce_predicate)
+
+        dnf = self._wide_dnf()
+        before = budget_exhaustions()
+        fast = reduce_predicate(dnf, max_steps=0)
+        assert budget_exhaustions() == before + 1
+        slow = reduce_predicate(dnf)
+        assert budget_exhaustions() == before + 1
         assert len(slow.conjunctives) <= len(fast.conjunctives)
         for x in range(-5, 220, 13):
             for y in range(-2, 10, 3):
@@ -182,6 +194,28 @@ class TestSymbolicTimeBudget:
                     dnf.satisfied_by(values)
                 assert slow.satisfied_by(values) == \
                     dnf.satisfied_by(values)
+
+    @pytest.mark.parametrize("max_steps", [7, 60, None])
+    def test_two_runs_give_identical_conjunctives(self, max_steps):
+        from repro.symbolic.reduce import reduce_predicate
+
+        first = reduce_predicate(self._wide_dnf(), max_steps=max_steps)
+        second = reduce_predicate(self._wide_dnf(), max_steps=max_steps)
+        assert first.conjunctives == second.conjunctives
+
+    def test_session_counts_exhausted_reductions(self, monkeypatch):
+        import repro.symbolic.reduce as reduce_module
+
+        monkeypatch.setattr(reduce_module, "MAX_REDUCTION_STEPS", 0)
+        video = SyntheticVideo(
+            VideoMetadata(name="budget", num_frames=40, width=960,
+                          height=540, fps=25.0, vehicles_per_frame=5.0),
+            seed=3)
+        session = EvaSession(config=EvaConfig())
+        session.register_video(video)
+        session.execute("SELECT id FROM budget WHERE id < 5 OR id > 30 "
+                        "OR (id > 10 AND id < 20);")
+        assert session.metrics.counters["symbolic_budget_exhausted"] >= 1
 
 
 class TestNumpyInteraction:

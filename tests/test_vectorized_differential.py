@@ -1,9 +1,11 @@
-"""Differential suite: row vs vectorized execution must be equivalent.
+"""The differential suite: the row oracle vs the pipeline engine.
 
 Runs every VBENCH query (plus randomized predicate queries and
 aggregate/sort shapes) twice — once under ``execution_mode="row"`` (the
-legacy interpreter) and once under ``"vectorized"`` (compiled kernels,
-bulk view probes, batched model invocation) — and asserts that
+row operator tree, the oracle) and once under ``"vectorized"`` (the
+streaming pipeline: compiled kernels, bulk view probes, batched model
+invocation; serial and with morsel parallelism) — for every reuse policy
+and with fuzzy reuse on, and asserts that
 
 * every query returns the identical result batch (columns and rows),
 * the materialized-view stores end up with identical contents, and
@@ -25,9 +27,9 @@ from repro.vbench.queries import vbench_high, vbench_low
 FRAMES = 400  # tiny_video's length; id bounds scale to it
 
 
-def _run(queries, video, policy: ReusePolicy, mode: str):
+def _run(queries, video, policy: ReusePolicy, mode: str, **config):
     session = EvaSession(config=EvaConfig(reuse_policy=policy,
-                                          execution_mode=mode))
+                                          execution_mode=mode, **config))
     session.register_video(video)
     outcomes = []
     for sql in queries:
@@ -54,9 +56,13 @@ def _clock_totals(session: EvaSession) -> dict:
 
 
 def assert_modes_equivalent(queries, video,
-                            policy: ReusePolicy = ReusePolicy.EVA):
-    row_session, row_out = _run(queries, video, policy, "row")
-    vec_session, vec_out = _run(queries, video, policy, "vectorized")
+                            policy: ReusePolicy = ReusePolicy.EVA,
+                            parallelism: int = 0, **config):
+    """``config`` applies to both sessions; ``parallelism`` only to the
+    engine under test (the oracle stays serial).  Returns both."""
+    row_session, row_out = _run(queries, video, policy, "row", **config)
+    vec_session, vec_out = _run(queries, video, policy, "vectorized",
+                                parallelism=parallelism, **config)
     for index, (row_result, vec_result) in enumerate(zip(row_out, vec_out)):
         assert vec_result == row_result, f"query {index} diverged"
     assert _view_contents(vec_session) == _view_contents(row_session)
@@ -66,6 +72,21 @@ def assert_modes_equivalent(queries, video,
     for category, seconds in row_clock.items():
         assert vec_clock[category] == pytest.approx(
             seconds, rel=1e-9, abs=1e-12), category
+    return row_session, vec_session
+
+
+def _operators(session: EvaSession, sql: str) -> list:
+    """The operator chain the session's engine builds for ``sql``."""
+    from repro.executor.engine import ExecutionEngine
+    from repro.parser.parser import parse
+
+    plan = session.optimizer.optimize(parse(sql)).plan
+    operators = []
+    op = ExecutionEngine(session.context).build(plan)
+    while op is not None:
+        operators.append(op)
+        op = getattr(op, "child", None)
+    return operators
 
 
 class TestVbenchDifferential:
@@ -86,6 +107,11 @@ class TestVbenchDifferential:
         # hits: exercises the bulk get_many hit partition.
         queries = vbench_high("tiny", FRAMES)[:2]
         assert_modes_equivalent(queries + queries, tiny_video)
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 8])
+    def test_vbench_high_parallel(self, tiny_video, parallelism):
+        assert_modes_equivalent(vbench_high("tiny", FRAMES)[:4],
+                                tiny_video, parallelism=parallelism)
 
     def test_sparse_video(self, sparse_video):
         # Sparse frames produce empty detection sets: empty keys must be
@@ -149,6 +175,75 @@ class TestRandomizedDifferential:
                                 ReusePolicy.NONE)
 
 
+class TestRowTreeSessions:
+    """FunCache, HashStash and fuzzy reuse resolve row-at-a-time: under
+    ``execution_mode="vectorized"`` they still run on the row operator
+    tree, so they match their ``"row"`` twins exactly."""
+
+    @pytest.mark.parametrize("policy,config", [
+        (ReusePolicy.FUNCACHE, {}),
+        (ReusePolicy.HASHSTASH, {}),
+        (ReusePolicy.EVA, {"fuzzy_reuse": True}),
+    ], ids=["funcache", "hashstash", "fuzzy"])
+    def test_matches_row_twin_without_a_pipeline(self, tiny_video,
+                                                 policy, config):
+        from repro.executor.fusion import FusedPipelineOperator
+
+        queries = vbench_high("tiny", FRAMES)[:3]
+        _, vec_session = assert_modes_equivalent(
+            queries + queries[:1], tiny_video, policy, **config)
+        for sql in queries:
+            assert not any(isinstance(op, FusedPipelineOperator)
+                           for op in _operators(vec_session, sql))
+        assert vec_session.context.kernel_cache.stats()["misses"] == 0
+
+
+class TestOnePipeline:
+    """Under ``vectorized`` the whole streaming suffix is one operator."""
+
+    def test_every_plan_builds_exactly_one_pipeline(self, tiny_video):
+        from repro.executor.fusion import FusedPipelineOperator
+        from repro.executor.operators import (FilterOperator,
+                                              ProjectOperator, ScanOperator)
+        from repro.vbench.generator import WorkloadSpec, generate_workload
+
+        generated = generate_workload(
+            "tiny", FRAMES, WorkloadSpec(num_queries=40, seed=3))
+        queries = (vbench_high("tiny", FRAMES) + vbench_low("tiny", FRAMES)
+                   + list(generated) + _random_queries(11))
+        session = EvaSession(config=EvaConfig())
+        session.register_video(tiny_video)
+        for sql in queries:
+            operators = _operators(session, sql)
+            pipelines = [op for op in operators
+                         if isinstance(op, FusedPipelineOperator)]
+            assert len(pipelines) == 1, sql
+            assert operators[-1] is pipelines[0], sql
+            assert not any(isinstance(op, (ScanOperator, FilterOperator,
+                                           ProjectOperator))
+                           for op in operators), sql
+
+    def test_context_without_a_kernel_cache_runs_the_pipeline(
+            self, tiny_video):
+        from dataclasses import replace
+
+        from repro.executor.engine import ExecutionEngine
+        from repro.executor.fusion import FusedPipelineOperator
+        from repro.parser.parser import parse
+
+        session = EvaSession(config=EvaConfig())
+        session.register_video(tiny_video)
+        plan = session.optimizer.optimize(parse(EXPLAIN_QUERY)).plan
+        uncached = replace(session.context, kernel_cache=None)
+        root = ExecutionEngine(uncached).build(plan)
+        assert isinstance(root, FusedPipelineOperator)
+        rows = root.run_to_completion().to_tuples()
+        row_session, row_out = _run([EXPLAIN_QUERY], tiny_video,
+                                    ReusePolicy.EVA, "row")
+        assert tuple(rows) == row_out[0][1]
+        assert session.context.kernel_cache.stats()["misses"] == 0
+
+
 EXPLAIN_QUERY = ("SELECT id, bbox FROM tiny CROSS APPLY "
                  "FastRCNNObjectDetector(frame) "
                  "WHERE id < 50 AND label = 'car';")
@@ -163,13 +258,18 @@ class TestKernelReporting:
         return "\n".join(row[0] for row in result.rows)
 
     def test_explain_analyze_reports_kernel_modes(self, tiny_video):
-        annotated = self._annotated(tiny_video, "vectorized")
-        assert "kernel=vectorized" in annotated
+        # A first execution: nothing is cached, nothing is deferred —
+        # every node of the streaming suffix runs inside the pipeline.
+        lines = self._annotated(tiny_video, "vectorized").splitlines()
+        assert len(lines) == 4
+        assert all("kernel=fused" in line for line in lines)
+        assert "fusion-boundary=4ops" in lines[0]
+        assert all("fused-into=Project" in line for line in lines[1:])
 
     def test_row_mode_reports_row_kernels(self, tiny_video):
         annotated = self._annotated(tiny_video, "row")
         assert "kernel=row" in annotated
-        assert "kernel=vectorized" not in annotated
+        assert "kernel=fused" not in annotated
 
     def test_execution_mode_validation(self):
         with pytest.raises(ValueError):
