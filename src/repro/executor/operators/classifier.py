@@ -23,7 +23,7 @@ from repro.expressions.evaluator import udf_column_name
 from repro.models.base import PatchClassifierModel
 from repro.models.filters import SpecializedFilter
 from repro.optimizer.plans import PhysClassifierApply
-from repro.storage.batch import Batch
+from repro.storage.batch import Batch, materialize_column
 from repro.types import BoundingBox
 from repro.video.frames import Frame
 
@@ -31,9 +31,9 @@ from repro.video.frames import Frame
 def bbox_view_key(bbox: BoundingBox) -> tuple[int, int, int, int]:
     """Rounded box coordinates: the view key component for patch UDFs.
 
-    Memoized on the (frozen, ``__dict__``-bearing) box instance: the
-    detector's decoded-hit cache hands back the *same* box objects on
-    every warm probe, so repeat queries round each box exactly once.
+    Memoized on the (frozen, ``__dict__``-bearing) box instance: a
+    materialized view hands back the *same* stored box objects on every
+    probe, so repeat queries round each box exactly once.
     """
     key = bbox.__dict__.get("_view_key")
     if key is None:
@@ -139,12 +139,15 @@ class ClassifierApplyOperator(Operator):
             self.context.clock.charge(
                 CostCategory.READ_VIEW,
                 len(pending) * costs.view_read_per_key)
-            stored = view.get_many([keys[i] for i in pending])
+            hits = view.get_many([keys[i] for i in pending])
+            stored = materialize_column(hits.column("value"))
+            position = 0
             hit_keys = []
             misses = []
-            for i, rows in zip(pending, stored):
-                if rows:
-                    values[i] = rows[0]["value"]
+            for i, count in zip(pending, hits.counts):
+                if count:
+                    values[i] = stored[position]
+                    position += count
                     hit_keys.append((frames[i].video_name,) + keys[i])
                 else:
                     misses.append(i)
@@ -198,7 +201,8 @@ class ClassifierApplyOperator(Operator):
         view = self.context.view_store.create_or_get(
             self._view_name, ["id", "bbox_key"], ["value"])
         inserted = view.put_many(
-            [(keys[i], [{"value": values[i]}]) for i in indices])
+            [keys[i] for i in indices], [1] * len(indices),
+            {"value": [values[i] for i in indices]})
         added = sum(inserted)
         if added:
             self.context.clock.charge(

@@ -29,7 +29,7 @@ from repro.executor.operators.base import Operator
 from repro.models.base import ObjectDetectorModel
 from repro.optimizer.plans import DetectorSource, PhysDetectorApply
 from repro.optimizer.udf_manager import UdfSignature
-from repro.storage.batch import Batch
+from repro.storage.batch import Batch, ColumnView
 from repro.symbolic.compiled import compile_dnf
 from repro.types import Detection
 from repro.video.frames import Frame
@@ -156,33 +156,30 @@ class DetectorApplyOperator(Operator):
                     if view_store.get(
                             self._view_name(model.name, video_name)) is None:
                         return None
-        results: list[tuple[Detection, ...] | None] = [None] * n
-        #: Per-row decoded cache entries filled alongside view hits —
-        #: ``(detections, labels, bboxes, scores, areas)`` column
-        #: fragments, or None for model-evaluated rows (``_assemble``
-        #: computes their fragments inline).
-        decoded: list[tuple | None] = [None] * n
+        #: ``(input rows, detections per row, output columns)`` of every
+        #: group a source resolved, in resolution order.
+        parts: list[tuple[list[int], list[int], dict]] = []
         pending: list[int] = list(range(n))
         values_list: list[dict] | None = None  # built on first model source
         for source, predicate, model in self._sources:
             if not pending:
                 break
             if source.use_view:
-                pending = self._probe_view_batch(
-                    model, frames, pending, results, decoded)
+                pending = self._probe_view_batch(model, frames, pending,
+                                                 parts)
                 continue
             if values_list is None:
                 values_list = self._predicate_values(batch)
             matched = [i for i in pending if predicate(values_list[i])]
             if matched:
-                self._evaluate_many(model, frames, matched, results,
+                self._evaluate_many(model, frames, matched, parts,
                                     store=self.node.store)
                 matched_set = set(matched)
                 pending = [i for i in pending if i not in matched_set]
         if pending:
             self._evaluate_many(self._fallback_model, frames, pending,
-                                results, store=self.node.store)
-        return self._assemble(batch, frames, results, decoded)
+                                parts, store=self.node.store)
+        return self._assemble(batch, parts)
 
     def _predicate_values(self, batch: Batch) -> list[dict]:
         """Per-row value dicts for source predicates (columnar build)."""
@@ -208,17 +205,13 @@ class DetectorApplyOperator(Operator):
 
     def _probe_view_batch(self, model: ObjectDetectorModel,
                           frames: list[Frame], pending: list[int],
-                          results: list, decoded: list) -> list[int]:
+                          parts: list) -> list[int]:
         """Bulk LEFT OUTER JOIN against one model's views; returns misses.
 
-        Decoded hits (``Detection`` tuples plus the per-column fragments
-        ``_assemble`` emits) are memoized in the view's ``runtime_cache``:
-        views are append-only, so a key's decoded form never goes stale,
-        and repeat probes of a warm view skip the per-row conversion and
-        the area recomputation.  Every key still goes through
-        ``get_many`` — that call carries the read lock and, on the
-        server, cross-client hit attribution — so charges, locking, and
-        ownership accounting are identical with and without the cache.
+        The hit rows' output columns are zero-copy views over the
+        materialized view's own columns; ``area`` is a derived in-memory
+        column of the view (a video's frames share one size), computed
+        once per stored row rather than once per probe.
         """
         by_video: dict[str, list[int]] = {}
         for i in pending:
@@ -239,48 +232,35 @@ class DetectorApplyOperator(Operator):
             self.context.clock.charge(
                 CostCategory.READ_VIEW,
                 len(group) * costs.view_read_per_key)
-            cache = view.runtime_cache.setdefault("decoded_hits", {})
-            hit_keys = []
-            rows_read = 0
-            stored = view.get_many([(frames[i].frame_id,) for i in group])
-            for i, rows in zip(group, stored):
-                if rows is None:
+            hits = view.get_many([(frames[i].frame_id,) for i in group])
+            found: list[int] = []
+            counts: list[int] = []
+            for i, count in zip(group, hits.counts):
+                if count is None:
                     still.append(i)
-                    continue
-                rows_read += len(rows)
-                frame = frames[i]
-                entry = cache.get(frame.frame_id)
-                if entry is None:
-                    detections = tuple(
-                        Detection(r["label"], r["bbox"], r["score"])
-                        for r in rows)
-                    entry = (
-                        detections,
-                        tuple(d.label for d in detections),
-                        tuple(d.bbox for d in detections),
-                        tuple(d.score for d in detections),
-                        tuple(d.bbox.relative_area(frame.width,
-                                                   frame.height)
-                              for d in detections),
-                    )
-                    cache[frame.frame_id] = entry
-                results[i] = entry[0]
-                decoded[i] = entry
-                hit_keys.append(frame.cache_key())
-            if rows_read:
+                else:
+                    found.append(i)
+                    counts.append(count)
+            if not found:
+                continue
+            if hits.num_rows:
                 self.context.clock.charge(
                     CostCategory.READ_VIEW,
-                    rows_read * costs.view_read_per_row)
-            if hit_keys:
-                self.context.metrics.record_invocations(
-                    model.name, hit_keys, True,
-                    per_tuple_cost=model.per_tuple_cost)
+                    hits.num_rows * costs.view_read_per_row)
+            self.context.metrics.record_invocations(
+                model.name, [frames[i].cache_key() for i in found], True,
+                per_tuple_cost=model.per_tuple_cost)
+            columns = {name: hits.column(name)
+                       for name in VIEW_OUTPUT_COLUMNS}
+            columns["area"] = hits.derived(
+                "area", "bbox", _relative_area(frames[found[0]]))
+            parts.append((found, counts, columns))
         still.sort()
         return still
 
     def _evaluate_many(self, model: ObjectDetectorModel,
                        frames: list[Frame], indices: list[int],
-                       results: list, store: bool) -> None:
+                       parts: list, store: bool) -> None:
         """One ``predict_batch`` per (model, video) sub-batch + bulk STORE."""
         by_video: dict[str, list[int]] = {}
         for i in indices:
@@ -291,83 +271,64 @@ class DetectorApplyOperator(Operator):
                 CostCategory.UDF, len(group) * model.per_tuple_cost)
             outputs = self.context.invoke_model(
                 model, video, [frames[i].frame_id for i in group])
-            for i, detections in zip(group, outputs):
-                results[i] = tuple(detections)
             self.context.metrics.record_invocations(
                 model.name, [frames[i].cache_key() for i in group], False,
                 per_tuple_cost=model.per_tuple_cost)
+            counts = [len(detections) for detections in outputs]
+            flat = [d for detections in outputs for d in detections]
+            columns = {"label": [d.label for d in flat],
+                       "bbox": [d.bbox for d in flat],
+                       "score": [d.score for d in flat]}
             if store:
                 view = self.context.view_store.create_or_get(
                     self._view_name(model.name, video_name), ["id"],
                     VIEW_OUTPUT_COLUMNS)
                 inserted = view.put_many(
-                    [((frames[i].frame_id,),
-                      [{"label": d.label, "bbox": d.bbox, "score": d.score}
-                       for d in results[i]])
-                     for i in group])
-                # Warm the decoded-hit cache with the detections we
-                # already hold: later probes of these keys then skip
-                # the dict-row -> Detection decode entirely.
-                cache = view.runtime_cache.setdefault("decoded_hits", {})
-                for i in group:
-                    frame = frames[i]
-                    if frame.frame_id in cache:
-                        continue
-                    detections = results[i]
-                    cache[frame.frame_id] = (
-                        detections,
-                        tuple(d.label for d in detections),
-                        tuple(d.bbox for d in detections),
-                        tuple(d.score for d in detections),
-                        tuple(d.bbox.relative_area(frame.width,
-                                                   frame.height)
-                              for d in detections),
-                    )
+                    [(frames[i].frame_id,) for i in group], counts, columns)
                 stored_rows = sum(
-                    max(1, len(results[i]))
-                    for i, was_new in zip(group, inserted) if was_new)
+                    max(1, count)
+                    for count, was_new in zip(counts, inserted) if was_new)
                 if stored_rows:
                     self.context.clock.charge(
                         CostCategory.MATERIALIZE,
                         stored_rows * self.context.costs.materialize_per_row)
+            columns["area"] = list(map(_relative_area(frames[group[0]]),
+                                       columns["bbox"]))
+            parts.append((group, counts, columns))
 
-    def _assemble(self, batch: Batch, frames: list[Frame],
-                  results: list, decoded: list) -> Batch:
+    @staticmethod
+    def _assemble(batch: Batch, parts: list) -> Batch:
         """Expand input rows by their detections, column-at-a-time.
 
-        Rows with a decoded cache entry contribute their pre-split
-        column fragments via C-speed ``extend``; model-evaluated rows
-        unpack their ``Detection`` tuples inline.
+        One part — every row answered by the same view or model, the
+        common case — already is the output, in input order.  Several
+        parts are concatenated and read back through one index list that
+        restores input order.
         """
-        indices = [i for i, detections in enumerate(results)
-                   for _ in detections]
+        if len(parts) == 1:
+            rows, counts, columns = parts[0]
+            order = None
+        else:
+            spans: dict[int, range] = {}
+            columns = {name: [] for name in DETECTOR_COLUMNS}
+            total = 0
+            for rows, counts, part_columns in parts:
+                for name, values in part_columns.items():
+                    columns[name].extend(values)
+                for i, count in zip(rows, counts):
+                    spans[i] = range(total, total + count)
+                    total += count
+            rows = sorted(spans)
+            counts = [len(spans[i]) for i in rows]
+            order = [position for i in rows for position in spans[i]]
+        indices = [i for i, count in zip(rows, counts)
+                   for _ in range(count)]
         if not indices:
             return Batch()
-        labels: list = []
-        bboxes: list = []
-        scores: list = []
-        areas: list = []
-        for i, detections in enumerate(results):
-            if not detections:
-                continue
-            entry = decoded[i]
-            if entry is not None:
-                labels.extend(entry[1])
-                bboxes.extend(entry[2])
-                scores.extend(entry[3])
-                areas.extend(entry[4])
-                continue
-            frame = frames[i]
-            for detection in detections:
-                labels.append(detection.label)
-                bboxes.append(detection.bbox)
-                scores.append(detection.score)
-                areas.append(detection.bbox.relative_area(
-                    frame.width, frame.height))
-        return batch.take(indices).with_columns({
-            "label": labels, "bbox": bboxes,
-            "score": scores, "area": areas,
-        })
+        if order is not None:
+            columns = {name: ColumnView(values, order)
+                       for name, values in columns.items()}
+        return batch.take(indices).with_columns(columns)
 
     # -- per-frame resolution ----------------------------------------------------
 
@@ -519,3 +480,9 @@ class DetectorApplyOperator(Operator):
     def _view_name(model_name: str, video_name: str) -> str:
         signature = UdfSignature(model_name, (video_name,))
         return f"mv::{signature.key()}"
+
+
+def _relative_area(frame: Frame):
+    """``bbox -> AREA(bbox)`` for the video ``frame`` belongs to."""
+    width, height = frame.width, frame.height
+    return lambda bbox: bbox.relative_area(width, height)

@@ -122,8 +122,6 @@ _ACTIVE = threading.local()
 
 def current_lineage() -> QueryLineage | None:
     """The query-lineage accumulator installed on this thread, if any."""
-    if getattr(_ACTIVE, "suppressed", 0):
-        return None
     return getattr(_ACTIVE, "ctx", None)
 
 
@@ -133,24 +131,6 @@ def install_lineage(ctx: QueryLineage | None) -> None:
 
 def uninstall_lineage() -> None:
     _ACTIVE.ctx = None
-
-
-class suppress_lineage:
-    """Context manager: mute the hooks on this thread (re-entrant).
-
-    Used around bulk re-inserts that are *not* query work — view
-    deserialization and warm-tier promotion replay stored entries via
-    ``put``; attributing those to the running query would double-count
-    materialization that was already paid for.
-    """
-
-    def __enter__(self):
-        _ACTIVE.suppressed = getattr(_ACTIVE, "suppressed", 0) + 1
-        return self
-
-    def __exit__(self, *exc):
-        _ACTIVE.suppressed -= 1
-        return False
 
 
 def record_view_probe(name: str, rows) -> None:
@@ -163,36 +143,23 @@ def record_view_probe(name: str, rows) -> None:
             ctx.record_probe(name, 1, 0, len(rows))
 
 
-def record_view_probe_many(name: str, found) -> None:
-    """One bulk probe: ``found`` is the ``get_many`` result list."""
+def record_view_probe_many(name: str, hits) -> None:
+    """One bulk probe: ``hits`` is the ``get_many`` result
+    (:class:`~repro.storage.view_store.ViewHits`)."""
     ctx = current_lineage()
-    if ctx is None:
-        return
-    hits = misses = rows = 0
-    for entry in found:
-        if entry is None:
-            misses += 1
-        else:
-            hits += 1
-            rows += len(entry)
-    ctx.record_probe(name, hits, misses, rows)
+    if ctx is not None:
+        found = hits.num_hits
+        ctx.record_probe(name, found, len(hits) - found, hits.num_rows)
 
 
-def record_view_write(name: str, fresh) -> None:
-    """Freshly inserted ``(key, stored_rows)`` pairs of one put batch."""
+def record_view_write(name: str, keys, rows: int) -> None:
+    """The freshly inserted ``keys`` of one put batch and their row total."""
     ctx = current_lineage()
-    if ctx is None or not fresh:
+    if ctx is None or not keys:
         return
-    keys = len(fresh)
-    rows = 0
-    lo = hi = None
-    for key, stored in fresh:
-        rows += len(stored)
-        frame = key[0] if key else None
-        if isinstance(frame, int):
-            lo = frame if lo is None else min(lo, frame)
-            hi = frame if hi is None else max(hi, frame)
-    ctx.record_write(name, keys, rows, lo, hi)
+    frames = [key[0] for key in keys if key and isinstance(key[0], int)]
+    ctx.record_write(name, len(keys), rows,
+                     min(frames, default=None), max(frames, default=None))
 
 
 def record_view_create(name: str) -> None:

@@ -55,6 +55,7 @@ import os
 import threading
 import time
 from dataclasses import replace
+from itertools import compress
 from multiprocessing.connection import Client as _ConnClient
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -74,7 +75,7 @@ from repro.server.state import (
     SharedReuseState,
     SharedViewStore,
 )
-from repro.storage.view_store import Key
+from repro.storage.view_store import Key, ViewHits, one_entry
 
 #: Materialized-view name prefix (see ``UdfHistory.view_name``).
 VIEW_PREFIX = "mv::"
@@ -333,17 +334,15 @@ class RemoteViewHandle:
     """
 
     __slots__ = ("_peer", "_name", "_client_id", "_key_columns",
-                 "_output_columns", "_runtime_cache")
+                 "_output_columns")
 
     def __init__(self, peer: ShardClient, name: str, client_id: str,
-                 key_columns: list[str], output_columns: list[str],
-                 runtime_cache: dict):
+                 key_columns: list[str], output_columns: list[str]):
         self._peer = peer
         self._name = name
         self._client_id = client_id
         self._key_columns = key_columns
         self._output_columns = output_columns
-        self._runtime_cache = runtime_cache
 
     @property
     def name(self) -> str:
@@ -356,14 +355,6 @@ class RemoteViewHandle:
     @property
     def output_columns(self) -> list[str]:
         return self._output_columns
-
-    @property
-    def runtime_cache(self) -> dict:
-        # Per-process decoded-hit scratch space.  Entries are pure
-        # functions of immutable view rows, so a process-local cache
-        # can only hold values identical to the owner's; it affects
-        # real seconds, never rows or virtual clocks.
-        return self._runtime_cache
 
     @property
     def num_keys(self) -> int:
@@ -382,11 +373,11 @@ class RemoteViewHandle:
         record_view_probe(self._name, rows)
         return rows
 
-    def get_many(self, keys: list[Key]) -> list[tuple[dict, ...] | None]:
-        found = self._peer.call("view_get_many", self._name,
-                                self._client_id, list(keys))
-        record_view_probe_many(self._name, found)
-        return found
+    def get_many(self, keys: list[Key]) -> ViewHits:
+        hits = self._peer.call("view_get_many", self._name,
+                               self._client_id, list(keys))
+        record_view_probe_many(self._name, hits)
+        return hits
 
     def keys(self) -> list[Key]:
         return self._peer.call("view_keys", self._name)
@@ -395,30 +386,21 @@ class RemoteViewHandle:
         return self._peer.call("view_keys_with_prefix", self._name,
                                first_component)
 
-    def serialize(self) -> bytes:
-        return self._peer.call("view_serialize", self._name)
-
     def serialized_bytes(self) -> int:
-        return len(self.serialize())
+        return self._peer.call("store_view_bytes",
+                               [self._name]).get(self._name, 0)
 
     def put(self, key: Key, rows: Iterable[Mapping]) -> bool:
-        rows = [dict(r) for r in rows]
-        inserted = self._peer.call("view_put", self._name,
-                                   self._client_id, key, rows)
-        if inserted:
-            record_view_write(self._name, ((key, tuple(rows)),))
-        return inserted
+        return self.put_many(*one_entry(key, rows, self._output_columns))[0]
 
-    def put_many(self, items: Iterable[tuple[Key, Iterable[Mapping]]]
-                 ) -> list[bool]:
-        items = [(key, [dict(r) for r in rows]) for key, rows in items]
-        inserted = self._peer.call("view_put_many", self._name,
-                                   self._client_id, items)
-        fresh = [(key, tuple(rows))
-                 for (key, rows), was_new in zip(items, inserted)
-                 if was_new]
-        if fresh:
-            record_view_write(self._name, fresh)
+    def put_many(self, keys: list[Key], counts: list[int],
+                 columns: Mapping[str, list]) -> list[bool]:
+        inserted = self._peer.call(
+            "view_put_many", self._name, self._client_id, list(keys),
+            list(counts), {col: list(columns[col])
+                           for col in self._output_columns})
+        record_view_write(self._name, list(compress(keys, inserted)),
+                          sum(compress(counts, inserted)))
         return inserted
 
 
@@ -445,9 +427,6 @@ class ShardedClientViewStore:
         worker = self.state.router.worker_of(shard_key_for_view(name))
         return self.state.peers.client(worker)
 
-    def _remote_cache(self, name: str) -> dict:
-        return self.state.remote_runtime_caches.setdefault(name, {})
-
     def create_or_get(self, name: str, key_columns: list[str],
                       output_columns: list[str]):
         store = self._local_store(name)
@@ -461,7 +440,7 @@ class ShardedClientViewStore:
             record_view_create(name)
         return RemoteViewHandle(self._peer_for(name), name,
                                 self.client_id, key_columns,
-                                output_columns, self._remote_cache(name))
+                                output_columns)
 
     def get(self, name: str):
         store = self._local_store(name)
@@ -473,7 +452,7 @@ class ShardedClientViewStore:
         key_columns, output_columns = meta
         return RemoteViewHandle(self._peer_for(name), name,
                                 self.client_id, key_columns,
-                                output_columns, self._remote_cache(name))
+                                output_columns)
 
     def __contains__(self, name: str) -> bool:
         store = self._local_store(name)
@@ -843,9 +822,6 @@ class ShardedWorkerState(SharedReuseState):
         self.worker_id = worker_id
         self.router = ShardRouter(config.shards, config.workers)
         self.peers = peers if peers is not None else PeerTable(worker_id)
-        #: Per-remote-view decoded-hit scratch dicts (see
-        #: :attr:`RemoteViewHandle.runtime_cache`).
-        self.remote_runtime_caches: dict[str, dict] = {}
         super().__init__(config, zoo)
         # Replace the inference seam *after* the base constructor built
         # the local batcher: sessions route every (model, video) to its
@@ -944,20 +920,14 @@ def handle_shard_request(state: ShardedWorkerState, method: str,
             _, client_id, keys = args
             handle = store.for_client(client_id).get(name)
             if handle is None:
-                return [None] * len(keys)
+                return ViewHits([None] * len(keys), {})
             return handle.get_many(keys)
-        if method == "view_put":
-            _, client_id, key, rows = args
-            handle = store.for_client(client_id).get(name)
-            if handle is None:
-                raise ServerError(f"view {name!r} does not exist")
-            return handle.put(key, rows)
         if method == "view_put_many":
-            _, client_id, items = args
+            _, client_id, keys, counts, columns = args
             handle = store.for_client(client_id).get(name)
             if handle is None:
                 raise ServerError(f"view {name!r} does not exist")
-            return handle.put_many(items)
+            return handle.put_many(keys, counts, columns)
         if method == "view_keys":
             view = store.base.get(name)
             return [] if view is None else list(view.keys())
@@ -965,9 +935,6 @@ def handle_shard_request(state: ShardedWorkerState, method: str,
             view = store.base.get(name)
             return ([] if view is None
                     else view.keys_with_prefix(args[1]))
-        if method == "view_serialize":
-            view = store.base.get(name)
-            return b"" if view is None else view.serialize()
         raise ServerError(f"unknown view method {method!r}")
 
     if method.startswith("store_"):

@@ -50,7 +50,8 @@ from repro.server.batcher import InferenceBatcher
 from repro.server.locks import RWLock
 from repro.session import SessionState
 from repro.storage.engine import StorageEngine
-from repro.storage.view_store import Key, MaterializedView, ViewStore
+from repro.storage.view_store import (Key, MaterializedView, ViewHits,
+                                      ViewStore)
 from repro.symbolic.dnf import DnfPredicate
 from repro.symbolic.engine import SymbolicEngine
 from repro.video.synthetic import SyntheticVideo
@@ -164,14 +165,6 @@ class ClientViewHandle:
         return self._view.key_columns
 
     @property
-    def runtime_cache(self) -> dict:
-        # Derived-data scratch space (e.g. the executor's decoded-hit
-        # cache), shared by all clients of the view: entries are keyed
-        # by frame id and immutable once written, so concurrent writers
-        # can only race to store identical values.
-        return self._view.runtime_cache
-
-    @property
     def output_columns(self) -> list[str]:
         return self._view.output_columns
 
@@ -200,8 +193,8 @@ class ClientViewHandle:
                                         owner)
         return rows
 
-    def get_many(self, keys: list[Key]) -> list[tuple[dict, ...] | None]:
-        """Bulk :meth:`get` under one read-lock acquisition.
+    def get_many(self, keys: list[Key]) -> ViewHits:
+        """Bulk probe under one read-lock acquisition.
 
         Hit attribution is preserved: every present key is reported to the
         server stats with the client that first materialized it, exactly
@@ -209,16 +202,15 @@ class ClientViewHandle:
         per row.
         """
         with self._lock.read_locked():
-            results = self._view.get_many(keys)
-            owners = [self._owners.get(key) if rows is not None else None
-                      for key, rows in zip(keys, results)]
+            hits = self._view.get_many(keys)
+            owners = [self._owners.get(key)
+                      for key, count in zip(keys, hits.counts)
+                      if count is not None]
         if self._stats is not None:
             name = self._view.name
-            for rows, owner in zip(results, owners):
-                if rows is not None:
-                    self._stats.record_view_hit(name, self._client_id,
-                                                owner)
-        return results
+            for owner in owners:
+                self._stats.record_view_hit(name, self._client_id, owner)
+        return hits
 
     def keys(self) -> list[Key]:
         with self._lock.read_locked():
@@ -230,12 +222,8 @@ class ClientViewHandle:
         with self._lock.read_locked():
             return self._view.keys_with_prefix(first_component)
 
-    def serialize(self) -> bytes:
-        with self._lock.read_locked():
-            return self._view.serialize()
-
     def serialized_bytes(self) -> int:
-        return len(self.serialize())
+        return self._view.serialized_bytes()
 
     # -- guarded writes -------------------------------------------------------
 
@@ -248,18 +236,17 @@ class ClientViewHandle:
             self._stats.record_materialization(self._client_id)
         return inserted
 
-    def put_many(self, items: Iterable[tuple[Key, Iterable[Mapping]]]
-                 ) -> list[bool]:
-        """Bulk :meth:`put` under one write-lock acquisition.
+    def put_many(self, keys: list[Key], counts: list[int],
+                 columns: Mapping[str, list]) -> list[bool]:
+        """Bulk append under one write-lock acquisition.
 
-        Returns per-item inserted flags (mirroring
+        Returns per-key inserted flags (mirroring
         :meth:`MaterializedView.put_many`) and attributes every newly
         materialized key to this client.
         """
-        items = list(items)
         with self._lock.write_locked():
-            inserted = self._view.put_many(items)
-            for (key, _), was_new in zip(items, inserted):
+            inserted = self._view.put_many(keys, counts, columns)
+            for key, was_new in zip(keys, inserted):
                 if was_new:
                     self._owners[key] = self._client_id
         if self._stats is not None:

@@ -1,9 +1,14 @@
-"""A simple columnar on-disk table format.
+"""A simple columnar on-disk format for tables and materialized views.
 
 Stand-in for the paper's Petastorm/Parquet storage: a table is a directory
 containing ``manifest.json`` (schema + row count) and one ``.npz`` file per
 column group.  Numeric columns are stored as numpy arrays; strings as JSON;
 bounding boxes as an ``(n, 4)`` float array; arbitrary objects via pickle.
+
+A :class:`ColumnBatch` is the same codec applied to materialized-view
+entries: it is the unit a view appends to its in-memory columns, the body
+of a WAL ``puts`` record and the content of a partition snapshot, so a
+stored entry is encoded once and decoded straight into a view.
 
 The format exists so the storage footprint experiment (section 5.2) measures
 real serialized bytes, and so materialized views survive process restarts.
@@ -14,7 +19,10 @@ from __future__ import annotations
 import io
 import json
 import pickle
+import threading
+from itertools import accumulate, chain
 from pathlib import Path
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -26,6 +34,13 @@ from repro.types import BoundingBox
 _MANIFEST = "manifest.json"
 _COLUMNS = "columns.npz"
 _MANIFEST_VERSION = 1
+
+#: numpy parses every ``.npy`` header with ``ast.literal_eval``, and
+#: CPython 3.11 keeps the AST converter's recursion depth per interpreter,
+#: not per thread: two loads that interleave raise ``SystemError: AST
+#: constructor recursion depth mismatch``.  Recovery decodes partitions
+#: from a thread pool, so :meth:`ColumnBatch.decode` loads under this lock.
+_NPZ_LOAD_LOCK = threading.Lock()
 
 
 def write_table(directory: str | Path, schema: TableSchema,
@@ -92,8 +107,7 @@ def _encode_column(ctype: ColumnType, values: list) -> np.ndarray:
     if ctype is ColumnType.BOOLEAN:
         return np.asarray(values, dtype=np.bool_)
     if ctype is ColumnType.STRING:
-        payload = json.dumps(values).encode("utf-8")
-        return np.frombuffer(payload, dtype=np.uint8)
+        return _json_array(values)
     if ctype is ColumnType.BBOX:
         flat = [(b.x1, b.y1, b.x2, b.y2) for b in values]
         return np.asarray(flat, dtype=np.float64).reshape(-1, 4)
@@ -116,7 +130,119 @@ def _decode_column(ctype: ColumnType, array: np.ndarray) -> list:
     if ctype is ColumnType.STRING:
         return json.loads(array.tobytes().decode("utf-8"))
     if ctype is ColumnType.BBOX:
-        return [BoundingBox(*row) for row in array.reshape(-1, 4)]
+        return [BoundingBox(*row) for row in array.reshape(-1, 4).tolist()]
     if ctype in (ColumnType.OBJECT, ColumnType.FRAME):
         return pickle.loads(array.tobytes())
     raise StorageError(f"cannot decode column type {ctype}")
+
+
+# -- materialized-view entries ---------------------------------------------------
+
+
+class ColumnBatch:
+    """View entries in column form: the one layout of memory, WAL and snapshot.
+
+    ``keys[i]`` produced ``counts[i]`` output rows (zero is legal: the UDF
+    ran and returned nothing); each list of ``columns`` holds one value per
+    output row, the rows of ``keys[0]`` first.  :meth:`encode` types every
+    column from its values — float64, an ``(n, 4)`` bbox array, or JSON for
+    anything else — so decoding returns exactly the objects that went in.
+    """
+
+    __slots__ = ("keys", "counts", "columns")
+
+    def __init__(self, keys: list[tuple], counts: list[int],
+                 columns: dict[str, list]):
+        self.keys = keys
+        self.counts = counts
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def select(self, indices: list[int]) -> "ColumnBatch":
+        """The entries at ``indices`` (positions in :attr:`keys`)."""
+        starts = list(accumulate(self.counts, initial=0))
+        rows = [row for i in indices
+                for row in range(starts[i], starts[i + 1])]
+        return ColumnBatch(
+            [self.keys[i] for i in indices],
+            [self.counts[i] for i in indices],
+            {name: [values[row] for row in rows]
+             for name, values in self.columns.items()})
+
+    def partition(self, group_of: Callable[[tuple], Hashable]
+                  ) -> dict[Hashable, "ColumnBatch"]:
+        """Split by ``group_of(key)``; a one-group batch is not copied."""
+        groups: dict[Hashable, list[int]] = {}
+        for index, key in enumerate(self.keys):
+            groups.setdefault(group_of(key), []).append(index)
+        if len(groups) == 1:
+            return {group: self for group in groups}
+        return {group: self.select(indices)
+                for group, indices in groups.items()}
+
+    def encode(self, *, compress: bool = False) -> bytes:
+        """An ``.npz`` payload: ``keys`` (JSON), ``counts`` and one
+        ``<type>_<column>`` array per column."""
+        arrays = {"keys": _json_array(self.keys),
+                  "counts": np.asarray(self.counts, dtype=np.int64)}
+        for name, values in self.columns.items():
+            ctype = _infer_type(values)
+            arrays[f"{ctype.value}_{name}"] = _encode_column(ctype, values)
+        buffer = io.BytesIO()
+        (np.savez_compressed if compress else np.savez)(buffer, **arrays)
+        return buffer.getvalue()
+
+    @classmethod
+    def decode(cls, payload: bytes) -> "ColumnBatch":
+        """Inverse of :meth:`encode`."""
+        columns: dict[str, list] = {}
+        with _NPZ_LOAD_LOCK, \
+                np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
+            keys = [tuple([_from_json(part) for part in raw])
+                    for raw in _decode_column(ColumnType.STRING,
+                                              arrays["keys"])]
+            counts = arrays["counts"].tolist()
+            for member in arrays.files:
+                if member in ("keys", "counts"):
+                    continue
+                ctype, _, name = member.partition("_")
+                values = _decode_column(ColumnType(ctype), arrays[member])
+                if ctype == ColumnType.STRING.value:
+                    values = [_from_json(value) for value in values]
+                columns[name] = values
+        return cls(keys, counts, columns)
+
+
+def _infer_type(values: list) -> ColumnType:
+    """The binary type that round-trips ``values`` exactly, else JSON."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return ColumnType.FLOAT
+    if kinds == {BoundingBox} and set(map(type, chain.from_iterable(
+            box.as_tuple() for box in values))) == {float}:
+        return ColumnType.BBOX
+    return ColumnType.STRING
+
+
+def _json_array(values: list) -> np.ndarray:
+    payload = json.dumps(values, default=_json_default,
+                         separators=(",", ":")).encode("utf-8")
+    return np.frombuffer(payload, dtype=np.uint8)
+
+
+def _json_default(value):
+    if isinstance(value, BoundingBox):
+        return ["__bbox__", *value.as_tuple()]
+    raise TypeError(f"cannot store {type(value).__name__} values in a view")
+
+
+def _from_json(value):
+    """JSON arrays come back as tuples (keys must hash), tagged ones as
+    bounding boxes."""
+    if type(value) is not list:
+        return value
+    if value and value[0] == "__bbox__":
+        return BoundingBox(*value[1:])
+    return tuple([_from_json(item) for item in value])

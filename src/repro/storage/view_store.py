@@ -7,19 +7,21 @@ classifiers.  A key may map to *zero* output rows (e.g. a frame with no
 detections) — recording emptiness is what lets the conditional APPLY
 operator skip re-evaluating the UDF on such inputs.
 
-Views live in memory and can be serialized through the columnar format to
-measure the storage footprint the paper reports in section 5.2 (~0.09 % of
-the video's size).
+A view is columnar: one append-only list per output column, a row-offset
+list, and a ``key -> ordinal`` index — the table-with-an-index the paper's
+LEFT OUTER JOIN rewrite (section 4.4) probes.  Writers hand over column
+slices (:meth:`MaterializedView.put_many`), readers get a
+:class:`ViewHits` whose columns are zero-copy views over the stored lists,
+and the durable store logs and snapshots the same
+:class:`~repro.storage.columnar.ColumnBatch` a write appended.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import threading
-from typing import Hashable, Iterable, Mapping
-
-import numpy as np
+from itertools import accumulate, count
+from typing import Callable, Hashable, Iterable, Mapping
 
 from repro.errors import StorageError
 from repro.obs.lineage import (
@@ -27,8 +29,9 @@ from repro.obs.lineage import (
     record_view_probe,
     record_view_probe_many,
     record_view_write,
-    suppress_lineage,
 )
+from repro.storage.batch import ColumnView, materialize_column
+from repro.storage.columnar import ColumnBatch
 from repro.types import BoundingBox
 
 Key = tuple[Hashable, ...]
@@ -45,8 +48,61 @@ SERIALIZED_BASE_OVERHEAD = 512
 SERIALIZED_COMPRESSION_FACTOR = 0.35
 
 
+class ViewHits:
+    """Result of one bulk probe: a slot per probed key, columns per hit row.
+
+    ``counts[i]`` is None when key ``i`` was never computed, else the
+    number of rows it produced; :meth:`column` yields the stored values of
+    all hit rows, in probe order.  ``len()`` is the number of keys probed.
+    Over a resident view the columns are zero-copy :class:`ColumnView`
+    objects on the view's own lists (append-only, so a row once indexed
+    never moves); pickling — the peer RPC — ships the gathered values.
+    """
+
+    __slots__ = ("counts", "num_rows", "_columns", "_rows", "_view")
+
+    def __init__(self, counts: list, columns: dict[str, list],
+                 rows: list[int] | None = None,
+                 view: "MaterializedView | None" = None):
+        self.counts = counts
+        self.num_rows = (sum(filter(None, counts)) if rows is None
+                         else len(rows))
+        self._columns = columns
+        self._rows = rows
+        self._view = view
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @property
+    def num_hits(self) -> int:
+        return len(self.counts) - self.counts.count(None)
+
+    def column(self, name: str):
+        if not self.num_rows:
+            return []  # nothing hit (or the view is gone on its owner)
+        values = self._columns[name]
+        return values if self._rows is None else ColumnView(values,
+                                                            self._rows)
+
+    def derived(self, name: str, source: str, fn: Callable):
+        """``fn`` of every hit row's ``source`` value.  A resident view
+        keeps the result as an in-memory column called ``name`` (never
+        serialized), so ``fn`` must be the same function for all callers
+        of one view — it runs once per stored row, not once per probe."""
+        if self._view is None:
+            return list(map(fn, self.column(source)))
+        return ColumnView(self._view._derived_column(name, source, fn),
+                          self._rows)
+
+    def __reduce__(self):
+        return ViewHits, (self.counts, {
+            name: materialize_column(self.column(name))
+            for name in self._columns})
+
+
 class MaterializedView:
-    """Append-only map from UDF input keys to tuples of output rows."""
+    """Append-only columnar map from UDF input keys to output rows."""
 
     def __init__(self, name: str, key_columns: list[str],
                  output_columns: list[str]):
@@ -56,151 +112,209 @@ class MaterializedView:
         self.key_columns = list(key_columns)
         self.output_columns = list(output_columns)
         #: Optional write observer (duck-typed; see ``repro.store``): gets
-        #: ``view_put(view, key, rows)`` / ``view_put_many(view, items)``
-        #: after inserts commit, *outside* the view lock.  Durable backends
-        #: use this to append WAL records; re-put no-ops are not reported.
+        #: ``view_put_many(view, batch)`` with the freshly inserted
+        #: :class:`ColumnBatch` after it commits, *outside* the view lock.
+        #: Durable backends append it to the WAL; re-puts are not reported.
         self.listener = None
-        self._entries: dict[Key, tuple[dict, ...]] = {}
-        #: Running raw-JSON payload size, maintained by put/put_many so
+        #: key -> ordinal, in insertion order; the rows of ordinal ``i``
+        #: are ``[_offsets[i], _offsets[i + 1])`` of every column.
+        self._ordinals: dict[Key, int] = {}
+        self._offsets: list[int] = [0]
+        self._columns: dict[str, list] = {col: [] for col in output_columns}
+        #: True while every key has exactly one row (patch classifiers,
+        #: frame filters): ordinals then *are* row numbers and a probe
+        #: needs no offset arithmetic, which is most of its cost.
+        self._one_row_per_key = True
+        #: In-memory columns computed from stored ones (the detector's
+        #: ``area``), extended lazily; see :meth:`ViewHits.derived`.
+        self._derived: dict[str, list] = {}
+        #: Running raw-JSON payload size, maintained by every append so
         #: :meth:`serialized_bytes` is O(1) — it is the eviction hot path.
         self._approx_payload_bytes = 0
         #: Lazily-built secondary index: first key component -> keys.
         #: Used by fuzzy bounding-box reuse to enumerate a frame's boxes.
         self._prefix_index: dict[Hashable, list[Key]] | None = None
-        #: Opaque scratch space for data *derived* from stored entries
-        #: (e.g. the executor's decoded view-hit cache).  The view is
-        #: append-only — a key's rows never change once stored — so
-        #: derived entries can never go stale; the cache simply dies with
-        #: the view object (eviction, restart) and is never serialized.
-        self.runtime_cache: dict = {}
-        #: Guards the entries/prefix-index pair.  Without it, a lazy index
-        #: build racing a concurrent :meth:`put` could either miss the new
-        #: key (put saw ``_prefix_index is None`` mid-build) or record it
-        #: twice (build snapshot already contained it and put appended
-        #: again) — so *every* mutation and the build run under this lock.
-        #: Uncontended acquisition is tens of nanoseconds, irrelevant next
-        #: to the dict work it protects.
+        #: Guards index, offsets and columns as one unit.  Without it, a
+        #: lazy prefix-index build racing a concurrent append could either
+        #: miss the new key or record it twice, and a probe could find an
+        #: ordinal whose offsets are not written yet — so *every* mutation
+        #: and every lookup runs under this lock.  Uncontended acquisition
+        #: is tens of nanoseconds, irrelevant next to the work it protects.
         self._lock = threading.Lock()
 
     # -- writes ----------------------------------------------------------------
 
-    def put(self, key: Key, rows: Iterable[Mapping]) -> bool:
-        """Record that ``key`` was computed, producing ``rows``.
+    def put_many(self, keys: list[Key], counts: list[int],
+                 columns: Mapping[str, list]) -> list[bool]:
+        """Record that ``keys`` were computed, under **one** lock acquisition.
 
-        Re-putting an existing key is a no-op (results are deterministic, so
-        the stored rows are already correct); this makes concurrent appends
-        from overlapping queries idempotent.  Returns True when the key was
-        newly added (callers use this for write attribution).
-        """
-        stored = tuple(
-            {col: row[col] for col in self.output_columns} for row in rows)
-        nbytes = _payload_bytes(key, stored)
-        with self._lock:
-            if key in self._entries:
-                return False
-            self._entries[key] = stored
-            self._approx_payload_bytes += nbytes
-            if self._prefix_index is not None:
-                self._prefix_index.setdefault(key[0], []).append(key)
-        listener = self.listener
-        if listener is not None:
-            listener.view_put(self, key, stored)
-        record_view_write(self.name, ((key, stored),))
-        return True
+        ``counts[i]`` is the number of output rows of ``keys[i]`` and every
+        list of ``columns`` (one per output column) holds the rows of all
+        keys back to back — the shape the producing operator already has.
 
-    def put_many(self, items: Iterable[tuple[Key, Iterable[Mapping]]]
-                 ) -> list[bool]:
-        """Bulk :meth:`put` under **one** lock acquisition.
-
-        Returns one inserted-flag per item (in input order): True when the
+        Returns one inserted-flag per key (in input order): True when the
         key was newly added, False when it already existed (including keys
-        duplicated earlier in ``items`` — the first occurrence wins, the
-        way sequential :meth:`put` calls behave).  Callers use the flags
-        for write attribution and for charging materialization costs
-        per-key.
+        duplicated earlier in ``keys`` — the first occurrence wins).
+        Re-putting is a no-op because results are deterministic, which
+        makes concurrent appends from overlapping queries idempotent;
+        callers use the flags for write attribution and for charging
+        materialization costs per key.
         """
-        prepared = [
-            (key,
-             tuple({col: row[col] for col in self.output_columns}
-                   for row in rows))
-            for key, rows in items
-        ]
-        inserted: list[bool] = []
-        fresh: list[tuple[Key, tuple[dict, ...]]] = []
-        with self._lock:
-            for key, stored in prepared:
-                if key in self._entries:
-                    inserted.append(False)
-                    continue
-                self._entries[key] = stored
-                self._approx_payload_bytes += _payload_bytes(key, stored)
-                if self._prefix_index is not None:
-                    self._prefix_index.setdefault(key[0], []).append(key)
-                inserted.append(True)
-                fresh.append((key, stored))
-        listener = self.listener
-        if listener is not None and fresh:
-            listener.view_put_many(self, fresh)
-        record_view_write(self.name, fresh)
+        inserted, fresh = self._append(ColumnBatch(
+            keys, counts, {col: columns[col] for col in self.output_columns}))
+        if fresh.keys:
+            listener = self.listener
+            if listener is not None:
+                listener.view_put_many(self, fresh)
+            record_view_write(self.name, fresh.keys, sum(fresh.counts))
         return inserted
+
+    def put(self, key: Key, rows: Iterable[Mapping]) -> bool:
+        """Single-key :meth:`put_many` taking row dicts (row-tree oracle)."""
+        return self.put_many(*one_entry(key, rows, self.output_columns))[0]
+
+    def restore(self, batch: ColumnBatch) -> int:
+        """Append entries decoded from a snapshot or WAL record; returns
+        how many keys were new.  Replaying stored entries is not query
+        work, so neither the listener nor the lineage hooks hear of it."""
+        return sum(self._append(batch)[0])
+
+    def _append(self, batch: ColumnBatch) -> tuple[list[bool], ColumnBatch]:
+        """Insert the not-yet-stored entries of ``batch``; returns the
+        per-key inserted flags and the batch of what was inserted."""
+        rows = sum(batch.counts)
+        if len(batch.counts) != len(batch.keys) or any(
+                len(batch.columns[col]) != rows
+                for col in self.output_columns):
+            raise StorageError(
+                f"view {self.name!r}: ragged column batch "
+                f"({len(batch.keys)} keys, {rows} rows)")
+        with self._lock:
+            ordinals = self._ordinals
+            first: dict[Key, int] = {}  # fresh key -> where it first occurs
+            for index, key in enumerate(batch.keys):
+                if key not in ordinals:
+                    first.setdefault(key, index)
+            inserted = [first.get(key) == index
+                        for index, key in enumerate(batch.keys)]
+            if len(first) != len(batch.keys):
+                batch = batch.select(list(first.values()))
+            nbytes = _payload_bytes(batch)  # raises before anything changed
+            ordinals.update(zip(batch.keys, count(len(ordinals))))
+            offsets = accumulate(batch.counts, initial=self._offsets[-1])
+            next(offsets)
+            self._offsets.extend(offsets)
+            for col, values in self._columns.items():
+                values.extend(batch.columns[col])
+            self._approx_payload_bytes += nbytes
+            if batch.counts.count(1) != len(batch.counts):
+                self._one_row_per_key = False
+            if self._prefix_index is not None:
+                for key in batch.keys:
+                    self._prefix_index.setdefault(key[0], []).append(key)
+        return inserted, batch
 
     # -- reads ------------------------------------------------------------------
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._entries
+        return key in self._ordinals
+
+    def get_many(self, keys: Iterable[Key]) -> ViewHits:
+        """Bulk probe: the LEFT OUTER JOIN of ``keys`` against the view.
+
+        The whole probe runs under one lock acquisition — this is what
+        lets the APPLY operators resolve a batch's hits and misses without
+        taking the view lock once per row.
+        """
+        counts: list[int | None] = []
+        rows: list[int] = []
+        offsets = self._offsets
+        with self._lock:
+            found = list(map(self._ordinals.get, keys))
+            if self._one_row_per_key:
+                if None in found:
+                    counts = [None if o is None else 1 for o in found]
+                    rows = [o for o in found if o is not None]
+                else:
+                    counts, rows = [1] * len(found), found
+            else:
+                for ordinal in found:
+                    if ordinal is None:
+                        counts.append(None)
+                        continue
+                    start, stop = offsets[ordinal], offsets[ordinal + 1]
+                    counts.append(stop - start)
+                    rows.extend(range(start, stop))
+        hits = ViewHits(counts, self._columns, rows, self)
+        record_view_probe_many(self.name, hits)
+        return hits
 
     def get(self, key: Key) -> tuple[dict, ...] | None:
-        """Stored output rows for ``key``, or None if never computed."""
-        rows = self._entries.get(key)
+        """Stored output rows for ``key`` as dicts, or None if never
+        computed (single-key adapter for the row-tree oracle)."""
+        with self._lock:
+            ordinal = self._ordinals.get(key)
+            rows = None if ordinal is None else self._rows_of(ordinal)
         record_view_probe(self.name, rows)
         return rows
 
-    def get_many(self, keys: Iterable[Key]
-                 ) -> list[tuple[dict, ...] | None]:
-        """Bulk :meth:`get`: one result slot per key, in input order.
+    def _rows_of(self, ordinal: int) -> tuple[dict, ...]:
+        columns = self._columns
+        return tuple(
+            {col: values[row] for col, values in columns.items()}
+            for row in range(self._offsets[ordinal],
+                             self._offsets[ordinal + 1]))
 
-        The whole probe runs under one lock acquisition — this is what
-        lets the vectorized APPLY operators resolve a batch's hits and
-        misses without taking the view lock once per row.
-        """
-        entries = self._entries
+    def _derived_column(self, name: str, source: str, fn: Callable) -> list:
         with self._lock:
-            found = [entries.get(key) for key in keys]
-        record_view_probe_many(self.name, found)
-        return found
+            column = self._derived.setdefault(name, [])
+            stored = self._columns[source]
+            if len(column) < len(stored):
+                column.extend(map(fn, stored[len(column):]))
+            return column
 
     def keys(self) -> Iterable[Key]:
-        return self._entries.keys()
+        return self._ordinals.keys()
 
     def keys_with_prefix(self, first_component: Hashable) -> list[Key]:
         """All keys whose first component equals ``first_component``.
 
         Backs fuzzy bounding-box reuse: enumerate the stored boxes of one
         frame to find a spatial near-match.  The index is built lazily on
-        first call and kept consistent by :meth:`put` afterwards; both run
-        under the view lock so keys added before and after the first build
-        are indexed exactly once.
+        first call and kept consistent by every append afterwards; both
+        run under the view lock so keys added before and after the first
+        build are indexed exactly once.
         """
         with self._lock:
             if self._prefix_index is None:
                 index: dict[Hashable, list[Key]] = {}
-                for key in self._entries:
+                for key in self._ordinals:
                     index.setdefault(key[0], []).append(key)
                 self._prefix_index = index
             return list(self._prefix_index.get(first_component, ()))
 
     @property
     def num_keys(self) -> int:
-        return len(self._entries)
-
-    def items(self) -> list[tuple[Key, tuple[dict, ...]]]:
-        """Consistent snapshot of all (key, rows) entries under the lock."""
-        with self._lock:
-            return list(self._entries.items())
+        return len(self._ordinals)
 
     @property
     def num_output_rows(self) -> int:
-        return sum(len(rows) for rows in self._entries.values())
+        return self._offsets[-1]
+
+    def batch(self) -> ColumnBatch:
+        """Consistent copy of all entries, in insertion order."""
+        with self._lock:
+            offsets = self._offsets
+            return ColumnBatch(
+                list(self._ordinals),
+                [stop - start for start, stop in zip(offsets, offsets[1:])],
+                {col: values[:] for col, values in self._columns.items()})
+
+    def items(self) -> list[tuple[Key, tuple[dict, ...]]]:
+        """Consistent snapshot of all (key, row dicts) entries."""
+        with self._lock:
+            return [(key, self._rows_of(ordinal))
+                    for key, ordinal in self._ordinals.items()]
 
     # -- serialization ----------------------------------------------------------
 
@@ -216,26 +330,8 @@ class MaterializedView:
             self._approx_payload_bytes * SERIALIZED_COMPRESSION_FACTOR)
 
     def serialize(self) -> bytes:
-        """Serialize all entries (compressed npz + JSON payloads)."""
-        with self._lock:
-            entries = list(self._entries.items())
-        keys_flat: list[list] = []
-        rows_flat: list[tuple[int, dict]] = []
-        for idx, (key, rows) in enumerate(entries):
-            keys_flat.append([_jsonable(part) for part in key])
-            for row in rows:
-                rows_flat.append((idx, row))
-        buffer = io.BytesIO()
-        arrays = {
-            "keys": _to_json_array(keys_flat),
-            "row_keys": np.asarray([i for i, _ in rows_flat],
-                                   dtype=np.int64),
-        }
-        for col in self.output_columns:
-            arrays[f"col_{col}"] = _to_json_array(
-                [_jsonable(row[col]) for _, row in rows_flat])
-        np.savez_compressed(buffer, **arrays)
-        return buffer.getvalue()
+        """Serialize all entries (compressed npz of typed columns)."""
+        return self.batch().encode(compress=True)
 
     @classmethod
     def deserialize(cls, name: str, key_columns: list[str],
@@ -243,24 +339,7 @@ class MaterializedView:
                     payload: bytes) -> "MaterializedView":
         """Rebuild a view previously produced by :meth:`serialize`."""
         view = cls(name, key_columns, output_columns)
-        with np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
-            keys_flat = _from_json_array(arrays["keys"])
-            row_keys = [int(v) for v in arrays["row_keys"]]
-            columns = {col: _from_json_array(arrays[f"col_{col}"])
-                       for col in output_columns}
-        rows_by_key: dict[int, list[dict]] = {i: [] for i in
-                                              range(len(keys_flat))}
-        for position, key_index in enumerate(row_keys):
-            rows_by_key[key_index].append({
-                col: _from_jsonable(columns[col][position])
-                for col in output_columns})
-        # Replaying stored entries is not query work: without the
-        # suppression, a warm-tier promotion happening mid-query would
-        # attribute the whole view's materialization to that query.
-        with suppress_lineage():
-            for index, raw_key in enumerate(keys_flat):
-                key = tuple(_from_jsonable(part) for part in raw_key)
-                view.put(key, rows_by_key[index])
+        view.restore(ColumnBatch.decode(payload))
         return view
 
 
@@ -417,13 +496,22 @@ class ViewStore:
         return store
 
 
-def _payload_bytes(key: Key, stored: tuple[dict, ...]) -> int:
-    """Raw JSON size of one entry — the unit the running estimate sums."""
-    nbytes = len(json.dumps([_jsonable(part) for part in key]))
-    for row in stored:
-        for value in row.values():
-            nbytes += len(json.dumps(_jsonable(value)))
-    return nbytes
+def one_entry(key: Key, rows: Iterable[Mapping], output_columns: list[str]
+              ) -> tuple[list[Key], list[int], dict[str, list]]:
+    """``put_many`` arguments for one key and its row dicts."""
+    rows = list(rows)
+    return [key], [len(rows)], {col: [row[col] for row in rows]
+                                for col in output_columns}
+
+
+def _payload_bytes(batch: ColumnBatch) -> int:
+    """Raw JSON size of a batch — the unit the running estimate sums:
+    ``len(json.dumps(.))`` of every key and every stored value.  One dumps
+    of the flat list gives the same total, as each item adds ``", "``."""
+    flat: list = [[_jsonable(part) for part in key] for key in batch.keys]
+    for values in batch.columns.values():
+        flat.extend(map(_jsonable, values))
+    return len(json.dumps(flat)) - 2 * len(flat) if flat else 0
 
 
 def _jsonable(value):
@@ -432,22 +520,3 @@ def _jsonable(value):
     if isinstance(value, tuple):
         return ["__tuple__"] + [_jsonable(v) for v in value]
     return value
-
-
-def _from_jsonable(value):
-    if isinstance(value, list):
-        if value and value[0] == "__bbox__":
-            return BoundingBox(*value[1:])
-        if value and value[0] == "__tuple__":
-            return tuple(_from_jsonable(v) for v in value[1:])
-        return tuple(_from_jsonable(v) for v in value)
-    return value
-
-
-def _to_json_array(values: list) -> np.ndarray:
-    payload = json.dumps(values).encode("utf-8")
-    return np.frombuffer(payload, dtype=np.uint8)
-
-
-def _from_json_array(array: np.ndarray) -> list:
-    return json.loads(array.tobytes().decode("utf-8"))

@@ -12,8 +12,10 @@ Durability model
   (view, generation) pairs are live; the manifest is advisory.
 * Each partition — one (view, generation, frame-range bucket) — owns an
   independent ``wal/<pid>.wal`` of put records plus an optional
-  ``snapshots/<pid>.npz``.  Recovery loads the snapshot then replays the
-  WAL suffix, partition-by-partition in a thread pool.
+  ``snapshots/<pid>.npz``.  Both hold the view's own
+  :class:`~repro.storage.columnar.ColumnBatch` encoding, so recovery
+  decodes the snapshot and each record of the WAL suffix and appends
+  them to the view's columns, partition-by-partition in a thread pool.
 * Drops log the tombstone (fsynced) *before* deleting files, so a crash
   mid-drop replays as "dropped" rather than resurrecting a half-deleted
   view.  Generation numbers make files of a dropped-then-recreated view
@@ -42,8 +44,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import StorageError
 from repro.obs.flight import current_flight
-from repro.storage.view_store import (MaterializedView, ViewStore,
-                                      _from_jsonable, _jsonable)
+from repro.storage.columnar import ColumnBatch
+from repro.storage.view_store import MaterializedView, ViewStore
 from repro.store.layout import (PartitionState, RecoveryReport, StoreLayout,
                                 bucket_of, parse_partition_id, partition_id,
                                 view_crc)
@@ -96,6 +98,7 @@ class DurableViewStore(ViewStore):
                  recovery_parallelism: int = 4):
         super().__init__()
         self.layout = StoreLayout(path)
+        self.layout.check_format()
         self.layout.ensure_directories()
         self.partition_frames = max(1, int(partition_frames))
         self.fsync_every = max(1, int(fsync_every))
@@ -253,12 +256,6 @@ class DurableViewStore(ViewStore):
             self._persist_lineage_status(name)
             self._write_manifest()
 
-    def view_put(self, view: MaterializedView, key, stored) -> None:
-        self._log_puts(view, [(key, stored)])
-
-    def view_put_many(self, view: MaterializedView, items) -> None:
-        self._log_puts(view, items)
-
     # -- UDF history durability -------------------------------------------------
 
     def log_udf_history(self, udf_name: str, sources: list[str],
@@ -356,13 +353,11 @@ class DurableViewStore(ViewStore):
                 resident = dict(self._views)
             for name, view in resident.items():
                 meta = self._meta.get(name)
-                if meta is None:
-                    continue
-                for part in self._partitions_of(view, meta):
-                    if part.records_since_snapshot > 0 or (
-                            part.snapshot_keys == 0 and view.num_keys):
-                        self._snapshot_partition(view, meta, part)
-                        written += 1
+                if meta is not None:
+                    written += self._snapshot_view(
+                        view, meta, lambda part: (
+                            part.records_since_snapshot > 0
+                            or (part.snapshot_keys == 0 and view.num_keys)))
             self._compact_control_log()
             self._write_manifest()
         return written
@@ -409,36 +404,36 @@ class DurableViewStore(ViewStore):
 
     # -- write path -------------------------------------------------------------
 
-    def _log_puts(self, view: MaterializedView, items) -> None:
+    def view_put_many(self, view: MaterializedView,
+                      batch: ColumnBatch) -> None:
+        """View listener hook: log the freshly inserted ``batch``, one
+        ``puts`` record per partition it touches."""
         with self._io_lock:
             if self._closed:
                 return
             meta = self._meta.get(view.name)
             if meta is None:
                 return  # dropped concurrently; nothing durable to do
-            by_bucket: dict[int, list] = {}
-            for key, stored in items:
-                bucket = bucket_of(key[0], self.partition_frames)
-                by_bucket.setdefault(bucket, []).append(
-                    [[_jsonable(part) for part in key],
-                     [{col: _jsonable(val) for col, val in row.items()}
-                      for row in stored]])
-            to_snapshot = []
-            for bucket, entries in sorted(by_bucket.items()):
+            due = set()
+            for bucket, shard in sorted(
+                    batch.partition(self._bucket_of).items()):
                 part = self._ensure_partition(meta, bucket)
-                writer = self._ensure_writer(part)
-                writer.append({"op": "puts", "view": view.name,
-                               "gen": meta.generation, "entries": entries})
+                self._ensure_writer(part).append(
+                    {"op": "puts", "view": view.name,
+                     "gen": meta.generation, "blob": shard.encode()})
                 part.records_since_snapshot += 1
                 self.counters["wal_records"] += 1
                 if part.records_since_snapshot >= self.snapshot_interval:
-                    to_snapshot.append(part)
-            for part in to_snapshot:
-                self._snapshot_partition(view, meta, part)
-            if to_snapshot:
+                    due.add(bucket)
+            if due:
+                self._snapshot_view(view, meta,
+                                    lambda part: part.bucket in due)
                 self._write_manifest()
         self._touch(view.name)
         self._maybe_evict(exclude=view.name)
+
+    def _bucket_of(self, key) -> int:
+        return bucket_of(key[0], self.partition_frames)
 
     def _ensure_partition(self, meta: _ViewMeta,
                           bucket: int) -> PartitionState:
@@ -457,32 +452,35 @@ class DurableViewStore(ViewStore):
             self._wal_writers[part.pid] = writer
         return writer
 
-    def _partitions_of(self, view: MaterializedView,
-                       meta: _ViewMeta) -> list[PartitionState]:
-        """All partitions the view's current keys span (plus existing)."""
-        for key in list(view.keys()):
-            self._ensure_partition(
-                meta, bucket_of(key[0], self.partition_frames))
-        return list(meta.partitions.values())
-
     # -- snapshots --------------------------------------------------------------
 
-    def _snapshot_partition(self, view: MaterializedView, meta: _ViewMeta,
-                            part: PartitionState) -> None:
+    def _snapshot_view(self, view: MaterializedView, meta: _ViewMeta,
+                       wanted) -> int:
+        """Write the snapshot of every partition of ``view`` for which
+        ``wanted(part)`` holds; returns how many were written."""
+        shards = view.batch().partition(self._bucket_of)
+        for bucket in shards:
+            self._ensure_partition(meta, bucket)
+        empty = ColumnBatch([], [], {col: [] for col in meta.output_columns})
+        written = 0
+        for part in meta.partitions.values():
+            if wanted(part):
+                self._snapshot_partition(part,
+                                         shards.get(part.bucket, empty))
+                written += 1
+        meta.durable_keys = sum(p.snapshot_keys
+                                for p in meta.partitions.values())
+        return written
+
+    def _snapshot_partition(self, part: PartitionState,
+                            shard: ColumnBatch) -> None:
         flight = current_flight()
         started = time.perf_counter() if flight is not None else 0.0
-        entries = [(key, rows) for key, rows in view.items()
-                   if bucket_of(key[0], self.partition_frames)
-                   == part.bucket]
-        shard = MaterializedView(view.name, view.key_columns,
-                                 view.output_columns)
-        shard.put_many(entries)
-        payload = shard.serialize()
         target = part.snapshot_path(self.layout.root)
         tmp = target.with_suffix(".npz.tmp")
-        tmp.write_bytes(payload)
+        tmp.write_bytes(shard.encode(compress=True))
         os.replace(tmp, target)
-        part.snapshot_keys = len(entries)
+        part.snapshot_keys = len(shard)
         part.records_since_snapshot = 0
         # The WAL's records are folded into the snapshot — truncate it
         # (opening a writer if none is live, e.g. right after recovery).
@@ -491,8 +489,6 @@ class DurableViewStore(ViewStore):
         self._last_snapshot_at = time.perf_counter()
         if flight is not None:
             flight.add_store_io("snapshot", time.perf_counter() - started)
-        meta.durable_keys = sum(p.snapshot_keys
-                                for p in meta.partitions.values())
 
     def _compact_control_log(self) -> None:
         """Rewrite control.log to live creates + latest UDF records."""
@@ -618,8 +614,7 @@ class DurableViewStore(ViewStore):
         replayed into the view at its next promotion.
         """
         meta = self._meta[name]
-        for part in self._partitions_of(view, meta):
-            self._snapshot_partition(view, meta, part)
+        self._snapshot_view(view, meta, lambda part: True)
         with self._lock:
             self._views.pop(name, None)
         meta.tier = "warm"
@@ -809,11 +804,9 @@ class DurableViewStore(ViewStore):
         problem = None
         if snapshot_path.exists():
             try:
-                shard = MaterializedView.deserialize(
-                    meta.name, meta.key_columns, meta.output_columns,
-                    snapshot_path.read_bytes())
-                keys_added += sum(view.put_many(shard.items()))
-                part.snapshot_keys = shard.num_keys
+                shard = ColumnBatch.decode(snapshot_path.read_bytes())
+                keys_added += view.restore(shard)
+                part.snapshot_keys = len(shard)
             except Exception as exc:  # corrupt snapshot: WAL still replays
                 problem = f"{part.pid}: unreadable snapshot ({exc})"
         scan = scan_wal(part.wal_path(self.layout.root))
@@ -826,12 +819,10 @@ class DurableViewStore(ViewStore):
             if (record.get("op") != "puts"
                     or record.get("gen") != meta.generation):
                 continue
-            keys_added += sum(view.put_many(
-                (tuple(_from_jsonable(p) for p in raw_key),
-                 tuple({col: _from_jsonable(val)
-                        for col, val in row.items()} for row in raw_rows))
-                for raw_key, raw_rows in record["entries"]))
+            keys_added += view.restore(ColumnBatch.decode(record["blob"]))
             applied += 1
+        # Still in the WAL: the next snapshot() / close() must fold them.
+        part.records_since_snapshot = applied
         return applied, keys_added, torn, problem
 
     def _load_view(self, meta: _ViewMeta) -> MaterializedView:

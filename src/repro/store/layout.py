@@ -32,7 +32,11 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-STORE_FORMAT = "eva-store-v1"
+from repro.errors import StorageError
+
+#: Names the record/snapshot encoding.  v2: ``puts`` records and
+#: snapshots hold typed column batches (v1 logged nested JSON rows).
+STORE_FORMAT = "eva-store-v2"
 MANIFEST_NAME = "manifest.jsonl"
 CONTROL_LOG_NAME = "control.log"
 AUDIT_NAME = "audit.jsonl"
@@ -156,6 +160,16 @@ class StoreLayout:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.manifest_path)
+
+    def check_format(self) -> None:
+        """Refuse a store some other format version wrote: there is one
+        reader and no migration path, and replaying records of another
+        encoding would lose or garble views."""
+        meta = self.read_manifest()["meta"]
+        if meta is not None and meta.get("format") != STORE_FORMAT:
+            raise StorageError(
+                f"store {self.root} has format {meta.get('format')!r}; "
+                f"this version reads and writes {STORE_FORMAT!r} only")
 
     def read_manifest(self) -> dict:
         """Parsed manifest: {"meta": ..., "views": {...}, "partitions":

@@ -29,7 +29,6 @@ from repro.obs.lineage import (
     parse_view_name,
     record_view_probe,
     record_view_write,
-    suppress_lineage,
     uninstall_lineage,
 )
 from repro.session import EvaSession
@@ -231,19 +230,14 @@ class TestHooks:
     def test_hooks_are_noops_without_context(self):
         uninstall_lineage()
         record_view_probe("mv::det@tiny", [{"label": "car"}])
-        record_view_write("mv::det@tiny", [((1,), [{"label": "car"}])])
+        record_view_write("mv::det@tiny", [(1,)], 1)
 
-    def test_suppress_is_reentrant(self):
+    def test_write_hook_records_keys_rows_and_frame_range(self):
         qlin = QueryLineage()
         install_lineage(qlin)
         try:
-            with suppress_lineage():
-                with suppress_lineage():
-                    record_view_probe("mv::det@tiny", [{"x": 1}])
-                record_view_probe("mv::det@tiny", [{"x": 1}])
-            assert not qlin.touched
-            record_view_probe("mv::det@tiny", [{"x": 1}])
-            assert qlin.probes["mv::det@tiny"] == [1, 0, 1]
+            record_view_write("mv::det@tiny", [(7, "box"), (3,), ("x",)], 5)
+            assert qlin.writes["mv::det@tiny"] == [3, 5, 3, 7]
         finally:
             uninstall_lineage()
 
@@ -442,6 +436,47 @@ class TestRestartEquality:
         second.register_video(tiny_video)
         assert second.ledger.export_current(name)["status"] == "dropped"
         second.close()
+
+
+class TestReplayIsNotQueryWork:
+    """Snapshots and warm-tier promotions move stored entries around; a
+    query that happens to trigger one paid for none of them."""
+
+    @staticmethod
+    def _paid(path, video, *, demote_between=False, **store_config):
+        session = EvaSession(config=EvaConfig(
+            store_mode="durable", store_path=str(path), **store_config))
+        session.register_video(video)
+        for start in (0, 100):
+            session.execute(
+                "SELECT id FROM sparse CROSS APPLY ObjectDetector(frame) "
+                f"WHERE id >= {start} AND id < {start + 100}")
+            if demote_between and start == 0:
+                store = session.view_store
+                store.hot_budget = 1
+                store._maybe_evict()
+                store.hot_budget = 0
+                assert store.counters["demotions"] == 1
+        paid = [(record["view"], record["invocations_paid"],
+                 record["fresh_rows"])
+                for record in session.ledger.export_records()]
+        promotions = session.view_store.counters["promotions"]
+        session.close()
+        return paid, promotions
+
+    def test_ledger_ignores_snapshots_and_promotions(
+            self, tmp_path, sparse_video):
+        expected, _ = self._paid(tmp_path / "rare", sparse_video,
+                                 store_snapshot_interval=4096)
+        [(_, invocations, rows)] = expected
+        assert invocations == 200 and rows > 0
+        every_put, _ = self._paid(tmp_path / "every", sparse_video,
+                                  store_snapshot_interval=1)
+        assert every_put == expected
+        promoted, promotions = self._paid(tmp_path / "tiers", sparse_video,
+                                          demote_between=True)
+        assert promotions == 1
+        assert promoted == expected
 
 
 class TestDifferentialGuard:

@@ -9,6 +9,7 @@ here with a precise signal rather than as a flaky stress test.
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 
@@ -18,6 +19,7 @@ from repro.config import EvaConfig
 from repro.optimizer.udf_manager import UdfManager, UdfSignature
 from repro.parser.parser import parse
 from repro.server.locks import RWLock
+from repro.server.shard import RemoteViewHandle
 from repro.server.state import (
     LockedUdfManager,
     SharedReuseState,
@@ -236,6 +238,68 @@ class TestSharedViewStore:
         by_client = {c.client_id: c for c in snapshot.clients}
         assert by_client["alice"].hits_received == 1
         assert by_client["alice"].hits_from_others == 0
+
+    def test_bulk_calls_attribute_like_single_key_calls(self):
+        store, stats = self.make()
+        alice = store.for_client("alice").create_or_get(
+            "mv::bulk", ["id"], ["label"])
+        assert alice.put_many([(1,), (2,), (1,)], [1, 0, 1],
+                              {"label": ["car", "bus"]}) == \
+            [True, True, False]
+        bob = store.for_client("bob").get("mv::bulk")
+        hits = bob.get_many([(2,), (9,), (1,)])
+        assert len(hits) == 3 and hits.counts == [0, None, 1]
+        assert list(hits.column("label")) == ["car"]
+        assert store.owner_of("mv::bulk", (2,)) == "alice"
+        snapshot = stats.snapshot(workers=1, hit_percentage=0.0,
+                                  num_views=1, view_storage_bytes=0)
+        assert snapshot.cross_client_hits == {("bob", "alice"): 2}
+        by_client = {c.client_id: c for c in snapshot.clients}
+        assert by_client["alice"].keys_materialized == 2
+
+    def test_remote_handle_passes_the_column_batch_through(self):
+        """A worker that does not own the view sees what a local client
+        sees: the same hit set (gathered for the wire), the same inserted
+        flags, and the view's own O(1) size estimate."""
+        store, _ = self.make()
+        calls = []
+
+        class OwnerWorker:
+            """Runs each RPC on a local facade; arguments and result
+            cross a pickle boundary as they would cross the socket."""
+
+            def call(self, method, *args):
+                calls.append(method)
+                name, *rest = pickle.loads(pickle.dumps(args))
+                if method == "store_view_bytes":
+                    result = store.base.view_bytes(name)
+                else:
+                    handle = store.for_client(rest[0]).get(name)
+                    result = getattr(handle, method.removeprefix("view_"))(
+                        *rest[1:])
+                return pickle.loads(pickle.dumps(result))
+
+        local = store.for_client("alice").create_or_get(
+            "mv::far", ["id"], ["label", "score"])
+        remote = RemoteViewHandle(OwnerWorker(), "mv::far", "bob",
+                                  ["id"], ["label", "score"])
+        assert remote.put_many([(1,), (2,)], [2, 0],
+                               {"label": ["car", "bus"],
+                                "score": [0.5, 0.25]}) == [True, True]
+        assert remote.put((1,), [{"label": "x", "score": 0.0}]) is False
+        assert store.owner_of("mv::far", (1,)) == "bob"
+        near, far = (handle.get_many([(2,), (3,), (1,)])
+                     for handle in (local, remote))
+        assert far.counts == near.counts == [0, None, 2]
+        assert (len(far), far.num_hits, far.num_rows) == (3, 2, 2)
+        assert list(far.column("score")) == list(near.column("score"))
+        assert list(far.derived("twice", "score", lambda s: 2 * s)) == \
+            list(near.derived("twice", "score", lambda s: 2 * s)) == \
+            [1.0, 0.5]
+        assert remote.serialized_bytes() == local.serialized_bytes() == \
+            store.base.get("mv::far").serialized_bytes()
+        assert set(calls) == {"view_put_many", "view_get_many",
+                              "store_view_bytes"}
 
     def test_drop_under_concurrent_readers(self):
         store, _ = self.make()

@@ -1,6 +1,10 @@
 """Tests for batches, the columnar format, views, and table scans."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.schema import ColumnType, TableSchema
 from repro.errors import ExecutorError, StorageError
@@ -9,6 +13,14 @@ from repro.storage.columnar import read_table, write_table
 from repro.storage.engine import StorageEngine, VideoTable
 from repro.storage.view_store import MaterializedView, ViewStore
 from repro.types import BoundingBox
+
+
+def column_batch(entries, output_columns=("label", "bbox")):
+    """``(key, row dicts)`` entries as ``put_many``'s keys/counts/columns."""
+    return ([key for key, _ in entries],
+            [len(rows) for _, rows in entries],
+            {col: [row[col] for _, rows in entries for row in rows]
+             for col in output_columns})
 
 
 class TestBatch:
@@ -139,27 +151,38 @@ class TestMaterializedView:
     def test_put_many_counts_new_keys(self):
         view = MaterializedView("v", ["id"], ["label"])
         view.put((1,), [])
-        added = view.put_many([((1,), []), ((2,), [{"label": "x"}])])
+        added = view.put_many([(1,), (2,)], [0, 1], {"label": ["x"]})
         assert added == [False, True]
+        assert len(added) == 2  # keys offered, the unit the e2e trace counts
         assert view.num_keys == 2
 
     def test_put_many_first_duplicate_wins(self):
         view = MaterializedView("v", ["id"], ["label"])
-        added = view.put_many([
-            ((1,), [{"label": "car"}]),
-            ((1,), [{"label": "DIFFERENT"}]),
-        ])
+        added = view.put_many([(1,), (1,)], [1, 1],
+                              {"label": ["car", "DIFFERENT"]})
         assert added == [True, False]
         assert view.get((1,))[0]["label"] == "car"
+        assert view.num_output_rows == 1
+
+    def test_rejected_batch_leaves_the_view_unchanged(self):
+        view = MaterializedView("v", ["id"], ["label"])
+        with pytest.raises(StorageError):  # ragged: two keys, one row
+            view.put_many([(1,), (2,)], [1, 1], {"label": ["car"]})
+        with pytest.raises(TypeError):  # a value no codec can store
+            view.put_many([(1,), (2,)], [1, 1], {"label": ["car", {1}]})
+        assert view.num_keys == 0 and view.get((1,)) is None
+        assert view.put_many([(1,)], [1], {"label": ["car"]}) == [True]
+        assert view.items() == [((1,), ({"label": "car"},))]
 
     def test_get_many_preserves_order_and_misses(self):
         view = MaterializedView("v", ["id"], ["label"])
         view.put((1,), [{"label": "car"}])
         view.put((3,), [])
-        results = view.get_many([(3,), (2,), (1,)])
-        assert results[0] == ()
-        assert results[1] is None
-        assert results[2][0]["label"] == "car"
+        hits = view.get_many([(3,), (2,), (1,)])
+        assert len(hits) == 3  # keys probed
+        assert hits.counts == [0, None, 1]
+        assert (hits.num_hits, hits.num_rows) == (2, 1)
+        assert list(hits.column("label")) == ["car"]
 
     def test_requires_key_columns(self):
         with pytest.raises(StorageError):
@@ -192,7 +215,7 @@ class TestSerializedBytesEstimate:
         view.put((1,), self._rows(1))
         size = view.serialized_bytes()
         view.put((1,), self._rows(999))  # first write wins: no growth
-        view.put_many([((1,), self._rows(5))])
+        view.put_many(*column_batch([((1,), self._rows(5))]))
         assert view.serialized_bytes() == size
 
     def test_put_and_put_many_agree(self):
@@ -201,7 +224,7 @@ class TestSerializedBytesEstimate:
         for key, rows in entries:
             one_by_one.put(key, rows)
         bulk = MaterializedView("v", ["id"], ["label", "bbox"])
-        bulk.put_many(entries)
+        bulk.put_many(*column_batch(entries))
         assert one_by_one.serialized_bytes() == bulk.serialized_bytes()
 
     def test_estimate_tracks_actual_payload(self):
@@ -221,6 +244,68 @@ class TestSerializedBytesEstimate:
         restored = MaterializedView.deserialize(
             "v", ["id"], ["label", "bbox"], view.serialize())
         assert restored.serialized_bytes() == view.serialized_bytes()
+
+
+def entry_json_bytes(key, rows) -> int:
+    """The accounting unit, entry at a time: ``len(json.dumps(.))`` of
+    the key and of every stored value (boxes and tuples tagged)."""
+    def jsonable(value):
+        if isinstance(value, BoundingBox):
+            return ["__bbox__", value.x1, value.y1, value.x2, value.y2]
+        if isinstance(value, tuple):
+            return ["__tuple__"] + [jsonable(v) for v in value]
+        return value
+
+    return len(json.dumps([jsonable(part) for part in key])) + sum(
+        len(json.dumps(jsonable(value)))
+        for row in rows for value in row.values())
+
+
+_coords = st.floats(allow_nan=False, allow_infinity=False, width=64)
+stored_values = st.one_of(
+    st.text(max_size=8),  # any unicode: non-ASCII, quotes, backslashes
+    st.sampled_from(['say "car"', "caf\u00e9 \u8eca", "back\\slash", ""]),
+    _coords, st.integers(-2**40, 2**40), st.booleans(), st.none(),
+    st.builds(BoundingBox, _coords, _coords, _coords, _coords),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)))
+view_keys = st.tuples(
+    st.integers(0, 5),
+    st.one_of(st.integers(0, 2), st.sampled_from(["a", "\u00e9"]),
+              st.tuples(st.integers(0, 1),
+                        st.tuples(st.integers(0, 1), st.integers(0, 1)))))
+view_entries = st.lists(
+    st.tuples(view_keys, st.lists(
+        st.fixed_dictionaries({"label": stored_values,
+                               "bbox": stored_values}), max_size=3)),
+    max_size=12)
+
+
+class TestBatchByteAccounting:
+    """One ``json.dumps`` per batch must total exactly what one per key
+    and per value did — ``view_store_mb`` is defined by that sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(resident=view_entries, offered=view_entries)
+    def test_batch_total_equals_per_entry_sum(self, resident, offered):
+        view = MaterializedView("v", ["id", "part"], ["label", "bbox"])
+        expected = 0
+        stored = {}
+        for key, rows in resident:
+            if view.put(key, rows):
+                stored[key] = rows
+                expected += entry_json_bytes(key, rows)
+        assert view._approx_payload_bytes == expected
+        flags = view.put_many(*column_batch(offered))
+        assert len(flags) == len(offered)
+        for (key, rows), was_new in zip(offered, flags):
+            # A key stored before, or earlier in this batch, is refused.
+            assert was_new == (key not in stored)
+            if was_new:
+                stored[key] = rows
+                expected += entry_json_bytes(key, rows)
+        assert view._approx_payload_bytes == expected
+        assert dict(view.items()) == {
+            key: tuple(rows) for key, rows in stored.items()}
 
 
 class TestPrefixIndexConsistency:

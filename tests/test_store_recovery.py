@@ -19,14 +19,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.config import EvaConfig
 from repro.errors import StorageError
 from repro.optimizer.udf_manager import UdfSignature
 from repro.parser.parser import parse_predicate
+from repro.server import EvaServer
 from repro.store import (DurableViewStore, PersistentUdfManager,
                          restore_udf_histories)
-from repro.store.wal import WalWriter, scan_wal
+from repro.storage.view_store import MaterializedView
+from repro.store.layout import STORE_FORMAT
+from repro.store.wal import MAGIC, WalWriter, scan_wal
 from repro.symbolic.engine import SymbolicEngine, predicate_key
 
 
@@ -224,6 +230,147 @@ class TestCrashFuzz:
         assert second.get("mv::m@tiny").get((30,)) == \
             ({"label": "wal-only"},)
         second.close()
+
+
+_floats = st.floats(allow_nan=False, width=64)
+_values = st.one_of(
+    st.text(max_size=6), _floats, st.integers(-2**40, 2**40), st.none(),
+    st.builds(repro.types.BoundingBox, _floats, _floats, _floats, _floats),
+    st.builds(repro.types.BoundingBox, *[st.integers(0, 9)] * 4))
+_entries = st.dictionaries(
+    st.tuples(st.integers(0, 40),
+              st.one_of(st.text(max_size=3),
+                        st.tuples(st.integers(0, 3), st.integers(0, 3)))),
+    st.lists(st.fixed_dictionaries({"label": _values, "bbox": _values}),
+             max_size=3),
+    max_size=10)
+
+
+def exact(items):
+    """``items()`` with floats spelled out bit for bit (``==`` would let
+    ``-0.0`` pass for ``0.0`` and ``1`` for ``1.0``)."""
+    def spell(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, repro.types.BoundingBox):
+            return ("bbox", *map(spell, value.as_tuple()))
+        if isinstance(value, tuple):
+            return tuple(map(spell, value))
+        return value
+
+    return sorted(
+        ((spell(key), [sorted((col, spell(v)) for col, v in row.items())
+                       for row in rows]) for key, rows in items), key=repr)
+
+
+class TestColumnRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(logged=_entries, snapshotted=_entries)
+    def test_memory_wal_snapshot_recovery_agree(self, tmp_path_factory,
+                                                logged, snapshotted):
+        """What a view holds in memory is what comes back from the WAL
+        records alone, from snapshot + WAL suffix, and from snapshots
+        alone — same keys, rows and value types, floats bit-identical."""
+        path = tmp_path_factory.mktemp("roundtrip")
+        first = make_store(path)
+        view = first.create_or_get("mv::m@tiny", ["id", "part"],
+                                   ["label", "bbox"])
+        for key, rows in snapshotted.items():
+            view.put(key, rows)
+        first.snapshot()
+        for key, rows in logged.items():
+            view.put(key, rows)
+        expected = exact(view.items())
+        nbytes = view.serialized_bytes()
+        first.flush()  # crash: the second half exists only as WAL records
+
+        second = make_store(path)
+        recovered = second.get("mv::m@tiny")
+        assert exact(recovered.items()) == expected
+        assert recovered.serialized_bytes() == nbytes
+        second.close()  # every partition snapshotted, WALs truncated
+
+        third = make_store(path)
+        assert third.recovery_report.records_replayed == 0
+        assert exact(third.get("mv::m@tiny").items()) == expected
+        assert third.get("mv::m@tiny").serialized_bytes() == nbytes
+        third.close()
+        shutil.rmtree(path)
+
+
+class TestEncodeOnce:
+    def test_no_key_is_offered_to_a_view_twice(self, tmp_path, monkeypatch,
+                                               tiny_video):
+        """Fill, shut down (snapshot), reopen (recovery), resume: the only
+        keys ever offered to ``put_many`` are the queries' fresh ones —
+        neither the snapshot nor the recovery re-inserts an entry."""
+        offered = fresh = 0
+        put_many = MaterializedView.put_many
+
+        def counting(view, keys, counts, columns):
+            nonlocal offered, fresh
+            flags = put_many(view, keys, counts, columns)
+            offered += len(flags)
+            fresh += sum(flags)
+            return flags
+
+        monkeypatch.setattr(MaterializedView, "put_many", counting)
+        config = EvaConfig(store_mode="durable", store_path=str(tmp_path),
+                           store_snapshot_interval=2)
+
+        def serve(queries):
+            server = EvaServer(config, max_workers=2)
+            server.register_video(tiny_video)
+            server.start()
+            handle = server.connect("analyst")
+            for lo, hi in queries:
+                handle.execute(
+                    "SELECT id, bbox FROM tiny CROSS APPLY "
+                    f"ObjectDetector(frame) WHERE id >= {lo} AND id < {hi} "
+                    "AND label = 'car' AND CarType(frame, bbox) = 'Nissan'")
+            store = server.state.view_store.base
+            keys = sum(store.get(name).num_keys for name in store.names())
+            server.shutdown()
+            return store, keys
+
+        _, stored = serve([(0, 60), (30, 90)])
+        assert offered == fresh == stored > 0
+        reopened, resumed = serve([(60, 120)])
+        assert reopened.recovery_report.keys_recovered == stored
+        assert offered == fresh == resumed > stored
+
+
+class TestFormatVersion:
+    def test_store_of_another_format_is_refused(self, tmp_path):
+        first = make_store(tmp_path)
+        fill(first)
+        first.close()
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().replace(
+            STORE_FORMAT, "eva-store-v1"))
+        control = tmp_path / "control.log"
+        control.write_bytes(b"EVAWAL1\n" + control.read_bytes()[len(MAGIC):])
+        before = sorted((p.name, p.stat().st_size)
+                        for p in tmp_path.rglob("*") if p.is_file())
+
+        with pytest.raises(StorageError) as refused:
+            make_store(tmp_path)
+        assert "eva-store-v1" in str(refused.value)
+        assert STORE_FORMAT in str(refused.value)
+        # Refused means untouched: nothing repaired, swept or rewritten.
+        assert before == sorted((p.name, p.stat().st_size)
+                                for p in tmp_path.rglob("*") if p.is_file())
+
+    def test_wal_of_another_format_is_refused_without_a_manifest(
+            self, tmp_path):
+        first = make_store(tmp_path)
+        fill(first)
+        first.close()
+        (tmp_path / "manifest.jsonl").unlink()
+        control = tmp_path / "control.log"
+        control.write_bytes(b"EVAWAL1\n" + control.read_bytes()[len(MAGIC):])
+        with pytest.raises(StorageError):
+            make_store(tmp_path)
 
 
 class TestTombstonesAndGenerations:
