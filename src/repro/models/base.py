@@ -7,10 +7,12 @@ Every model exposes two invocation surfaces:
 * :meth:`VisionModel.predict_batch`, the **batched** entry point the
   vectorized executor uses — one call per miss sub-batch instead of one
   per row.  The default implementation loops the per-input API (results
-  are identical by construction); models with a genuinely vectorizable
-  substrate (e.g. the numpy conv-net of
-  :class:`~repro.models.filters.SpecializedFilter`) override it to run the
-  whole batch in one shot.
+  are identical by construction); models with a vectorizable substrate
+  override it to run the batch as arrays: the numpy conv-net of
+  :class:`~repro.models.filters.SpecializedFilter`, and the IoU matching
+  of :class:`~repro.models.classifiers.SimulatedPatchClassifier`, written
+  in the scalar method's operation order so outputs stay bit-identical.
+  The detectors keep the default: a frame's draws are sequential.
 
 Virtual cost is *not* charged here: the executor charges
 ``len(inputs) * per_tuple_cost`` per batched call, which is exactly the

@@ -10,11 +10,19 @@ the way a real classifier confidently labels garbage.
 Determinism is per (model, video, frame, rounded bbox): the same patch always
 gets the same answer, which is what makes materialized classifier results
 reusable across queries.
+
+:meth:`SimulatedPatchClassifier.classify` is the definition, one patch at a
+time; :meth:`~SimulatedPatchClassifier.predict_batch` is the same function
+over a whole miss sub-batch, with the matching done in numpy.
 """
 
 from __future__ import annotations
 
-from repro._rng import stable_rng
+import random
+
+import numpy as np
+
+from repro._rng import stable_rng, stable_seeder
 from repro.types import BoundingBox
 from repro.models.base import PatchClassifierModel
 from repro.video.synthetic import (
@@ -25,6 +33,11 @@ from repro.video.synthetic import (
 
 #: Minimum IoU for a detection box to be associated with a true object.
 _MATCH_IOU = 0.30
+
+#: Inputs matched per numpy pass.  A sub-batch can be thousands of boxes;
+#: in slices of this size the pass's ``(rows, K)`` temporaries stay a few
+#: tens of kilobytes, whatever the sub-batch.
+_KERNEL_ROWS = 256
 
 
 class SimulatedPatchClassifier(PatchClassifierModel):
@@ -54,12 +67,41 @@ class SimulatedPatchClassifier(PatchClassifierModel):
             if iou > best_iou:
                 best_iou = iou
                 best_obj = obj
-        if best_obj is not None:
-            true_value = getattr(best_obj, self.attribute)
-            if rng.random() < self.accuracy:
-                return true_value
-            return self._wrong_answer(rng, true_value)
-        return self._hallucination(rng)
+        return self._draw(rng, best_obj)
+
+    def predict_batch(self, video: SyntheticVideo, inputs) -> list[str]:
+        """:meth:`classify` over ``(frame_id, bbox)`` pairs, in order.
+
+        The boxes are matched against their frames' truth boxes in padded
+        ``(rows, K)`` numpy passes (:func:`_match_truth`); what stays per
+        input is the seeded draw, whose seed depends on the input alone —
+        so an answer does not depend on what else is in the batch.  This
+        does not call :meth:`classify`: a subclass that redefines one
+        redefines both.
+        """
+        inputs = list(inputs)
+        seed_of = stable_seeder("classify", self.name, video.name)
+        rng = random.Random()
+        outputs = []
+        for start in range(0, len(inputs), _KERNEL_ROWS):
+            rows = inputs[start:start + _KERNEL_ROWS]
+            for (frame_id, bbox), obj in zip(rows, _match_truth(video, rows)):
+                # Re-seeding one generator leaves it in the state of a
+                # fresh ``random.Random(seed)``, without allocating one
+                # per input.
+                rng.seed(seed_of(frame_id, _bbox_key(bbox)))
+                outputs.append(self._draw(rng, obj))
+        return outputs
+
+    def _draw(self, rng, matched) -> str:
+        """The answer for a patch that matched truth object ``matched``
+        (``None``: nothing), drawn from the patch's own generator."""
+        if matched is None:
+            return self._hallucination(rng)
+        true_value = getattr(matched, self.attribute)
+        if rng.random() < self.accuracy:
+            return true_value
+        return self._wrong_answer(rng, true_value)
 
     def _wrong_answer(self, rng, true_value: str) -> str:
         if self.classes:
@@ -79,6 +121,63 @@ class SimulatedPatchClassifier(PatchClassifierModel):
         letters = "".join(rng.choices("ABCDEFGHJKLMNPRSTUVWXYZ", k=3))
         digits = "".join(rng.choices("0123456789", k=4))
         return f"{letters}{digits}"
+
+
+def _match_truth(video: SyntheticVideo, inputs) -> list:
+    """For each ``(frame_id, bbox)``: the truth object of that frame with
+    the highest IoU (the first, among equals) if that IoU exceeds
+    ``_MATCH_IOU``, else ``None``.
+
+    The arithmetic is :meth:`BoundingBox.iou`'s, operation for operation,
+    on float64 — the same IEEE results as the scalar loop in
+    :meth:`SimulatedPatchClassifier.classify`, and ``argmax`` keeps the
+    first of equal maxima as that loop's strict ``>`` does.  Frames with
+    fewer than ``K`` objects are padded with empty boxes, whose IoU is 0
+    and so never a match.
+    """
+    slots: dict[int, int] = {}
+    slot_of = np.array([slots.setdefault(frame_id, len(slots))
+                        for frame_id, _ in inputs])
+    truths = [video.ground_truth(frame_id).objects for frame_id in slots]
+    counts = np.array([len(objects) for objects in truths])
+    width = counts.max()
+    if width == 0:
+        return [None] * len(inputs)
+    # A plane per coordinate; in each, one row of K per distinct frame,
+    # filled in object order.
+    table = np.zeros((4, len(truths), width))
+    table[:, np.arange(width) < counts[:, None]] = np.array(
+        [obj.bbox.as_tuple() for objects in truths for obj in objects],
+        dtype=np.float64).T
+    tx1, ty1, tx2, ty2 = table
+    x1, y1, x2, y2 = np.array(
+        [bbox.as_tuple() for _, bbox in inputs], dtype=np.float64).T
+    # An input box beyond ~1e154 overflows to an inf or nan area here
+    # exactly as in the scalar arithmetic; numpy would also warn about it.
+    # Intersections stay finite: truth boxes lie inside the frame.
+    with np.errstate(over="ignore", invalid="ignore"):
+        truth_area = (np.maximum(tx2 - tx1, 0.0)
+                      * np.maximum(ty2 - ty1, 0.0))
+        area = np.maximum(x2 - x1, 0.0) * np.maximum(y2 - y1, 0.0)
+        inter = np.minimum(tx2[slot_of], x2[:, None])
+        inter -= np.maximum(tx1[slot_of], x1[:, None])
+        np.maximum(inter, 0.0, out=inter)
+        height = np.minimum(ty2[slot_of], y2[:, None])
+        height -= np.maximum(ty1[slot_of], y1[:, None])
+        np.maximum(height, 0.0, out=height)
+        inter *= height
+        union = truth_area[slot_of]
+        union += area[:, None]
+        union -= inter
+        # ``union <= 0 -> 0.0``; a nan union never matches in either form.
+        defined = union > 0
+        iou = np.divide(inter, union, out=inter, where=defined)
+        iou[~defined] = 0.0
+    best = iou.argmax(axis=1)
+    matched = iou[np.arange(len(inputs)), best] > _MATCH_IOU
+    return [truths[slot][index] if hit else None
+            for slot, index, hit in zip(
+                slot_of.tolist(), best.tolist(), matched.tolist())]
 
 
 def _bbox_key(bbox: BoundingBox) -> tuple[int, int, int, int]:

@@ -20,10 +20,21 @@ do more work.
 
 from __future__ import annotations
 
+import math
+
 from repro._rng import stable_rng
 from repro.types import Accuracy, BoundingBox, Detection
 from repro.models.base import ObjectDetectorModel
 from repro.video.synthetic import SyntheticVideo, VEHICLE_LABELS
+
+
+#: Mean confidence of a true detection, by accuracy class.
+_SCORE_MEAN = {Accuracy.LOW: 0.55, Accuracy.MEDIUM: 0.75,
+               Accuracy.HIGH: 0.85}
+
+#: What a mislabelled object can be called instead, by its true label.
+_OTHER_LABELS = {label: [l for l in VEHICLE_LABELS if l != label]
+                 for label in VEHICLE_LABELS}
 
 
 class SimulatedDetector(ObjectDetectorModel):
@@ -42,6 +53,8 @@ class SimulatedDetector(ObjectDetectorModel):
         self.label_accuracy = label_accuracy
         self.false_positive_rate = false_positive_rate
         self.bbox_jitter = bbox_jitter
+        self._score_mean = _SCORE_MEAN[accuracy]
+        self._no_false_positive = math.exp(-false_positive_rate)
 
     def detect(self, video: SyntheticVideo, frame_id: int
                ) -> list[Detection]:
@@ -49,39 +62,37 @@ class SimulatedDetector(ObjectDetectorModel):
         rng = stable_rng("detect", self.name, video.name, frame_id)
         width = video.metadata.width
         height = video.metadata.height
+        recall = self.recall
+        label_accuracy = self.label_accuracy
+        score_mean = self._score_mean
         detections: list[Detection] = []
         for obj in truth.objects:
-            if rng.random() >= self.recall:
+            if rng.random() >= recall:
                 continue
             bbox = self._jitter(obj.bbox, rng, width, height)
-            if rng.random() < self.label_accuracy:
+            if rng.random() < label_accuracy:
                 label = obj.label
             else:
-                label = rng.choice(
-                    [l for l in VEHICLE_LABELS if l != obj.label])
-            score = min(1.0, max(0.05, rng.gauss(self._score_mean(), 0.08)))
+                label = rng.choice(_OTHER_LABELS[obj.label])
+            score = min(1.0, max(0.05, rng.gauss(score_mean, 0.08)))
             detections.append(Detection(label, bbox, score))
         # Spurious detections (false positives).
-        n_fp = self._poisson(rng, self.false_positive_rate)
-        for _ in range(n_fp):
+        for _ in range(self._poisson(rng)):
             detections.append(self._false_positive(rng, width, height))
         # Detectors emit boxes in a stable order (left to right, top down).
         detections.sort(key=lambda d: (d.bbox.x1, d.bbox.y1, d.label))
         return detections
 
-    def _score_mean(self) -> float:
-        return {Accuracy.LOW: 0.55, Accuracy.MEDIUM: 0.75,
-                Accuracy.HIGH: 0.85}[self.accuracy]
-
     def _jitter(self, bbox: BoundingBox, rng, width: int, height: int
                 ) -> BoundingBox:
-        if self.bbox_jitter <= 0:
+        jitter = self.bbox_jitter
+        if jitter <= 0:
             return bbox
         box_w = bbox.x2 - bbox.x1
         box_h = bbox.y2 - bbox.y1
-        dx = rng.uniform(-self.bbox_jitter, self.bbox_jitter) * box_w
-        dy = rng.uniform(-self.bbox_jitter, self.bbox_jitter) * box_h
-        grow = 1.0 + rng.uniform(-self.bbox_jitter, self.bbox_jitter)
+        dx = rng.uniform(-jitter, jitter) * box_w
+        dy = rng.uniform(-jitter, jitter) * box_h
+        grow = 1.0 + rng.uniform(-jitter, jitter)
         new_w = box_w * grow
         new_h = box_h * grow
         cx = (bbox.x1 + bbox.x2) / 2 + dx
@@ -102,14 +113,11 @@ class SimulatedDetector(ObjectDetectorModel):
             score=rng.uniform(0.05, 0.45),
         )
 
-    @staticmethod
-    def _poisson(rng, lam: float) -> int:
-        """Small-lambda Poisson sample via inversion."""
-        if lam <= 0:
+    def _poisson(self, rng) -> int:
+        """Small-lambda Poisson count of false positives, by inversion."""
+        if self.false_positive_rate <= 0:
             return 0
-        import math
-
-        threshold = math.exp(-lam)
+        threshold = self._no_false_positive
         count = 0
         product = rng.random()
         while product > threshold:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro._rng import stable_rng
 from repro.types import BoundingBox, GroundTruthObject, VideoMetadata
@@ -92,6 +91,10 @@ class SyntheticVideo:
         self.seed = seed
         self._tracks = self._generate_tracks()
         self._index = self._build_frame_index()
+        # Per-frame ground truth, filled on first use and owned by this
+        # video: it holds at most ``num_frames`` entries and goes when the
+        # video goes.
+        self._truth: dict[int, FrameGroundTruth] = {}
 
     @property
     def name(self) -> str:
@@ -118,9 +121,14 @@ class SyntheticVideo:
         for frame_id in range(self.num_frames):
             yield self.frame(frame_id)
 
-    @lru_cache(maxsize=100_000)
     def ground_truth(self, frame_id: int) -> FrameGroundTruth:
         """The true objects visible in frame ``frame_id``."""
+        truth = self._truth.get(frame_id)
+        if truth is None:
+            truth = self._truth[frame_id] = self._truth_of(frame_id)
+        return truth
+
+    def _truth_of(self, frame_id: int) -> FrameGroundTruth:
         if not 0 <= frame_id < self.num_frames:
             raise IndexError(
                 f"frame {frame_id} out of range [0, {self.num_frames})")

@@ -38,15 +38,35 @@ for frame_id in (0, 17, 59):
 print(rows)
 """
 
+#: The classifiers' batch path: matching runs in numpy, the seeded draw
+#: goes through ``stable_seeder``.
+CLASSIFIER_SNIPPET = """
+from repro.types import VideoMetadata
+from repro.video.synthetic import SyntheticVideo
+from repro.models.classifiers import CAR_TYPE, COLOR_DET, LICENSE_READER
+from repro.models.detectors import FASTERRCNN_RESNET50
+
+video = SyntheticVideo(
+    VideoMetadata(name="d", num_frames=60, width=960, height=540,
+                  fps=25.0, vehicles_per_frame=6.0), seed=5)
+frames = range(0, 60, 3)
+inputs = [(frame_id, det.bbox)
+          for frame_id, found in zip(
+              frames, FASTERRCNN_RESNET50.predict_batch(video, frames))
+          for det in found]
+for model in (CAR_TYPE, COLOR_DET, LICENSE_READER):
+    print(model.name, model.predict_batch(video, inputs))
+"""
+
 #: Wherever the ``repro`` package was imported from (works for both
 #: ``pip install -e .`` site-packages and a PYTHONPATH=src checkout) —
 #: the scrubbed subprocess env must still be able to import it.
 _IMPORT_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
 
-def _run(hashseed: str) -> str:
+def _run(hashseed: str, snippet: str = SNIPPET) -> str:
     completed = subprocess.run(
-        [sys.executable, "-c", SNIPPET],
+        [sys.executable, "-c", snippet],
         capture_output=True, text=True, timeout=120,
         env={"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin",
              "HOME": os.path.expanduser("~"),
@@ -60,6 +80,13 @@ def test_detections_identical_across_hash_seeds():
     outputs = {_run(seed) for seed in ("0", "1", "12345")}
     assert len(outputs) == 1
     assert "(" in next(iter(outputs))  # produced actual detections
+
+
+def test_classifier_batches_identical_across_hash_seeds():
+    outputs = {_run(seed, CLASSIFIER_SNIPPET) for seed in ("0", "12345")}
+    assert len(outputs) == 1
+    output = next(iter(outputs))
+    assert "Toyota" in output and "license_reader" in output
 
 
 def test_stable_seed_is_value_not_identity_based():

@@ -1,8 +1,13 @@
 """Tests for the synthetic video substrate."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro._rng import stable_rng, stable_seed
+from repro._rng import stable_rng, stable_seed, stable_seeder
+from repro.models.classifiers import CAR_TYPE
+from repro.models.detectors import YOLO_TINY
 from repro.types import VideoMetadata
 from repro.video.datasets import jackson, ua_detrac
 from repro.video.synthetic import SyntheticVideo
@@ -17,6 +22,26 @@ class TestStableRng:
 
     def test_rng_reproducible(self):
         assert stable_rng("x").random() == stable_rng("x").random()
+
+    def test_seeder_equals_seed_at_every_split(self):
+        parts = ("classify", 7, -3, (10, 20, 30, 40), "v\x1fideo", 2.5,
+                 ("nested", (1, "two")), "")
+        for split in range(len(parts) + 1):
+            seeder = stable_seeder(*parts[:split])
+            assert seeder(*parts[split:]) == stable_seed(*parts)
+            # The hashed prefix is not consumed by a call.
+            assert seeder(*parts[split:]) == stable_seed(*parts)
+
+    @pytest.mark.parametrize("bad", [object(), ("nested", object())])
+    def test_address_reprs_rejected_in_prefix_and_rest(self, bad):
+        with pytest.raises(ValueError, match="process-dependent repr"):
+            stable_seed("a", bad, 1)
+        with pytest.raises(ValueError, match="process-dependent repr"):
+            stable_seeder("a", bad)
+        seeder = stable_seeder("a")
+        with pytest.raises(ValueError, match="process-dependent repr"):
+            seeder(1, bad)
+        assert seeder(1) == stable_seed("a", 1)  # still usable
 
 
 class TestSyntheticVideo:
@@ -54,6 +79,33 @@ class TestSyntheticVideo:
             tiny_video.frame(400)
         with pytest.raises(IndexError):
             tiny_video.ground_truth(-1)
+
+    def test_dropped_video_is_collectable(self):
+        """Ground truth is cached on the video, not beside it: nothing
+        else keeps a video that its owner let go of."""
+        video = SyntheticVideo(
+            VideoMetadata("dropped", 40, 960, 540, 25.0, 6.0), seed=2)
+        detections = YOLO_TINY.predict_batch(video, range(40))
+        CAR_TYPE.predict_batch(
+            video, [(frame_id, detection.bbox)
+                    for frame_id, found in enumerate(detections)
+                    for detection in found])
+        assert video.ground_truth(5) is video.ground_truth(5)
+        ref = weakref.ref(video)
+        del video
+        gc.collect()
+        assert ref() is None
+
+    def test_equal_videos_neither_share_nor_evict(self):
+        metadata = VideoMetadata("twin", 60, 960, 540, 25.0, 6.0)
+        a = SyntheticVideo(metadata, seed=1)
+        b = SyntheticVideo(metadata, seed=1)
+        truth = a.ground_truth(7)
+        for frame_id in range(60):
+            b.ground_truth(frame_id)
+        assert b.ground_truth(7) == truth
+        assert b.ground_truth(7) is not truth
+        assert a.ground_truth(7) is truth
 
     def test_bboxes_within_frame(self, tiny_video):
         for frame_id in range(0, 400, 25):
