@@ -59,12 +59,10 @@ def make_video(spec: str) -> SyntheticVideo:
 
 def make_session(policy_name: str, dataset: str,
                  execution_mode: str = "vectorized",
-                 parallelism: int = 0,
                  store_path: str | None = None) -> EvaSession:
     policy = ReusePolicy(policy_name.lower())
     session = EvaSession(config=EvaConfig(
         reuse_policy=policy, execution_mode=execution_mode,
-        parallelism=parallelism,
         store_mode="durable" if store_path else "memory",
         store_path=store_path))
     session.register_video(make_video(dataset))
@@ -162,7 +160,6 @@ def run_script(session: EvaSession, path: str, stdout: IO[str]) -> int:
 def run_bench(policy_name: str, workload: str, frames: int,
               stdout: IO[str], artifacts: str | None = None,
               execution_mode: str = "vectorized",
-              parallelism: int = 0,
               store_path: str | None = None) -> int:
     from repro.vbench.queries import vbench_high, vbench_low
     from repro.vbench.workload import run_workload, workload_session
@@ -175,7 +172,6 @@ def run_bench(policy_name: str, workload: str, frames: int,
         "bench", frames)
     config = EvaConfig(reuse_policy=ReusePolicy(policy_name),
                        execution_mode=execution_mode,
-                       parallelism=parallelism,
                        store_mode="durable" if store_path else "memory",
                        store_path=store_path)
     session = workload_session(video, config)
@@ -200,8 +196,7 @@ def run_bench(policy_name: str, workload: str, frames: int,
 def run_trace(policy_name: str, dataset: str, sql: str,
               jsonl: str | None, stdout: IO[str],
               execution_mode: str = "vectorized",
-              chrome_trace: str | None = None,
-              parallelism: int = 0) -> int:
+              chrome_trace: str | None = None) -> int:
     """``repro trace``: run statements and print the span tree(s).
 
     Multiple ``;``-separated statements run on one session, so the second
@@ -213,8 +208,7 @@ def run_trace(policy_name: str, dataset: str, sql: str,
     from repro.obs.sinks import CompositeSink, InMemorySink, JsonlFileSink
 
     session = make_session(policy_name, dataset,
-                           execution_mode=execution_mode,
-                           parallelism=parallelism)
+                           execution_mode=execution_mode)
     tracer = session.tracer
     tracer.capture_operators = True
     memory = InMemorySink()
@@ -514,14 +508,13 @@ def run_flight(policy_name: str, dataset: str, sql: str,
                stdout: IO[str], *, stage: str | None = None,
                jsonl: str | None = None,
                execution_mode: str = "vectorized",
-               parallelism: int = 0,
                store_path: str | None = None,
                slo_p50: float | None = None,
                slo_p99: float | None = None) -> int:
     """``repro flight``: run statements and dump their flight records.
 
     Every SELECT yields one wide per-query record (stage breakdown,
-    lock waits, batcher/store-io/morsel telemetry, Eq. 3/4 costs);
+    lock waits, batcher/store-io telemetry, Eq. 3/4 costs);
     ``--stage`` filters by dominant stage, ``--jsonl`` exports the raw
     records, and ``--slo-p50/--slo-p99`` arm the violation column.
     """
@@ -536,7 +529,6 @@ def run_flight(policy_name: str, dataset: str, sql: str,
     policy = ReusePolicy(policy_name.lower())
     session = EvaSession(config=EvaConfig(
         reuse_policy=policy, execution_mode=execution_mode,
-        parallelism=parallelism,
         store_mode="durable" if store_path else "memory",
         store_path=store_path,
         slo_latency_p50=slo_p50, slo_latency_p99=slo_p99))
@@ -611,7 +603,6 @@ def run_lineage(policy_name: str, dataset: str, sql: str,
                 stdout: IO[str], *, view: str | None = None,
                 graph: str | None = None, jsonl: str | None = None,
                 execution_mode: str = "vectorized",
-                parallelism: int = 0,
                 store_path: str | None = None) -> int:
     """``repro lineage``: run statements and report view provenance.
 
@@ -628,7 +619,6 @@ def run_lineage(policy_name: str, dataset: str, sql: str,
     policy = ReusePolicy(policy_name.lower())
     session = EvaSession(config=EvaConfig(
         reuse_policy=policy, execution_mode=execution_mode,
-        parallelism=parallelism,
         store_mode="durable" if store_path else "memory",
         store_path=store_path))
     session.register_video(make_video(dataset))
@@ -929,10 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["vectorized", "row"],
                        help="column-at-a-time kernels (default) or the "
                             "row-at-a-time interpreter")
-        p.add_argument("--parallelism", type=int, default=0,
-                       help="morsel-driven worker threads per query "
-                            "(0/1 = serial; results and virtual costs "
-                            "are identical either way)")
         p.add_argument("--store-path", default=None, metavar="DIR",
                        help="back the session with a durable view store "
                             "at DIR (WAL + snapshots; reuse state "
@@ -956,9 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["vectorized", "row"],
                        help="column-at-a-time kernels (default) or the "
                             "row-at-a-time interpreter")
-    bench.add_argument("--parallelism", type=int, default=0,
-                       help="morsel-driven worker threads per query "
-                            "(0/1 = serial)")
     bench.add_argument("--store-path", default=None, metavar="DIR",
                        help="run against a durable view store at DIR "
                             "(snapshot + flush on completion)")
@@ -1130,7 +1113,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
         return run_bench(args.policy, args.workload, args.frames, stdout,
                          artifacts=args.artifacts,
                          execution_mode=args.execution_mode,
-                         parallelism=args.parallelism,
                          store_path=args.store_path)
     if args.command == "store":
         try:
@@ -1153,8 +1135,7 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
             return run_trace(args.policy, args.dataset, args.query,
                              args.jsonl, stdout,
                              execution_mode=args.execution_mode,
-                             chrome_trace=args.chrome_trace,
-                             parallelism=args.parallelism)
+                             chrome_trace=args.chrome_trace)
         except ValueError as error:
             print(f"error: {error}", file=stdout)
             return 2
@@ -1172,7 +1153,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
             return run_flight(args.policy, args.dataset, args.query,
                               stdout, stage=args.stage, jsonl=args.jsonl,
                               execution_mode=args.execution_mode,
-                              parallelism=args.parallelism,
                               store_path=args.store_path,
                               slo_p50=args.slo_p50, slo_p99=args.slo_p99)
         except ValueError as error:
@@ -1184,7 +1164,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
                                stdout, view=args.view, graph=args.graph,
                                jsonl=args.jsonl,
                                execution_mode=args.execution_mode,
-                               parallelism=args.parallelism,
                                store_path=args.store_path)
         except ValueError as error:
             print(f"error: {error}", file=stdout)
@@ -1210,7 +1189,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
     try:
         session = make_session(args.policy, args.dataset,
                                execution_mode=args.execution_mode,
-                               parallelism=args.parallelism,
                                store_path=args.store_path)
     except ValueError as error:
         print(f"error: {error}", file=stdout)

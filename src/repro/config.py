@@ -69,9 +69,8 @@ class EvaConfig:
     #: exploratory workloads where nearly every statement is distinct.
     plan_cache_size: int = 128
     #: Maximum entries in the process-wide plan→kernel cache (LRU).
-    #: Keyed structurally (scan ranges stripped) so morsels and repeat
-    #: queries share compiled plans; invalidated by cost-calibration
-    #: catalog rebuilds.
+    #: Keyed structurally (scan ranges stripped) so repeat queries share
+    #: compiled plans; invalidated by cost-calibration catalog rebuilds.
     kernel_cache_size: int = 64
     #: Slow-query log threshold in *virtual* seconds: queries whose
     #: virtual time meets it land in the session's
@@ -109,18 +108,6 @@ class EvaConfig:
     #: Minimum *executed* (non-reused) invocations before a model's
     #: observed cost is trusted for drift detection / calibration.
     calibration_min_invocations: int = 32
-    #: Morsel-driven intra-query parallelism: number of worker threads
-    #: driving the streaming suffix of the plan (scan / filter / project /
-    #: APPLY) over disjoint frame-range morsels.  ``0`` and ``1`` keep the
-    #: current serial path.  Results, view contents and per-query virtual
-    #: clock charges are identical to serial mode (the parallel
-    #: differential suite asserts this); only real seconds change.
-    parallelism: int = 0
-    #: Rows per morsel handed to a parallel worker.  Rounded up to a
-    #: multiple of ``batch_rows`` so serial batches are exactly the
-    #: concatenation of morsel batches (charge parity).  ``0`` picks
-    #: ``4 * batch_rows``.
-    morsel_rows: int = 0
     #: Cross-query inference micro-batching (server deployments): maximum
     #: number of tuples coalesced into one ``predict_batch`` call across
     #: concurrent clients targeting the same physical model.  Must
@@ -230,16 +217,10 @@ class EvaConfig:
             raise ValueError(
                 f"calibration_min_invocations must be >= 1, "
                 f"got {self.calibration_min_invocations!r}")
-        if self.parallelism < 0:
-            raise ValueError(
-                f"parallelism must be >= 0, got {self.parallelism!r}")
         if self.kernel_cache_size < 1:
             raise ValueError(
                 f"kernel_cache_size must be >= 1, "
                 f"got {self.kernel_cache_size!r}")
-        if self.morsel_rows < 0:
-            raise ValueError(
-                f"morsel_rows must be >= 0, got {self.morsel_rows!r}")
         if self.micro_batch_max_size < 1:
             raise ValueError(
                 f"micro_batch_max_size must be >= 1, "
@@ -327,17 +308,3 @@ class EvaConfig:
     def uses_views(self) -> bool:
         """Do plans consult materialized views (EVA and HashStash)?"""
         return self.reuse_policy in (ReusePolicy.EVA, ReusePolicy.HASHSTASH)
-
-    @property
-    def effective_morsel_rows(self) -> int:
-        """Morsel size rounded *up* to a multiple of ``batch_rows``.
-
-        Alignment guarantees that the batches a morsel produces are
-        exactly the batches the serial scan would have produced over the
-        same frame range, so per-batch virtual charges match serially.
-        """
-        rows = self.morsel_rows or 4 * self.batch_rows
-        remainder = rows % self.batch_rows
-        if remainder:
-            rows += self.batch_rows - remainder
-        return rows

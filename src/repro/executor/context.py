@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.baselines.hashstash import RecyclerGraph
@@ -33,32 +32,6 @@ def _builtin_area(bbox, frame=None) -> float:
     return bbox.area()
 
 
-class OnceGates:
-    """Thread-safe once-per-query gates shared by morsel workers.
-
-    Serial operators charge one-time costs (Eq. 3's hash-join setup)
-    behind a per-operator boolean; under morsel parallelism every morsel
-    clones the operator tree, so the boolean alone would multiply the
-    charge by the number of morsels.  A gate keyed by the plan node's
-    identity lets exactly one morsel win the charge — the *total* across
-    morsel clocks then matches the serial clock.
-    """
-
-    __slots__ = ("_lock", "_taken")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._taken: set = set()
-
-    def acquire(self, key) -> bool:
-        """True exactly once per distinct ``key``."""
-        with self._lock:
-            if key in self._taken:
-                return False
-            self._taken.add(key)
-            return True
-
-
 @dataclass
 class ExecutionContext:
     """Shared state for one session's operators."""
@@ -83,15 +56,10 @@ class ExecutionContext:
     #: ``submit(model, video, inputs) -> list`` method so the executor
     #: never imports server code.  None invokes models directly.
     inference: object | None = None
-    #: Once-per-query charge gates shared across morsel contexts during a
-    #: parallel run; None on the serial path (per-operator booleans
-    #: suffice there — one operator tree exists per query).
-    join_gates: OnceGates | None = None
     #: Process-wide plan→kernel cache
     #: (:class:`repro.executor.fusion.KernelCache`), duck-typed to avoid
     #: a context->fusion import cycle.  Shared by every client of a
-    #: server and every morsel worker (``for_morsel`` clones keep it);
-    #: None compiles every pipeline afresh.
+    #: server; None compiles every pipeline afresh.
     kernel_cache: object | None = None
     evaluator: ExpressionEvaluator = field(init=False)
 
@@ -128,15 +96,14 @@ class ExecutionContext:
                      inputs: Sequence) -> list:
         """Run ``model.predict_batch`` through the inference router.
 
-        Without a router this is a direct call plus the model's simulated
-        service latency (one serving round-trip per call).  With a router
-        (the server's :class:`~repro.server.batcher.InferenceBatcher`),
-        the call may be coalesced with concurrent clients' sub-batches
-        targeting the same physical model — results are identical, the
-        per-call service latency is amortized.  Virtual-clock charges are
+        Without a router this is a direct call.  With a router (the
+        server's :class:`~repro.server.batcher.InferenceBatcher`), the
+        call may be coalesced with concurrent clients' sub-batches
+        targeting the same physical model — results are identical.
+        Virtual-clock charges are
         *not* made here: the calling operator already charged
         ``len(inputs) * per_tuple_cost`` to its own clock, so each
-        client/morsel pays for exactly its own tuples no matter how the
+        client pays for exactly its own tuples no matter how the
         wall-clock work was shared.
         """
         flight = current_flight()
@@ -144,41 +111,7 @@ class ExecutionContext:
         try:
             if self.inference is not None:
                 return self.inference.submit(model, video, inputs)
-            outputs = model.predict_batch(video, inputs)
-            simulate = getattr(model, "simulate_service_latency", None)
-            if simulate is not None:
-                simulate(len(inputs))
-            return outputs
+            return model.predict_batch(video, inputs)
         finally:
             if flight is not None:
                 flight.add_inference(time.perf_counter() - started)
-
-    # -- once-per-query gates -------------------------------------------------
-
-    def acquire_join_gate(self, key) -> bool:
-        """Should the caller charge a once-per-query cost for ``key``?
-
-        Serial mode (no shared gates): always True — the per-operator
-        boolean guarding the call already makes it once-per-query.
-        Parallel mode: True for exactly one morsel across the run.
-        """
-        gates = self.join_gates
-        if gates is None:
-            return True
-        return gates.acquire(key)
-
-    # -- morsel cloning -------------------------------------------------------
-
-    def for_morsel(self, clock: SimulationClock,
-                   metrics: MetricsCollector) -> "ExecutionContext":
-        """A morsel-private context over this context's shared state.
-
-        The clone shares everything whose contents are global (catalog,
-        storage, view store, caches, cancel token, inference router, the
-        join gates) and takes a private ``clock`` and ``metrics`` so the
-        parallel driver can merge virtual charges and invocation records
-        deterministically — in morsel-index order — after the workers
-        finish.  The tracer is dropped: its span stacks are
-        thread-affine, and per-morsel spans are emitted by the driver.
-        """
-        return replace(self, clock=clock, metrics=metrics, tracer=None)

@@ -42,23 +42,12 @@ class ExecutionEngine:
     whole streaming suffix as one operator under the blocking operators
     of its prefix; the **row operator tree** builds one row-at-a-time
     operator per plan node — the test oracle, and the host of the
-    per-row baselines.
-
-    With ``EvaConfig.parallelism >= 2``, eligible plans run through the
-    morsel-driven :class:`~repro.executor.parallel.ParallelExecutor`
-    (results, view contents and virtual charges identical to serial
-    mode); everything else — and every plan under the instrumented
-    engine, whose per-operator measurement is single-threaded by design
-    — takes the serial path below.
+    per-row baselines.  Either way a query runs on the thread that
+    issued it.
     """
-
-    #: Subclasses that must observe every batch per-operator (the
-    #: instrumented engine) disable the parallel dispatch.
-    supports_parallel = True
 
     def __init__(self, context: ExecutionContext):
         self.context = context
-        self._parallel = None
 
     def uses_row_tree(self) -> bool:
         """Does this session run on the row operator tree?
@@ -122,14 +111,6 @@ class ExecutionEngine:
 
     def run(self, plan: PhysicalPlan) -> Batch:
         """Execute ``plan`` to completion and return the result batch."""
-        if self.supports_parallel and self.context.config.parallelism >= 2:
-            from repro.executor.parallel import ParallelExecutor
-
-            if self._parallel is None:
-                self._parallel = ParallelExecutor(self.context)
-            batch = self._parallel.run(plan, self)
-            if batch is not None:
-                return batch
         root = self.build(plan)
         batch = root.run_to_completion()
         self.record_kernel_fallbacks(root)

@@ -29,11 +29,11 @@ The plan→kernel cache
 Compilation is off the hot path: a process-wide :class:`KernelCache`
 (LRU, ``EvaConfig.kernel_cache_size``) maps a *structural* plan key —
 the chain's node reprs with scan ranges stripped, plus the reuse policy
-— to its ``FusedPlan``.  Stripping the ranges is what lets every morsel
-of a parallel query (and every client of a shared server) reuse one
-compiled plan.  Cost-calibration catalog rebuilds invalidate the cache
-the same way they clear the session plan cache.  A context without a
-cache compiles the same pipeline on every build.
+— to its ``FusedPlan``.  Stripping the ranges is what lets repeat
+queries over different windows (and every client of a shared server)
+reuse one compiled plan.  Cost-calibration catalog rebuilds invalidate
+the cache the same way they clear the session plan cache.  A context
+without a cache compiles the same pipeline on every build.
 """
 
 from __future__ import annotations
@@ -70,9 +70,8 @@ from repro.optimizer.plans import (
 from repro.storage.batch import Batch
 
 #: Plan nodes that stream batches without cross-batch state: the
-#: pipeline runs them, and morsels may run them per frame range.
-#: Everything else (GROUP BY, DISTINCT, ORDER BY, LIMIT) is a blocking
-#: operator above the pipeline.
+#: pipeline runs them.  Everything else (GROUP BY, DISTINCT, ORDER BY,
+#: LIMIT) is a blocking operator above the pipeline.
 STREAMING_NODES = (PhysScan, PhysFilter, PhysProject,
                    PhysClassifierApply, PhysDetectorApply)
 
@@ -101,9 +100,9 @@ class KernelCache:
 
     Keyed like the PR 1 session plan cache (an ``OrderedDict`` LRU with
     an eviction counter), but **process-wide**: one instance is shared by
-    every client of an :class:`~repro.server.state.SharedReuseState` and
-    by every morsel thread, so hit/miss/eviction counters are guarded by
-    a lock.  Calibration rebuilds call :meth:`invalidate`.
+    every client of an :class:`~repro.server.state.SharedReuseState`,
+    so hit/miss/eviction counters are guarded by a lock.  Calibration
+    rebuilds call :meth:`invalidate`.
     """
 
     def __init__(self, capacity: int):
@@ -299,11 +298,11 @@ def _project_batch(batch: Batch, rt: _FusedRuntime, spec: tuple) -> Batch:
 def fusion_key(chain: list[PhysicalPlan], config) -> tuple:
     """Structural cache key for a streaming chain.
 
-    Scan ranges are stripped so the morsel clones of a parallel query
-    (which differ *only* in ranges) share one compiled plan; everything
-    else the compiled form depends on — node structure, expressions,
-    signatures — is captured through the frozen-dataclass reprs, plus
-    the reuse policy the APPLY stages run under.
+    Scan ranges are stripped so plans that differ *only* in ranges
+    (repeat queries over different windows) share one compiled plan;
+    everything else the compiled form depends on — node structure,
+    expressions, signatures — is captured through the frozen-dataclass
+    reprs, plus the reuse policy the APPLY stages run under.
     """
     parts = []
     for node in chain:

@@ -65,12 +65,6 @@ class InstrumentedOperator(Operator):
 class InstrumentedEngine(ExecutionEngine):
     """Execution engine that wraps every operator it builds."""
 
-    #: Per-operator measurement pulls every batch through the wrappers on
-    #: one thread; morsel parallelism would bypass them.  Instrumented
-    #: runs therefore always execute serially (the determinism contract
-    #: makes this observationally identical apart from wall time).
-    supports_parallel = False
-
     def __init__(self, context: ExecutionContext):
         super().__init__(context)
         self.instrumented: dict[int, InstrumentedOperator] = {}

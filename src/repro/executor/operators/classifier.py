@@ -60,9 +60,6 @@ class ClassifierApplyOperator(Operator):
         self.column = udf_column_name(term_key(node.call))
         self._view_name = f"mv::{node.signature}"
         self._join_charged = False
-        #: Once-per-query gate key: stable across the morsel clones of
-        #: this plan node, so exactly one morsel charges the join setup.
-        self._join_gate_key = ("join", "classifier", node.signature)
         self.kernel_mode = "row"
 
     def execute(self) -> Iterator[Batch]:
@@ -132,9 +129,7 @@ class ClassifierApplyOperator(Operator):
         if view is not None and pending:
             costs = self.context.costs
             if not self._join_charged:
-                if self.context.acquire_join_gate(self._join_gate_key):
-                    self.context.clock.charge(CostCategory.JOIN,
-                                              costs.join_setup)
+                self.context.clock.charge(CostCategory.JOIN, costs.join_setup)
                 self._join_charged = True
             self.context.clock.charge(
                 CostCategory.READ_VIEW,
@@ -266,9 +261,8 @@ class ClassifierApplyOperator(Operator):
         if view is None:
             return None
         if not self._join_charged:
-            if self.context.acquire_join_gate(self._join_gate_key):
-                self.context.clock.charge(CostCategory.JOIN,
-                                          self.context.costs.join_setup)
+            self.context.clock.charge(CostCategory.JOIN,
+                                      self.context.costs.join_setup)
             self._join_charged = True
         self.context.clock.charge(CostCategory.READ_VIEW,
                                   self.context.costs.view_read_per_key)

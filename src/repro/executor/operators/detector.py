@@ -54,9 +54,6 @@ class DetectorApplyOperator(Operator):
         ]
         self._fallback_model = self._pick_fallback()
         self._join_charged = False
-        #: Once-per-query gate key: stable across the morsel clones of
-        #: this plan node, so exactly one morsel charges the join setup.
-        self._join_gate_key = ("join", "detector", node.signature)
         self.kernel_mode = "row"
         # HashStash state: combined recycler results and this query's
         # fresh output (a new recycler entry).
@@ -225,9 +222,7 @@ class DetectorApplyOperator(Operator):
                 still.extend(group)
                 continue
             if not self._join_charged:
-                if self.context.acquire_join_gate(self._join_gate_key):
-                    self.context.clock.charge(CostCategory.JOIN,
-                                              costs.join_setup)
+                self.context.clock.charge(CostCategory.JOIN, costs.join_setup)
                 self._join_charged = True
             self.context.clock.charge(
                 CostCategory.READ_VIEW,
@@ -371,9 +366,8 @@ class DetectorApplyOperator(Operator):
             return None
         if not self._join_charged:
             # The 3*C_M hash-join setup of Eq. 3, charged once per query.
-            if self.context.acquire_join_gate(self._join_gate_key):
-                self.context.clock.charge(CostCategory.JOIN,
-                                          self.context.costs.join_setup)
+            self.context.clock.charge(CostCategory.JOIN,
+                                      self.context.costs.join_setup)
             self._join_charged = True
         key = (frame.frame_id,)
         costs = self.context.costs

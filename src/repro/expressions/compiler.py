@@ -193,7 +193,7 @@ def compile_expression(expr: Expression,
 # ---------------------------------------------------------------------------
 #
 # Fused plans (executor/fusion.py) cache compiled kernels and share them
-# across queries, sessions, and morsel threads.  The kernel's own
+# across queries, sessions, and server client threads.  The kernel's own
 # ``batches`` / ``fallback_batches`` counters are per-instance state and
 # would race (and misattribute) under sharing, so the pipeline runs
 # kernels through these functions, which report runtime fallbacks into a

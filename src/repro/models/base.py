@@ -45,33 +45,6 @@ class VisionModel(abc.ABC):
         self.name = name
         self.per_tuple_cost = per_tuple_cost
         self.device = device
-        #: Simulated *wall* latency of one serving round-trip (seconds
-        #: per ``predict_batch`` call), plus a per-tuple component.  Both
-        #: default to 0 (no sleeping): they exist so benchmarks and
-        #: stress tests can model the paper's inference-dominated regime
-        #: — where each model call carries real accelerator latency that
-        #: (a) overlaps across morsel workers and (b) amortizes when the
-        #: server's :class:`~repro.server.batcher.InferenceBatcher`
-        #: coalesces several clients' sub-batches into one call.  Wall
-        #: latency never affects results or virtual-clock charges.
-        self.service_latency_per_call = 0.0
-        self.service_latency_per_tuple = 0.0
-
-    def simulate_service_latency(self, num_inputs: int) -> None:
-        """Sleep for one serving round-trip over ``num_inputs`` tuples.
-
-        Called once per physical ``predict_batch`` dispatch by
-        :meth:`repro.executor.context.ExecutionContext.invoke_model` and
-        by the server's inference batcher (once per *coalesced* call —
-        that single shared round-trip is the amortization being
-        measured).  A no-op at the default zero latencies.
-        """
-        seconds = (self.service_latency_per_call
-                   + num_inputs * self.service_latency_per_tuple)
-        if seconds > 0:
-            import time
-
-            time.sleep(seconds)
 
     def predict_batch(self, video: SyntheticVideo,
                       inputs: Sequence) -> list:

@@ -42,8 +42,8 @@ class ModelZoo:
         """A fresh zoo over shallow copies of this zoo's models.
 
         Same names, same logical types, same behaviour — but a setting
-        poked on a clone's model (``service_latency_per_*``,
-        ``per_tuple_cost``) stays off the originals, which
+        poked on a clone's model (``per_tuple_cost``, a wrapped
+        ``predict_batch``) stays off the originals, which
         :func:`default_zoo` shares process-wide.
         """
         other = ModelZoo()

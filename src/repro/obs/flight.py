@@ -15,21 +15,16 @@ module anchors:
   window occupancy (:class:`~repro.server.batcher.InferenceBatcher`);
 * **store I/O** — WAL append/fsync, snapshot, and promotion seconds
   (:mod:`repro.store.wal` / :mod:`repro.store.durable`);
-* **morsel skew** — per-morsel wall durations of a parallel run
-  (:mod:`repro.executor.parallel`);
 * plus kernel fallbacks, the #TI/#DI hit/miss breakdown, and the summed
   Eq. 3/4 costs of the plan's reuse decisions.
 
 Instrumented components never hold a reference to a recorder: they call
 the module-level hooks (:func:`record_lock_wait`, :func:`record_store_io`,
-:func:`record_inference`, :func:`record_batcher_wait`,
-:func:`record_morsels`), which resolve the **thread-local**
-:class:`FlightContext` installed by the session for the duration of the
-query.  With no context installed every hook is a dictionary miss — no
-``perf_counter`` calls, no allocation — so library code paths that never
-asked for flight data pay nothing.  Morsel worker threads do not inherit
-the context; their wall time reaches the record through the morsel-skew
-summary instead (the driver thread records it).
+:func:`record_inference`, :func:`record_batcher_wait`), which resolve
+the **thread-local** :class:`FlightContext` installed by the session for
+the duration of the query.  With no context installed every hook is a
+dictionary miss — no ``perf_counter`` calls, no allocation — so library
+code paths that never asked for flight data pay nothing.
 
 Stage accounting: ``queueing + contention + inference + store-io +
 compute == total_s`` by construction (compute is the residual), where
@@ -51,7 +46,7 @@ from repro.obs.slo import STAGES, SloTracker, attribute
 __all__ = [
     "FlightContext", "FlightRecorder", "FlightStats", "STAGES",
     "current_flight", "record_batcher_wait", "record_inference",
-    "record_lock_wait", "record_morsels", "record_store_io",
+    "record_lock_wait", "record_store_io",
 ]
 
 #: Store I/O kinds a context accumulates (fixed so the record — and its
@@ -62,14 +57,13 @@ STORE_IO_KINDS = ("wal_append", "fsync", "snapshot", "promotion")
 class FlightContext:
     """Mutable per-query accumulator, installed thread-locally.
 
-    Not thread-safe by design: exactly one worker thread executes a
-    query between ``begin`` and ``finish`` (morsel threads do not see
-    the context — see module docstring).
+    Not thread-safe by design: exactly one thread executes a query
+    between ``begin`` and ``finish``.
     """
 
     __slots__ = ("queue_wait_s", "lock_waits", "store_io", "inference_s",
                  "leader_windows", "follower_rides", "batcher_wait_s",
-                 "max_window_requests", "morsel_walls")
+                 "max_window_requests")
 
     def __init__(self, queue_wait_s: float = 0.0):
         self.queue_wait_s = max(0.0, queue_wait_s)
@@ -81,7 +75,6 @@ class FlightContext:
         self.follower_rides = 0
         self.batcher_wait_s = 0.0
         self.max_window_requests = 0
-        self.morsel_walls: list[float] = []
 
     # -- hook targets --------------------------------------------------------
 
@@ -109,9 +102,6 @@ class FlightContext:
         self.batcher_wait_s += seconds
         if window_requests > self.max_window_requests:
             self.max_window_requests = window_requests
-
-    def set_morsels(self, wall_seconds) -> None:
-        self.morsel_walls = [float(w) for w in wall_seconds]
 
     # -- derived -------------------------------------------------------------
 
@@ -157,12 +147,6 @@ def record_batcher_wait(role: str, seconds: float,
     ctx = current_flight()
     if ctx is not None:
         ctx.add_batcher_wait(role, seconds, window_requests)
-
-
-def record_morsels(wall_seconds) -> None:
-    ctx = current_flight()
-    if ctx is not None:
-        ctx.set_morsels(wall_seconds)
 
 
 class FlightStats:
@@ -304,8 +288,6 @@ class FlightRecorder:
         }
         over_slo = self.slo.observe(total)
         dominant = attribute(stages)
-        walls = ctx.morsel_walls
-        mean_wall = (sum(walls) / len(walls)) if walls else 0.0
         record = {
             "type": "flight",
             "flight_id": self._new_flight_id(),
@@ -340,13 +322,6 @@ class FlightRecorder:
             "store_io": {
                 **{kind: round(ctx.store_io.get(kind, 0.0), 9)
                    for kind in STORE_IO_KINDS},
-            },
-            "morsels": {
-                "count": len(walls),
-                "max_wall_s": round(max(walls), 9) if walls else 0.0,
-                "mean_wall_s": round(mean_wall, 9),
-                "skew": round(max(walls) / mean_wall, 6)
-                if walls and mean_wall > 0 else 0.0,
             },
             "kernel_fallbacks": kernel_fallbacks,
             "invocations": dict(invocations),

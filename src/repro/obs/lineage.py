@@ -24,8 +24,7 @@ a per-query :class:`QueryLineage` accumulator into a thread-local;
 :mod:`repro.storage.view_store` calls the module-level ``record_*``
 hooks, which are dict-miss no-ops when no query is active (so recovery,
 deserialization, and direct store manipulation never pollute
-attribution).  Totals are pure commutative counts, so morsel-parallel
-execution folds to the same ledger as the serial run.
+attribution).
 
 Every quantity exported by :meth:`ViewLedger.export_records` is
 restart-stable — logical sequence numbers instead of wall timestamps —
@@ -61,17 +60,15 @@ def parse_view_name(name: str) -> tuple[str | None, str | None]:
 
 
 class QueryLineage:
-    """Commutative per-query view-touch counts (thread-safe).
+    """Per-query view-touch counts.
 
-    Worker threads of the morsel-parallel executor share the driver's
-    instance; all fields are additive counters or min/max folds, so the
-    aggregate is independent of interleaving.
+    Not thread-safe by design: a query runs on the thread that issued
+    it, and the session installs one instance per query on that thread.
     """
 
-    __slots__ = ("_lock", "probes", "writes", "creates")
+    __slots__ = ("probes", "writes", "creates")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         #: name -> [hits, misses, rows_served]
         self.probes: dict[str, list[int]] = {}
         #: name -> [fresh_keys, fresh_rows, frame_lo, frame_hi]
@@ -81,34 +78,31 @@ class QueryLineage:
 
     def record_probe(self, name: str, hits: int, misses: int,
                      rows: int) -> None:
-        with self._lock:
-            slot = self.probes.get(name)
-            if slot is None:
-                self.probes[name] = [hits, misses, rows]
-            else:
-                slot[0] += hits
-                slot[1] += misses
-                slot[2] += rows
+        slot = self.probes.get(name)
+        if slot is None:
+            self.probes[name] = [hits, misses, rows]
+        else:
+            slot[0] += hits
+            slot[1] += misses
+            slot[2] += rows
 
     def record_write(self, name: str, keys: int, rows: int,
                      frame_lo, frame_hi) -> None:
-        with self._lock:
-            slot = self.writes.get(name)
-            if slot is None:
-                self.writes[name] = [keys, rows, frame_lo, frame_hi]
-            else:
-                slot[0] += keys
-                slot[1] += rows
-                if frame_lo is not None:
-                    slot[2] = (frame_lo if slot[2] is None
-                               else min(slot[2], frame_lo))
-                    slot[3] = (frame_hi if slot[3] is None
-                               else max(slot[3], frame_hi))
+        slot = self.writes.get(name)
+        if slot is None:
+            self.writes[name] = [keys, rows, frame_lo, frame_hi]
+        else:
+            slot[0] += keys
+            slot[1] += rows
+            if frame_lo is not None:
+                slot[2] = (frame_lo if slot[2] is None
+                           else min(slot[2], frame_lo))
+                slot[3] = (frame_hi if slot[3] is None
+                           else max(slot[3], frame_hi))
 
     def record_create(self, name: str) -> None:
-        with self._lock:
-            if name not in self.creates:
-                self.creates.append(name)
+        if name not in self.creates:
+            self.creates.append(name)
 
     @property
     def touched(self) -> bool:

@@ -1,13 +1,9 @@
 """Cross-client inference micro-batching (continuous batching).
 
-The server-side complement of the morsel executor: where
-:mod:`repro.executor.parallel` splits one query into concurrent
-sub-batches, the :class:`InferenceBatcher` *merges* miss sub-batches
-from concurrent clients that target the same physical model into a
-single ``predict_batch`` call.  In the paper's inference-dominated
-regime every model call carries real serving latency (a GPU round-trip
-— here simulated by
-:meth:`~repro.models.base.VisionModel.simulate_service_latency`); one
+The :class:`InferenceBatcher` *merges* miss sub-batches from concurrent
+clients that target the same physical model into a single
+``predict_batch`` call.  In the paper's inference-dominated regime
+every model call carries real serving latency (a GPU round-trip); one
 coalesced call amortizes the per-call component across every rider.
 
 Design — leader/follower continuous batching, one queue per
@@ -294,11 +290,6 @@ class InferenceBatcher:
             merged.extend(request.inputs)
         try:
             outputs = model.predict_batch(video, merged)
-            simulate = getattr(model, "simulate_service_latency", None)
-            if simulate is not None:
-                # One shared round-trip for the whole coalesced call:
-                # this is the per-call latency amortization.
-                simulate(len(merged))
             if len(outputs) != len(merged):
                 raise RuntimeError(
                     f"{model.name}.predict_batch returned {len(outputs)} "

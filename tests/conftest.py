@@ -5,24 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import EvaConfig, ReusePolicy
-from repro.models.zoo import default_zoo
 from repro.session import EvaSession
 from repro.types import VideoMetadata
 from repro.video.synthetic import SyntheticVideo
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_service_latency():
-    """``default_zoo()`` registers module-level model singletons: a
-    simulated latency left on one makes every later test sleep once per
-    ``predict_batch``.  Set latency on ``default_zoo().clone()``."""
-    yield
-    zoo = default_zoo()
-    leaked = {
-        name: latency for name in zoo.names()
-        if any(latency := (zoo.get(name).service_latency_per_call,
-                           zoo.get(name).service_latency_per_tuple))}
-    assert not leaked, f"test left service latency on shared models: {leaked}"
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Tests for individual execution-engine pieces: relational operators,
 the function cache, and the HashStash recycler graph."""
 
+import threading
+
 import pytest
 
 from repro.baselines.hashstash import RecyclerEntry, RecyclerGraph
@@ -159,6 +161,41 @@ class TestFunctionCache:
         assert cache.entries("f") == 0
 
 
+class TestFunctionCacheLru:
+    def _cache(self, max_entries: int):
+        from repro.costs import CostConstants
+        from repro.executor.function_cache import FunctionCache
+        from repro.metrics import MetricsCollector
+
+        metrics = MetricsCollector()
+        cache = FunctionCache(SimulationClock(), CostConstants(),
+                              max_entries=max_entries, metrics=metrics)
+        return cache, metrics
+
+    def test_evicts_least_recently_used(self):
+        cache, metrics = self._cache(max_entries=2)
+        cache.store("udf", "a", 1)
+        cache.store("udf", "b", 2)
+        assert cache.lookup("udf", "a", 0) == (True, 1)  # refresh "a"
+        cache.store("udf", "c", 3)  # evicts "b"
+        assert cache.lookup("udf", "b", 0)[0] is False
+        assert cache.lookup("udf", "a", 0)[0] is True
+        assert cache.lookup("udf", "c", 0)[0] is True
+        assert cache.evictions == 1
+        assert metrics.counters.get("funcache_evictions") == 1
+
+    def test_unbounded_when_zero(self):
+        cache, _ = self._cache(max_entries=0)
+        for i in range(100):
+            cache.store("udf", i, i)
+        assert cache.total_entries() == 100
+        assert cache.evictions == 0
+
+    def test_config_knob_validated(self):
+        with pytest.raises(ValueError):
+            EvaConfig(funcache_max_entries=-1)
+
+
 class TestRecyclerGraph:
     def test_union_deduplicates_and_counts_reads(self):
         graph = RecyclerGraph()
@@ -201,3 +238,55 @@ class TestHashStashBehavior:
         stats = session.metrics.udf_stats
         assert stats["fasterrcnn_resnet50"].reused_invocations == 30
         assert stats["car_type"].reused_invocations == 0
+
+
+class TestOneThreadPerQuery:
+    """A query runs on the thread that issued it: concurrency is across
+    clients and across workers, never inside one query."""
+
+    def test_probes_stores_and_model_calls_stay_on_the_caller(
+            self, monkeypatch):
+        from repro.models.zoo import default_zoo
+        from repro.storage.view_store import MaterializedView
+        from repro.types import VideoMetadata
+        from repro.video.synthetic import SyntheticVideo
+
+        seen: list[tuple[str, int]] = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("get_many", "put_many"):
+            monkeypatch.setattr(
+                MaterializedView, name,
+                recording(name, getattr(MaterializedView, name)))
+        zoo = default_zoo().clone()
+        for name in zoo.names():
+            model = zoo.get(name)
+            model.predict_batch = recording("predict_batch",
+                                            model.predict_batch)
+        session = EvaSession(config=EvaConfig(), zoo=zoo)
+        # Longer than four default scan batches, so the scan is many
+        # batches and the second query probes every one of them.
+        session.register_video(SyntheticVideo(
+            VideoMetadata(name="long", num_frames=2500, width=960,
+                          height=540, fps=25.0, vehicles_per_frame=2.0),
+            seed=7))
+        sql = ("SELECT id, label FROM long CROSS APPLY "
+               "FastRCNNObjectDetector(frame) WHERE label = 'car';")
+        miss = session.execute(sql)
+        calls_after_miss = len(seen)
+        hit = session.execute(sql)
+        assert hit.rows == miss.rows
+        names = [name for name, _ in seen]
+        assert "predict_batch" in names[:calls_after_miss]
+        assert "put_many" in names[:calls_after_miss]
+        assert set(names[calls_after_miss:]) == {"get_many"}
+        assert {ident for _, ident in seen} == {threading.get_ident()}
+
+    def test_intra_query_threads_are_not_a_knob(self):
+        with pytest.raises(TypeError):
+            EvaConfig(parallelism=2)

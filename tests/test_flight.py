@@ -237,7 +237,6 @@ class TestFlightContextHooks:
         ctx.add_store_io("fsync", 0.75)
         ctx.add_batcher_wait("leader", 0.1, 3)
         ctx.add_batcher_wait("follower", 0.2, 5)
-        ctx.set_morsels([0.1, 0.3])
         assert ctx.contention_s == pytest.approx(0.75)
         assert ctx.store_io_s == pytest.approx(0.75)
         record = recorder.finish(
@@ -262,8 +261,6 @@ class TestFlightContextHooks:
         assert record["batcher"] == {
             "leader_windows": 1, "follower_rides": 1,
             "wait_s": pytest.approx(0.3), "max_window_requests": 5}
-        assert record["morsels"]["count"] == 2
-        assert record["morsels"]["skew"] == pytest.approx(1.5)
         validate(record, FLIGHT_SCHEMA)
 
     def test_abort_clears_context(self):
@@ -397,17 +394,6 @@ class TestSessionFlight:
         assert event["flight_id"] == record["flight_id"]
         assert event["dominant_stage"] == record["dominant_stage"]
         validate(event, TRACE_SCHEMA)
-
-    def test_parallel_run_reports_morsel_skew(self, make_session):
-        session, memory = self.make_recorded_session(
-            make_session, parallelism=2, morsel_rows=50, batch_rows=50)
-        session.execute(DETECT)
-        record = memory.events("flight")[0]
-        assert record["morsels"]["count"] >= 2
-        assert record["morsels"]["max_wall_s"] >= \
-            record["morsels"]["mean_wall_s"]
-        assert record["morsels"]["skew"] >= 1.0
-        validate(record, FLIGHT_SCHEMA)
 
 
 class TestPrometheusExposition:

@@ -221,10 +221,9 @@ class TestKernelCache:
         with pytest.raises(ValueError):
             EvaConfig(kernel_cache_size=0)
 
-    def test_morsel_clones_share_one_key(self):
+    def test_plans_differing_only_in_scan_ranges_share_one_key(self):
         from dataclasses import replace
 
-        from repro.executor.parallel import _replace_scan
         from repro.optimizer.plans import PhysScan, PhysFilter
         from repro.parser.parser import parse_predicate
 
@@ -234,8 +233,9 @@ class TestKernelCache:
                           predicate=parse_predicate("id < 10"))
         chain = [plan, scan]
         key = fusion_key(chain, config)
-        morsel = _replace_scan(plan, ((128, 256),))
-        assert fusion_key([morsel, morsel.child], config) == key
+        windowed = replace(scan, ranges=((128, 256),))
+        assert fusion_key([replace(plan, child=windowed), windowed],
+                          config) == key
         other = replace(plan,
                         predicate=parse_predicate("id < 11"))
         assert fusion_key([other, scan], config) != key

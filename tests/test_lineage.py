@@ -5,8 +5,7 @@ bump, derivation edges, Eq. 3 arithmetic, 8-client thread-safety), the
 durable-restart provenance-equality guarantee (recovered ledger matches
 the uninterrupted run byte for byte in JSONL form), the differential
 guard (the ledger changes no query results, view contents, or virtual
-clocks at parallelism 1 / 2 / 8), the wasted-materialization
-acceptance check, and the ``repro lineage`` / ``repro top`` CLI
+clocks), the wasted-materialization acceptance check, and the ``repro lineage`` / ``repro top`` CLI
 surfaces.
 """
 
@@ -481,15 +480,12 @@ class TestReplayIsNotQueryWork:
 
 class TestDifferentialGuard:
     """The ledger must be a pure observer: identical results, view
-    contents, and virtual clocks with it on or off, serial or morsel-
-    parallel."""
+    contents, and virtual clocks with it on or off."""
 
-    MORSEL = dict(batch_rows=50, morsel_rows=50)
-
-    def _run(self, video, *, view_ledger: bool, parallelism: int):
+    def _run(self, video, *, view_ledger: bool):
         session = EvaSession(config=EvaConfig(
-            reuse_policy=ReusePolicy.EVA, parallelism=parallelism,
-            view_ledger=view_ledger, **self.MORSEL))
+            reuse_policy=ReusePolicy.EVA, view_ledger=view_ledger,
+            batch_rows=50))
         session.register_video(video)
         outcomes = [session.execute(sql.rstrip(";")) for sql in QUERIES]
         results = [(tuple(r.columns), tuple(r.rows)) for r in outcomes]
@@ -502,12 +498,9 @@ class TestDifferentialGuard:
                   if category is not CostCategory.OPTIMIZE}
         return results, views, clocks
 
-    @pytest.mark.parametrize("parallelism", (1, 2, 8))
-    def test_ledger_changes_nothing(self, tiny_video, parallelism):
-        on = self._run(tiny_video, view_ledger=True,
-                       parallelism=parallelism)
-        off = self._run(tiny_video, view_ledger=False,
-                        parallelism=parallelism)
+    def test_ledger_changes_nothing(self, tiny_video):
+        on = self._run(tiny_video, view_ledger=True)
+        off = self._run(tiny_video, view_ledger=False)
         assert on[0] == off[0]
         assert on[1] == off[1]
         assert set(on[2]) == set(off[2])

@@ -46,16 +46,24 @@ def make_video(name: str = TABLE, frames: int = FRAMES) -> SyntheticVideo:
 
 
 def latency_zoo(per_call: float = 0.0):
-    """Picklable zoo factory: default zoo with simulated serving latency
-    (spawned workers build their own zoo, so the knob must travel in
-    the factory — and onto a clone: ``PoolServer`` also calls the
-    factory in the parent, whose ``default_zoo()`` models are singletons
-    every later test shares)."""
+    """Picklable zoo factory: default zoo whose every ``predict_batch``
+    takes ``per_call`` extra wall seconds — a slow model.  Spawned
+    workers build their own zoo by calling the factory, so the wrappers
+    below are never pickled; they go onto a clone because ``PoolServer``
+    also calls the factory in the parent, whose ``default_zoo()`` models
+    are singletons every later test shares."""
     from repro.models.zoo import default_zoo
+
+    def slowed(predict_batch):
+        def slow_predict_batch(video, inputs):
+            time.sleep(per_call)
+            return predict_batch(video, inputs)
+        return slow_predict_batch
 
     zoo = default_zoo().clone()
     for name in zoo.names():
-        zoo.get(name).service_latency_per_call = per_call
+        model = zoo.get(name)
+        model.predict_batch = slowed(model.predict_batch)
     return zoo
 
 

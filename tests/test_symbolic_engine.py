@@ -3,8 +3,10 @@
 import pytest
 
 from repro.catalog.statistics import UniformIntStatistics
+from repro.config import EvaConfig, ReusePolicy
 from repro.errors import UnsupportedPredicateError
 from repro.parser.parser import parse
+from repro.session import EvaSession
 from repro.symbolic.conjunctive import Conjunctive
 from repro.symbolic.dnf import DnfPredicate, dimension_of
 from repro.symbolic.domains import NumericConstraint
@@ -115,3 +117,76 @@ class TestTermPreservation:
         union = engine.union(a, b)
         rendered = union.to_expression().to_sql()
         assert "cartype" in rendered and "colordet" in rendered
+
+
+class TestSymbolicMemo:
+    def _engine(self, memo_size: int = 16):
+        from repro.symbolic.engine import SymbolicEngine
+
+        return SymbolicEngine(memo_size=memo_size)
+
+    def _where(self, sql: str):
+        from repro.parser.parser import parse
+
+        return parse(f"SELECT id FROM t WHERE {sql};").where
+
+    def test_repeated_reductions_hit(self):
+        engine = self._engine()
+        first = engine.analyze(self._where("id < 100 AND id >= 20"))
+        again = engine.analyze(self._where("id < 100 AND id >= 20"))
+        stats = engine.memo_stats()
+        assert stats.hits >= 1
+        assert first.conjunctives == again.conjunctives
+
+    def test_intersection_and_difference_memoized(self):
+        engine = self._engine()
+        p1 = engine.analyze(self._where("id < 300"))
+        p2 = engine.analyze(self._where("id >= 100"))
+        before = engine.memo_stats()
+        inter1 = engine.intersection(p1, p2)
+        inter2 = engine.intersection(p1, p2)
+        diff1 = engine.difference(p1, p2)
+        diff2 = engine.difference(p1, p2)
+        delta = engine.memo_stats().delta(before)
+        assert delta.hits == 2
+        assert delta.misses == 2
+        assert inter1.conjunctives == inter2.conjunctives
+        assert diff1.conjunctives == diff2.conjunctives
+
+    def test_memoized_results_semantically_identical(self):
+        memo = self._engine(memo_size=64)
+        plain = self._engine(memo_size=0)
+        shapes = ["id < 250", "id < 250 AND label = 'car'",
+                  "id >= 50 AND id < 250", "label != 'bus' OR id = 3"]
+        for sql in shapes * 2:  # second pass hits the memo
+            expr = self._where(sql)
+            assert (memo.analyze(expr).conjunctives
+                    == plain.analyze(expr).conjunctives), sql
+        assert memo.memo_stats().hits >= len(shapes)
+        assert plain.memo_stats() .misses == 0
+
+    def test_lru_bound_and_evictions(self):
+        engine = self._engine(memo_size=2)
+        for bound in (10, 20, 30, 40):
+            engine.analyze(self._where(f"id < {bound}"))
+        stats = engine.memo_stats()
+        assert stats.size <= 2
+        assert stats.evictions >= 2
+
+    def test_session_surfaces_counters(self, tiny_video):
+        session = EvaSession(config=EvaConfig(reuse_policy=ReusePolicy.EVA))
+        session.register_video(tiny_video)
+        overlapping = [
+            "SELECT id FROM tiny CROSS APPLY "
+            "FastRCNNObjectDetector(frame) "
+            f"WHERE id < {bound} AND label = 'car';"
+            for bound in (100, 200, 300)
+        ]
+        for sql in overlapping:
+            session.execute(sql)
+        assert session.metrics.counters.get("symbolic_memo_hits", 0) > 0
+        from repro.obs.audit import KIND_SYMBOLIC_MEMO
+
+        records = [r for r in session.last_optimized.audit
+                   if r.kind == KIND_SYMBOLIC_MEMO]
+        assert records and records[-1].costs["memo_hits"] > 0

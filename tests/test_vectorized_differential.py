@@ -4,8 +4,8 @@ Runs every VBENCH query (plus randomized predicate queries and
 aggregate/sort shapes) twice — once under ``execution_mode="row"`` (the
 row operator tree, the oracle) and once under ``"vectorized"`` (the
 streaming pipeline: compiled kernels, bulk view probes, batched model
-invocation; serial and with morsel parallelism) — for every reuse policy
-and with fuzzy reuse on, and asserts that
+invocation) — for every reuse policy and with fuzzy reuse on, and
+asserts that
 
 * every query returns the identical result batch (columns and rows),
 * the materialized-view stores end up with identical contents, and
@@ -57,12 +57,11 @@ def _clock_totals(session: EvaSession) -> dict:
 
 def assert_modes_equivalent(queries, video,
                             policy: ReusePolicy = ReusePolicy.EVA,
-                            parallelism: int = 0, **config):
-    """``config`` applies to both sessions; ``parallelism`` only to the
-    engine under test (the oracle stays serial).  Returns both."""
+                            **config):
+    """``config`` applies to both sessions.  Returns both."""
     row_session, row_out = _run(queries, video, policy, "row", **config)
     vec_session, vec_out = _run(queries, video, policy, "vectorized",
-                                parallelism=parallelism, **config)
+                                **config)
     for index, (row_result, vec_result) in enumerate(zip(row_out, vec_out)):
         assert vec_result == row_result, f"query {index} diverged"
     assert _view_contents(vec_session) == _view_contents(row_session)
@@ -107,11 +106,6 @@ class TestVbenchDifferential:
         # hits: exercises the bulk get_many hit partition.
         queries = vbench_high("tiny", FRAMES)[:2]
         assert_modes_equivalent(queries + queries, tiny_video)
-
-    @pytest.mark.parametrize("parallelism", [1, 2, 8])
-    def test_vbench_high_parallel(self, tiny_video, parallelism):
-        assert_modes_equivalent(vbench_high("tiny", FRAMES)[:4],
-                                tiny_video, parallelism=parallelism)
 
     def test_sparse_video(self, sparse_video):
         # Sparse frames produce empty detection sets: empty keys must be
