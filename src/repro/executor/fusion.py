@@ -320,9 +320,9 @@ def _scan_column_pruning(chain: list[PhysicalPlan]
     Pruning applies only when the boundary is a star-free project: the
     project's output then fully determines what downstream operators can
     see, so any base column no chain expression (or APPLY stage)
-    references never needs to be built — in particular ``frame``, whose
-    per-row handle construction dominates scan wall time.  APPLY stages
-    pin their operating set: a detector reads ``id``/``frame`` and feeds
+    references is never built (``frame`` is a lazy range either way,
+    ``id`` and ``timestamp`` are one list each).  APPLY stages pin their
+    operating set: a detector reads ``id``/``frame`` and feeds
     ``timestamp`` (when present) to its source predicates; a classifier
     reads ``frame``.  The READ_VIDEO charge is per-row and unaffected.
     """

@@ -10,7 +10,10 @@ FunCache it probes the execution-time cache; otherwise it always evaluates.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator
+
+import numpy as np
 
 from repro.clock import CostCategory
 from repro.config import ReusePolicy
@@ -23,7 +26,12 @@ from repro.expressions.evaluator import udf_column_name
 from repro.models.base import PatchClassifierModel
 from repro.models.filters import SpecializedFilter
 from repro.optimizer.plans import PhysClassifierApply
-from repro.storage.batch import Batch, materialize_column
+from repro.storage.batch import (
+    Batch,
+    frame_ids,
+    has_duplicates,
+    materialize_column,
+)
 from repro.types import BoundingBox
 from repro.video.frames import Frame
 
@@ -87,46 +95,50 @@ class ClassifierApplyOperator(Operator):
         being stored then re-probed within one batch) or when key
         computation fails (the row path must surface its exact error
         after its partial charges).
+
+        Frames travel as ids (:func:`~repro.storage.batch.frame_ids`): a
+        frame filter's view is keyed by ``(frame_id,)`` and is probed
+        with the id array itself; a patch classifier's keys pair each id
+        with its rounded box.
         """
         n = batch.num_rows
         if n == 0:
             return []
         if not batch.has_column("frame"):
             return None  # row path raises its KeyError
-        frames: list[Frame] = batch.column_values("frame")
+        video_name, ids = frame_ids(batch.column("frame"))
         if self.kind is UdfKind.FRAME_FILTER:
-            keys = [(frame.frame_id,) for frame in frames]
+            keys = ids
             bboxes = None
         else:
             if not batch.has_column("bbox"):
                 return None  # row path raises its "needs a bbox" error
             bboxes = batch.column_values("bbox")
-            if any(not isinstance(b, BoundingBox) for b in bboxes):
+            if not all(map(isinstance, bboxes, repeat(BoundingBox))):
                 return None
-            keys = [(frame.frame_id, bbox_view_key(bbox))
-                    for frame, bbox in zip(frames, bboxes)]
+            keys = list(zip(ids.tolist(), map(bbox_view_key, bboxes)))
         use_view = policy is ReusePolicy.EVA and self.node.use_view
         if not use_view:
             # NONE / EVA-without-view: evaluate everything.
             values: list = [None] * n
-            self._evaluate_batch(batch, frames, keys, range(n), values)
+            self._evaluate_batch(video_name, ids, bboxes, keys,
+                                 np.arange(n), values)
             return values
-        if self.node.store and len(set(keys)) != len(keys):
+        if self.node.store and has_duplicates(keys):
             # A duplicate key stored by an earlier row becomes a view hit
             # for a later row *within the same batch* — per-row semantics
             # the bulk probe cannot reproduce.
             return None
         values = [None] * n
-        pending = list(range(n))
+        pending = np.arange(n)
         view = self.context.view_store.get(self._view_name)
         if view is None and self.node.store:
             # Legacy semantics: the first row evaluates + stores, which
             # *creates* the view; the remaining rows then probe it.
-            first = pending[0]
-            values[first] = self._resolve(batch.row(first), policy)
+            values[0] = self._resolve(batch.row(0), policy)
             pending = pending[1:]
             view = self.context.view_store.get(self._view_name)
-        if view is not None and pending:
+        if view is not None and len(pending):
             costs = self.context.costs
             if not self._join_charged:
                 self.context.clock.charge(CostCategory.JOIN, costs.join_setup)
@@ -134,70 +146,65 @@ class ClassifierApplyOperator(Operator):
             self.context.clock.charge(
                 CostCategory.READ_VIEW,
                 len(pending) * costs.view_read_per_key)
-            hits = view.get_many([keys[i] for i in pending])
-            stored = materialize_column(hits.column("value"))
-            position = 0
-            hit_keys = []
-            misses = []
-            for i, count in zip(pending, hits.counts):
-                if count:
-                    values[i] = stored[position]
-                    position += count
-                    hit_keys.append((frames[i].video_name,) + keys[i])
-                else:
-                    misses.append(i)
-            if hit_keys:
+            hits = view.get_many(_at(keys, pending))
+            positions, counts = hits.hit_positions()
+            # A key stored with no row is a miss, as in the row path.
+            firsts = (np.cumsum(counts) - counts)[counts > 0]
+            positions = positions[counts > 0]
+            if len(positions):
+                found = pending[positions]
+                stored = materialize_column(hits.column("value"))
+                for i, row in zip(found.tolist(), firsts.tolist()):
+                    values[i] = stored[row]
                 self.context.clock.charge(
                     CostCategory.READ_VIEW,
-                    len(hit_keys) * costs.view_read_per_row)
+                    len(found) * costs.view_read_per_row)
                 self.context.metrics.record_invocations(
-                    self.model.name, hit_keys, True,
-                    per_tuple_cost=self.model.per_tuple_cost)
-            pending = misses
-        if pending:
-            self._evaluate_batch(batch, frames, keys, pending, values)
+                    self.model.name, _at(keys, found), True,
+                    per_tuple_cost=self.model.per_tuple_cost,
+                    video=video_name)
+                missed = np.ones(len(pending), dtype=bool)
+                missed[positions] = False
+                pending = pending[missed]
+        if len(pending):
+            self._evaluate_batch(video_name, ids, bboxes, keys, pending,
+                                 values)
             if self.node.store:
                 self._store_batch(keys, values, pending)
         return values
 
-    def _evaluate_batch(self, batch: Batch, frames: list[Frame],
-                        keys: list[tuple], indices, values: list) -> None:
-        """Model-evaluate ``indices`` with one invocation per sub-batch.
+    def _evaluate_batch(self, video_name: str, ids: np.ndarray,
+                        bboxes: list | None, keys, indices: np.ndarray,
+                        values: list) -> None:
+        """Model-evaluate the rows at ``indices`` with one invocation.
 
-        Groups by video (a model instance is invoked against one video),
-        charges ``len(group) * per_tuple_cost`` — the same total the
+        Charges ``len(indices) * per_tuple_cost`` — the same total the
         per-row path accumulates — and records the invocations in bulk.
         """
-        by_video: dict[str, list[int]] = {}
-        for i in indices:
-            by_video.setdefault(frames[i].video_name, []).append(i)
-        bboxes = (batch.column("bbox")
-                  if self.kind is not UdfKind.FRAME_FILTER else None)
-        for video_name, group in by_video.items():
-            video = self.context.video(video_name)
-            self.context.clock.charge(
-                CostCategory.UDF,
-                len(group) * self.model.per_tuple_cost)
-            if self.kind is UdfKind.FRAME_FILTER:
-                inputs = [frames[i].frame_id for i in group]
-            else:
-                inputs = [(frames[i].frame_id, bboxes[i]) for i in group]
-            outputs = self.context.invoke_model(self.model, video, inputs)
-            for i, value in zip(group, outputs):
-                values[i] = value
-            self.context.metrics.record_invocations(
-                self.model.name,
-                [(video_name,) + keys[i] for i in group], False,
-                per_tuple_cost=self.model.per_tuple_cost)
+        video = self.context.video(video_name)
+        self.context.clock.charge(
+            CostCategory.UDF, len(indices) * self.model.per_tuple_cost)
+        rows = indices.tolist()
+        inputs = ids[indices].tolist()
+        if bboxes is not None:
+            inputs = list(zip(inputs, map(bboxes.__getitem__, rows)))
+        outputs = self.context.invoke_model(self.model, video, inputs)
+        for i, value in zip(rows, outputs):
+            values[i] = value
+        self.context.metrics.record_invocations(
+            self.model.name, _at(keys, indices), False,
+            per_tuple_cost=self.model.per_tuple_cost, video=video_name)
 
-    def _store_batch(self, keys: list[tuple], values: list,
-                     indices: list[int]) -> None:
+    def _store_batch(self, keys, values: list, indices: np.ndarray) -> None:
         """Bulk STORE: one ``put_many`` and one materialize charge."""
         view = self.context.view_store.create_or_get(
             self._view_name, ["id", "bbox_key"], ["value"])
+        stored = _at(keys, indices)
+        if isinstance(stored, np.ndarray):
+            stored = [(frame_id,) for frame_id in stored.tolist()]
         inserted = view.put_many(
-            [keys[i] for i in indices], [1] * len(indices),
-            {"value": [values[i] for i in indices]})
+            stored, [1] * len(indices),
+            {"value": [values[i] for i in indices.tolist()]})
         added = sum(inserted)
         if added:
             self.context.clock.charge(
@@ -332,6 +339,16 @@ class ClassifierApplyOperator(Operator):
         return value
 
     def _record(self, frame: Frame, key: tuple, reused: bool) -> None:
+        # A frame filter's input is its frame id, as the batch path records.
         self.context.metrics.record_invocations(
-            self.model.name, [(frame.video_name,) + key], reused,
-            per_tuple_cost=self.model.per_tuple_cost)
+            self.model.name,
+            [frame.frame_id if self.kind is UdfKind.FRAME_FILTER else key],
+            reused, per_tuple_cost=self.model.per_tuple_cost,
+            video=frame.video_name)
+
+
+def _at(keys, indices: np.ndarray):
+    """``keys`` (a frame-id array or a key list) at ``indices``."""
+    if isinstance(keys, np.ndarray):
+        return keys[indices]
+    return list(map(keys.__getitem__, indices.tolist()))

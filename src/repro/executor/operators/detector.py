@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.clock import CostCategory
 from repro.baselines.hashstash import RecyclerEntry
 from repro.config import ReusePolicy
@@ -29,10 +31,11 @@ from repro.executor.operators.base import Operator
 from repro.models.base import ObjectDetectorModel
 from repro.optimizer.plans import DetectorSource, PhysDetectorApply
 from repro.optimizer.udf_manager import UdfSignature
-from repro.storage.batch import Batch, ColumnView
+from repro.storage.batch import Batch, ColumnView, frame_ids, has_duplicates
 from repro.symbolic.compiled import compile_dnf
 from repro.types import Detection
 from repro.video.frames import Frame
+from repro.video.synthetic import SyntheticVideo
 
 #: Output columns the detector adds to each row.
 DETECTOR_COLUMNS = ("label", "bbox", "score", "area")
@@ -125,6 +128,10 @@ class DetectorApplyOperator(Operator):
         fallback model.  Virtual charges mirror the row path exactly; the
         clock is additive so interleaving order is irrelevant.
 
+        Frames travel as ids (:func:`~repro.storage.batch.frame_ids`):
+        the probe takes the id array, the model the miss ids, and ``area``
+        the video's frame size — no frame handle is built.
+
         Returns None to request row fallback when per-row interleaving
         could change results: duplicate frame keys within the batch
         (an early STORE turns a later probe into a hit), or STORE mode
@@ -136,45 +143,38 @@ class DetectorApplyOperator(Operator):
             return Batch()
         if not (batch.has_column("frame") and batch.has_column("id")):
             return None  # row path raises its KeyError
-        frames: list[Frame] = batch.column_values("frame")
-        seen: set[tuple[str, int]] = set()
-        for frame in frames:
-            key = (frame.video_name, frame.frame_id)
-            if key in seen:
-                return None
-            seen.add(key)
-        videos = {frame.video_name for frame in frames}
+        video_name, ids = frame_ids(batch.column("frame"))
+        if has_duplicates(ids):
+            return None
         view_store = self.context.view_store
-        if self.node.store:
-            for source, _, model in self._sources:
-                if not source.use_view:
-                    continue
-                for video_name in videos:
-                    if view_store.get(
-                            self._view_name(model.name, video_name)) is None:
-                        return None
+        if self.node.store and any(
+                source.use_view and view_store.get(
+                    self._view_name(model.name, video_name)) is None
+                for source, _, model in self._sources):
+            return None
+        video = self.context.video(video_name)
         #: ``(input rows, detections per row, output columns)`` of every
         #: group a source resolved, in resolution order.
-        parts: list[tuple[list[int], list[int], dict]] = []
-        pending: list[int] = list(range(n))
+        parts: list[tuple[np.ndarray, np.ndarray, dict]] = []
+        pending = np.arange(n)
         values_list: list[dict] | None = None  # built on first model source
         for source, predicate, model in self._sources:
-            if not pending:
+            if not len(pending):
                 break
             if source.use_view:
-                pending = self._probe_view_batch(model, frames, pending,
+                pending = self._probe_view_batch(model, video, ids, pending,
                                                  parts)
                 continue
             if values_list is None:
                 values_list = self._predicate_values(batch)
-            matched = [i for i in pending if predicate(values_list[i])]
-            if matched:
-                self._evaluate_many(model, frames, matched, parts,
-                                    store=self.node.store)
-                matched_set = set(matched)
-                pending = [i for i in pending if i not in matched_set]
-        if pending:
-            self._evaluate_many(self._fallback_model, frames, pending,
+            matched = np.array([predicate(values_list[i])
+                                for i in pending.tolist()], dtype=bool)
+            if matched.any():
+                self._evaluate_many(model, video, ids, pending[matched],
+                                    parts, store=self.node.store)
+                pending = pending[~matched]
+        if len(pending):
+            self._evaluate_many(self._fallback_model, video, ids, pending,
                                 parts, store=self.node.store)
         return self._assemble(batch, parts)
 
@@ -201,95 +201,78 @@ class DetectorApplyOperator(Operator):
         return values_list
 
     def _probe_view_batch(self, model: ObjectDetectorModel,
-                          frames: list[Frame], pending: list[int],
-                          parts: list) -> list[int]:
-        """Bulk LEFT OUTER JOIN against one model's views; returns misses.
+                          video: SyntheticVideo, ids: np.ndarray,
+                          pending: np.ndarray, parts: list) -> np.ndarray:
+        """Bulk LEFT OUTER JOIN against the model's view; returns misses.
 
-        The hit rows' output columns are zero-copy views over the
-        materialized view's own columns; ``area`` is a derived in-memory
-        column of the view (a video's frames share one size), computed
-        once per stored row rather than once per probe.
+        The view is probed with the pending rows' frame ids.  The hit
+        rows' output columns are zero-copy views over the materialized
+        view's own columns; ``area`` is a derived in-memory column of the
+        view (a video's frames share one size), computed once per stored
+        row rather than once per probe.
         """
-        by_video: dict[str, list[int]] = {}
-        for i in pending:
-            by_video.setdefault(frames[i].video_name, []).append(i)
-        still: list[int] = []
+        view = self.context.view_store.get(
+            self._view_name(model.name, video.name))
+        if view is None:
+            return pending
         costs = self.context.costs
-        for video_name, group in by_video.items():
-            view = self.context.view_store.get(
-                self._view_name(model.name, video_name))
-            if view is None:
-                still.extend(group)
-                continue
-            if not self._join_charged:
-                self.context.clock.charge(CostCategory.JOIN, costs.join_setup)
-                self._join_charged = True
+        if not self._join_charged:
+            self.context.clock.charge(CostCategory.JOIN, costs.join_setup)
+            self._join_charged = True
+        self.context.clock.charge(
+            CostCategory.READ_VIEW, len(pending) * costs.view_read_per_key)
+        hits = view.get_many(ids[pending])
+        positions, counts = hits.hit_positions()
+        if not len(positions):
+            return pending
+        if hits.num_rows:
             self.context.clock.charge(
                 CostCategory.READ_VIEW,
-                len(group) * costs.view_read_per_key)
-            hits = view.get_many([(frames[i].frame_id,) for i in group])
-            found: list[int] = []
-            counts: list[int] = []
-            for i, count in zip(group, hits.counts):
-                if count is None:
-                    still.append(i)
-                else:
-                    found.append(i)
-                    counts.append(count)
-            if not found:
-                continue
-            if hits.num_rows:
-                self.context.clock.charge(
-                    CostCategory.READ_VIEW,
-                    hits.num_rows * costs.view_read_per_row)
-            self.context.metrics.record_invocations(
-                model.name, [frames[i].cache_key() for i in found], True,
-                per_tuple_cost=model.per_tuple_cost)
-            columns = {name: hits.column(name)
-                       for name in VIEW_OUTPUT_COLUMNS}
-            columns["area"] = hits.derived(
-                "area", "bbox", _relative_area(frames[found[0]]))
-            parts.append((found, counts, columns))
-        still.sort()
-        return still
+                hits.num_rows * costs.view_read_per_row)
+        found = pending[positions]
+        self.context.metrics.record_invocations(
+            model.name, ids[found], True,
+            per_tuple_cost=model.per_tuple_cost, video=video.name)
+        columns = {name: hits.column(name) for name in VIEW_OUTPUT_COLUMNS}
+        columns["area"] = hits.derived("area", "bbox", _relative_area(video))
+        parts.append((found, counts, columns))
+        missed = np.ones(len(pending), dtype=bool)
+        missed[positions] = False
+        return pending[missed]
 
     def _evaluate_many(self, model: ObjectDetectorModel,
-                       frames: list[Frame], indices: list[int],
-                       parts: list, store: bool) -> None:
-        """One ``predict_batch`` per (model, video) sub-batch + bulk STORE."""
-        by_video: dict[str, list[int]] = {}
-        for i in indices:
-            by_video.setdefault(frames[i].video_name, []).append(i)
-        for video_name, group in by_video.items():
-            video = self.context.video(video_name)
-            self.context.clock.charge(
-                CostCategory.UDF, len(group) * model.per_tuple_cost)
-            outputs = self.context.invoke_model(
-                model, video, [frames[i].frame_id for i in group])
-            self.context.metrics.record_invocations(
-                model.name, [frames[i].cache_key() for i in group], False,
-                per_tuple_cost=model.per_tuple_cost)
-            counts = [len(detections) for detections in outputs]
-            flat = [d for detections in outputs for d in detections]
-            columns = {"label": [d.label for d in flat],
-                       "bbox": [d.bbox for d in flat],
-                       "score": [d.score for d in flat]}
-            if store:
-                view = self.context.view_store.create_or_get(
-                    self._view_name(model.name, video_name), ["id"],
-                    VIEW_OUTPUT_COLUMNS)
-                inserted = view.put_many(
-                    [(frames[i].frame_id,) for i in group], counts, columns)
-                stored_rows = sum(
-                    max(1, count)
-                    for count, was_new in zip(counts, inserted) if was_new)
-                if stored_rows:
-                    self.context.clock.charge(
-                        CostCategory.MATERIALIZE,
-                        stored_rows * self.context.costs.materialize_per_row)
-            columns["area"] = list(map(_relative_area(frames[group[0]]),
-                                       columns["bbox"]))
-            parts.append((group, counts, columns))
+                       video: SyntheticVideo, ids: np.ndarray,
+                       indices: np.ndarray, parts: list,
+                       store: bool) -> None:
+        """One ``predict_batch`` over the rows at ``indices`` + bulk
+        STORE."""
+        self.context.clock.charge(
+            CostCategory.UDF, len(indices) * model.per_tuple_cost)
+        inputs = ids[indices].tolist()
+        outputs = self.context.invoke_model(model, video, inputs)
+        self.context.metrics.record_invocations(
+            model.name, inputs, False,
+            per_tuple_cost=model.per_tuple_cost, video=video.name)
+        counts = [len(detections) for detections in outputs]
+        flat = [d for detections in outputs for d in detections]
+        columns = {"label": [d.label for d in flat],
+                   "bbox": [d.bbox for d in flat],
+                   "score": [d.score for d in flat]}
+        if store:
+            view = self.context.view_store.create_or_get(
+                self._view_name(model.name, video.name), ["id"],
+                VIEW_OUTPUT_COLUMNS)
+            inserted = view.put_many(
+                [(frame_id,) for frame_id in inputs], counts, columns)
+            stored_rows = sum(
+                max(1, count)
+                for count, was_new in zip(counts, inserted) if was_new)
+            if stored_rows:
+                self.context.clock.charge(
+                    CostCategory.MATERIALIZE,
+                    stored_rows * self.context.costs.materialize_per_row)
+        columns["area"] = list(map(_relative_area(video), columns["bbox"]))
+        parts.append((indices, np.array(counts, dtype=np.int64), columns))
 
     @staticmethod
     def _assemble(batch: Batch, parts: list) -> Batch:
@@ -297,28 +280,29 @@ class DetectorApplyOperator(Operator):
 
         One part — every row answered by the same view or model, the
         common case — already is the output, in input order.  Several
-        parts are concatenated and read back through one index list that
+        parts are concatenated and read back through one index array that
         restores input order.
         """
         if len(parts) == 1:
             rows, counts, columns = parts[0]
             order = None
         else:
-            spans: dict[int, range] = {}
             columns = {name: [] for name in DETECTOR_COLUMNS}
-            total = 0
-            for rows, counts, part_columns in parts:
+            for _, _, part_columns in parts:
                 for name, values in part_columns.items():
                     columns[name].extend(values)
-                for i, count in zip(rows, counts):
-                    spans[i] = range(total, total + count)
-                    total += count
-            rows = sorted(spans)
-            counts = [len(spans[i]) for i in rows]
-            order = [position for i in rows for position in spans[i]]
-        indices = [i for i, count in zip(rows, counts)
-                   for _ in range(count)]
-        if not indices:
+            rows = np.concatenate([part[0] for part in parts])
+            counts = np.concatenate([part[1] for part in parts])
+            # Where each row's detections start in the concatenation.
+            starts = np.cumsum(counts) - counts
+            by_row = np.argsort(rows, kind="stable")
+            rows, counts, starts = rows[by_row], counts[by_row], \
+                starts[by_row]
+            ends = np.cumsum(counts)
+            order = (np.arange(ends[-1] if len(ends) else 0)
+                     + np.repeat(starts - ends + counts, counts))
+        indices = np.repeat(rows, counts)
+        if not len(indices):
             return Batch()
         if order is not None:
             columns = {name: ColumnView(values, order)
@@ -467,8 +451,8 @@ class DetectorApplyOperator(Operator):
     def _record(self, model_name: str, frame: Frame, reused: bool) -> None:
         model = self.context.catalog.zoo.get(model_name)
         self.context.metrics.record_invocations(
-            model_name, [frame.cache_key()], reused,
-            per_tuple_cost=model.per_tuple_cost)
+            model_name, [frame.frame_id], reused,
+            per_tuple_cost=model.per_tuple_cost, video=frame.video_name)
 
     @staticmethod
     def _view_name(model_name: str, video_name: str) -> str:
@@ -476,7 +460,7 @@ class DetectorApplyOperator(Operator):
         return f"mv::{signature.key()}"
 
 
-def _relative_area(frame: Frame):
-    """``bbox -> AREA(bbox)`` for the video ``frame`` belongs to."""
-    width, height = frame.width, frame.height
+def _relative_area(video: SyntheticVideo):
+    """``bbox -> AREA(bbox)`` for the frames of ``video``."""
+    width, height = video.metadata.width, video.metadata.height
     return lambda bbox: bbox.relative_area(width, height)

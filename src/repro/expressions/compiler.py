@@ -217,12 +217,14 @@ def run_kernel_values(kernel: CompiledKernel, batch: Batch,
 
 def run_kernel_mask(kernel: CompiledKernel, batch: Batch,
                     counts: dict | None = None,
-                    label: str = "") -> list[bool]:
-    """:meth:`CompiledKernel.evaluate_mask` with caller-owned counts."""
+                    label: str = "") -> np.ndarray | list[bool]:
+    """:meth:`CompiledKernel.evaluate_mask` with caller-owned counts; a
+    vectorized mask stays a bool array (``Batch.filter_mask`` takes it
+    as is)."""
     fn = kernel._fn
     if fn is not None:
         try:
-            return _materialize_mask(fn(batch), batch.num_rows)
+            return _as_bool_array(fn(batch), batch.num_rows)
         except ExecutorError:
             if counts is not None:
                 counts[label] = counts.get(label, 0) + 1

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.clock import ClockSnapshot, CostCategory, SimulationClock
 
 
@@ -25,19 +27,32 @@ class UdfInvocationStats:
     per_tuple_cost: float = 0.0
     total_invocations: int = 0
     reused_invocations: int = 0
-    _distinct_keys: set = field(default_factory=set, repr=False)
+    #: video name -> the distinct input keys seen on that video.
+    _distinct_keys: dict[str, set] = field(default_factory=dict,
+                                           repr=False)
 
     @property
     def distinct_invocations(self) -> int:
-        return len(self._distinct_keys)
+        return sum(map(len, self._distinct_keys.values()))
 
-    def record(self, keys, reused: bool) -> None:
-        """Record a batch of invocations identified by hashable ``keys``."""
+    def record(self, keys, reused: bool, video: str = "") -> None:
+        """Record a batch of invocations on ``video`` identified by
+        hashable ``keys`` — or by an int array of frame ids, the same
+        inputs as those ids as Python ints."""
         count = len(keys)
         self.total_invocations += count
         if reused:
             self.reused_invocations += count
-        self._distinct_keys.update(keys)
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
+        self._distinct_keys.setdefault(video, set()).update(keys)
+
+    def merge(self, other: "UdfInvocationStats") -> None:
+        """Fold ``other``'s counts and distinct keys into this one."""
+        self.total_invocations += other.total_invocations
+        self.reused_invocations += other.reused_invocations
+        for video, keys in other._distinct_keys.items():
+            self._distinct_keys.setdefault(video, set()).update(keys)
 
     @property
     def executed_invocations(self) -> int:
@@ -115,9 +130,11 @@ class MetricsCollector:
         return stats
 
     def record_invocations(self, udf_name: str, keys, reused: bool,
-                           per_tuple_cost: float = 0.0) -> None:
-        """Record UDF invocations; ``keys`` identify distinct inputs."""
-        self.stats_for(udf_name, per_tuple_cost).record(keys, reused)
+                           per_tuple_cost: float = 0.0,
+                           video: str = "") -> None:
+        """Record UDF invocations on ``video``; ``keys`` (or frame ids)
+        identify distinct inputs."""
+        self.stats_for(udf_name, per_tuple_cost).record(keys, reused, video)
         if self._open_query is not None:
             self._open_udf_counts[udf_name] += len(keys)
             if reused:

@@ -59,6 +59,8 @@ from itertools import compress
 from multiprocessing.connection import Client as _ConnClient
 from typing import Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 import repro.errors as _errors
 from repro.config import EvaConfig
 from repro.errors import ServerError, WorkerCrashedError
@@ -373,9 +375,13 @@ class RemoteViewHandle:
         record_view_probe(self._name, rows)
         return rows
 
-    def get_many(self, keys: list[Key]) -> ViewHits:
+    def get_many(self, keys: Iterable[Key] | np.ndarray) -> ViewHits:
+        # A frame-id array travels as an array: as a list of numpy
+        # scalars it would reach the owner as key-less probes.
+        if not isinstance(keys, np.ndarray):
+            keys = list(keys)
         hits = self._peer.call("view_get_many", self._name,
-                               self._client_id, list(keys))
+                               self._client_id, keys)
         record_view_probe_many(self._name, hits)
         return hits
 

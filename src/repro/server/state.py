@@ -33,6 +33,8 @@ import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
+import numpy as np
+
 from repro.catalog.catalog import Catalog
 from repro.clock import SimulationClock
 from repro.config import EvaConfig
@@ -193,19 +195,26 @@ class ClientViewHandle:
                                         owner)
         return rows
 
-    def get_many(self, keys: list[Key]) -> ViewHits:
+    def get_many(self, keys: Iterable[Key] | np.ndarray) -> ViewHits:
         """Bulk probe under one read-lock acquisition.
 
         Hit attribution is preserved: every present key is reported to the
         server stats with the client that first materialized it, exactly
         as the per-key path does — just without re-acquiring the RW lock
-        per row.
+        per row.  Owners are looked up by the hit keys themselves, so key
+        lists, one-shot iterables and frame-id arrays attribute alike.
         """
+        if not isinstance(keys, np.ndarray):
+            keys = list(keys)  # the probe consumes an iterator
         with self._lock.read_locked():
             hits = self._view.get_many(keys)
-            owners = [self._owners.get(key)
-                      for key, count in zip(keys, hits.counts)
-                      if count is not None]
+            positions = hits.hit_positions()[0].tolist()
+            if isinstance(keys, np.ndarray):
+                hit_keys = [(frame_id,)
+                            for frame_id in keys[positions].tolist()]
+            else:
+                hit_keys = [keys[i] for i in positions]
+            owners = [self._owners.get(key) for key in hit_keys]
         if self._stats is not None:
             name = self._view.name
             for owner in owners:

@@ -533,10 +533,7 @@ def merged_metrics(collectors) -> MetricsCollector:
     merged = MetricsCollector()
     for collector in collectors:
         for name, stats in collector.udf_stats.items():
-            target = merged.stats_for(name, stats.per_tuple_cost)
-            target.total_invocations += stats.total_invocations
-            target.reused_invocations += stats.reused_invocations
-            target._distinct_keys.update(stats._distinct_keys)
+            merged.stats_for(name, stats.per_tuple_cost).merge(stats)
         merged.query_metrics.extend(collector.query_metrics)
         for counter, value in collector.counters.items():
             merged.counters[counter] += value

@@ -9,18 +9,26 @@ paper's batch-level processing (section 5.3).
 Row-subset transforms (``take`` / ``filter_mask`` / ``slice``) are
 zero-copy: they return :class:`ColumnView` columns — a (base, indices)
 indirection over the source column — instead of copying every value.  The
-selection index list is built once per batch and shared by every column, so
-selecting k rows out of an n-row, c-column batch costs O(k + c) instead of
-O(k * c); columns that are never read downstream are never copied at all.
+selection index array is built once per batch and shared by every column,
+so selecting k rows out of an n-row, c-column batch costs O(k + c) instead
+of O(k * c); columns that are never read downstream are never copied at
+all.  Nested selections compose their index arrays by numpy fancy-indexing.
 A view materializes (copies) lazily, at most once, on first element access.
 Batches are immutable by convention, which is what makes the aliasing safe;
 :func:`aliasing_debug` turns on a checker that verifies the convention.
+
+A scan's ``frame`` column is a :class:`FrameColumn`: frames ``[start,
+stop)`` of one video, a :class:`~repro.video.frames.Frame` handle built
+only when an element is read.  The APPLY operators never read one: they
+take ``(video, frame ids)`` from :func:`frame_ids`.
 """
 
 from __future__ import annotations
 
 import contextlib
 from typing import Any, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import ExecutorError
 
@@ -96,27 +104,91 @@ def aliasing_debug():
         _debug.reset()
 
 
-class ColumnView(Sequence):
-    """A zero-copy view over a base column list.
+class FrameColumn(Sequence):
+    """The ``frame`` column of one scan batch: frames ``[start, stop)`` of
+    ``video``, each handle built only when that element is read."""
 
-    Either a contiguous range (``start``/``stop``) or an explicit index
-    list selects rows from ``base``.  Length is O(1); element access goes
+    __slots__ = ("video", "start", "stop")
+
+    def __init__(self, video, start: int, stop: int):
+        self.video = video
+        self.start = start
+        self.stop = stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, item):
+        selected = range(self.start, self.stop)[item]
+        if isinstance(item, slice):
+            return list(map(self.video.frame, selected))
+        return self.video.frame(selected)
+
+    def __iter__(self) -> Iterator:
+        return map(self.video.frame, range(self.start, self.stop))
+
+
+def frame_ids(column) -> tuple[str, np.ndarray]:
+    """``(video name, int64 frame ids)`` of a ``frame`` column.
+
+    A scan's lazy column (or a selection of it) answers from its range
+    without building a handle; a plain list of frames is read element by
+    element.  A pipeline batch comes from one scan, hence one video; a
+    column that spans videos is an error.
+    """
+    base, indices = column, None
+    if isinstance(column, ColumnView) and column._materialized is None:
+        base = column._base
+        indices = column._indices
+        if indices is None:
+            indices = np.arange(column._start, column._stop)
+    if isinstance(base, FrameColumn):
+        if indices is None:
+            return base.video.name, np.arange(base.start, base.stop)
+        return base.video.name, indices + base.start
+    frames = materialize_column(column)
+    names = {frame.video_name for frame in frames}
+    if len(names) > 1:
+        raise ExecutorError(
+            f"a frame column spans videos {sorted(names)}; a pipeline "
+            "batch comes from one scan")
+    ids = np.fromiter((frame.frame_id for frame in frames), dtype=np.int64,
+                      count=len(frames))
+    return (names.pop() if names else ""), ids
+
+
+def has_duplicates(keys) -> bool:
+    """Whether ``keys`` — an int array or a list of hashables — repeats a
+    value.  (Not ``np.unique``: its first call imports ``numpy.ma``, a
+    megabyte of resident memory.)"""
+    if not isinstance(keys, np.ndarray):
+        return len(set(keys)) != len(keys)
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+class ColumnView(Sequence):
+    """A zero-copy view over a base column.
+
+    Either a contiguous range (``start``/``stop``) or an int64 index array
+    selects rows from ``base``.  Length is O(1); element access goes
     through a lazily cached materialization, so a view costs nothing until
-    (unless) it is actually read, and at most one copy ever.  Index lists
+    (unless) it is actually read, and at most one copy ever.  Index arrays
     are shared between all columns of the batch that created the views.
     """
 
     __slots__ = ("_base", "_indices", "_start", "_stop", "_materialized")
 
-    def __init__(self, base: list, indices: list | None = None,
+    def __init__(self, base: Sequence, indices=None,
                  start: int = 0, stop: int | None = None):
         self._base = base
-        self._indices = indices
         self._materialized: list | None = None
         if indices is None:
+            self._indices = None
             self._start = start
             self._stop = len(base) if stop is None else stop
         else:
+            self._indices = np.asarray(indices, dtype=np.int64)
             self._start = 0
             self._stop = len(indices)
         if _debug.enabled:
@@ -141,7 +213,7 @@ class ColumnView(Sequence):
             if indices is None:
                 values = base[self._start:self._stop]
             else:
-                values = list(map(base.__getitem__, indices))
+                values = list(map(base.__getitem__, indices.tolist()))
             self._materialized = values
         return values
 
@@ -168,7 +240,6 @@ class ColumnView(Sequence):
 
     def __array__(self, dtype=None, copy=None):
         """Numpy interop: ``np.asarray(view)`` converts via one list."""
-        import numpy as np
         array = np.asarray(self.materialized())
         if dtype is not None:
             array = array.astype(dtype, copy=False)
@@ -189,12 +260,12 @@ def materialize_column(values) -> list:
     return list(values)
 
 
-def _view_take(values, indices: list, memo: dict):
+def _view_take(values, indices: np.ndarray, memo: dict):
     """A view of ``values`` at ``indices``, flattening nested views.
 
-    Composed index lists are memoised by the identity of the inner
-    indirection so sibling columns created by the same earlier selection
-    share one composed list.
+    Composed index arrays (one fancy-index each) are memoised by the
+    identity of the inner indirection so sibling columns created by the
+    same earlier selection share one composed array.
     """
     if not isinstance(values, ColumnView):
         return ColumnView(values, indices)
@@ -203,20 +274,18 @@ def _view_take(values, indices: list, memo: dict):
         return ColumnView(inner, indices)
     inner_indices = values._indices
     if inner_indices is not None:
-        key = (id(inner_indices), id(indices))
+        key = id(inner_indices)
         composed = memo.get(key)
         if composed is None:
-            composed = [inner_indices[i] for i in indices]
-            memo[key] = composed
+            composed = memo[key] = inner_indices[indices]
         return ColumnView(values._base, composed)
     start = values._start
     if start == 0:
         return ColumnView(values._base, indices)
-    key = (("range", start), id(indices))
+    key = ("range", start)
     composed = memo.get(key)
     if composed is None:
-        composed = [start + i for i in indices]
-        memo[key] = composed
+        composed = memo[key] = indices + start
     return ColumnView(values._base, composed)
 
 
@@ -418,25 +487,26 @@ class Batch:
         returns ``self`` unchanged (columns are immutable by convention,
         so sharing them is safe), an all-false mask skips per-column work.
         Partial selections return zero-copy :class:`ColumnView` columns
-        over one shared index list.
+        over one shared index array.
         """
-        if len(mask) != self.num_rows:
+        n = self.num_rows
+        if len(mask) != n:
             raise ExecutorError(
-                f"mask length {len(mask)} != {self.num_rows} rows")
-        keep = [i for i, flag in enumerate(mask) if flag]
-        if len(keep) == self.num_rows:
+                f"mask length {len(mask)} != {n} rows")
+        if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_):
+            mask = np.fromiter(map(bool, mask), dtype=bool, count=n)
+        keep = np.flatnonzero(mask)
+        if len(keep) == n:
             return self
-        if not keep:
+        if not len(keep):
             return Batch({name: [] for name in self._names})
         return self._select(keep)
 
     def take(self, indices) -> "Batch":
         """Rows at ``indices`` (any integer sequence, numpy included)."""
-        if not isinstance(indices, list):
-            indices = list(indices)
-        return self._select(indices)
+        return self._select(np.asarray(indices, dtype=np.int64))
 
-    def _select(self, indices: list) -> "Batch":
+    def _select(self, indices: np.ndarray) -> "Batch":
         memo: dict = {}
         return Batch({
             name: _view_take(values, indices, memo)

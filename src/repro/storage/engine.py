@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import StorageError
 from repro.catalog.schema import ColumnType, TableSchema
-from repro.storage.batch import Batch
+from repro.storage.batch import Batch, FrameColumn
 from repro.video.synthetic import SyntheticVideo
 
-#: Rows per scan batch.  The paper batches at ~200 MiB; with lightweight
-#: frame handles a fixed row count plays the same role.
+#: Rows per scan batch.  The paper batches at ~200 MiB; with lazy frame
+#: handles a fixed row count plays the same role.
 DEFAULT_BATCH_ROWS = 512
 
 VIDEO_SCHEMA = TableSchema.of(
@@ -46,10 +48,12 @@ class VideoTable:
              columns: Sequence[str] | None = None) -> Iterator[Batch]:
         """Stream frames ``[start, stop)`` as batches.
 
-        ``columns`` restricts the built columns (schema order is
-        preserved) — fused plans whose projection provably never touches
-        ``frame`` skip its per-row handle construction, the dominant scan
-        cost.  Row counts (and thus READ_VIDEO charges) are unaffected.
+        ``frame`` is a lazy :class:`~repro.storage.batch.FrameColumn` over
+        the batch's range: a frame handle is built only where a reader
+        indexes it (a row-tree operator, ``SELECT frame``), never for the
+        APPLY operators, which read frame ids.  ``columns`` restricts the
+        built columns (schema order is preserved); row counts (and thus
+        READ_VIDEO charges) are unaffected.
         """
         stop = self.num_rows if stop is None else min(stop, self.num_rows)
         start = max(0, start)
@@ -58,13 +62,13 @@ class VideoTable:
         for begin in range(start, stop, batch_rows):
             end = min(begin + batch_rows, stop)
             ids = list(range(begin, end))
-            built: dict[str, list] = {}
+            built: dict[str, Sequence] = {}
             if wanted is None or "id" in wanted:
                 built["id"] = ids
             if wanted is None or "timestamp" in wanted:
-                built["timestamp"] = [i / fps for i in ids]
+                built["timestamp"] = (np.arange(begin, end) / fps).tolist()
             if wanted is None or "frame" in wanted:
-                built["frame"] = [self.video.frame(i) for i in ids]
+                built["frame"] = FrameColumn(self.video, begin, end)
             if not built:
                 built["id"] = ids
             yield Batch(built)

@@ -7,21 +7,26 @@ classifiers.  A key may map to *zero* output rows (e.g. a frame with no
 detections) — recording emptiness is what lets the conditional APPLY
 operator skip re-evaluating the UDF on such inputs.
 
-A view is columnar: one append-only list per output column, a row-offset
-list, and a ``key -> ordinal`` index — the table-with-an-index the paper's
-LEFT OUTER JOIN rewrite (section 4.4) probes.  Writers hand over column
-slices (:meth:`MaterializedView.put_many`), readers get a
-:class:`ViewHits` whose columns are zero-copy views over the stored lists,
-and the durable store logs and snapshots the same
-:class:`~repro.storage.columnar.ColumnBatch` a write appended.
+A view is columnar: one append-only list per output column, an int64
+row-offset array, and a ``key -> ordinal`` index — the table-with-an-index
+the paper's LEFT OUTER JOIN rewrite (section 4.4) probes.  While every key
+is ``(frame_id,)`` (detectors, frame filters) the view also keeps a dense
+``ordinal_of_frame`` array, so a probe by an array of frame ids is a join
+on arrays: one fancy-index and a mask.  Writers hand over column slices
+(:meth:`MaterializedView.put_many`), readers get a :class:`ViewHits` whose
+columns are zero-copy views over the stored lists, and the durable store
+logs and snapshots the same :class:`~repro.storage.columnar.ColumnBatch` a
+write appended.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from itertools import accumulate, count
+from itertools import count, repeat
 from typing import Callable, Hashable, Iterable, Mapping
+
+import numpy as np
 
 from repro.errors import StorageError
 from repro.obs.lineage import (
@@ -59,17 +64,20 @@ class ViewHits:
     never moves); pickling — the peer RPC — ships the gathered values.
     """
 
-    __slots__ = ("counts", "num_rows", "_columns", "_rows", "_view")
+    __slots__ = ("counts", "num_rows", "_columns", "_rows", "_view",
+                 "_hits")
 
     def __init__(self, counts: list, columns: dict[str, list],
-                 rows: list[int] | None = None,
-                 view: "MaterializedView | None" = None):
+                 rows: np.ndarray | None = None,
+                 view: "MaterializedView | None" = None,
+                 hits: tuple[np.ndarray, np.ndarray] | None = None):
         self.counts = counts
         self.num_rows = (sum(filter(None, counts)) if rows is None
                          else len(rows))
         self._columns = columns
         self._rows = rows
         self._view = view
+        self._hits = hits
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -77,6 +85,17 @@ class ViewHits:
     @property
     def num_hits(self) -> int:
         return len(self.counts) - self.counts.count(None)
+
+    def hit_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, counts)``: the probed keys that hit, as positions
+        in probe order, and their row counts — two int64 arrays."""
+        if self._hits is None:
+            positions = [i for i, n in enumerate(self.counts)
+                         if n is not None]
+            self._hits = (np.array(positions, dtype=np.int64),
+                          np.array([self.counts[i] for i in positions],
+                                   dtype=np.int64))
+        return self._hits
 
     def column(self, name: str):
         if not self.num_rows:
@@ -118,13 +137,16 @@ class MaterializedView:
         self.listener = None
         #: key -> ordinal, in insertion order; the rows of ordinal ``i``
         #: are ``[_offsets[i], _offsets[i + 1])`` of every column.
+        #: ``_offsets`` is an int64 array with spare capacity (entries
+        #: past ``num_keys`` are not yet written).
         self._ordinals: dict[Key, int] = {}
-        self._offsets: list[int] = [0]
+        self._offsets = np.zeros(1, dtype=np.int64)
+        #: frame id -> ordinal (-1: not stored) while every key is
+        #: ``(frame_id,)`` with a non-negative int; None once one is not.
+        #: Derived, extended by every append, never serialized.
+        self._ordinal_of_frame: np.ndarray | None = np.zeros(
+            0, dtype=np.int64)
         self._columns: dict[str, list] = {col: [] for col in output_columns}
-        #: True while every key has exactly one row (patch classifiers,
-        #: frame filters): ordinals then *are* row numbers and a probe
-        #: needs no offset arithmetic, which is most of its cost.
-        self._one_row_per_key = True
         #: In-memory columns computed from stored ones (the detector's
         #: ``area``), extended lazily; see :meth:`ViewHits.derived`.
         self._derived: dict[str, list] = {}
@@ -200,52 +222,87 @@ class MaterializedView:
             if len(first) != len(batch.keys):
                 batch = batch.select(list(first.values()))
             nbytes = _payload_bytes(batch)  # raises before anything changed
-            ordinals.update(zip(batch.keys, count(len(ordinals))))
-            offsets = accumulate(batch.counts, initial=self._offsets[-1])
-            next(offsets)
-            self._offsets.extend(offsets)
+            old, new = len(ordinals), len(batch.keys)
+            ordinals.update(zip(batch.keys, count(old)))
+            if new:
+                offsets = _capacity(self._offsets, old + new + 1, 0)
+                offsets[old + 1:old + new + 1] = (np.cumsum(batch.counts)
+                                                  + offsets[old])
+                self._offsets = offsets
+            self._index_frames(batch.keys, old)
             for col, values in self._columns.items():
                 values.extend(batch.columns[col])
             self._approx_payload_bytes += nbytes
-            if batch.counts.count(1) != len(batch.counts):
-                self._one_row_per_key = False
             if self._prefix_index is not None:
                 for key in batch.keys:
                     self._prefix_index.setdefault(key[0], []).append(key)
         return inserted, batch
+
+    def _index_frames(self, keys: list[Key], first_ordinal: int) -> None:
+        """Extend ``_ordinal_of_frame`` by ``keys`` (all fresh, ordinals
+        from ``first_ordinal``), or drop it for good when one of them is
+        not ``(frame_id,)``.  Caller holds the view lock."""
+        dense = self._ordinal_of_frame
+        if dense is None or not keys:
+            return
+        if not all(len(key) == 1 and type(key[0]) is int for key in keys):
+            self._ordinal_of_frame = None
+            return
+        ids = np.fromiter((key[0] for key in keys), dtype=np.int64,
+                          count=len(keys))
+        if ids.min() < 0:
+            self._ordinal_of_frame = None
+            return
+        dense = _capacity(dense, int(ids.max()) + 1, -1)
+        dense[ids] = np.arange(first_ordinal, first_ordinal + len(keys))
+        self._ordinal_of_frame = dense
 
     # -- reads ------------------------------------------------------------------
 
     def __contains__(self, key: Key) -> bool:
         return key in self._ordinals
 
-    def get_many(self, keys: Iterable[Key]) -> ViewHits:
+    def get_many(self, keys: Iterable[Key] | np.ndarray) -> ViewHits:
         """Bulk probe: the LEFT OUTER JOIN of ``keys`` against the view.
 
-        The whole probe runs under one lock acquisition — this is what
-        lets the APPLY operators resolve a batch's hits and misses without
-        taking the view lock once per row.
+        ``keys`` are key tuples, or — for a view keyed by ``(frame_id,)``
+        — a 1-D int array of frame ids, answered from the dense
+        ``ordinal_of_frame`` array (negative or never-stored ids miss).
+        Either way the probe is one ordinal array and the row ranges one
+        ``np.repeat``, under one lock acquisition — this is what lets the
+        APPLY operators resolve a batch's hits and misses without taking
+        the view lock once per row.
         """
-        counts: list[int | None] = []
-        rows: list[int] = []
-        offsets = self._offsets
+        if isinstance(keys, np.ndarray) and (keys.ndim != 1
+                                             or keys.dtype.kind not in "iu"):
+            raise StorageError(
+                f"view {self.name!r}: frame ids must be a 1-D int array")
         with self._lock:
-            found = list(map(self._ordinals.get, keys))
-            if self._one_row_per_key:
-                if None in found:
-                    counts = [None if o is None else 1 for o in found]
-                    rows = [o for o in found if o is not None]
-                else:
-                    counts, rows = [1] * len(found), found
+            dense = self._ordinal_of_frame
+            if isinstance(keys, np.ndarray) and dense is not None:
+                ids = keys.astype(np.int64, copy=False)
+                found = np.full(len(ids), -1, dtype=np.int64)
+                inside = (ids >= 0) & (ids < len(dense))
+                found[inside] = dense[ids[inside]]
             else:
-                for ordinal in found:
-                    if ordinal is None:
-                        counts.append(None)
-                        continue
-                    start, stop = offsets[ordinal], offsets[ordinal + 1]
-                    counts.append(stop - start)
-                    rows.extend(range(start, stop))
-        hits = ViewHits(counts, self._columns, rows, self)
+                if isinstance(keys, np.ndarray):
+                    keys = [(frame_id,) for frame_id in keys.tolist()]
+                found = np.fromiter(
+                    map(self._ordinals.get, keys, repeat(-1)),
+                    dtype=np.int64)
+            hit = found >= 0
+            ordinals = found[hit]
+            starts = self._offsets[ordinals]
+            lengths = self._offsets[ordinals + 1] - starts
+        ends = np.cumsum(lengths)
+        rows = (np.arange(ends[-1] if len(ends) else 0)
+                + np.repeat(starts - ends + lengths, lengths))
+        per_key = np.zeros(len(found), dtype=np.int64)
+        per_key[hit] = lengths
+        counts = per_key.astype(object)
+        counts[~hit] = None
+        hits = ViewHits(counts.tolist(), self._columns, rows, self,
+                        (np.flatnonzero(hit), lengths))
         record_view_probe_many(self.name, hits)
         return hits
 
@@ -260,10 +317,10 @@ class MaterializedView:
 
     def _rows_of(self, ordinal: int) -> tuple[dict, ...]:
         columns = self._columns
+        start, stop = self._offsets[ordinal:ordinal + 2].tolist()
         return tuple(
             {col: values[row] for col, values in columns.items()}
-            for row in range(self._offsets[ordinal],
-                             self._offsets[ordinal + 1]))
+            for row in range(start, stop))
 
     def _derived_column(self, name: str, source: str, fn: Callable) -> list:
         with self._lock:
@@ -299,15 +356,15 @@ class MaterializedView:
 
     @property
     def num_output_rows(self) -> int:
-        return self._offsets[-1]
+        with self._lock:
+            return int(self._offsets[len(self._ordinals)])
 
     def batch(self) -> ColumnBatch:
         """Consistent copy of all entries, in insertion order."""
         with self._lock:
-            offsets = self._offsets
+            offsets = self._offsets[:len(self._ordinals) + 1]
             return ColumnBatch(
-                list(self._ordinals),
-                [stop - start for start, stop in zip(offsets, offsets[1:])],
+                list(self._ordinals), np.diff(offsets).tolist(),
                 {col: values[:] for col, values in self._columns.items()})
 
     def items(self) -> list[tuple[Key, tuple[dict, ...]]]:
@@ -502,6 +559,16 @@ def one_entry(key: Key, rows: Iterable[Mapping], output_columns: list[str]
     rows = list(rows)
     return [key], [len(rows)], {col: [row[col] for row in rows]
                                 for col in output_columns}
+
+
+def _capacity(array: np.ndarray, size: int, fill: int) -> np.ndarray:
+    """``array`` if it holds ``size`` entries, else a copy grown to at
+    least twice its length, new entries ``fill`` — appends stay O(new)."""
+    if len(array) >= size:
+        return array
+    grown = np.full(max(size, 2 * len(array)), fill, dtype=array.dtype)
+    grown[:len(array)] = array
+    return grown
 
 
 def _payload_bytes(batch: ColumnBatch) -> int:

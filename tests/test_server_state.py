@@ -10,9 +10,11 @@ here with a precise signal rather than as a flaky stress test.
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.config import EvaConfig
@@ -26,6 +28,7 @@ from repro.server.state import (
     SharedViewStore,
 )
 from repro.server.stats import ServerStats
+from repro.storage.view_store import MaterializedView
 from repro.symbolic.dnf import dnf_from_expression
 from repro.symbolic.engine import SymbolicEngine
 
@@ -209,6 +212,46 @@ class TestSharedViewStore:
                             if client_id in by_client else 0)
             assert materialized == inserted
 
+    def test_frame_id_probes_under_concurrent_appends(self):
+        """Appends replace the dense index and offset arrays as they
+        grow; a frame-id probe racing them sees each key either absent or
+        with exactly its own rows."""
+        view = MaterializedView("mv::race", ["id"], ["label"])
+        writers, per_writer = 4, 1000
+        ids = np.arange(writers * per_writer)
+        writing = threading.Semaphore(0)
+        probes: list[int] = []
+
+        def writer(offset):
+            def body():
+                for i in range(offset, writers * per_writer, writers):
+                    view.put_many([(i,)], [i % 3],
+                                  {"label": [str(i)] * (i % 3)})
+                writing.release()
+            return body
+
+        def reader():
+            done = 0
+            while done < writers:
+                hits = view.get_many(ids)
+                found, counts = hits.hit_positions()
+                assert (counts == found % 3).all()
+                labels = list(map(int, hits.column("label")))
+                assert labels == np.repeat(found, counts).tolist()
+                probes.append(hits.num_hits)
+                while writing.acquire(blocking=False):
+                    done += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads([writer(k) for k in range(writers)] + [reader])
+        finally:
+            sys.setswitchinterval(interval)
+        final = view.get_many(ids)
+        assert final.counts == [i % 3 for i in range(len(ids))]
+        assert len(probes) > 1 and probes == sorted(probes)
+
     def test_cross_client_hits_attributed_to_materializer(self):
         store, stats = self.make()
         alice = store.for_client("alice")
@@ -256,6 +299,57 @@ class TestSharedViewStore:
         assert snapshot.cross_client_hits == {("bob", "alice"): 2}
         by_client = {c.client_id: c for c in snapshot.clients}
         assert by_client["alice"].keys_materialized == 2
+
+    def test_generator_probe_attributes_every_hit(self):
+        """The probe consumes an iterator; the owner lookup must still see
+        every hit key (it used to see none, silently)."""
+        store, stats = self.make()
+        alice = store.for_client("alice").create_or_get(
+            "mv::gen", ["id"], ["label"])
+        alice.put_many([(1,), (2,)], [1, 1], {"label": ["car", "bus"]})
+        bob = store.for_client("bob").get("mv::gen")
+        hits = bob.get_many(key for key in [(2,), (9,), (1,)])
+        assert hits.counts == [1, None, 1]
+        snapshot = stats.snapshot(workers=1, hit_percentage=0.0,
+                                  num_views=1, view_storage_bytes=0)
+        assert snapshot.cross_client_hits == {("bob", "alice"): 2}
+
+    def test_frame_id_array_probe_attributes_like_key_tuples(self):
+        """A frame-id array, through the local and the remote handle,
+        records the same (prober, owner) pairs and hits as key tuples."""
+        probes = [2, 9, 1, -3, 2]
+
+        def run(probe):
+            store, stats = self.make()
+            alice = store.for_client("alice").create_or_get(
+                "mv::ids", ["id"], ["label"])
+            alice.put_many([(1,), (2,)], [1, 0], {"label": ["car"]})
+            store.for_client("carol").get("mv::ids").put_many(
+                [(9,)], [2], {"label": ["bus", "van"]})
+
+            class OwnerWorker:
+                def call(self, method, *args):
+                    name, client_id, keys = pickle.loads(pickle.dumps(args))
+                    result = store.for_client(client_id).get(name) \
+                        .get_many(keys)
+                    return pickle.loads(pickle.dumps(result))
+
+            local = store.for_client("bob").get("mv::ids")
+            remote = RemoteViewHandle(OwnerWorker(), "mv::ids", "dave",
+                                      ["id"], ["label"])
+            outs = [(hits.counts, list(hits.column("label")))
+                    for hits in (probe(local), probe(remote))]
+            snapshot = stats.snapshot(workers=1, hit_percentage=0.0,
+                                      num_views=1, view_storage_bytes=0)
+            return outs, snapshot.cross_client_hits
+
+        by_tuples = run(lambda h: h.get_many([(i,) for i in probes]))
+        by_array = run(lambda h: h.get_many(np.array(probes)))
+        assert by_array == by_tuples
+        assert by_array[0][0] == ([0, 2, 1, None, 0],
+                                  ["bus", "van", "car"])
+        assert by_array[1] == {("bob", "alice"): 3, ("bob", "carol"): 1,
+                               ("dave", "alice"): 3, ("dave", "carol"): 1}
 
     def test_remote_handle_passes_the_column_batch_through(self):
         """A worker that does not own the view sees what a local client

@@ -1,18 +1,23 @@
 """Tests for batches, the columnar format, views, and table scans."""
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.schema import ColumnType, TableSchema
 from repro.errors import ExecutorError, StorageError
-from repro.storage.batch import Batch
-from repro.storage.columnar import read_table, write_table
+from repro.server.locks import RWLock
+from repro.server.state import ClientViewHandle
+from repro.storage.batch import Batch, FrameColumn, frame_ids
+from repro.storage.columnar import ColumnBatch, read_table, write_table
 from repro.storage.engine import StorageEngine, VideoTable
 from repro.storage.view_store import MaterializedView, ViewStore
 from repro.types import BoundingBox
+from repro.video.frames import Frame
 
 
 def column_batch(entries, output_columns=("label", "bbox")):
@@ -308,6 +313,107 @@ class TestBatchByteAccounting:
             key: tuple(rows) for key, rows in stored.items()}
 
 
+def _area(bbox):
+    return bbox.area()
+
+
+def _probe_result(hits) -> tuple:
+    """Everything a reader can see of one ``get_many`` result."""
+    positions, counts = hits.hit_positions()
+    return (hits.counts, hits.num_hits, hits.num_rows,
+            positions.tolist(), counts.tolist(),
+            list(hits.column("label")), list(hits.column("bbox")),
+            list(hits.derived("area", "bbox", _area)))
+
+
+_frame_entry = st.tuples(
+    st.integers(0, 15),  # frame id: writes overlap, batches repeat ids
+    st.lists(st.tuples(st.sampled_from(["car", "bus"]),
+                       st.integers(0, 99)), max_size=3))  # zero rows too
+_dense_ops = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.lists(_frame_entry, max_size=6)),
+    st.tuples(st.just("restore"), st.lists(_frame_entry, max_size=6)),
+    st.tuples(st.just("probe"),
+              st.lists(st.integers(-3, 40), max_size=8)),  # dup / out
+    st.tuples(st.just("other_key"),  # no longer dense from here on
+              st.sampled_from([("not-a-frame",), (-2,), (True,)])),
+), max_size=10)
+
+
+class TestDenseFrameProbe:
+    """``get_many`` by a frame-id array must be the same LEFT OUTER JOIN
+    as by ``(frame_id,)`` tuples, whatever writes built the view."""
+
+    @staticmethod
+    def _batch(entries):
+        keys = [(frame_id,) for frame_id, _ in entries]
+        counts = [len(rows) for _, rows in entries]
+        rows = [row for _, rows in entries for row in rows]
+        return keys, counts, {
+            "label": [label for label, _ in rows],
+            "bbox": [BoundingBox(0.0, 0.0, float(w) + 1.0, 2.0)
+                     for _, w in rows]}
+
+    def _check(self, view, ids):
+        by_array = view.get_many(np.array(ids, dtype=np.int64))
+        by_tuples = view.get_many([(i,) for i in ids])
+        assert _probe_result(by_array) == _probe_result(by_tuples)
+        assert np.array_equal(by_array._rows, by_tuples._rows)
+        shipped = pickle.loads(pickle.dumps(by_array))
+        assert _probe_result(shipped) == _probe_result(by_tuples)
+
+        def attribution(probe):
+            recorded = []
+
+            class Stats:
+                def record_view_hit(self, name, prober, owner):
+                    recorded.append((prober, owner))
+
+            owners = {key: f"c{n % 3}" for n, key in enumerate(view.keys())}
+            handle = ClientViewHandle(view, RWLock(), owners, "me", Stats())
+            return _probe_result(handle.get_many(probe)), recorded
+
+        assert attribution(np.array(ids, dtype=np.int64)) == \
+            attribution([(i,) for i in ids])
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_dense_ops)
+    def test_array_probe_equals_tuple_probe(self, ops):
+        view = MaterializedView("v", ["id"], ["label", "bbox"])
+        for op, arg in ops:
+            probe = [-1, 15, 16, 10**6]
+            if op == "put":
+                view.put_many(*self._batch(arg))
+            elif op == "restore":
+                view.restore(ColumnBatch.decode(
+                    ColumnBatch(*self._batch(arg)).encode()))
+            elif op == "other_key":
+                view.put(arg, [])
+            else:
+                probe += arg
+            # Every stored frame, after every write.
+            self._check(view, probe + [key[0] for key in view.keys()
+                                       if type(key[0]) is int])
+
+    def test_dense_index_grows_with_appends_and_stays_consistent(self):
+        view = MaterializedView("v", ["id"], ["label", "bbox"])
+        view.put_many(*self._batch([(3, [("car", 1)]), (0, [])]))
+        view.restore(ColumnBatch.decode(ColumnBatch(*self._batch(
+            [(900, [("bus", 2), ("car", 3)]), (3, [("x", 9)])])).encode()))
+        hits = view.get_many(np.array([900, 3, 0, 1, 899, 901]))
+        assert hits.counts == [2, 1, 0, None, None, None]
+        assert list(hits.column("label")) == ["bus", "car", "car"]
+        assert view._ordinal_of_frame[[0, 3, 900]].tolist() == [1, 0, 2]
+        view.put(("x",), [])  # not a frame key: the dense index goes
+        assert view._ordinal_of_frame is None
+        assert view.get_many(np.array([3])).counts == [1]
+
+    def test_rejects_a_non_vector_id_array(self):
+        view = MaterializedView("v", ["id"], ["label"])
+        with pytest.raises(StorageError):
+            view.get_many(np.zeros((2, 2), dtype=np.int64))
+
+
 class TestPrefixIndexConsistency:
     """`put` and the lazily-built `_prefix_index` must agree: keys added
     before the first prefix probe (index built from entries), after it
@@ -405,6 +511,38 @@ class TestVideoTableScan:
         table = VideoTable(tiny_video)
         batch = next(table.scan(100, 101))
         assert batch.column("timestamp")[0] == pytest.approx(100 / 25.0)
+
+    def test_frame_column_is_lazy_and_reads_as_frames(self, tiny_video,
+                                                       monkeypatch):
+        table = VideoTable(tiny_video)
+        built = []
+        frame = type(tiny_video).frame
+        monkeypatch.setattr(type(tiny_video), "frame",
+                            lambda video, i: built.append(i) or
+                            frame(video, i))
+        batch = next(table.scan(100, 110))
+        column = batch.column("frame")
+        assert isinstance(column, FrameColumn) and len(column) == 10
+        picked = batch.filter_mask(np.arange(10) % 3 == 0).take([3, 0])
+        assert frame_ids(picked.column("frame"))[1].tolist() == [109, 100]
+        assert frame_ids(batch.slice(2, 4).column("frame"))[1].tolist() == \
+            [102, 103]
+        assert built == []  # ids came from the range, not from frames
+        assert list(picked.column("frame")) == [
+            frame(tiny_video, 109), frame(tiny_video, 100)]
+        assert column[-1] == frame(tiny_video, 109)
+        assert column[1:3] == [frame(tiny_video, 101),
+                               frame(tiny_video, 102)]
+        assert Batch.concat([batch, batch]).column("frame")[10] == \
+            frame(tiny_video, 100)
+
+    def test_frame_ids_of_a_frame_list(self, tiny_video):
+        frames = [tiny_video.frame(7), tiny_video.frame(3)]
+        name, ids = frame_ids(frames)
+        assert name == "tiny" and ids.tolist() == [7, 3]
+        other = Frame("other", 1, 10, 10)
+        with pytest.raises(ExecutorError, match="spans videos"):
+            frame_ids(frames + [other])
 
     def test_engine_registration(self, tiny_video):
         engine = StorageEngine()
