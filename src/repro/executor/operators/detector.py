@@ -31,7 +31,13 @@ from repro.executor.operators.base import Operator
 from repro.models.base import ObjectDetectorModel
 from repro.optimizer.plans import DetectorSource, PhysDetectorApply
 from repro.optimizer.udf_manager import UdfSignature
-from repro.storage.batch import Batch, ColumnView, frame_ids, has_duplicates
+from repro.storage.batch import (
+    Batch,
+    ColumnView,
+    column_areas,
+    frame_ids,
+    has_duplicates,
+)
 from repro.symbolic.compiled import compile_dnf
 from repro.types import Detection
 from repro.video.frames import Frame
@@ -207,9 +213,9 @@ class DetectorApplyOperator(Operator):
 
         The view is probed with the pending rows' frame ids.  The hit
         rows' output columns are zero-copy views over the materialized
-        view's own columns; ``area`` is a derived in-memory column of the
-        view (a video's frames share one size), computed once per stored
-        row rather than once per probe.
+        view's own typed columns; ``area`` divides the view's derived box
+        areas by the frame size (a video's frames share one), as
+        :meth:`~repro.types.BoundingBox.relative_area` does.
         """
         view = self.context.view_store.get(
             self._view_name(model.name, video.name))
@@ -234,7 +240,8 @@ class DetectorApplyOperator(Operator):
             model.name, ids[found], True,
             per_tuple_cost=model.per_tuple_cost, video=video.name)
         columns = {name: hits.column(name) for name in VIEW_OUTPUT_COLUMNS}
-        columns["area"] = hits.derived("area", "bbox", _relative_area(video))
+        columns["area"] = ColumnView(_relative_areas(
+            video, column_areas(columns["bbox"])))
         parts.append((found, counts, columns))
         missed = np.ones(len(pending), dtype=bool)
         missed[positions] = False
@@ -271,7 +278,8 @@ class DetectorApplyOperator(Operator):
                 self.context.clock.charge(
                     CostCategory.MATERIALIZE,
                     stored_rows * self.context.costs.materialize_per_row)
-        columns["area"] = list(map(_relative_area(video), columns["bbox"]))
+        columns["area"] = ColumnView(_relative_areas(
+            video, column_areas(columns["bbox"])))
         parts.append((indices, np.array(counts, dtype=np.int64), columns))
 
     @staticmethod
@@ -460,7 +468,10 @@ class DetectorApplyOperator(Operator):
         return f"mv::{signature.key()}"
 
 
-def _relative_area(video: SyntheticVideo):
-    """``bbox -> AREA(bbox)`` for the frames of ``video``."""
-    width, height = video.metadata.width, video.metadata.height
-    return lambda bbox: bbox.relative_area(width, height)
+def _relative_areas(video: SyntheticVideo, areas: np.ndarray) -> np.ndarray:
+    """``AREA(bbox)`` — :meth:`~repro.types.BoundingBox.relative_area` on
+    the frames of ``video`` — of boxes whose areas are ``areas``."""
+    frame_area = video.metadata.width * video.metadata.height
+    if frame_area <= 0:
+        return np.zeros(len(areas))
+    return areas / frame_area

@@ -7,7 +7,8 @@ matches, the classifier returns its attribute with probability ``accuracy``
 e.g. false-positive detections — yield a deterministic pseudo-random class,
 the way a real classifier confidently labels garbage.
 
-Determinism is per (model, video, frame, rounded bbox): the same patch always
+Determinism is per (model, video, frame, rounded bbox —
+:meth:`~repro.types.BoundingBox.rounded`): the same patch always
 gets the same answer, which is what makes materialized classifier results
 reusable across queries.
 
@@ -58,7 +59,7 @@ class SimulatedPatchClassifier(PatchClassifierModel):
     def classify(self, video: SyntheticVideo, frame_id: int,
                  bbox: BoundingBox) -> str:
         rng = stable_rng("classify", self.name, video.name, frame_id,
-                         _bbox_key(bbox))
+                         bbox.rounded())
         truth = video.ground_truth(frame_id)
         best_obj = None
         best_iou = _MATCH_IOU
@@ -89,7 +90,7 @@ class SimulatedPatchClassifier(PatchClassifierModel):
                 # Re-seeding one generator leaves it in the state of a
                 # fresh ``random.Random(seed)``, without allocating one
                 # per input.
-                rng.seed(seed_of(frame_id, _bbox_key(bbox)))
+                rng.seed(seed_of(frame_id, bbox.rounded()))
                 outputs.append(self._draw(rng, obj))
         return outputs
 
@@ -178,11 +179,6 @@ def _match_truth(video: SyntheticVideo, inputs) -> list:
     return [truths[slot][index] if hit else None
             for slot, index, hit in zip(
                 slot_of.tolist(), best.tolist(), matched.tolist())]
-
-
-def _bbox_key(bbox: BoundingBox) -> tuple[int, int, int, int]:
-    """Round box coordinates so float noise does not break determinism."""
-    return (round(bbox.x1), round(bbox.y1), round(bbox.x2), round(bbox.y2))
 
 
 #: Costs from Table 3 (CarType 6 ms GPU, ColorDet 5 ms CPU); the license

@@ -202,18 +202,18 @@ class ClientViewHandle:
         server stats with the client that first materialized it, exactly
         as the per-key path does — just without re-acquiring the RW lock
         per row.  Owners are looked up by the hit keys themselves, so key
-        lists, one-shot iterables and frame-id arrays attribute alike.
+        lists, one-shot iterables and int arrays (frame ids or packed
+        patch keys, as the view reads them) attribute alike.
         """
         if not isinstance(keys, np.ndarray):
             keys = list(keys)  # the probe consumes an iterator
         with self._lock.read_locked():
             hits = self._view.get_many(keys)
-            positions = hits.hit_positions()[0].tolist()
+            positions = hits.hit_positions()[0]
             if isinstance(keys, np.ndarray):
-                hit_keys = [(frame_id,)
-                            for frame_id in keys[positions].tolist()]
+                hit_keys = self._view.key_tuples(keys[positions])
             else:
-                hit_keys = [keys[i] for i in positions]
+                hit_keys = [keys[i] for i in positions.tolist()]
             owners = [self._owners.get(key) for key in hit_keys]
         if self._stats is not None:
             name = self._view.name

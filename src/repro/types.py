@@ -2,13 +2,20 @@
 
 These are plain, immutable data holders: bounding boxes, detected objects,
 and dataset descriptors.  They deliberately avoid any dependency on the
-storage or execution layers.
+storage or execution layers.  Beside :class:`BoundingBox` sit its column
+forms: :func:`box_coords`, :func:`round_boxes` and :func:`box_areas` are
+:meth:`BoundingBox.rounded` and :meth:`BoundingBox.area` over many boxes
+at once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+
+import numpy as np
 
 
 class Accuracy(enum.Enum):
@@ -41,7 +48,7 @@ class Accuracy(enum.Enum):
 _ACCURACY_ORDER = {Accuracy.LOW: 0, Accuracy.MEDIUM: 1, Accuracy.HIGH: 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """An axis-aligned box in pixel coordinates, ``(x1, y1)`` top-left."""
 
@@ -79,6 +86,56 @@ class BoundingBox:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
+
+    def rounded(self) -> tuple[int, int, int, int]:
+        """The coordinates rounded half to even: what identifies a patch,
+        as the view key of patch UDFs and the seed of their answers, so
+        float noise does not break determinism.  Raises what ``round``
+        raises for a coordinate that is not finite."""
+        return (round(self.x1), round(self.y1), round(self.x2),
+                round(self.y2))
+
+
+#: A row of :func:`round_boxes` whose box has no int64 rounding.
+UNROUNDED = np.iinfo(np.int64).min
+
+_COORDS = attrgetter("x1", "y1", "x2", "y2")
+
+
+def box_coords(boxes) -> np.ndarray:
+    """The coordinates of ``boxes`` as an ``(n, 4)`` float64 array; raises
+    ``TypeError`` / ``ValueError`` / ``OverflowError`` for a coordinate
+    that is not a float."""
+    count = len(boxes)
+    return np.fromiter(chain.from_iterable(map(_COORDS, boxes)),
+                       dtype=np.float64, count=4 * count).reshape(count, 4)
+
+
+def round_boxes(coords: np.ndarray) -> np.ndarray:
+    """:meth:`BoundingBox.rounded` of every row of an ``(n, 4)`` coordinate
+    array, as int64 — ``np.rint`` rounds half to even, as ``round`` does.
+
+    A row with a coordinate that is not finite, or whose rounding is not
+    below ``2**53`` in magnitude (where a float64 may not be the box's
+    own coordinate), holds :data:`UNROUNDED` in every column.
+    """
+    with np.errstate(invalid="ignore"):
+        rounded = np.rint(coords)
+        exact = (np.abs(rounded) < 2.0 ** 53).all(axis=1)
+    keys = np.full(coords.shape, UNROUNDED, dtype=np.int64)
+    keys[exact] = rounded[exact]
+    return keys
+
+
+def box_areas(coords: np.ndarray) -> np.ndarray:
+    """:meth:`BoundingBox.area` of every row of an ``(n, 4)`` coordinate
+    array, operation for operation (``max(0.0, d)`` is ``d`` only when
+    ``d > 0.0``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = coords[:, 2] - coords[:, 0]
+        height = coords[:, 3] - coords[:, 1]
+        return (np.where(width > 0.0, width, 0.0)
+                * np.where(height > 0.0, height, 0.0))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """The pipeline's hit path is array-native: a query every UDF result of
-which is materialized builds no frame handle and probes the detector's
-view with a frame-id array, and its allocation peak is pinned."""
+which is materialized builds no frame handle, probes the detector's view
+with a frame-id array and the patch classifier's with packed patch keys,
+rounds no box one at a time, and its allocation peak is pinned."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from repro.config import EvaConfig
 from repro.models.zoo import default_zoo
 from repro.session import EvaSession
 from repro.storage.view_store import MaterializedView
-from repro.types import VideoMetadata
+from repro.types import BoundingBox, VideoMetadata
 from repro.video.synthetic import SyntheticVideo
 
 DETECTOR = ("SELECT id, label FROM long CROSS APPLY "
@@ -22,10 +23,13 @@ WITH_CLASSIFIER = ("SELECT id, bbox FROM long CROSS APPLY "
                    "FastRCNNObjectDetector(frame) WHERE label = 'car' "
                    "AND CarType(frame, bbox) = 'Nissan';")
 
-#: ``tracemalloc`` peak of one detector rerun below, in bytes, measured
-#: on CPython 3.11 (x86-64).  Before frame ids replaced frame handles on
-#: this path the same rerun peaked at 495 500 bytes.
-DETECTOR_RERUN_PEAK = 389_000
+#: ``tracemalloc`` peaks of one rerun below, in bytes, measured on
+#: CPython 3.11 (x86-64).  Before frame ids replaced frame handles on this
+#: path the detector rerun peaked at 495 500 bytes, and before typed view
+#: columns at 389 000; before packed patch keys the classifier rerun
+#: peaked at 357 000.
+DETECTOR_RERUN_PEAK = 330_000
+WITH_CLASSIFIER_RERUN_PEAK = 305_000
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +74,50 @@ def test_reruns_build_no_frame_and_probe_the_detector_by_ids(
     assert any(name.startswith("mv::car_type@long") for name, _ in probes)
 
 
-def test_detector_rerun_allocation_peak_is_pinned(filled):
+def test_classifier_rerun_rounds_no_box_and_probes_packed_keys(
+        filled, monkeypatch):
     session, expected = filled
+    boxes_rounded: list[BoundingBox] = []
+    probes: list[tuple[str, object]] = []
+    rounded = BoundingBox.rounded
+    get_many = MaterializedView.get_many
+
+    def spy_rounded(box):
+        boxes_rounded.append(box)
+        return rounded(box)
+
+    def spy_get_many(view, keys):
+        probes.append((view.name, keys))
+        return get_many(view, keys)
+
+    monkeypatch.setattr(BoundingBox, "rounded", spy_rounded)
+    monkeypatch.setattr(MaterializedView, "get_many", spy_get_many)
+    assert session.execute(WITH_CLASSIFIER).rows == \
+        expected[WITH_CLASSIFIER]
+    assert boxes_rounded == []
+    patch_probes = [keys for name, keys in probes
+                    if name.startswith("mv::car_type@long")]
+    assert patch_probes and all(
+        isinstance(keys, np.ndarray) and keys.dtype == np.int64
+        for keys in patch_probes)
+
+
+def _rerun_peak(session, sql, expected) -> int:
     tracemalloc.start()
     try:
-        rows = session.execute(DETECTOR).rows
+        rows = session.execute(sql).rows
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows == expected[DETECTOR]
+    assert rows == expected[sql]
+    return peak
+
+
+def test_detector_rerun_allocation_peak_is_pinned(filled):
+    peak = _rerun_peak(filled[0], DETECTOR, filled[1])
     assert peak <= 1.25 * DETECTOR_RERUN_PEAK, peak
+
+
+def test_classifier_rerun_allocation_peak_is_pinned(filled):
+    peak = _rerun_peak(filled[0], WITH_CLASSIFIER, filled[1])
+    assert peak <= 1.25 * WITH_CLASSIFIER_RERUN_PEAK, peak

@@ -169,6 +169,53 @@ class TestRandomizedDifferential:
                                 ReusePolicy.NONE)
 
 
+#: ``=`` / ``!=`` over dictionary-coded view columns — the detector's
+#: ``label``, classifier answers — under OR / NOT and in classifier
+#: chains.  Run twice: the second pass is all hits, where the compares
+#: read the views' codes.
+CODED_QUERIES = [
+    "SELECT id, label FROM tiny CROSS APPLY FastRCNNObjectDetector(frame) "
+    "WHERE id < 120 AND label != 'car';",
+    "SELECT id, bbox FROM tiny CROSS APPLY FastRCNNObjectDetector(frame) "
+    "WHERE id < 150 AND label = 'car' AND CarType(frame, bbox) != 'Nissan';",
+    "SELECT id, label, score FROM tiny CROSS APPLY "
+    "FastRCNNObjectDetector(frame) WHERE id >= 50 AND id < 200 "
+    "AND (label = 'bus' OR NOT label = 'car');",
+    "SELECT id, bbox FROM tiny CROSS APPLY FastRCNNObjectDetector(frame) "
+    "WHERE id < 150 AND label = 'car' AND (CarType(frame, bbox) = 'Toyota' "
+    "OR NOT ColorDet(frame, bbox) = 'Gray');",
+    "SELECT id, area FROM tiny CROSS APPLY FastRCNNObjectDetector(frame) "
+    "WHERE id >= 100 AND id < 220 AND CarType(frame, bbox) = 'Ford' "
+    "AND ColorDet(frame, bbox) != 'Red' AND label != '';",
+]
+
+
+def _invocations(session: EvaSession) -> dict:
+    """Per UDF: #TI and #DI."""
+    return {name: (stats.total_invocations, stats.distinct_invocations)
+            for name, stats in session.metrics.udf_stats.items()}
+
+
+class TestCodedCompares:
+    def test_pipeline_matches_the_no_reuse_row_oracle(self, tiny_video):
+        queries = CODED_QUERIES + CODED_QUERIES
+        oracle, oracle_out = _run(queries, tiny_video, ReusePolicy.NONE,
+                                  "row")
+        row_session, vec_session = assert_modes_equivalent(queries,
+                                                           tiny_video)
+        _, vec_out = _run(queries, tiny_video, ReusePolicy.EVA,
+                          "vectorized")
+        assert vec_out == oracle_out
+        assert _invocations(vec_session) == _invocations(row_session) == \
+            _invocations(oracle)
+        assert {"car_type", "color_det"} <= set(_invocations(oracle))
+        # The second pass reused every UDF result.
+        reused = sum(m.reused_counts.get(name, 0)
+                     for m in vec_session.metrics.query_metrics[5:]
+                     for name in ("car_type", "color_det"))
+        assert reused > 0
+
+
 class TestRowTreeSessions:
     """FunCache, HashStash and fuzzy reuse resolve row-at-a-time: under
     ``execution_mode="vectorized"`` they still run on the row operator
