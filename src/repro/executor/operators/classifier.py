@@ -36,7 +36,6 @@ from repro.storage.view_store import (
     pack_key_tuples,
     pack_patch_keys,
     packable_patch_keys,
-    unpack_patch_keys,
 )
 from repro.types import BoundingBox
 from repro.video.frames import Frame
@@ -212,14 +211,10 @@ class ClassifierApplyOperator(Operator):
         """Bulk STORE: one ``put_many`` and one materialize charge."""
         view = self.context.view_store.create_or_get(
             self._view_name, ["id", "bbox_key"], ["value"])
-        stored = _at(keys, indices)
-        if self.kind is UdfKind.FRAME_FILTER:
-            stored = [(frame_id,) for frame_id in stored.tolist()]
-        elif isinstance(stored, np.ndarray):
-            stored = unpack_patch_keys(stored)
         inserted = view.put_many(
-            stored, [1] * len(indices),
-            {"value": [values[i] for i in indices.tolist()]})
+            _at(keys, indices), [1] * len(indices),
+            {"value": [values[i] for i in indices.tolist()]},
+            patch_keys=self.kind is UdfKind.PATCH_CLASSIFIER)
         added = sum(inserted)
         if added:
             self.context.clock.charge(

@@ -269,8 +269,7 @@ class DetectorApplyOperator(Operator):
             view = self.context.view_store.create_or_get(
                 self._view_name(model.name, video.name), ["id"],
                 VIEW_OUTPUT_COLUMNS)
-            inserted = view.put_many(
-                [(frame_id,) for frame_id in inputs], counts, columns)
+            inserted = view.put_many(ids[indices], counts, columns)
             stored_rows = sum(
                 max(1, count)
                 for count, was_new in zip(counts, inserted) if was_new)

@@ -77,7 +77,12 @@ from repro.server.state import (
     SharedReuseState,
     SharedViewStore,
 )
-from repro.storage.view_store import Key, ViewHits, one_entry
+from repro.storage.view_store import (
+    Key,
+    ViewHits,
+    array_key_tuples,
+    one_entry,
+)
 
 #: Materialized-view name prefix (see ``UdfHistory.view_name``).
 VIEW_PREFIX = "mv::"
@@ -399,14 +404,22 @@ class RemoteViewHandle:
     def put(self, key: Key, rows: Iterable[Mapping]) -> bool:
         return self.put_many(*one_entry(key, rows, self._output_columns))[0]
 
-    def put_many(self, keys: list[Key], counts: list[int],
-                 columns: Mapping[str, list]) -> list[bool]:
+    def put_many(self, keys: list[Key] | np.ndarray, counts: list[int],
+                 columns: Mapping[str, list],
+                 patch_keys: bool = False) -> list[bool]:
+        # An array of keys travels as an array, as in ``get_many``.
+        if not isinstance(keys, np.ndarray):
+            keys = list(keys)
         inserted = self._peer.call(
-            "view_put_many", self._name, self._client_id, list(keys),
+            "view_put_many", self._name, self._client_id, keys,
             list(counts), {col: list(columns[col])
-                           for col in self._output_columns})
-        record_view_write(self._name, list(compress(keys, inserted)),
-                          sum(compress(counts, inserted)))
+                           for col in self._output_columns}, patch_keys)
+        if isinstance(keys, np.ndarray):
+            fresh = array_key_tuples(
+                keys[np.array(inserted, dtype=bool)], patch_keys)
+        else:
+            fresh = list(compress(keys, inserted))
+        record_view_write(self._name, fresh, sum(compress(counts, inserted)))
         return inserted
 
 
@@ -929,11 +942,12 @@ def handle_shard_request(state: ShardedWorkerState, method: str,
                 return ViewHits([None] * len(keys), {})
             return handle.get_many(keys)
         if method == "view_put_many":
-            _, client_id, keys, counts, columns = args
+            _, client_id, keys, counts, columns, patch_keys = args
             handle = store.for_client(client_id).get(name)
             if handle is None:
                 raise ServerError(f"view {name!r} does not exist")
-            return handle.put_many(keys, counts, columns)
+            return handle.put_many(keys, counts, columns,
+                                   patch_keys=patch_keys)
         if method == "view_keys":
             view = store.base.get(name)
             return [] if view is None else list(view.keys())

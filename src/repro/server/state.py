@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from itertools import compress
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
 import numpy as np
@@ -53,7 +54,7 @@ from repro.server.locks import RWLock
 from repro.session import SessionState
 from repro.storage.engine import StorageEngine
 from repro.storage.view_store import (Key, MaterializedView, ViewHits,
-                                      ViewStore)
+                                      ViewStore, array_key_tuples)
 from repro.symbolic.dnf import DnfPredicate
 from repro.symbolic.engine import SymbolicEngine
 from repro.video.synthetic import SyntheticVideo
@@ -245,19 +246,27 @@ class ClientViewHandle:
             self._stats.record_materialization(self._client_id)
         return inserted
 
-    def put_many(self, keys: list[Key], counts: list[int],
-                 columns: Mapping[str, list]) -> list[bool]:
+    def put_many(self, keys: list[Key] | np.ndarray, counts: list[int],
+                 columns: Mapping[str, list],
+                 patch_keys: bool = False) -> list[bool]:
         """Bulk append under one write-lock acquisition.
 
         Returns per-key inserted flags (mirroring
-        :meth:`MaterializedView.put_many`) and attributes every newly
-        materialized key to this client.
+        :meth:`MaterializedView.put_many`, which reads an int array of
+        ``keys`` as ``patch_keys`` says) and attributes every newly
+        materialized key to this client — by its key tuple, the form
+        every probe looks owners up by.
         """
         with self._lock.write_locked():
-            inserted = self._view.put_many(keys, counts, columns)
-            for key, was_new in zip(keys, inserted):
-                if was_new:
-                    self._owners[key] = self._client_id
+            inserted = self._view.put_many(keys, counts, columns,
+                                           patch_keys=patch_keys)
+            if isinstance(keys, np.ndarray):
+                fresh = array_key_tuples(
+                    keys[np.array(inserted, dtype=bool)], patch_keys)
+            else:
+                fresh = compress(keys, inserted)
+            for key in fresh:
+                self._owners[key] = self._client_id
         if self._stats is not None:
             for was_new in inserted:
                 if was_new:

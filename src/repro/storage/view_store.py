@@ -16,17 +16,25 @@ paper's LEFT OUTER JOIN rewrite (section 4.4) probes.  While every key is
 ``ordinal_of_frame`` array, and while every key is a ``(frame_id, box)``
 pair that packs into one int64 (:func:`pack_patch_keys`, patch classifiers)
 a packed-key index, so a probe by an int array is a join on arrays.
-Writers hand over column slices (:meth:`MaterializedView.put_many`),
-readers get a :class:`ViewHits` whose columns are zero-copy views over the
-stored columns, and the durable store logs and snapshots the same
+Writers hand over column slices (:meth:`MaterializedView.put_many`), keyed
+by the same int arrays a probe takes or by key tuples; readers get a
+:class:`ViewHits` whose columns are zero-copy views over the stored
+columns, and the durable store logs and snapshots the same
 :class:`~repro.storage.columnar.ColumnBatch` a write appended.
+
+Every append adds its raw JSON size to the running estimate behind
+:meth:`MaterializedView.serialized_bytes`.  The size is defined by
+``json.dumps`` but computed from the key arrays and the typed columns
+(:func:`_payload_bytes`); only values of no typed form are dumped.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from itertools import chain, count, repeat
+from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +65,12 @@ SERIALIZED_BASE_OVERHEAD = 512
 #: Bits of a packed patch key: the frame id, then x1, y1, x2, y2.
 _FRAME_BITS, _COORD_BITS = 19, 11
 _COORD_LIMIT = 1 << _COORD_BITS
+#: Right shifts that take a packed key to its frame id, x1, y1, x2, y2.
+_PART_SHIFTS = np.array([4, 3, 2, 1, 0], dtype=np.int64) * _COORD_BITS
+
+#: Frame ids from here on drop the dense ``ordinal_of_frame`` index: it
+#: holds one int64 per id below the largest stored one.
+_DENSE_FRAME_LIMIT = 1 << 24
 
 #: Compressed-bytes per raw-JSON-payload byte.  Calibrated against real
 #: query output (detector views compress to 0.33, patch-classifier views
@@ -141,8 +155,9 @@ class MaterializedView:
         self._ordinals: dict[Key, int] = {}
         self._offsets = np.zeros(1, dtype=np.int64)
         #: frame id -> ordinal (-1: not stored) while every key is
-        #: ``(frame_id,)`` with a non-negative int; None once one is not.
-        #: Derived, extended by every append, never serialized.
+        #: ``(frame_id,)`` with an int in ``[0, _DENSE_FRAME_LIMIT)``;
+        #: None once one is not.  Derived, extended by every append,
+        #: never serialized.
         self._ordinal_of_frame: np.ndarray | None = np.zeros(
             0, dtype=np.int64)
         #: packed patch key -> ordinal while every key packs
@@ -150,7 +165,9 @@ class MaterializedView:
         #: extended by every append, never serialized.
         self._ordinal_of_patch: dict[int, int] | None = {}
         #: Whether the first key stored is a ``(frame_id, box)`` pair: an
-        #: int array probe then holds packed patch keys, not frame ids.
+        #: int array probe or write then holds packed patch keys, not
+        #: frame ids.  An array write to an empty view sets it from the
+        #: writer's ``patch_keys``.
         self._patch_keyed = False
         #: Typed columns (:func:`~repro.storage.batch.stored_column`); an
         #: empty list until the first rows arrive.
@@ -172,13 +189,23 @@ class MaterializedView:
 
     # -- writes ----------------------------------------------------------------
 
-    def put_many(self, keys: list[Key], counts: list[int],
-                 columns: Mapping[str, list]) -> list[bool]:
+    def put_many(self, keys: list[Key] | np.ndarray, counts: list[int],
+                 columns: Mapping[str, list],
+                 patch_keys: bool = False) -> list[bool]:
         """Record that ``keys`` were computed, under **one** lock acquisition.
 
         ``counts[i]`` is the number of output rows of ``keys[i]`` and every
         list of ``columns`` (one per output column) holds the rows of all
         keys back to back — the shape the producing operator already has.
+
+        ``keys`` are key tuples or a 1-D int array read as :meth:`get_many`
+        reads one: packed patch keys (:func:`pack_patch_keys`) when
+        ``patch_keys``, else frame ids.  The writer says which, from its
+        UDF kind: frame filters and patch classifiers both key their views
+        by ``["id", "bbox_key"]``, so an empty view cannot tell.  An array
+        of the other form than the view's stored keys is refused.  The
+        array feeds the view's indexes and byte count; the listener, the
+        lineage hooks and the key index get its key tuples.
 
         Returns one inserted-flag per key (in input order): True when the
         key was newly added, False when it already existed (including keys
@@ -188,8 +215,17 @@ class MaterializedView:
         callers use the flags for write attribution and for charging
         materialization costs per key.
         """
+        array = None
+        if isinstance(keys, np.ndarray):
+            array = self._int64_keys(keys)
+            if patch_keys and len(array) and array.min() < 0:
+                raise StorageError(
+                    f"view {self.name!r}: packed patch keys are "
+                    "non-negative")
+            keys = array_key_tuples(array, patch_keys)
         inserted, fresh = self._append(ColumnBatch(
-            keys, counts, {col: columns[col] for col in self.output_columns}))
+            keys, counts, {col: columns[col] for col in self.output_columns}),
+            array, patch_keys)
         if fresh.keys:
             listener = self.listener
             if listener is not None:
@@ -207,9 +243,12 @@ class MaterializedView:
         work, so neither the listener nor the lineage hooks hear of it."""
         return sum(self._append(batch)[0])
 
-    def _append(self, batch: ColumnBatch) -> tuple[list[bool], ColumnBatch]:
+    def _append(self, batch: ColumnBatch, array: np.ndarray | None = None,
+                patch_keys: bool = False) -> tuple[list[bool], ColumnBatch]:
         """Insert the not-yet-stored entries of ``batch``; returns the
-        per-key inserted flags and the batch of what was inserted."""
+        per-key inserted flags and the batch of what was inserted.
+        ``array`` is the int64 form of ``batch.keys`` (see
+        :meth:`put_many`), or None."""
         rows = sum(batch.counts)
         if len(batch.counts) != len(batch.keys) or any(
                 len(batch.columns[col]) != rows
@@ -219,26 +258,50 @@ class MaterializedView:
                 f"({len(batch.keys)} keys, {rows} rows)")
         with self._lock:
             ordinals = self._ordinals
-            first: dict[Key, int] = {}  # fresh key -> where it first occurs
-            for index, key in enumerate(batch.keys):
-                if key not in ordinals:
-                    first.setdefault(key, index)
-            inserted = [first.get(key) == index
-                        for index, key in enumerate(batch.keys)]
-            if len(first) != len(batch.keys):
-                batch = batch.select(list(first.values()))
-            nbytes = _payload_bytes(batch)  # raises before anything changed
-            old, new = len(ordinals), len(batch.keys)
-            if not old and new:
+            old = len(ordinals)
+            if array is not None and old and patch_keys != self._patch_keyed:
+                raise StorageError(
+                    f"view {self.name!r}: an array of "
+                    f"{'packed patch keys' if patch_keys else 'frame ids'}"
+                    " does not key this view")
+            keys = batch.keys
+            if not any(map(ordinals.__contains__, keys)) \
+                    and len(set(keys)) == len(keys):
+                # The APPLY operators write misses only, without repeats.
+                inserted = [True] * len(keys)
+                new = len(keys)
+            else:
+                first: dict[Key, int] = {}  # fresh key -> first position
+                for index, key in enumerate(keys):
+                    if key not in ordinals:
+                        first.setdefault(key, index)
+                inserted = [first.get(key) == index
+                            for index, key in enumerate(keys)]
+                new = len(first)
+                if new and new != len(keys):
+                    fresh = list(first.values())
+                    batch = batch.select(fresh)
+                    if array is not None:
+                        array = array[fresh]
+            if not new:
+                return inserted, ColumnBatch([], [], {
+                    col: [] for col in batch.columns})
+            if array is None:
+                frames, packed = _key_arrays(batch.keys)
+            else:
+                frames, packed = ((None, array) if patch_keys
+                                  else (array, None))
+            # Raises (a value no codec stores) before anything changed.
+            nbytes = _payload_bytes(batch, frames, packed)
+            if not old:
                 self._patch_keyed = len(batch.keys[0]) == 2
             ordinals.update(zip(batch.keys, count(old)))
-            if new:
-                offsets = grow(self._offsets, old + new + 1, 0)
-                offsets[old + 1:old + new + 1] = (np.cumsum(batch.counts)
-                                                  + offsets[old])
-                self._offsets = offsets
-            self._index_frames(batch.keys, old)
-            self._index_patches(batch.keys, old)
+            offsets = grow(self._offsets, old + new + 1, 0)
+            offsets[old + 1:old + new + 1] = (np.cumsum(batch.counts)
+                                              + offsets[old])
+            self._offsets = offsets
+            self._index_frames(frames, old)
+            self._index_patches(packed, old)
             columns = self._columns
             for col in self.output_columns:
                 columns[col] = stored_column(columns[col],
@@ -249,37 +312,44 @@ class MaterializedView:
                     self._prefix_index.setdefault(key[0], []).append(key)
         return inserted, batch
 
-    def _index_frames(self, keys: list[Key], first_ordinal: int) -> None:
-        """Extend ``_ordinal_of_frame`` by ``keys`` (all fresh, ordinals
-        from ``first_ordinal``), or drop it for good when one of them is
-        not ``(frame_id,)``.  Caller holds the view lock."""
+    def _index_frames(self, frames: np.ndarray | None,
+                      first_ordinal: int) -> None:
+        """Extend ``_ordinal_of_frame`` by the fresh keys' frame ids
+        (ordinals from ``first_ordinal``), or drop it for good when they
+        are not all ``(frame_id,)`` keys (``frames`` is None) or an id is
+        out of its range.  Caller holds the view lock."""
         dense = self._ordinal_of_frame
-        if dense is None or not keys:
+        if dense is None:
             return
-        if not all(len(key) == 1 and type(key[0]) is int for key in keys):
+        if frames is None or frames.min() < 0 \
+                or frames.max() >= _DENSE_FRAME_LIMIT:
             self._ordinal_of_frame = None
             return
-        ids = np.fromiter((key[0] for key in keys), dtype=np.int64,
-                          count=len(keys))
-        if ids.min() < 0:
-            self._ordinal_of_frame = None
-            return
-        dense = grow(dense, int(ids.max()) + 1, -1)
-        dense[ids] = np.arange(first_ordinal, first_ordinal + len(keys))
+        dense = grow(dense, int(frames.max()) + 1, -1)
+        dense[frames] = np.arange(first_ordinal, first_ordinal + len(frames))
         self._ordinal_of_frame = dense
 
-    def _index_patches(self, keys: list[Key], first_ordinal: int) -> None:
-        """Extend ``_ordinal_of_patch`` by ``keys`` (all fresh), or drop
-        it for good when one of them does not pack.  Caller holds the
-        view lock."""
+    def _index_patches(self, packed: np.ndarray | None,
+                       first_ordinal: int) -> None:
+        """Extend ``_ordinal_of_patch`` by the fresh keys packed, or drop
+        it for good when one of them does not pack (``packed`` is None).
+        Caller holds the view lock."""
         index = self._ordinal_of_patch
-        if index is None or not keys:
+        if index is None:
             return
-        packed = pack_key_tuples(keys)
         if packed is None:
             self._ordinal_of_patch = None
             return
         index.update(zip(packed.tolist(), count(first_ordinal)))
+
+    def _int64_keys(self, keys: np.ndarray) -> np.ndarray:
+        """``keys``, an array of keys, as int64; refuses any other
+        shape or type."""
+        if keys.ndim != 1 or keys.dtype.kind not in "iu" \
+                or not np.can_cast(keys.dtype, np.int64):
+            raise StorageError(
+                f"view {self.name!r}: array keys must be a 1-D int64 array")
+        return keys.astype(np.int64, copy=False)
 
     # -- reads ------------------------------------------------------------------
 
@@ -300,10 +370,8 @@ class MaterializedView:
         this is what lets the APPLY operators resolve a batch's hits and
         misses without taking the view lock once per row.
         """
-        if isinstance(keys, np.ndarray) and (keys.ndim != 1
-                                             or keys.dtype.kind not in "iu"):
-            raise StorageError(
-                f"view {self.name!r}: array keys must be a 1-D int array")
+        if isinstance(keys, np.ndarray):
+            keys = self._int64_keys(keys)
         with self._lock:
             dense = self._ordinal_of_frame
             patches = self._ordinal_of_patch
@@ -316,10 +384,9 @@ class MaterializedView:
                     map(patches.get, keys.tolist(), repeat(-1)),
                     dtype=np.int64, count=len(keys))
             elif not self._patch_keyed and dense is not None:
-                ids = keys.astype(np.int64, copy=False)
-                found = np.full(len(ids), -1, dtype=np.int64)
-                inside = (ids >= 0) & (ids < len(dense))
-                found[inside] = dense[ids[inside]]
+                found = np.full(len(keys), -1, dtype=np.int64)
+                inside = (keys >= 0) & (keys < len(dense))
+                found[inside] = dense[keys[inside]]
             else:
                 found = np.fromiter(
                     map(self._ordinals.get, self.key_tuples(keys),
@@ -360,9 +427,7 @@ class MaterializedView:
     def key_tuples(self, keys: np.ndarray) -> list[Key]:
         """The key tuples an int array probe stands for (see
         :meth:`get_many`)."""
-        if self._patch_keyed:
-            return unpack_patch_keys(keys)
-        return [(frame_id,) for frame_id in keys.tolist()]
+        return array_key_tuples(keys, self._patch_keyed)
 
     def keys(self) -> Iterable[Key]:
         return self._ordinals.keys()
@@ -412,10 +477,15 @@ class MaterializedView:
     def serialized_bytes(self) -> int:
         """Estimated compressed size of :meth:`serialize` output, in O(1).
 
-        Maintained incrementally from the raw JSON payload written per
-        insert; :meth:`serialize` itself remains exact.  Calibrated to
-        over-estimate real views by 1.05–1.75x — byte-budget policies
-        built on it (tier eviction, footprint caps) err conservative.
+        ``SERIALIZED_BASE_OVERHEAD`` plus ``SERIALIZED_COMPRESSION_FACTOR``
+        times the raw JSON payload: the sum of ``len(json.dumps(.))`` over
+        every stored key and value (boxes as ``["__bbox__", x1, y1, x2,
+        y2]``, tuples as ``["__tuple__", ...]``).  Every insert adds its
+        share, counted from the key arrays and typed columns without
+        dumping them (:func:`_payload_bytes`); :meth:`serialize` itself
+        remains exact.  Calibrated to over-estimate real views by
+        1.05–1.75x — byte-budget policies built on it (tier eviction,
+        footprint caps) err conservative.
         """
         return SERIALIZED_BASE_OVERHEAD + int(
             self._approx_payload_bytes * SERIALIZED_COMPRESSION_FACTOR)
@@ -638,24 +708,116 @@ def pack_patch_keys(frame_ids: np.ndarray, boxes: np.ndarray
     return packed
 
 
+def _patch_key_parts(packed: np.ndarray) -> np.ndarray:
+    """An ``(n, 5)`` int64 array: the frame id, x1, y1, x2, y2 of each
+    :func:`pack_patch_keys` key."""
+    parts = packed[:, None] >> _PART_SHIFTS
+    parts[:, 1:] &= _COORD_LIMIT - 1
+    return parts
+
+
 def unpack_patch_keys(packed: np.ndarray) -> list[Key]:
     """The key tuples of :func:`pack_patch_keys` output."""
-    mask = _COORD_LIMIT - 1
-    parts = [(packed >> (_COORD_BITS * shift)) & mask
-             for shift in (3, 2, 1, 0)]
-    frame_ids = packed >> (4 * _COORD_BITS)
-    return list(zip(frame_ids.tolist(),
-                    zip(*(part.tolist() for part in parts))))
+    parts = _patch_key_parts(packed)
+    return list(zip(parts[:, 0].tolist(), zip(*parts[:, 1:].T.tolist())))
 
 
-def _payload_bytes(batch: ColumnBatch) -> int:
-    """Raw JSON size of a batch — the unit the running estimate sums:
-    ``len(json.dumps(.))`` of every key and every stored value.  One dumps
-    of the flat list gives the same total, as each item adds ``", "``."""
-    flat: list = [[_jsonable(part) for part in key] for key in batch.keys]
+def array_key_tuples(keys: np.ndarray, patch_keys: bool) -> list[Key]:
+    """The key tuples a 1-D int array of keys stands for: packed patch
+    keys when ``patch_keys``, else frame ids."""
+    if patch_keys:
+        return unpack_patch_keys(keys.astype(np.int64, copy=False))
+    return list(zip(keys.tolist()))
+
+
+def _key_arrays(keys: list[Key]) -> tuple[np.ndarray | None,
+                                          np.ndarray | None]:
+    """``(frame ids, packed patch keys)`` of a non-empty list of key
+    tuples: the int64 ids when every key is ``(frame_id,)`` with an int
+    that fits, else None; the :func:`pack_key_tuples` keys, else None."""
+    if set(map(len, keys)) == {1} \
+            and set(map(type, chain.from_iterable(keys))) == {int}:
+        try:
+            return np.fromiter(chain.from_iterable(keys), dtype=np.int64,
+                               count=len(keys)), None
+        except OverflowError:  # beyond int64
+            return None, None
+    return None, pack_key_tuples(keys)
+
+
+#: ``10**1 .. 10**19``: a magnitude ``m`` has ``1 + (powers <= m)``
+#: decimal digits.
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+_INFINITY = float("inf")
+_BOX_COORDS = attrgetter("x1", "y1", "x2", "y2")
+
+
+def _payload_bytes(batch: ColumnBatch, frames: np.ndarray | None,
+                   packed: np.ndarray | None) -> int:
+    """Raw JSON size of a non-empty batch — the unit the running estimate
+    sums: ``len(json.dumps(.))`` of every key and every stored value, a
+    key as a list of its parts, boxes and tuples tagged as
+    :meth:`MaterializedView.serialized_bytes` says.
+
+    Counted, not dumped.  ``[f]`` is 2 + the digits of ``f``, and
+    ``[f, ["__tuple__", x1, y1, x2, y2]]`` is 25 + the digits of its five
+    ints, over the batch's ``frames`` or ``packed`` array.  A column is
+    counted by its exact type set, as
+    :func:`~repro.storage.batch.stored_column` types it: ``str`` / None
+    once per distinct value, floats from one list repr, a box as 20 plus
+    its coordinates.  Keys with no array and values of no typed form are
+    dumped, which raises ``TypeError`` for a value JSON cannot hold."""
+    n = len(batch.keys)
+    if frames is not None:
+        total = 2 * n + _decimal_chars(frames)
+    elif packed is not None:
+        total = 25 * n + _decimal_chars(_patch_key_parts(packed))
+    else:
+        total = _json_bytes([list(map(_jsonable, key))
+                             for key in batch.keys])
     for values in batch.columns.values():
-        flat.extend(map(_jsonable, values))
-    return len(json.dumps(flat)) - 2 * len(flat) if flat else 0
+        if len(values):
+            total += _column_bytes(materialize_column(values))
+    return total
+
+
+def _column_bytes(values: list) -> int:
+    """``len(json.dumps(v))`` summed over the non-empty ``values``."""
+    kinds = set(map(type, values))
+    if kinds <= {str, type(None)}:
+        return sum(len(json.dumps(value)) * times
+                   for value, times in Counter(values).items())
+    if kinds == {float}:
+        return _float_chars(values)
+    if kinds == {BoundingBox}:
+        coords = list(chain.from_iterable(map(_BOX_COORDS, values)))
+        if set(map(type, coords)) == {float}:
+            return 20 * len(values) + _float_chars(coords)
+        return 20 * len(values) + _json_bytes(coords)
+    return _json_bytes(list(map(_jsonable, values)))
+
+
+def _decimal_chars(values: np.ndarray) -> int:
+    """``len(str(v))`` summed over an int64 array."""
+    # abs(-2**63) is -2**63 again, whose uint64 view is 2**63.
+    magnitudes = np.abs(values).view(np.uint64)
+    return int(np.searchsorted(_POWERS_OF_TEN, magnitudes, side="right")
+               .sum()) + values.size + int((values < 0).sum())
+
+
+def _float_chars(values: list) -> int:
+    """``len(json.dumps(v))`` summed over a non-empty list of floats: a
+    float's JSON is its repr, but for ``Infinity`` / ``-Infinity``, five
+    longer than ``inf`` / ``-inf``."""
+    return (len(repr(values)) - 2 * len(values)
+            + 5 * (values.count(_INFINITY) + values.count(-_INFINITY)))
+
+
+def _json_bytes(items: list) -> int:
+    """``len(json.dumps(item))`` summed over ``items``, by one dumps of
+    the list: its brackets and ``", "`` separators add two characters
+    per item."""
+    return len(json.dumps(items)) - 2 * len(items) if items else 0
 
 
 def _jsonable(value):

@@ -9,6 +9,7 @@ here with a precise signal rather than as a flaky stress test.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import sys
 import threading
@@ -17,9 +18,12 @@ import time
 import numpy as np
 import pytest
 
+import repro.server.shard as shard_module
+import repro.storage.view_store as view_store_module
 from repro.config import EvaConfig
 from repro.optimizer.udf_manager import UdfManager, UdfSignature
 from repro.parser.parser import parse
+from repro.server import EvaServer
 from repro.server.locks import RWLock
 from repro.server.shard import RemoteViewHandle
 from repro.server.state import (
@@ -31,6 +35,8 @@ from repro.server.stats import ServerStats
 from repro.storage.view_store import MaterializedView, pack_key_tuples
 from repro.symbolic.dnf import dnf_from_expression
 from repro.symbolic.engine import SymbolicEngine
+from repro.types import VideoMetadata
+from repro.video.synthetic import SyntheticVideo
 
 
 def guard(sql: str):
@@ -390,6 +396,115 @@ class TestSharedViewStore:
                                   ["bus", "van", "car"])
         assert by_array[1] == {("bob", "alice"): 3, ("bob", "carol"): 1,
                                ("dave", "alice"): 3, ("dave", "carol"): 1}
+
+    @pytest.mark.parametrize("patch", [False, True], ids=["frame", "patch"])
+    def test_array_writes_attribute_by_key_tuples(self, patch, monkeypatch):
+        """An int-array ``put_many`` through the local handle and the
+        remote one (a pickling loopback) records owners, lineage writes
+        and later hits exactly as key tuples do: owners are keyed by
+        tuples of ints, never by numpy scalars."""
+        writes = []
+
+        def spy(name, keys, rows):
+            writes.append((name, list(keys), rows))
+
+        monkeypatch.setattr(view_store_module, "record_view_write", spy)
+        monkeypatch.setattr(shard_module, "record_view_write", spy)
+        keys = ([(i, (i % 5, 1, 9, 2047)) for i in range(6)] if patch
+                else [(i,) for i in range(6)])
+
+        def form(part, as_array):
+            if not as_array:
+                return part
+            if patch:
+                return pack_key_tuples(part)
+            return np.array([key[0] for key in part])
+
+        def run(as_array):
+            writes.clear()
+            store, stats = self.make()
+            layout = ["id", "bbox_key"], ["value"]
+
+            class OwnerWorker:
+                """The owner side of ``view_put_many`` / ``view_get_many``
+                (see ``handle_shard_request``) across a pickle boundary."""
+
+                def call(self, method, name, client_id, keys, *rest):
+                    keys, rest = pickle.loads(pickle.dumps((keys, rest)))
+                    handle = store.for_client(client_id).get(name)
+                    if method == "view_put_many":
+                        counts, columns, patch_keys = rest
+                        result = handle.put_many(keys, counts, columns,
+                                                 patch_keys=patch_keys)
+                    else:
+                        result = handle.get_many(keys)
+                    return pickle.loads(pickle.dumps(result))
+
+            alice = store.for_client("alice").create_or_get("mv::a", *layout)
+            assert alice.put_many(form(keys[:3], as_array), [1, 1, 1],
+                                  {"value": ["a", "b", "c"]},
+                                  patch_keys=patch) == [True] * 3
+            remote = RemoteViewHandle(OwnerWorker(), "mv::a", "bob",
+                                      *layout)
+            assert remote.put_many(form(keys[2:], as_array), [1, 0, 1, 1],
+                                   {"value": ["x", "d", "e"]},
+                                   patch_keys=patch) == \
+                [False, True, True, True]
+            carol = store.for_client("carol").get("mv::a")
+            for probe in (keys, form(keys, as_array)):
+                assert carol.get_many(probe).counts == [1, 1, 1, 0, 1, 1]
+            owners = store._owners["mv::a"]
+            snapshot = stats.snapshot(workers=1, hit_percentage=0.0,
+                                      num_views=1, view_storage_bytes=0)
+            return dict(owners), snapshot.cross_client_hits, list(writes)
+
+        by_tuples, by_array = run(False), run(True)
+        assert by_array == by_tuples
+        owners, hits, recorded = by_array
+        assert list(owners.items()) == [(key, "alice") for key in keys[:3]] \
+            + [(key, "bob") for key in keys[3:]]
+        parts = [part for key in owners
+                 for part in ((key[0], *key[1]) if patch else key)]
+        assert {type(key) for key in owners} == {tuple}
+        assert {type(part) for part in parts} == {int}
+        assert hits == {("carol", "alice"): 6, ("carol", "bob"): 6}
+        # The owner's view and the remote client each hear bob's write.
+        assert [keys for _, keys, _ in recorded] == \
+            [keys[:3], keys[3:], keys[3:]]
+        assert {type(key) for _, keys, _ in recorded for key in keys} == \
+            {tuple}
+
+    def test_two_client_server_hit_matrix(self):
+        """A two-client ``EvaServer`` run of CarType and ColorDet queries
+        over each other's views: the (prober, owner) hit matrix and rows,
+        as recorded before views took array writes."""
+        table = "mx"
+        window = (f"SELECT id, bbox FROM {table} CROSS APPLY "
+                  "FastRCNNObjectDetector(frame) WHERE ")
+        queries = [
+            ("c0", window + "id < 300 AND label = 'car' "
+                            "AND CarType(frame, bbox) = 'Nissan';"),
+            ("c1", window + "id >= 100 AND id < 400 AND label = 'car' "
+                            "AND ColorDet(frame, bbox) = 'Gray';"),
+            ("c1", window + "id >= 150 AND id < 350 AND label = 'car' "
+                            "AND CarType(frame, bbox) = 'Nissan';"),
+            ("c0", window + "id < 400 AND label = 'car' "
+                            "AND ColorDet(frame, bbox) = 'Gray';"),
+        ]
+        server = EvaServer(max_workers=2)
+        server.register_video(SyntheticVideo(VideoMetadata(
+            name=table, num_frames=400, width=960, height=540, fps=25.0,
+            vehicles_per_frame=4.0), seed=11))
+        digest = hashlib.sha256()
+        with server.start():
+            clients = {name: server.connect(name) for name in ("c0", "c1")}
+            for name, sql in queries:
+                digest.update(repr(clients[name].execute(sql).rows).encode())
+            snapshot = server.stats()
+        assert snapshot.cross_client_hits == {
+            ("c0", "c0"): 300, ("c0", "c1"): 1132,
+            ("c1", "c0"): 962, ("c1", "c1"): 50}
+        assert digest.hexdigest()[:16] == "e373fd587fee1ec3"
 
     def test_remote_handle_passes_the_column_batch_through(self):
         """A worker that does not own the view sees what a local client

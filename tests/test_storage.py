@@ -3,6 +3,7 @@
 import json
 import pickle
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.storage.batch import (
     stored_column,
 )
 from repro.storage.columnar import ColumnBatch, read_table, write_table
+from repro.storage import view_store
 from repro.storage.engine import StorageEngine, VideoTable
 from repro.storage.view_store import (
     MaterializedView,
@@ -275,19 +277,31 @@ class TestSerializedBytesEstimate:
         assert restored.serialized_bytes() == view.serialized_bytes()
 
 
+def jsonable(value):
+    """A key part or stored value as the byte estimate dumps it."""
+    if isinstance(value, BoundingBox):
+        return ["__bbox__", value.x1, value.y1, value.x2, value.y2]
+    if isinstance(value, tuple):
+        return ["__tuple__"] + [jsonable(v) for v in value]
+    return value
+
+
 def entry_json_bytes(key, rows) -> int:
     """The accounting unit, entry at a time: ``len(json.dumps(.))`` of
     the key and of every stored value (boxes and tuples tagged)."""
-    def jsonable(value):
-        if isinstance(value, BoundingBox):
-            return ["__bbox__", value.x1, value.y1, value.x2, value.y2]
-        if isinstance(value, tuple):
-            return ["__tuple__"] + [jsonable(v) for v in value]
-        return value
-
     return len(json.dumps([jsonable(part) for part in key])) + sum(
         len(json.dumps(jsonable(value)))
         for row in rows for value in row.values())
+
+
+def payload_json_bytes(keys, columns) -> int:
+    """The reference count of a batch the view's arithmetic must equal:
+    one ``json.dumps`` of the flat list of its keys and stored values,
+    less the brackets and separators (two characters per item)."""
+    flat: list = [[jsonable(part) for part in key] for key in keys]
+    for values in columns.values():
+        flat.extend(map(jsonable, values))
+    return len(json.dumps(flat)) - 2 * len(flat) if flat else 0
 
 
 _coords = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -335,6 +349,259 @@ class TestBatchByteAccounting:
         assert view._approx_payload_bytes == expected
         assert dict(view.items()) == {
             key: tuple(rows) for key, rows in stored.items()}
+
+
+_NAN, _INF = float("nan"), float("inf")
+#: Every digit count, both signs, and ids beyond int64 (no array: the
+#: count falls back to dumping them).
+_any_frame_key = st.tuples(st.one_of(
+    st.integers(0, 3000), st.integers(-2**63, 2**63 - 1),
+    st.sampled_from([-1, 9, 10, 99, 100, 10**18 - 1, 10**18, 2**63 - 1,
+                     -2**63, 2**63, -2**63 - 1, 10**25])))
+_any_coord = st.one_of(
+    st.integers(0, 2047),
+    st.sampled_from([9, 10, 999, 1000, 2048, -1, 10**20]))  # last 3: no pack
+_any_patch_key = st.tuples(
+    st.one_of(st.integers(0, (1 << 19) - 1),
+              st.sampled_from([9, 10, 1 << 19, -1])),  # last 2: no pack
+    st.tuples(_any_coord, _any_coord, _any_coord, _any_coord))
+_any_float = st.one_of(
+    st.floats(),
+    st.sampled_from([_NAN, _INF, -_INF, -0.0, 0.0, 1e16, 5e-324, 1e-5,
+                     0.1, 1e22, 123456789.125]))
+_any_string = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['say "car"', "back\\slash", "café 車", "",
+                     "\ud800", "tab\there"]))
+#: One strategy per column form: every value of a column is drawn from
+#: one of them, so most columns are single-type.
+_column_values = {
+    "float": _any_float,
+    "float box": st.builds(BoundingBox, _any_float, _any_float, _any_float,
+                           _any_float),
+    "other box": st.builds(BoundingBox, *[st.one_of(
+        _any_float, st.integers(-10**6, 10**6), st.booleans())] * 4),
+    "str": _any_string,
+    "str or None": st.one_of(_any_string, st.none()),
+    "None": st.none(),
+    "mixed": stored_values,
+}
+_ORACLE_COLUMNS = ("value", "score")
+
+
+@st.composite
+def _oracle_batches(draw, keys):
+    """``put_many`` arguments: up to eight keys (repeats too), up to three
+    rows each, a column form per column."""
+    batch_keys = draw(st.lists(keys, max_size=8))
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(batch_keys),
+                           max_size=len(batch_keys)))
+    rows = sum(counts)
+    return batch_keys, counts, {
+        name: draw(st.lists(_column_values[draw(st.sampled_from(
+            sorted(_column_values)))], min_size=rows, max_size=rows))
+        for name in _ORACLE_COLUMNS}
+
+
+def _key_array(keys, patch: bool):
+    """``keys`` as the int array an APPLY operator writes, or None when
+    one of them has no array form."""
+    if patch:
+        return pack_key_tuples(keys) if keys else None
+    ids = [key[0] for key in keys]
+    if not all(type(i) is int and -2**63 <= i < 2**63 for i in ids):
+        return None
+    return np.array(ids, dtype=np.int64)
+
+
+class TestPayloadBytesOracle:
+    """The view counts a write's bytes from its key array and typed
+    columns, dumping nothing it can count; the count must equal the
+    reference dumps (:func:`payload_json_bytes`) of the inserted entries,
+    whatever the keys, the column types and the write path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), patch=st.booleans())
+    def test_count_equals_the_reference_dumps(self, data, patch):
+        view = MaterializedView(
+            "v", ["id", "bbox_key"] if patch else ["id"],
+            list(_ORACLE_COLUMNS))
+        batches = data.draw(st.lists(_oracle_batches(
+            _any_patch_key if patch else _any_frame_key), max_size=4))
+        stored: set = set()
+        expected = 0
+        for keys, counts, columns in batches:
+            route = data.draw(st.sampled_from(["tuples", "array", "restore"]))
+            array = _key_array(keys, patch)
+            if route == "array" and array is not None:
+                view.put_many(array, counts, columns, patch_keys=patch)
+            elif route == "restore":
+                view.restore(ColumnBatch.decode(
+                    ColumnBatch(keys, counts, columns).encode()))
+            else:
+                view.put_many(keys, counts, columns)
+            fresh = list({key: index for index, key in reversed(list(
+                enumerate(keys))) if key not in stored}.values())
+            inserted = ColumnBatch(keys, counts, columns).select(
+                sorted(fresh))
+            expected += payload_json_bytes(inserted.keys, inserted.columns)
+            stored.update(inserted.keys)
+            assert view._approx_payload_bytes == expected
+        assert set(view.keys()) == stored
+
+    def test_count_never_dumps_typed_columns_or_array_keys(self,
+                                                           monkeypatch):
+        dumped = []
+        json_bytes = view_store._json_bytes
+        monkeypatch.setattr(view_store, "_json_bytes", lambda items: (
+            dumped.append(items) or json_bytes(items)))
+        view = MaterializedView("v", ["id", "bbox_key"], ["value", "bbox"])
+        keys = [(1, (0, 0, 4, 4)), (2, (1, 10, 5, 2047))]
+        columns = {"value": ["car", None, 'a "b"'],
+                   "bbox": [BoundingBox(0.5, -_INF, 1e16, _NAN),
+                            BoundingBox(0.0, 1.0, 2.0, 3.0),
+                            BoundingBox(1.0, 1.0, 2.0, 5e-324)]}
+        view.put_many(pack_key_tuples(keys), [2, 1], columns,
+                      patch_keys=True)
+        view.put_many([(3, (7, 7, 8, 8))], [1],
+                      {"value": ["bus"], "bbox": [columns["bbox"][0]]})
+        assert dumped == []
+        assert view._approx_payload_bytes == payload_json_bytes(
+            keys + [(3, (7, 7, 8, 8))],
+            {"value": columns["value"] + ["bus"],
+             "bbox": columns["bbox"] + [columns["bbox"][0]]})
+
+
+def _view_state(view) -> tuple:
+    """Everything an append changes: keys, offsets, every column with its
+    types, the byte estimate and both array indexes."""
+    frames = view._ordinal_of_frame
+    patches = view._ordinal_of_patch
+    return (list(view.keys()), view._offsets[:view.num_keys + 1].tolist(),
+            {name: (type(column), _typed(column))
+             for name, column in view._columns.items()},
+            view._approx_payload_bytes,
+            None if frames is None else frames.tolist(),
+            None if patches is None else dict(patches))
+
+
+_FRACTION_BOX = BoundingBox(Fraction(1, 3), 0.0, 1.0, 1.0)
+_BOX = BoundingBox(0.0, 0.0, 4.0, 4.0)
+
+
+class TestAtomicRefusal:
+    """A batch holding a value JSON cannot hold raises ``TypeError`` and
+    changes nothing — not the keys, a column, the estimate or an array
+    index — whichever typed form the value would take and whether it
+    comes through ``put_many`` or ``restore``; the next valid write then
+    goes in as if the refused one had never been offered."""
+
+    @staticmethod
+    def _view(patch: bool):
+        if patch:
+            view = MaterializedView("v", ["id", "bbox_key"],
+                                    ["label", "bbox"])
+            keys = [(1, (0, 0, 4, 4)), (2, (1, 1, 5, 5))]
+        else:
+            view = MaterializedView("v", ["id"], ["label", "bbox"])
+            keys = [(1,), (2,)]
+        view.put_many(keys, [1, 0], {"label": ["car"], "bbox": [_BOX]})
+        return view, keys
+
+    @pytest.mark.parametrize("route", ["put_many", "restore"])
+    @pytest.mark.parametrize("patch", [False, True], ids=["frame", "patch"])
+    @pytest.mark.parametrize("bad", [
+        "fraction box", "set value", "frozenset key part", "set key part"])
+    def test_refused_batch_changes_nothing(self, bad, patch, route):
+        view, (stored, _) = self._view(patch)
+        fresh = (3, (2, 2, 6, 6)) if patch else (3,)
+        keys, labels, boxes = [fresh, stored], ["bus", "van"], [_BOX, _BOX]
+        if bad == "fraction box":
+            boxes = [_FRACTION_BOX, _BOX]
+        elif bad == "set value":
+            boxes = [{"a"}, _BOX]
+        elif bad == "frozenset key part":
+            keys[0] = ((3, frozenset({1})) if patch
+                       else (frozenset({1}),))
+        else:
+            keys[0] = (3, {1}) if patch else ({1},)
+        before = _view_state(view)
+        with pytest.raises(TypeError):
+            batch = keys, [1, 1], {"label": labels, "bbox": boxes}
+            if route == "put_many":
+                view.put_many(*batch)
+            else:
+                view.restore(ColumnBatch(*batch))
+        assert _view_state(view) == before
+        assert view.put_many([fresh], [1], {"label": ["bus"],
+                                            "bbox": [_BOX]}) == [True]
+        assert view._approx_payload_bytes == before[3] + payload_json_bytes(
+            [fresh], {"label": ["bus"], "bbox": [_BOX]})
+        assert view.get(fresh) == ({"label": "bus", "bbox": _BOX},)
+
+    @pytest.mark.parametrize("patch", [False, True], ids=["frame", "patch"])
+    def test_refused_array_write_changes_nothing(self, patch):
+        view, _ = self._view(patch)
+        fresh = [(3, (2, 2, 6, 6))] if patch else [(3,)]
+        array = _key_array(fresh, patch)
+        before = _view_state(view)
+        with pytest.raises(TypeError):
+            view.put_many(array, [1], {"label": ["bus"],
+                                       "bbox": [_FRACTION_BOX]},
+                          patch_keys=patch)
+        with pytest.raises(StorageError):  # the other key form
+            view.put_many(array, [1], {"label": ["bus"], "bbox": [_BOX]},
+                          patch_keys=not patch)
+        assert _view_state(view) == before
+        assert view.put_many(array, [1], {"label": ["bus"], "bbox": [_BOX]},
+                             patch_keys=patch) == [True]
+        assert view.get_many(array).counts == [1]
+
+
+class TestArrayWrites:
+    """``put_many`` takes the int arrays ``get_many`` takes; the writer's
+    ``patch_keys`` says which form, so an empty view of either kind
+    (both key ``["id", "bbox_key"]``) reads them right."""
+
+    @pytest.mark.parametrize("patch", [False, True], ids=["frame", "patch"])
+    def test_array_write_to_an_empty_view_takes_the_writers_form(
+            self, patch):
+        keys = ([(3, (1, 2, 3, 4)), (70, (0, 0, 2047, 9)), (3, (1, 2, 3, 4))]
+                if patch else [(3,), (70,), (3,)])
+        array = _key_array(keys, patch)
+        columns = {"value": ["a", None, "dup"]}
+        seen = []
+
+        class Listener:
+            def view_put_many(self, view, batch):
+                seen.append(batch.keys)
+
+        view = MaterializedView("v", ["id", "bbox_key"], ["value"])
+        view.listener = Listener()
+        assert view.put_many(array, [1, 1, 1], columns,
+                             patch_keys=patch) == [True, True, False]
+        assert list(view.keys()) == seen[0] == keys[:2]
+        parts = [key[0] for key in seen[0]]
+        if patch:
+            parts += [coord for key in seen[0] for coord in key[1]]
+        assert {type(part) for part in parts} == {int}
+        assert (view._ordinal_of_patch is not None) == patch
+        assert (view._ordinal_of_frame is not None) == (not patch)
+        assert view.get_many(array).counts == [1, 1, 1]
+        twin = MaterializedView("v", ["id", "bbox_key"], ["value"])
+        twin.put_many(keys, [1, 1, 1], columns)
+        assert twin.items() == view.items()
+        assert twin._approx_payload_bytes == view._approx_payload_bytes
+
+    def test_rejects_malformed_arrays(self):
+        view = MaterializedView("v", ["id", "bbox_key"], ["value"])
+        for keys, patch in ((np.array([1 << 63], dtype=np.uint64), False),
+                            (np.array([[1]]), False),
+                            (np.array([1.0]), False),
+                            (np.array([-1]), True)):
+            with pytest.raises(StorageError):
+                view.put_many(keys, [0], {"value": []}, patch_keys=patch)
+        assert view.num_keys == 0
 
 
 def _probe_result(hits) -> tuple:
@@ -427,6 +694,14 @@ class TestDenseFrameProbe:
         view.put(("x",), [])  # not a frame key: the dense index goes
         assert view._ordinal_of_frame is None
         assert view.get_many(np.array([3])).counts == [1]
+
+    def test_a_far_frame_id_drops_the_dense_index(self):
+        # A dense index up to 2**40 would be 8 TB of int64.
+        view = MaterializedView("v", ["id"], ["label"])
+        view.put_many(np.array([3]), [1], {"label": ["car"]})
+        view.put((2**40,), [])
+        assert view._ordinal_of_frame is None
+        assert view.get_many(np.array([2**40, 3, 4])).counts == [0, 1, None]
 
     def test_rejects_a_non_vector_id_array(self):
         view = MaterializedView("v", ["id"], ["label"])

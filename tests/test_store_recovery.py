@@ -307,9 +307,9 @@ class TestEncodeOnce:
         offered = fresh = 0
         put_many = MaterializedView.put_many
 
-        def counting(view, keys, counts, columns):
+        def counting(view, keys, counts, columns, **kwargs):
             nonlocal offered, fresh
-            flags = put_many(view, keys, counts, columns)
+            flags = put_many(view, keys, counts, columns, **kwargs)
             offered += len(flags)
             fresh += sum(flags)
             return flags
