@@ -58,11 +58,10 @@ def make_video(spec: str) -> SyntheticVideo:
 
 
 def make_session(policy_name: str, dataset: str,
-                 execution_mode: str = "vectorized",
                  store_path: str | None = None) -> EvaSession:
     policy = ReusePolicy(policy_name.lower())
     session = EvaSession(config=EvaConfig(
-        reuse_policy=policy, execution_mode=execution_mode,
+        reuse_policy=policy,
         store_mode="durable" if store_path else "memory",
         store_path=store_path))
     session.register_video(make_video(dataset))
@@ -159,7 +158,6 @@ def run_script(session: EvaSession, path: str, stdout: IO[str]) -> int:
 
 def run_bench(policy_name: str, workload: str, frames: int,
               stdout: IO[str], artifacts: str | None = None,
-              execution_mode: str = "vectorized",
               store_path: str | None = None) -> int:
     from repro.vbench.queries import vbench_high, vbench_low
     from repro.vbench.workload import run_workload, workload_session
@@ -171,7 +169,6 @@ def run_bench(policy_name: str, workload: str, frames: int,
     queries = (vbench_high if workload == "high" else vbench_low)(
         "bench", frames)
     config = EvaConfig(reuse_policy=ReusePolicy(policy_name),
-                       execution_mode=execution_mode,
                        store_mode="durable" if store_path else "memory",
                        store_path=store_path)
     session = workload_session(video, config)
@@ -195,7 +192,6 @@ def run_bench(policy_name: str, workload: str, frames: int,
 
 def run_trace(policy_name: str, dataset: str, sql: str,
               jsonl: str | None, stdout: IO[str],
-              execution_mode: str = "vectorized",
               chrome_trace: str | None = None) -> int:
     """``repro trace``: run statements and print the span tree(s).
 
@@ -207,8 +203,7 @@ def run_trace(policy_name: str, dataset: str, sql: str,
     """
     from repro.obs.sinks import CompositeSink, InMemorySink, JsonlFileSink
 
-    session = make_session(policy_name, dataset,
-                           execution_mode=execution_mode)
+    session = make_session(policy_name, dataset)
     tracer = session.tracer
     tracer.capture_operators = True
     memory = InMemorySink()
@@ -260,8 +255,7 @@ def run_trace(policy_name: str, dataset: str, sql: str,
 
 def run_profile(policy_name: str, workload: str, frames: int,
                 calibration: str, top: int, jsonl: str | None,
-                stdout: IO[str],
-                execution_mode: str = "vectorized") -> int:
+                stdout: IO[str]) -> int:
     """``repro profile``: run a VBENCH workload under the continuous
     profiler and print the rollups.
 
@@ -278,7 +272,6 @@ def run_profile(policy_name: str, workload: str, frames: int,
     from repro.vbench.queries import vbench_high, vbench_low
 
     config = EvaConfig(reuse_policy=ReusePolicy(policy_name),
-                       execution_mode=execution_mode,
                        cost_calibration=calibration)
     session = EvaSession(config=config)
     video = SyntheticVideo(
@@ -507,7 +500,6 @@ def run_store(command: str, path: str, stdout: IO[str],
 def run_flight(policy_name: str, dataset: str, sql: str,
                stdout: IO[str], *, stage: str | None = None,
                jsonl: str | None = None,
-               execution_mode: str = "vectorized",
                store_path: str | None = None,
                slo_p50: float | None = None,
                slo_p99: float | None = None) -> int:
@@ -528,7 +520,7 @@ def run_flight(policy_name: str, dataset: str, sql: str,
         return 2
     policy = ReusePolicy(policy_name.lower())
     session = EvaSession(config=EvaConfig(
-        reuse_policy=policy, execution_mode=execution_mode,
+        reuse_policy=policy,
         store_mode="durable" if store_path else "memory",
         store_path=store_path,
         slo_latency_p50=slo_p50, slo_latency_p99=slo_p99))
@@ -602,7 +594,6 @@ def run_flight(policy_name: str, dataset: str, sql: str,
 def run_lineage(policy_name: str, dataset: str, sql: str,
                 stdout: IO[str], *, view: str | None = None,
                 graph: str | None = None, jsonl: str | None = None,
-                execution_mode: str = "vectorized",
                 store_path: str | None = None) -> int:
     """``repro lineage``: run statements and report view provenance.
 
@@ -618,7 +609,7 @@ def run_lineage(policy_name: str, dataset: str, sql: str,
 
     policy = ReusePolicy(policy_name.lower())
     session = EvaSession(config=EvaConfig(
-        reuse_policy=policy, execution_mode=execution_mode,
+        reuse_policy=policy,
         store_mode="durable" if store_path else "memory",
         store_path=store_path))
     session.register_video(make_video(dataset))
@@ -915,10 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dataset", default="ua_detrac:short",
                        help="ua_detrac[:size] | jackson | "
                             "synthetic:<frames>[:<density>]")
-        p.add_argument("--execution-mode", default="vectorized",
-                       choices=["vectorized", "row"],
-                       help="column-at-a-time kernels (default) or the "
-                            "row-at-a-time interpreter")
         p.add_argument("--store-path", default=None, metavar="DIR",
                        help="back the session with a durable view store "
                             "at DIR (WAL + snapshots; reuse state "
@@ -938,10 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--artifacts", default=None, metavar="DIR",
                        help="write trace.jsonl / metrics.json / "
                             "metrics.prom into DIR")
-    bench.add_argument("--execution-mode", default="vectorized",
-                       choices=["vectorized", "row"],
-                       help="column-at-a-time kernels (default) or the "
-                            "row-at-a-time interpreter")
     bench.add_argument("--store-path", default=None, metavar="DIR",
                        help="run against a durable view store at DIR "
                             "(snapshot + flush on completion)")
@@ -979,10 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--jsonl", default=None, metavar="PATH",
                          help="also persist the profile rollups as "
                               "JSON lines")
-    profile.add_argument("--execution-mode", default="vectorized",
-                         choices=["vectorized", "row"],
-                         help="column-at-a-time kernels (default) or "
-                              "the row-at-a-time interpreter")
     metrics = sub.add_parser(
         "metrics-dump",
         help="run the multi-client demo workload and print the "
@@ -1112,7 +1091,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
     if args.command == "bench":
         return run_bench(args.policy, args.workload, args.frames, stdout,
                          artifacts=args.artifacts,
-                         execution_mode=args.execution_mode,
                          store_path=args.store_path)
     if args.command == "store":
         try:
@@ -1134,7 +1112,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
         try:
             return run_trace(args.policy, args.dataset, args.query,
                              args.jsonl, stdout,
-                             execution_mode=args.execution_mode,
                              chrome_trace=args.chrome_trace)
         except ValueError as error:
             print(f"error: {error}", file=stdout)
@@ -1143,8 +1120,7 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
         try:
             return run_profile(args.policy, args.workload, args.frames,
                                args.calibration, args.top, args.jsonl,
-                               stdout,
-                               execution_mode=args.execution_mode)
+                               stdout)
         except ValueError as error:
             print(f"error: {error}", file=stdout)
             return 2
@@ -1152,7 +1128,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
         try:
             return run_flight(args.policy, args.dataset, args.query,
                               stdout, stage=args.stage, jsonl=args.jsonl,
-                              execution_mode=args.execution_mode,
                               store_path=args.store_path,
                               slo_p50=args.slo_p50, slo_p99=args.slo_p99)
         except ValueError as error:
@@ -1163,7 +1138,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
             return run_lineage(args.policy, args.dataset, args.query,
                                stdout, view=args.view, graph=args.graph,
                                jsonl=args.jsonl,
-                               execution_mode=args.execution_mode,
                                store_path=args.store_path)
         except ValueError as error:
             print(f"error: {error}", file=stdout)
@@ -1188,7 +1162,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
             return 2
     try:
         session = make_session(args.policy, args.dataset,
-                               execution_mode=args.execution_mode,
                                store_path=args.store_path)
     except ValueError as error:
         print(f"error: {error}", file=stdout)

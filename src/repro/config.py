@@ -85,12 +85,11 @@ class EvaConfig:
     #: Execution engine: ``"vectorized"`` runs each plan's streaming
     #: suffix (scan → filter → project → APPLY) as one pipeline of
     #: compiled column-at-a-time kernels, bulk view probes and batched
-    #: model invocation; ``"row"`` builds the row-at-a-time operator tree
-    #: — the test oracle.  Both produce identical result batches, view
-    #: contents and virtual-cost totals (the differential suite asserts
-    #: this); vectorized is simply faster in *real* seconds.  Sessions
-    #: whose reuse is inherently per-row (``FUNCACHE``, ``HASHSTASH``,
-    #: ``fuzzy_reuse``) run on the row tree whatever this says.
+    #: model invocation, under every reuse policy; ``"row"`` builds the
+    #: row-at-a-time operator tree — the reference for ``NONE`` and exact
+    #: ``EVA`` reuse, which the differential suite holds the pipeline to
+    #: (identical result batches, view contents and virtual-cost totals).
+    #: FunCache, HashStash and ``fuzzy_reuse`` run on the pipeline only.
     execution_mode: str = "vectorized"
     #: Cost-model calibration from observed telemetry
     #: (:mod:`repro.obs.calibration`): ``"off"`` never compares,
@@ -205,6 +204,14 @@ class EvaConfig:
             raise ValueError(
                 f"execution_mode must be 'vectorized' or 'row', "
                 f"got {self.execution_mode!r}")
+        if self.execution_mode == "row" and (
+                self.reuse_policy in (ReusePolicy.FUNCACHE,
+                                      ReusePolicy.HASHSTASH)
+                or self.fuzzy_reuse):
+            raise ValueError(
+                "execution_mode='row' is the reference for NONE and exact "
+                "EVA reuse; FunCache, HashStash and fuzzy_reuse run on the "
+                "pipeline only")
         if self.cost_calibration not in ("off", "report", "apply"):
             raise ValueError(
                 f"cost_calibration must be 'off', 'report' or 'apply', "

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.config import ReusePolicy
 from repro.errors import ExecutorError
 from repro.executor.context import ExecutionContext
 from repro.executor.fusion import build_pipeline, streaming_suffix_start
@@ -37,36 +36,23 @@ from repro.storage.batch import Batch
 class ExecutionEngine:
     """Builds operator trees from physical plans and runs them.
 
-    Two engines, chosen per session by :meth:`uses_row_tree`: the
-    **streaming pipeline** (:mod:`repro.executor.fusion`) runs a plan's
-    whole streaming suffix as one operator under the blocking operators
-    of its prefix; the **row operator tree** builds one row-at-a-time
-    operator per plan node — the test oracle, and the host of the
-    per-row baselines.  Either way a query runs on the thread that
+    One engine, one reference.  Every session runs the **streaming
+    pipeline** (:mod:`repro.executor.fusion`): a plan's whole streaming
+    suffix as one operator under the blocking operators of its prefix,
+    whatever its reuse policy — EVA, FunCache, HashStash, fuzzy reuse or
+    none.  ``execution_mode="row"`` builds the **row operator tree**
+    instead, one row-at-a-time operator per plan node: the reference the
+    differential suite holds the pipeline to, for ``ReusePolicy.NONE``
+    and exact EVA reuse.  Either way a query runs on the thread that
     issued it.
     """
 
     def __init__(self, context: ExecutionContext):
         self.context = context
 
-    def uses_row_tree(self) -> bool:
-        """Does this session run on the row operator tree?
-
-        ``execution_mode="row"`` asks for it.  FunCache charges hashing
-        per lookup interleaved with stores, HashStash reads its recycler
-        union up front per operator, and fuzzy bbox reuse walks per-row
-        spatial candidates: those sessions resolve row-at-a-time
-        whatever ``execution_mode`` says.
-        """
-        config = self.context.config
-        return (config.execution_mode == "row"
-                or config.reuse_policy in (ReusePolicy.FUNCACHE,
-                                           ReusePolicy.HASHSTASH)
-                or config.fuzzy_reuse)
-
     def build(self, plan: PhysicalPlan) -> Operator:
         chain = list(walk_plan(plan))
-        if self.uses_row_tree():
+        if self.context.config.execution_mode == "row":
             return self.build_over(chain, None)
         split = streaming_suffix_start(chain)
         pipeline = build_pipeline(chain[split:], self.context)

@@ -20,10 +20,19 @@ the plan cache's treatment.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable
+from typing import Callable, Hashable, Sequence
 
 from repro.clock import CostCategory, SimulationClock
 from repro.costs import CostConstants
+
+
+class _Pending:
+    """A missed key's slot, until its value is computed."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
 
 
 class FunctionCache:
@@ -45,25 +54,63 @@ class FunctionCache:
         self._per_udf: dict[str, int] = {}
         self.evictions = 0
 
+    def lookup_many(self, udf_name: str, keys: Sequence[Hashable],
+                    input_bytes: Sequence[int],
+                    evaluate: Callable[[list[int]], Sequence]
+                    ) -> tuple[list, list[int]]:
+        """Look ``keys`` up in order, storing what misses, with one
+        ``evaluate`` call for every miss.
+
+        Each key is charged its hash (``input_bytes``) and walks the LRU
+        as a lookup-then-store per key would: a hit refreshes its entry,
+        a miss is inserted at once (evicting the coldest entries) under a
+        placeholder.  ``evaluate(misses)`` gets the positions that
+        missed, ascending, and returns their values, which fill the
+        placeholders still cached.  So a key repeating an earlier miss
+        hits it, and one a later insertion evicted first misses again.
+        Returns every key's value and the positions that hit.
+        """
+        entries = self._entries
+        values: list = []
+        hits: list[int] = []
+        misses: list[int] = []
+        for index, (key, nbytes) in enumerate(zip(keys, input_bytes)):
+            self._charge_hash(nbytes)
+            slot = (udf_name, key)
+            if slot in entries:
+                entries.move_to_end(slot)
+                values.append(entries[slot])
+                hits.append(index)
+            else:
+                values.append(_Pending(index))
+                misses.append(index)
+                self.store(udf_name, key, values[index])
+        try:
+            outputs = evaluate(misses)
+        except BaseException:
+            # Placeholders never outlive this call: the keys of a failed
+            # evaluation stay uncached.
+            for index in misses:
+                slot = (udf_name, keys[index])
+                if entries.get(slot) is values[index]:
+                    del entries[slot]
+                    self._per_udf[udf_name] -= 1
+            raise
+        for index, value in zip(misses, outputs):
+            slot = (udf_name, keys[index])
+            if entries.get(slot) is values[index]:
+                entries[slot] = value
+            values[index] = value
+        for index in hits:
+            if isinstance(values[index], _Pending):
+                values[index] = values[values[index].index]
+        return values, hits
+
     def _charge_hash(self, input_bytes: int) -> None:
         self._clock.charge(
             CostCategory.HASH,
             self._costs.hash_per_call
             + input_bytes * self._costs.hash_per_byte)
-
-    def lookup(self, udf_name: str, key: Hashable, input_bytes: int
-               ) -> tuple[bool, object]:
-        """Probe the cache; charges the hashing cost of the arguments.
-
-        Returns:
-            ``(hit, value)`` — ``value`` is meaningful only when hit.
-        """
-        self._charge_hash(input_bytes)
-        slot = (udf_name, key)
-        if slot in self._entries:
-            self._entries.move_to_end(slot)
-            return True, self._entries[slot]
-        return False, None
 
     def store(self, udf_name: str, key: Hashable, value: object) -> None:
         """Insert a computed result (the arguments were already hashed)."""

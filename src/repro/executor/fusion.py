@@ -3,19 +3,16 @@
 Every physical plan is a blocking prefix (``[Limit][OrderBy][Distinct]
 [GroupBy]``) over a **streaming suffix** (``Project``/``Filter``/APPLY
 nodes down to the ``Scan``).  BlazeIt-style engines show that once model
-cost is amortized by reuse, the cheap pipeline *is* the query — so under
-``execution_mode="vectorized"`` the whole suffix runs as one
-:class:`FusedPipelineOperator`: compiled expression kernels, a stage
-tuple, a pruned scan column set, and one plain loop that pushes each
-columnar scan batch through the stages.  Nothing is generated or
-``exec``-ed; a stage is data.
+cost is amortized by reuse, the cheap pipeline *is* the query — so the
+whole suffix runs as one :class:`FusedPipelineOperator`, under every
+reuse policy: compiled expression kernels, a stage tuple, a pruned scan
+column set, and one plain loop that pushes each columnar scan batch
+through the stages.  Nothing is generated or ``exec``-ed; a stage is
+data.  A kernel the expression compiler could not vectorize takes
+``run_kernel_*``'s row fallback inside its stage; APPLY stages never
+fall back — they cut a batch into segments instead.
 
-A kernel the expression compiler could not vectorize
-(``vectorized=False``) takes ``run_kernel_*``'s row fallback inside its
-stage, and an APPLY batch that trips a row-fallback precondition demotes
-only that stage for that batch.
-
-Semantics are bit-identical to the row operator tree (the test oracle,
+Semantics are bit-identical to the row operator tree (the reference,
 ``execution_mode="row"``) by construction: each stage mirrors its
 operator's per-batch body (including the exact virtual-clock charges,
 empty-batch gating, and the project operator's empty-schema emission via
@@ -196,8 +193,8 @@ class _FusedRuntime:
     def __init__(self, policy: ReusePolicy, ops: list):
         self.policy = policy
         self.ops = ops
-        #: plan-node label -> batches demoted to the row path (the
-        #: ``kernel_fallback:<Label>`` metrics).
+        #: plan-node label -> batches an expression kernel re-ran through
+        #: the row interpreter (the ``kernel_fallback:<Label>`` metrics).
         self.fallbacks: dict[str, int] = {}
         #: ``project_index`` of every project stage a batch has reached.
         self.projects_reached: set[int] = set()
@@ -249,30 +246,26 @@ def _filter_group(batch: Batch, rt: _FusedRuntime, group: tuple
 
 
 def _classifier_step(batch: Batch, rt: _FusedRuntime,
-                     op: ClassifierApplyOperator, label: str) -> Batch:
-    """One classifier APPLY stage: mirrors the operator's per-batch body."""
+                     op: ClassifierApplyOperator) -> Batch:
+    """One classifier APPLY stage: mirrors the operator's per-batch body.
+    A row whose key cannot be built raises the row path's error; what
+    the clock holds after a failed query is not part of the contract."""
     context = op.context
     context.clock.charge(CostCategory.APPLY,
                          context.costs.apply_per_batch)
-    values = op._resolve_batch(batch, rt.policy)
-    if values is None:
-        # This batch only: the stage (not the plan) demotes to the row
-        # interpreter.
-        rt.fallbacks[label] = rt.fallbacks.get(label, 0) + 1
-        values = [op._resolve(row, rt.policy) for row in batch.iter_rows()]
-    return batch.with_column(op.column, values)
+    return batch.with_column(op.column, op._resolve_batch(batch, rt.policy))
 
 
 def _detector_step(batch: Batch, rt: _FusedRuntime,
-                   op: DetectorApplyOperator, label: str) -> Batch | None:
-    """One detector APPLY stage: bulk view probe + conditional APPLY."""
+                   op: DetectorApplyOperator) -> Batch | None:
+    """One detector APPLY stage: bulk view probe + conditional APPLY.
+    A batch without a ``frame`` or ``id`` column raises the row path's
+    error; what the clock holds after a failed query is not part of the
+    contract."""
     context = op.context
     context.clock.charge(CostCategory.APPLY,
                          context.costs.apply_per_batch)
-    out = op._apply_batch_vectorized(batch)
-    if out is None:
-        rt.fallbacks[label] = rt.fallbacks.get(label, 0) + 1
-        out = op._apply_batch_rows(batch, rt.policy)
+    out = op._apply_batch_vectorized(batch, rt.policy)
     return out if out.num_rows else None
 
 
@@ -448,6 +441,13 @@ class FusedPipelineOperator(Operator):
         batch_rows = context.config.batch_rows
         columns = self.fused.scan_columns
         produced = False
+        # HashStash reads the recycler when the query starts, as the row
+        # operator does, even if the scan yields nothing.
+        recycling = ([op for op in self.rt.ops
+                      if isinstance(op, DetectorApplyOperator)]
+                     if self.rt.policy is ReusePolicy.HASHSTASH else [])
+        for op in recycling:
+            op._prepare_hashstash()
         try:
             for start, stop in self._scan.ranges:
                 for batch in table.scan(start, stop, batch_rows,
@@ -465,6 +465,8 @@ class FusedPipelineOperator(Operator):
                 if tail is not None:
                     yield tail
         finally:
+            for op in recycling:
+                op._add_recycler_entry()
             self.kernel_fallback_batches = sum(self.rt.fallbacks.values())
 
     def _run_stages(self, batch: Batch | None) -> Batch | None:
@@ -494,16 +496,17 @@ class FusedPipelineOperator(Operator):
                 batch = (_filter_group(batch, rt, payload)
                          if batch.num_rows else None)
             elif kind == "detector":
-                batch = _detector_step(batch, rt, rt.ops[index], payload)
+                batch = _detector_step(batch, rt, rt.ops[index])
             elif kind == "classifier":
-                batch = _classifier_step(batch, rt, rt.ops[index], payload)
+                batch = _classifier_step(batch, rt, rt.ops[index])
             else:  # project
                 rt.projects_reached.add(index)
                 batch = _project_batch(batch, rt, payload)
         return batch
 
     def fallback_counts(self) -> dict[str, int]:
-        """Per-stage row-fallback batch counts, keyed by plan-node label."""
+        """Expression-kernel row-fallback batch counts, keyed by plan-node
+        label."""
         return dict(self.rt.fallbacks)
 
 

@@ -3,15 +3,47 @@
 from __future__ import annotations
 
 import abc
-from typing import Iterator
+from typing import Callable, Iterator
+
+import numpy as np
 
 from repro.executor.context import ExecutionContext
-from repro.storage.batch import Batch
+from repro.storage.batch import Batch, has_duplicates
 
 
 def node_label(node) -> str:
     """A plan node's display label (``PhysFilter`` -> ``Filter``)."""
     return type(node).__name__.removeprefix("Phys")
+
+
+def segments(keys, cut_repeats: bool,
+             creating_row: Callable[[int, int], int | None]
+             ) -> Iterator[np.ndarray]:
+    """A batch's rows, keyed by ``keys``, as consecutive segments on which
+    resolving the rows at once equals resolving them one by one.
+
+    A segment ends before a repeated key when ``cut_repeats`` (the
+    earlier row's STORE makes the repeat a hit), and right after
+    ``creating_row(start, stop)`` — the first row of ``[start, stop)``
+    whose STORE may create a view the operator probes, or None — which is
+    asked once the previous segment is resolved.
+    """
+    stops = []
+    if cut_repeats and has_duplicates(keys):
+        seen: set = set()
+        for index, key in enumerate(
+                keys.tolist() if isinstance(keys, np.ndarray) else keys):
+            if key in seen:
+                stops.append(index)
+                seen = set()
+            seen.add(key)
+    start = 0
+    for stop in stops + [len(keys)]:
+        while start < stop:
+            row = creating_row(start, stop)
+            end = stop if row is None else row + 1
+            yield np.arange(start, end)
+            start = end
 
 
 class Operator(abc.ABC):

@@ -14,11 +14,17 @@ list in order:
 Under the HashStash policy the operator instead reads the deduplicated
 union of all matched recycler entries up front, and under FunCache it
 probes the execution engine's function cache per frame.
+
+The streaming pipeline resolves whole batches
+(:meth:`DetectorApplyOperator._apply_batch_vectorized`); the row operator
+tree — the reference for ``ReusePolicy.NONE`` and exact EVA reuse —
+resolves one frame at a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import cache, partial
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from repro.baselines.hashstash import RecyclerEntry
 from repro.config import ReusePolicy
 from repro.errors import ExecutorError
 from repro.executor.context import ExecutionContext
-from repro.executor.operators.base import Operator
+from repro.executor.operators.base import Operator, segments
 from repro.models.base import ObjectDetectorModel
 from repro.optimizer.plans import DetectorSource, PhysDetectorApply
 from repro.optimizer.udf_manager import UdfSignature
@@ -36,7 +42,6 @@ from repro.storage.batch import (
     ColumnView,
     column_areas,
     frame_ids,
-    has_duplicates,
 )
 from repro.symbolic.compiled import compile_dnf
 from repro.types import Detection
@@ -64,8 +69,9 @@ class DetectorApplyOperator(Operator):
         self._fallback_model = self._pick_fallback()
         self._join_charged = False
         self.kernel_mode = "row"
-        # HashStash state: combined recycler results and this query's
-        # fresh output (a new recycler entry).
+        # HashStash state: combined recycler results (read when the
+        # pipeline starts) and this query's output (a new recycler entry,
+        # added when it ends).
         self._hashstash_combined: dict | None = None
         self._hashstash_output: dict = {}
 
@@ -84,30 +90,21 @@ class DetectorApplyOperator(Operator):
             models = [model for _, _, model in self._sources]
         return min(models, key=lambda m: m.per_tuple_cost)
 
-    # -- execution ------------------------------------------------------------
+    # -- execution (the row operator tree) -------------------------------------
 
     def execute(self) -> Iterator[Batch]:
-        policy = self.context.config.reuse_policy
-        if policy is ReusePolicy.HASHSTASH:
-            self._prepare_hashstash()
-        try:
-            for batch in self.child.execute():
-                self.context.clock.charge(
-                    CostCategory.APPLY, self.context.costs.apply_per_batch)
-                out = self._apply_batch_rows(batch, policy)
-                if out.num_rows:
-                    yield out
-        finally:
-            if policy is ReusePolicy.HASHSTASH and self._hashstash_output:
-                self.context.recycler.add(RecyclerEntry(
-                    self._recycler_signature,
-                    dict(self._hashstash_output)))
+        for batch in self.child.execute():
+            self.context.clock.charge(
+                CostCategory.APPLY, self.context.costs.apply_per_batch)
+            out = self._apply_batch_rows(batch)
+            if out.num_rows:
+                yield out
 
-    def _apply_batch_rows(self, batch: Batch, policy: ReusePolicy) -> Batch:
+    def _apply_batch_rows(self, batch: Batch) -> Batch:
         out_rows: list[dict] = []
         for row in batch.iter_rows():
             frame: Frame = row["frame"]
-            detections = self._resolve(row, frame, policy)
+            detections = self._resolve(row, frame)
             for detection in detections:
                 out_row = dict(row)
                 out_row["label"] = detection.label
@@ -124,65 +121,87 @@ class DetectorApplyOperator(Operator):
 
     # -- batch resolution (called by the streaming pipeline) ----------------------
 
-    def _apply_batch_vectorized(self, batch: Batch) -> Batch | None:
-        """Resolve a whole batch of frames against the source list at once.
+    def _apply_batch_vectorized(self, batch: Batch,
+                                policy: ReusePolicy) -> Batch:
+        """Resolve a whole batch of frames at once.
 
-        Walks the sources in plan order over a shrinking *pending* set:
-        each view source bulk-probes its materialized view (one
-        ``get_many``), each model source batch-evaluates the rows its
-        predicate matches (one ``predict_batch``), and leftovers go to the
-        fallback model.  Virtual charges mirror the row path exactly; the
-        clock is additive so interleaving order is irrelevant.
+        Under EVA and NONE each of the batch's :func:`segments` walks the
+        sources in plan order over a shrinking *pending* set: each view
+        source bulk-probes its materialized view (one ``get_many``), each
+        model source batch-evaluates the rows its predicate matches (one
+        ``predict_batch``), and leftovers go to the fallback model.  On a
+        segment that is what the row path computes, with the same virtual
+        charges; the clock is additive so interleaving order is
+        irrelevant.  HashStash and FunCache answer every frame with the
+        fallback model.
 
         Frames travel as ids (:func:`~repro.storage.batch.frame_ids`):
         the probe takes the id array, the model the miss ids, and ``area``
         the video's frame size — no frame handle is built.
-
-        Returns None to request row fallback when per-row interleaving
-        could change results: duplicate frame keys within the batch
-        (an early STORE turns a later probe into a hit), or STORE mode
-        while a view source's view does not exist yet (the first stored
-        row would create it mid-batch).
         """
         n = batch.num_rows
         if n == 0:
             return Batch()
-        if not (batch.has_column("frame") and batch.has_column("id")):
-            return None  # row path raises its KeyError
+        for name in ("frame", "id"):
+            if not batch.has_column(name):
+                raise KeyError(name)  # as the row path, before any row
         video_name, ids = frame_ids(batch.column("frame"))
-        if has_duplicates(ids):
-            return None
-        view_store = self.context.view_store
-        if self.node.store and any(
-                source.use_view and view_store.get(
-                    self._view_name(model.name, video_name)) is None
-                for source, _, model in self._sources):
-            return None
         video = self.context.video(video_name)
         #: ``(input rows, detections per row, output columns)`` of every
         #: group a source resolved, in resolution order.
         parts: list[tuple[np.ndarray, np.ndarray, dict]] = []
-        pending = np.arange(n)
-        values_list: list[dict] | None = None  # built on first model source
+        if policy in (ReusePolicy.HASHSTASH, ReusePolicy.FUNCACHE):
+            parts.append(self._baseline_batch(policy, video, ids))
+        else:
+            values_of = cache(partial(self._predicate_values, batch))
+            for rows in segments(
+                    ids, self.node.store,
+                    partial(self._creating_row, video_name, values_of)):
+                self._resolve_rows(video, ids, rows, values_of, parts)
+        return self._assemble(batch, parts)
+
+    def _resolve_rows(self, video: SyntheticVideo, ids: np.ndarray,
+                      pending: np.ndarray, values_of, parts: list) -> None:
+        """The source list over one segment's rows."""
         for source, predicate, model in self._sources:
             if not len(pending):
-                break
+                return
             if source.use_view:
                 pending = self._probe_view_batch(model, video, ids, pending,
                                                  parts)
                 continue
-            if values_list is None:
-                values_list = self._predicate_values(batch)
-            matched = np.array([predicate(values_list[i])
+            values = values_of()
+            matched = np.array([predicate(values[i])
                                 for i in pending.tolist()], dtype=bool)
             if matched.any():
                 self._evaluate_many(model, video, ids, pending[matched],
-                                    parts, store=self.node.store)
+                                    parts)
                 pending = pending[~matched]
         if len(pending):
             self._evaluate_many(self._fallback_model, video, ids, pending,
-                                parts, store=self.node.store)
-        return self._assemble(batch, parts)
+                                parts)
+
+    def _creating_row(self, video_name: str, values_of, start: int,
+                      stop: int) -> int | None:
+        """The first row of ``[start, stop)`` whose STORE may create a view
+        a source probes: one whose resolving model — the first model
+        source its predicate values satisfy, else the fallback model —
+        stores to such a view that is absent.  (A view source answering
+        the row first only makes the cut early.)"""
+        view_store = self.context.view_store
+        absent = {model.name for source, _, model in self._sources
+                  if source.use_view and view_store.get(
+                      self._view_name(model.name, video_name)) is None}
+        if not (self.node.store and absent):
+            return None
+        for row in range(start, stop):
+            model = next((model for source, predicate, model in self._sources
+                          if not source.use_view
+                          and predicate(values_of()[row])),
+                         self._fallback_model)
+            if model.name in absent:
+                return row
+        return None
 
     def _predicate_values(self, batch: Batch) -> list[dict]:
         """Per-row value dicts for source predicates (columnar build)."""
@@ -236,9 +255,7 @@ class DetectorApplyOperator(Operator):
                 CostCategory.READ_VIEW,
                 hits.num_rows * costs.view_read_per_row)
         found = pending[positions]
-        self.context.metrics.record_invocations(
-            model.name, ids[found], True,
-            per_tuple_cost=model.per_tuple_cost, video=video.name)
+        self._record_many(model, video, ids[found], reused=True)
         columns = {name: hits.column(name) for name in VIEW_OUTPUT_COLUMNS}
         columns["area"] = ColumnView(_relative_areas(
             video, column_areas(columns["bbox"])))
@@ -249,27 +266,16 @@ class DetectorApplyOperator(Operator):
 
     def _evaluate_many(self, model: ObjectDetectorModel,
                        video: SyntheticVideo, ids: np.ndarray,
-                       indices: np.ndarray, parts: list,
-                       store: bool) -> None:
+                       indices: np.ndarray, parts: list) -> None:
         """One ``predict_batch`` over the rows at ``indices`` + bulk
         STORE."""
-        self.context.clock.charge(
-            CostCategory.UDF, len(indices) * model.per_tuple_cost)
-        inputs = ids[indices].tolist()
-        outputs = self.context.invoke_model(model, video, inputs)
-        self.context.metrics.record_invocations(
-            model.name, inputs, False,
-            per_tuple_cost=model.per_tuple_cost, video=video.name)
-        counts = [len(detections) for detections in outputs]
-        flat = [d for detections in outputs for d in detections]
-        columns = {"label": [d.label for d in flat],
-                   "bbox": [d.bbox for d in flat],
-                   "score": [d.score for d in flat]}
-        if store:
+        part = _part(video, indices, self._invoke(model, video, ids, indices))
+        if self.node.store:
+            counts = part[1].tolist()
             view = self.context.view_store.create_or_get(
                 self._view_name(model.name, video.name), ["id"],
                 VIEW_OUTPUT_COLUMNS)
-            inserted = view.put_many(ids[indices], counts, columns)
+            inserted = view.put_many(ids[indices], counts, part[2])
             stored_rows = sum(
                 max(1, count)
                 for count, was_new in zip(counts, inserted) if was_new)
@@ -277,9 +283,49 @@ class DetectorApplyOperator(Operator):
                 self.context.clock.charge(
                     CostCategory.MATERIALIZE,
                     stored_rows * self.context.costs.materialize_per_row)
-        columns["area"] = ColumnView(_relative_areas(
-            video, column_areas(columns["bbox"])))
-        parts.append((indices, np.array(counts, dtype=np.int64), columns))
+        parts.append(part)
+
+    def _invoke(self, model: ObjectDetectorModel, video: SyntheticVideo,
+                ids: np.ndarray, indices: np.ndarray) -> list:
+        """One ``predict_batch`` over the frames at ``indices``, charged
+        and recorded as evaluated; their detections, in order."""
+        if not len(indices):
+            return []
+        self.context.clock.charge(
+            CostCategory.UDF, len(indices) * model.per_tuple_cost)
+        inputs = ids[indices]
+        outputs = self.context.invoke_model(model, video, inputs.tolist())
+        self._record_many(model, video, inputs, reused=False)
+        return outputs
+
+    def _baseline_batch(self, policy: ReusePolicy, video: SyntheticVideo,
+                        ids: np.ndarray) -> tuple:
+        """HashStash and FunCache answer every frame with the fallback
+        model.  FunCache looks each frame up, charged its hash; HashStash
+        reads the recycler union read when the query started, and every
+        frame's detections join this query's recycler entry."""
+        model = self._fallback_model
+        frames = ids.tolist()
+
+        def evaluate(misses: list[int]) -> list:
+            return list(map(tuple, self._invoke(
+                model, video, ids, np.array(misses, dtype=np.int64))))
+
+        if policy is ReusePolicy.FUNCACHE:
+            # A video's frames share one size.
+            outputs, hits = self.context.function_cache.lookup_many(
+                model.name, [(model.name, video.name, frame_id)
+                             for frame_id in frames],
+                [video.frame(frames[0]).nbytes()] * len(frames), evaluate)
+        else:
+            outputs = list(map(self._hashstash_combined.get, frames))
+            hits = [row for row, out in enumerate(outputs) if out is not None]
+            misses = [row for row, out in enumerate(outputs) if out is None]
+            for row, detections in zip(misses, evaluate(misses)):
+                outputs[row] = detections
+            self._hashstash_output.update(zip(frames, outputs))
+        self._record_many(model, video, ids[hits], reused=True)
+        return _part(video, np.arange(len(frames)), outputs)
 
     @staticmethod
     def _assemble(batch: Batch, parts: list) -> Batch:
@@ -316,10 +362,9 @@ class DetectorApplyOperator(Operator):
                        for name, values in columns.items()}
         return batch.take(indices).with_columns(columns)
 
-    # -- per-frame resolution ----------------------------------------------------
+    # -- per-frame resolution (the row operator tree) ----------------------------
 
-    def _resolve(self, row: dict, frame: Frame, policy: ReusePolicy
-                 ) -> tuple[Detection, ...]:
+    def _resolve(self, row: dict, frame: Frame) -> tuple[Detection, ...]:
         values = {"id": row["id"], "timestamp": row.get("timestamp")}
         values = {k: v for k, v in values.items() if v is not None}
         # Pull forward any frame-level UDF columns computed upstream (the
@@ -327,11 +372,6 @@ class DetectorApplyOperator(Operator):
         for name, value in row.items():
             if name.startswith("__udf::"):
                 values["udf:" + name[len("__udf::"):]] = value
-
-        if policy is ReusePolicy.HASHSTASH:
-            return self._resolve_hashstash(frame)
-        if policy is ReusePolicy.FUNCACHE:
-            return self._resolve_funcache(frame)
 
         for source, predicate, model in self._sources:
             if source.use_view:
@@ -381,8 +421,6 @@ class DetectorApplyOperator(Operator):
         self._record(model.name, frame, reused=False)
         if store:
             self._store(model.name, frame, detections)
-        if self.context.config.reuse_policy is ReusePolicy.HASHSTASH:
-            self._hashstash_output[frame.frame_id] = detections
         return detections
 
     def _store(self, model_name: str, frame: Frame,
@@ -430,28 +468,12 @@ class DetectorApplyOperator(Operator):
                 rows_read * costs.hashstash_dedup_per_row)
         self._hashstash_combined = combined
 
-    def _resolve_hashstash(self, frame: Frame) -> tuple[Detection, ...]:
-        assert self._hashstash_combined is not None
-        hit = self._hashstash_combined.get(frame.frame_id)
-        if hit is not None:
-            model = self._fallback_model
-            self._record(model.name, frame, reused=True)
-            self._hashstash_output[frame.frame_id] = hit
-            return hit
-        return self._evaluate(self._fallback_model, frame, store=False)
-
-    def _resolve_funcache(self, frame: Frame) -> tuple[Detection, ...]:
-        cache = self.context.function_cache
-        assert cache is not None
-        model = self._fallback_model
-        key = (model.name,) + frame.cache_key()
-        hit, value = cache.lookup(model.name, key, frame.nbytes())
-        if hit:
-            self._record(model.name, frame, reused=True)
-            return value
-        detections = self._evaluate(model, frame, store=False)
-        cache.store(model.name, key, detections)
-        return detections
+    def _add_recycler_entry(self) -> None:
+        """This query's output — partial under LIMIT or cancel — becomes
+        a recycler entry."""
+        if self._hashstash_output:
+            self.context.recycler.add(RecyclerEntry(
+                self._recycler_signature, dict(self._hashstash_output)))
 
     # -- bookkeeping ------------------------------------------------------------------
 
@@ -461,10 +483,31 @@ class DetectorApplyOperator(Operator):
             model_name, [frame.frame_id], reused,
             per_tuple_cost=model.per_tuple_cost, video=frame.video_name)
 
+    def _record_many(self, model: ObjectDetectorModel, video: SyntheticVideo,
+                     frames: np.ndarray, reused: bool) -> None:
+        if len(frames):
+            self.context.metrics.record_invocations(
+                model.name, frames, reused,
+                per_tuple_cost=model.per_tuple_cost, video=video.name)
+
     @staticmethod
     def _view_name(model_name: str, video_name: str) -> str:
         signature = UdfSignature(model_name, (video_name,))
         return f"mv::{signature.key()}"
+
+
+def _part(video: SyntheticVideo, rows: np.ndarray,
+          outputs: Sequence[Sequence[Detection]]) -> tuple:
+    """``(rows, detections per row, output columns)`` of the detections
+    ``outputs`` of ``rows``."""
+    counts = [len(detections) for detections in outputs]
+    flat = [d for detections in outputs for d in detections]
+    bboxes = [d.bbox for d in flat]
+    columns = {"label": [d.label for d in flat], "bbox": bboxes,
+               "score": [d.score for d in flat],
+               "area": ColumnView(_relative_areas(
+                   video, column_areas(bboxes)))}
+    return rows, np.array(counts, dtype=np.int64), columns
 
 
 def _relative_areas(video: SyntheticVideo, areas: np.ndarray) -> np.ndarray:

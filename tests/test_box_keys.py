@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import pickle
 from dataclasses import FrozenInstanceError
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from hypothesis import strategies as st
 
 from repro.config import EvaConfig, ReusePolicy
 from repro.executor.engine import ExecutionEngine
-from repro.executor.fusion import _classifier_step
+from repro.errors import ExecutorError
+from repro.executor.fusion import _classifier_step, _FusedRuntime
 from repro.executor.operators.classifier import ClassifierApplyOperator
 from repro.parser.parser import parse
 from repro.session import EvaSession
@@ -163,21 +163,48 @@ def _row_path(op, batch):
 
 
 def _pipeline(op, batch):
-    runtime = SimpleNamespace(policy=ReusePolicy.EVA, fallbacks={})
-    return list(_classifier_step(batch, runtime, op, "Apply")
-                .column(op.column))
+    runtime = _FusedRuntime(ReusePolicy.EVA, [op])
+    values = list(_classifier_step(batch, runtime, op).column(op.column))
+    assert runtime.fallbacks == {}
+    return values
+
+
+def _raised(path, tiny_video, batch) -> Exception:
+    """The exception ``path`` raises resolving ``batch``."""
+    with pytest.raises(Exception) as raised:
+        path(_classifier(tiny_video), batch)
+    return raised.value
 
 
 class TestPipelineMatchesRowPathOnOddBoxes:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_box_raises_the_row_paths_error(self, tiny_video,
                                                        bad):
-        odd = BoundingBox(bad, 20.0, 90.0, 80.0)
-        with pytest.raises((OverflowError, ValueError)) as row:
-            _row_path(_classifier(tiny_video), _batch(tiny_video, odd))
-        with pytest.raises((OverflowError, ValueError)) as pipe:
-            _pipeline(_classifier(tiny_video), _batch(tiny_video, odd))
-        assert type(pipe.value) is type(row.value)
+        batch = _batch(tiny_video, BoundingBox(bad, 20.0, 90.0, 80.0))
+        row = _raised(_row_path, tiny_video, batch)
+        pipe = _raised(_pipeline, tiny_video, batch)
+        assert isinstance(row, (OverflowError, ValueError))
+        assert (type(pipe), str(pipe)) == (type(row), str(row))
+
+    @pytest.mark.parametrize("odd", [None, "box", (10.0, 20.0, 90.0, 80.0)])
+    def test_a_value_that_is_not_a_box_raises_the_row_paths_error(
+            self, tiny_video, odd):
+        batch = _batch(tiny_video, odd)
+        row = _raised(_row_path, tiny_video, batch)
+        pipe = _raised(_pipeline, tiny_video, batch)
+        assert isinstance(row, ExecutorError) and "needs a bbox" in str(row)
+        assert (type(pipe), str(pipe)) == (type(row), str(row))
+
+    @pytest.mark.parametrize("column", ["bbox", "frame"])
+    def test_a_missing_column_raises_the_row_paths_error(self, tiny_video,
+                                                         column):
+        batch = _batch(tiny_video, BoundingBox(1.0, 2.0, 3.0, 4.0))
+        batch = Batch({name: batch.column(name)
+                       for name in batch.column_names if name != column})
+        row = _raised(_row_path, tiny_video, batch)
+        pipe = _raised(_pipeline, tiny_video, batch)
+        assert isinstance(row, (KeyError, ExecutorError))
+        assert (type(pipe), str(pipe)) == (type(row), str(row))
 
     @pytest.mark.parametrize("odd", [
         BoundingBox(1e300, 0.0, 2e300, 5.0),  # rounds, beyond int64

@@ -127,23 +127,34 @@ class TestRelationalOperators:
         assert batch.column("a") == [1, 2, 3]
 
 
+def _evaluating(values: dict):
+    """An ``evaluate`` callback answering ``values[position]``, that
+    records the positions it was asked for."""
+    def evaluate(misses):
+        evaluate.asked.append(list(misses))
+        return [values[i] for i in misses]
+    evaluate.asked = []
+    return evaluate
+
+
 class TestFunctionCache:
     def test_miss_then_hit(self):
         clock = SimulationClock()
         cache = FunctionCache(clock, CostConstants())
-        hit, _ = cache.lookup("f", ("k",), input_bytes=1000)
-        assert not hit
-        cache.store("f", ("k",), 42)
-        hit, value = cache.lookup("f", ("k",), input_bytes=1000)
-        assert hit and value == 42
+        assert cache.lookup_many("f", [("k",)], [1000],
+                                 _evaluating({0: 42})) == ([42], [])
+        evaluate = _evaluating({})
+        assert cache.lookup_many("f", [("k",)], [1000],
+                                 evaluate) == ([42], [0])
+        assert evaluate.asked == [[]]
         assert cache.entries("f") == 1
 
     def test_hash_cost_charged_on_every_probe(self):
         clock = SimulationClock()
         constants = CostConstants()
         cache = FunctionCache(clock, constants)
-        cache.lookup("f", ("k",), input_bytes=10_000)
-        cache.lookup("f", ("k",), input_bytes=10_000)
+        cache.lookup_many("f", [("k",), ("k",)], [10_000, 10_000],
+                          _evaluating({0: 1}))
         expected = 2 * (constants.hash_per_call
                         + 10_000 * constants.hash_per_byte)
         assert clock.total(CostCategory.HASH) == pytest.approx(expected)
@@ -151,14 +162,36 @@ class TestFunctionCache:
     def test_caches_are_per_udf(self):
         cache = FunctionCache(SimulationClock(), CostConstants())
         cache.store("f", ("k",), 1)
-        hit, _ = cache.lookup("g", ("k",), 10)
-        assert not hit
+        assert cache.lookup_many("g", [("k",)], [10],
+                                 _evaluating({0: 2})) == ([2], [])
 
     def test_clear(self):
         cache = FunctionCache(SimulationClock(), CostConstants())
         cache.store("f", ("k",), 1)
         cache.clear()
         assert cache.entries("f") == 0
+
+    def test_a_repeated_miss_hits_the_first(self):
+        cache = FunctionCache(SimulationClock(), CostConstants())
+        evaluate = _evaluating({0: "a", 2: "b"})
+        values, hits = cache.lookup_many("f", ["x", "x", "y", "x"],
+                                         [0] * 4, evaluate)
+        assert (values, hits) == (["a", "a", "b", "a"], [1, 3])
+        assert evaluate.asked == [[0, 2]]
+        assert cache.entries("f") == 2
+
+    def test_a_failed_evaluation_caches_nothing(self):
+        cache = FunctionCache(SimulationClock(), CostConstants())
+        cache.store("f", "x", 1)
+
+        def fail(misses):
+            raise RuntimeError("model down")
+
+        with pytest.raises(RuntimeError):
+            cache.lookup_many("f", ["x", "y"], [0, 0], fail)
+        assert cache.entries("f") == 1
+        assert cache.lookup_many("f", ["y"], [0],
+                                 _evaluating({0: 2})) == ([2], [])
 
 
 class TestFunctionCacheLru:
@@ -176,13 +209,32 @@ class TestFunctionCacheLru:
         cache, metrics = self._cache(max_entries=2)
         cache.store("udf", "a", 1)
         cache.store("udf", "b", 2)
-        assert cache.lookup("udf", "a", 0) == (True, 1)  # refresh "a"
-        cache.store("udf", "c", 3)  # evicts "b"
-        assert cache.lookup("udf", "b", 0)[0] is False
-        assert cache.lookup("udf", "a", 0)[0] is True
-        assert cache.lookup("udf", "c", 0)[0] is True
+        # "a" hits (and is refreshed), "c" is stored and evicts "b".
+        assert cache.lookup_many("udf", ["a", "c"], [0, 0],
+                                 _evaluating({1: 3})) == ([1, 3], [0])
         assert cache.evictions == 1
         assert metrics.counters.get("funcache_evictions") == 1
+        assert cache.lookup_many("udf", ["c", "a"], [0, 0],
+                                 _evaluating({})) == ([3, 1], [0, 1])
+        assert cache.lookup_many("udf", ["b"], [0],
+                                 _evaluating({0: 2})) == ([2], [])
+
+    def test_a_store_evicts_a_later_key_of_the_same_call(self):
+        # Key by key, storing "x" evicts "a" before "a" is looked up, and
+        # storing "a" evicts "b": every key misses and is computed again.
+        cache, _ = self._cache(max_entries=2)
+        cache.store("udf", "a", 1)
+        cache.store("udf", "b", 2)
+        evaluate = _evaluating({0: 9, 1: 1, 2: 2})
+        values, hits = cache.lookup_many("udf", ["x", "a", "b"], [0] * 3,
+                                         evaluate)
+        assert (values, hits) == ([9, 1, 2], [])
+        assert evaluate.asked == [[0, 1, 2]]
+        assert cache.evictions == 3
+        # "x" was evicted by "b": it is not cached, "a" and "b" are.
+        assert cache.lookup_many("udf", ["a", "b"], [0, 0],
+                                 _evaluating({})) == ([1, 2], [0, 1])
+        assert cache.total_entries() == 2
 
     def test_unbounded_when_zero(self):
         cache, _ = self._cache(max_entries=0)

@@ -132,6 +132,33 @@ class TestHashStashOperator:
         second = session.metrics.query_metrics[-1]
         assert second.time(CostCategory.HASH) > 0.0
 
+    def test_a_limited_query_still_adds_its_entry(self, tiny_video):
+        # LIMIT stops pulling after the first batch: what was resolved
+        # until then still becomes a recycler entry.
+        session = _session(tiny_video, ReusePolicy.HASHSTASH, batch_rows=10)
+        result = session.execute("SELECT id FROM tiny CROSS APPLY "
+                                 "FastRCNNObjectDetector(frame) "
+                                 "WHERE id < 100 LIMIT 5;")
+        assert len(result) == 5
+        entries = session.context.recycler.matched(
+            "fastrcnnobjectdetector@tiny#fasterrcnn_resnet50")
+        assert [entry.num_keys for entry in entries] == [10]
+
+    def test_a_query_that_scans_nothing_still_reads_the_recycler(
+            self, tiny_video):
+        session = _session(tiny_video, ReusePolicy.HASHSTASH)
+        session.execute("SELECT id FROM tiny CROSS APPLY "
+                        "FastRCNNObjectDetector(frame) WHERE id < 15;")
+        result = session.execute("SELECT id FROM tiny CROSS APPLY "
+                                 "FastRCNNObjectDetector(frame) "
+                                 "WHERE id > 1000;")
+        assert len(result) == 0
+        empty = session.metrics.query_metrics[-1]
+        assert empty.time(CostCategory.READ_VIDEO) == 0.0
+        for category in (CostCategory.JOIN, CostCategory.READ_VIEW,
+                         CostCategory.HASH):
+            assert empty.time(category) > 0.0, category
+
     def test_logical_detectors_do_not_cross_reuse(self, tiny_video):
         """A logical detector resolved to different physical models must
         not reuse another model's operator results (recycler signatures

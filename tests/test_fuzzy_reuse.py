@@ -6,10 +6,15 @@ but not identical, so exact (frame, bbox) keys miss.  With
 box with IoU above a threshold — trading exactness for fewer evaluations.
 """
 
-
 from repro.config import EvaConfig, ReusePolicy
+from repro.executor.fusion import _classifier_step, _FusedRuntime
+from repro.executor.operators.classifier import ClassifierApplyOperator
+from repro.optimizer.plans import PhysClassifierApply, walk_plan
+from repro.parser.parser import parse
 from repro.session import EvaSession
+from repro.storage.batch import Batch
 from repro.storage.view_store import MaterializedView
+from repro.types import BoundingBox
 
 
 def _session(video, fuzzy: bool):
@@ -127,3 +132,35 @@ class TestFuzzyReuse:
         baseline.execute(SECOND)
         assert reused == \
             baseline.metrics.udf_stats["car_type"].reused_invocations
+
+
+class TestFuzzyTies:
+    """The best IoU strictly above the threshold wins; a tie keeps the
+    first candidate."""
+
+    QUERY = BoundingBox(100.0, 100.0, 200.0, 200.0)
+    # Shifted left and right by the same amount: equal IoU with QUERY.
+    LEFT, RIGHT = (90, 100, 190, 200), (110, 100, 210, 200)
+
+    def _resolve(self, tiny_video, threshold: float):
+        session = _session(tiny_video, fuzzy=True)
+        session.config.fuzzy_iou_threshold = threshold
+        plan = session.optimizer.optimize(parse(FIRST)).plan
+        node = next(node for node in walk_plan(plan)
+                    if isinstance(node, PhysClassifierApply))
+        op = ClassifierApplyOperator(None, node, session.context)
+        view = session.view_store.create_or_get(
+            op._view_name, ["id", "bbox_key"], ["value"])
+        view.put((5, self.LEFT), [{"value": "left"}])
+        view.put((5, self.RIGHT), [{"value": "right"}])
+        batch = Batch({"frame": [tiny_video.frame(5)], "bbox": [self.QUERY]})
+        out = _classifier_step(batch, _FusedRuntime(ReusePolicy.EVA, [op]),
+                               op)
+        return list(out.column(op.column))
+
+    def test_a_tie_keeps_the_first_stored_box(self, tiny_video):
+        assert self._resolve(tiny_video, 0.6) == ["left"]
+
+    def test_an_iou_at_the_threshold_does_not_match(self, tiny_video):
+        iou = self.QUERY.iou(BoundingBox(*self.LEFT))
+        assert self._resolve(tiny_video, iou)[0] not in ("left", "right")

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.obs.schema import load_schema, validate_jsonl
 
@@ -63,12 +65,15 @@ class TestProfileCommand:
         assert first["type"] == "profile_meta"
         assert first["queries"] == 8
 
-    def test_profile_low_workload_and_row_mode(self):
+    def test_profile_low_workload_and_row_mode(self, capsys):
         code, out = run_cli("profile", "--frames", "240",
-                            "--workload", "low",
-                            "--execution-mode", "row")
+                            "--workload", "low")
         assert code == 0
         assert "profile over" in out
+        # The row reference is reached through EvaConfig, not the CLI.
+        with pytest.raises(SystemExit):
+            run_cli("profile", "--execution-mode", "row")
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTraceChromeExport:

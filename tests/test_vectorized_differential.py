@@ -4,8 +4,8 @@ Runs every VBENCH query (plus randomized predicate queries and
 aggregate/sort shapes) twice — once under ``execution_mode="row"`` (the
 row operator tree, the oracle) and once under ``"vectorized"`` (the
 streaming pipeline: compiled kernels, bulk view probes, batched model
-invocation) — for every reuse policy and with fuzzy reuse on, and
-asserts that
+invocation) — under ``ReusePolicy.NONE`` and exact EVA reuse, the
+policies the row tree runs, and asserts that
 
 * every query returns the identical result batch (columns and rows),
 * the materialized-view stores end up with identical contents, and
@@ -214,29 +214,6 @@ class TestCodedCompares:
                      for m in vec_session.metrics.query_metrics[5:]
                      for name in ("car_type", "color_det"))
         assert reused > 0
-
-
-class TestRowTreeSessions:
-    """FunCache, HashStash and fuzzy reuse resolve row-at-a-time: under
-    ``execution_mode="vectorized"`` they still run on the row operator
-    tree, so they match their ``"row"`` twins exactly."""
-
-    @pytest.mark.parametrize("policy,config", [
-        (ReusePolicy.FUNCACHE, {}),
-        (ReusePolicy.HASHSTASH, {}),
-        (ReusePolicy.EVA, {"fuzzy_reuse": True}),
-    ], ids=["funcache", "hashstash", "fuzzy"])
-    def test_matches_row_twin_without_a_pipeline(self, tiny_video,
-                                                 policy, config):
-        from repro.executor.fusion import FusedPipelineOperator
-
-        queries = vbench_high("tiny", FRAMES)[:3]
-        _, vec_session = assert_modes_equivalent(
-            queries + queries[:1], tiny_video, policy, **config)
-        for sql in queries:
-            assert not any(isinstance(op, FusedPipelineOperator)
-                           for op in _operators(vec_session, sql))
-        assert vec_session.context.kernel_cache.stats()["misses"] == 0
 
 
 class TestOnePipeline:

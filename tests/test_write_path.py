@@ -61,15 +61,14 @@ def test_cold_run_writes_arrays_and_dumps_nothing(monkeypatch):
     monkeypatch.setattr(MaterializedView, "put_many", spy_put_many)
     assert session.execute(WITH_CLASSIFIER).rows
     assert dumped == []
-    # Key tuples are written one at a time, by the row path that runs
-    # until a view exists; every batch write is an int array.
-    assert {n for _, kind, n in puts if kind is list} == {1}
-    assert {kind for _, kind, n in puts if n > 1} == {np.ndarray}
-    assert any(name == DETECTOR_VIEW and kind is np.ndarray
-               for name, kind, _ in puts)
-    # The patch classifier's row path records and stores the view's
-    # first key: the only keys packed from tuples.
-    assert packed == [1, 1]
+    # Every write is an int array, the one that creates a view (a
+    # one-row segment) included.
+    assert {kind for _, kind, _ in puts} == {np.ndarray}
+    assert any(name == DETECTOR_VIEW for name, _, _ in puts)
+    assert any(n == 1 and name.startswith("mv::car_type@long")
+               for name, _, n in puts)
+    # No key is packed from a tuple.
+    assert packed == []
     patch_array_puts = [n for name, kind, n in puts
                         if name.startswith("mv::car_type@long")
                         and kind is np.ndarray]
