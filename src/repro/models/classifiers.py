@@ -95,8 +95,10 @@ class SimulatedPatchClassifier(PatchClassifierModel):
         return outputs
 
     def _draw(self, rng, matched) -> str:
-        """The answer for a patch that matched truth object ``matched``
-        (``None``: nothing), drawn from the patch's own generator."""
+        """The answer for a patch that matched a true object (``matched``:
+        its :class:`~repro.video.synthetic.VehicleTrack` or
+        :class:`~repro.types.GroundTruthObject`, which name the attributes
+        alike; ``None``: nothing), drawn from the patch's own generator."""
         if matched is None:
             return self._hallucination(rng)
         true_value = getattr(matched, self.attribute)
@@ -125,9 +127,9 @@ class SimulatedPatchClassifier(PatchClassifierModel):
 
 
 def _match_truth(video: SyntheticVideo, inputs) -> list:
-    """For each ``(frame_id, bbox)``: the truth object of that frame with
-    the highest IoU (the first, among equals) if that IoU exceeds
-    ``_MATCH_IOU``, else ``None``.
+    """For each ``(frame_id, bbox)``: the vehicle track of the truth object
+    of that frame with the highest IoU (the first, among equals) if that
+    IoU exceeds ``_MATCH_IOU``, else ``None``.
 
     The arithmetic is :meth:`BoundingBox.iou`'s, operation for operation,
     on float64 — the same IEEE results as the scalar loop in
@@ -139,17 +141,18 @@ def _match_truth(video: SyntheticVideo, inputs) -> list:
     slots: dict[int, int] = {}
     slot_of = np.array([slots.setdefault(frame_id, len(slots))
                         for frame_id, _ in inputs])
-    truths = [video.ground_truth(frame_id).objects for frame_id in slots]
-    counts = np.array([len(objects) for objects in truths])
+    truth = video.truth_table
+    starts, counts = truth.spans(
+        np.fromiter(slots, dtype=np.int64, count=len(slots)))
     width = counts.max()
     if width == 0:
         return [None] * len(inputs)
     # A plane per coordinate; in each, one row of K per distinct frame,
-    # filled in object order.
-    table = np.zeros((4, len(truths), width))
-    table[:, np.arange(width) < counts[:, None]] = np.array(
-        [obj.bbox.as_tuple() for objects in truths for obj in objects],
-        dtype=np.float64).T
+    # gathered from the frame's rows of the truth table in object order.
+    columns = np.arange(width)
+    present = columns < counts[:, None]
+    table = np.zeros((4, len(slots), width))
+    table[:, present] = truth.boxes[(starts[:, None] + columns)[present]].T
     tx1, ty1, tx2, ty2 = table
     x1, y1, x2, y2 = np.array(
         [bbox.as_tuple() for _, bbox in inputs], dtype=np.float64).T
@@ -176,9 +179,10 @@ def _match_truth(video: SyntheticVideo, inputs) -> list:
         iou[~defined] = 0.0
     best = iou.argmax(axis=1)
     matched = iou[np.arange(len(inputs)), best] > _MATCH_IOU
-    return [truths[slot][index] if hit else None
-            for slot, index, hit in zip(
-                slot_of.tolist(), best.tolist(), matched.tolist())]
+    tracks = video.tracks
+    hits = iter(truth.track_index[
+        (starts[slot_of] + best)[matched]].tolist())
+    return [tracks[next(hits)] if hit else None for hit in matched.tolist()]
 
 
 #: Costs from Table 3 (CarType 6 ms GPU, ColorDet 5 ms CPU); the license

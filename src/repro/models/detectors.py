@@ -58,7 +58,12 @@ class SimulatedDetector(ObjectDetectorModel):
 
     def detect(self, video: SyntheticVideo, frame_id: int
                ) -> list[Detection]:
-        truth = video.ground_truth(frame_id)
+        table = video.truth_table
+        start, stop = table.rows(frame_id)
+        # One flat list of the frame's truth coordinates, read four at a
+        # time: no object per true box.
+        coords = iter(table.boxes[start:stop].ravel().tolist())
+        tracks = video.tracks
         rng = stable_rng("detect", self.name, video.name, frame_id)
         width = video.metadata.width
         height = video.metadata.height
@@ -66,14 +71,17 @@ class SimulatedDetector(ObjectDetectorModel):
         label_accuracy = self.label_accuracy
         score_mean = self._score_mean
         detections: list[Detection] = []
-        for obj in truth.objects:
+        for index, x1, y1, x2, y2 in zip(
+                table.track_index[start:stop].tolist(),
+                coords, coords, coords, coords):
             if rng.random() >= recall:
                 continue
-            bbox = self._jitter(obj.bbox, rng, width, height)
+            bbox = self._jitter(x1, y1, x2, y2, rng, width, height)
+            true_label = tracks[index].label
             if rng.random() < label_accuracy:
-                label = obj.label
+                label = true_label
             else:
-                label = rng.choice(_OTHER_LABELS[obj.label])
+                label = rng.choice(_OTHER_LABELS[true_label])
             score = min(1.0, max(0.05, rng.gauss(score_mean, 0.08)))
             detections.append(Detection(label, bbox, score))
         # Spurious detections (false positives).
@@ -83,20 +91,21 @@ class SimulatedDetector(ObjectDetectorModel):
         detections.sort(key=lambda d: (d.bbox.x1, d.bbox.y1, d.label))
         return detections
 
-    def _jitter(self, bbox: BoundingBox, rng, width: int, height: int
-                ) -> BoundingBox:
+    def _jitter(self, x1: float, y1: float, x2: float, y2: float, rng,
+                width: int, height: int) -> BoundingBox:
+        """The truth box ``(x1, y1, x2, y2)`` as this detector sees it."""
         jitter = self.bbox_jitter
         if jitter <= 0:
-            return bbox
-        box_w = bbox.x2 - bbox.x1
-        box_h = bbox.y2 - bbox.y1
+            return BoundingBox(x1, y1, x2, y2)
+        box_w = x2 - x1
+        box_h = y2 - y1
         dx = rng.uniform(-jitter, jitter) * box_w
         dy = rng.uniform(-jitter, jitter) * box_h
         grow = 1.0 + rng.uniform(-jitter, jitter)
         new_w = box_w * grow
         new_h = box_h * grow
-        cx = (bbox.x1 + bbox.x2) / 2 + dx
-        cy = (bbox.y1 + bbox.y2) / 2 + dy
+        cx = (x1 + x2) / 2 + dx
+        cy = (y1 + y2) / 2 + dy
         return BoundingBox(
             max(0.0, cx - new_w / 2), max(0.0, cy - new_h / 2),
             min(float(width), cx + new_w / 2),

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro._rng import stable_seed
 from repro.models.base import VisionModel
+from repro.types import BoundingBox
 from repro.video.synthetic import SyntheticVideo
 
 _RASTER = 32
@@ -71,15 +72,17 @@ class SpecializedFilter(VisionModel):
         image = noise_rng.uniform(0.0, 0.05, size=(_RASTER, _RASTER))
         width = video.metadata.width
         height = video.metadata.height
-        for obj in video.ground_truth(frame_id).objects:
-            x1 = int(obj.bbox.x1 / width * _RASTER)
-            x2 = max(x1 + 1, int(np.ceil(obj.bbox.x2 / width * _RASTER)))
-            y1 = int(obj.bbox.y1 / height * _RASTER)
-            y2 = max(y1 + 1, int(np.ceil(obj.bbox.y2 / height * _RASTER)))
+        table = video.truth_table
+        start, stop = table.rows(frame_id)
+        for bx1, by1, bx2, by2 in table.boxes[start:stop].tolist():
+            x1 = int(bx1 / width * _RASTER)
+            x2 = max(x1 + 1, int(np.ceil(bx2 / width * _RASTER)))
+            y1 = int(by1 / height * _RASTER)
+            y2 = max(y1 + 1, int(np.ceil(by2 / height * _RASTER)))
             # Brightness scales with apparent size, so distant vehicles are
             # dim and may be missed -- the filter's false negatives.
-            brightness = min(1.0, 0.15 + 4.0 * obj.bbox.relative_area(
-                width, height))
+            brightness = min(1.0, 0.15 + 4.0 * BoundingBox(
+                bx1, by1, bx2, by2).relative_area(width, height))
             image[y1:y2, x1:x2] = np.maximum(image[y1:y2, x1:x2], brightness)
         return image
 

@@ -19,9 +19,11 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro._rng import stable_rng
 from repro.types import BoundingBox, GroundTruthObject, VideoMetadata
-from repro.video.frames import Frame, FrameGroundTruth
+from repro.video.frames import Frame, FrameGroundTruth, TruthTable
 
 #: Attribute vocabularies for generated vehicles.  The distributions are
 #: deliberately skewed so that predicates like ``CarType = 'Nissan'`` have
@@ -90,11 +92,9 @@ class SyntheticVideo:
         self.metadata = metadata
         self.seed = seed
         self._tracks = self._generate_tracks()
-        self._index = self._build_frame_index()
-        # Per-frame ground truth, filled on first use and owned by this
-        # video: it holds at most ``num_frames`` entries and goes when the
-        # video goes.
-        self._truth: dict[int, FrameGroundTruth] = {}
+        # Built on first use and owned by this video: it goes when the
+        # video goes.  Two threads may both build it; the tables are equal.
+        self._truth_table: TruthTable | None = None
 
     @property
     def name(self) -> str:
@@ -121,43 +121,39 @@ class SyntheticVideo:
         for frame_id in range(self.num_frames):
             yield self.frame(frame_id)
 
-    def ground_truth(self, frame_id: int) -> FrameGroundTruth:
-        """The true objects visible in frame ``frame_id``."""
-        truth = self._truth.get(frame_id)
-        if truth is None:
-            truth = self._truth[frame_id] = self._truth_of(frame_id)
-        return truth
+    @property
+    def truth_table(self) -> TruthTable:
+        """Every frame's true objects as columns (:class:`TruthTable`)."""
+        table = self._truth_table
+        if table is None:
+            table = self._truth_table = self._build_truth_table()
+        return table
 
-    def _truth_of(self, frame_id: int) -> FrameGroundTruth:
-        if not 0 <= frame_id < self.num_frames:
-            raise IndexError(
-                f"frame {frame_id} out of range [0, {self.num_frames})")
-        objects = []
-        for track in self._index.get(frame_id // self._BUCKET, ()):
-            if track.visible_at(frame_id):
-                bbox = track.bbox_at(
-                    frame_id, self.metadata.width, self.metadata.height)
-                objects.append(GroundTruthObject(
-                    object_id=track.track_id,
-                    label=track.label,
-                    bbox=bbox,
-                    color=track.color,
-                    vehicle_type=track.vehicle_type,
-                    license_plate=track.license_plate,
-                ))
-        return FrameGroundTruth(frame_id, tuple(objects))
+    def ground_truth(self, frame_id: int) -> FrameGroundTruth:
+        """The true objects visible in frame ``frame_id``, built from
+        :attr:`truth_table` on every call: nothing keeps them."""
+        table = self.truth_table
+        start, stop = table.rows(frame_id)
+        tracks = self._tracks
+        return FrameGroundTruth(frame_id, tuple(
+            GroundTruthObject(
+                object_id=track.track_id,
+                label=track.label,
+                bbox=BoundingBox(*coords),
+                color=track.color,
+                vehicle_type=track.vehicle_type,
+                license_plate=track.license_plate,
+            )
+            for track, coords in zip(
+                [tracks[i] for i in table.track_index[start:stop].tolist()],
+                table.boxes[start:stop].tolist())))
 
     def mean_vehicles_per_frame(self, sample_every: int = 50) -> float:
-        """Empirical vehicles/frame, sampled for speed."""
-        frame_ids = range(0, self.num_frames, max(1, sample_every))
-        counts = [self.ground_truth(f).vehicle_count() for f in frame_ids]
-        if not counts:
-            return 0.0
-        return sum(counts) / len(counts)
+        """Empirical vehicles/frame over every ``sample_every``-th frame."""
+        counts = np.diff(self.truth_table.offsets)[::max(1, sample_every)]
+        return int(counts.sum()) / len(counts)
 
     # -- generation ----------------------------------------------------------
-
-    _BUCKET = 256  # frames per index bucket
 
     def _generate_tracks(self) -> tuple[VehicleTrack, ...]:
         rng = stable_rng("tracks", self.seed, self.metadata.name)
@@ -190,15 +186,57 @@ class SyntheticVideo:
             ))
         return tuple(tracks)
 
-    def _build_frame_index(self) -> dict[int, tuple[VehicleTrack, ...]]:
-        """Bucketed frame -> tracks index for O(1) ground-truth lookups."""
-        index: dict[int, list[VehicleTrack]] = {}
-        for track in self._tracks:
-            first = track.start_frame // self._BUCKET
-            last = (track.end_frame - 1) // self._BUCKET
-            for bucket in range(first, last + 1):
-                index.setdefault(bucket, []).append(track)
-        return {bucket: tuple(ts) for bucket, ts in index.items()}
+    def _build_truth_table(self) -> TruthTable:
+        """Every track's box at every frame it is visible in, in one numpy
+        pass over all appearances.
+
+        The arithmetic is :meth:`VehicleTrack.bbox_at`'s, operation for
+        operation, on float64, so each box is bit-identical to it;
+        ``max(0.0, v)`` and ``min(w, v)`` keep their first argument on a
+        tie.  A stable sort by frame keeps each frame's objects in
+        ascending track order.
+        """
+        meta = self.metadata
+        width, height = meta.width, meta.height
+        tracks = self._tracks
+
+        def column(attribute, dtype=np.float64):
+            return np.fromiter((getattr(track, attribute)
+                                for track in tracks),
+                               dtype=dtype, count=len(tracks))
+
+        start = column("start_frame", np.int64)
+        lengths = column("end_frame", np.int64) - start
+        span = np.maximum(1, lengths - 1)
+        track_index = np.repeat(np.arange(len(tracks)), lengths)
+        # Each appearance's frame, less its track's start frame.
+        steps = np.arange(len(track_index)) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths)
+        frame = steps + start[track_index]
+        t = steps / span[track_index]
+
+        def lerp(first, last):
+            first, last = column(first), column(last)
+            return first[track_index] + t * (last - first)[track_index]
+
+        cx = lerp("cx0", "cx1") * width
+        cy = lerp("cy0", "cy1") * height
+        size = lerp("size0", "size1")
+        box_w = np.sqrt(size * width * height * 1.6)
+        box_h = box_w / 1.6
+        x1 = cx - box_w / 2
+        y1 = cy - box_h / 2
+        x2 = cx + box_w / 2
+        y2 = cy + box_h / 2
+        boxes = np.stack([np.where(x1 > 0.0, x1, 0.0),
+                          np.where(y1 > 0.0, y1, 0.0),
+                          np.where(x2 < width, x2, float(width)),
+                          np.where(y2 < height, y2, float(height))], axis=1)
+        order = np.argsort(frame, kind="stable")
+        offsets = np.zeros(meta.num_frames + 1, dtype=np.int64)
+        np.cumsum(np.bincount(frame, minlength=meta.num_frames),
+                  out=offsets[1:])
+        return TruthTable(offsets, boxes[order], track_index[order])
 
     @staticmethod
     def _random_plate(rng: random.Random) -> str:

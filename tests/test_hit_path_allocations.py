@@ -1,16 +1,22 @@
 """The pipeline's hit path is array-native: a query every UDF result of
 which is materialized builds no frame handle, probes the detector's view
 with a frame-id array and the patch classifier's with packed patch keys,
-rounds no box one at a time, and its allocation peak is pinned."""
+rounds no box one at a time, and its allocation peak is pinned.  What a
+video keeps once its models have read it is pinned too: its vehicle
+tracks and a truth table of arrays, no object per frame."""
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from repro.config import EvaConfig
+from repro.models.classifiers import CAR_TYPE
+from repro.models.detectors import FASTERRCNN_RESNET50
 from repro.models.zoo import default_zoo
 from repro.session import EvaSession
 from repro.storage.view_store import MaterializedView
@@ -121,3 +127,38 @@ def test_detector_rerun_allocation_peak_is_pinned(filled):
 def test_classifier_rerun_allocation_peak_is_pinned(filled):
     peak = _rerun_peak(filled[0], WITH_CLASSIFIER, filled[1])
     assert peak <= 1.25 * WITH_CLASSIFIER_RERUN_PEAK, peak
+
+
+def _tracked_objects_held_by(root) -> int:
+    """The gc-tracked objects reachable from ``root`` (itself included),
+    not through a type or a module."""
+    seen = {id(root)}
+    pending = [root]
+    count = 0
+    while pending:
+        obj = pending.pop()
+        count += gc.is_tracked(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(
+                    ref, (type, types.ModuleType)):
+                seen.add(id(ref))
+                pending.append(ref)
+    return count
+
+
+def test_a_read_video_holds_no_object_per_frame():
+    """After every frame's truth is read and a detector and a classifier
+    ran over the whole video, the collector sees its tracks and a few
+    dozen objects besides — not one per frame or per true box."""
+    video = SyntheticVideo(
+        VideoMetadata(name="held", num_frames=1000, width=960, height=540,
+                      fps=25.0, vehicles_per_frame=8.3), seed=7)
+    for frame_id in range(video.num_frames):
+        video.ground_truth(frame_id)
+    detections = FASTERRCNN_RESNET50.predict_batch(
+        video, range(video.num_frames))
+    CAR_TYPE.predict_batch(
+        video, [(frame_id, detection.bbox)
+                for frame_id, found in enumerate(detections)
+                for detection in found])
+    assert _tracked_objects_held_by(video) <= len(video.tracks) + 64

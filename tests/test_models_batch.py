@@ -11,6 +11,7 @@ different clients' sub-batches, so that is a serving property too.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,9 +22,9 @@ from repro.models.classifiers import (
     SimulatedPatchClassifier,
 )
 from repro.models.detectors import FASTERRCNN_RESNET50
-from repro.types import BoundingBox, GroundTruthObject, VideoMetadata
-from repro.video.frames import FrameGroundTruth
-from repro.video.synthetic import VEHICLE_COLORS, SyntheticVideo
+from repro.types import BoundingBox, VideoMetadata
+from repro.video.frames import TruthTable
+from repro.video.synthetic import VEHICLE_COLORS, SyntheticVideo, VehicleTrack
 
 CLASSIFIERS = (CAR_TYPE, COLOR_DET, LICENSE_READER)
 
@@ -36,26 +37,36 @@ VIDEO = SyntheticVideo(
 class FixedTruthVideo(SyntheticVideo):
     """A video whose frame ``i`` shows exactly ``frames[i]``'s boxes.
 
-    Object ``j`` of a frame has the colour ``f"colour{j}"`` — outside every
-    classifier's vocabulary, so an answer names the object it came from.
+    Object ``j`` of a frame is vehicle ``j``, whose colour is
+    ``f"colour{j}"`` — outside every classifier's vocabulary, so an
+    answer names the object it came from.  The truth table is built from
+    the boxes, not from the vehicles' motion.
     """
 
     def __init__(self, frames: list[list[BoundingBox]]):
+        self._frames = frames
         super().__init__(VideoMetadata(
             name="fixed", num_frames=len(frames), width=960, height=540))
-        self._fixed = [
-            FrameGroundTruth(frame_id, tuple(
-                GroundTruthObject(
-                    object_id=j, label="car", bbox=bbox,
-                    color=f"colour{j}", vehicle_type="Ford",
-                    license_plate=f"AAA{j:04d}")
-                for j, bbox in enumerate(boxes)))
-            for frame_id, boxes in enumerate(frames)]
 
-    def ground_truth(self, frame_id: int) -> FrameGroundTruth:
-        if not 0 <= frame_id < self.num_frames:
-            raise IndexError(frame_id)
-        return self._fixed[frame_id]
+    def _generate_tracks(self) -> tuple[VehicleTrack, ...]:
+        return tuple(
+            VehicleTrack(
+                track_id=j, label="car", color=f"colour{j}",
+                vehicle_type="Ford", license_plate=f"AAA{j:04d}",
+                start_frame=0, end_frame=len(self._frames),
+                cx0=0.5, cy0=0.5, cx1=0.5, cy1=0.5, size0=0.1, size1=0.1)
+            for j in range(max(map(len, self._frames), default=0)))
+
+    def _build_truth_table(self) -> TruthTable:
+        counts = [len(boxes) for boxes in self._frames]
+        return TruthTable(
+            offsets=np.cumsum([0] + counts, dtype=np.int64),
+            boxes=np.array(
+                [box.as_tuple() for boxes in self._frames for box in boxes],
+                dtype=np.float64).reshape(-1, 4),
+            track_index=np.array(
+                [j for count in counts for j in range(count)],
+                dtype=np.int64))
 
 
 #: Always right about a matched object, so its answer is ``colour<j>``

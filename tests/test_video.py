@@ -3,6 +3,7 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro._rng import stable_rng, stable_seed, stable_seeder
@@ -81,7 +82,7 @@ class TestSyntheticVideo:
             tiny_video.ground_truth(-1)
 
     def test_dropped_video_is_collectable(self):
-        """Ground truth is cached on the video, not beside it: nothing
+        """The truth table is kept on the video, not beside it: nothing
         else keeps a video that its owner let go of."""
         video = SyntheticVideo(
             VideoMetadata("dropped", 40, 960, 540, 25.0, 6.0), seed=2)
@@ -90,7 +91,7 @@ class TestSyntheticVideo:
             video, [(frame_id, detection.bbox)
                     for frame_id, found in enumerate(detections)
                     for detection in found])
-        assert video.ground_truth(5) is video.ground_truth(5)
+        assert video.truth_table is video.truth_table
         ref = weakref.ref(video)
         del video
         gc.collect()
@@ -100,12 +101,14 @@ class TestSyntheticVideo:
         metadata = VideoMetadata("twin", 60, 960, 540, 25.0, 6.0)
         a = SyntheticVideo(metadata, seed=1)
         b = SyntheticVideo(metadata, seed=1)
-        truth = a.ground_truth(7)
+        table = a.truth_table
         for frame_id in range(60):
-            b.ground_truth(frame_id)
-        assert b.ground_truth(7) == truth
-        assert b.ground_truth(7) is not truth
-        assert a.ground_truth(7) is truth
+            assert b.ground_truth(frame_id) == a.ground_truth(frame_id)
+        assert b.truth_table is not table
+        assert a.truth_table is table
+        for column in ("offsets", "boxes", "track_index"):
+            assert np.array_equal(getattr(b.truth_table, column),
+                                  getattr(table, column))
 
     def test_bboxes_within_frame(self, tiny_video):
         for frame_id in range(0, 400, 25):
@@ -119,7 +122,7 @@ class TestSyntheticVideo:
             assert 0 <= track.start_frame < track.end_frame <= 400
 
     def test_index_matches_bruteforce(self, tiny_video):
-        """The bucketed index returns exactly the visible tracks."""
+        """The truth table holds exactly the visible tracks."""
         for frame_id in (0, 123, 399):
             via_index = {o.object_id
                          for o in tiny_video.ground_truth(frame_id).objects}
