@@ -184,6 +184,7 @@ def _serve_peer(state, conn) -> None:
         method, args = message
         try:
             payload = handle_shard_request(state, method, args)
+            state.view_store.commit()  # what the request logged, fsynced
         except BaseException as error:  # noqa: BLE001 - ship to peer
             try:
                 conn.send(encode_error(error))

@@ -543,6 +543,9 @@ class ShardedClientViewStore:
             self.state.peers.client(worker).call("store_log_lineage",
                                                  group)
 
+    def commit(self) -> None:
+        self.state.view_store.commit()  # peers commit before replying
+
 
 class ShardedViewStore:
     """Worker-level facade over this process's *owned* shard stores.
@@ -609,6 +612,10 @@ class ShardedViewStore:
     def flush(self) -> None:
         for store in self.state.shard_stores.values():
             store.flush()
+
+    def commit(self) -> None:
+        for store in self.state.shard_stores.values():
+            store.base.commit()
 
     def close(self) -> None:
         for store in self.state.shard_stores.values():

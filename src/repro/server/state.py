@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
-from itertools import compress
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
 import numpy as np
@@ -54,7 +55,7 @@ from repro.server.locks import RWLock
 from repro.session import SessionState
 from repro.storage.engine import StorageEngine
 from repro.storage.view_store import (Key, MaterializedView, ViewHits,
-                                      ViewStore, array_key_tuples)
+                                      ViewStore, array_key_tuples, one_entry)
 from repro.symbolic.dnf import DnfPredicate
 from repro.symbolic.engine import SymbolicEngine
 from repro.video.synthetic import SyntheticVideo
@@ -192,17 +193,17 @@ class ClientViewHandle:
             rows = self._view.get(key)
             owner = self._owners.get(key) if rows is not None else None
         if rows is not None and self._stats is not None:
-            self._stats.record_view_hit(self._view.name, self._client_id,
-                                        owner)
+            self._stats.record_view_hits(self._view.name, self._client_id,
+                                         {owner: 1})
         return rows
 
     def get_many(self, keys: Iterable[Key] | np.ndarray) -> ViewHits:
         """Bulk probe under one read-lock acquisition.
 
-        Hit attribution is preserved: every present key is reported to the
-        server stats with the client that first materialized it, exactly
-        as the per-key path does — just without re-acquiring the RW lock
-        per row.  Owners are looked up by the hit keys themselves, so key
+        Hit attribution is preserved: every present key is counted for
+        the client that first materialized it, exactly as the per-key path
+        does — in one server-stats call per probe, with per-owner hit
+        counts.  Owners are looked up by the hit keys themselves, so key
         lists, one-shot iterables and int arrays (frame ids or packed
         patch keys, as the view reads them) attribute alike.
         """
@@ -215,11 +216,10 @@ class ClientViewHandle:
                 hit_keys = self._view.key_tuples(keys[positions])
             else:
                 hit_keys = [keys[i] for i in positions.tolist()]
-            owners = [self._owners.get(key) for key in hit_keys]
-        if self._stats is not None:
-            name = self._view.name
-            for owner in owners:
-                self._stats.record_view_hit(name, self._client_id, owner)
+            owners = Counter(map(self._owners.get, hit_keys))
+        if owners and self._stats is not None:
+            self._stats.record_view_hits(self._view.name, self._client_id,
+                                         owners)
         return hits
 
     def keys(self) -> list[Key]:
@@ -238,13 +238,7 @@ class ClientViewHandle:
     # -- guarded writes -------------------------------------------------------
 
     def put(self, key: Key, rows: Iterable[Mapping]) -> bool:
-        with self._lock.write_locked():
-            inserted = self._view.put(key, rows)
-            if inserted:
-                self._owners[key] = self._client_id
-        if inserted and self._stats is not None:
-            self._stats.record_materialization(self._client_id)
-        return inserted
+        return self.put_many(*one_entry(key, rows, self.output_columns))[0]
 
     def put_many(self, keys: list[Key] | np.ndarray, counts: list[int],
                  columns: Mapping[str, list],
@@ -255,7 +249,7 @@ class ClientViewHandle:
         :meth:`MaterializedView.put_many`, which reads an int array of
         ``keys`` as ``patch_keys`` says) and attributes every newly
         materialized key to this client — by its key tuple, the form
-        every probe looks owners up by.
+        every probe looks owners up by — with one server-stats call.
         """
         with self._lock.write_locked():
             inserted = self._view.put_many(keys, counts, columns,
@@ -265,12 +259,11 @@ class ClientViewHandle:
                     keys[np.array(inserted, dtype=bool)], patch_keys)
             else:
                 fresh = compress(keys, inserted)
-            for key in fresh:
-                self._owners[key] = self._client_id
-        if self._stats is not None:
-            for was_new in inserted:
-                if was_new:
-                    self._stats.record_materialization(self._client_id)
+            self._owners.update(zip(fresh, repeat(self._client_id)))
+        materialized = sum(inserted)
+        if materialized and self._stats is not None:
+            self._stats.record_materialization(self._client_id,
+                                               keys=materialized)
         return inserted
 
 
@@ -454,6 +447,11 @@ class ClientViewStore:
         log = getattr(self.shared.base, "log_lineage", None)
         if log is not None:
             log(records)
+
+    def commit(self) -> None:
+        commit = getattr(self.shared.base, "commit", None)
+        if commit is not None:
+            commit()
 
 
 class SharedReuseState:

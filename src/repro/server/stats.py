@@ -27,6 +27,7 @@ import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.metrics import MetricsCollector
 from repro.obs.slo import HistogramSnapshot, LatencyHistogram
@@ -433,17 +434,19 @@ class ServerStats:
         with self._lock:
             self._client(client_id).keys_materialized += keys
 
-    def record_view_hit(self, view_name: str, prober: str,
-                        owner: str | None) -> None:
-        owner = owner if owner is not None else UNKNOWN_OWNER
+    def record_view_hits(self, view_name: str, prober: str,
+                         owners: Mapping[str | None, int]) -> None:
+        """One probe's hits: ``owners[o]`` keys were materialized by ``o``."""
         with self._lock:
-            self._cross_hits[(prober, owner)] += 1
             counters = self._client(prober)
-            counters.hits_received += 1
-            if owner != prober:
-                if owner != UNKNOWN_OWNER:
-                    self._client(owner).hits_donated += 1
-                counters.hits_from_others += 1
+            for owner, hits in owners.items():
+                owner = owner if owner is not None else UNKNOWN_OWNER
+                self._cross_hits[(prober, owner)] += hits
+                counters.hits_received += hits
+                if owner != prober:
+                    if owner != UNKNOWN_OWNER:
+                        self._client(owner).hits_donated += hits
+                    counters.hits_from_others += hits
 
     # -- snapshots -------------------------------------------------------------
 

@@ -314,14 +314,19 @@ class EvaSession:
         timeouts); batch-boundary checks raise
         :class:`~repro.errors.QueryCancelledError` once it trips.
         """
-        if cancel is None:
-            return self._execute(sql)
         previous = self.context.cancel
-        self.context.cancel = cancel
+        if cancel is not None:
+            self.context.cancel = cancel
         try:
-            return self._execute(sql)
+            result = self._execute(sql)
         finally:
             self.context.cancel = previous
+        # One fsync for every control record (UDF history, lineage) the
+        # statement appended to a durable store.
+        commit = getattr(self.view_store, "commit", None)
+        if commit is not None:
+            commit()
+        return result
 
     def _execute(self, sql: str) -> QueryResult:
         # Consume any admission wait the server deposited for this

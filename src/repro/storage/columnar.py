@@ -1,14 +1,20 @@
-"""A simple columnar on-disk format for tables and materialized views.
+"""A flat columnar on-disk format for tables and materialized views.
 
-Stand-in for the paper's Petastorm/Parquet storage: a table is a directory
-containing ``manifest.json`` (schema + row count) and one ``.npz`` file per
-column group.  Numeric columns are stored as numpy arrays; strings as JSON;
-bounding boxes as an ``(n, 4)`` float array; arbitrary objects via pickle.
+Stand-in for the paper's Petastorm/Parquet storage.  Every payload is one
+JSON header line — each column's form and every buffer's size — and then
+the contiguous buffers: dictionary codes (int32 codes and a JSON
+vocabulary) for ``str`` / None values, float64, ``(n, 4)`` float64 boxes,
+or JSON for anything else (:func:`_encode_values`).  Decoding is a handful
+of ``np.frombuffer`` calls with no container format in between, and
+returns exactly the Python values that went in.
 
-A :class:`ColumnBatch` is the same codec applied to materialized-view
-entries: it is the unit a view appends to its in-memory columns, the body
-of a WAL ``puts`` record and the content of a partition snapshot, so a
-stored entry is encoded once and decoded straight into a view.
+A table is a directory with ``manifest.json`` (schema + row count) and
+``columns.bin``, its columns in this format, compressed.  A
+:class:`ColumnBatch` holds materialized-view entries: the unit a view
+appends to its typed columns, the body of a WAL ``puts`` record and,
+compressed whole, a partition snapshot.  Its keys travel as the int64
+array the view indexes — frame ids or packed patch keys
+(``view_store.pack_patch_keys``) — and as JSON only when they do not pack.
 
 The format exists so the storage footprint experiment (section 5.2) measures
 real serialized bytes, and so materialized views survive process restarts.
@@ -16,31 +22,25 @@ real serialized bytes, and so materialized views survive process restarts.
 
 from __future__ import annotations
 
-import io
 import json
-import pickle
-import threading
-from itertools import accumulate, chain
+import zlib
+from itertools import accumulate, chain, starmap
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Hashable
 
 import numpy as np
 
 from repro.errors import StorageError
 from repro.catalog.schema import ColumnType, TableSchema
-from repro.storage.batch import Batch, materialize_column
+from repro.storage.batch import (Batch, CodedColumn, coded, float_array,
+                                 materialize_column)
 from repro.types import BoundingBox
 
 _MANIFEST = "manifest.json"
-_COLUMNS = "columns.npz"
-_MANIFEST_VERSION = 1
-
-#: numpy parses every ``.npy`` header with ``ast.literal_eval``, and
-#: CPython 3.11 keeps the AST converter's recursion depth per interpreter,
-#: not per thread: two loads that interleave raise ``SystemError: AST
-#: constructor recursion depth mismatch``.  Recovery decodes partitions
-#: from a thread pool, so :meth:`ColumnBatch.decode` loads under this lock.
-_NPZ_LOAD_LOCK = threading.Lock()
+_COLUMNS = "columns.bin"
+_MANIFEST_VERSION = 2
+#: What a payload this module did not write raises while being decoded.
+_UNDECODABLE = (ValueError, KeyError, TypeError, IndexError, zlib.error)
 
 
 def write_table(directory: str | Path, schema: TableSchema,
@@ -52,13 +52,9 @@ def write_table(directory: str | Path, schema: TableSchema,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {}
-    for col in schema.columns:
-        values = batch.column(col.name)
-        arrays[col.name] = _encode_column(col.ctype, values)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    column_bytes = buffer.getvalue()
+    forms, buffers = _encode_columns(
+        {col.name: batch.column(col.name) for col in schema.columns})
+    column_bytes = zlib.compress(_frame({"columns": forms}, buffers))
     (directory / _COLUMNS).write_bytes(column_bytes)
     manifest = {
         "version": _MANIFEST_VERSION,
@@ -85,157 +81,233 @@ def read_table(directory: str | Path) -> tuple[TableSchema, Batch]:
     schema = TableSchema.of(*[
         (c["name"], ColumnType(c["type"])) for c in manifest["columns"]
     ])
-    with np.load(directory / _COLUMNS, allow_pickle=False) as arrays:
-        columns = {
-            col.name: _decode_column(col.ctype, arrays[col.name])
-            for col in schema.columns
-        }
-    batch = Batch(columns)
-    if batch.num_rows != manifest["num_rows"]:
-        raise StorageError(
-            f"row count mismatch: manifest says {manifest['num_rows']}, "
-            f"data has {batch.num_rows}")
-    return schema, batch
-
-
-def _encode_column(ctype: ColumnType, values: list) -> np.ndarray:
-    values = materialize_column(values)
-    if ctype is ColumnType.INTEGER:
-        return np.asarray(values, dtype=np.int64)
-    if ctype is ColumnType.FLOAT:
-        return np.asarray(values, dtype=np.float64)
-    if ctype is ColumnType.BOOLEAN:
-        return np.asarray(values, dtype=np.bool_)
-    if ctype is ColumnType.STRING:
-        return _json_array(values)
-    if ctype is ColumnType.BBOX:
-        flat = [(b.x1, b.y1, b.x2, b.y2) for b in values]
-        return np.asarray(flat, dtype=np.float64).reshape(-1, 4)
-    if ctype in (ColumnType.OBJECT, ColumnType.FRAME):
-        payload = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
-        return np.frombuffer(payload, dtype=np.uint8)
-    raise StorageError(f"cannot encode column type {ctype}")
-
-
-def _decode_column(ctype: ColumnType, array: np.ndarray) -> list:
-    # tolist() converts int64/float64/bool_ arrays to native Python
-    # values in one C-level pass instead of one boxed conversion per
-    # element.
-    if ctype is ColumnType.INTEGER:
-        return array.tolist()
-    if ctype is ColumnType.FLOAT:
-        return array.tolist()
-    if ctype is ColumnType.BOOLEAN:
-        return array.tolist()
-    if ctype is ColumnType.STRING:
-        return json.loads(array.tobytes().decode("utf-8"))
-    if ctype is ColumnType.BBOX:
-        return [BoundingBox(*row) for row in array.reshape(-1, 4).tolist()]
-    if ctype in (ColumnType.OBJECT, ColumnType.FRAME):
-        return pickle.loads(array.tobytes())
-    raise StorageError(f"cannot decode column type {ctype}")
+    try:
+        header, buffers = _unframe(
+            zlib.decompress((directory / _COLUMNS).read_bytes()))
+        columns = _decode_columns(header["columns"], buffers,
+                                  manifest["num_rows"])
+    except _UNDECODABLE as exc:
+        raise StorageError(f"unreadable table at {directory}: {exc}") \
+            from exc
+    return schema, Batch(columns)
 
 
 # -- materialized-view entries ---------------------------------------------------
+
+_BOX_COORDS = attrgetter("x1", "y1", "x2", "y2")
 
 
 class ColumnBatch:
     """View entries in column form: the one layout of memory, WAL and snapshot.
 
     ``keys[i]`` produced ``counts[i]`` output rows (zero is legal: the UDF
-    ran and returned nothing); each list of ``columns`` holds one value per
-    output row, the rows of ``keys[0]`` first.  :meth:`encode` types every
-    column from its values — float64, an ``(n, 4)`` bbox array, or JSON for
-    anything else — so decoding returns exactly the objects that went in.
+    ran and returned nothing); each sequence of ``columns`` holds one value
+    per output row, the rows of ``keys[0]`` first.  ``array``, when not
+    None, is the same keys as an int64 array — packed patch keys when
+    ``patch_keys``, else frame ids — and ``keys`` may then be None until
+    a view builds the tuples.  :meth:`encode` types every column from its
+    values, so :meth:`decode` returns exactly the objects that went in.
+    ``payload_bytes``, when known, is what the entries add to a view's
+    byte estimate (see ``MaterializedView.serialized_bytes``); it travels
+    in the header, so replaying a batch does not count it again.
     """
 
-    __slots__ = ("keys", "counts", "columns")
+    __slots__ = ("keys", "array", "patch_keys", "counts", "columns",
+                 "payload_bytes")
 
-    def __init__(self, keys: list[tuple], counts: list[int],
-                 columns: dict[str, list]):
+    def __init__(self, keys: list[tuple] | None, counts, columns: dict,
+                 *, array: np.ndarray | None = None,
+                 patch_keys: bool = False, payload_bytes: int | None = None):
         self.keys = keys
-        self.counts = counts
+        self.array = array
+        self.patch_keys = patch_keys
+        self.counts = np.asarray(counts, dtype=np.int64)
         self.columns = columns
+        self.payload_bytes = payload_bytes
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.counts)
 
-    def select(self, indices: list[int]) -> "ColumnBatch":
+    def select(self, indices) -> "ColumnBatch":
         """The entries at ``indices`` (positions in :attr:`keys`)."""
-        starts = list(accumulate(self.counts, initial=0))
-        rows = [row for i in indices
-                for row in range(starts[i], starts[i + 1])]
+        indices = np.asarray(indices, dtype=np.int64)
+        counts = self.counts[indices]
+        rows = row_ranges((np.cumsum(self.counts) - self.counts)[indices],
+                          counts)
+        keys = None if self.keys is None else list(
+            map(self.keys.__getitem__, indices.tolist()))
+        taken = Batch(self.columns).take(rows)
         return ColumnBatch(
-            [self.keys[i] for i in indices],
-            [self.counts[i] for i in indices],
-            {name: [values[row] for row in rows]
-             for name, values in self.columns.items()})
+            keys, counts, {name: taken.column(name) for name in self.columns},
+            array=None if self.array is None else self.array[indices],
+            patch_keys=self.patch_keys)
 
-    def partition(self, group_of: Callable[[tuple], Hashable]
-                  ) -> dict[Hashable, "ColumnBatch"]:
-        """Split by ``group_of(key)``; a one-group batch is not copied."""
-        groups: dict[Hashable, list[int]] = {}
-        for index, key in enumerate(self.keys):
-            groups.setdefault(group_of(key), []).append(index)
-        if len(groups) == 1:
-            return {group: self for group in groups}
-        return {group: self.select(indices)
-                for group, indices in groups.items()}
+    def partition(self, groups: np.ndarray) -> dict[int, "ColumnBatch"]:
+        """Split by ``groups[i]``, the group of entry ``i``; a one-group
+        batch is not copied."""
+        if not len(groups) or (groups == groups[0]).all():
+            return {int(groups[0]): self} if len(groups) else {}
+        order = np.argsort(groups, kind="stable")
+        cuts = np.flatnonzero(np.diff(groups[order])) + 1
+        return {int(groups[part[0]]): self.select(part)
+                for part in np.split(order, cuts)}
 
     def encode(self, *, compress: bool = False) -> bytes:
-        """An ``.npz`` payload: ``keys`` (JSON), ``counts`` and one
-        ``<type>_<column>`` array per column."""
-        arrays = {"keys": _json_array(self.keys),
-                  "counts": np.asarray(self.counts, dtype=np.int64)}
-        for name, values in self.columns.items():
-            ctype = _infer_type(values)
-            arrays[f"{ctype.value}_{name}"] = _encode_column(ctype, values)
-        buffer = io.BytesIO()
-        (np.savez_compressed if compress else np.savez)(buffer, **arrays)
-        return buffer.getvalue()
+        """The flat layout: the keys (int64, or JSON when they do not
+        pack) and the int64 counts, then the columns; the header also
+        names the key kind.  ``compress`` deflates the whole payload
+        (snapshots)."""
+        if self.array is not None:
+            kind = "packed" if self.patch_keys else "frames"
+            keys = self.array.astype(np.int64, copy=False).tobytes()
+        else:
+            kind, keys = "json", _json_dumps(self.keys)
+        forms, buffers = _encode_columns(self.columns)
+        payload = _frame({"n": len(self), "keys": kind, "columns": forms,
+                          "bytes": self.payload_bytes},
+                         [keys, self.counts.tobytes(), *buffers])
+        return zlib.compress(payload) if compress else payload
 
     @classmethod
-    def decode(cls, payload: bytes) -> "ColumnBatch":
-        """Inverse of :meth:`encode`."""
-        columns: dict[str, list] = {}
-        with _NPZ_LOAD_LOCK, \
-                np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
-            keys = [tuple([_from_json(part) for part in raw])
-                    for raw in _decode_column(ColumnType.STRING,
-                                              arrays["keys"])]
-            counts = arrays["counts"].tolist()
-            for member in arrays.files:
-                if member in ("keys", "counts"):
-                    continue
-                ctype, _, name = member.partition("_")
-                values = _decode_column(ColumnType(ctype), arrays[member])
-                if ctype == ColumnType.STRING.value:
-                    values = [_from_json(value) for value in values]
-                columns[name] = values
-        return cls(keys, counts, columns)
+    def decode(cls, payload: bytes, *,
+               compressed: bool = False) -> "ColumnBatch":
+        """Inverse of :meth:`encode`; raises :class:`StorageError` for a
+        payload it did not write."""
+        try:
+            header, buffers = _unframe(zlib.decompress(payload) if compressed
+                                       else payload)
+            counts = np.frombuffer(buffers[1], dtype=np.int64)
+            kind = header["keys"]
+            keys = array = None
+            if kind == "json":
+                keys = [tuple(map(_from_json, key))
+                        for key in json.loads(buffers[0])]
+            elif kind in ("frames", "packed"):
+                array = np.frombuffer(buffers[0], dtype=np.int64)
+            else:
+                raise ValueError(f"unknown key kind {kind!r}")
+            if not len(counts) == header["n"] == len(
+                    keys if array is None else array) or (counts < 0).any():
+                raise ValueError("bad keys or counts")
+            columns = _decode_columns(header["columns"], buffers[2:],
+                                      int(counts.sum()))
+        except _UNDECODABLE as exc:
+            raise StorageError(f"undecodable column batch: {exc}") from exc
+        return cls(keys, counts, columns, array=array,
+                   patch_keys=kind == "packed",
+                   payload_bytes=header.get("bytes"))
 
 
-def _infer_type(values: list) -> ColumnType:
-    """The binary type that round-trips ``values`` exactly, else JSON."""
+def row_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The row numbers ``[starts[i], starts[i] + lengths[i])``, in order,
+    as one int64 array."""
+    ends = np.cumsum(lengths)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(starts - ends + lengths, lengths))
+
+
+def _frame(header: dict, buffers: list[bytes]) -> bytes:
+    """``header`` (with every buffer's size) as one JSON line, then the
+    buffers."""
+    header["sizes"] = list(map(len, buffers))
+    return b"\n".join([_json_dumps(header), b"".join(buffers)])
+
+
+def _unframe(payload: bytes) -> tuple[dict, list[bytes]]:
+    """Inverse of :func:`_frame`."""
+    line, _, body = payload.partition(b"\n")
+    header = json.loads(line)
+    sizes = header["sizes"]
+    if sum(sizes) != len(body) or min(sizes, default=0) < 0:
+        raise ValueError("buffer sizes do not match the payload")
+    bounds = list(accumulate(sizes, initial=0))
+    return header, [body[start:stop]
+                    for start, stop in zip(bounds, bounds[1:])]
+
+
+def _encode_columns(columns: dict) -> tuple[list, list[bytes]]:
+    """``([name, form] per column, buffers)`` of named columns."""
+    forms, buffers = [], []
+    for name, values in columns.items():
+        form, parts = _encode_values(values)
+        forms.append([name, form])
+        buffers += parts
+    return forms, buffers
+
+
+def _decode_columns(forms: list, buffers: list[bytes], rows: int) -> dict:
+    """Inverse of :func:`_encode_columns`, every column ``rows`` long."""
+    columns = {}
+    for name, form in forms:
+        columns[name], buffers = _decode_values(form, buffers, rows)
+    if buffers:
+        raise ValueError("unclaimed buffers")
+    return columns
+
+
+def _encode_values(values) -> tuple[str, list[bytes]]:
+    """``(form, buffers)`` of one column: ``codes`` (int32 codes and a
+    JSON vocabulary) for ``str`` / None, ``float`` (float64), ``box``
+    (``(n, 4)`` float64) for boxes of float coordinates, else ``json``."""
+    dictionary = coded(values)
+    if dictionary is not None:
+        codes, vocab = dictionary
+        return "codes", [codes.astype(np.int32, copy=False).tobytes(),
+                         _json_dumps(vocab)]
+    array = float_array(values)
+    if array is not None:
+        return "float", [array.tobytes()]
+    values = materialize_column(values)
     kinds = set(map(type, values))
+    if kinds <= {str, type(None)}:
+        column = CodedColumn()
+        column.extend(values)
+        return "codes", [column.codes().tobytes(), _json_dumps(column.vocab)]
     if kinds == {float}:
-        return ColumnType.FLOAT
-    if kinds == {BoundingBox} and set(map(type, chain.from_iterable(
-            box.as_tuple() for box in values))) == {float}:
-        return ColumnType.BBOX
-    return ColumnType.STRING
+        return "float", [np.array(values, dtype=np.float64).tobytes()]
+    if kinds == {BoundingBox}:
+        coords = list(chain.from_iterable(map(_BOX_COORDS, values)))
+        if set(map(type, coords)) == {float}:
+            return "box", [np.array(coords, dtype=np.float64).tobytes()]
+    return "json", [_json_dumps(values)]
 
 
-def _json_array(values: list) -> np.ndarray:
-    payload = json.dumps(values, default=_json_default,
-                         separators=(",", ":")).encode("utf-8")
-    return np.frombuffer(payload, dtype=np.uint8)
+def _decode_values(form: str, buffers: list[bytes], rows: int
+                   ) -> tuple[list, list[bytes]]:
+    """One column of ``rows`` values from the head of ``buffers``, and the
+    buffers after it."""
+    head, rest = buffers[0], buffers[1:]
+    if form == "codes":
+        codes, vocab = np.frombuffer(head, dtype=np.int32), json.loads(rest[0])
+        lookup = np.empty(len(vocab), dtype=object)
+        lookup[:] = vocab
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(lookup):
+            raise ValueError("code outside the vocabulary")
+        values, rest = lookup[codes].tolist(), rest[1:]
+    elif form == "float":
+        values = np.frombuffer(head, dtype=np.float64).tolist()
+    elif form == "box":
+        values = list(starmap(BoundingBox, np.frombuffer(
+            head, dtype=np.float64).reshape(-1, 4).tolist()))
+    elif form == "json":
+        values = list(map(_from_json, json.loads(head)))
+    else:
+        raise ValueError(f"unknown column form {form!r}")
+    if len(values) != rows:
+        raise ValueError(f"a {form} column holds {len(values)} of "
+                         f"{rows} rows")
+    return values, rest
+
+
+def _json_dumps(value) -> bytes:
+    return json.dumps(value, default=_json_default,
+                      separators=(",", ":")).encode("utf-8")
 
 
 def _json_default(value):
     if isinstance(value, BoundingBox):
         return ["__bbox__", *value.as_tuple()]
-    raise TypeError(f"cannot store {type(value).__name__} values in a view")
+    raise TypeError(f"cannot store {type(value).__name__} values")
 
 
 def _from_json(value):

@@ -52,7 +52,7 @@ from repro.storage.batch import (
     materialize_column,
     stored_column,
 )
-from repro.storage.columnar import ColumnBatch
+from repro.storage.columnar import ColumnBatch, row_ranges
 from repro.types import BoundingBox
 
 Key = tuple[Hashable, ...]
@@ -67,6 +67,8 @@ _FRAME_BITS, _COORD_BITS = 19, 11
 _COORD_LIMIT = 1 << _COORD_BITS
 #: Right shifts that take a packed key to its frame id, x1, y1, x2, y2.
 _PART_SHIFTS = np.array([4, 3, 2, 1, 0], dtype=np.int64) * _COORD_BITS
+#: Right shift that takes a packed key to its frame id.
+PACKED_FRAME_SHIFT = 4 * _COORD_BITS
 
 #: Frame ids from here on drop the dense ``ordinal_of_frame`` index: it
 #: holds one int64 per id below the largest stored one.
@@ -204,8 +206,8 @@ class MaterializedView:
         UDF kind: frame filters and patch classifiers both key their views
         by ``["id", "bbox_key"]``, so an empty view cannot tell.  An array
         of the other form than the view's stored keys is refused.  The
-        array feeds the view's indexes and byte count; the listener, the
-        lineage hooks and the key index get its key tuples.
+        array feeds the view's indexes, byte count and the listener's
+        batch; the key index and the lineage hooks get its key tuples.
 
         Returns one inserted-flag per key (in input order): True when the
         key was newly added, False when it already existed (including keys
@@ -222,15 +224,15 @@ class MaterializedView:
                 raise StorageError(
                     f"view {self.name!r}: packed patch keys are "
                     "non-negative")
-            keys = array_key_tuples(array, patch_keys)
+            keys = None
         inserted, fresh = self._append(ColumnBatch(
-            keys, counts, {col: columns[col] for col in self.output_columns}),
-            array, patch_keys)
-        if fresh.keys:
+            keys, counts, {col: columns[col] for col in self.output_columns},
+            array=array, patch_keys=patch_keys), writer=True)
+        if len(fresh):
             listener = self.listener
             if listener is not None:
                 listener.view_put_many(self, fresh)
-            record_view_write(self.name, fresh.keys, sum(fresh.counts))
+            record_view_write(self.name, fresh.keys, int(fresh.counts.sum()))
         return inserted
 
     def put(self, key: Key, rows: Iterable[Mapping]) -> bool:
@@ -243,28 +245,32 @@ class MaterializedView:
         work, so neither the listener nor the lineage hooks hear of it."""
         return sum(self._append(batch)[0])
 
-    def _append(self, batch: ColumnBatch, array: np.ndarray | None = None,
-                patch_keys: bool = False) -> tuple[list[bool], ColumnBatch]:
+    def _append(self, batch: ColumnBatch, writer: bool = False
+                ) -> tuple[list[bool], ColumnBatch]:
         """Insert the not-yet-stored entries of ``batch``; returns the
-        per-key inserted flags and the batch of what was inserted.
-        ``array`` is the int64 form of ``batch.keys`` (see
-        :meth:`put_many`), or None."""
-        rows = sum(batch.counts)
-        if len(batch.counts) != len(batch.keys) or any(
+        per-key inserted flags and the batch of what was inserted, its
+        keys as an array whenever they have one.  A ``writer``'s key
+        array must be of the view's form (see :meth:`put_many`)."""
+        keys = batch.keys
+        if keys is None:
+            keys = batch.keys = array_key_tuples(batch.array,
+                                                 batch.patch_keys)
+        rows = int(batch.counts.sum())
+        if len(batch.counts) != len(keys) or any(
                 len(batch.columns[col]) != rows
                 for col in self.output_columns):
             raise StorageError(
                 f"view {self.name!r}: ragged column batch "
-                f"({len(batch.keys)} keys, {rows} rows)")
+                f"({len(keys)} keys, {rows} rows)")
         with self._lock:
             ordinals = self._ordinals
             old = len(ordinals)
-            if array is not None and old and patch_keys != self._patch_keyed:
-                raise StorageError(
-                    f"view {self.name!r}: an array of "
-                    f"{'packed patch keys' if patch_keys else 'frame ids'}"
-                    " does not key this view")
-            keys = batch.keys
+            if writer and batch.array is not None and old \
+                    and batch.patch_keys != self._patch_keyed:
+                form = "packed patch keys" if batch.patch_keys \
+                    else "frame ids"
+                raise StorageError(f"view {self.name!r}: an array of "
+                                   f"{form} does not key this view")
             if not any(map(ordinals.__contains__, keys)) \
                     and len(set(keys)) == len(keys):
                 # The APPLY operators write misses only, without repeats.
@@ -279,20 +285,19 @@ class MaterializedView:
                             for index, key in enumerate(keys)]
                 new = len(first)
                 if new and new != len(keys):
-                    fresh = list(first.values())
-                    batch = batch.select(fresh)
-                    if array is not None:
-                        array = array[fresh]
+                    batch = batch.select(list(first.values()))
             if not new:
                 return inserted, ColumnBatch([], [], {
                     col: [] for col in batch.columns})
-            if array is None:
+            if batch.array is None:
                 frames, packed = _key_arrays(batch.keys)
             else:
-                frames, packed = ((None, array) if patch_keys
-                                  else (array, None))
-            # Raises (a value no codec stores) before anything changed.
-            nbytes = _payload_bytes(batch, frames, packed)
+                frames, packed = ((None, batch.array) if batch.patch_keys
+                                  else (batch.array, None))
+            nbytes = batch.payload_bytes
+            if nbytes is None:
+                # Raises (a value no codec stores) before anything changed.
+                nbytes = _payload_bytes(batch, frames, packed)
             if not old:
                 self._patch_keyed = len(batch.keys[0]) == 2
             ordinals.update(zip(batch.keys, count(old)))
@@ -310,6 +315,11 @@ class MaterializedView:
             if self._prefix_index is not None:
                 for key in batch.keys:
                     self._prefix_index.setdefault(key[0], []).append(key)
+        batch = ColumnBatch(
+            batch.keys, batch.counts, batch.columns,
+            array=packed if frames is None else frames,
+            patch_keys=frames is None and packed is not None,
+            payload_bytes=nbytes)
         return inserted, batch
 
     def _index_frames(self, frames: np.ndarray | None,
@@ -396,9 +406,7 @@ class MaterializedView:
             ordinals = found[hit]
             starts = self._offsets[ordinals]
             lengths = self._offsets[ordinals + 1] - starts
-        ends = np.cumsum(lengths)
-        rows = (np.arange(ends[-1] if len(ends) else 0)
-                + np.repeat(starts - ends + lengths, lengths))
+        rows = row_ranges(starts, lengths)
         per_key = np.zeros(len(found), dtype=np.int64)
         per_key[hit] = lengths
         counts = per_key.astype(object)
@@ -459,12 +467,28 @@ class MaterializedView:
             return int(self._offsets[len(self._ordinals)])
 
     def batch(self) -> ColumnBatch:
-        """Consistent copy of all entries, in insertion order."""
+        """Consistent view of all entries, in insertion order: zero-copy
+        views of the typed columns, which only ever grow, and the keys as
+        the array the view's index holds (else as tuples)."""
         with self._lock:
-            offsets = self._offsets[:len(self._ordinals) + 1]
+            size = len(self._ordinals)
+            offsets = self._offsets[:size + 1]
+            dense, patches = self._ordinal_of_frame, self._ordinal_of_patch
+            array = None
+            if self._patch_keyed and patches is not None:
+                # Insertion order is ordinal order.
+                array = np.fromiter(patches, dtype=np.int64, count=size)
+            elif not self._patch_keyed and dense is not None:
+                stored = dense >= 0
+                array = np.empty(size, dtype=np.int64)
+                array[dense[stored]] = np.flatnonzero(stored)
             return ColumnBatch(
-                list(self._ordinals), np.diff(offsets).tolist(),
-                {col: values[:] for col, values in self._columns.items()})
+                list(self._ordinals) if array is None else None,
+                np.diff(offsets),
+                {col: ColumnView(values, stop=int(offsets[-1]))
+                 for col, values in self._columns.items()},
+                array=array, patch_keys=self._patch_keyed,
+                payload_bytes=self._approx_payload_bytes)
 
     def items(self) -> list[tuple[Key, tuple[dict, ...]]]:
         """Consistent snapshot of all (key, row dicts) entries."""
@@ -491,7 +515,7 @@ class MaterializedView:
             self._approx_payload_bytes * SERIALIZED_COMPRESSION_FACTOR)
 
     def serialize(self) -> bytes:
-        """Serialize all entries (compressed npz of typed columns)."""
+        """Serialize all entries (the compressed :class:`ColumnBatch`)."""
         return self.batch().encode(compress=True)
 
     @classmethod
@@ -500,7 +524,7 @@ class MaterializedView:
                     payload: bytes) -> "MaterializedView":
         """Rebuild a view previously produced by :meth:`serialize`."""
         view = cls(name, key_columns, output_columns)
-        view.restore(ColumnBatch.decode(payload))
+        view.restore(ColumnBatch.decode(payload, compressed=True))
         return view
 
 
@@ -731,7 +755,7 @@ def array_key_tuples(keys: np.ndarray, patch_keys: bool) -> list[Key]:
 
 
 def _key_arrays(keys: list[Key]) -> tuple[np.ndarray | None,
-                                          np.ndarray | None]:
+                                         np.ndarray | None]:
     """``(frame ids, packed patch keys)`` of a non-empty list of key
     tuples: the int64 ids when every key is ``(frame_id,)`` with an int
     that fits, else None; the :func:`pack_key_tuples` keys, else None."""

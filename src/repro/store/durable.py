@@ -8,18 +8,25 @@ state (ROADMAP open item 1 — reuse state must outlive the server).
 Durability model
 ----------------
 * ``control.log`` (a WAL) orders view creates, drop tombstones, and UDF
-  aggregated-predicate records.  It is the source of truth for which
-  (view, generation) pairs are live; the manifest is advisory.
+  aggregated-predicate and lineage records.  It is the source of truth
+  for which (view, generation) pairs are live; the manifest is advisory.
+  Creates and tombstones are fsynced at once; other records reach the OS
+  at once and are fsynced by :meth:`DurableViewStore.commit`, which the
+  session calls once per statement.
 * Each partition — one (view, generation, frame-range bucket) — owns an
   independent ``wal/<pid>.wal`` of put records plus an optional
-  ``snapshots/<pid>.npz``.  Both hold the view's own
-  :class:`~repro.storage.columnar.ColumnBatch` encoding, so recovery
-  decodes the snapshot and each record of the WAL suffix and appends
-  them to the view's columns, partition-by-partition in a thread pool.
+  ``snapshots/<pid>.snap``.  Both hold the view's own flat
+  :class:`~repro.storage.columnar.ColumnBatch` encoding (the snapshot
+  compressed), so recovery decodes the snapshot and each record of the
+  WAL suffix and appends their key arrays and columns to the view,
+  partition-by-partition in a thread pool.
 * Drops log the tombstone (fsynced) *before* deleting files, so a crash
   mid-drop replays as "dropped" rather than resurrecting a half-deleted
   view.  Generation numbers make files of a dropped-then-recreated view
   distinguishable from the live ones.
+* An ``OSError`` (a full disk, a failed fsync) surfaces as
+  :class:`~repro.errors.StorageError`; the files stay what recovery
+  reads.
 
 Tiering
 -------
@@ -36,7 +43,6 @@ profiler's observed values via a pluggable ``cost_resolver``.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -47,8 +53,8 @@ from repro.obs.flight import current_flight
 from repro.storage.columnar import ColumnBatch
 from repro.storage.view_store import MaterializedView, ViewStore
 from repro.store.layout import (PartitionState, RecoveryReport, StoreLayout,
-                                bucket_of, parse_partition_id, partition_id,
-                                view_crc)
+                                buckets_of, parse_partition_id, partition_id,
+                                replacing, view_crc)
 from repro.store.wal import WalWriter, repair_wal, scan_wal
 
 #: Fallback per-tuple re-materialization cost (virtual seconds) when no
@@ -141,7 +147,7 @@ class DurableViewStore(ViewStore):
         self._last_snapshot_at: float | None = None
         self.recovery_report = self._recover()
         self._control = WalWriter(self.layout.control_log_path,
-                                  sync_every=1)
+                                  sync_every=0)
         self.backend = self
         self._write_manifest()
 
@@ -244,16 +250,16 @@ class DurableViewStore(ViewStore):
             if meta is None:
                 return
             # Tombstone first (fsynced): a crash below this line must
-            # replay as "dropped", never as a half-deleted view.
+            # replay as "dropped", never as a half-deleted view.  The
+            # ledger marked the record dropped/evicted before this hook
+            # ran; its terminal status rides the same fsync.
             self._control.append({"op": "drop", "view": name,
                                   "gen": meta.generation})
+            self._persist_lineage_status(name)
             self._control.flush()
             self.counters["tombstones"] += 1
             self._remove_partition_files(meta)
             self._audit("drop", view=name, reason="drop")
-            # The ledger marked the record dropped/evicted before this
-            # hook ran; persist that terminal status so recovery agrees.
-            self._persist_lineage_status(name)
             self._write_manifest()
 
     # -- UDF history durability -------------------------------------------------
@@ -281,23 +287,22 @@ class DurableViewStore(ViewStore):
 
         The session appends each query's touched records here, so a
         restarted store rebuilds the exact provenance ledger of the
-        uninterrupted run (``repro lineage`` restart equality).
+        uninterrupted run (``repro lineage`` restart equality).  Durable
+        at the statement's :meth:`commit`.
         """
         with self._io_lock:
             if self._closed:
                 return
-            wrote = False
+            fresh = []
             for payload in records:
                 lineage_id = payload.get("lineage_id")
                 if lineage_id is None or \
                         self._lineage_records.get(lineage_id) == payload:
                     continue
                 self._lineage_records[lineage_id] = payload
-                self._control.append({"op": "lineage",
-                                      "record": payload})
-                wrote = True
-            if wrote:
-                self._control.flush()
+                fresh.append({"op": "lineage", "record": payload})
+            if fresh:
+                self._control.append(*fresh)
 
     def lineage_records(self) -> list[dict]:
         with self._io_lock:
@@ -333,6 +338,13 @@ class DurableViewStore(ViewStore):
             pass
 
     # -- lifecycle --------------------------------------------------------------
+
+    def commit(self) -> None:
+        """Fsync the control records appended since the last commit (one
+        call per statement; nothing to do when there are none)."""
+        with self._io_lock:
+            if not self._closed:
+                self._control.flush()
 
     def flush(self) -> None:
         """Fsync every log so all acknowledged puts are crash-durable."""
@@ -389,7 +401,8 @@ class DurableViewStore(ViewStore):
             wal_bytes = sum(w.size for w in self._wal_writers.values())
             if not self._closed:
                 wal_bytes += self._control.size
-            snapshot_files = len(list(self.layout.snapshot_dir.glob("*.npz")))
+            snapshot_files = len(list(
+                self.layout.snapshot_dir.glob("*.snap")))
             age = None
             if self._last_snapshot_at is not None:
                 age = time.perf_counter() - self._last_snapshot_at
@@ -415,8 +428,8 @@ class DurableViewStore(ViewStore):
             if meta is None:
                 return  # dropped concurrently; nothing durable to do
             due = set()
-            for bucket, shard in sorted(
-                    batch.partition(self._bucket_of).items()):
+            for bucket, shard in sorted(batch.partition(
+                    buckets_of(batch, self.partition_frames)).items()):
                 part = self._ensure_partition(meta, bucket)
                 self._ensure_writer(part).append(
                     {"op": "puts", "view": view.name,
@@ -431,9 +444,6 @@ class DurableViewStore(ViewStore):
                 self._write_manifest()
         self._touch(view.name)
         self._maybe_evict(exclude=view.name)
-
-    def _bucket_of(self, key) -> int:
-        return bucket_of(key[0], self.partition_frames)
 
     def _ensure_partition(self, meta: _ViewMeta,
                           bucket: int) -> PartitionState:
@@ -458,7 +468,8 @@ class DurableViewStore(ViewStore):
                        wanted) -> int:
         """Write the snapshot of every partition of ``view`` for which
         ``wanted(part)`` holds; returns how many were written."""
-        shards = view.batch().partition(self._bucket_of)
+        batch = view.batch()
+        shards = batch.partition(buckets_of(batch, self.partition_frames))
         for bucket in shards:
             self._ensure_partition(meta, bucket)
         empty = ColumnBatch([], [], {col: [] for col in meta.output_columns})
@@ -477,9 +488,9 @@ class DurableViewStore(ViewStore):
         flight = current_flight()
         started = time.perf_counter() if flight is not None else 0.0
         target = part.snapshot_path(self.layout.root)
-        tmp = target.with_suffix(".npz.tmp")
-        tmp.write_bytes(shard.encode(compress=True))
-        os.replace(tmp, target)
+        tmp = target.with_suffix(".snap.tmp")
+        with replacing(tmp, target):
+            tmp.write_bytes(shard.encode(compress=True))
         part.snapshot_keys = len(shard)
         part.records_since_snapshot = 0
         # The WAL's records are folded into the snapshot — truncate it
@@ -507,13 +518,14 @@ class DurableViewStore(ViewStore):
                        for k in sorted(self._lineage_records))
         path = self.layout.control_log_path
         tmp = path.with_suffix(".log.tmp")
-        rewriter = WalWriter(tmp, sync_every=len(records) + 1)
-        for record in records:
-            rewriter.append(record)
-        rewriter.close()
+        with replacing(tmp, path):
+            rewriter = WalWriter(tmp, sync_every=0)
+            try:
+                rewriter.append(*records)
+            finally:
+                rewriter.close()
         self._control.close()
-        os.replace(tmp, path)
-        self._control = WalWriter(path, sync_every=1)
+        self._control = WalWriter(path, sync_every=0)
 
     # -- tiering ----------------------------------------------------------------
 
@@ -804,7 +816,8 @@ class DurableViewStore(ViewStore):
         problem = None
         if snapshot_path.exists():
             try:
-                shard = ColumnBatch.decode(snapshot_path.read_bytes())
+                shard = ColumnBatch.decode(snapshot_path.read_bytes(),
+                                           compressed=True)
                 keys_added += view.restore(shard)
                 part.snapshot_keys = len(shard)
             except Exception as exc:  # corrupt snapshot: WAL still replays
@@ -826,10 +839,8 @@ class DurableViewStore(ViewStore):
         return applied, keys_added, torn, problem
 
     def _load_view(self, meta: _ViewMeta) -> MaterializedView:
-        """Warm -> resident: snapshot + WAL replay of every partition."""
-        for pid, writer in list(self._wal_writers.items()):
-            if any(part.pid == pid for part in meta.partitions.values()):
-                writer.flush()
+        """Warm -> resident: snapshot + WAL replay of every partition
+        (every append is already in the files)."""
         view = MaterializedView(meta.name, meta.key_columns,
                                 meta.output_columns)
         for part in meta.partitions.values():

@@ -7,15 +7,15 @@
       control.log        # WAL of create / drop / udf-history records
       audit.jsonl        # append-only eviction / recovery audit trail
       wal/<pid>.wal      # per-partition put WALs
-      snapshots/<pid>.npz
+      snapshots/<pid>.snap
 
 A *partition* is one (view, generation, frame-range bucket): bucket =
-``first_key_component // partition_frames``.  Every partition owns an
-independent WAL segment and snapshot file, so recovery replays them in
-parallel and a snapshot never rewrites more than one bucket's worth of
-entries.  Partition ids embed the CRC of the view name plus the view's
-generation — files from a dropped generation are recognizably stale even
-if a crash interrupted their deletion.
+``max(frame_id, 0) // partition_frames`` (see :func:`buckets_of`).
+Every partition owns an independent WAL segment and snapshot file, so
+recovery replays them in parallel and a snapshot never rewrites more than
+one bucket's worth of entries.  Partition ids embed the CRC of the view
+name plus the view's generation — files from a dropped generation are
+recognizably stale even if a crash interrupted their deletion.
 
 The manifest is advisory (tier placement, file names for `store check`);
 the control log is the source of truth for which views/generations are
@@ -29,14 +29,21 @@ import json
 import os
 import re
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import StorageError
+import numpy as np
 
-#: Names the record/snapshot encoding.  v2: ``puts`` records and
-#: snapshots hold typed column batches (v1 logged nested JSON rows).
-STORE_FORMAT = "eva-store-v2"
+from repro.errors import StorageError
+from repro.storage.columnar import ColumnBatch
+from repro.storage.view_store import PACKED_FRAME_SHIFT
+
+#: Names the record/snapshot encoding.  v3: ``puts`` records and
+#: snapshots are flat column batches — a JSON header, then int64 keys and
+#: typed column buffers (v2 wrote an ``.npz`` zip with JSON keys; v1
+#: logged nested JSON rows).
+STORE_FORMAT = "eva-store-v3"
 MANIFEST_NAME = "manifest.jsonl"
 CONTROL_LOG_NAME = "control.log"
 AUDIT_NAME = "audit.jsonl"
@@ -47,18 +54,41 @@ _PARTITION_ID = re.compile(r"^(?P<crc>[0-9a-f]{8})-g(?P<gen>\d+)"
                            r"-b(?P<bucket>\d+)$")
 
 
+@contextmanager
+def replacing(tmp: Path, target: Path):
+    """Write ``tmp`` (fresh: a crash's leftover is removed first) in the
+    body, then ``os.replace`` it onto ``target``.  A failure on the way
+    removes ``tmp`` and leaves ``target`` as it was; an ``OSError`` (a
+    full disk, a failed fsync) raises :class:`StorageError`."""
+    try:
+        tmp.unlink(missing_ok=True)
+        yield
+        os.replace(tmp, target)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise StorageError(f"cannot write {target}: {exc}") from exc
+        raise
+
+
 def view_crc(name: str) -> str:
     return f"{zlib.crc32(name.encode('utf-8')) & 0xFFFFFFFF:08x}"
 
 
-def bucket_of(first_component, partition_frames: int) -> int:
-    """Frame-range bucket of a key.  First key components are frame ids
-    (ints) for every view the executor builds; anything else lands in a
-    stable catch-all bucket so the partition function is total."""
-    if isinstance(first_component, bool) or not isinstance(
-            first_component, int):
-        return 0
-    return max(0, int(first_component)) // max(1, partition_frames)
+def buckets_of(batch: ColumnBatch, partition_frames: int) -> np.ndarray:
+    """The frame-range bucket of every entry of ``batch``: ``max(id, 0) //
+    partition_frames`` of its frame id, from the key array in one numpy
+    expression (a packed patch key's frame id is its top bits).  Keys
+    that do not pack are read one by one; a first component that is not
+    an int lands in bucket 0, so the function is total.  A key gets the
+    same bucket in either form."""
+    if batch.array is None:
+        return np.array([max(key[0], 0) // partition_frames
+                         if type(key[0]) is int else 0
+                         for key in batch.keys], dtype=object)
+    ids = (batch.array >> PACKED_FRAME_SHIFT if batch.patch_keys
+           else batch.array)
+    return np.maximum(ids, 0) // partition_frames
 
 
 def partition_id(name: str, generation: int, bucket: int) -> str:
@@ -91,7 +121,7 @@ class PartitionState:
         return root / WAL_DIR / f"{self.pid}.wal"
 
     def snapshot_path(self, root: Path) -> Path:
-        return root / SNAPSHOT_DIR / f"{self.pid}.npz"
+        return root / SNAPSHOT_DIR / f"{self.pid}.snap"
 
 
 @dataclass
@@ -136,7 +166,7 @@ class StoreLayout:
             parsed = parse_partition_id(path.stem)
             if parsed is not None:
                 found.setdefault(path.stem, {})["wal"] = path
-        for path in sorted(self.snapshot_dir.glob("*.npz")):
+        for path in sorted(self.snapshot_dir.glob("*.snap")):
             parsed = parse_partition_id(path.stem)
             if parsed is not None:
                 found.setdefault(path.stem, {})["snapshot"] = path
@@ -155,11 +185,11 @@ class StoreLayout:
         lines += [json.dumps({"type": "partition", **p}, sort_keys=True)
                   for p in sorted(partitions, key=lambda p: p["id"])]
         tmp = self.manifest_path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.manifest_path)
+        with replacing(tmp, self.manifest_path):
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
 
     def check_format(self) -> None:
         """Refuse a store some other format version wrote: there is one

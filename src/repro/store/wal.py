@@ -2,27 +2,25 @@
 
 File layout::
 
-    8 bytes   magic header  b"EVAWAL2\\n"
+    8 bytes   magic header  b"EVAWAL3\\n"
     records   4-byte big-endian payload length
               4-byte big-endian CRC32 of the payload
               N-byte payload: one line of UTF-8 JSON, then — for records
               that carry data — ``\\n`` and a binary blob
 
-Writers batch fsyncs (group commit every ``sync_every`` records); readers
-stop at the first frame that fails its length or checksum test and report
-the byte offset of the last *valid* record so recovery can truncate the
-torn tail in place.
+Every append reaches the operating system at once (the file is
+unbuffered); writers batch fsyncs — group commit every ``sync_every``
+records, or only on :meth:`WalWriter.flush` when ``sync_every`` is 0.
+Readers stop at the first frame that fails its length or checksum test
+and report the byte offset of the last *valid* record so recovery can
+truncate the torn tail in place.
 
 Control records (create, drop, UDF history, lineage) are the JSON line
 alone, so the control log stays readable with ``dd`` and a hex viewer.  A
 view's ``puts`` record names view and generation in the JSON line and
-carries the inserted entries as the blob: the view's own
-:class:`~repro.storage.columnar.ColumnBatch` encoding, which is also the
-partition snapshot.  Entries are not JSON because encoding them was the
-wall, not UDF inference: traced on the end-to-end ``serve_shared``
-workload, nested-JSON rows cost 36 µs per written key between view
-insert, log append, snapshot and replay — what the simulated models
-charge per tuple.
+carries the inserted entries as the blob: the view's own flat
+:class:`~repro.storage.columnar.ColumnBatch` encoding (int64 keys, typed
+column buffers), which compressed is also the partition snapshot.
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import StoreCorruptionError
+from repro.errors import StorageError, StoreCorruptionError
 from repro.obs.flight import current_flight
 
-MAGIC = b"EVAWAL2\n"
+MAGIC = b"EVAWAL3\n"
 _FRAME = struct.Struct(">II")
 #: A length field above this is treated as corruption, not a record: the
 #: largest legitimate record (a put_many batch for one partition) stays
@@ -66,47 +64,49 @@ class WalWriter:
     A record is durable once :meth:`flush` (or the ``sync_every``-th
     append since the last sync) has run; a crash loses at most the
     un-synced suffix, which the reader's torn-tail repair discards
-    cleanly.  Not thread-safe — callers serialize through their own lock.
+    cleanly.  An ``OSError`` raises :class:`StorageError`; a failed
+    append first cuts the file back to its last whole record.  Not
+    thread-safe — callers serialize through their own lock.
     """
 
     def __init__(self, path, *, sync_every: int = 32):
         self.path = Path(path)
-        self.sync_every = max(1, int(sync_every))
+        self.sync_every = max(0, int(sync_every))
         self._pending = 0
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._handle = open(self.path, "ab")
-        if fresh:
-            self._handle.write(MAGIC)
-            self._sync()
+        self._handle = open(self.path, "ab", buffering=0)
         self.size = self._handle.tell()
+        if not self.size:
+            self._write(MAGIC)
+            self._sync()
+            self.size = len(MAGIC)
 
-    def append(self, payload: dict) -> int:
-        """Write one record; returns its size in bytes on disk."""
+    def append(self, *payloads: dict) -> int:
+        """Write records, all in one system call; returns their size in
+        bytes on disk."""
         flight = current_flight()
         started = time.perf_counter() if flight is not None else 0.0
-        frame = encode_record(payload)
-        self._handle.write(frame)
+        frames = b"".join(map(encode_record, payloads))
+        self._write(frames)
         if flight is not None:
             flight.add_store_io("wal_append",
                                 time.perf_counter() - started)
-        self.size += len(frame)
-        self._pending += 1
-        if self._pending >= self.sync_every:
+        self.size += len(frames)
+        self._pending += len(payloads)
+        if self.sync_every and self._pending >= self.sync_every:
             self._sync()
-        return len(frame)
+        return len(frames)
 
     def flush(self) -> None:
         """Force everything appended so far to stable storage."""
         if self._pending:
             self._sync()
-        else:
-            self._handle.flush()
 
     def reset(self) -> None:
         """Discard all records (post-snapshot truncation), keep the file."""
         self._handle.close()
-        self._handle = open(self.path, "wb")
-        self._handle.write(MAGIC)
+        self._handle = open(self.path, "wb", buffering=0)
+        self.size = 0
+        self._write(MAGIC)
         self._sync()
         self.size = len(MAGIC)
 
@@ -116,11 +116,25 @@ class WalWriter:
         self.flush()
         self._handle.close()
 
+    def _write(self, data: bytes) -> None:
+        try:
+            if self._handle.write(data) != len(data):
+                raise OSError(f"short write of {len(data)} bytes")
+        except OSError as exc:
+            try:
+                self._handle.truncate(self.size)
+            except OSError:
+                pass  # the reader's torn-tail repair cuts it instead
+            raise StorageError(f"cannot append to {self.path}: {exc}") \
+                from exc
+
     def _sync(self) -> None:
         flight = current_flight()
         started = time.perf_counter() if flight is not None else 0.0
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        try:
+            os.fsync(self._handle.fileno())
+        except OSError as exc:
+            raise StorageError(f"cannot fsync {self.path}: {exc}") from exc
         self._pending = 0
         if flight is not None:
             flight.add_store_io("fsync", time.perf_counter() - started)
@@ -161,7 +175,9 @@ def scan_wal(path) -> WalScan:
         scan.error = "truncated header"
         return scan
     if data[:len(MAGIC)] != MAGIC:
-        raise StoreCorruptionError(f"{path} is not a WAL file (bad magic)")
+        raise StoreCorruptionError(
+            f"{path} is not a {MAGIC[:-1].decode()} WAL file "
+            f"(header {data[:len(MAGIC)]!r})")
     offset = len(MAGIC)
     scan.valid_bytes = offset
     while offset < len(data):

@@ -6,7 +6,8 @@ and degenerate inputs (single-frame videos, empty ranges, zero-object
 frames) flow through every layer.
 """
 
-import io
+import json
+import zlib
 
 import numpy as np
 import pytest
@@ -219,12 +220,18 @@ class TestSymbolicTimeBudget:
 
 
 class TestNumpyInteraction:
-    def test_view_payload_is_valid_npz(self):
+    def test_view_payload_is_a_flat_column_batch(self):
+        """A serialized view is one deflated header line and the raw
+        little buffers it sizes: int64 keys, int64 counts, float64."""
         view = MaterializedView("v", ["id"], ["x"])
         view.put((1,), [{"x": 0.5}])
-        payload = view.serialize()
-        with np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
-            assert "keys" in arrays
+        line, _, body = zlib.decompress(view.serialize()).partition(b"\n")
+        header = json.loads(line)
+        assert header.pop("bytes") > 0  # the view's byte estimate
+        assert header == {"n": 1, "keys": "frames",
+                          "columns": [["x", "float"]], "sizes": [8, 8, 8]}
+        assert np.frombuffer(body[:16], dtype=np.int64).tolist() == [1, 1]
+        assert np.frombuffer(body[16:], dtype=np.float64).tolist() == [0.5]
 
 
 class TestUnanalyzablePredicates:

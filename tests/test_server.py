@@ -14,10 +14,15 @@ Covers the acceptance bar of the serving subsystem:
 
 from __future__ import annotations
 
+import tempfile
 import threading
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import EvaConfig
 from repro.errors import (
@@ -29,6 +34,8 @@ from repro.errors import (
 from repro.models.detectors import SimulatedDetector
 from repro.models.zoo import default_zoo
 from repro.server import EvaServer, merged_metrics
+from repro.server.state import ClientViewHandle
+from repro.server.stats import UNKNOWN_OWNER
 from repro.session import EvaSession
 from repro.types import Accuracy, VideoMetadata
 from repro.video.synthetic import SyntheticVideo
@@ -193,6 +200,75 @@ class TestConcurrentCorrectness:
         assert by_client["alice"].hits_donated == 30
         assert by_client["bob"].hits_from_others == 30
         assert by_client["bob"].keys_materialized == 0
+
+
+class TestServedAttribution:
+    """Served probes report one stats call each, with per-owner counts;
+    the (prober, owner) matrix and every client counter must equal the
+    per-key attribution of the same hits, across a restart (after which
+    recovered keys have an unknown owner)."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(queries=st.lists(st.tuples(st.sampled_from(["alice", "bob"]),
+                                      st.integers(0, 5), st.booleans()),
+                            min_size=2, max_size=7),
+           restart=st.integers(1, 6))
+    def test_batched_attribution_equals_per_key(self, queries, restart):
+        video = make_video("served", frames=80)
+        hits: Counter = Counter()
+        materialized: Counter = Counter()
+        get_many, put_many = ClientViewHandle.get_many, \
+            ClientViewHandle.put_many
+
+        def per_key_get_many(handle, keys):
+            if not isinstance(keys, np.ndarray):
+                keys = list(keys)
+            result = get_many(handle, keys)
+            for i in result.hit_positions()[0].tolist():
+                key = (handle._view.key_tuples(keys[i:i + 1])[0]
+                       if isinstance(keys, np.ndarray) else keys[i])
+                owner = handle._owners.get(key)
+                hits[handle._client_id, owner or UNKNOWN_OWNER] += 1
+            return result
+
+        def counting_put_many(handle, *args, **kwargs):
+            inserted = put_many(handle, *args, **kwargs)
+            materialized[handle._client_id] += sum(inserted)
+            return inserted
+
+        with tempfile.TemporaryDirectory() as path, \
+                pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ClientViewHandle, "get_many", per_key_get_many)
+            patch.setattr(ClientViewHandle, "put_many", counting_put_many)
+            config = EvaConfig(store_mode="durable", store_path=path)
+            for part in (queries[:restart], queries[restart:]):
+                hits.clear()
+                materialized.clear()
+                server = EvaServer(config, max_workers=2)
+                server.register_video(video)
+                with server.start():
+                    handles = {client: server.connect(client)
+                               for client in ("alice", "bob")}
+                    for client, start, classify in part:
+                        handles[client].execute(
+                            "SELECT id, bbox FROM served CROSS APPLY "
+                            f"ObjectDetector(frame) WHERE id >= {10 * start}"
+                            f" AND id < {10 * start + 25} AND label = 'car'"
+                            + (" AND CarType(frame, bbox) = 'Nissan'"
+                               if classify else "") + ";")
+                    snapshot = server.stats()
+                assert snapshot.cross_client_hits == dict(hits)
+                for client in snapshot.clients:
+                    me = client.client_id
+                    assert client.keys_materialized == materialized[me]
+                    assert client.hits_received == sum(
+                        n for (prober, _), n in hits.items() if prober == me)
+                    assert client.hits_from_others == sum(
+                        n for (prober, owner), n in hits.items()
+                        if prober == me != owner)
+                    assert client.hits_donated == sum(
+                        n for (prober, owner), n in hits.items()
+                        if owner == me != prober)
 
 
 # -- admission control -----------------------------------------------------------

@@ -653,8 +653,8 @@ class TestDenseFrameProbe:
             recorded = []
 
             class Stats:
-                def record_view_hit(self, name, prober, owner):
-                    recorded.append((prober, owner))
+                def record_view_hits(self, name, prober, owners):
+                    recorded.append((prober, dict(owners)))
 
             owners = {key: f"c{n % 3}" for n, key in enumerate(view.keys())}
             handle = ClientViewHandle(view, RWLock(), owners, "me", Stats())
@@ -782,8 +782,8 @@ class TestTypedColumnsAndPackedProbes:
             recorded = []
 
             class Stats:
-                def record_view_hit(self, name, prober, owner):
-                    recorded.append((prober, owner))
+                def record_view_hits(self, name, prober, owners):
+                    recorded.append((prober, dict(owners)))
 
             owners = {key: f"c{n % 3}" for n, key in enumerate(view.keys())}
             handle = ClientViewHandle(view, RWLock(), owners, "me", Stats())

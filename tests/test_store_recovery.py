@@ -83,7 +83,7 @@ class TestDurableRoundTrip:
         second = make_store(tmp_path)
         assert contents(second) == expected
         assert second.recovery_report.records_replayed == 30
-        assert not list(second.layout.snapshot_dir.glob("*.npz"))
+        assert not list(second.layout.snapshot_dir.glob("*.snap"))
         second.close()
 
     def test_snapshot_plus_wal_suffix_precedence(self, tmp_path):
@@ -220,7 +220,7 @@ class TestCrashFuzz:
         view = first.get("mv::m@tiny")
         view.put((30,), [{"label": "wal-only"}])
         first.flush()
-        [snap] = list((tmp_path / "snapshots").glob("*.npz"))
+        [snap] = list((tmp_path / "snapshots").glob("*.snap"))
         snap.write_bytes(b"\x00garbage")  # bit rot
 
         second = make_store(tmp_path, partition_frames=1_000_000)
@@ -361,6 +361,37 @@ class TestFormatVersion:
         assert before == sorted((p.name, p.stat().st_size)
                                 for p in tmp_path.rglob("*") if p.is_file())
 
+    def test_v2_store_is_refused_before_anything_is_repaired(self, tmp_path):
+        """A store as the previous format left it — ``EVAWAL2`` logs,
+        ``.npz`` snapshots, a torn WAL tail and a stale partition file,
+        all of which recovery would repair or sweep — is refused with an
+        error that names ``eva-store-v2``, and left as it was."""
+        first = make_store(tmp_path)
+        fill(first)
+        first.snapshot()
+        first.get("mv::m@tiny").put((31,), [{"label": "late"}])
+        first.flush()  # crash: no close
+        for path in [tmp_path / "control.log",
+                     *(tmp_path / "wal").glob("*.wal")]:
+            path.write_bytes(b"EVAWAL2\n" + path.read_bytes()[len(MAGIC):])
+        [wal, *_] = sorted((tmp_path / "wal").glob("*.wal"))
+        with open(wal, "ab") as handle:
+            handle.write(b"\x00\x00\x01torn")
+        (tmp_path / "wal" / "00000000-g1-b0.wal").write_bytes(b"EVAWAL2\n")
+        for snap in (tmp_path / "snapshots").glob("*.snap"):
+            snap.rename(snap.with_suffix(".npz"))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().replace(
+            STORE_FORMAT, "eva-store-v2"))
+        before = sorted((p.name, p.read_bytes())
+                        for p in tmp_path.rglob("*") if p.is_file())
+
+        with pytest.raises(StorageError) as refused:
+            make_store(tmp_path)
+        assert "eva-store-v2" in str(refused.value)
+        assert before == sorted((p.name, p.read_bytes())
+                                for p in tmp_path.rglob("*") if p.is_file())
+
     def test_wal_of_another_format_is_refused_without_a_manifest(
             self, tmp_path):
         first = make_store(tmp_path)
@@ -399,7 +430,7 @@ class TestTombstonesAndGenerations:
         assert "mv::m@tiny" not in second
         assert second.recovery_report.stale_files_removed > 0
         assert not list((tmp_path / "wal").glob("*.wal"))
-        assert not list((tmp_path / "snapshots").glob("*.npz"))
+        assert not list((tmp_path / "snapshots").glob("*.snap"))
         second.close()
 
     def test_recreate_after_drop_starts_a_new_generation(self, tmp_path):
