@@ -85,11 +85,9 @@ class EvaConfig:
     #: Execution engine: ``"vectorized"`` runs each plan's streaming
     #: suffix (scan → filter → project → APPLY) as one pipeline of
     #: compiled column-at-a-time kernels, bulk view probes and batched
-    #: model invocation, under every reuse policy; ``"row"`` builds the
-    #: row-at-a-time operator tree — the reference for ``NONE`` and exact
-    #: ``EVA`` reuse, which the differential suite holds the pipeline to
-    #: (identical result batches, view contents and virtual-cost totals).
-    #: FunCache, HashStash and ``fuzzy_reuse`` run on the pipeline only.
+    #: model invocation, under every reuse policy; ``"row"`` hands plans
+    #: to :mod:`repro.reference`, the row-at-a-time oracle, which runs
+    #: ``ReusePolicy.NONE`` only and charges, records and stores nothing.
     execution_mode: str = "vectorized"
     #: Cost-model calibration from observed telemetry
     #: (:mod:`repro.obs.calibration`): ``"off"`` never compares,
@@ -205,12 +203,11 @@ class EvaConfig:
                 f"execution_mode must be 'vectorized' or 'row', "
                 f"got {self.execution_mode!r}")
         if self.execution_mode == "row" and (
-                self.reuse_policy in (ReusePolicy.FUNCACHE,
-                                      ReusePolicy.HASHSTASH)
+                self.reuse_policy is not ReusePolicy.NONE
                 or self.fuzzy_reuse):
             raise ValueError(
-                "execution_mode='row' is the reference for NONE and exact "
-                "EVA reuse; FunCache, HashStash and fuzzy_reuse run on the "
+                "execution_mode='row' is the reference for ReusePolicy.NONE; "
+                "EVA, FunCache, HashStash and fuzzy_reuse run on the "
                 "pipeline only")
         if self.cost_calibration not in ("off", "report", "apply"):
             raise ValueError(

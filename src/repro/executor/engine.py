@@ -6,45 +6,44 @@ from repro.errors import ExecutorError
 from repro.executor.context import ExecutionContext
 from repro.executor.fusion import build_pipeline, streaming_suffix_start
 from repro.executor.operators import (
-    ClassifierApplyOperator,
-    DetectorApplyOperator,
     DistinctOperator,
-    FilterOperator,
     GroupByOperator,
     LimitOperator,
     Operator,
     OrderByOperator,
-    ProjectOperator,
-    ScanOperator,
 )
 from repro.optimizer.plans import (
-    PhysClassifierApply,
-    PhysDetectorApply,
     PhysDistinct,
-    PhysFilter,
     PhysGroupBy,
     PhysLimit,
     PhysOrderBy,
-    PhysProject,
-    PhysScan,
     PhysicalPlan,
     walk_plan,
 )
+from repro.reference import Reference
 from repro.storage.batch import Batch
+
+#: Operator class of each blocking plan node.
+BLOCKING_OPERATORS = {
+    PhysGroupBy: GroupByOperator,
+    PhysDistinct: DistinctOperator,
+    PhysOrderBy: OrderByOperator,
+    PhysLimit: LimitOperator,
+}
 
 
 class ExecutionEngine:
     """Builds operator trees from physical plans and runs them.
 
-    One engine, one reference.  Every session runs the **streaming
-    pipeline** (:mod:`repro.executor.fusion`): a plan's whole streaming
-    suffix as one operator under the blocking operators of its prefix,
-    whatever its reuse policy — EVA, FunCache, HashStash, fuzzy reuse or
-    none.  ``execution_mode="row"`` builds the **row operator tree**
-    instead, one row-at-a-time operator per plan node: the reference the
-    differential suite holds the pipeline to, for ``ReusePolicy.NONE``
-    and exact EVA reuse.  Either way a query runs on the thread that
-    issued it.
+    One engine, whatever the reuse policy — EVA, FunCache, HashStash,
+    fuzzy reuse or none: a plan's whole streaming suffix runs as one
+    **streaming pipeline** (:mod:`repro.executor.fusion`) under one
+    blocking operator per node of its prefix (GROUP BY, DISTINCT, ORDER
+    BY, LIMIT).  A query runs on the thread that issued it.
+
+    ``execution_mode="row"`` (``ReusePolicy.NONE`` only) hands the plan
+    to :class:`~repro.reference.Reference` instead: the row-at-a-time
+    oracle the engine is held to, which shares no code with it.
     """
 
     def __init__(self, context: ExecutionContext):
@@ -52,51 +51,31 @@ class ExecutionEngine:
 
     def build(self, plan: PhysicalPlan) -> Operator:
         chain = list(walk_plan(plan))
-        if self.context.config.execution_mode == "row":
-            return self.build_over(chain, None)
         split = streaming_suffix_start(chain)
-        pipeline = build_pipeline(chain[split:], self.context)
-        return self.build_over(chain[:split],
-                               self.built(chain[split], pipeline))
-
-    def build_over(self, nodes: list[PhysicalPlan],
-                   source: Operator | None) -> Operator:
-        """Stack one operator per node of ``nodes`` (root first) on
-        ``source``."""
-        for node in reversed(nodes):
-            source = self.built(node, self.build_node(node, source))
-        return source
+        root = self.built(chain[split], build_pipeline(chain[split:],
+                                                       self.context))
+        for node in reversed(chain[:split]):
+            operator = BLOCKING_OPERATORS.get(type(node))
+            if operator is None:
+                raise ExecutorError(
+                    f"no operator for plan node {type(node).__name__}")
+            root = self.built(node, operator(root, node, self.context))
+        return root
 
     def built(self, node: PhysicalPlan, operator: Operator) -> Operator:
         """Hook: the operator that stands for ``node`` in the tree (the
         instrumented engine wraps it)."""
         return operator
 
-    def build_node(self, plan: PhysicalPlan,
-                   child: Operator | None) -> Operator:
-        """Build the operator for one plan node over a pre-built child."""
-        if isinstance(plan, PhysScan):
-            return ScanOperator(plan, self.context)
-        if isinstance(plan, PhysDetectorApply):
-            return DetectorApplyOperator(child, plan, self.context)
-        if isinstance(plan, PhysClassifierApply):
-            return ClassifierApplyOperator(child, plan, self.context)
-        if isinstance(plan, PhysFilter):
-            return FilterOperator(child, plan, self.context)
-        if isinstance(plan, PhysProject):
-            return ProjectOperator(child, plan, self.context)
-        if isinstance(plan, PhysGroupBy):
-            return GroupByOperator(child, plan, self.context)
-        if isinstance(plan, PhysDistinct):
-            return DistinctOperator(child, plan, self.context)
-        if isinstance(plan, PhysOrderBy):
-            return OrderByOperator(child, plan, self.context)
-        if isinstance(plan, PhysLimit):
-            return LimitOperator(child, plan, self.context)
-        raise ExecutorError(f"no operator for plan node {type(plan).__name__}")
-
     def run(self, plan: PhysicalPlan) -> Batch:
         """Execute ``plan`` to completion and return the result batch."""
+        if self.context.config.execution_mode == "row":
+            return Reference(self.context.storage,
+                             self.context.catalog).run(plan)
+        return self.execute(plan)
+
+    def execute(self, plan: PhysicalPlan) -> Batch:
+        """Run ``plan`` on the engine, whatever the execution mode."""
         root = self.build(plan)
         batch = root.run_to_completion()
         self.record_kernel_fallbacks(root)

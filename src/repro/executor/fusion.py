@@ -12,13 +12,17 @@ data.  A kernel the expression compiler could not vectorize takes
 ``run_kernel_*``'s row fallback inside its stage; APPLY stages never
 fall back — they cut a batch into segments instead.
 
-Semantics are bit-identical to the row operator tree (the reference,
-``execution_mode="row"``) by construction: each stage mirrors its
-operator's per-batch body (including the exact virtual-clock charges,
-empty-batch gating, and the project operator's empty-schema emission via
-the end-of-stream drain), and filter groups that combine masks
-speculatively re-run sequentially whenever an upper kernel errors, so
-errors never surface for rows a lower filter would have removed.
+Batch size is invisible by contract: a query's rows, the views it
+leaves, its #TI / #reused / #DI and every clock category except APPLY
+(one ``apply_per_batch`` per batch an APPLY stage sees) and OPTIMIZE are
+the same at every ``EvaConfig.batch_rows``, down to one row per batch.
+APPLY stages keep it by cutting batches into segments
+(:func:`~repro.executor.operators.base.segments`); filter groups that
+combine masks speculatively re-run sequentially whenever an upper kernel
+errors, so errors never surface for rows a lower filter would have
+removed; and a project that no batch reached still emits its (empty)
+output schema through the end-of-stream drain.  The rows themselves are
+held to :mod:`repro.reference`, the row-at-a-time oracle.
 
 The plan→kernel cache
 ---------------------
@@ -247,8 +251,8 @@ def _filter_group(batch: Batch, rt: _FusedRuntime, group: tuple
 
 def _classifier_step(batch: Batch, rt: _FusedRuntime,
                      op: ClassifierApplyOperator) -> Batch:
-    """One classifier APPLY stage: mirrors the operator's per-batch body.
-    A row whose key cannot be built raises the row path's error; what
+    """One classifier APPLY stage: the UDF column for the whole batch.
+    A row whose key cannot be built raises the reference's error; what
     the clock holds after a failed query is not part of the contract."""
     context = op.context
     context.clock.charge(CostCategory.APPLY,
@@ -259,7 +263,7 @@ def _classifier_step(batch: Batch, rt: _FusedRuntime,
 def _detector_step(batch: Batch, rt: _FusedRuntime,
                    op: DetectorApplyOperator) -> Batch | None:
     """One detector APPLY stage: bulk view probe + conditional APPLY.
-    A batch without a ``frame`` or ``id`` column raises the row path's
+    A batch without a ``frame`` or ``id`` column raises the reference's
     error; what the clock holds after a failed query is not part of the
     contract."""
     context = op.context
@@ -406,11 +410,10 @@ def compile_fused_plan(chain: list[PhysicalPlan],
 class FusedPipelineOperator(Operator):
     """Runs a whole streaming suffix, one loop over its stages per batch.
 
-    Built by the engine in place of the chain's operator tree.  Owns the
-    scan loop (cancel checks and READ_VIDEO charges exactly where the
-    scan operator puts them) and a per-execution runtime with fresh APPLY
-    operator instances, so the shared :class:`FusedPlan` carries no
-    mutable state.
+    Built by the engine under the plan's blocking operators.  Owns the
+    scan loop (a cancel check and a READ_VIDEO charge per scan batch) and
+    a per-execution runtime with fresh APPLY stage instances, so the
+    shared :class:`FusedPlan` carries no mutable state.
     """
 
     def __init__(self, chain: list[PhysicalPlan], fused: FusedPlan,
@@ -424,12 +427,12 @@ class FusedPipelineOperator(Operator):
         self.covered_nodes = list(chain)
         self.kernel_mode = "fused"
         self._scan = chain[-1]
-        ops: list[Operator] = []
+        ops: list[ClassifierApplyOperator | DetectorApplyOperator] = []
         for node in reversed(chain):
             if isinstance(node, PhysClassifierApply):
-                ops.append(ClassifierApplyOperator(None, node, context))
+                ops.append(ClassifierApplyOperator(node, context))
             elif isinstance(node, PhysDetectorApply):
-                ops.append(DetectorApplyOperator(None, node, context))
+                ops.append(DetectorApplyOperator(node, context))
         self.rt = _FusedRuntime(context.config.reuse_policy, ops)
 
     def execute(self) -> Iterator[Batch]:
@@ -441,8 +444,8 @@ class FusedPipelineOperator(Operator):
         batch_rows = context.config.batch_rows
         columns = self.fused.scan_columns
         produced = False
-        # HashStash reads the recycler when the query starts, as the row
-        # operator does, even if the scan yields nothing.
+        # HashStash reads the recycler when the query starts, even if the
+        # scan yields nothing.
         recycling = ([op for op in self.rt.ops
                       if isinstance(op, DetectorApplyOperator)]
                      if self.rt.policy is ReusePolicy.HASHSTASH else [])
@@ -452,7 +455,8 @@ class FusedPipelineOperator(Operator):
             for start, stop in self._scan.ranges:
                 for batch in table.scan(start, stop, batch_rows,
                                         columns=columns):
-                    # Same cancel point and read charge as ScanOperator.
+                    # The one cancel point every plan shape passes, even
+                    # with a blocking operator above the pipeline.
                     context.check_cancelled()
                     clock_charge(CostCategory.READ_VIDEO,
                                  batch.num_rows * per_frame)
@@ -473,9 +477,9 @@ class FusedPipelineOperator(Operator):
         """Push one scan batch through the stages; None when it dies.
 
         ``batch=None`` is the end-of-stream drain, run once when no
-        batch survived the pipeline.  Row project operators emit their
-        (empty) output schema when they never received input, and
-        anything stacked above them reacts to that empty batch —
+        batch survived the pipeline.  A project emits its (empty) output
+        schema when it never received input, and anything stacked above
+        it reacts to that empty batch —
         classifiers charge APPLY for it, filters and detectors swallow
         it, upper projects re-map it.  So where a live batch that dies
         ends the walk, the drain keeps walking: the first project no

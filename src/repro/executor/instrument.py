@@ -1,9 +1,13 @@
 """Operator instrumentation for EXPLAIN ANALYZE and span capture.
 
-Wraps every operator of a plan in a counting proxy that records output
-rows, batches, real elapsed time, *and* virtual (simulation-clock) time,
-then renders the annotated plan tree the way ``EXPLAIN`` does — with
-actuals attached.
+Wraps every operator the engine builds — the streaming pipeline, at its
+fusion boundary, and each blocking operator of the prefix above it — in
+a counting proxy that records output rows, batches, real elapsed time,
+*and* virtual (simulation-clock) time, then renders the annotated plan
+tree the way ``EXPLAIN`` does — with actuals attached.  Plan nodes the
+pipeline covers report ``fused-into=<boundary>``.  The instrumented
+engine always runs the engine, also under ``execution_mode="row"``: the
+reference has no operators to instrument.
 
 Each wrapper's ``elapsed`` / ``virtual`` measure the whole subtree below
 it (the time spent inside ``next()`` on its pipeline, children
@@ -73,6 +77,9 @@ class InstrumentedEngine(ExecutionEngine):
         #: EXPLAIN ANALYZE reports them as fused into their boundary
         #: instead of silently dropping them.
         self.fused_markers: dict[int, str] = {}
+
+    def run(self, plan: PhysicalPlan) -> Batch:
+        return self.execute(plan)
 
     def built(self, node: PhysicalPlan, operator: Operator) -> Operator:
         wrapper = InstrumentedOperator(operator, self.context)

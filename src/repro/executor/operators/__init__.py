@@ -1,26 +1,21 @@
-"""Physical operators (pull-based batch iterators)."""
+"""The blocking operators (pull-based batch iterators) and the APPLY
+stages the streaming pipeline runs."""
 
 from repro.executor.operators.base import Operator
-from repro.executor.operators.scan import ScanOperator
 from repro.executor.operators.detector import DetectorApplyOperator
 from repro.executor.operators.classifier import ClassifierApplyOperator
 from repro.executor.operators.relational import (
     DistinctOperator,
-    FilterOperator,
     GroupByOperator,
     LimitOperator,
     OrderByOperator,
-    ProjectOperator,
 )
 
 __all__ = [
     "Operator",
-    "ScanOperator",
     "DetectorApplyOperator",
     "ClassifierApplyOperator",
-    "FilterOperator",
     "DistinctOperator",
-    "ProjectOperator",
     "GroupByOperator",
     "OrderByOperator",
     "LimitOperator",

@@ -1,4 +1,4 @@
-"""Operator base class."""
+"""Operator base class, and the segment cut the APPLY stages share."""
 
 from __future__ import annotations
 
@@ -20,12 +20,14 @@ def segments(keys, cut_repeats: bool,
              creating_row: Callable[[int, int], int | None]
              ) -> Iterator[np.ndarray]:
     """A batch's rows, keyed by ``keys``, as consecutive segments on which
-    resolving the rows at once equals resolving them one by one.
+    resolving the rows at once equals resolving them one per batch: the
+    segment contract that makes ``batch_rows`` invisible to rows, views,
+    counts and every charge but APPLY's.
 
     A segment ends before a repeated key when ``cut_repeats`` (the
     earlier row's STORE makes the repeat a hit), and right after
     ``creating_row(start, stop)`` — the first row of ``[start, stop)``
-    whose STORE may create a view the operator probes, or None — which is
+    whose STORE may create a view the stage probes, or None — which is
     asked once the previous segment is resolved.
     """
     stops = []
@@ -52,15 +54,14 @@ class Operator(abc.ABC):
     def __init__(self, context: ExecutionContext):
         self.context = context
         #: How this operator evaluates batches: ``"fused"`` (the
-        #: streaming pipeline), ``"row"`` (the row operator tree),
-        #: ``"vectorized"`` / ``"row-fallback"`` (a blocking operator
-        #: whose expression kernels all compiled / did not), or ``None``
-        #: when the distinction does not apply (scans without residuals,
-        #: DISTINCT, LIMIT).  EXPLAIN ANALYZE and the obs layer report it
+        #: streaming pipeline), ``"vectorized"`` / ``"row-fallback"`` (a
+        #: blocking operator whose expression kernels all compiled / did
+        #: not), or ``None`` when the distinction does not apply
+        #: (DISTINCT, LIMIT).  EXPLAIN ANALYZE and the obs layer report it
         #: per operator.
         self.kernel_mode: str | None = None
         #: Batches that started on a compiled kernel but re-ran through
-        #: the row interpreter (runtime fallback).  Always 0 in row mode.
+        #: the row interpreter (runtime fallback).
         self.kernel_fallback_batches: int = 0
 
     @abc.abstractmethod

@@ -6,13 +6,15 @@ value for each row.  Under the EVA policy the operator probes the term's
 materialized view first and evaluates the model only on misses, appending
 fresh results (the conditional-APPLY + STORE composite of Fig. 4); under
 FunCache it probes the execution-time cache; otherwise it always
-evaluates.  The row tree (``execution_mode="row"``) runs NONE and exact
-EVA one row at a time, the reference for the pipeline's batch methods.
+evaluates.  It is a stage of the streaming pipeline
+(:mod:`repro.executor.fusion`), which hands it whole batches; it cuts a
+batch into :func:`~repro.executor.operators.base.segments` so that the
+answer, the views and every charge equal those of one row per batch.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,11 +23,9 @@ from repro.config import ReusePolicy
 from repro.errors import ExecutorError
 from repro.catalog.udf_registry import UdfKind
 from repro.executor.context import ExecutionContext
-from repro.executor.operators.base import Operator, segments
+from repro.executor.operators.base import segments
 from repro.expressions.analysis import term_key
 from repro.expressions.evaluator import udf_column_name
-from repro.models.base import PatchClassifierModel
-from repro.models.filters import SpecializedFilter
 from repro.optimizer.plans import PhysClassifierApply
 from repro.storage.batch import (
     Batch,
@@ -39,16 +39,13 @@ from repro.storage.view_store import (
     pack_patch_keys,
 )
 from repro.types import BoundingBox
-from repro.video.frames import Frame
 
 
-class ClassifierApplyOperator(Operator):
-    """Adds the computed UDF column to every row."""
+class ClassifierApplyOperator:
+    """Adds the computed UDF column to every row of a batch."""
 
-    def __init__(self, child: Operator, node: PhysClassifierApply,
-                 context: ExecutionContext):
-        super().__init__(context)
-        self.child = child
+    def __init__(self, node: PhysClassifierApply, context: ExecutionContext):
+        self.context = context
         self.node = node
         self.model = context.catalog.zoo.get(node.model_name)
         definition = context.catalog.udfs.get(node.call.name)
@@ -59,18 +56,6 @@ class ClassifierApplyOperator(Operator):
         self.column = udf_column_name(term_key(node.call))
         self._view_name = f"mv::{node.signature}"
         self._join_charged = False
-        self.kernel_mode = "row"
-
-    def execute(self) -> Iterator[Batch]:
-        policy = self.context.config.reuse_policy
-        for batch in self.child.execute():
-            self.context.clock.charge(
-                CostCategory.APPLY, self.context.costs.apply_per_batch)
-            values = [self._resolve(row, policy)
-                      for row in batch.iter_rows()]
-            yield batch.with_column(self.column, values)
-
-    # -- batch resolution (called by the streaming pipeline) ---------------------
 
     def _resolve_batch(self, batch: Batch,
                        policy: ReusePolicy) -> Sequence:
@@ -79,8 +64,8 @@ class ClassifierApplyOperator(Operator):
         Under EVA each of the batch's :func:`segments` probes the
         materialized view with one bulk ``get_many``, invokes the model
         **once** on its misses, and appends fresh results with one bulk
-        ``put_many`` — on a segment, what the row path computes, with the
-        same virtual charges (the clock is additive, so per-row
+        ``put_many`` — on a segment, what one row per batch computes,
+        with the same virtual charges (the clock is additive, so per-row
         interleaving order does not matter).
 
         Frames travel as ids (:func:`~repro.storage.batch.frame_ids`): a
@@ -91,8 +76,8 @@ class ClassifierApplyOperator(Operator):
         rounded as one array (:func:`~repro.storage.batch.box_keys`).
         Keys that do not pack are key tuples.  Whatever form the probe
         takes, the invocation metrics identify a patch by its packed key
-        when it packs — as the row path and every other batch do — so
-        #DI does not depend on the batch.  A batch every row of which
+        when it packs — as every other batch does — so #DI does not
+        depend on the batch.  A batch every row of which
         hits returns the view's own column, dictionary codes and all, so
         a compare on it runs on the codes.
         """
@@ -119,7 +104,7 @@ class ClassifierApplyOperator(Operator):
     def _batch_keys(self, batch: Batch) -> tuple:
         """``(video name, frame ids, keys, recorded)``: the keys the view
         is probed with, and those the invocation metrics record.  Raises
-        the row path's error for the first row whose key cannot be built,
+        the reference's error for the first row whose key cannot be built,
         before any row is resolved."""
         if not batch.has_column("frame"):
             raise KeyError("frame")
@@ -167,7 +152,7 @@ class ClassifierApplyOperator(Operator):
                 len(pending) * costs.view_read_per_key)
             hits = view.get_many(_at(keys, pending))
             positions, counts = hits.hit_positions()
-            # A key stored with no row is a miss, as in the row path.
+            # A key stored with no row is a miss.
             firsts = (np.cumsum(counts) - counts)[counts > 0]
             positions = positions[counts > 0]
             if len(positions):
@@ -279,9 +264,8 @@ class ClassifierApplyOperator(Operator):
                         batch: Batch, recorded, indices: np.ndarray) -> list:
         """Model-evaluate the rows at ``indices`` with one invocation.
 
-        Charges ``len(indices) * per_tuple_cost`` — the same total the
-        per-row path accumulates — and records the invocations (as
-        ``recorded``, one per row of the batch) in bulk.
+        Charges ``len(indices) * per_tuple_cost`` and records the
+        invocations (as ``recorded``, one per row of the batch) in bulk.
         """
         if not len(indices):
             return []
@@ -318,82 +302,9 @@ class ClassifierApplyOperator(Operator):
                 CostCategory.MATERIALIZE,
                 added * self.context.costs.materialize_per_row)
 
-    # -- per-row resolution (the row operator tree) -------------------------------
-
-    def _resolve(self, row: dict, policy: ReusePolicy):
-        frame: Frame = row["frame"]
-        key = self._key(row, frame)
-        if policy is ReusePolicy.EVA and self.node.use_view:
-            hit = self._probe_view(key)
-            if hit is not None:
-                self._record(frame, key, reused=True)
-                return hit["value"]
-            value = self._evaluate(row, frame)
-            if self.node.store:
-                self._store(key, value)
-            return value
-        return self._evaluate(row, frame)
-
-    def _key(self, row: dict, frame: Frame) -> tuple:
-        if self.kind is UdfKind.FRAME_FILTER:
-            return (frame.frame_id,)
-        bbox = row.get("bbox")
-        if not isinstance(bbox, BoundingBox):
-            raise self._needs_bbox()
-        return (frame.frame_id, bbox.rounded())
-
     def _needs_bbox(self) -> ExecutorError:
         return ExecutorError(f"{self.node.call.to_sql()} needs a bbox column "
                              "(is the detector APPLY missing?)")
-
-    def _probe_view(self, key: tuple) -> dict | None:
-        view = self.context.view_store.get(self._view_name)
-        if view is None:
-            return None
-        if not self._join_charged:
-            self.context.clock.charge(CostCategory.JOIN,
-                                      self.context.costs.join_setup)
-            self._join_charged = True
-        self.context.clock.charge(CostCategory.READ_VIEW,
-                                  self.context.costs.view_read_per_key)
-        rows = view.get(key)
-        if not rows:
-            return None
-        self.context.clock.charge(CostCategory.READ_VIEW,
-                                  self.context.costs.view_read_per_row)
-        return rows[0]
-
-    def _store(self, key: tuple, value) -> None:
-        view = self.context.view_store.create_or_get(
-            self._view_name, ["id", "bbox_key"], ["value"])
-        if key in view:
-            return
-        view.put(key, [{"value": value}])
-        self.context.clock.charge(CostCategory.MATERIALIZE,
-                                  self.context.costs.materialize_per_row)
-
-    def _evaluate(self, row: dict, frame: Frame):
-        video = self.context.video(frame.video_name)
-        self.context.clock.charge(CostCategory.UDF,
-                                  self.model.per_tuple_cost)
-        if self.kind is UdfKind.FRAME_FILTER:
-            assert isinstance(self.model, SpecializedFilter)
-            value = self.model.predict(video, frame.frame_id)
-        else:
-            assert isinstance(self.model, PatchClassifierModel)
-            value = self.model.classify(video, frame.frame_id, row["bbox"])
-        self._record(frame, self._key(row, frame), reused=False)
-        return value
-
-    def _record(self, frame: Frame, key: tuple, reused: bool) -> None:
-        # The input as the batch path records it: a frame filter's frame
-        # id, a patch's packed key when it packs.
-        self.context.metrics.record_invocations(
-            self.model.name,
-            [frame.frame_id if self.kind is UdfKind.FRAME_FILTER
-             else _recorded_key(key)], reused,
-            per_tuple_cost=self.model.per_tuple_cost,
-            video=frame.video_name)
 
 
 def _recorded_key(key: tuple):

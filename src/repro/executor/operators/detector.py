@@ -1,7 +1,7 @@
-"""Detector CROSS APPLY operator with reuse.
+"""Detector CROSS APPLY with reuse: a stage of the streaming pipeline.
 
 Implements the composite of Fig. 4 in pipelined form.  For each input frame
-the operator consults its :class:`~repro.optimizer.plans.DetectorSource`
+the stage consults its :class:`~repro.optimizer.plans.DetectorSource`
 list in order:
 
 * a **view** source serves the frame when its predicate covers the frame's
@@ -11,20 +11,20 @@ list in order:
   and — when the plan says so — appends the fresh results to the model's
   view (the STORE operator).
 
-Under the HashStash policy the operator instead reads the deduplicated
+Under the HashStash policy the stage instead reads the deduplicated
 union of all matched recycler entries up front, and under FunCache it
 probes the execution engine's function cache per frame.
 
-The streaming pipeline resolves whole batches
-(:meth:`DetectorApplyOperator._apply_batch_vectorized`); the row operator
-tree — the reference for ``ReusePolicy.NONE`` and exact EVA reuse —
-resolves one frame at a time.
+The pipeline hands it whole batches
+(:meth:`DetectorApplyOperator._apply_batch_vectorized`), which it cuts
+into :func:`~repro.executor.operators.base.segments` so that the answer,
+the views and every charge equal those of one frame per batch.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.baselines.hashstash import RecyclerEntry
 from repro.config import ReusePolicy
 from repro.errors import ExecutorError
 from repro.executor.context import ExecutionContext
-from repro.executor.operators.base import Operator, segments
+from repro.executor.operators.base import segments
 from repro.models.base import ObjectDetectorModel
 from repro.optimizer.plans import DetectorSource, PhysDetectorApply
 from repro.optimizer.udf_manager import UdfSignature
@@ -45,7 +45,6 @@ from repro.storage.batch import (
 )
 from repro.symbolic.compiled import compile_dnf
 from repro.types import Detection
-from repro.video.frames import Frame
 from repro.video.synthetic import SyntheticVideo
 
 #: Output columns the detector adds to each row.
@@ -53,13 +52,11 @@ DETECTOR_COLUMNS = ("label", "bbox", "score", "area")
 VIEW_OUTPUT_COLUMNS = ["label", "bbox", "score"]
 
 
-class DetectorApplyOperator(Operator):
-    """CROSS APPLY of an object detector over frames."""
+class DetectorApplyOperator:
+    """CROSS APPLY of an object detector over a batch of frames."""
 
-    def __init__(self, child: Operator, node: PhysDetectorApply,
-                 context: ExecutionContext):
-        super().__init__(context)
-        self.child = child
+    def __init__(self, node: PhysDetectorApply, context: ExecutionContext):
+        self.context = context
         self.node = node
         self._sources = [
             (source, compile_dnf(source.predicate),
@@ -68,7 +65,6 @@ class DetectorApplyOperator(Operator):
         ]
         self._fallback_model = self._pick_fallback()
         self._join_charged = False
-        self.kernel_mode = "row"
         # HashStash state: combined recycler results (read when the
         # pipeline starts) and this query's output (a new recycler entry,
         # added when it ends).
@@ -90,37 +86,6 @@ class DetectorApplyOperator(Operator):
             models = [model for _, _, model in self._sources]
         return min(models, key=lambda m: m.per_tuple_cost)
 
-    # -- execution (the row operator tree) -------------------------------------
-
-    def execute(self) -> Iterator[Batch]:
-        for batch in self.child.execute():
-            self.context.clock.charge(
-                CostCategory.APPLY, self.context.costs.apply_per_batch)
-            out = self._apply_batch_rows(batch)
-            if out.num_rows:
-                yield out
-
-    def _apply_batch_rows(self, batch: Batch) -> Batch:
-        out_rows: list[dict] = []
-        for row in batch.iter_rows():
-            frame: Frame = row["frame"]
-            detections = self._resolve(row, frame)
-            for detection in detections:
-                out_row = dict(row)
-                out_row["label"] = detection.label
-                out_row["bbox"] = detection.bbox
-                out_row["score"] = detection.score
-                out_row["area"] = detection.bbox.relative_area(
-                    frame.width, frame.height)
-                out_rows.append(out_row)
-        if not out_rows:
-            return Batch()
-        columns = list(batch.column_names) + list(DETECTOR_COLUMNS)
-        return Batch({name: [r[name] for r in out_rows]
-                      for name in columns})
-
-    # -- batch resolution (called by the streaming pipeline) ----------------------
-
     def _apply_batch_vectorized(self, batch: Batch,
                                 policy: ReusePolicy) -> Batch:
         """Resolve a whole batch of frames at once.
@@ -130,8 +95,8 @@ class DetectorApplyOperator(Operator):
         source bulk-probes its materialized view (one ``get_many``), each
         model source batch-evaluates the rows its predicate matches (one
         ``predict_batch``), and leftovers go to the fallback model.  On a
-        segment that is what the row path computes, with the same virtual
-        charges; the clock is additive so interleaving order is
+        segment that is what one frame per batch computes, with the same
+        virtual charges; the clock is additive so interleaving order is
         irrelevant.  HashStash and FunCache answer every frame with the
         fallback model.
 
@@ -144,7 +109,7 @@ class DetectorApplyOperator(Operator):
             return Batch()
         for name in ("frame", "id"):
             if not batch.has_column(name):
-                raise KeyError(name)  # as the row path, before any row
+                raise KeyError(name)  # before any row is resolved
         video_name, ids = frame_ids(batch.column("frame"))
         video = self.context.video(video_name)
         #: ``(input rows, detections per row, output columns)`` of every
@@ -362,81 +327,6 @@ class DetectorApplyOperator(Operator):
                        for name, values in columns.items()}
         return batch.take(indices).with_columns(columns)
 
-    # -- per-frame resolution (the row operator tree) ----------------------------
-
-    def _resolve(self, row: dict, frame: Frame) -> tuple[Detection, ...]:
-        values = {"id": row["id"], "timestamp": row.get("timestamp")}
-        values = {k: v for k, v in values.items() if v is not None}
-        # Pull forward any frame-level UDF columns computed upstream (the
-        # specialized-filter dimension may appear in source predicates).
-        for name, value in row.items():
-            if name.startswith("__udf::"):
-                values["udf:" + name[len("__udf::"):]] = value
-
-        for source, predicate, model in self._sources:
-            if source.use_view:
-                # Fig. 4's LEFT OUTER JOIN probes the view for every input
-                # tuple; key presence (not the symbolic hint) decides.
-                hit = self._probe_view(model.name, frame)
-                if hit is not None:
-                    return hit
-                continue  # missing from the view: fall through
-            if not predicate(values):
-                continue
-            return self._evaluate(model, frame,
-                                  store=self.node.store)
-        # Safety fallback: no source matched (conservative symbolic info).
-        return self._evaluate(self._fallback_model, frame,
-                              store=self.node.store)
-
-    def _probe_view(self, model_name: str, frame: Frame
-                    ) -> tuple[Detection, ...] | None:
-        view = self.context.view_store.get(
-            self._view_name(model_name, frame.video_name))
-        if view is None:
-            return None
-        if not self._join_charged:
-            # The 3*C_M hash-join setup of Eq. 3, charged once per query.
-            self.context.clock.charge(CostCategory.JOIN,
-                                      self.context.costs.join_setup)
-            self._join_charged = True
-        key = (frame.frame_id,)
-        costs = self.context.costs
-        self.context.clock.charge(CostCategory.READ_VIEW,
-                                  costs.view_read_per_key)
-        rows = view.get(key)
-        if rows is None:
-            return None
-        self.context.clock.charge(
-            CostCategory.READ_VIEW, len(rows) * costs.view_read_per_row)
-        self._record(model_name, frame, reused=True)
-        return tuple(Detection(r["label"], r["bbox"], r["score"])
-                     for r in rows)
-
-    def _evaluate(self, model: ObjectDetectorModel, frame: Frame,
-                  store: bool) -> tuple[Detection, ...]:
-        video = self.context.video(frame.video_name)
-        self.context.clock.charge(CostCategory.UDF, model.per_tuple_cost)
-        detections = tuple(model.detect(video, frame.frame_id))
-        self._record(model.name, frame, reused=False)
-        if store:
-            self._store(model.name, frame, detections)
-        return detections
-
-    def _store(self, model_name: str, frame: Frame,
-               detections: tuple[Detection, ...]) -> None:
-        view = self.context.view_store.create_or_get(
-            self._view_name(model_name, frame.video_name), ["id"],
-            VIEW_OUTPUT_COLUMNS)
-        key = (frame.frame_id,)
-        if key in view:
-            return
-        view.put(key, [{"label": d.label, "bbox": d.bbox, "score": d.score}
-                       for d in detections])
-        self.context.clock.charge(
-            CostCategory.MATERIALIZE,
-            max(1, len(detections)) * self.context.costs.materialize_per_row)
-
     # -- baseline paths -----------------------------------------------------------
 
     @property
@@ -476,12 +366,6 @@ class DetectorApplyOperator(Operator):
                 self._recycler_signature, dict(self._hashstash_output)))
 
     # -- bookkeeping ------------------------------------------------------------------
-
-    def _record(self, model_name: str, frame: Frame, reused: bool) -> None:
-        model = self.context.catalog.zoo.get(model_name)
-        self.context.metrics.record_invocations(
-            model_name, [frame.frame_id], reused,
-            per_tuple_cost=model.per_tuple_cost, video=frame.video_name)
 
     def _record_many(self, model: ObjectDetectorModel, video: SyntheticVideo,
                      frames: np.ndarray, reused: bool) -> None:

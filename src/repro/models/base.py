@@ -16,7 +16,7 @@ Every model exposes two invocation surfaces:
 
 Virtual cost is *not* charged here: the executor charges
 ``len(inputs) * per_tuple_cost`` per batched call, which is exactly the
-sum the per-row path charges — batching changes real seconds, never
+sum one call per input charges — batching changes real seconds, never
 virtual totals.
 """
 

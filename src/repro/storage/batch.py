@@ -208,7 +208,8 @@ def box_keys(column) -> np.ndarray | None:
 
     Over a view's stored boxes this reads the view's derived key array;
     other boxes are rounded here.  None when a value is not a box or a
-    coordinate is not a float — the row path raises the error.
+    coordinate is not a float — the caller's per-box path raises the
+    error.
     """
     base, indices = _selection(column)
     if isinstance(base, BoxColumn):

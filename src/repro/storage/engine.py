@@ -50,7 +50,7 @@ class VideoTable:
 
         ``frame`` is a lazy :class:`~repro.storage.batch.FrameColumn` over
         the batch's range: a frame handle is built only where a reader
-        indexes it (a row-tree operator, ``SELECT frame``), never for the
+        indexes it (``SELECT frame``, ``AREA(bbox, frame)``), never for the
         APPLY operators, which read frame ids.  ``columns`` restricts the
         built columns (schema order is preserved); row counts (and thus
         READ_VIDEO charges) are unaffected.

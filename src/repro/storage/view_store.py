@@ -236,7 +236,7 @@ class MaterializedView:
         return inserted
 
     def put(self, key: Key, rows: Iterable[Mapping]) -> bool:
-        """Single-key :meth:`put_many` taking row dicts (row-tree oracle)."""
+        """Single-key :meth:`put_many` taking row dicts."""
         return self.put_many(*one_entry(key, rows, self.output_columns))[0]
 
     def restore(self, batch: ColumnBatch) -> int:
@@ -418,7 +418,7 @@ class MaterializedView:
 
     def get(self, key: Key) -> tuple[dict, ...] | None:
         """Stored output rows for ``key`` as dicts, or None if never
-        computed (single-key adapter for the row-tree oracle)."""
+        computed (a single-key adapter: fuzzy reuse, tests)."""
         with self._lock:
             ordinal = self._ordinals.get(key)
             rows = None if ordinal is None else self._rows_of(ordinal)

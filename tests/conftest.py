@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.config import EvaConfig, ReusePolicy
 from repro.session import EvaSession
 from repro.types import VideoMetadata
 from repro.video.synthetic import SyntheticVideo
+
+
+#: ``pytest tests/test_metamorphic.py --hypothesis-profile=deep`` (CI):
+#: the cross-configuration fuzzer draws this many random sequences, not
+#: its fixed tier-1 set, and also runs the worker pool.  The module's
+#: other property tests fix their own budgets.
+settings.register_profile("deep", max_examples=40, deadline=None)
 
 
 @pytest.fixture(scope="session")

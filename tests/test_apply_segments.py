@@ -1,12 +1,15 @@
 """APPLY stages cut a batch into segments instead of falling back to rows.
 
-Each test runs one batch through a pipeline stage (``_detector_step`` /
-``_classifier_step``) and through the row operator tree, each from the
-same starting state, and compares the output rows, the view contents,
-the virtual clock per category and #TI/#DI/reused per UDF.  The batches
-are the cases that used to demote to the row path: repeated keys, and a
-STORE that creates a view the stage probes.  The pipeline runtime records
-no fallback.
+Each test runs one hand-built batch through a pipeline stage
+(``_detector_step`` / ``_classifier_step``) whole, and again one row per
+batch, each from the same starting state, and compares the output rows,
+the view contents, the virtual clock per category (APPLY, charged once
+per batch, as that count) and #TI/#DI/reused per UDF.  The batches are
+the cases a segment cut exists for: repeated keys (a row hits what an
+earlier row of its batch stored) and a STORE that creates a view the
+stage probes.  Generated SQL rarely repeats a key within a batch, so
+these batches are what hold the cuts.  The pipeline runtime records no
+fallback.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro.executor.fusion import (
     _detector_step,
     _FusedRuntime,
 )
-from repro.executor.operators.base import Operator
 from repro.executor.operators.classifier import ClassifierApplyOperator
 from repro.executor.operators.detector import DetectorApplyOperator
 from repro.optimizer.plans import (
@@ -43,21 +45,11 @@ CLASSIFY = ("SELECT id FROM tiny CROSS APPLY FastRCNNObjectDetector(frame) "
             "WHERE id < 40 AND CarType(frame, bbox) = 'Nissan';")
 
 
-class _OneBatch(Operator):
-    """A child operator that yields one batch."""
-
-    def __init__(self, context, batch: Batch):
-        super().__init__(context)
-        self.batch = batch
-
-    def execute(self):
-        yield self.batch
-
-
-def _run(tiny_video, warm: list[str], sql: str, batch: Batch, pipeline: bool,
+def _run(tiny_video, warm: list[str], sql: str, batch: Batch, whole: bool,
          edit=lambda node: node) -> dict:
-    """Resolve ``batch`` with the APPLY node of ``sql`` (after ``edit``) in
-    a session that ran ``warm`` first; what the comparison looks at."""
+    """Resolve ``batch`` — ``whole``, or one row per batch — with the
+    APPLY node of ``sql`` (after ``edit``) in a session that ran ``warm``
+    first; what the comparison looks at."""
     session = EvaSession(config=EvaConfig())
     session.register_video(tiny_video)
     for query in warm:
@@ -68,25 +60,27 @@ def _run(tiny_video, warm: list[str], sql: str, batch: Batch, pipeline: bool,
                                           PhysClassifierApply))))
     detector = isinstance(node, PhysDetectorApply)
     operator = DetectorApplyOperator if detector else ClassifierApplyOperator
-    context = session.context
-    if pipeline:
-        op = operator(None, node, context)
-        runtime = _FusedRuntime(ReusePolicy.EVA, [op])
-        out = (_detector_step if detector else _classifier_step)(
-            batch, runtime, op)
-        assert runtime.fallbacks == {}
-    else:
-        outputs = list(operator(_OneBatch(context, batch), node,
-                                context).execute())
-        out = outputs[0] if outputs else None
+    op = operator(node, session.context)
+    runtime = _FusedRuntime(ReusePolicy.EVA, [op])
+    step = _detector_step if detector else _classifier_step
+    before = session.clock.breakdown().get(CostCategory.APPLY, 0.0)
+    parts = [step(part, runtime, op) for part in (
+        [batch] if whole else [batch.slice(i, i + 1)
+                               for i in range(batch.num_rows)])]
+    assert runtime.fallbacks == {}
+    parts = [part for part in parts if part is not None]
+    out = Batch.concat(parts) if parts else None
+    clock = session.clock.breakdown()
+    apply_batches = round((clock.pop(CostCategory.APPLY, 0.0) - before)
+                          / session.config.costs.apply_per_batch)
+    assert apply_batches == (1 if whole else batch.num_rows)
     return {
         "rows": None if out is None else {
             name: list(out.column_values(name)) for name in out.column_names},
         "views": {name: sorted(map(repr,
                                    session.view_store.get(name).items()))
                   for name in session.view_store.names()},
-        "clock": {category: seconds for category, seconds
-                  in session.clock.breakdown().items()
+        "clock": {category: seconds for category, seconds in clock.items()
                   if category is not CostCategory.OPTIMIZE},
         "udfs": {name: (stats.total_invocations,
                         stats.distinct_invocations,
@@ -95,9 +89,10 @@ def _run(tiny_video, warm: list[str], sql: str, batch: Batch, pipeline: bool,
     }
 
 
-def _assert_as_the_row_tree(tiny_video, warm, sql, batch, **kwargs) -> dict:
-    row = _run(tiny_video, warm, sql, batch, pipeline=False, **kwargs)
-    pipe = _run(tiny_video, warm, sql, batch, pipeline=True, **kwargs)
+def _assert_as_one_row_per_batch(tiny_video, warm, sql, batch,
+                                 **kwargs) -> dict:
+    row = _run(tiny_video, warm, sql, batch, whole=False, **kwargs)
+    pipe = _run(tiny_video, warm, sql, batch, whole=True, **kwargs)
     assert pipe["rows"] == row["rows"]
     assert pipe["views"] == row["views"]
     assert pipe["udfs"] == row["udfs"]
@@ -128,10 +123,10 @@ class TestClassifierSegments:
         # occurrence stored.
         batch = _patches(tiny_video, [(50, BOX_A), (51, BOX_B), (50, BOX_A),
                                       (52, BOX_A), (51, BOX_B)])
-        row = _assert_as_the_row_tree(tiny_video, [CLASSIFY], CLASSIFY,
+        row = _assert_as_one_row_per_batch(tiny_video, [CLASSIFY], CLASSIFY,
                                       batch)
         warmed = _run(tiny_video, [CLASSIFY], CLASSIFY, _patches(
-            tiny_video, []), pipeline=False)
+            tiny_video, []), whole=False)
         total, _, reused = row["udfs"]["car_type"]
         assert (total - warmed["udfs"]["car_type"][0],
                 reused - warmed["udfs"]["car_type"][2]) == (5, 2)
@@ -139,7 +134,7 @@ class TestClassifierSegments:
     def test_absent_view_on_the_first_batch(self, tiny_video):
         # Row 0 creates the view; the rows after it probe it.
         batch = _patches(tiny_video, [(5, BOX_A), (6, BOX_B), (7, BOX_A)])
-        row = _assert_as_the_row_tree(tiny_video, [], CLASSIFY, batch)
+        row = _assert_as_one_row_per_batch(tiny_video, [], CLASSIFY, batch)
         assert CostCategory.JOIN in row["clock"]
         assert row["udfs"]["car_type"] == (3, 3, 0)
 
@@ -149,7 +144,7 @@ class TestDetectorSegments:
         # Sources: the view for id < 20, the model for 20 <= id < 40.  A
         # repeated frame hits what its first occurrence stored.
         batch = _frames(tiny_video, [25, 26, 25, 10, 26])
-        row = _assert_as_the_row_tree(tiny_video, [DETECT.format(20)],
+        row = _assert_as_one_row_per_batch(tiny_video, [DETECT.format(20)],
                                       DETECT.format(40), batch)
         assert row["udfs"]["fasterrcnn_resnet50"] == (20 + 5, 22, 3)
 
@@ -170,7 +165,7 @@ class TestDetectorSegments:
                                where("id >= 0"))))
 
         batch = _frames(tiny_video, [10, 20, 35, 36, 12])
-        row = _assert_as_the_row_tree(tiny_video, [], DETECT.format(40),
+        row = _assert_as_one_row_per_batch(tiny_video, [], DETECT.format(40),
                                       batch, edit=sources)
         assert CostCategory.JOIN in row["clock"]
         assert row["udfs"]["yolo_tiny"] == (3, 3, 0)

@@ -219,7 +219,8 @@ def test_matches_the_row_tree_golden(tiny_video, name):
 
 
 def test_the_row_tree_refuses_what_it_no_longer_runs():
-    for config in ({"reuse_policy": ReusePolicy.FUNCACHE},
+    for config in ({"reuse_policy": ReusePolicy.EVA},
+                   {"reuse_policy": ReusePolicy.FUNCACHE},
                    {"reuse_policy": ReusePolicy.HASHSTASH},
                    {"fuzzy_reuse": True}):
         with pytest.raises(ValueError, match="pipeline only"):

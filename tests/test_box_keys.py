@@ -1,10 +1,12 @@
 """One box-rounding rule: :meth:`BoundingBox.rounded` and its array form
 :func:`~repro.types.round_boxes`, the int64 patch keys packed from them,
-and the pipeline's patch-key path raising exactly where the row path
-raises."""
+and the pipeline's patch-key path, whole or one row per batch, answering
+as the reference does and raising the pinned errors where it cannot build
+a key."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pickle
 from dataclasses import FrozenInstanceError
@@ -15,11 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import EvaConfig, ReusePolicy
-from repro.executor.engine import ExecutionEngine
 from repro.errors import ExecutorError
 from repro.executor.fusion import _classifier_step, _FusedRuntime
 from repro.executor.operators.classifier import ClassifierApplyOperator
+from repro.optimizer.plans import PhysClassifierApply, PhysScan, walk_plan
 from repro.parser.parser import parse
+from repro.reference import Reference
 from repro.session import EvaSession
 from repro.storage.batch import Batch, box_keys
 from repro.storage.view_store import (
@@ -141,14 +144,17 @@ CLASSIFY = ("SELECT id FROM tiny CROSS APPLY FastRCNNObjectDetector(frame) "
             "WHERE CarType(frame, bbox) = 'Nissan';")
 
 
+def _classifier_node(session: EvaSession) -> PhysClassifierApply:
+    plan = session.optimizer.optimize(parse(CLASSIFY)).plan
+    return next(node for node in walk_plan(plan)
+                if isinstance(node, PhysClassifierApply))
+
+
 def _classifier(tiny_video) -> ClassifierApplyOperator:
-    session = EvaSession(config=EvaConfig(execution_mode="row"))
+    session = EvaSession(config=EvaConfig())
     session.register_video(tiny_video)
-    op = ExecutionEngine(session.context).build(
-        session.optimizer.optimize(parse(CLASSIFY)).plan)
-    while not isinstance(op, ClassifierApplyOperator):
-        op = op.child
-    return op
+    return ClassifierApplyOperator(_classifier_node(session),
+                                   session.context)
 
 
 def _batch(tiny_video, odd: BoundingBox) -> Batch:
@@ -158,15 +164,16 @@ def _batch(tiny_video, odd: BoundingBox) -> Batch:
                            BoundingBox(10.5, 20.5, 91.5, 82.5)]})
 
 
-def _row_path(op, batch):
-    return [op._resolve(row, ReusePolicy.EVA) for row in batch.iter_rows()]
-
-
 def _pipeline(op, batch):
     runtime = _FusedRuntime(ReusePolicy.EVA, [op])
     values = list(_classifier_step(batch, runtime, op).column(op.column))
     assert runtime.fallbacks == {}
     return values
+
+
+def _one_row_per_batch(op, batch):
+    return [value for i in range(batch.num_rows)
+            for value in _pipeline(op, batch.slice(i, i + 1))]
 
 
 def _raised(path, tiny_video, batch) -> Exception:
@@ -176,54 +183,79 @@ def _raised(path, tiny_video, batch) -> Exception:
     return raised.value
 
 
-class TestPipelineMatchesRowPathOnOddBoxes:
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_non_finite_box_raises_the_row_paths_error(self, tiny_video,
-                                                       bad):
+NEEDS_BBOX = (ExecutorError, "cartype(frame, bbox) needs a bbox column "
+              "(is the detector APPLY missing?)")
+
+
+class TestPipelineRaisesThePinnedErrorsOnOddBoxes:
+    @pytest.mark.parametrize("bad, error", [
+        (math.inf, (OverflowError,
+                    "cannot convert float infinity to integer")),
+        (-math.inf, (OverflowError,
+                     "cannot convert float infinity to integer")),
+        (math.nan, (ValueError, "cannot convert float NaN to integer"))])
+    def test_non_finite_box_raises_the_rounding_error(self, tiny_video,
+                                                      bad, error):
         batch = _batch(tiny_video, BoundingBox(bad, 20.0, 90.0, 80.0))
-        row = _raised(_row_path, tiny_video, batch)
-        pipe = _raised(_pipeline, tiny_video, batch)
-        assert isinstance(row, (OverflowError, ValueError))
-        assert (type(pipe), str(pipe)) == (type(row), str(row))
+        for path in (_pipeline, _one_row_per_batch):
+            raised = _raised(path, tiny_video, batch)
+            assert (type(raised), str(raised)) == error
 
     @pytest.mark.parametrize("odd", [None, "box", (10.0, 20.0, 90.0, 80.0)])
-    def test_a_value_that_is_not_a_box_raises_the_row_paths_error(
+    def test_a_value_that_is_not_a_box_raises_needs_a_bbox(
             self, tiny_video, odd):
         batch = _batch(tiny_video, odd)
-        row = _raised(_row_path, tiny_video, batch)
-        pipe = _raised(_pipeline, tiny_video, batch)
-        assert isinstance(row, ExecutorError) and "needs a bbox" in str(row)
-        assert (type(pipe), str(pipe)) == (type(row), str(row))
+        for path in (_pipeline, _one_row_per_batch):
+            raised = _raised(path, tiny_video, batch)
+            assert (type(raised), str(raised)) == NEEDS_BBOX
 
-    @pytest.mark.parametrize("column", ["bbox", "frame"])
-    def test_a_missing_column_raises_the_row_paths_error(self, tiny_video,
-                                                         column):
+    @pytest.mark.parametrize("column, error", [
+        ("bbox", NEEDS_BBOX), ("frame", (KeyError, "'frame'"))])
+    def test_a_missing_column_raises_the_pinned_error(self, tiny_video,
+                                                      column, error):
         batch = _batch(tiny_video, BoundingBox(1.0, 2.0, 3.0, 4.0))
         batch = Batch({name: batch.column(name)
                        for name in batch.column_names if name != column})
-        row = _raised(_row_path, tiny_video, batch)
-        pipe = _raised(_pipeline, tiny_video, batch)
-        assert isinstance(row, (KeyError, ExecutorError))
-        assert (type(pipe), str(pipe)) == (type(row), str(row))
+        for path in (_pipeline, _one_row_per_batch):
+            raised = _raised(path, tiny_video, batch)
+            assert (type(raised), str(raised)) == error
+
+    def test_the_reference_raises_the_same_for_a_missing_bbox(
+            self, tiny_video):
+        session = EvaSession(config=EvaConfig(
+            reuse_policy=ReusePolicy.NONE, execution_mode="row"))
+        session.register_video(tiny_video)
+        # A classifier straight over the scan: no detector adds a bbox.
+        plan = dataclasses.replace(_classifier_node(session),
+                                   child=PhysScan("tiny", ((3, 6),)))
+        with pytest.raises(Exception) as raised:
+            Reference(session.context.storage, session.catalog).run(plan)
+        assert (type(raised.value), str(raised.value)) == NEEDS_BBOX
 
     @pytest.mark.parametrize("odd", [
         BoundingBox(1e300, 0.0, 2e300, 5.0),  # rounds, beyond int64
         BoundingBox(0.0, 0.0, 3000.0, 5.0),  # rounds, does not pack
         BoundingBox(-4.5, -2.0, 30.0, 40.0)])
-    def test_boxes_that_do_not_pack_answer_as_the_row_path(self, tiny_video,
-                                                           odd):
+    def test_boxes_that_do_not_pack_answer_as_the_reference(self, tiny_video,
+                                                            odd):
         assert box_keys([odd]) is not None
         row_op, pipe_op = _classifier(tiny_video), _classifier(tiny_video)
         batch = _batch(tiny_video, odd)
-        assert _pipeline(pipe_op, batch) == _row_path(row_op, batch)
+        reference = Reference(row_op.context.storage, row_op.context.catalog)
+        answers = [reference.answer("car_type", "tiny", row["frame"].frame_id,
+                                    row["bbox"])
+                   for row in batch.iter_rows()]
+        assert _pipeline(pipe_op, batch) == answers
+        assert _one_row_per_batch(row_op, batch) == answers
         views = [op.context.view_store.get(op._view_name)
                  for op in (row_op, pipe_op)]
         assert [sorted(map(repr, view.items())) for view in views][0] == \
             sorted(map(repr, views[1].items()))
         assert [op.context.metrics.udf_stats["car_type"]
                 .distinct_invocations for op in (row_op, pipe_op)] == [3, 3]
-        # A rerun hits every key, on both paths.
-        assert _pipeline(pipe_op, batch) == _row_path(row_op, batch)
+        # A rerun hits every key, whole or one row per batch.
+        assert _pipeline(pipe_op, batch) == answers
+        assert _one_row_per_batch(row_op, batch) == answers
         assert [op.context.metrics.udf_stats["car_type"].reused_invocations
                 for op in (row_op, pipe_op)] == [3, 3]
 
@@ -231,13 +263,13 @@ class TestPipelineMatchesRowPathOnOddBoxes:
         BoundingBox(1e300, 0.0, 2e300, 5.0),
         BoundingBox(0.0, 0.0, 3000.0, 5.0),
         BoundingBox(-4.5, -2.0, 30.0, 40.0)])
-    @pytest.mark.parametrize("first", [_pipeline, _row_path])
-    @pytest.mark.parametrize("second", [_pipeline, _row_path])
+    @pytest.mark.parametrize("first", [_pipeline, _one_row_per_batch])
+    @pytest.mark.parametrize("second", [_pipeline, _one_row_per_batch])
     def test_distinct_invocations_do_not_depend_on_the_batch(
             self, tiny_video, odd, first, second):
         # A batch with a box that does not pack probes with key tuples;
         # its packable patches still count once with the same patches
-        # of a batch that packs, and of the row path.
+        # of a batch that packs, whole or one row per batch.
         op = _classifier(tiny_video)
         with_odd = _batch(tiny_video, odd)
         packable = Batch({"frame": [with_odd.row(0)["frame"],

@@ -1,7 +1,7 @@
 """#DI (Table 3's distinct UDF invocations) does not depend on how a
-query ran: the row tree records frame handles one at a time, the pipeline
-records the probe's frame ids or key tuples in bulk, and server-wide
-metrics merge the per-video key sets of every client."""
+query ran: the pipeline records the probe's frame ids or key tuples in
+bulk, a batch of any size counts the same inputs as one row per batch,
+and server-wide metrics merge the per-video key sets of every client."""
 
 from __future__ import annotations
 
@@ -39,8 +39,8 @@ SECOND = [
 UDFS = ("fasterrcnn_resnet50", "car_type", "vehicle_filter")
 
 
-def _session(tiny_video, sparse_video, mode="vectorized") -> EvaSession:
-    session = EvaSession(config=EvaConfig(execution_mode=mode))
+def _session(tiny_video, sparse_video, **config) -> EvaSession:
+    session = EvaSession(config=EvaConfig(**config))
     session.register_video(tiny_video)
     session.register_video(sparse_video)
     return session
@@ -52,18 +52,18 @@ def _counts(metrics) -> dict[str, tuple[int, int, int]]:
             for name, stats in metrics.udf_stats.items()}
 
 
-def test_row_tree_and_pipeline_count_the_same_distinct_inputs(
+def test_every_batch_size_counts_the_same_distinct_inputs(
         tiny_video, sparse_video):
     counts = {}
-    for mode in ("row", "vectorized"):
-        session = _session(tiny_video, sparse_video, mode)
+    for batch_rows in (1, 512):
+        session = _session(tiny_video, sparse_video, batch_rows=batch_rows)
         for sql in FIRST + SECOND:
             session.execute(sql)
-        counts[mode] = _counts(session.metrics)
-    assert set(UDFS) <= set(counts["row"])
-    assert counts["vectorized"] == counts["row"]
+        counts[batch_rows] = _counts(session.metrics)
+    assert set(UDFS) <= set(counts[1])
+    assert counts[512] == counts[1]
     for name in UDFS:
-        total, reused, distinct = counts["row"][name]
+        total, reused, distinct = counts[1][name]
         assert reused > 0 and distinct < total
 
 

@@ -19,13 +19,8 @@ from repro.expressions.expr import (
     Literal,
     Star,
 )
-from repro.optimizer.plans import (
-    PhysFilter,
-    PhysGroupBy,
-    PhysLimit,
-    PhysOrderBy,
-    PhysProject,
-)
+from repro.expressions.compiler import compile_expression
+from repro.optimizer.plans import PhysGroupBy, PhysLimit, PhysOrderBy
 from repro.session import EvaSession
 from repro.storage.batch import Batch
 
@@ -50,32 +45,36 @@ def _context(tiny_video):
 
 
 class TestRelationalOperators:
-    def test_filter(self, tiny_video):
-        from repro.executor.operators.relational import FilterOperator
+    # Filter and project run as stages of the streaming pipeline.
 
-        child = _StubOperator([Batch({"a": [1, 5, 9]})])
-        node = PhysFilter(None, Comparison(ColumnRef("a"), CompOp.GT,
-                                           Literal(4)))
-        out = FilterOperator(child, node, _context(tiny_video))
-        assert out.run_to_completion().column("a") == [5, 9]
+    def test_filter(self, tiny_video):
+        from repro.executor.fusion import _FusedRuntime, _filter_group
+
+        kernel = compile_expression(
+            Comparison(ColumnRef("a"), CompOp.GT, Literal(4)),
+            _context(tiny_video).evaluator)
+        out = _filter_group(Batch({"a": [1, 5, 9]}),
+                            _FusedRuntime(ReusePolicy.NONE, []),
+                            ((kernel, "Filter"),))
+        assert out.column("a") == [5, 9]
 
     def test_project_expression(self, tiny_video):
-        from repro.executor.operators.relational import ProjectOperator
+        from repro.executor.fusion import _FusedRuntime, _project_batch
 
-        child = _StubOperator([Batch({"a": [1, 2], "b": [3, 4]})])
-        node = PhysProject(None, ((ColumnRef("b"), "bee"),))
-        out = ProjectOperator(child, node, _context(tiny_video))
-        batch = out.run_to_completion()
+        kernel = compile_expression(ColumnRef("b"),
+                                    _context(tiny_video).evaluator)
+        batch = _project_batch(Batch({"a": [1, 2], "b": [3, 4]}),
+                               _FusedRuntime(ReusePolicy.NONE, []),
+                               (("bee", kernel),))
         assert batch.column_names == ["bee"]
-        assert batch.column("bee") == [3, 4]
+        assert list(batch.column("bee")) == [3, 4]
 
-    def test_project_star_hides_internal_columns(self, tiny_video):
-        from repro.executor.operators.relational import ProjectOperator
+    def test_project_star_hides_internal_columns(self):
+        from repro.executor.fusion import _FusedRuntime, _project_batch
 
-        child = _StubOperator([Batch({"a": [1], "__udf::x": [2]})])
-        node = PhysProject(None, ((Star(), "*"),))
-        batch = ProjectOperator(child, node,
-                                _context(tiny_video)).run_to_completion()
+        batch = _project_batch(Batch({"a": [1], "__udf::x": [2]}),
+                               _FusedRuntime(ReusePolicy.NONE, []),
+                               (("*", None),))
         assert batch.column_names == ["a"]
 
     def test_group_by_counts(self, tiny_video):

@@ -4,9 +4,9 @@ Covers the compiler/pipeline fallback edges: constant-only predicates,
 ``__udf::`` column resolution inside the pipeline, short-circuit
 semantics preserved across the pipeline boundary, kernel-cache eviction
 and invalidation-on-calibration, and the one-allocation-per-column
-``Batch.concat`` guarantee (via the debug aliasing checker).  The
-bit-identical oracle-vs-engine sweep lives in
-``tests/test_vectorized_differential.py``.
+``Batch.concat`` guarantee (via the debug aliasing checker).  Rows are
+compared with :mod:`repro.reference`, the row-at-a-time oracle; the
+oracle-vs-engine sweep lives in ``tests/test_vectorized_differential.py``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,12 @@ def make_session(*, mode="vectorized", policy=ReusePolicy.EVA,
 def run_all(session, queries):
     return [(tuple(r.columns), tuple(r.rows))
             for r in map(session.execute, queries)]
+
+
+def reference_rows(queries):
+    """``queries``' results from the reference."""
+    return run_all(make_session(mode="row", policy=ReusePolicy.NONE),
+                   queries)
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +141,14 @@ class TestFusionEdges:
             "SELECT id FROM tiny WHERE 3 + 4 > 100;",
             "SELECT id, timestamp FROM tiny WHERE 1 = 1 AND id >= 395;",
         ]
-        fused = run_all(make_session(), queries)
-        plain = run_all(make_session(mode="row"), queries)
-        assert fused == plain
+        assert run_all(make_session(), queries) == reference_rows(queries)
 
     def test_udf_column_resolution_inside_fused_plan(self):
         # CarType's output lands in a ``__udf::`` column that the fused
         # filter above the classifier stage must resolve.
         fused_session = make_session()
-        row_session = make_session(mode="row")
         assert run_all(fused_session, [UDF_QUERY, UDF_QUERY]) == \
-            run_all(row_session, [UDF_QUERY, UDF_QUERY])
+            reference_rows([UDF_QUERY, UDF_QUERY])
         # Both runs (miss-heavy, then hit-heavy) went through pipelines.
         assert fused_session.context.kernel_cache.stats()["size"] == 2
 
@@ -170,15 +173,12 @@ class TestFusionEdges:
     def test_limit_short_circuits_across_fusion_boundary(self):
         # LIMIT sits above the fused suffix; the fused operator must stay
         # a lazy generator so the limit stops the scan (and its READ_VIDEO
-        # charges) exactly where the unfused pipeline would.
-        query = "SELECT id FROM tiny WHERE id >= 0 LIMIT 5;"
-        charges = {}
-        for key, mode in (("fused", "vectorized"), ("plain", "row")):
-            session = make_session(mode=mode)
-            session.execute(query)
-            charges[key] = session.clock.breakdown()[
-                CostCategory.READ_VIDEO]
-        assert charges["fused"] == pytest.approx(charges["plain"])
+        # charges) after the first batch.
+        session = make_session(batch_rows=16)
+        out = session.execute("SELECT id FROM tiny WHERE id >= 0 LIMIT 5;")
+        assert [row[0] for row in out.rows] == [0, 1, 2, 3, 4]
+        assert session.clock.breakdown()[CostCategory.READ_VIDEO] == \
+            pytest.approx(16 * session.config.costs.read_video_per_frame)
 
     def test_unfusable_boundary_demotes_only_the_tail(self):
         # GROUP BY cannot fuse, but the streaming suffix below it can.
@@ -189,9 +189,7 @@ class TestFusionEdges:
         session.execute(query)
         out = session.execute(query)
         assert session.context.kernel_cache.stats()["size"] > 0
-        plain = make_session(mode="row")
-        plain.execute(query)
-        assert out.rows == plain.execute(query).rows
+        assert out.rows == list(reference_rows([query])[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,7 @@ class TestKernelCache:
 
 
 # ---------------------------------------------------------------------------
-# one engine: no code generation, no compiled kernels in the row tree
+# one engine without code generation; a reference that shares no code
 # ---------------------------------------------------------------------------
 
 
@@ -285,11 +283,6 @@ class TestNoCodegen:
     ``tests/test_obs_imports.py``) so the ban holds for every path."""
 
     EXECUTOR_DIR = Path(repro.executor.__file__).resolve().parent
-
-    @staticmethod
-    def _names(tree: ast.AST) -> set[str]:
-        return {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name)}
 
     def test_executor_never_calls_exec_or_compile(self):
         files = sorted(self.EXECUTOR_DIR.rglob("*.py"))
@@ -303,15 +296,16 @@ class TestNoCodegen:
             and node.func.id in ("exec", "compile", "eval")]
         assert not violations, "\n".join(violations)
 
-    def test_row_operators_hold_no_compiled_kernels(self):
-        operators = self.EXECUTOR_DIR / "operators"
-        scan = ast.parse((operators / "scan.py").read_text())
-        assert "compile_expression" not in self._names(scan)
-        assert not any(isinstance(node, ast.ImportFrom)
-                       and node.module == "repro.expressions.compiler"
-                       for node in ast.walk(scan))
-        relational = ast.parse((operators / "relational.py").read_text())
-        classes = {node.name: node for node in relational.body
-                   if isinstance(node, ast.ClassDef)}
-        for name in ("FilterOperator", "ProjectOperator"):
-            assert "compile_expression" not in self._names(classes[name])
+    def test_the_reference_imports_nothing_from_the_executor(self):
+        path = Path(repro.executor.__file__).resolve().parent.parent / \
+            "reference.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert "repro.optimizer.plans" in imported  # the walk saw imports
+        assert not [name for name in imported
+                    if name == "repro.executor"
+                    or name.startswith("repro.executor.")]

@@ -148,7 +148,7 @@ class TestFuzzyTies:
         plan = session.optimizer.optimize(parse(FIRST)).plan
         node = next(node for node in walk_plan(plan)
                     if isinstance(node, PhysClassifierApply))
-        op = ClassifierApplyOperator(None, node, session.context)
+        op = ClassifierApplyOperator(node, session.context)
         view = session.view_store.create_or_get(
             op._view_name, ["id", "bbox_key"], ["value"])
         view.put((5, self.LEFT), [{"value": "left"}])

@@ -1,4 +1,10 @@
-"""Tests for EXPLAIN ANALYZE and operator instrumentation."""
+"""Tests for EXPLAIN ANALYZE and operator instrumentation.
+
+The instrumented engine wraps the operators the engine builds: the
+streaming pipeline at its fusion boundary, and each blocking operator of
+the prefix above it.  The plan nodes the pipeline covers report the
+boundary they were fused into.
+"""
 
 import pytest
 
@@ -8,12 +14,7 @@ from repro.session import EvaSession
 
 @pytest.fixture
 def session(tiny_video):
-    # Per-operator attribution needs one operator per plan node: the
-    # row operator tree.  The pipeline collapses the streaming suffix
-    # into a single operator (its reporting is covered by
-    # TestFusedReporting below).
-    session = EvaSession(config=EvaConfig(reuse_policy=ReusePolicy.EVA,
-                                          execution_mode="row"))
+    session = EvaSession(config=EvaConfig(reuse_policy=ReusePolicy.EVA))
     session.register_video(tiny_video)
     return session
 
@@ -21,29 +22,43 @@ def session(tiny_video):
 QUERY = ("SELECT id, bbox FROM tiny CROSS APPLY "
          "FastRCNNObjectDetector(frame) WHERE id < 20 AND label = 'car' "
          "AND CarType(frame, bbox) = 'Nissan';")
+#: The same pipeline under a blocking prefix: GROUP BY, ORDER BY, LIMIT.
+PREFIX_QUERY = ("SELECT label, COUNT(*) FROM tiny CROSS APPLY "
+                "FastRCNNObjectDetector(frame) WHERE id < 20 "
+                "AND score > 0.3 GROUP BY label "
+                "ORDER BY COUNT(*) DESC LIMIT 1;")
+
+
+def _analyzed(session, sql: str) -> list[str]:
+    return [row[0] for row in session.execute(f"EXPLAIN ANALYZE {sql}").rows]
+
+
+def _rows_of(lines: list[str], label: str) -> int:
+    line = next(line for line in lines if line.lstrip().startswith(label))
+    return int(line.split("rows=")[1].split()[0])
 
 
 class TestExplainAnalyze:
     def test_annotates_every_operator(self, session):
-        result = session.execute(f"EXPLAIN ANALYZE {QUERY}")
-        lines = [row[0] for row in result.rows]
-        assert all("rows=" in line and "time=" in line for line in lines)
-        assert any(line.lstrip().startswith("Scan") for line in lines)
+        lines = _analyzed(session, PREFIX_QUERY)
+        fused = [line for line in lines if "fused-into=" in line]
+        measured = [line for line in lines if line not in fused]
+        assert all("rows=" in line and "time=" in line
+                   for line in measured)
+        # Limit, OrderBy, GroupBy and the fusion boundary are measured;
+        # the scan is a stage of the pipeline.
+        assert len(measured) == 4
+        assert any(line.lstrip().startswith("Scan") for line in fused)
 
-    def test_row_counts_decrease_down_the_filter_chain(self, session):
-        result = session.execute(f"EXPLAIN ANALYZE {QUERY}")
-        lines = [row[0] for row in result.rows]
-
-        def rows_of(prefix):
-            line = next(l for l in lines if l.lstrip().startswith(prefix))
-            return int(line.split("rows=")[1].split()[0])
-
-        scan_rows = rows_of("Scan")
-        detector_rows = rows_of("DetectorApply")
-        project_rows = rows_of("Project")
-        assert scan_rows == 20
-        assert detector_rows > scan_rows  # cross apply fans out
-        assert project_rows <= detector_rows
+    def test_row_counts_shrink_up_the_blocking_prefix(self, session):
+        lines = _analyzed(session, PREFIX_QUERY)
+        boundary = next(line for line in lines
+                        if "fusion-boundary=" in line)
+        boundary_rows = int(boundary.split("rows=")[1].split()[0])
+        groups = _rows_of(lines, "GroupBy")
+        assert boundary_rows > groups > 0  # many rows, a few labels
+        assert _rows_of(lines, "OrderBy") == groups
+        assert _rows_of(lines, "Limit") == 1
 
     def test_analyze_actually_executes(self, session):
         session.execute(f"EXPLAIN ANALYZE {QUERY}")
@@ -70,29 +85,34 @@ class TestExplainAnalyze:
 
 
 class TestInstrumentedEngineInternals:
-    def test_every_plan_node_gets_a_wrapper(self, session):
+    def test_every_plan_node_is_wrapped_or_fused(self, session):
         from repro.executor.instrument import InstrumentedEngine
         from repro.optimizer.plans import walk_plan
         from repro.parser.parser import parse
 
-        optimized = session.optimizer.optimize(parse(QUERY))
+        optimized = session.optimizer.optimize(parse(PREFIX_QUERY))
         engine = InstrumentedEngine(session.context)
         engine.run(optimized.plan)
-        for node in walk_plan(optimized.plan):
-            assert id(node) in engine.instrumented
+        nodes = list(walk_plan(optimized.plan))
+        wrapped = [node for node in nodes if id(node) in engine.instrumented]
+        fused = [node for node in nodes if id(node) in engine.fused_markers]
+        assert len(wrapped) == 4 and len(wrapped) + len(fused) == len(nodes)
+        assert nodes[:4] == wrapped  # the prefix, then the boundary
 
     def test_wrapper_counts_match_child_output(self, session):
         from repro.executor.instrument import InstrumentedEngine
-        from repro.optimizer.plans import PhysScan, walk_plan
+        from repro.optimizer.plans import PhysGroupBy, walk_plan
         from repro.parser.parser import parse
 
-        optimized = session.optimizer.optimize(parse(QUERY))
+        optimized = session.optimizer.optimize(parse(
+            PREFIX_QUERY.replace(" ORDER BY COUNT(*) DESC LIMIT 1", "")))
         engine = InstrumentedEngine(session.context)
         result = engine.run(optimized.plan)
-        scan_node = next(n for n in walk_plan(optimized.plan)
-                         if isinstance(n, PhysScan))
-        scan_stats = engine.instrumented[id(scan_node)]
-        assert scan_stats.rows_out == 20
+        assert isinstance(optimized.plan, PhysGroupBy)
+        boundary = engine.instrumented[id(optimized.plan.child)]
+        # Every row out of the pipeline is counted in one group.
+        assert boundary.rows_out == sum(
+            count for _, count in result.to_tuples())
         root_stats = engine.instrumented[id(optimized.plan)]
         assert root_stats.rows_out == result.num_rows
 
@@ -114,7 +134,7 @@ class TestSelfTimeAttribution:
         from repro.executor.instrument import InstrumentedEngine
         from repro.parser.parser import parse
 
-        optimized = session.optimizer.optimize(parse(QUERY))
+        optimized = session.optimizer.optimize(parse(PREFIX_QUERY))
         engine = InstrumentedEngine(session.context)
         engine.run(optimized.plan)
         return engine.operator_stats(optimized.plan)
@@ -137,23 +157,20 @@ class TestSelfTimeAttribution:
         # Wall clocks are noisy; clamping can only shrink the sum.
         assert total_self_elapsed <= root.elapsed * 1.05 + 1e-6
 
-    def test_udf_virtual_time_lands_on_the_apply_operators(self, session):
-        """The detector/classifier operators own the model time — the
-        Project/Filter parents above them must not be charged for it."""
+    def test_udf_virtual_time_lands_on_the_fusion_boundary(self, session):
+        """The pipeline owns the model time — the blocking operators
+        above it must not be charged for it."""
         all_stats = self.run_stats(session)
-        by_label = {s.label: s for s in all_stats}
-        heavy = (by_label["DetectorApply"].self_virtual
-                 + by_label.get(
-                     "ClassifierApply",
-                     by_label["DetectorApply"]).self_virtual)
-        assert heavy > 0.0
-        project = by_label["Project"]
-        assert project.self_virtual < 0.01 * project.virtual + 1e-9
+        boundary = next(s for s in all_stats if s.fused_ops)
+        assert boundary.self_virtual > 0.0
+        for label in ("Limit", "OrderBy", "GroupBy"):
+            prefix = next(s for s in all_stats if s.label == label)
+            assert prefix.self_virtual < 0.01 * prefix.virtual + 1e-9
 
     def test_explain_analyze_reports_self_column(self, session):
-        result = session.execute(f"EXPLAIN ANALYZE {QUERY}")
-        lines = [row[0] for row in result.rows]
-        assert all("self=" in line for line in lines)
+        lines = _analyzed(session, PREFIX_QUERY)
+        assert all(("self=" in line) != ("fused-into=" in line)
+                   for line in lines)
 
 
 class TestFusedReporting:
@@ -178,11 +195,24 @@ class TestFusedReporting:
         assert all("kernel=fused" in line for line in covered)
         assert any(line.lstrip().startswith("Scan") for line in covered)
 
-    def test_fused_result_matches_unfused(self, fused_session, session):
-        fused = fused_session.execute(QUERY)
-        unfused = session.execute(QUERY)
-        assert fused.rows == unfused.rows
-        assert fused.columns == unfused.columns
+    def test_fused_result_matches_the_reference(self, fused_session,
+                                                tiny_video):
+        reference = EvaSession(config=EvaConfig(
+            reuse_policy=ReusePolicy.NONE, execution_mode="row"))
+        reference.register_video(tiny_video)
+        fused = fused_session.execute(f"EXPLAIN ANALYZE {QUERY}")
+        assert fused.rows and fused_session.execute(QUERY).rows == \
+            reference.execute(QUERY).rows
+
+    def test_the_row_mode_explains_the_engine(self, tiny_video):
+        """EXPLAIN ANALYZE instruments the engine, never the reference."""
+        session = EvaSession(config=EvaConfig(
+            reuse_policy=ReusePolicy.NONE, execution_mode="row"))
+        session.register_video(tiny_video)
+        lines = _analyzed(session, QUERY)
+        assert "fusion-boundary=" in lines[0]
+        assert session.metrics.udf_stats[
+            "fasterrcnn_resnet50"].total_invocations == 20
 
     def test_boundary_rows_match_query_output(self, fused_session):
         analyzed = fused_session.execute(f"EXPLAIN ANALYZE {QUERY}")

@@ -144,19 +144,23 @@ class TestSessionTracing:
                       if s.name.startswith("rule:")]
         assert rule_spans, "no optimizer rule spans"
 
-    def test_per_operator_spans_recorded(self, tiny_video):
-        # Per-operator actuals need one operator per plan node: the row
-        # tree (the pipeline reports them at its boundary).
-        traced_session = _traced_session(tiny_video, execution_mode="row")
-        traced_session.execute(DETECT)
-        op_spans = [s for s in traced_session.tracer.spans()
-                    if s.name.startswith("op:")]
-        labels = {s.name for s in op_spans}
-        assert "op:Scan" in labels
-        assert any("DetectorApply" in label for label in labels)
-        # operator spans carry rows and self-time actuals
-        scan = next(s for s in op_spans if s.name == "op:Scan")
-        assert scan.tags["rows"] == 40
+    def test_per_operator_spans_recorded(self, traced_session):
+        # The pipeline reports at its fusion boundary (the project), the
+        # nodes it covers get spans of their own tagged as fused, and the
+        # blocking operator above it reports its own actuals.
+        result = traced_session.execute(
+            DETECT.replace(";", " ORDER BY id DESC;"))
+        op_spans = {s.name: s for s in traced_session.tracer.spans()
+                    if s.name.startswith("op:")}
+        assert op_spans["op:OrderBy"].tags["rows"] == len(result.rows)
+        assert op_spans["op:OrderBy"].tags["kernel"] == "vectorized"
+        boundary = op_spans["op:Project"]
+        assert boundary.tags["kernel"] == "fused"
+        assert boundary.tags["rows"] == len(result.rows) > 0
+        assert boundary.parent_id == op_spans["op:OrderBy"].span_id
+        for covered in ("op:DetectorApply", "op:Scan"):
+            assert op_spans[covered].tags["kernel"] == "fused"
+            assert op_spans[covered].tags["rows"] == 0
 
     def test_root_span_reconciles_with_clock(self, traced_session):
         """Acceptance: span-tree virtual totals match the clock +-eps."""

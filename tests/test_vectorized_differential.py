@@ -1,16 +1,20 @@
-"""The differential suite: the row oracle vs the pipeline engine.
+"""The differential suite: the engine against the reference.
 
 Runs every VBENCH query (plus randomized predicate queries and
-aggregate/sort shapes) twice — once under ``execution_mode="row"`` (the
-row operator tree, the oracle) and once under ``"vectorized"`` (the
-streaming pipeline: compiled kernels, bulk view probes, batched model
-invocation) — under ``ReusePolicy.NONE`` and exact EVA reuse, the
-policies the row tree runs, and asserts that
+aggregate/sort shapes) on the streaming pipeline — under
+``ReusePolicy.NONE`` and exact EVA reuse, at the default ``batch_rows``
+and at one row per batch — and asserts that
 
-* every query returns the identical result batch (columns and rows),
-* the materialized-view stores end up with identical contents, and
-* the virtual clock's per-category totals match (``pytest.approx``:
-  batching changes float *summation order*, never the charged amounts).
+* every query returns the result batch (columns and rows) of
+  :mod:`repro.reference`, the row-at-a-time oracle
+  (``execution_mode="row"``), which shares no code with the engine;
+* batch size is invisible: both batch sizes leave identical view
+  contents and #TI / #reused / #DI per UDF, and charge the virtual clock
+  the same per category (``pytest.approx``: batching changes float
+  *summation order*, never the charged amounts) — APPLY aside, which is
+  one ``apply_per_batch`` per batch an APPLY stage sees, so it is
+  compared as that count;
+* under NONE, the engine evaluated exactly the inputs the reference did.
 """
 
 from __future__ import annotations
@@ -21,21 +25,87 @@ import pytest
 
 from repro.clock import CostCategory
 from repro.config import EvaConfig, ReusePolicy
+from repro.parser.parser import parse
+from repro.reference import Reference
 from repro.session import EvaSession
 from repro.vbench.queries import vbench_high, vbench_low
 
 FRAMES = 400  # tiny_video's length; id bounds scale to it
 
 
-def _run(queries, video, policy: ReusePolicy, mode: str, **config):
-    session = EvaSession(config=EvaConfig(reuse_policy=policy,
-                                          execution_mode=mode, **config))
+def _run(queries, video, policy: ReusePolicy, **config):
+    session = EvaSession(config=EvaConfig(reuse_policy=policy, **config))
     session.register_video(video)
     outcomes = []
     for sql in queries:
         result = session.execute(sql)
         outcomes.append((tuple(result.columns), tuple(result.rows)))
     return session, outcomes
+
+
+class MemoizedReference(Reference):
+    """The reference, each model answer computed once per process.
+
+    The models are deterministic, so a stored answer is the answer; every
+    evaluation is still recorded in ``inputs``.  The suites run many
+    overlapping queries over the same few videos, and the scalar models
+    are most of the reference's time.
+    """
+
+    answers: dict = {}
+
+    def answer(self, model_name, video_name, frame_id, bbox=None):
+        key = (model_name, video_name, frame_id, bbox)
+        if key not in self.answers:
+            self.answers[key] = super().answer(model_name, video_name,
+                                               frame_id, bbox)
+        return self.answers[key]
+
+
+#: (video name, SQL) -> the reference that ran it, and its outcome.
+#: Nothing is reused under NONE, so a query's rows do not depend on what
+#: ran before it.
+_EXPECTED: dict[tuple[str, str], tuple[Reference, tuple]] = {}
+
+
+def _expected(queries, video) -> list[tuple[Reference, tuple]]:
+    """The reference's run of every query, each distinct one run once
+    per module."""
+    session = None
+    for sql in queries:
+        if (video.name, sql) not in _EXPECTED:
+            if session is None:
+                session = EvaSession(config=EvaConfig(
+                    reuse_policy=ReusePolicy.NONE, execution_mode="row"))
+                session.register_video(video)
+            reference = MemoizedReference(session.context.storage,
+                                          session.catalog)
+            batch = reference.run(
+                session.optimizer.optimize(parse(sql)).plan)
+            _EXPECTED[video.name, sql] = (reference, (
+                tuple(batch.column_names), tuple(batch.to_tuples())))
+    return [_EXPECTED[video.name, sql] for sql in queries]
+
+
+def _assert_no_reuse_accounting(session: EvaSession, references) -> None:
+    """Under NONE the engine evaluated exactly the inputs the reference
+    did: #TI and #DI per model, and the UDF and READ_VIDEO charges as
+    those counts times the cost table."""
+    inputs: dict[str, list] = {}
+    for reference in references:
+        for name, keys in reference.inputs.items():
+            inputs.setdefault(name, []).extend(keys)
+    assert _invocations(session) == {
+        name: (len(keys), 0, len(set(keys)))
+        for name, keys in inputs.items()}
+    costs = session.config.costs
+    clock = session.clock.breakdown()
+    assert clock[CostCategory.READ_VIDEO] == pytest.approx(
+        sum(r.frames_read for r in references)
+        * costs.read_video_per_frame)
+    assert clock.get(CostCategory.UDF, 0.0) == pytest.approx(sum(
+        len(keys) * session.catalog.zoo.get(name).per_tuple_cost
+        for name, keys in inputs.items()))
 
 
 def _view_contents(session: EvaSession) -> dict:
@@ -48,36 +118,56 @@ def _view_contents(session: EvaSession) -> dict:
 
 def _clock_totals(session: EvaSession) -> dict:
     # OPTIMIZE is measured in *real* seconds (symbolic reduction work) and
-    # legitimately differs between two runs of anything; every other
-    # category is charged from profiled constants and must match.
+    # legitimately differs between two runs of anything; APPLY is counted
+    # in batches.  Every other category is charged from profiled
+    # constants and must match.
     return {category: seconds
             for category, seconds in session.clock.breakdown().items()
-            if category is not CostCategory.OPTIMIZE}
+            if category not in (CostCategory.OPTIMIZE, CostCategory.APPLY)}
 
 
-def assert_modes_equivalent(queries, video,
-                            policy: ReusePolicy = ReusePolicy.EVA,
-                            **config):
-    """``config`` applies to both sessions.  Returns both."""
-    row_session, row_out = _run(queries, video, policy, "row", **config)
-    vec_session, vec_out = _run(queries, video, policy, "vectorized",
-                                **config)
-    for index, (row_result, vec_result) in enumerate(zip(row_out, vec_out)):
-        assert vec_result == row_result, f"query {index} diverged"
-    assert _view_contents(vec_session) == _view_contents(row_session)
-    row_clock = _clock_totals(row_session)
-    vec_clock = _clock_totals(vec_session)
-    assert set(vec_clock) == set(row_clock)
-    for category, seconds in row_clock.items():
-        assert vec_clock[category] == pytest.approx(
+def _apply_batches(session: EvaSession) -> float:
+    return (session.clock.breakdown().get(CostCategory.APPLY, 0.0)
+            / session.config.costs.apply_per_batch)
+
+
+def _invocations(session: EvaSession) -> dict:
+    """Per UDF: #TI, #reused and #DI."""
+    return {name: (stats.total_invocations, stats.reused_invocations,
+                   stats.distinct_invocations)
+            for name, stats in session.metrics.udf_stats.items()}
+
+
+def assert_engine_contract(queries, video,
+                           policy: ReusePolicy = ReusePolicy.EVA,
+                           **config):
+    """``config`` applies to both engine sessions, the default batch size
+    and one row per batch.  Returns both."""
+    references, expected = zip(*_expected(queries, video))
+    whole, whole_out = _run(queries, video, policy, **config)
+    single, single_out = _run(queries, video, policy, batch_rows=1,
+                              **config)
+    if policy is ReusePolicy.NONE:
+        _assert_no_reuse_accounting(whole, references)
+    for index, want in enumerate(expected):
+        assert whole_out[index] == want, f"query {index} diverged"
+        assert single_out[index] == want, f"query {index} diverged at 1"
+    assert _view_contents(whole) == _view_contents(single)
+    assert _invocations(whole) == _invocations(single)
+    whole_clock, single_clock = _clock_totals(whole), _clock_totals(single)
+    assert set(whole_clock) == set(single_clock)
+    for category, seconds in single_clock.items():
+        assert whole_clock[category] == pytest.approx(
             seconds, rel=1e-9, abs=1e-12), category
-    return row_session, vec_session
+    batches = [_apply_batches(whole), _apply_batches(single)]
+    assert batches == pytest.approx([round(b) for b in batches])
+    assert batches[0] <= batches[1]
+    return whole, single
 
 
 def _operators(session: EvaSession, sql: str) -> list:
     """The operator chain the session's engine builds for ``sql``."""
     from repro.executor.engine import ExecutionEngine
-    from repro.parser.parser import parse
 
     plan = session.optimizer.optimize(parse(sql)).plan
     operators = []
@@ -90,27 +180,27 @@ def _operators(session: EvaSession, sql: str) -> list:
 
 class TestVbenchDifferential:
     def test_vbench_high_eva(self, tiny_video):
-        assert_modes_equivalent(vbench_high("tiny", FRAMES), tiny_video)
+        assert_engine_contract(vbench_high("tiny", FRAMES), tiny_video)
 
     def test_vbench_low_eva(self, tiny_video):
-        assert_modes_equivalent(vbench_low("tiny", FRAMES), tiny_video)
+        assert_engine_contract(vbench_low("tiny", FRAMES), tiny_video)
 
     def test_vbench_high_no_reuse(self, tiny_video):
         # Miss-heavy: every query evaluates models; exercises the batched
         # predict_batch path without any view probes.
-        assert_modes_equivalent(vbench_high("tiny", FRAMES)[:3],
+        assert_engine_contract(vbench_high("tiny", FRAMES)[:3],
                                 tiny_video, ReusePolicy.NONE)
 
     def test_repeated_queries_hit_heavy(self, tiny_video):
         # Re-running the same queries makes the second pass ~100% view
         # hits: exercises the bulk get_many hit partition.
         queries = vbench_high("tiny", FRAMES)[:2]
-        assert_modes_equivalent(queries + queries, tiny_video)
+        assert_engine_contract(queries + queries, tiny_video)
 
     def test_sparse_video(self, sparse_video):
         # Sparse frames produce empty detection sets: empty keys must be
         # recorded and reused identically (APPLY must not re-evaluate).
-        assert_modes_equivalent(vbench_high("sparse", 300)[:4],
+        assert_engine_contract(vbench_high("sparse", 300)[:4],
                                 sparse_video)
 
 
@@ -162,10 +252,10 @@ def _random_queries(seed: int, count: int = 8) -> list[str]:
 class TestRandomizedDifferential:
     @pytest.mark.parametrize("seed", [11, 23, 47])
     def test_random_predicates_eva(self, tiny_video, seed):
-        assert_modes_equivalent(_random_queries(seed), tiny_video)
+        assert_engine_contract(_random_queries(seed), tiny_video)
 
     def test_random_predicates_no_reuse(self, tiny_video):
-        assert_modes_equivalent(_random_queries(5, count=4), tiny_video,
+        assert_engine_contract(_random_queries(5, count=4), tiny_video,
                                 ReusePolicy.NONE)
 
 
@@ -190,28 +280,14 @@ CODED_QUERIES = [
 ]
 
 
-def _invocations(session: EvaSession) -> dict:
-    """Per UDF: #TI and #DI."""
-    return {name: (stats.total_invocations, stats.distinct_invocations)
-            for name, stats in session.metrics.udf_stats.items()}
-
-
 class TestCodedCompares:
-    def test_pipeline_matches_the_no_reuse_row_oracle(self, tiny_video):
+    def test_pipeline_matches_the_reference(self, tiny_video):
         queries = CODED_QUERIES + CODED_QUERIES
-        oracle, oracle_out = _run(queries, tiny_video, ReusePolicy.NONE,
-                                  "row")
-        row_session, vec_session = assert_modes_equivalent(queries,
-                                                           tiny_video)
-        _, vec_out = _run(queries, tiny_video, ReusePolicy.EVA,
-                          "vectorized")
-        assert vec_out == oracle_out
-        assert _invocations(vec_session) == _invocations(row_session) == \
-            _invocations(oracle)
-        assert {"car_type", "color_det"} <= set(_invocations(oracle))
+        whole, _ = assert_engine_contract(queries, tiny_video)
+        assert {"car_type", "color_det"} <= set(_invocations(whole))
         # The second pass reused every UDF result.
         reused = sum(m.reused_counts.get(name, 0)
-                     for m in vec_session.metrics.query_metrics[5:]
+                     for m in whole.metrics.query_metrics[5:]
                      for name in ("car_type", "color_det"))
         assert reused > 0
 
@@ -221,8 +297,6 @@ class TestOnePipeline:
 
     def test_every_plan_builds_exactly_one_pipeline(self, tiny_video):
         from repro.executor.fusion import FusedPipelineOperator
-        from repro.executor.operators import (FilterOperator,
-                                              ProjectOperator, ScanOperator)
         from repro.vbench.generator import WorkloadSpec, generate_workload
 
         generated = generate_workload(
@@ -237,9 +311,6 @@ class TestOnePipeline:
                          if isinstance(op, FusedPipelineOperator)]
             assert len(pipelines) == 1, sql
             assert operators[-1] is pipelines[0], sql
-            assert not any(isinstance(op, (ScanOperator, FilterOperator,
-                                           ProjectOperator))
-                           for op in operators), sql
 
     def test_context_without_a_kernel_cache_runs_the_pipeline(
             self, tiny_video):
@@ -247,7 +318,6 @@ class TestOnePipeline:
 
         from repro.executor.engine import ExecutionEngine
         from repro.executor.fusion import FusedPipelineOperator
-        from repro.parser.parser import parse
 
         session = EvaSession(config=EvaConfig())
         session.register_video(tiny_video)
@@ -256,9 +326,7 @@ class TestOnePipeline:
         root = ExecutionEngine(uncached).build(plan)
         assert isinstance(root, FusedPipelineOperator)
         rows = root.run_to_completion().to_tuples()
-        row_session, row_out = _run([EXPLAIN_QUERY], tiny_video,
-                                    ReusePolicy.EVA, "row")
-        assert tuple(rows) == row_out[0][1]
+        assert tuple(rows) == _expected([EXPLAIN_QUERY], tiny_video)[0][1][1]
         assert session.context.kernel_cache.stats()["misses"] == 0
 
 
@@ -268,27 +336,38 @@ EXPLAIN_QUERY = ("SELECT id, bbox FROM tiny CROSS APPLY "
 
 
 class TestKernelReporting:
-    def _annotated(self, tiny_video, mode: str) -> str:
-        session = EvaSession(config=EvaConfig(
-            reuse_policy=ReusePolicy.EVA, execution_mode=mode))
-        session.register_video(tiny_video)
-        result = session.execute(f"EXPLAIN ANALYZE {EXPLAIN_QUERY}")
-        return "\n".join(row[0] for row in result.rows)
-
     def test_explain_analyze_reports_kernel_modes(self, tiny_video):
         # A first execution: nothing is cached, nothing is deferred —
         # every node of the streaming suffix runs inside the pipeline.
-        lines = self._annotated(tiny_video, "vectorized").splitlines()
+        session = EvaSession(config=EvaConfig(reuse_policy=ReusePolicy.EVA))
+        session.register_video(tiny_video)
+        result = session.execute(f"EXPLAIN ANALYZE {EXPLAIN_QUERY}")
+        lines = [row[0] for row in result.rows]
         assert len(lines) == 4
         assert all("kernel=fused" in line for line in lines)
         assert "fusion-boundary=4ops" in lines[0]
         assert all("fused-into=Project" in line for line in lines[1:])
 
-    def test_row_mode_reports_row_kernels(self, tiny_video):
-        annotated = self._annotated(tiny_video, "row")
-        assert "kernel=row" in annotated
-        assert "kernel=fused" not in annotated
-
     def test_execution_mode_validation(self):
         with pytest.raises(ValueError):
             EvaConfig(execution_mode="turbo")
+        with pytest.raises(ValueError, match="ReusePolicy.NONE"):
+            EvaConfig(execution_mode="row")  # EVA, the default policy
+        EvaConfig(reuse_policy=ReusePolicy.NONE, execution_mode="row")
+
+
+class TestReference:
+    """A row-mode session answers through the reference, and the
+    reference leaves no trace in it."""
+
+    def test_charges_records_and_stores_nothing(self, tiny_video):
+        queries = vbench_high("tiny", FRAMES)[:3]
+        session, outcomes = _run(queries, tiny_video, ReusePolicy.NONE,
+                                 execution_mode="row")
+        assert outcomes == [outcome for _, outcome
+                            in _expected(queries, tiny_video)]
+        assert any(rows for _, rows in outcomes)
+        assert session.clock.total() == pytest.approx(
+            session.clock.breakdown().get(CostCategory.OPTIMIZE, 0.0))
+        assert session.metrics.udf_stats == {}
+        assert list(session.view_store.names()) == []
