@@ -7,6 +7,7 @@ queries for statistics, UDF costs, and physical-model alternatives.
 
 from __future__ import annotations
 
+from repro.costs import DEFAULT_PER_TUPLE_COST
 from repro.errors import CatalogError
 from repro.types import Accuracy, VideoMetadata
 from repro.catalog.statistics import (
@@ -113,6 +114,18 @@ class Catalog:
         )
         self.udfs.register(definition, replace=replace)
         return definition
+
+    def per_tuple_cost(self, name: str) -> float:
+        """Eq. 3's ``c_e`` of the model or UDF ``name`` — a view name's
+        model segment: the zoo model's believed per-tuple cost, else the
+        UDF definition's, else :data:`DEFAULT_PER_TUPLE_COST`.  Believed,
+        not observed, so it is the same after a restart; calibration
+        (``cost_calibration="apply"``) is what moves it."""
+        if name in self.zoo:
+            return self.zoo.get(name).per_tuple_cost
+        if name in self.udfs:
+            return self.udfs.get(name).per_tuple_cost
+        return DEFAULT_PER_TUPLE_COST
 
     def physical_detectors(self, logical_type: str,
                            min_accuracy: Accuracy | None = None

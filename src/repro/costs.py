@@ -36,6 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Eq. 3's ``c_e`` (virtual seconds per tuple) of a model or UDF the
+#: catalog does not know (``Catalog.per_tuple_cost``).
+DEFAULT_PER_TUPLE_COST = 0.05
+
 
 @dataclass(frozen=True)
 class CostConstants:

@@ -34,11 +34,6 @@ KIND_COST_CALIBRATION = "cost-calibration"
 #: hit/miss/eviction deltas and the memo's current size, and ``reused``
 #: means at least one reduction was served from cache.
 KIND_SYMBOLIC_MEMO = "symbolic-memo"
-#: Emitted when the durable store's byte-budget policy demotes or drops
-#: a view: ``costs`` carry the eviction score (rebuild cost per byte),
-#: the freed bytes, and the view's ledger net benefit; ``chosen``
-#: records the action (``demote`` / ``evict_drop``) and tier reason.
-KIND_STORE_EVICTION = "store-eviction"
 
 
 def predicate_sql(predicate) -> str:

@@ -491,14 +491,6 @@ class ViewLedger:
                 if record is not None and record.flight_id is None:
                     record.flight_id = flight_id
 
-    def refresh_bytes(self, view_bytes: dict[str, int]) -> None:
-        """Update live-generation byte sizes (e.g. after eviction)."""
-        with self._lock:
-            for name, nbytes in view_bytes.items():
-                record = self._current(name)
-                if record is not None:
-                    record.bytes = nbytes
-
     # -- queries ----------------------------------------------------------
 
     def export_record(self, lineage_id: str) -> dict | None:

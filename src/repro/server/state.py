@@ -502,8 +502,6 @@ class SharedReuseState:
         #: span clients (client B reading client A's view is exactly the
         #: cross-client benefit the ledger quantifies).
         self.ledger = ViewLedger() if self.config.view_ledger else None
-        #: Recent ``store-eviction`` audit records (bounded; admin API).
-        self.eviction_records: list = []
         self._init_shared_services()
         self._setup_lock = threading.Lock()
 
@@ -534,7 +532,7 @@ class SharedReuseState:
         self._base_stores = [base_store]
 
     def _init_shared_services(self) -> None:
-        """Wire the ledger and eviction audit into every base store.
+        """Wire the ledger and the eviction cost into every base store.
 
         Iterates ``self._base_stores`` so the sharded layout (several
         durable partitions per process) gets the same provenance and
@@ -545,41 +543,11 @@ class SharedReuseState:
             if self.ledger is not None:
                 base_store.ledger = self.ledger
             if getattr(base_store, "is_durable", False):
-                from repro.store import make_cost_resolver
-                base_store.cost_resolver = make_cost_resolver(
-                    self.profiler, self.catalog)
+                base_store.cost_resolver = self.catalog.per_tuple_cost
                 if self.ledger is not None:
                     recovered = base_store.recovered_lineage
                     if recovered:
                         self.ledger.restore(recovered)
-                base_store.eviction_listener = self._record_eviction
-
-    def _record_eviction(self, name: str, *, action: str, reason: str,
-                         score: float, nbytes: int) -> None:
-        """Keep a bounded audit trail of the store's tiering decisions.
-
-        Per-client sessions are not on this path (evictions fire from
-        whichever client's write tripped the budget), so the records
-        land on the shared state; the server exposes them alongside the
-        ledger snapshot.
-        """
-        from repro.obs.audit import KIND_STORE_EVICTION, \
-            ReuseDecisionRecord
-
-        ledger = self.ledger
-        net = ledger.net_benefit(name) if ledger is not None else None
-        self.eviction_records.append(ReuseDecisionRecord(
-            kind=KIND_STORE_EVICTION,
-            signature=name,
-            costs={"eviction_score": round(score, 9), "bytes": nbytes,
-                   "net_benefit": (None if net is None
-                                   else round(net, 9))},
-            chosen=[{"action": action, "reason": reason}],
-            reused=False,
-            lineage_id=(ledger.current_id(name)
-                        if ledger is not None else None),
-        ))
-        del self.eviction_records[:-256]
 
     def close_store(self) -> None:
         """Snapshot + close a durable base store (server shutdown)."""

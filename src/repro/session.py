@@ -253,16 +253,12 @@ class EvaSession:
         if getattr(self.view_store, "is_durable", False) \
                 and not state.shared:
             if self.view_store.cost_resolver is None:
-                from repro.store import make_cost_resolver
-                self.view_store.cost_resolver = make_cost_resolver(
-                    self.profiler, self.catalog)
+                self.view_store.cost_resolver = self.catalog.per_tuple_cost
             if self.ledger is not None:
                 recovered = getattr(self.view_store,
                                     "recovered_lineage", None)
                 if recovered:
                     self.ledger.restore(recovered)
-                self.view_store.eviction_listener = \
-                    self._on_store_eviction
             self._emit_recovery_span()
 
     def _emit_recovery_span(self) -> None:
@@ -498,34 +494,12 @@ class EvaSession:
             trace_id=trace_id,
             client_id=self.tracer.client_id,
             view_bytes=view_bytes,
-            model_costs=self._lineage_model_costs(names),
+            model_costs={model: self.catalog.per_tuple_cost(model)
+                         for model, _video in map(parse_view_name, names)
+                         if model},
             costs=self.context.costs,
             audit=audit,
         )
-
-    def _lineage_model_costs(self, names) -> dict:
-        """Eq. 3 ``c_e`` per model segment of the touched view names.
-
-        The segment is the lowercased UDF-signature head: a zoo model
-        name for detector views, a UDF name for classifier views.
-        """
-        resolved: dict[str, float] = {}
-        for name in names:
-            model, _video = parse_view_name(name)
-            if model and model not in resolved:
-                resolved[model] = self._per_tuple_cost(model)
-        return resolved
-
-    def _per_tuple_cost(self, model: str) -> float:
-        try:
-            return self.catalog.zoo.get(model).per_tuple_cost
-        except Exception:
-            pass
-        for udf in self.catalog.udfs.definitions():
-            if udf.name.lower() == model:
-                return udf.per_tuple_cost
-        from repro.store import DEFAULT_PER_TUPLE_COST
-        return DEFAULT_PER_TUPLE_COST
 
     def _persist_lineage(self, lineage_ids) -> None:
         """Append the touched ledger records to the durable control log."""
@@ -538,39 +512,6 @@ class EvaSession:
         records = [self.ledger.export_record(lineage_id)
                    for lineage_id in lineage_ids]
         log([record for record in records if record is not None])
-
-    def _on_store_eviction(self, name: str, *, action: str, reason: str,
-                           score: float, nbytes: int) -> None:
-        """Audit one tiered-eviction decision (durable store callback).
-
-        Emits a ``store-eviction`` reuse-decision record pairing the
-        store's eviction score (re-materialization cost per byte) with
-        the ledger's realized net benefit — the two quantities an
-        operator needs to judge whether the byte budget is evicting the
-        right views.
-        """
-        from repro.obs.audit import KIND_STORE_EVICTION, \
-            ReuseDecisionRecord
-
-        ledger = self.ledger
-        net = ledger.net_benefit(name) if ledger is not None else None
-        record = ReuseDecisionRecord(
-            kind=KIND_STORE_EVICTION,
-            signature=name,
-            costs={
-                "eviction_score": round(score, 9),
-                "bytes": nbytes,
-                "net_benefit": (None if net is None
-                                else round(net, 9)),
-            },
-            chosen=[{"action": action, "reason": reason}],
-            reused=False,
-            trace_id=self.tracer.current_trace_id,
-            client_id=self.tracer.client_id,
-            lineage_id=(ledger.current_id(name)
-                        if ledger is not None else None),
-        )
-        self.tracer.emit_event(record.to_event())
 
     def _observe_flight(self, flight_ctx, sql: str, root,
                         query_metrics: QueryMetrics, rows_returned: int,

@@ -24,16 +24,22 @@ take ``(video, frame ids)`` from :func:`frame_ids`.
 
 A materialized view stores its output columns typed (:func:`stored_column`):
 ``str`` / None values as dictionary codes (:class:`CodedColumn`), floats
-as a float64 array (:class:`FloatColumn`), bounding boxes as a list with
-derived rounded-key and area arrays (:class:`BoxColumn`), anything else as
-a list.  A view over a typed column gathers with one fancy index and
-still reads as the same Python values; :func:`coded`, :func:`float_array`,
-:func:`box_keys` and :func:`column_areas` read the arrays through it.
+as a float64 array (:class:`FloatColumn`), bounding boxes of float
+coordinates as a list with derived rounded-key and area arrays
+(:class:`BoxColumn`), anything else as a list.  A view over a typed column
+gathers with one fancy index and still reads as the same Python values;
+:func:`coded`, :func:`float_array`, :func:`box_keys` and
+:func:`column_areas` read the arrays through it.  Each typed column knows
+the size of the buffers the codec writes for it
+(:meth:`StoredColumn.nbytes`), which is what a view's byte count sums.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -367,20 +373,29 @@ class StoredColumn(Sequence):
     def __iter__(self) -> Iterator:
         return iter(self[:])
 
+    @staticmethod
+    def takes(values: list) -> bool:
+        """Whether every one of ``values`` is of this column's type."""
+        raise NotImplementedError
+
     def gather(self, indices: np.ndarray) -> list:
         """The values at ``indices``, as a list."""
         raise NotImplementedError
 
-    def extend(self, values: list) -> bool:
-        """Append ``values``; False, appending nothing, when one of them
-        is not of this column's type."""
+    def extend(self, values: list) -> None:
+        """Append ``values``, which this column :meth:`takes`."""
+        raise NotImplementedError
+
+    def nbytes(self) -> int:
+        """Size of the buffers the codec writes for this column
+        (``repro.storage.columnar``)."""
         raise NotImplementedError
 
 
 class CodedColumn(StoredColumn):
     """``str`` / None values as int32 codes into a vocabulary."""
 
-    __slots__ = ("_codes", "vocab", "_code_of", "_lookup")
+    __slots__ = ("_codes", "vocab", "_code_of", "_lookup", "_vocab_chars")
 
     def __init__(self) -> None:
         self._size = 0
@@ -393,6 +408,12 @@ class CodedColumn(StoredColumn):
         #: vocabulary grows.  One attribute, so a reader replaces it
         #: whole.
         self._lookup = (np.zeros(0, dtype=object), 0)
+        #: Summed JSON length of the vocabulary's entries.
+        self._vocab_chars = 0
+
+    @staticmethod
+    def takes(values: list) -> bool:
+        return set(map(type, values)) <= {str, type(None)}
 
     def codes(self) -> np.ndarray:
         return self._codes[:self._size]
@@ -409,21 +430,24 @@ class CodedColumn(StoredColumn):
             self._lookup = (lookup, size)
         return lookup[codes].tolist()
 
-    def extend(self, values: list) -> bool:
-        if not set(map(type, values)) <= {str, type(None)}:
-            return False
+    def extend(self, values: list) -> None:
         code_of, vocab = self._code_of, self.vocab
         for value in dict.fromkeys(values):
             if value not in code_of:
                 code_of[value] = len(vocab)
                 vocab.append(value)
+                self._vocab_chars += len(json.dumps(value))
         size = self._size + len(values)
         codes = grow(self._codes, size, 0)
         codes[self._size:size] = np.fromiter(
             map(code_of.__getitem__, values), dtype=np.int32,
             count=len(values))
         self._codes, self._size = codes, size
-        return True
+
+    def nbytes(self) -> int:
+        """int32 codes and the vocabulary's JSON."""
+        return 4 * self._size + json_list_bytes(self._vocab_chars,
+                                                len(self.vocab))
 
 
 class FloatColumn(StoredColumn):
@@ -435,26 +459,34 @@ class FloatColumn(StoredColumn):
         self._size = 0
         self._values = np.zeros(0)
 
+    @staticmethod
+    def takes(values: list) -> bool:
+        return set(map(type, values)) <= {float}
+
     def array(self) -> np.ndarray:
         return self._values[:self._size]
 
     def gather(self, indices: np.ndarray) -> list:
         return self._values[indices].tolist()
 
-    def extend(self, values: list) -> bool:
-        if not set(map(type, values)) <= {float}:
-            return False
+    def extend(self, values: list) -> None:
         size = self._size + len(values)
         array = grow(self._values, size, 0.0)
         array[self._size:size] = values
         self._values, self._size = array, size
-        return True
+
+    def nbytes(self) -> int:
+        return 8 * self._size
+
+
+_BOX_COORDS = attrgetter("x1", "y1", "x2", "y2")
 
 
 class BoxColumn(StoredColumn):
-    """:class:`~repro.types.BoundingBox` values as a list, plus two arrays
-    derived from their coordinates: the rounded ``(n, 4)`` keys and the
-    areas.  Derived on append, never serialized."""
+    """:class:`~repro.types.BoundingBox` values of ``float`` coordinates
+    as a list, plus two arrays derived from their coordinates: the
+    rounded ``(n, 4)`` keys and the areas.  Derived on append, never
+    serialized."""
 
     __slots__ = ("_boxes", "_keys", "_areas")
 
@@ -463,6 +495,11 @@ class BoxColumn(StoredColumn):
         self._boxes: list = []
         self._keys = np.zeros((0, 4), dtype=np.int64)
         self._areas = np.zeros(0)
+
+    @staticmethod
+    def takes(values: list) -> bool:
+        return set(map(type, values)) <= {BoundingBox} and set(map(
+            type, chain.from_iterable(map(_BOX_COORDS, values)))) <= {float}
 
     def keys(self) -> np.ndarray:
         return self._keys[:self._size]
@@ -476,13 +513,8 @@ class BoxColumn(StoredColumn):
     def gather(self, indices: np.ndarray) -> list:
         return list(map(self._boxes.__getitem__, indices.tolist()))
 
-    def extend(self, values: list) -> bool:
-        if not set(map(type, values)) <= {BoundingBox}:
-            return False
-        try:
-            coords = box_coords(values)
-        except (TypeError, ValueError, OverflowError):
-            return False
+    def extend(self, values: list) -> None:
+        coords = box_coords(values)
         size = self._size + len(values)
         keys = grow(self._keys, size, 0)
         keys[self._size:size] = round_boxes(coords)
@@ -490,32 +522,57 @@ class BoxColumn(StoredColumn):
         areas[self._size:size] = box_areas(coords)
         self._boxes.extend(values)
         self._keys, self._areas, self._size = keys, areas, size
-        return True
+
+    def nbytes(self) -> int:
+        """The ``(n, 4)`` float64 coordinates."""
+        return 32 * self._size
+
+
+def typed_form(stored: Sequence, values: list) -> type | None:
+    """The typed form ``stored`` (a view's output column) has once the
+    non-empty ``values`` are appended: its own when it :meth:`takes
+    <StoredColumn.takes>` them, the first of :class:`CodedColumn`,
+    :class:`FloatColumn` and :class:`BoxColumn` that takes them all when
+    it is empty, else None — a list."""
+    if not len(stored):
+        return next((form for form in (CodedColumn, FloatColumn, BoxColumn)
+                     if form.takes(values)), None)
+    if isinstance(stored, StoredColumn) and stored.takes(values):
+        return type(stored)
+    return None
 
 
 def stored_column(stored: Sequence, values: list) -> Sequence:
-    """``stored`` (a view's output column) with ``values`` appended.
-
-    An empty column takes the first form of :class:`CodedColumn`,
-    :class:`FloatColumn` and :class:`BoxColumn` that holds all of
-    ``values``, else a list.  A typed column that meets a value it cannot
-    hold becomes a list of all its values, for good; the typed one is
-    left as it was for readers that hold it.
-    """
+    """``stored`` (a view's output column) with ``values`` appended, in
+    its :func:`typed_form`."""
     if not values:
         return stored
-    if not len(stored):
-        for form in (CodedColumn, FloatColumn, BoxColumn):
-            column = form()
-            if column.extend(values):
-                return column
-        return list(values)
+    return append_column(stored, values, typed_form(stored, values))
+
+
+def append_column(stored: Sequence, values: list,
+                  form: type | None) -> Sequence:
+    """``stored`` with the non-empty ``values`` appended, given its
+    :func:`typed_form` ``form``.
+
+    A typed column that meets a value it cannot hold becomes a list of
+    all its values, for good; the typed one is left as it was for
+    readers that hold it.
+    """
+    if form is not None:
+        column = stored if len(stored) else form()
+        column.extend(values)
+        return column
     if isinstance(stored, list):
         stored.extend(values)
         return stored
-    if stored.extend(values):
-        return stored
     return stored[:] + list(values)
+
+
+def json_list_bytes(chars: int, count: int) -> int:
+    """Length of the compact JSON list of ``count`` items whose own JSON
+    lengths sum to ``chars``: two brackets and a comma between items."""
+    return chars + max(count, 1) + 1
 
 
 def materialize_column(values) -> list:

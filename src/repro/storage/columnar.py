@@ -24,17 +24,16 @@ from __future__ import annotations
 
 import json
 import zlib
-from itertools import accumulate, chain, starmap
-from operator import attrgetter
+from itertools import accumulate, starmap
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import StorageError
 from repro.catalog.schema import ColumnType, TableSchema
-from repro.storage.batch import (Batch, CodedColumn, coded, float_array,
-                                 materialize_column)
-from repro.types import BoundingBox
+from repro.storage.batch import (Batch, BoxColumn, CodedColumn, FloatColumn,
+                                 coded, float_array, materialize_column)
+from repro.types import BoundingBox, box_coords
 
 _MANIFEST = "manifest.json"
 _COLUMNS = "columns.bin"
@@ -94,8 +93,6 @@ def read_table(directory: str | Path) -> tuple[TableSchema, Batch]:
 
 # -- materialized-view entries ---------------------------------------------------
 
-_BOX_COORDS = attrgetter("x1", "y1", "x2", "y2")
-
 
 class ColumnBatch:
     """View entries in column form: the one layout of memory, WAL and snapshot.
@@ -107,23 +104,18 @@ class ColumnBatch:
     ``patch_keys``, else frame ids — and ``keys`` may then be None until
     a view builds the tuples.  :meth:`encode` types every column from its
     values, so :meth:`decode` returns exactly the objects that went in.
-    ``payload_bytes``, when known, is what the entries add to a view's
-    byte estimate (see ``MaterializedView.serialized_bytes``); it travels
-    in the header, so replaying a batch does not count it again.
     """
 
-    __slots__ = ("keys", "array", "patch_keys", "counts", "columns",
-                 "payload_bytes")
+    __slots__ = ("keys", "array", "patch_keys", "counts", "columns")
 
     def __init__(self, keys: list[tuple] | None, counts, columns: dict,
                  *, array: np.ndarray | None = None,
-                 patch_keys: bool = False, payload_bytes: int | None = None):
+                 patch_keys: bool = False):
         self.keys = keys
         self.array = array
         self.patch_keys = patch_keys
         self.counts = np.asarray(counts, dtype=np.int64)
         self.columns = columns
-        self.payload_bytes = payload_bytes
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -163,8 +155,7 @@ class ColumnBatch:
         else:
             kind, keys = "json", _json_dumps(self.keys)
         forms, buffers = _encode_columns(self.columns)
-        payload = _frame({"n": len(self), "keys": kind, "columns": forms,
-                          "bytes": self.payload_bytes},
+        payload = _frame({"n": len(self), "keys": kind, "columns": forms},
                          [keys, self.counts.tobytes(), *buffers])
         return zlib.compress(payload) if compress else payload
 
@@ -194,8 +185,7 @@ class ColumnBatch:
         except _UNDECODABLE as exc:
             raise StorageError(f"undecodable column batch: {exc}") from exc
         return cls(keys, counts, columns, array=array,
-                   patch_keys=kind == "packed",
-                   payload_bytes=header.get("bytes"))
+                   patch_keys=kind == "packed")
 
 
 def row_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -248,7 +238,8 @@ def _decode_columns(forms: list, buffers: list[bytes], rows: int) -> dict:
 def _encode_values(values) -> tuple[str, list[bytes]]:
     """``(form, buffers)`` of one column: ``codes`` (int32 codes and a
     JSON vocabulary) for ``str`` / None, ``float`` (float64), ``box``
-    (``(n, 4)`` float64) for boxes of float coordinates, else ``json``."""
+    (``(n, 4)`` float64) for boxes of float coordinates, else ``json`` —
+    the forms of a view's typed columns, by their own ``takes``."""
     dictionary = coded(values)
     if dictionary is not None:
         codes, vocab = dictionary
@@ -258,17 +249,14 @@ def _encode_values(values) -> tuple[str, list[bytes]]:
     if array is not None:
         return "float", [array.tobytes()]
     values = materialize_column(values)
-    kinds = set(map(type, values))
-    if kinds <= {str, type(None)}:
+    if CodedColumn.takes(values):
         column = CodedColumn()
         column.extend(values)
         return "codes", [column.codes().tobytes(), _json_dumps(column.vocab)]
-    if kinds == {float}:
+    if FloatColumn.takes(values):
         return "float", [np.array(values, dtype=np.float64).tobytes()]
-    if kinds == {BoundingBox}:
-        coords = list(chain.from_iterable(map(_BOX_COORDS, values)))
-        if set(map(type, coords)) == {float}:
-            return "box", [np.array(coords, dtype=np.float64).tobytes()]
+    if BoxColumn.takes(values):
+        return "box", [box_coords(values).tobytes()]
     return "json", [_json_dumps(values)]
 
 
@@ -297,6 +285,13 @@ def _decode_values(form: str, buffers: list[bytes], rows: int
         raise ValueError(f"a {form} column holds {len(values)} of "
                          f"{rows} rows")
     return values, rest
+
+
+def json_chars(items: list) -> int:
+    """The summed length of each item's JSON as this codec writes a list
+    of them (:func:`~repro.storage.batch.json_list_bytes` of it is the
+    list's); raises ``TypeError`` for a value it cannot store."""
+    return len(_json_dumps(items)) - len(items) - 1 if items else 0
 
 
 def _json_dumps(value) -> bytes:

@@ -22,19 +22,17 @@ by the same int arrays a probe takes or by key tuples; readers get a
 columns, and the durable store logs and snapshots the same
 :class:`~repro.storage.columnar.ColumnBatch` a write appended.
 
-Every append adds its raw JSON size to the running estimate behind
-:meth:`MaterializedView.serialized_bytes`.  The size is defined by
-``json.dumps`` but computed from the key arrays and the typed columns
-(:func:`_payload_bytes`); only values of no typed form are dumped.
+A view's size (:meth:`MaterializedView.serialized_bytes`) is the size of
+the buffers the codec writes for it, read from its key form and typed
+columns (:meth:`~repro.storage.batch.StoredColumn.nbytes`) after every
+append; only keys and columns of no typed form are dumped, as JSON.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from collections import Counter
 from itertools import chain, count, repeat
-from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,18 +46,21 @@ from repro.obs.lineage import (
 )
 from repro.storage.batch import (
     ColumnView,
+    StoredColumn,
+    append_column,
     grow,
+    json_list_bytes,
     materialize_column,
-    stored_column,
+    typed_form,
 )
-from repro.storage.columnar import ColumnBatch, row_ranges
-from repro.types import BoundingBox
+from repro.storage.columnar import ColumnBatch, json_chars, row_ranges
 
 Key = tuple[Hashable, ...]
 
-#: Serialized size of an *empty* view (npz container + headers); measured
-#: 576 bytes for a two-column layout, rounded down so the estimate stays
-#: a mild over-approximation only through the payload term.
+#: Serialized size of an *empty* view: the codec's JSON header line (key
+#: kind, column forms, buffer sizes) and the compressed stream's framing,
+#: rounded down so the estimate over-approximates only through the
+#: buffer term.
 SERIALIZED_BASE_OVERHEAD = 512
 
 #: Bits of a packed patch key: the frame id, then x1, y1, x2, y2.
@@ -74,11 +75,13 @@ PACKED_FRAME_SHIFT = 4 * _COORD_BITS
 #: holds one int64 per id below the largest stored one.
 _DENSE_FRAME_LIMIT = 1 << 24
 
-#: Compressed-bytes per raw-JSON-payload byte.  Calibrated against real
-#: query output (detector views compress to 0.33, patch-classifier views
-#: to 0.20 of their raw JSON); 0.35 over-estimates both slightly, which
-#: is the safe direction for byte-budget enforcement.
-SERIALIZED_COMPRESSION_FACTOR = 0.35
+#: Compressed bytes per byte of the codec's buffers.  Calibrated against
+#: the views of the benchmark videos (about 8 vehicles a frame): a
+#: detector view's random float boxes and scores compress worst, to 0.79
+#: of their buffers, so 0.80 over-estimates each of them — the safe
+#: direction for byte-budget enforcement.  Denser detector output
+#: compresses a little less (0.81 at 20 vehicles a frame).
+SERIALIZED_COMPRESSION_FACTOR = 0.80
 
 
 class ViewHits:
@@ -175,9 +178,14 @@ class MaterializedView:
         #: empty list until the first rows arrive.
         self._columns: dict[str, Sequence] = {
             col: [] for col in output_columns}
-        #: Running raw-JSON payload size, maintained by every append so
-        #: :meth:`serialized_bytes` is O(1) — it is the eviction hot path.
-        self._approx_payload_bytes = 0
+        #: Summed JSON length of the keys while they have no array form
+        #: (:meth:`batch` gives them as tuples), else None.
+        self._key_chars: int | None = None
+        #: Summed JSON length of the values of every list column.
+        self._json_chars: dict[str, int] = {}
+        #: The codec's buffer bytes, set by every append so
+        #: :meth:`serialized_bytes` is O(1): the eviction hot path.
+        self._buffer_bytes = self._codec_bytes()
         #: Lazily-built secondary index: first key component -> keys.
         #: Used by fuzzy bounding-box reuse to enumerate a frame's boxes.
         self._prefix_index: dict[Hashable, list[Key]] | None = None
@@ -294,63 +302,75 @@ class MaterializedView:
             else:
                 frames, packed = ((None, batch.array) if batch.patch_keys
                                   else (batch.array, None))
-            nbytes = batch.payload_bytes
-            if nbytes is None:
-                # Raises (a value no codec stores) before anything changed.
-                nbytes = _payload_bytes(batch, frames, packed)
-            if not old:
-                self._patch_keyed = len(batch.keys[0]) == 2
+            # What can refuse the batch runs before anything changes.
+            patch_keyed = self._patch_keyed if old \
+                else len(batch.keys[0]) == 2
+            dense = self._ordinal_of_frame
+            if frames is None or frames.min() < 0 \
+                    or frames.max() >= _DENSE_FRAME_LIMIT:
+                dense = None
+            patches = None if packed is None else self._ordinal_of_patch
+            key_chars = self._key_chars
+            if (patches if patch_keyed else dense) is None:
+                # The keys have no array form: the codec dumps them all.
+                key_chars = (json_chars([*ordinals, *batch.keys])
+                             if key_chars is None
+                             else key_chars + json_chars(batch.keys))
+            columns = self._columns
+            forms, chars = {}, {}
+            for col in self.output_columns:
+                values = batch.columns[col]
+                if not len(values):
+                    continue
+                stored = columns[col]
+                forms[col] = form = typed_form(stored, values)
+                if form is None:  # a list: the codec dumps it
+                    values = materialize_column(values)
+                    chars[col] = (
+                        self._json_chars.get(col, 0) + json_chars(values)
+                        if isinstance(stored, list)
+                        else json_chars(stored[:] + values))
+            self._patch_keyed = patch_keyed
             ordinals.update(zip(batch.keys, count(old)))
             offsets = grow(self._offsets, old + new + 1, 0)
             offsets[old + 1:old + new + 1] = (np.cumsum(batch.counts)
                                               + offsets[old])
             self._offsets = offsets
-            self._index_frames(frames, old)
-            self._index_patches(packed, old)
-            columns = self._columns
-            for col in self.output_columns:
-                columns[col] = stored_column(columns[col],
-                                             batch.columns[col])
-            self._approx_payload_bytes += nbytes
+            if dense is not None:
+                dense = grow(dense, int(frames.max()) + 1, -1)
+                dense[frames] = np.arange(old, old + new)
+            if patches is not None:
+                patches.update(zip(packed.tolist(), count(old)))
+            self._ordinal_of_frame, self._ordinal_of_patch = dense, patches
+            for col, form in forms.items():
+                columns[col] = append_column(columns[col],
+                                             batch.columns[col], form)
+            self._key_chars = key_chars
+            self._json_chars.update(chars)
+            self._buffer_bytes = self._codec_bytes()
             if self._prefix_index is not None:
                 for key in batch.keys:
                     self._prefix_index.setdefault(key[0], []).append(key)
         batch = ColumnBatch(
             batch.keys, batch.counts, batch.columns,
             array=packed if frames is None else frames,
-            patch_keys=frames is None and packed is not None,
-            payload_bytes=nbytes)
+            patch_keys=frames is None and packed is not None)
         return inserted, batch
 
-    def _index_frames(self, frames: np.ndarray | None,
-                      first_ordinal: int) -> None:
-        """Extend ``_ordinal_of_frame`` by the fresh keys' frame ids
-        (ordinals from ``first_ordinal``), or drop it for good when they
-        are not all ``(frame_id,)`` keys (``frames`` is None) or an id is
-        out of its range.  Caller holds the view lock."""
-        dense = self._ordinal_of_frame
-        if dense is None:
-            return
-        if frames is None or frames.min() < 0 \
-                or frames.max() >= _DENSE_FRAME_LIMIT:
-            self._ordinal_of_frame = None
-            return
-        dense = grow(dense, int(frames.max()) + 1, -1)
-        dense[frames] = np.arange(first_ordinal, first_ordinal + len(frames))
-        self._ordinal_of_frame = dense
-
-    def _index_patches(self, packed: np.ndarray | None,
-                       first_ordinal: int) -> None:
-        """Extend ``_ordinal_of_patch`` by the fresh keys packed, or drop
-        it for good when one of them does not pack (``packed`` is None).
+    def _codec_bytes(self) -> int:
+        """Size of the buffers :meth:`batch` encodes to: the keys (int64,
+        else JSON), the int64 counts, and each column's (a typed column's
+        :meth:`~repro.storage.batch.StoredColumn.nbytes`, else JSON).
         Caller holds the view lock."""
-        index = self._ordinal_of_patch
-        if index is None:
-            return
-        if packed is None:
-            self._ordinal_of_patch = None
-            return
-        index.update(zip(packed.tolist(), count(first_ordinal)))
+        n = len(self._ordinals)
+        key_chars = self._key_chars
+        total = 8 * n + (8 * n if key_chars is None
+                         else json_list_bytes(key_chars, n))
+        for col, values in self._columns.items():
+            total += (values.nbytes() if isinstance(values, StoredColumn)
+                      else json_list_bytes(self._json_chars.get(col, 0),
+                                           len(values)))
+        return total
 
     def _int64_keys(self, keys: np.ndarray) -> np.ndarray:
         """``keys``, an array of keys, as int64; refuses any other
@@ -487,8 +507,7 @@ class MaterializedView:
                 np.diff(offsets),
                 {col: ColumnView(values, stop=int(offsets[-1]))
                  for col, values in self._columns.items()},
-                array=array, patch_keys=self._patch_keyed,
-                payload_bytes=self._approx_payload_bytes)
+                array=array, patch_keys=self._patch_keyed)
 
     def items(self) -> list[tuple[Key, tuple[dict, ...]]]:
         """Consistent snapshot of all (key, row dicts) entries."""
@@ -502,17 +521,18 @@ class MaterializedView:
         """Estimated compressed size of :meth:`serialize` output, in O(1).
 
         ``SERIALIZED_BASE_OVERHEAD`` plus ``SERIALIZED_COMPRESSION_FACTOR``
-        times the raw JSON payload: the sum of ``len(json.dumps(.))`` over
-        every stored key and value (boxes as ``["__bbox__", x1, y1, x2,
-        y2]``, tuples as ``["__tuple__", ...]``).  Every insert adds its
-        share, counted from the key arrays and typed columns without
-        dumping them (:func:`_payload_bytes`); :meth:`serialize` itself
-        remains exact.  Calibrated to over-estimate real views by
-        1.05–1.75x — byte-budget policies built on it (tier eviction,
-        footprint caps) err conservative.
+        times the size of the buffers :meth:`batch` encodes to
+        (:meth:`~repro.storage.columnar.ColumnBatch.encode`): int64 keys
+        and counts, int32 codes and the vocabulary, float64 values and
+        boxes, and JSON only for keys and columns of no typed form.  The
+        size follows from the entries alone, so a view rebuilt from a
+        snapshot or a WAL has its writer's.  It over-estimates
+        :meth:`serialize` on the benchmark videos' views (see
+        ``SERIALIZED_COMPRESSION_FACTOR``), so byte-budget policies built
+        on it (tier eviction, footprint caps) err conservative.
         """
         return SERIALIZED_BASE_OVERHEAD + int(
-            self._approx_payload_bytes * SERIALIZED_COMPRESSION_FACTOR)
+            self._buffer_bytes * SERIALIZED_COMPRESSION_FACTOR)
 
     def serialize(self) -> bytes:
         """Serialize all entries (the compressed :class:`ColumnBatch`)."""
@@ -767,86 +787,3 @@ def _key_arrays(keys: list[Key]) -> tuple[np.ndarray | None,
         except OverflowError:  # beyond int64
             return None, None
     return None, pack_key_tuples(keys)
-
-
-#: ``10**1 .. 10**19``: a magnitude ``m`` has ``1 + (powers <= m)``
-#: decimal digits.
-_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
-_INFINITY = float("inf")
-_BOX_COORDS = attrgetter("x1", "y1", "x2", "y2")
-
-
-def _payload_bytes(batch: ColumnBatch, frames: np.ndarray | None,
-                   packed: np.ndarray | None) -> int:
-    """Raw JSON size of a non-empty batch — the unit the running estimate
-    sums: ``len(json.dumps(.))`` of every key and every stored value, a
-    key as a list of its parts, boxes and tuples tagged as
-    :meth:`MaterializedView.serialized_bytes` says.
-
-    Counted, not dumped.  ``[f]`` is 2 + the digits of ``f``, and
-    ``[f, ["__tuple__", x1, y1, x2, y2]]`` is 25 + the digits of its five
-    ints, over the batch's ``frames`` or ``packed`` array.  A column is
-    counted by its exact type set, as
-    :func:`~repro.storage.batch.stored_column` types it: ``str`` / None
-    once per distinct value, floats from one list repr, a box as 20 plus
-    its coordinates.  Keys with no array and values of no typed form are
-    dumped, which raises ``TypeError`` for a value JSON cannot hold."""
-    n = len(batch.keys)
-    if frames is not None:
-        total = 2 * n + _decimal_chars(frames)
-    elif packed is not None:
-        total = 25 * n + _decimal_chars(_patch_key_parts(packed))
-    else:
-        total = _json_bytes([list(map(_jsonable, key))
-                             for key in batch.keys])
-    for values in batch.columns.values():
-        if len(values):
-            total += _column_bytes(materialize_column(values))
-    return total
-
-
-def _column_bytes(values: list) -> int:
-    """``len(json.dumps(v))`` summed over the non-empty ``values``."""
-    kinds = set(map(type, values))
-    if kinds <= {str, type(None)}:
-        return sum(len(json.dumps(value)) * times
-                   for value, times in Counter(values).items())
-    if kinds == {float}:
-        return _float_chars(values)
-    if kinds == {BoundingBox}:
-        coords = list(chain.from_iterable(map(_BOX_COORDS, values)))
-        if set(map(type, coords)) == {float}:
-            return 20 * len(values) + _float_chars(coords)
-        return 20 * len(values) + _json_bytes(coords)
-    return _json_bytes(list(map(_jsonable, values)))
-
-
-def _decimal_chars(values: np.ndarray) -> int:
-    """``len(str(v))`` summed over an int64 array."""
-    # abs(-2**63) is -2**63 again, whose uint64 view is 2**63.
-    magnitudes = np.abs(values).view(np.uint64)
-    return int(np.searchsorted(_POWERS_OF_TEN, magnitudes, side="right")
-               .sum()) + values.size + int((values < 0).sum())
-
-
-def _float_chars(values: list) -> int:
-    """``len(json.dumps(v))`` summed over a non-empty list of floats: a
-    float's JSON is its repr, but for ``Infinity`` / ``-Infinity``, five
-    longer than ``inf`` / ``-inf``."""
-    return (len(repr(values)) - 2 * len(values)
-            + 5 * (values.count(_INFINITY) + values.count(-_INFINITY)))
-
-
-def _json_bytes(items: list) -> int:
-    """``len(json.dumps(item))`` summed over ``items``, by one dumps of
-    the list: its brackets and ``", "`` separators add two characters
-    per item."""
-    return len(json.dumps(items)) - 2 * len(items) if items else 0
-
-
-def _jsonable(value):
-    if isinstance(value, BoundingBox):
-        return ["__bbox__", value.x1, value.y1, value.x2, value.y2]
-    if isinstance(value, tuple):
-        return ["__tuple__"] + [_jsonable(v) for v in value]
-    return value

@@ -5,12 +5,12 @@ See ``docs/storage.md`` for the on-disk format and the eviction policy's
 mapping onto the paper's Eq. 3 cost model.
 """
 
-from repro.store.durable import (DEFAULT_PER_TUPLE_COST, DurableViewStore,
-                                 StoreSnapshot)
+from repro.costs import DEFAULT_PER_TUPLE_COST
+from repro.store.durable import DurableViewStore, StoreSnapshot
 from repro.store.health import (StoreCheckReport, check_store, render_check,
                                 render_stats, store_stats)
-from repro.store.integration import (PersistentUdfManager, make_cost_resolver,
-                                     open_view_store, restore_udf_histories)
+from repro.store.integration import (PersistentUdfManager, open_view_store,
+                                     restore_udf_histories)
 from repro.store.layout import RecoveryReport, StoreLayout
 from repro.store.wal import WalScan, WalWriter, repair_wal, scan_wal
 
@@ -25,7 +25,6 @@ __all__ = [
     "WalScan",
     "WalWriter",
     "check_store",
-    "make_cost_resolver",
     "open_view_store",
     "render_check",
     "render_stats",

@@ -36,8 +36,12 @@ When the hot tier exceeds its byte budget, the view with the *lowest*
 eviction score — estimated re-materialization cost per stored byte,
 ``num_keys x per-tuple cost / serialized bytes`` (the Eq. 3 numerator
 over the footprint) — is demoted first: it is the cheapest state to
-regenerate should it be needed again.  Per-tuple costs come from the
-profiler's observed values via a pluggable ``cost_resolver``.
+regenerate should it be needed again.  Per-tuple costs come from a
+pluggable ``cost_resolver``: the owning session or server wires the
+catalog's believed ``c_e`` (``Catalog.per_tuple_cost``), the one the
+lineage ledger prices the view's hits with.  Each decision is recorded
+once, as a ``demote`` / ``evict_drop`` record of ``audit.jsonl`` that
+carries the ledger's net benefit and lineage id.
 """
 
 from __future__ import annotations
@@ -48,18 +52,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.costs import DEFAULT_PER_TUPLE_COST
 from repro.errors import StorageError
 from repro.obs.flight import current_flight
+from repro.obs.lineage import parse_view_name
 from repro.storage.columnar import ColumnBatch
 from repro.storage.view_store import MaterializedView, ViewStore
 from repro.store.layout import (PartitionState, RecoveryReport, StoreLayout,
                                 buckets_of, parse_partition_id, partition_id,
                                 replacing, view_crc)
 from repro.store.wal import WalWriter, repair_wal, scan_wal
-
-#: Fallback per-tuple re-materialization cost (virtual seconds) when no
-#: observed or believed cost is available for a view's model.
-DEFAULT_PER_TUPLE_COST = 0.05
 
 
 @dataclass
@@ -115,13 +117,8 @@ class DurableViewStore(ViewStore):
         self.recovery_parallelism = max(1, int(recovery_parallelism))
         #: Resolves a model/UDF name to its per-tuple cost (virtual
         #: seconds) for eviction scoring; wired by the owning session or
-        #: server once a profiler exists.  None falls back to defaults.
+        #: server.  None, or a None answer, falls back to the default.
         self.cost_resolver = None
-        #: Called as ``listener(name, action=..., reason=..., score=...,
-        #: nbytes=...)`` after every tiering decision (``demote`` /
-        #: ``evict_drop``); wired by the owning session or server to
-        #: emit ``store-eviction`` reuse-decision audit records.
-        self.eviction_listener = None
         #: lineage_id -> latest persisted ledger export record (the
         #: ``op: "lineage"`` control-log upserts; see repro.obs.lineage).
         self._lineage_records: dict[str, dict] = {}
@@ -323,19 +320,6 @@ class DurableViewStore(ViewStore):
         payload = ledger.export_current(name)
         if payload is not None:
             self.log_lineage([payload])
-
-    def _notify_eviction(self, name: str, *, action: str, reason: str,
-                         score: float, nbytes: int) -> None:
-        listener = self.eviction_listener
-        if listener is None:
-            return
-        try:
-            listener(name, action=action, reason=reason, score=score,
-                     nbytes=nbytes)
-        except Exception:
-            # Observability must never fail the write path that
-            # triggered the eviction.
-            pass
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -611,11 +595,8 @@ class DurableViewStore(ViewStore):
                 ledger.on_drop(name, reason="evicted")
             self.view_dropped(name)
             self.counters["evicted_dropped"] += 1
-            self._audit("evict_drop", view=name, reason="warm_budget",
-                        bytes=nbytes, score=score)
-            self._notify_eviction(name, action="evict_drop",
-                                  reason="warm_budget", score=score,
-                                  nbytes=nbytes)
+            self._audit_tiering("evict_drop", name, reason="warm_budget",
+                                score=score, nbytes=nbytes)
 
     def _demote(self, name: str, view: MaterializedView, *,
                 score: float, nbytes: int) -> None:
@@ -631,12 +612,23 @@ class DurableViewStore(ViewStore):
             self._views.pop(name, None)
         meta.tier = "warm"
         self.counters["demotions"] += 1
-        self._audit("demote", view=name, reason="hot_budget",
-                    bytes=nbytes, score=score)
-        self._notify_eviction(name, action="demote",
-                              reason="hot_budget", score=score,
-                              nbytes=nbytes)
+        self._audit_tiering("demote", name, reason="hot_budget",
+                            score=score, nbytes=nbytes)
         self._write_manifest()
+
+    def _audit_tiering(self, event: str, name: str, *, reason: str,
+                       score: float, nbytes: int) -> None:
+        """The one record of a tiering decision: the eviction score
+        (re-materialization cost per byte) beside the ledger's realized
+        net benefit, the two numbers that say whether the budget evicts
+        the right views."""
+        ledger = self.ledger
+        net = None if ledger is None else ledger.net_benefit(name)
+        self._audit(event, view=name, reason=reason, bytes=nbytes,
+                    score=score,
+                    net_benefit=None if net is None else round(net, 9),
+                    lineage_id=(None if ledger is None
+                                else ledger.current_id(name)))
 
     def _eviction_score(self, name: str, num_keys: int,
                         nbytes: int) -> float:
@@ -647,10 +639,10 @@ class DurableViewStore(ViewStore):
         ranks views by how much recompute work each byte of budget is
         protecting.  Cheap-to-recompute bulky views go first.
         """
-        model = name.removeprefix("mv::").split("@")[0]
+        model, _video = parse_view_name(name)
         cost = None
         if self.cost_resolver is not None:
-            cost = self.cost_resolver(model)
+            cost = self.cost_resolver(model or "")
         if cost is None or cost <= 0:
             cost = DEFAULT_PER_TUPLE_COST
         return (num_keys * cost) / max(1, nbytes)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.config import EvaConfig
 from repro.errors import StorageError
 from repro.optimizer.udf_manager import UdfManager, UdfSignature
-from repro.store.durable import DEFAULT_PER_TUPLE_COST, DurableViewStore
+from repro.store.durable import DurableViewStore
 
 
 def open_view_store(config: EvaConfig) -> DurableViewStore:
@@ -74,28 +74,3 @@ def restore_udf_histories(store: DurableViewStore, manager: UdfManager,
                                  record.get("cost", 0.0))
         restored += 1
     return restored
-
-
-def make_cost_resolver(profiler, catalog):
-    """Per-tuple cost lookup for eviction scoring.
-
-    Preference order per model name: the profiler's *observed* cost
-    (PR 4 ``ProfileStore``), then the catalog/zoo believed cost, then the
-    store default.  Returned callable is cheap enough for the eviction
-    loop (one snapshot dict lookup + one catalog probe).
-    """
-
-    def resolve(model_name: str) -> float | None:
-        profile = profiler.snapshot().models.get(model_name)
-        if profile is not None:
-            observed = profile.observed_per_tuple_cost
-            if observed:
-                return observed
-        try:
-            model = catalog.zoo.get(model_name)
-        except Exception:
-            return None
-        return getattr(model, "per_tuple_cost", None)
-
-    resolve.default = DEFAULT_PER_TUPLE_COST
-    return resolve

@@ -18,6 +18,7 @@ from repro.catalog.udf_registry import (
     UdfKind,
     UdfRegistry,
 )
+from repro.costs import DEFAULT_PER_TUPLE_COST
 from repro.errors import CatalogError
 from repro.models.zoo import default_zoo
 from repro.types import Accuracy
@@ -168,6 +169,17 @@ class TestCatalog:
                                                Accuracy.MEDIUM)
         names = {m.name for m in detectors}
         assert names == {"fasterrcnn_resnet50", "fasterrcnn_resnet101"}
+
+    def test_per_tuple_cost_is_the_believed_cost(self, tiny_video):
+        """Eq. 3's ``c_e`` of a view's model segment: the zoo model's,
+        else the UDF definition's, else the default."""
+        catalog = self._catalog(tiny_video)
+        zoo_cost = catalog.zoo.get("fasterrcnn_resnet50").per_tuple_cost
+        assert catalog.per_tuple_cost("fasterrcnn_resnet50") == zoo_cost
+        catalog.register_builtin_udf("BoxArea", impl=None,
+                                     per_tuple_cost=0.25)
+        assert catalog.per_tuple_cost("boxarea") == 0.25
+        assert catalog.per_tuple_cost("mystery") == DEFAULT_PER_TUPLE_COST
 
 
 class TestUdfRegistry:

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -28,16 +29,20 @@ from repro.storage.batch import (
     stored_column,
 )
 from repro.storage.columnar import ColumnBatch, read_table, write_table
-from repro.storage import view_store
 from repro.storage.engine import StorageEngine, VideoTable
 from repro.storage.view_store import (
+    SERIALIZED_BASE_OVERHEAD,
+    SERIALIZED_COMPRESSION_FACTOR,
     MaterializedView,
     ViewStore,
     pack_key_tuples,
     pack_patch_keys,
 )
-from repro.types import BoundingBox
+from repro.store import DurableViewStore
+from repro.session import EvaSession
+from repro.types import BoundingBox, VideoMetadata
 from repro.video.frames import Frame
+from repro.video.synthetic import SyntheticVideo
 
 
 def pack_patch_key(key):
@@ -268,6 +273,23 @@ class TestSerializedBytesEstimate:
         # staying under budget) without being wildly off.
         assert actual <= estimate <= 20 * actual
 
+    def test_detector_views_compress_within_their_estimate(self):
+        """A detector's random float boxes and scores compress worst of
+        all views (to 0.79 of their buffers at the benchmark videos'
+        8.3 vehicles a frame): the over-estimate holds there too."""
+        session = EvaSession()
+        session.register_video(SyntheticVideo(VideoMetadata(
+            name="dense", num_frames=2000, width=960, height=540,
+            fps=25.0, vehicles_per_frame=8.3), seed=7))
+        for detector in ("FastRCNNObjectDetector", "YoloTiny"):
+            session.execute(f"SELECT id FROM dense CROSS APPLY "
+                            f"{detector}(frame) WHERE label = 'car';")
+        views = [session.view_store.get(name)
+                 for name in session.view_store.names()]
+        assert len(views) == 2
+        for view in views:
+            assert len(view.serialize()) <= view.serialized_bytes()
+
     def test_deserialized_view_rebuilds_the_estimate(self):
         view = MaterializedView("v", ["id"], ["label", "bbox"])
         for i in range(30):
@@ -277,33 +299,6 @@ class TestSerializedBytesEstimate:
         assert restored.serialized_bytes() == view.serialized_bytes()
 
 
-def jsonable(value):
-    """A key part or stored value as the byte estimate dumps it."""
-    if isinstance(value, BoundingBox):
-        return ["__bbox__", value.x1, value.y1, value.x2, value.y2]
-    if isinstance(value, tuple):
-        return ["__tuple__"] + [jsonable(v) for v in value]
-    return value
-
-
-def entry_json_bytes(key, rows) -> int:
-    """The accounting unit, entry at a time: ``len(json.dumps(.))`` of
-    the key and of every stored value (boxes and tuples tagged)."""
-    return len(json.dumps([jsonable(part) for part in key])) + sum(
-        len(json.dumps(jsonable(value)))
-        for row in rows for value in row.values())
-
-
-def payload_json_bytes(keys, columns) -> int:
-    """The reference count of a batch the view's arithmetic must equal:
-    one ``json.dumps`` of the flat list of its keys and stored values,
-    less the brackets and separators (two characters per item)."""
-    flat: list = [[jsonable(part) for part in key] for key in keys]
-    for values in columns.values():
-        flat.extend(map(jsonable, values))
-    return len(json.dumps(flat)) - 2 * len(flat) if flat else 0
-
-
 _coords = st.floats(allow_nan=False, allow_infinity=False, width=64)
 stored_values = st.one_of(
     st.text(max_size=8),  # any unicode: non-ASCII, quotes, backslashes
@@ -311,44 +306,6 @@ stored_values = st.one_of(
     _coords, st.integers(-2**40, 2**40), st.booleans(), st.none(),
     st.builds(BoundingBox, _coords, _coords, _coords, _coords),
     st.tuples(st.integers(0, 9), st.integers(0, 9)))
-view_keys = st.tuples(
-    st.integers(0, 5),
-    st.one_of(st.integers(0, 2), st.sampled_from(["a", "\u00e9"]),
-              st.tuples(st.integers(0, 1),
-                        st.tuples(st.integers(0, 1), st.integers(0, 1)))))
-view_entries = st.lists(
-    st.tuples(view_keys, st.lists(
-        st.fixed_dictionaries({"label": stored_values,
-                               "bbox": stored_values}), max_size=3)),
-    max_size=12)
-
-
-class TestBatchByteAccounting:
-    """One ``json.dumps`` per batch must total exactly what one per key
-    and per value did — ``view_store_mb`` is defined by that sum."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(resident=view_entries, offered=view_entries)
-    def test_batch_total_equals_per_entry_sum(self, resident, offered):
-        view = MaterializedView("v", ["id", "part"], ["label", "bbox"])
-        expected = 0
-        stored = {}
-        for key, rows in resident:
-            if view.put(key, rows):
-                stored[key] = rows
-                expected += entry_json_bytes(key, rows)
-        assert view._approx_payload_bytes == expected
-        flags = view.put_many(*column_batch(offered))
-        assert len(flags) == len(offered)
-        for (key, rows), was_new in zip(offered, flags):
-            # A key stored before, or earlier in this batch, is refused.
-            assert was_new == (key not in stored)
-            if was_new:
-                stored[key] = rows
-                expected += entry_json_bytes(key, rows)
-        assert view._approx_payload_bytes == expected
-        assert dict(view.items()) == {
-            key: tuple(rows) for key, rows in stored.items()}
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -414,73 +371,76 @@ def _key_array(keys, patch: bool):
     return np.array(ids, dtype=np.int64)
 
 
-class TestPayloadBytesOracle:
-    """The view counts a write's bytes from its key array and typed
-    columns, dumping nothing it can count; the count must equal the
-    reference dumps (:func:`payload_json_bytes`) of the inserted entries,
-    whatever the keys, the column types and the write path."""
+def codec_bytes(view) -> int:
+    """The sizes of the buffers ``view.batch().encode()`` writes, summed
+    from the header line of the payload."""
+    header = view.batch().encode().partition(b"\n")[0]
+    return sum(json.loads(header)["sizes"])
 
-    @settings(max_examples=200, deadline=None)
+
+def assert_codec_size(view) -> None:
+    assert view.serialized_bytes() == (
+        SERIALIZED_BASE_OVERHEAD
+        + int(SERIALIZED_COMPRESSION_FACTOR * codec_bytes(view)))
+
+
+class TestCodecByteCount:
+    """A view's size is counted from its typed columns and key form, and
+    must equal the codec's own buffers whatever the keys, the column
+    types and the write route: tuple keys, array keys, ``restore``, and
+    a durable store's WAL replay and snapshot restore."""
+
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data(), patch=st.booleans())
-    def test_count_equals_the_reference_dumps(self, data, patch):
-        view = MaterializedView(
-            "v", ["id", "bbox_key"] if patch else ["id"],
-            list(_ORACLE_COLUMNS))
+    def test_size_is_the_codec_buffers_on_every_route(self, data, patch):
+        name, key_columns = "mv::m@v", ["id", "bbox_key"] if patch else ["id"]
         batches = data.draw(st.lists(_oracle_batches(
             _any_patch_key if patch else _any_frame_key), max_size=4))
-        stored: set = set()
-        expected = 0
-        for keys, counts, columns in batches:
-            route = data.draw(st.sampled_from(["tuples", "array", "restore"]))
-            array = _key_array(keys, patch)
-            if route == "array" and array is not None:
-                view.put_many(array, counts, columns, patch_keys=patch)
-            elif route == "restore":
-                view.restore(ColumnBatch.decode(
-                    ColumnBatch(keys, counts, columns).encode()))
-            else:
-                view.put_many(keys, counts, columns)
-            fresh = list({key: index for index, key in reversed(list(
-                enumerate(keys))) if key not in stored}.values())
-            inserted = ColumnBatch(keys, counts, columns).select(
-                sorted(fresh))
-            expected += payload_json_bytes(inserted.keys, inserted.columns)
-            stored.update(inserted.keys)
-            assert view._approx_payload_bytes == expected
-        assert set(view.keys()) == stored
-
-    def test_count_never_dumps_typed_columns_or_array_keys(self,
-                                                           monkeypatch):
-        dumped = []
-        json_bytes = view_store._json_bytes
-        monkeypatch.setattr(view_store, "_json_bytes", lambda items: (
-            dumped.append(items) or json_bytes(items)))
-        view = MaterializedView("v", ["id", "bbox_key"], ["value", "bbox"])
-        keys = [(1, (0, 0, 4, 4)), (2, (1, 10, 5, 2047))]
-        columns = {"value": ["car", None, 'a "b"'],
-                   "bbox": [BoundingBox(0.5, -_INF, 1e16, _NAN),
-                            BoundingBox(0.0, 1.0, 2.0, 3.0),
-                            BoundingBox(1.0, 1.0, 2.0, 5e-324)]}
-        view.put_many(pack_key_tuples(keys), [2, 1], columns,
-                      patch_keys=True)
-        view.put_many([(3, (7, 7, 8, 8))], [1],
-                      {"value": ["bus"], "bbox": [columns["bbox"][0]]})
-        assert dumped == []
-        assert view._approx_payload_bytes == payload_json_bytes(
-            keys + [(3, (7, 7, 8, 8))],
-            {"value": columns["value"] + ["bus"],
-             "bbox": columns["bbox"] + [columns["bbox"][0]]})
+        with tempfile.TemporaryDirectory() as root:
+            store = DurableViewStore(root, partition_frames=1 << 18,
+                                     fsync_every=1 << 20)
+            view = store.create_or_get(name, key_columns,
+                                       list(_ORACLE_COLUMNS))
+            assert_codec_size(view)
+            # A restore is recovery's own route: neither logged nor
+            # snapshotted.
+            unlogged = False
+            for keys, counts, columns in batches:
+                route = data.draw(st.sampled_from(
+                    ["tuples", "array", "restore"]))
+                array = _key_array(keys, patch)
+                if route == "restore":
+                    view.restore(ColumnBatch.decode(
+                        ColumnBatch(keys, counts, columns).encode()))
+                    unlogged = True
+                elif route == "array" and array is not None:
+                    view.put_many(array, counts, columns, patch_keys=patch)
+                else:
+                    view.put_many(keys, counts, columns)
+                assert_codec_size(view)
+                if data.draw(st.booleans()):
+                    store.snapshot()
+            store.flush()  # crash: what the last snapshot missed is WAL
+            reopened = DurableViewStore(root)
+            replayed = reopened.get(name)
+            assert_codec_size(replayed)
+            if not unlogged:
+                assert set(replayed.keys()) == set(view.keys())
+                assert replayed.serialized_bytes() == view.serialized_bytes()
+            reopened.close()
 
 
 def _view_state(view) -> tuple:
     """Everything an append changes: keys, offsets, every column with its
-    types, the byte estimate and both array indexes."""
+    types, the byte count with the JSON lengths behind it, and both array
+    indexes."""
     frames = view._ordinal_of_frame
     patches = view._ordinal_of_patch
     return (list(view.keys()), view._offsets[:view.num_keys + 1].tolist(),
             {name: (type(column), _typed(column))
              for name, column in view._columns.items()},
-            view._approx_payload_bytes,
+            (view.serialized_bytes(), view._key_chars,
+             dict(view._json_chars)),
             None if frames is None else frames.tolist(),
             None if patches is None else dict(patches))
 
@@ -535,8 +495,7 @@ class TestAtomicRefusal:
         assert _view_state(view) == before
         assert view.put_many([fresh], [1], {"label": ["bus"],
                                             "bbox": [_BOX]}) == [True]
-        assert view._approx_payload_bytes == before[3] + payload_json_bytes(
-            [fresh], {"label": ["bus"], "bbox": [_BOX]})
+        assert_codec_size(view)
         assert view.get(fresh) == ({"label": "bus", "bbox": _BOX},)
 
     @pytest.mark.parametrize("patch", [False, True], ids=["frame", "patch"])
@@ -591,7 +550,7 @@ class TestArrayWrites:
         twin = MaterializedView("v", ["id", "bbox_key"], ["value"])
         twin.put_many(keys, [1, 1, 1], columns)
         assert twin.items() == view.items()
-        assert twin._approx_payload_bytes == view._approx_payload_bytes
+        assert twin.serialized_bytes() == view.serialized_bytes()
 
     def test_rejects_malformed_arrays(self):
         view = MaterializedView("v", ["id", "bbox_key"], ["value"])

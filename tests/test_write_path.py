@@ -1,8 +1,8 @@
 """The miss path writes views without JSON: a cold detector + patch
 classifier run hands ``put_many`` the frame-id and packed-key arrays it
-probed with, the view unpacks each array once, and the byte estimate is
-counted from those arrays and the typed columns — the JSON fallback of
-the count never runs."""
+probed with, the view unpacks each array once, and the byte count is
+read from the key arrays and the typed columns — the JSON fallback of
+the count (``json_chars``) never runs."""
 
 from __future__ import annotations
 
@@ -33,14 +33,14 @@ def test_cold_run_writes_arrays_and_dumps_nothing(monkeypatch):
     packed: list[int] = []
     unpacked: list[int] = []
     puts: list[tuple[str, type, int]] = []
-    json_bytes = view_store_module._json_bytes
+    json_chars = view_store_module.json_chars
     pack_key_tuples = view_store_module.pack_key_tuples
     unpack_patch_keys = view_store_module.unpack_patch_keys
     put_many = MaterializedView.put_many
 
-    def spy_json_bytes(items):
+    def spy_json_chars(items):
         dumped.append(items)
-        return json_bytes(items)
+        return json_chars(items)
 
     def spy_pack(keys):
         packed.append(len(keys))
@@ -54,7 +54,7 @@ def test_cold_run_writes_arrays_and_dumps_nothing(monkeypatch):
         puts.append((view.name, type(keys), len(keys)))
         return put_many(view, keys, *args, **kwargs)
 
-    monkeypatch.setattr(view_store_module, "_json_bytes", spy_json_bytes)
+    monkeypatch.setattr(view_store_module, "json_chars", spy_json_chars)
     monkeypatch.setattr(view_store_module, "pack_key_tuples", spy_pack)
     monkeypatch.setattr(classifier_module, "pack_key_tuples", spy_pack)
     monkeypatch.setattr(view_store_module, "unpack_patch_keys", spy_unpack)
