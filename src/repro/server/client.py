@@ -84,6 +84,11 @@ class ClientHandle:
 
     # -- introspection ---------------------------------------------------------
 
+    def clock_breakdown(self) -> dict:
+        """This client's virtual-clock breakdown (category -> seconds)."""
+        with self.checkout() as session:
+            return dict(session.clock.breakdown())
+
     def hit_percentage(self) -> float:
         """This client's own hit rate (its private metrics)."""
         return self._client.session.metrics.hit_percentage()

@@ -52,6 +52,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing.connection import Client as _ConnClient
 from multiprocessing.connection import Listener as _ConnListener
 from multiprocessing.connection import wait as _conn_wait
@@ -65,17 +66,20 @@ from repro.errors import (
     WorkerCrashedError,
 )
 from repro.server.batcher import BatcherSnapshot
+from repro.server.client import ClientHandle
+from repro.server.server import EvaServer
 from repro.server.shard import (
     PeerTable,
     ShardRouter,
     ShardedWorkerState,
-    decode_error,
-    encode_error,
-    handle_shard_request,
+    close_quietly,
+    dispatch,
     merge_store_snapshots,
+    round_trip,
+    serve,
 )
 from repro.server.stats import ServerStats, ServerStatsSnapshot, \
-    merged_metrics
+    merged_clock, merged_metrics
 from repro.types import QueryResult
 from repro.video.synthetic import SyntheticVideo
 
@@ -107,210 +111,110 @@ class WorkerSpec:
     default_timeout: float | None = None
 
 
-def _serve_client(internal, conn, client_id: str) -> None:
-    """Service loop for one client connection (one thread)."""
-    try:
-        handle = internal.connect(client_id)
-    except ServerError:
-        # Reconnect after a transient socket failure (or a parent-side
-        # retry): the session survives on the worker; re-issue a handle
-        # instead of refusing the known client id.
-        from repro.server.client import ClientHandle
+#: What the parent may call, over its control connection, on a worker's
+#: embedded :class:`WorkerServer` (target ``("server",)``).
+SERVER_METHODS = frozenset({
+    "set_peers", "register_video", "shutdown", "dump_views", "stats",
+    "aggregate_metrics", "clock_breakdown", "queue_depth", "clients",
+    "profile_snapshot", "batcher_snapshot", "slo_snapshot", "flight_stats",
+    "store_snapshot", "ledger_snapshot", "lineage_records", "trace_events",
+})
 
-        client = internal._clients.get(client_id)
-        if client is None:
-            raise
-        client.closed = False
-        handle = ClientHandle(internal, client)
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return
-            op, args = message[0], message[1:]
-            try:
-                if op == "query":
-                    sql, has_timeout, timeout = args
-                    if has_timeout:
-                        future = internal.submit(client_id, sql,
-                                                 timeout=timeout)
-                    else:
-                        future = internal.submit(client_id, sql)
-                    payload = future.result()
-                elif op == "clock":
-                    with handle.checkout() as session:
-                        payload = dict(session.clock.breakdown())
-                elif op == "hit_pct":
-                    payload = handle.hit_percentage()
-                elif op == "last_metrics":
-                    payload = handle.last_query_metrics()
-                elif op == "workload_time":
-                    payload = handle.workload_time()
-                elif op == "close":
-                    handle.close()
-                    conn.send(("ok", None))
-                    return
-                else:
-                    raise ServerError(f"unknown client op {op!r}")
-            except BaseException as error:  # noqa: BLE001 - ship to client
-                try:
-                    conn.send(encode_error(error))
-                except (OSError, ValueError):
-                    return
-                continue
-            try:
-                conn.send(("ok", payload))
-            except (OSError, ValueError):
-                return
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+#: What a client may call, over its connection, on its worker-side
+#: :class:`~repro.server.client.ClientHandle` (target ``("client",)``).
+CLIENT_METHODS = frozenset({
+    "execute", "clock_breakdown", "hit_percentage", "last_query_metrics",
+    "workload_time", "close",
+})
+
+SERVER = ("server",)
+CLIENT = ("client",)
 
 
-def _serve_peer(state, conn) -> None:
-    """Service loop for one peer worker connection (one thread)."""
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            try:
-                conn.close()
-            except OSError:
-                pass
-            return
-        method, args = message
-        try:
-            payload = handle_shard_request(state, method, args)
-            state.view_store.commit()  # what the request logged, fsynced
-        except BaseException as error:  # noqa: BLE001 - ship to peer
-            try:
-                conn.send(encode_error(error))
-            except (OSError, ValueError):
-                return
-            continue
-        try:
-            conn.send(("ok", payload))
-        except (OSError, ValueError):
-            return
+class WorkerServer(EvaServer):
+    """The :class:`EvaServer` embedded in one worker process, over its
+    :class:`~repro.server.shard.ShardedWorkerState`: the target of the
+    parent's control connection, adding what only a worker does."""
 
+    def set_peers(self, addresses: dict) -> None:
+        """Swap in the current ``worker id -> address`` map."""
+        self.state.peers.update(addresses)
 
-def _dump_views(state) -> dict:
-    """``{name: (key_columns, output_columns, sorted items)}`` for every
-    view in this worker's owned shards (content-equality testing)."""
-    dump = {}
-    for store in state.shard_stores.values():
-        for name in store.names():
-            view = store.base.get(name)
-            if view is None:
-                continue
-            dump[name] = (list(view.key_columns),
-                          list(view.output_columns),
-                          sorted(view.items()))
-    return dump
+    def dump_views(self) -> dict:
+        """``{name: (key_columns, output_columns, sorted items)}`` for
+        every view in this worker's owned shards (content equality)."""
+        dump = {}
+        for store in self.state.shard_stores.values():
+            for name in store.names():
+                view = store.base.get(name)
+                if view is not None:
+                    dump[name] = (list(view.key_columns),
+                                  list(view.output_columns),
+                                  sorted(view.items()))
+        return dump
 
-
-def _serve_control(state, internal, conn, stop: threading.Event) -> None:
-    """Service loop for the parent's control connection."""
-    while True:
+    def handle_for(self, client_id: str) -> ClientHandle:
+        """The handle a client connection serves.  A reconnect after a
+        transient socket failure (or a parent-side retry) finds the
+        session alive: re-issue a handle instead of refusing the known
+        client id."""
         try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        method, args = message
-        try:
-            payload = None
-            if method == "ping":
-                payload = os.getpid()
-            elif method == "init":
-                peers, videos = args
-                state.peers.update(peers, state.pool_authkey)
-                for metadata, seed in videos:
-                    internal.register_video(SyntheticVideo(metadata, seed))
-            elif method == "peers":
-                state.peers.update(args[0], state.pool_authkey)
-            elif method == "register_video":
-                metadata, seed = args
-                internal.register_video(SyntheticVideo(metadata, seed))
-            elif method == "stats":
-                payload = internal.stats()
-            elif method == "metrics":
-                payload = internal.aggregate_metrics()
-            elif method == "clock":
-                payload = dict(internal.aggregate_clock().breakdown())
-            elif method == "queue_depth":
-                payload = internal.queue_depth()
-            elif method == "clients":
-                payload = internal.clients()
-            elif method == "profile":
-                payload = state.profiler.snapshot()
-            elif method == "batcher":
-                payload = internal.batcher_snapshot()
-            elif method == "slo":
-                payload = internal.slo_snapshot()
-            elif method == "flight":
-                payload = internal.flight_stats()
-            elif method == "ledger":
-                payload = internal.ledger_snapshot()
-            elif method == "lineage":
-                payload = internal.lineage_records()
-            elif method == "trace":
-                payload = internal.trace_events(args[0])
-            elif method == "store":
-                payload = state.view_store.store_snapshot()
-            elif method == "dump_views":
-                payload = _dump_views(state)
-            elif method == "flush":
-                state.view_store.flush()
-            elif method == "shutdown":
-                internal.shutdown(drain=args[0])
-                conn.send(("ok", None))
-                stop.set()
-                return
-            else:
-                raise ServerError(f"unknown control method {method!r}")
-        except BaseException as error:  # noqa: BLE001 - ship to parent
-            try:
-                conn.send(encode_error(error))
-            except (OSError, ValueError):
-                return
-            continue
-        try:
-            conn.send(("ok", payload))
-        except (OSError, ValueError):
-            return
+            return self.connect(client_id)
+        except ServerError:
+            client = self._clients.get(client_id)
+            if client is None:
+                raise
+            client.closed = False
+            return ClientHandle(self, client)
 
 
 def worker_main(spec: WorkerSpec) -> None:
     """Entry point of one spawned worker process.
 
     Builds the sharded state (recovering owned shard partitions from
-    their WALs), embeds a full :class:`EvaServer` over it, then serves
+    their WALs), embeds a :class:`WorkerServer` over it, then serves
     connections: the first message on every connection is a hello tuple
     naming its role — ``("client", id)``, ``("peer",)`` or
-    ``("control",)`` — and each connection gets its own service thread.
+    ``("control",)`` — and each connection gets its own service thread
+    running :func:`~repro.server.shard.serve` against the one object
+    that role may call (the client's handle, this worker's shards, the
+    embedded server).
     """
     # Workers run with the plan cache off: cache validity keys on the
     # *fleet-wide* UDF-manager version, which would cost one RPC per
-    # owned-elsewhere signature per lookup — more than replanning these
-    # millisecond plans.  Plans are deterministic, so this cannot
-    # change results, only real seconds.
-    from repro.server.server import EvaServer
-
+    # worker per lookup — more than replanning these millisecond plans
+    # (so the sharded manager keeps no version at all).  Plans are
+    # deterministic, so this cannot change results, only real seconds.
     config = dataclasses.replace(spec.config, enable_plan_cache=False)
     zoo = spec.zoo_factory() if spec.zoo_factory is not None else None
-    peers = PeerTable(spec.worker_id)
     state = ShardedWorkerState(config, zoo, worker_id=spec.worker_id,
-                               peers=peers)
-    state.pool_authkey = spec.authkey
-    internal = EvaServer(
+                               peers=PeerTable(spec.worker_id, spec.authkey))
+    internal = WorkerServer(
         config, state=state, max_workers=spec.worker_threads,
         max_queue=config.worker_queue_depth,
         default_timeout=spec.default_timeout)
     internal.start()
     stop = threading.Event()
+
+    def serve_peer(conn) -> None:
+        serve(conn, state.serve_peer)
+
+    def serve_control(conn) -> None:
+        targets = {"server": (SERVER_METHODS, lambda: internal)}
+        if serve(conn, partial(dispatch, targets), final={"shutdown"}):
+            stop.set()
+
+    def serve_client(conn, client_id: str) -> None:
+        try:
+            handle = internal.handle_for(client_id)
+        except ServerError:
+            close_quietly(conn)
+            raise
+        targets = {"client": (CLIENT_METHODS, lambda: handle)}
+        serve(conn, partial(dispatch, targets), final={"close"})
+
+    roles = {"peer": serve_peer, "control": serve_control,
+             "client": serve_client}
     try:
         os.unlink(spec.address)
     except OSError:
@@ -327,22 +231,12 @@ def worker_main(spec: WorkerSpec) -> None:
                     return
                 continue
             try:
-                hello = conn.recv()
-            except (EOFError, OSError):
+                role, *hello = conn.recv()
+                serve_role = roles[role]
+            except (EOFError, OSError, KeyError, ValueError):
                 conn.close()
                 continue
-            role = hello[0]
-            if role == "client":
-                target, args = _serve_client, (internal, conn, hello[1])
-            elif role == "peer":
-                target, args = _serve_peer, (state, conn)
-            elif role == "control":
-                target, args = _serve_control, (state, internal, conn,
-                                                stop)
-            else:
-                conn.close()
-                continue
-            threading.Thread(target=target, args=args,
+            threading.Thread(target=serve_role, args=(conn, *hello),
                              daemon=True).start()
 
     acceptor = threading.Thread(target=accept_loop, daemon=True,
@@ -351,10 +245,7 @@ def worker_main(spec: WorkerSpec) -> None:
     # Park until the control connection's shutdown request, then break
     # the (blocking) accept by closing the listener and poking it.
     stop.wait()
-    try:
-        listener.close()
-    except OSError:
-        pass
+    close_quietly(listener)
     try:
         poke = _ConnClient(spec.address, authkey=spec.authkey)
         poke.close()
@@ -514,7 +405,7 @@ class PoolServer:
         self._clients: dict[int, int] = {}
         self._handles: dict[str, "PoolClientHandle"] = {}
         self._client_classes: dict[str, str] = {}
-        self._videos: list[tuple] = []
+        self._videos: list[SyntheticVideo] = []
         self._bulkheads: dict[str, threading.Semaphore] = {}
         self._breakers: dict[str, _Breaker] = {}
         self._next_client = 1
@@ -553,7 +444,7 @@ class PoolServer:
                                                    generation=0)
         peers = self._peer_map()
         for worker in self._workers.values():
-            self._control(worker, "init", peers, list(self._videos))
+            self._setup(worker, peers, list(self._videos))
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          daemon=True,
                                          name="eva-pool-monitor")
@@ -618,17 +509,21 @@ class PoolServer:
 
     def _control(self, worker: _Worker, method: str, *args):
         """One control round-trip to ``worker`` (serialized per worker)."""
+
+        def lost(error):
+            return WorkerCrashedError(
+                f"worker {worker.worker_id} control channel died: "
+                f"{error}")
+
         with worker.control_lock:
-            try:
-                worker.control.send((method, args))
-                reply = worker.control.recv()
-            except (EOFError, OSError, BrokenPipeError) as error:
-                raise WorkerCrashedError(
-                    f"worker {worker.worker_id} control channel died: "
-                    f"{error}") from error
-        if reply[0] == "ok":
-            return reply[1]
-        raise decode_error(reply[1], reply[2], reply[3])
+            return round_trip(lambda: worker.control,
+                              (SERVER, method, args), lost)
+
+    def _setup(self, worker: _Worker, peers: dict, videos: list) -> None:
+        """Hand a (re)spawned worker the peer map and every video."""
+        self._control(worker, "set_peers", peers)
+        for video in videos:
+            self._control(worker, "register_video", video)
 
     def _each_worker(self, method: str, *args) -> list:
         """The control call fanned out to every live worker."""
@@ -684,10 +579,7 @@ class PoolServer:
             if old is None or old.process.is_alive():
                 return
             generation = old.generation + 1
-        try:
-            old.control.close()
-        except OSError:
-            pass
+        close_quietly(old.control)
         old.process.join(timeout=5)
         replacement = self._spawn(worker_id, generation)
         with self._lock:
@@ -699,12 +591,12 @@ class PoolServer:
                       if w.worker_id != worker_id]
             videos = list(self._videos)
         # The replacement recovers its shard partitions from their WALs
-        # inside _spawn (state build precedes the listener); init hands
+        # inside _spawn (state build precedes the listener); _setup hands
         # it the current peer map and the video registry.
-        self._control(replacement, "init", peers, videos)
+        self._setup(replacement, peers, videos)
         for worker in others:
             try:
-                self._control(worker, "peers", peers)
+                self._control(worker, "set_peers", peers)
             except WorkerCrashedError:
                 continue  # the monitor will pick that one up too
 
@@ -724,7 +616,7 @@ class PoolServer:
                 current = self._workers[worker_id]
             if current.generation > generation:
                 try:
-                    self._control(current, "ping")
+                    self._control(current, "clients")  # it answers
                     return
                 except WorkerCrashedError:
                     pass
@@ -740,11 +632,10 @@ class PoolServer:
 
     def register_video(self, video: SyntheticVideo) -> None:
         """Register a video on every worker (and for respawn replay)."""
-        spec = (video.metadata, video.seed)
         with self._lock:
-            self._videos.append(spec)
+            self._videos.append(video)
         self._catalog.register_video(video)
-        self._each_worker("register_video", *spec)
+        self._each_worker("register_video", video)
 
     # -- clients ---------------------------------------------------------------
 
@@ -859,27 +750,20 @@ class PoolServer:
 
     def aggregate_metrics(self):
         """One MetricsCollector over every client on every worker."""
-        return merged_metrics(self._each_worker("metrics"))
+        return merged_metrics(self._each_worker("aggregate_metrics"))
 
     def hit_percentage(self) -> float:
         return self.aggregate_metrics().hit_percentage()
 
     def aggregate_clock(self):
         """One clock totalling virtual time across the whole fleet."""
-        from repro.clock import SimulationClock
-
-        total = SimulationClock()
-        for breakdown in self._each_worker("clock"):
-            for category, seconds in breakdown.items():
-                if seconds > 0:
-                    total.charge(category, seconds)
-        return total
+        return merged_clock(self._each_worker("clock_breakdown"))
 
     def profile_snapshot(self):
         from repro.obs.profiler import ProfileStore
 
         merged = ProfileStore()
-        for snapshot in self._each_worker("profile"):
+        for snapshot in self._each_worker("profile_snapshot"):
             merged.merge(snapshot)
         return merged.snapshot()
 
@@ -895,41 +779,37 @@ class PoolServer:
         )
 
     def batcher_snapshot(self) -> BatcherSnapshot:
-        return BatcherSnapshot.merge(self._each_worker("batcher"))
+        return BatcherSnapshot.merge(self._each_worker("batcher_snapshot"))
 
     def slo_snapshot(self):
         from repro.obs.slo import SloSnapshot
 
-        return SloSnapshot.merge(self._each_worker("slo"))
+        return SloSnapshot.merge(self._each_worker("slo_snapshot"))
 
     def flight_stats(self) -> dict:
         from repro.obs.flight import FlightStats
 
-        return FlightStats.merge_snapshots(self._each_worker("flight"))
+        return FlightStats.merge_snapshots(self._each_worker("flight_stats"))
 
     def store_snapshot(self):
-        return merge_store_snapshots(self._each_worker("store"),
+        return merge_store_snapshots(self._each_worker("store_snapshot"),
                                      path=str(self.config.store_path))
 
     def ledger_snapshot(self) -> list[dict]:
-        return merge_ledger_snapshots(self._each_worker("ledger"))
+        return merge_ledger_snapshots(self._each_worker("ledger_snapshot"))
 
     def lineage_records(self) -> list[dict]:
-        return merge_lineage_records(self._each_worker("lineage"))
+        return merge_lineage_records(self._each_worker("lineage_records"))
 
     def trace_events(self, type: str | None = None) -> list[dict]:
-        events: list[dict] = []
-        for chunk in self._each_worker("trace", type):
-            events.extend(chunk)
-        return events
+        return [event for chunk in self._each_worker("trace_events", type)
+                for event in chunk]
 
     def dump_views(self) -> dict:
         """Fleet-wide ``{view: (key_cols, out_cols, sorted items)}``
         (shards are disjoint, so per-worker dumps union cleanly)."""
-        dump: dict = {}
-        for chunk in self._each_worker("dump_views"):
-            dump.update(chunk)
-        return dump
+        return {name: view for chunk in self._each_worker("dump_views")
+                for name, view in chunk.items()}
 
     def prometheus_text(self) -> str:
         """The Prometheus exposition for the whole fleet, assembled
@@ -970,10 +850,7 @@ class PoolServer:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=2)
-            try:
-                worker.control.close()
-            except OSError:
-                pass
+            close_quietly(worker.control)
         if self._monitor is not None:
             self._monitor.join(timeout=2)
         shutil.rmtree(self._socket_dir, ignore_errors=True)
@@ -989,9 +866,9 @@ class PoolClientHandle:
     execute / introspection / close); ``checkout`` is necessarily
     absent — the session lives in the worker process — so the
     introspection a driver actually needs (clock breakdown, hit rate,
-    last metrics, workload time) is exposed as explicit RPCs instead.
-    On a worker crash the next call reconnects to the respawned
-    replacement.
+    last metrics, workload time) forwards to the same-named methods of
+    the worker-side handle instead.  On a worker crash the next call
+    reconnects to the respawned replacement.
     """
 
     def __init__(self, server: PoolServer, client_id: str,
@@ -1009,37 +886,28 @@ class PoolClientHandle:
     def _ensure_conn(self):
         address, generation = self._server._worker_address(self.worker_id)
         if self._conn is None or generation != self._generation:
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except OSError:
-                    pass
+            self._drop_conn()
             conn = _ConnClient(address, authkey=self._server._authkey)
             conn.send(("client", self.client_id))
             self._conn = conn
             self._generation = generation
         return self._conn
 
-    def _rpc(self, op: str, *args):
+    def _drop_conn(self) -> None:
+        close_quietly(self._conn)
+        self._conn = None
+
+    def _rpc(self, method: str, *args):
+        def lost(error):
+            self._drop_conn()
+            return WorkerCrashedError(
+                f"worker {self.worker_id} died serving "
+                f"{self.client_id!r} ({method}); it will be respawned "
+                f"and its shards recovered")
+
         with self._lock:
-            try:
-                conn = self._ensure_conn()
-                conn.send((op,) + args)
-                reply = conn.recv()
-            except (EOFError, OSError, BrokenPipeError) as error:
-                if self._conn is not None:
-                    try:
-                        self._conn.close()
-                    except OSError:
-                        pass
-                    self._conn = None
-                raise WorkerCrashedError(
-                    f"worker {self.worker_id} died serving "
-                    f"{self.client_id!r} ({op}); it will be respawned "
-                    f"and its shards recovered") from error
-        if reply[0] == "ok":
-            return reply[1]
-        raise decode_error(reply[1], reply[2], reply[3])
+            return round_trip(self._ensure_conn, (CLIENT, method, args),
+                              lost)
 
     # -- query paths -----------------------------------------------------------
 
@@ -1058,13 +926,12 @@ class PoolClientHandle:
         client_class = self._server._client_classes.get(
             self.client_id, DEFAULT_CLASS)
         release = self._server._admit(self.client_id, client_class)
-        has_timeout = timeout is not _DEFAULT
+        args = (sql,) if timeout is _DEFAULT else (sql, timeout)
 
         def run() -> QueryResult:
             error: BaseException | None = None
             try:
-                return self._rpc("query", sql, has_timeout,
-                                 timeout if has_timeout else None)
+                return self._rpc("execute", *args)
             except BaseException as exc:  # noqa: BLE001 - classified below
                 error = exc
                 raise
@@ -1086,13 +953,13 @@ class PoolClientHandle:
 
     def clock_breakdown(self) -> dict:
         """This client's virtual-clock breakdown (category -> seconds)."""
-        return self._rpc("clock")
+        return self._rpc("clock_breakdown")
 
     def hit_percentage(self) -> float:
-        return self._rpc("hit_pct")
+        return self._rpc("hit_percentage")
 
     def last_query_metrics(self):
-        return self._rpc("last_metrics")
+        return self._rpc("last_query_metrics")
 
     def workload_time(self) -> float:
         return self._rpc("workload_time")
@@ -1108,12 +975,7 @@ class PoolClientHandle:
         except (WorkerCrashedError, ServerError):
             pass
         with self._lock:
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except OSError:
-                    pass
-                self._conn = None
+            self._drop_conn()
         self._server.disconnect(self.client_id)
 
     def __enter__(self) -> "PoolClientHandle":

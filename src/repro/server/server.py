@@ -47,7 +47,7 @@ from repro.obs.sinks import InMemorySink, TraceSink
 from repro.server.client import ClientHandle
 from repro.server.state import SharedReuseState
 from repro.server.stats import ServerStats, ServerStatsSnapshot, \
-    merged_metrics
+    merged_clock, merged_metrics
 from repro.session import EvaSession
 from repro.types import QueryResult
 from repro.video.synthetic import SyntheticVideo
@@ -347,16 +347,14 @@ class EvaServer:
 
     def aggregate_clock(self):
         """One clock totalling virtual time across every client."""
-        from repro.clock import SimulationClock
-
         with self._lock:
             clocks = [c.session.clock for c in self._clients.values()]
-        total = SimulationClock()
-        for clock in clocks:
-            for category, seconds in clock.breakdown().items():
-                if seconds > 0:
-                    total.charge(category, seconds)
-        return total
+        return merged_clock(clock.breakdown() for clock in clocks)
+
+    def clock_breakdown(self) -> dict:
+        """:meth:`aggregate_clock`'s category -> seconds breakdown (a
+        clock holds a lock; its breakdown can travel)."""
+        return dict(self.aggregate_clock().breakdown())
 
     def profile_snapshot(self):
         """Point-in-time snapshot of the *shared* continuous profiler.
@@ -403,6 +401,10 @@ class EvaServer:
         seconds, dominant-stage and over-SLO attribution counts)."""
         return self.state.flight_stats.snapshot()
 
+    def store_snapshot(self):
+        """Durable-store health, or None over a memory-backed store."""
+        return self.state.view_store.store_snapshot()
+
     def ledger_snapshot(self) -> list[dict]:
         """Per-view lineage gauges from the shared provenance ledger
         (:meth:`~repro.obs.lineage.ViewLedger.snapshot`); empty when
@@ -432,7 +434,7 @@ class EvaServer:
             profile=self.profile_snapshot(),
             drift=self.drift_report(),
             batcher=self.batcher_snapshot(),
-            store=self.state.view_store.store_snapshot(),
+            store=self.store_snapshot(),
             flight=self.flight_stats(),
             slo=self.slo_snapshot(),
             views=self.ledger_snapshot(),

@@ -25,14 +25,18 @@ restarts.  Shards map to workers modularly (``shard % workers``) —
 with ``shards >= workers`` every worker owns at least one shard and
 ownership is trivially recomputable after a respawn.
 
-Cross-process access goes over a lightweight message protocol
-(:func:`encode_error` / :func:`decode_error`, :class:`ShardClient`)
-speaking pickled tuples on ``multiprocessing.connection`` sockets:
-requests are ``(method, args)``; replies are ``("ok", payload)`` or
-``("err", class_name, message, extra)``.  The remote proxies
-(:class:`RemoteViewHandle`, :class:`ShardedUdfManager`,
-:class:`ShardedInference`) preserve the single-process semantics
-*exactly*:
+Cross-process access follows one rule: a request is ``(target, method,
+args)`` pickled over an authkey'd ``multiprocessing.connection`` socket,
+and ``method`` names a method of the object the connection's owner
+already holds.  The owner resolves ``target`` (a view's
+``for_client(prober)`` handle, a signature's :class:`LockedUdfManager`,
+a local-shards facade), checks ``method`` against that kind's
+allow-list (:data:`PEER_METHODS`), calls it, and replies
+``("ok", payload)`` or ``("err", class_name, message, extra)``
+(:func:`dispatch`, :func:`serve`; :func:`round_trip` is the caller's
+half).  The remote proxies (:class:`RemoteViewHandle`,
+:class:`ShardedUdfManager`, :class:`ShardedInference`) are forwarders
+that preserve the single-process semantics *exactly*:
 
 * every view probe executes on the owner through
   ``for_client(prober)``, so hit attribution (prober, owner) and lock
@@ -57,7 +61,8 @@ import time
 from dataclasses import replace
 from itertools import compress
 from multiprocessing.connection import Client as _ConnClient
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import (Callable, Container, Hashable, Iterable, Mapping,
+                    Sequence)
 
 import numpy as np
 
@@ -180,7 +185,36 @@ class ShardRouter:
                 if self.worker_of_shard(s) == worker]
 
 
-# -- message protocol ----------------------------------------------------------
+# -- the one RPC rule ----------------------------------------------------------
+
+#: How a lost connection surfaces in transit: end of stream, or a socket
+#: error (``BrokenPipeError`` and ``ConnectionResetError`` included).
+TRANSPORT_ERRORS = (EOFError, OSError)
+
+#: Peer target kind -> what another worker may call on it: exactly what
+#: the proxies below call through that kind, nothing else.
+#:
+#: * ``("view", name, prober)`` -- the owning shard's
+#:   ``for_client(prober)`` handle of the view (a ``ClientViewHandle``);
+#: * ``("udf", signature_key)`` -- the owning shard's
+#:   :class:`LockedUdfManager`;
+#: * ``("views",)`` / ``("udfs",)`` -- this worker's local-shards facades
+#:   (:class:`ShardedViewStore`, :class:`ShardedUdfManager`), which also
+#:   answer a remote ``create_or_get`` / ``get`` with view metadata;
+#: * ``("inference",)`` -- this worker's :class:`ShardedInference`.
+PEER_METHODS = {
+    "view": frozenset({"get", "get_many", "put_many", "keys_with_prefix",
+                       "serialized_bytes"}),
+    "udf": frozenset({"history", "known", "intersection_with_history",
+                      "difference_with_history", "record_execution"}),
+    "views": frozenset({"create_or_get_meta", "get_meta",
+                        "total_serialized_bytes", "view_bytes",
+                        "log_lineage"}),
+    "udfs": frozenset({"owned_histories"}),
+    "inference": frozenset({"submit_remote"}),
+}
+
+VIEWS = ("views",)
 
 
 def encode_error(error: BaseException) -> tuple:
@@ -216,6 +250,79 @@ def decode_error(class_name: str, message: str,
     return cls(message)
 
 
+def close_quietly(conn) -> None:
+    """Close a connection (or listener) whose other end may be gone."""
+    if conn is not None:
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+
+def dispatch(targets: Mapping[str, tuple], target: tuple, method: str,
+             args: tuple):
+    """The owner side of the rule: call ``method`` on what ``target`` names.
+
+    ``targets`` maps a target kind to ``(allow-list, resolver)``; the
+    resolver finds the object from the rest of the ``target`` tuple.
+    ``method`` is checked against the allow-list *before* the target is
+    resolved or any attribute looked up, so an unlisted, private or
+    dunder name is refused with :class:`ServerError` and touches nothing.
+    """
+    kind, *where = target
+    allowed, resolve = targets.get(kind, (frozenset(), None))
+    if method not in allowed:
+        raise ServerError(f"{method!r} is not served on {kind!r} targets")
+    return getattr(resolve(*where), method)(*args)
+
+
+def serve(conn, handle: Callable, *, final: Container[str] = ()) -> bool:
+    """The one service loop: answer ``(target, method, args)`` requests.
+
+    Replies ``("ok", handle(target, method, args))`` or
+    :func:`encode_error` of what it raised, until the connection closes
+    (returns False) or a ``final`` method succeeds (returns True, after
+    its reply went out).  Closes ``conn`` either way.
+    """
+    try:
+        while True:
+            try:
+                target, method, args = conn.recv()
+            except TRANSPORT_ERRORS:
+                return False
+            try:
+                reply = ("ok", handle(target, method, args))
+            except BaseException as error:  # noqa: BLE001 - ship to caller
+                reply = encode_error(error)
+            try:
+                conn.send(reply)
+            except (OSError, ValueError):
+                return False
+            if reply[0] == "ok" and method in final:
+                return True
+    finally:
+        close_quietly(conn)
+
+
+def round_trip(connect: Callable, request: tuple, lost: Callable):
+    """The caller side of the rule: one request, its payload back.
+
+    ``connect()`` returns the connection to send on; a transport failure
+    there or in transit raises ``lost(error)`` (each caller drops its
+    own connection and names its own :class:`WorkerCrashedError`).  An
+    ``err`` reply re-raises the owner's error locally.
+    """
+    try:
+        conn = connect()
+        conn.send(request)
+        reply = conn.recv()
+    except TRANSPORT_ERRORS as error:
+        raise lost(error) from error
+    if reply[0] == "ok":
+        return reply[1]
+    raise decode_error(*reply[1:])
+
+
 class ShardClient:
     """Thread-safe RPC stub to one peer worker's listener.
 
@@ -241,32 +348,23 @@ class ShardClient:
             self._local.conn = conn
         return conn
 
-    def call(self, method: str, *args):
+    def call(self, target: tuple, method: str, *args):
         if self._closed:
             raise WorkerCrashedError(
                 f"peer at {self.address!r} is gone (worker respawned "
                 f"or pool shutting down)")
-        try:
-            conn = self._connection()
-            conn.send((method, args))
-            reply = conn.recv()
-        except (EOFError, OSError, BrokenPipeError) as error:
+
+        def lost(error):
             self._drop_connection()
-            raise WorkerCrashedError(
+            return WorkerCrashedError(
                 f"peer at {self.address!r} died mid-call "
-                f"({method}): {error}") from error
-        if reply[0] == "ok":
-            return reply[1]
-        raise decode_error(reply[1], reply[2], reply[3])
+                f"({method}): {error}")
+
+        return round_trip(self._connection, (target, method, args), lost)
 
     def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            self._local.conn = None
-            try:
-                conn.close()
-            except OSError:
-                pass
+        close_quietly(getattr(self._local, "conn", None))
+        self._local.conn = None
 
     def close(self) -> None:
         self._closed = True
@@ -283,12 +381,13 @@ class PeerTable:
     replacement process.
     """
 
-    def __init__(self, self_id: int):
+    def __init__(self, self_id: int, authkey: bytes = b""):
         self.self_id = self_id
+        self._authkey = authkey
         self._lock = threading.Lock()
         self._clients: dict[int, ShardClient] = {}
 
-    def update(self, addresses: dict, authkey: bytes) -> None:
+    def update(self, addresses: dict) -> None:
         with self._lock:
             stale = []
             for worker_id, address in addresses.items():
@@ -299,7 +398,8 @@ class PeerTable:
                     continue
                 if current is not None:
                     stale.append(current)
-                self._clients[worker_id] = ShardClient(address, authkey)
+                self._clients[worker_id] = ShardClient(address,
+                                                       self._authkey)
             for client in stale:
                 client.close()
 
@@ -327,12 +427,13 @@ class RemoteViewHandle:
     """Duck-types :class:`~repro.server.state.ClientViewHandle` for a
     view owned by another worker process.
 
-    Every data operation is one RPC executed on the owner through the
-    owner's ``for_client(<prober>)`` facade, so lock accounting, hit
-    attribution, and materialization ownership are recorded exactly as
-    if the prober ran in the owner's process.  Rows are **never**
-    cached here — each probe must reach the owner or the owner's stats
-    would undercount hits relative to the single-process server.
+    Each method forwards to the same method of the owner's
+    ``for_client(<prober>)`` handle (target ``("view", name, prober)``),
+    so lock accounting, hit attribution, and materialization ownership
+    are recorded exactly as if the prober ran in the owner's process.
+    Rows are **never** cached here — each probe must reach the owner or
+    the owner's stats would undercount hits relative to the
+    single-process server.
 
     Lineage hooks fire locally (the prober's thread-local query
     lineage), mirroring the calls ``MaterializedView`` makes; the
@@ -340,44 +441,23 @@ class RemoteViewHandle:
     context, so nothing double-counts.
     """
 
-    __slots__ = ("_peer", "_name", "_client_id", "_key_columns",
-                 "_output_columns")
+    __slots__ = ("_peer", "_target", "name", "key_columns",
+                 "output_columns")
 
     def __init__(self, peer: ShardClient, name: str, client_id: str,
                  key_columns: list[str], output_columns: list[str]):
         self._peer = peer
-        self._name = name
-        self._client_id = client_id
-        self._key_columns = key_columns
-        self._output_columns = output_columns
+        self._target = ("view", name, client_id)
+        self.name = name
+        self.key_columns = key_columns
+        self.output_columns = output_columns
 
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def key_columns(self) -> list[str]:
-        return self._key_columns
-
-    @property
-    def output_columns(self) -> list[str]:
-        return self._output_columns
-
-    @property
-    def num_keys(self) -> int:
-        return self._peer.call("view_counts", self._name)[0]
-
-    @property
-    def num_output_rows(self) -> int:
-        return self._peer.call("view_counts", self._name)[1]
-
-    def __contains__(self, key: Key) -> bool:
-        return self._peer.call("view_contains_key", self._name, key)
+    def _call(self, method: str, *args):
+        return self._peer.call(self._target, method, *args)
 
     def get(self, key: Key) -> tuple[dict, ...] | None:
-        rows = self._peer.call("view_get", self._name, self._client_id,
-                               key)
-        record_view_probe(self._name, rows)
+        rows = self._call("get", key)
+        record_view_probe(self.name, rows)
         return rows
 
     def get_many(self, keys: Iterable[Key] | np.ndarray) -> ViewHits:
@@ -385,24 +465,18 @@ class RemoteViewHandle:
         # scalars it would reach the owner as key-less probes.
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
-        hits = self._peer.call("view_get_many", self._name,
-                               self._client_id, keys)
-        record_view_probe_many(self._name, hits)
+        hits = self._call("get_many", keys)
+        record_view_probe_many(self.name, hits)
         return hits
 
-    def keys(self) -> list[Key]:
-        return self._peer.call("view_keys", self._name)
-
     def keys_with_prefix(self, first_component: Hashable) -> list[Key]:
-        return self._peer.call("view_keys_with_prefix", self._name,
-                               first_component)
+        return self._call("keys_with_prefix", first_component)
 
     def serialized_bytes(self) -> int:
-        return self._peer.call("store_view_bytes",
-                               [self._name]).get(self._name, 0)
+        return self._call("serialized_bytes")
 
     def put(self, key: Key, rows: Iterable[Mapping]) -> bool:
-        return self.put_many(*one_entry(key, rows, self._output_columns))[0]
+        return self.put_many(*one_entry(key, rows, self.output_columns))[0]
 
     def put_many(self, keys: list[Key] | np.ndarray, counts: list[int],
                  columns: Mapping[str, list],
@@ -410,16 +484,16 @@ class RemoteViewHandle:
         # An array of keys travels as an array, as in ``get_many``.
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
-        inserted = self._peer.call(
-            "view_put_many", self._name, self._client_id, keys,
-            list(counts), {col: list(columns[col])
-                           for col in self._output_columns}, patch_keys)
+        inserted = self._call(
+            "put_many", keys, list(counts),
+            {col: list(columns[col]) for col in self.output_columns},
+            patch_keys)
         if isinstance(keys, np.ndarray):
             fresh = array_key_tuples(
                 keys[np.array(inserted, dtype=bool)], patch_keys)
         else:
             fresh = list(compress(keys, inserted))
-        record_view_write(self._name, fresh, sum(compress(counts, inserted)))
+        record_view_write(self.name, fresh, sum(compress(counts, inserted)))
         return inserted
 
 
@@ -429,90 +503,51 @@ class ShardedClientViewStore:
     Duck-types :class:`~repro.server.state.ClientViewStore`: names are
     routed by shard key — locally-owned views resolve through the
     local shard's attributed facade, remote ones through
-    :class:`RemoteViewHandle` RPC proxies.  Aggregates (``names``,
-    ``total_serialized_bytes``) span every worker, matching what a
-    single-process client would see.
+    :class:`RemoteViewHandle` RPC proxies.  Aggregates span every
+    worker, matching what a single-process client would see.
     """
 
     def __init__(self, state: "ShardedWorkerState", client_id: str):
         self.state = state
         self.client_id = client_id
 
-    def _local_store(self, name: str) -> SharedViewStore | None:
-        shard = self.state.router.shard_of(shard_key_for_view(name))
-        return self.state.shard_stores.get(shard)
-
-    def _peer_for(self, name: str) -> ShardClient:
-        worker = self.state.router.worker_of(shard_key_for_view(name))
-        return self.state.peers.client(worker)
+    def _remote(self, name: str, meta: tuple | None):
+        if meta is None:
+            return None
+        return RemoteViewHandle(self.state.peer_of_view(name), name,
+                                self.client_id, *meta)
 
     def create_or_get(self, name: str, key_columns: list[str],
                       output_columns: list[str]):
-        store = self._local_store(name)
+        store = self.state.local_store(name)
         if store is not None:
             return store.for_client(self.client_id).create_or_get(
                 name, key_columns, output_columns)
-        created, key_columns, output_columns = self._peer_for(name).call(
-            "view_create_or_get", name, list(key_columns),
+        created, *meta = self.state.peer_of_view(name).call(
+            VIEWS, "create_or_get_meta", name, list(key_columns),
             list(output_columns))
         if created:
             record_view_create(name)
-        return RemoteViewHandle(self._peer_for(name), name,
-                                self.client_id, key_columns,
-                                output_columns)
+        return self._remote(name, meta)
 
     def get(self, name: str):
-        store = self._local_store(name)
+        store = self.state.local_store(name)
         if store is not None:
             return store.for_client(self.client_id).get(name)
-        meta = self._peer_for(name).call("view_meta", name)
-        if meta is None:
-            return None
-        key_columns, output_columns = meta
-        return RemoteViewHandle(self._peer_for(name), name,
-                                self.client_id, key_columns,
-                                output_columns)
-
-    def __contains__(self, name: str) -> bool:
-        store = self._local_store(name)
-        if store is not None:
-            return name in store
-        return self._peer_for(name).call("store_contains", name)
-
-    def names(self) -> list[str]:
-        return self.state.all_view_names()
+        return self._remote(name, self.state.peer_of_view(name).call(
+            VIEWS, "get_meta", name))
 
     def total_serialized_bytes(self) -> int:
-        total = self.state.view_store.total_serialized_bytes()
-        for worker_id in self.state.other_workers():
-            total += self.state.peers.client(worker_id).call(
-                "store_total_bytes")
-        return total
+        return sum(self.state.on_each_worker(VIEWS,
+                                             "total_serialized_bytes"))
 
     def view_bytes(self, names) -> dict:
         result: dict[str, int] = {}
-        remote: dict[int, list[str]] = {}
-        for name in names:
-            store = self._local_store(name)
-            if store is not None:
-                result.update(store.base.view_bytes([name]))
-            else:
-                worker = self.state.router.worker_of(
-                    shard_key_for_view(name))
-                remote.setdefault(worker, []).append(name)
-        for worker, group in remote.items():
-            result.update(self.state.peers.client(worker).call(
-                "store_view_bytes", group))
+        groups = self.state.by_worker(names, lambda name: name)
+        for worker, group in groups.items():
+            result.update(self.state.on_worker(worker, VIEWS, "view_bytes",
+                                               group))
         return result
-
-    def drop(self, name: str, *, reason: str = "drop") -> int:
-        store = self._local_store(name)
-        if store is not None:
-            return store.drop(name, reason=reason)
-        return self._peer_for(name).call("store_drop", name, reason)
-
-    def drop_all(self) -> int:
-        return sum(self.drop(name) for name in self.names())
 
     def save_to(self, directory) -> int:
         # Administrative export of the *local* shards only; the pool
@@ -525,23 +560,11 @@ class ShardedClientViewStore:
 
     def log_lineage(self, records) -> None:
         """Route lineage records to the shard store owning each view."""
-        remote: dict[int, list] = {}
-        for record in records:
-            if record is None:
-                continue
-            name = record.get("view")
-            if name is None:
-                continue
-            store = self._local_store(name)
-            if store is not None:
-                store.base.log_lineage([record])
-            else:
-                worker = self.state.router.worker_of(
-                    shard_key_for_view(name))
-                remote.setdefault(worker, []).append(record)
-        for worker, group in remote.items():
-            self.state.peers.client(worker).call("store_log_lineage",
-                                                 group)
+        records = [record for record in records
+                   if record is not None and record.get("view") is not None]
+        for worker, group in self.state.by_worker(
+                records, lambda record: record["view"]).items():
+            self.state.on_worker(worker, VIEWS, "log_lineage", group)
 
     def commit(self) -> None:
         self.state.view_store.commit()  # peers commit before replying
@@ -551,10 +574,10 @@ class ShardedViewStore:
     """Worker-level facade over this process's *owned* shard stores.
 
     Duck-types the :class:`~repro.server.state.SharedViewStore` surface
-    the embedded :class:`~repro.server.server.EvaServer` consumes.
-    Everything here is local-shards-only — the pool front-end merges
-    per-worker figures into fleet totals, and summing pre-merged fleet
-    numbers would double-count.
+    the embedded :class:`~repro.server.server.EvaServer` consumes, and
+    is the ``("views",)`` peer target.  Everything here is
+    local-shards-only — callers merge per-worker figures into fleet
+    totals, and summing pre-merged fleet numbers would double-count.
     """
 
     def __init__(self, state: "ShardedWorkerState"):
@@ -567,12 +590,24 @@ class ShardedViewStore:
     def for_client(self, client_id: str) -> ShardedClientViewStore:
         return ShardedClientViewStore(self.state, client_id)
 
-    def owner_of(self, view_name: str, key: Key) -> str | None:
-        store = self.state.shard_stores.get(
-            self.state.router.shard_of(shard_key_for_view(view_name)))
-        if store is None:
+    def create_or_get_meta(self, name: str, key_columns: list[str],
+                           output_columns: list[str]) -> tuple:
+        """A peer's ``create_or_get``, answered with the view's metadata
+        ``(created, key_columns, output_columns)``: a handle holds locks
+        and cannot travel, so the prober wraps this in a
+        :class:`RemoteViewHandle`."""
+        store = self.state.owned_store(name)
+        existed = name in store
+        view = store.base.create_or_get(name, key_columns, output_columns)
+        return (not existed, list(view.key_columns),
+                list(view.output_columns))
+
+    def get_meta(self, name: str) -> tuple | None:
+        """A peer's ``get``: ``(key_columns, output_columns)``, or None."""
+        view = self.state.owned_store(name).base.get(name)
+        if view is None:
             return None
-        return store.owner_of(view_name, key)
+        return (list(view.key_columns), list(view.output_columns))
 
     def names(self) -> list[str]:
         names: list[str] = []
@@ -580,25 +615,26 @@ class ShardedViewStore:
             names.extend(store.names())
         return sorted(names)
 
-    def __contains__(self, name: str) -> bool:
-        store = self.state.shard_stores.get(
-            self.state.router.shard_of(shard_key_for_view(name)))
-        return store is not None and name in store
-
     def total_serialized_bytes(self) -> int:
         return sum(store.total_serialized_bytes()
                    for store in self.state.shard_stores.values())
 
-    def drop(self, name: str, *, reason: str = "drop") -> int:
-        store = self.state.shard_stores.get(
-            self.state.router.shard_of(shard_key_for_view(name)))
-        if store is None:
-            return 0
-        return store.drop(name, reason=reason)
+    def view_bytes(self, names) -> dict:
+        """Sizes of the named views this worker owns (others skipped)."""
+        result: dict[str, int] = {}
+        for name in names:
+            store = self.state.local_store(name)
+            if store is not None:
+                result.update(store.base.view_bytes([name]))
+        return result
 
-    def drop_all(self) -> int:
-        return sum(store.drop_all()
-                   for store in self.state.shard_stores.values())
+    def log_lineage(self, records) -> None:
+        """Log each record to the owned shard of its view (others
+        skipped)."""
+        for record in records:
+            store = self.state.local_store(record["view"])
+            if store is not None:
+                store.base.log_lineage([record])
 
     def save_to(self, directory) -> int:
         import pathlib
@@ -608,10 +644,6 @@ class ShardedViewStore:
             total += store.save_to(
                 pathlib.Path(directory) / f"shard-{shard}")
         return total
-
-    def flush(self) -> None:
-        for store in self.state.shard_stores.values():
-            store.flush()
 
     def commit(self) -> None:
         for store in self.state.shard_stores.values():
@@ -679,14 +711,17 @@ def merge_store_snapshots(snapshots, path: str = ""):
 class ShardedUdfManager:
     """Routes the :class:`LockedUdfManager` contract by signature shard.
 
-    Locally-owned signatures go straight to the owning shard's locked
-    manager; remote ones RPC to the owner, which executes the same
-    operation under its own lock — so every predicate union is atomic
-    at exactly one process, exactly as the single-process server
-    serializes unions behind one mutex.  Predicates travel pickled
-    (:class:`~repro.symbolic.dnf.DnfPredicate` is a frozen dataclass
-    tree), and remote :class:`UdfHistory` values are detached copies —
-    mutation always routes back through :meth:`record_execution`.
+    Each operation runs on the owning shard's locked manager — here, or
+    on the owner over the peer connection (target ``("udf", key)``) —
+    so every predicate union is atomic at exactly one process, exactly
+    as the single-process server serializes unions behind one mutex.
+    Predicates travel pickled (:class:`~repro.symbolic.dnf.DnfPredicate`
+    is a frozen dataclass tree), and a remote :class:`UdfHistory` is a
+    pickled, detached copy — mutation always routes back through
+    :meth:`record_execution`.
+
+    There is no fleet ``version``: worker sessions run with the plan
+    cache off, its only reader.
     """
 
     def __init__(self, state: "ShardedWorkerState"):
@@ -696,94 +731,37 @@ class ShardedUdfManager:
         for manager in self.state.shard_managers.values():
             manager.set_listener(listener)
 
-    def _local(self, signature: UdfSignature) -> LockedUdfManager | None:
-        return self.state.shard_managers.get(
-            self.state.router.shard_of(signature.key()))
-
-    def _peer(self, signature: UdfSignature) -> ShardClient:
-        return self.state.peers.client(
-            self.state.router.worker_of(signature.key()))
-
-    @property
-    def version(self) -> int:
-        """Fleet-wide monotone version: the sum of every shard's.
-
-        Any shard's predicate change bumps its own counter, so the sum
-        changes iff any aggregated predicate changed anywhere — the
-        exact invalidation contract plan caches rely on.  (Worker
-        sessions run with the plan cache disabled, so this crosses the
-        wire only for introspection and state export.)
-        """
-        total = sum(manager.version
-                    for manager in self.state.shard_managers.values())
-        for worker_id in self.state.other_workers():
-            total += self.state.peers.client(worker_id).call(
-                "udf_version")
-        return total
+    def _on_owner(self, method: str, signature: UdfSignature, *args):
+        key = signature.key()
+        return self.state.on_worker(self.state.router.worker_of(key),
+                                    ("udf", key), method, signature, *args)
 
     def history(self, signature: UdfSignature,
                 per_tuple_cost: float = 0.0) -> UdfHistory:
-        local = self._local(signature)
-        if local is not None:
-            return local.history(signature, per_tuple_cost)
-        cost, predicate, view_name = self._peer(signature).call(
-            "udf_history", signature.udf_name, signature.sources,
-            per_tuple_cost)
-        entry = UdfHistory(signature, cost, view_name=view_name)
-        entry.aggregated_predicate = predicate
-        return entry
+        return self._on_owner("history", signature, per_tuple_cost)
 
     def known(self, signature: UdfSignature) -> bool:
-        local = self._local(signature)
-        if local is not None:
-            return local.known(signature)
-        return self._peer(signature).call(
-            "udf_known", signature.udf_name, signature.sources)
-
-    def histories(self) -> list[UdfHistory]:
-        entries: list[UdfHistory] = []
-        for manager in self.state.shard_managers.values():
-            entries.extend(manager.histories())
-        for worker_id in self.state.other_workers():
-            for udf_name, sources, cost, predicate, view_name in \
-                    self.state.peers.client(worker_id).call(
-                        "udf_histories"):
-                entry = UdfHistory(UdfSignature(udf_name, tuple(sources)),
-                                   cost, view_name=view_name)
-                entry.aggregated_predicate = predicate
-                entries.append(entry)
-        return entries
+        return self._on_owner("known", signature)
 
     def intersection_with_history(self, signature: UdfSignature, guard):
-        local = self._local(signature)
-        if local is not None:
-            return local.intersection_with_history(signature, guard)
-        return self._peer(signature).call(
-            "udf_intersection", signature.udf_name, signature.sources,
-            guard)
+        return self._on_owner("intersection_with_history", signature, guard)
 
     def difference_with_history(self, signature: UdfSignature, guard):
-        local = self._local(signature)
-        if local is not None:
-            return local.difference_with_history(signature, guard)
-        return self._peer(signature).call(
-            "udf_difference", signature.udf_name, signature.sources,
-            guard)
+        return self._on_owner("difference_with_history", signature, guard)
 
     def record_execution(self, signature: UdfSignature, guard,
                          per_tuple_cost: float = 0.0) -> bool:
-        local = self._local(signature)
-        if local is not None:
-            return local.record_execution(signature, guard, per_tuple_cost)
-        return self._peer(signature).call(
-            "udf_record", signature.udf_name, signature.sources, guard,
-            per_tuple_cost)
+        return self._on_owner("record_execution", signature, guard,
+                              per_tuple_cost)
 
-    def reset(self) -> None:
-        for manager in self.state.shard_managers.values():
-            manager.reset()
-        for worker_id in self.state.other_workers():
-            self.state.peers.client(worker_id).call("udf_reset")
+    def histories(self) -> list[UdfHistory]:
+        per_worker = self.state.on_each_worker(("udfs",), "owned_histories")
+        return [entry for entries in per_worker for entry in entries]
+
+    def owned_histories(self) -> list[UdfHistory]:
+        """The histories of this worker's owned shards."""
+        return [entry for manager in self.state.shard_managers.values()
+                for entry in manager.histories()]
 
 
 # -- sharded inference ---------------------------------------------------------
@@ -796,12 +774,11 @@ class ShardedInference:
     ``(model, video)`` pair is owned by exactly one dispatcher process;
     locally-owned pairs ride the local
     :class:`~repro.server.batcher.InferenceBatcher` window, remote
-    pairs RPC to the owner's batcher via ``submit_remote`` — the
-    request joins whatever coalescing window is open there, so miss
-    sub-batches from different *processes* share physical
-    ``predict_batch`` dispatches.  The requester records its own
-    flight-record batcher wait with the window occupancy the owner
-    reports back.
+    pairs call the owner's :meth:`submit_remote` — the request joins
+    whatever coalescing window is open there, so miss sub-batches from
+    different *processes* share physical ``predict_batch`` dispatches.
+    The requester records its own flight-record batcher wait with the
+    window occupancy the owner reports back.
     """
 
     def __init__(self, state: "ShardedWorkerState"):
@@ -818,12 +795,22 @@ class ShardedInference:
         flight = current_flight()
         started = time.perf_counter() if flight is not None else 0.0
         outputs, window_requests = self.state.peers.client(owner).call(
-            "infer", model.name, video.name, inputs)
+            ("inference",), "submit_remote", model.name, video.name, inputs)
         if flight is not None:
             record_batcher_wait("follower",
                                 time.perf_counter() - started,
                                 window_requests)
         return outputs
+
+    def submit_remote(self, model_name: str, video_name: str,
+                      inputs: list) -> tuple[list, int]:
+        """The owner side of a remote :meth:`submit`: the model and the
+        video travel by name and resolve to this process's own, then
+        join the local batcher's window
+        (:meth:`~repro.server.batcher.InferenceBatcher.submit_remote`)."""
+        return self.state.batcher.submit_remote(
+            self.state.zoo.get(model_name),
+            self.state.storage.table(video_name).video, inputs)
 
 
 # -- the per-worker state ------------------------------------------------------
@@ -841,6 +828,10 @@ class ShardedWorkerState(SharedReuseState):
     fleet.  Recovery is per-shard: a respawned worker replays only its
     own shards' WALs, in parallel with nothing (the other shards'
     owners never stopped serving).
+
+    It is also the owner side of every peer connection:
+    :meth:`serve_peer` resolves a request's target through
+    :data:`PEER_METHODS` and the resolvers built here.
     """
 
     def __init__(self, config: EvaConfig, zoo=None, *, worker_id: int,
@@ -852,8 +843,19 @@ class ShardedWorkerState(SharedReuseState):
         # Replace the inference seam *after* the base constructor built
         # the local batcher: sessions route every (model, video) to its
         # owning dispatcher process; the local batcher keeps serving
-        # owned pairs and incoming ``infer`` RPCs.
+        # owned pairs and incoming ``submit_remote`` calls.
         self.inference = ShardedInference(self)
+        resolvers = {
+            "view": self._view_handle,
+            "udf": self._owned_manager,
+            "views": lambda: self.view_store,
+            "udfs": lambda: self.udf_manager,
+            "inference": lambda: self.inference,
+        }
+        #: Peer target kind -> ``(allow-list, resolver)`` for
+        #: :func:`dispatch`.
+        self.peer_targets = {kind: (PEER_METHODS[kind], resolve)
+                             for kind, resolve in resolvers.items()}
 
     def _init_reuse_state(self) -> None:
         from repro.store import (PersistentUdfManager, open_view_store,
@@ -882,154 +884,67 @@ class ShardedWorkerState(SharedReuseState):
         self.view_store = ShardedViewStore(self)
         self.udf_manager = ShardedUdfManager(self)
 
-    def other_workers(self) -> list[int]:
-        return [w for w in range(self.router.num_workers)
-                if w != self.worker_id]
+    # -- routing ---------------------------------------------------------------
 
-    def all_view_names(self) -> list[str]:
-        names = list(self.view_store.names())
-        for worker_id in self.other_workers():
-            names.extend(self.peers.client(worker_id).call("store_names"))
-        return sorted(names)
+    def local_store(self, view_name: str) -> SharedViewStore | None:
+        """The owned shard store of ``view_name``; None if not owned."""
+        return self.shard_stores.get(
+            self.router.shard_of(shard_key_for_view(view_name)))
 
-
-# -- owner-side request dispatch ----------------------------------------------
-
-
-def handle_shard_request(state: ShardedWorkerState, method: str,
-                         args: tuple):
-    """Execute one peer RPC against this worker's owned state.
-
-    Runs on a service thread of the owning worker; called by the pool
-    worker's connection loop.  Raises whatever the underlying
-    operation raises — the loop encodes it with :func:`encode_error`.
-    """
-    if method == "infer":
-        model_name, video_name, inputs = args
-        model = state.zoo.get(model_name)
-        video = state.storage.table(video_name).video
-        return state.batcher.submit_remote(model, video, inputs)
-
-    if method.startswith("view_"):
-        name = args[0]
-        shard = state.router.shard_of(shard_key_for_view(name))
-        store = state.shard_stores.get(shard)
+    def owned_store(self, view_name: str) -> SharedViewStore:
+        shard = self.router.shard_of(shard_key_for_view(view_name))
+        store = self.shard_stores.get(shard)
         if store is None:
             raise ServerError(
-                f"shard {shard} for view {name!r} is not owned by "
-                f"worker {state.worker_id} (stale routing table?)")
-        if method == "view_create_or_get":
-            _, key_columns, output_columns = args
-            existed = name in store
-            view = store.base.create_or_get(name, key_columns,
-                                            output_columns)
-            return (not existed, list(view.key_columns),
-                    list(view.output_columns))
-        if method == "view_meta":
-            view = store.base.get(name)
-            if view is None:
-                return None
-            return (list(view.key_columns), list(view.output_columns))
-        if method == "view_counts":
-            view = store.base.get(name)
-            if view is None:
-                return (0, 0)
-            return (view.num_keys, view.num_output_rows)
-        if method == "view_contains_key":
-            view = store.base.get(name)
-            return view is not None and args[1] in view
-        if method == "view_get":
-            _, client_id, key = args
-            handle = store.for_client(client_id).get(name)
-            return None if handle is None else handle.get(key)
-        if method == "view_get_many":
-            _, client_id, keys = args
-            handle = store.for_client(client_id).get(name)
-            if handle is None:
-                return ViewHits([None] * len(keys), {})
-            return handle.get_many(keys)
-        if method == "view_put_many":
-            _, client_id, keys, counts, columns, patch_keys = args
-            handle = store.for_client(client_id).get(name)
-            if handle is None:
-                raise ServerError(f"view {name!r} does not exist")
-            return handle.put_many(keys, counts, columns,
-                                   patch_keys=patch_keys)
-        if method == "view_keys":
-            view = store.base.get(name)
-            return [] if view is None else list(view.keys())
-        if method == "view_keys_with_prefix":
-            view = store.base.get(name)
-            return ([] if view is None
-                    else view.keys_with_prefix(args[1]))
-        raise ServerError(f"unknown view method {method!r}")
+                f"shard {shard} for view {view_name!r} is not owned by "
+                f"worker {self.worker_id} (stale routing table?)")
+        return store
 
-    if method.startswith("store_"):
-        if method == "store_names":
-            return state.view_store.names()
-        if method == "store_total_bytes":
-            return state.view_store.total_serialized_bytes()
-        if method == "store_contains":
-            return args[0] in state.view_store
-        if method == "store_view_bytes":
-            result: dict[str, int] = {}
-            for name in args[0]:
-                shard = state.router.shard_of(shard_key_for_view(name))
-                store = state.shard_stores.get(shard)
-                if store is not None:
-                    result.update(store.base.view_bytes([name]))
-            return result
-        if method == "store_drop":
-            return state.view_store.drop(args[0], reason=args[1])
-        if method == "store_log_lineage":
-            for record in args[0]:
-                name = record.get("view")
-                if name is None:
-                    continue
-                shard = state.router.shard_of(shard_key_for_view(name))
-                store = state.shard_stores.get(shard)
-                if store is not None:
-                    store.base.log_lineage([record])
-            return None
-        raise ServerError(f"unknown store method {method!r}")
-
-    if method.startswith("udf_"):
-        if method == "udf_version":
-            return sum(manager.version
-                       for manager in state.shard_managers.values())
-        if method == "udf_reset":
-            for manager in state.shard_managers.values():
-                manager.reset()
-            return None
-        if method == "udf_histories":
-            rows = []
-            for manager in state.shard_managers.values():
-                for entry in manager.histories():
-                    rows.append((entry.signature.udf_name,
-                                 entry.signature.sources,
-                                 entry.per_tuple_cost,
-                                 entry.aggregated_predicate,
-                                 entry.view_name))
-            return rows
-        signature = UdfSignature(args[0], tuple(args[1]))
-        manager = state.shard_managers.get(
-            state.router.shard_of(signature.key()))
+    def _owned_manager(self, key: str) -> LockedUdfManager:
+        manager = self.shard_managers.get(self.router.shard_of(key))
         if manager is None:
             raise ServerError(
-                f"signature {signature.key()!r} is not owned by "
-                f"worker {state.worker_id} (stale routing table?)")
-        if method == "udf_known":
-            return manager.known(signature)
-        if method == "udf_history":
-            entry = manager.history(signature, args[2])
-            return (entry.per_tuple_cost, entry.aggregated_predicate,
-                    entry.view_name)
-        if method == "udf_intersection":
-            return manager.intersection_with_history(signature, args[2])
-        if method == "udf_difference":
-            return manager.difference_with_history(signature, args[2])
-        if method == "udf_record":
-            return manager.record_execution(signature, args[2], args[3])
-        raise ServerError(f"unknown udf method {method!r}")
+                f"signature {key!r} is not owned by worker "
+                f"{self.worker_id} (stale routing table?)")
+        return manager
 
-    raise ServerError(f"unknown shard method {method!r}")
+    def _view_handle(self, name: str, prober: str):
+        handle = self.owned_store(name).for_client(prober).get(name)
+        if handle is None:
+            raise ServerError(f"view {name!r} does not exist")
+        return handle
+
+    def peer_of_view(self, view_name: str) -> ShardClient:
+        return self.peers.client(
+            self.router.worker_of(shard_key_for_view(view_name)))
+
+    def by_worker(self, items: Iterable, view_name_of) -> dict[int, list]:
+        """``items`` grouped by the worker owning each one's view."""
+        groups: dict[int, list] = {}
+        for item in items:
+            worker = self.router.worker_of(
+                shard_key_for_view(view_name_of(item)))
+            groups.setdefault(worker, []).append(item)
+        return groups
+
+    # -- the one rule, both sides ----------------------------------------------
+
+    def on_worker(self, worker: int, target: tuple, method: str, *args):
+        """``method`` of ``target`` on ``worker``: resolved and called
+        here when that is this worker, over its peer connection
+        otherwise — the local and remote paths of one call."""
+        if worker == self.worker_id:
+            kind, *where = target
+            return getattr(self.peer_targets[kind][1](*where), method)(*args)
+        return self.peers.client(worker).call(target, method, *args)
+
+    def on_each_worker(self, target: tuple, method: str, *args) -> list:
+        return [self.on_worker(worker, target, method, *args)
+                for worker in range(self.router.num_workers)]
+
+    def serve_peer(self, target: tuple, method: str, args: tuple):
+        """Answer one peer request (:func:`dispatch`), then commit what
+        it logged: a write is durable before its reply leaves."""
+        payload = dispatch(self.peer_targets, target, method, args)
+        self.view_store.commit()
+        return payload

@@ -29,6 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.clock import SimulationClock
 from repro.metrics import MetricsCollector
 from repro.obs.slo import HistogramSnapshot, LatencyHistogram
 
@@ -541,3 +542,14 @@ def merged_metrics(collectors) -> MetricsCollector:
         for counter, value in collector.counters.items():
             merged.counters[counter] += value
     return merged
+
+
+def merged_clock(breakdowns) -> SimulationClock:
+    """One clock totalling per-client (or per-worker) clock breakdowns
+    (``category -> seconds``)."""
+    total = SimulationClock()
+    for breakdown in breakdowns:
+        for category, seconds in breakdown.items():
+            if seconds > 0:
+                total.charge(category, seconds)
+    return total

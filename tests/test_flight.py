@@ -11,7 +11,6 @@ attributed to the right stage.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -19,7 +18,6 @@ import pytest
 
 from repro.config import EvaConfig
 from repro.obs.flight import (
-    FlightContext,
     FlightRecorder,
     FlightStats,
     current_flight,

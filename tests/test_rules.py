@@ -18,7 +18,6 @@ from repro.optimizer.plans import (
     LogicalDistinct,
     LogicalFilter,
     LogicalGet,
-    LogicalGroupBy,
     LogicalProject,
     walk_plan,
 )

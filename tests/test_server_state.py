@@ -21,11 +21,20 @@ import pytest
 import repro.server.shard as shard_module
 import repro.storage.view_store as view_store_module
 from repro.config import EvaConfig
+from repro.errors import ServerError
 from repro.optimizer.udf_manager import UdfManager, UdfSignature
 from repro.parser.parser import parse
-from repro.server import EvaServer
+from repro.server import EvaServer, PoolServer
 from repro.server.locks import RWLock
-from repro.server.shard import RemoteViewHandle
+from repro.server.shard import (
+    RemoteViewHandle,
+    ShardedWorkerState,
+    decode_error,
+    dispatch,
+    encode_error,
+    inference_key,
+    shard_key_for_view,
+)
 from repro.server.state import (
     LockedUdfManager,
     SharedReuseState,
@@ -66,6 +75,79 @@ def run_threads(targets) -> None:
         thread.join()
     if errors:
         raise errors[0]
+
+
+# -- peer loopback ---------------------------------------------------------------
+
+
+class Loopback:
+    """One worker's peer connection to ``owner``, folded into this
+    process: request and reply each cross a pickle boundary, the owner
+    answers through its real dispatcher
+    (:meth:`ShardedWorkerState.serve_peer`), and an error comes back
+    encoded and decoded as it would over the socket."""
+
+    def __init__(self, owner: ShardedWorkerState):
+        self.owner = owner
+        self.calls: list[str] = []
+
+    def call(self, target, method, *args):
+        self.calls.append(method)
+        request = pickle.loads(pickle.dumps((target, method, args)))
+        try:
+            payload = self.owner.serve_peer(*request)
+        except Exception as error:  # noqa: BLE001 - crosses the wire
+            raise decode_error(*encode_error(error)[1:]) from None
+        return pickle.loads(pickle.dumps(payload))
+
+
+class LoopbackPeers:
+    """A fleet's peer table: worker id -> :class:`Loopback`."""
+
+    def __init__(self):
+        self.fleet: list[ShardedWorkerState] = []
+
+    def client(self, worker_id: int) -> Loopback:
+        return Loopback(self.fleet[worker_id])
+
+
+@pytest.fixture
+def make_fleet(tmp_path):
+    """Builds in-process fleets: ``workers`` sharded worker states over
+    durable shard partitions, wired to each other by loopback peers."""
+    fleets = []
+
+    def make(workers: int = 2, shards: int = 4):
+        config = EvaConfig(workers=workers, shards=shards,
+                           store_mode="durable",
+                           store_path=str(tmp_path / f"fleet-{len(fleets)}"))
+        peers = LoopbackPeers()
+        peers.fleet = [ShardedWorkerState(config, worker_id=worker,
+                                          peers=peers)
+                       for worker in range(workers)]
+        fleets.append(peers.fleet)
+        return peers.fleet
+
+    yield make
+    for fleet in fleets:
+        for state in fleet:
+            state.close_store()
+
+
+@pytest.fixture
+def loopback_owner(make_fleet):
+    """For one view name in a fresh fleet: the owning shard's store
+    (stats attached), those stats, and a :class:`Loopback` to its
+    owner."""
+
+    def make(name: str):
+        fleet = make_fleet()
+        owner = fleet[fleet[0].router.worker_of(shard_key_for_view(name))]
+        stats = ServerStats()
+        owner.attach_stats(stats)
+        return owner.local_store(name), stats, Loopback(owner)
+
+    return make
 
 
 # -- RWLock ----------------------------------------------------------------------
@@ -360,28 +442,22 @@ class TestSharedViewStore:
                                   num_views=1, view_storage_bytes=0)
         assert snapshot.cross_client_hits == {("bob", "alice"): 2}
 
-    def test_frame_id_array_probe_attributes_like_key_tuples(self):
+    def test_frame_id_array_probe_attributes_like_key_tuples(
+            self, loopback_owner):
         """A frame-id array, through the local and the remote handle,
         records the same (prober, owner) pairs and hits as key tuples."""
         probes = [2, 9, 1, -3, 2]
 
         def run(probe):
-            store, stats = self.make()
+            store, stats, owner = loopback_owner("mv::ids")
             alice = store.for_client("alice").create_or_get(
                 "mv::ids", ["id"], ["label"])
             alice.put_many([(1,), (2,)], [1, 0], {"label": ["car"]})
             store.for_client("carol").get("mv::ids").put_many(
                 [(9,)], [2], {"label": ["bus", "van"]})
 
-            class OwnerWorker:
-                def call(self, method, *args):
-                    name, client_id, keys = pickle.loads(pickle.dumps(args))
-                    result = store.for_client(client_id).get(name) \
-                        .get_many(keys)
-                    return pickle.loads(pickle.dumps(result))
-
             local = store.for_client("bob").get("mv::ids")
-            remote = RemoteViewHandle(OwnerWorker(), "mv::ids", "dave",
+            remote = RemoteViewHandle(owner, "mv::ids", "dave",
                                       ["id"], ["label"])
             outs = [(hits.counts, list(hits.column("label")))
                     for hits in (probe(local), probe(remote))]
@@ -398,7 +474,8 @@ class TestSharedViewStore:
                                ("dave", "alice"): 3, ("dave", "carol"): 1}
 
     @pytest.mark.parametrize("patch", [False, True], ids=["frame", "patch"])
-    def test_array_writes_attribute_by_key_tuples(self, patch, monkeypatch):
+    def test_array_writes_attribute_by_key_tuples(self, patch, monkeypatch,
+                                                  loopback_owner):
         """An int-array ``put_many`` through the local handle and the
         remote one (a pickling loopback) records owners, lineage writes
         and later hits exactly as key tuples do: owners are keyed by
@@ -422,30 +499,14 @@ class TestSharedViewStore:
 
         def run(as_array):
             writes.clear()
-            store, stats = self.make()
+            store, stats, owner = loopback_owner("mv::a")
             layout = ["id", "bbox_key"], ["value"]
-
-            class OwnerWorker:
-                """The owner side of ``view_put_many`` / ``view_get_many``
-                (see ``handle_shard_request``) across a pickle boundary."""
-
-                def call(self, method, name, client_id, keys, *rest):
-                    keys, rest = pickle.loads(pickle.dumps((keys, rest)))
-                    handle = store.for_client(client_id).get(name)
-                    if method == "view_put_many":
-                        counts, columns, patch_keys = rest
-                        result = handle.put_many(keys, counts, columns,
-                                                 patch_keys=patch_keys)
-                    else:
-                        result = handle.get_many(keys)
-                    return pickle.loads(pickle.dumps(result))
 
             alice = store.for_client("alice").create_or_get("mv::a", *layout)
             assert alice.put_many(form(keys[:3], as_array), [1, 1, 1],
                                   {"value": ["a", "b", "c"]},
                                   patch_keys=patch) == [True] * 3
-            remote = RemoteViewHandle(OwnerWorker(), "mv::a", "bob",
-                                      *layout)
+            remote = RemoteViewHandle(owner, "mv::a", "bob", *layout)
             assert remote.put_many(form(keys[2:], as_array), [1, 0, 1, 1],
                                    {"value": ["x", "d", "e"]},
                                    patch_keys=patch) == \
@@ -506,31 +567,16 @@ class TestSharedViewStore:
             ("c1", "c0"): 962, ("c1", "c1"): 50}
         assert digest.hexdigest()[:16] == "e373fd587fee1ec3"
 
-    def test_remote_handle_passes_the_column_batch_through(self):
+    def test_remote_handle_passes_the_column_batch_through(
+            self, loopback_owner):
         """A worker that does not own the view sees what a local client
         sees: the same hit set (gathered for the wire), the same inserted
         flags, and the view's own O(1) size estimate."""
-        store, _ = self.make()
-        calls = []
-
-        class OwnerWorker:
-            """Runs each RPC on a local facade; arguments and result
-            cross a pickle boundary as they would cross the socket."""
-
-            def call(self, method, *args):
-                calls.append(method)
-                name, *rest = pickle.loads(pickle.dumps(args))
-                if method == "store_view_bytes":
-                    result = store.base.view_bytes(name)
-                else:
-                    handle = store.for_client(rest[0]).get(name)
-                    result = getattr(handle, method.removeprefix("view_"))(
-                        *rest[1:])
-                return pickle.loads(pickle.dumps(result))
+        store, _, owner = loopback_owner("mv::far")
 
         local = store.for_client("alice").create_or_get(
             "mv::far", ["id"], ["label", "score"])
-        remote = RemoteViewHandle(OwnerWorker(), "mv::far", "bob",
+        remote = RemoteViewHandle(owner, "mv::far", "bob",
                                   ["id"], ["label", "score"])
         assert remote.put_many([(1,), (2,)], [2, 0],
                                {"label": ["car", "bus"],
@@ -546,8 +592,8 @@ class TestSharedViewStore:
             list(near.column("label")) == ["car", "bus"]
         assert remote.serialized_bytes() == local.serialized_bytes() == \
             store.base.get("mv::far").serialized_bytes()
-        assert set(calls) == {"view_put_many", "view_get_many",
-                              "store_view_bytes"}
+        assert set(owner.calls) == {"put_many", "get_many",
+                                    "serialized_bytes"}
 
     def test_drop_under_concurrent_readers(self):
         store, _ = self.make()
@@ -678,3 +724,241 @@ class TestSharedReuseState:
         view.put((7,), [{"label": "car"}])
         assert (7,) in b.get("mv::vis")
         assert b.get("mv::vis").get((7,)) is not None
+
+
+# -- the one peer rule -----------------------------------------------------------
+
+
+def fleet_fingerprint(fleet) -> tuple:
+    """Every view's items and every ``p_u``, fleet-wide."""
+    views, histories = {}, {}
+    for state in fleet:
+        for store in state.shard_stores.values():
+            for name in store.names():
+                views[name] = sorted(store.base.get(name).items())
+        for entry in state.udf_manager.owned_histories():
+            histories[entry.signature.key()] = (
+                entry.per_tuple_cost, entry.aggregated_predicate)
+    return views, histories
+
+
+def name_owned_by(fleet, worker: int, stem: str) -> str:
+    """A view name whose shard key routes to ``worker``."""
+    return next(f"mv::{stem}{i}@v" for i in range(1000)
+                if fleet[0].router.worker_of(f"{stem}{i}@v") == worker)
+
+
+class TestPeerRule:
+    """The owner side of a peer request, through the loopback: one
+    signature's ``p_u`` and its view, both owned by one worker and
+    written from the other."""
+
+    def seeded(self, make_fleet):
+        fleet = make_fleet()
+        signature = UdfSignature("FastRCNNObjectDetector", ("v",))
+        owner = fleet[fleet[0].router.worker_of(signature.key())]
+        other = fleet[1 - owner.worker_id]
+        name = f"mv::{signature.key()}"
+        view = other.view_store.for_client("alice").create_or_get(
+            name, ["id"], ["label"])
+        assert isinstance(view, RemoteViewHandle)
+        view.put_many([(1,), (2,)], [1, 1], {"label": ["car", "bus"]})
+        assert other.udf_manager.record_execution(
+            signature, guard("id < 10"), 0.5)
+        return fleet, owner, other, signature, name
+
+    def test_refuses_names_outside_the_allow_list(self, make_fleet):
+        fleet, owner, _, signature, name = self.seeded(make_fleet)
+        before = fleet_fingerprint(fleet)
+        peer = Loopback(owner)
+        refused = [
+            (("view", name, "bob"), "keys", ()),
+            (("view", name, "bob"), "put", ((3,), [{"label": "van"}])),
+            (("view", name, "bob"), "_view", ()),
+            (("view", name, "bob"), "__class__", ()),
+            (("views",), "drop", (name,)),
+            (("udf", signature.key()), "reset", ()),
+            (("udf", signature.key()), "_base", ()),
+            (("udf", signature.key()), "__init__", (None,)),
+            (("views",), "drop_all", ()),
+            (("udfs",), "__dict__", ()),
+            (("server",), "shutdown", (False,)),
+        ]
+        for target, method, args in refused:
+            with pytest.raises(ServerError, match="is not served"):
+                peer.call(target, method, *args)
+        assert fleet_fingerprint(fleet) == before
+
+    def test_refusal_precedes_resolution_and_attribute_lookup(self):
+        touched = []
+
+        class Target:
+            def __getattribute__(self, attr):
+                touched.append(attr)
+                return object.__getattribute__(self, attr)
+
+            def ping(self):
+                return "pong"
+
+        def resolve():
+            touched.append("resolve")
+            return Target()
+
+        targets = {"t": (frozenset({"ping"}), resolve)}
+        for method in ("pong", "_ping", "__class__", "__getattribute__"):
+            with pytest.raises(ServerError):
+                dispatch(targets, ("t",), method, ())
+        with pytest.raises(ServerError):
+            dispatch(targets, ("elsewhere",), "ping", ())
+        assert touched == []
+        assert dispatch(targets, ("t",), "ping", ()) == "pong"
+        assert touched == ["resolve", "ping"]
+
+    def test_a_worker_that_does_not_own_the_key_refuses(self, make_fleet):
+        fleet, _, other, signature, name = self.seeded(make_fleet)
+        before = fleet_fingerprint(fleet)
+        stale = Loopback(other)
+        misrouted = [
+            (("view", name, "bob"), "get_many", ([(1,)],)),
+            (("view", name, "bob"), "put_many",
+             ([(3,)], [1], {"label": ["van"]}, False)),
+            (("views",), "create_or_get_meta",
+             (name, ["id"], ["label"])),
+            (("udf", signature.key()), "known", (signature,)),
+            (("udf", signature.key()), "record_execution",
+             (signature, guard("id < 99"), 0.5)),
+        ]
+        for target, method, args in misrouted:
+            with pytest.raises(ServerError, match="stale routing table"):
+                stale.call(target, method, *args)
+        assert fleet_fingerprint(fleet) == before
+
+    def test_remote_history_is_a_detached_copy(self, make_fleet):
+        fleet, owner, other, signature, _ = self.seeded(make_fleet)
+        before = fleet_fingerprint(fleet)
+        copy = other.udf_manager.history(signature)
+        live = owner.udf_manager.history(signature)
+        assert copy == live and copy is not live
+        copy.aggregated_predicate = guard("id < 1000")
+        copy.per_tuple_cost = 9.0
+        assert fleet_fingerprint(fleet) == before
+        assert not other.udf_manager.difference_with_history(
+            signature, guard("id >= 10 AND id < 20")).is_false()
+
+    def test_forwarded_operations_answer_as_the_owner_does(self, make_fleet):
+        """Every peer operation a proxy forwards, sent by the worker
+        that does not own the key, answers what the owner's own objects
+        answer."""
+        fleet, owner, other, signature, name = self.seeded(make_fleet)
+        far = other.view_store.for_client("bob")
+        near = owner.view_store.for_client("carol")
+        handle = far.get(name)
+        assert (handle.key_columns, handle.output_columns) == \
+            (["id"], ["label"])
+        assert far.get(name_owned_by(fleet, owner.worker_id, "no")) is None
+        assert handle.get((1,)) == near.get(name).get((1,))
+        assert handle.get((7,)) is None
+        assert handle.put((7,), [{"label": "van"}]) is True
+        assert handle.keys_with_prefix(7) == [(7,)]
+        assert handle.get_many([(1,), (7,), (8,)]).counts == \
+            near.get(name).get_many([(1,), (7,), (8,)]).counts == \
+            [1, 1, None]
+        assert handle.serialized_bytes() == \
+            near.get(name).serialized_bytes()
+
+        # Fleet aggregates answer the same from either worker.
+        local_name = name_owned_by(fleet, other.worker_id, "m")
+        far.create_or_get(local_name, ["id"], ["label"]).put(
+            (1,), [{"label": "car"}])
+        sizes = {view: state.local_store(view).base.view_bytes([view])[view]
+                 for state, view in ((owner, name), (other, local_name))}
+        total = sum(store.total_serialized_bytes() for state in fleet
+                    for store in state.shard_stores.values())
+        for state in fleet:
+            facade = state.view_store.for_client("dave")
+            assert facade.view_bytes([name, local_name]) == sizes
+            assert facade.total_serialized_bytes() == total
+            assert sorted(entry.signature.key()
+                          for entry in state.udf_manager.histories()) == \
+                [signature.key()]
+
+        # Lineage records land in the partition owning their view.
+        record = {"view": name, "lineage_id": "L-far", "status": "live"}
+        far.log_lineage([record, None, {"lineage_id": "no-view"}])
+        assert owner.local_store(name).base.lineage_records() == [record]
+
+        # Every locked-manager operation, owner vs forwarded.
+        probe = guard("id >= 5 AND id < 15")
+        for method, args in [("known", ()), ("history", (0.5,)),
+                             ("intersection_with_history", (probe,)),
+                             ("difference_with_history", (probe,))]:
+            assert getattr(other.udf_manager, method)(signature, *args) \
+                == getattr(owner.udf_manager, method)(signature, *args)
+
+    def test_remote_inference_joins_the_owners_batcher(self, make_fleet):
+        fleet = make_fleet()
+        video = SyntheticVideo(VideoMetadata(
+            name="inf", num_frames=20, width=640, height=360, fps=25.0,
+            vehicles_per_frame=3.0), seed=3)
+        for state in fleet:
+            state.register_video(video)
+        model = fleet[0].zoo.get("fasterrcnn_resnet50")
+        owner = fleet[fleet[0].router.worker_of(
+            inference_key(model.name, video.name))]
+        other = fleet[1 - owner.worker_id]
+        frames = [0, 3, 4, 19]
+        assert other.inference.submit(model, video, frames) == \
+            model.predict_batch(video, frames)
+        assert owner.batcher.snapshot().remote_requests == 1
+        assert other.batcher.snapshot().requests == 0
+
+
+# -- pool control and client connections -----------------------------------------
+
+
+def test_pool_forwards_each_control_and_client_method(tmp_path):
+    """Two workers: every telemetry method of the front end and every
+    introspection method of a client handle answers across the process
+    boundary, and a name outside an allow-list is refused without
+    breaking the connection."""
+    video = SyntheticVideo(VideoMetadata(
+        name="poolv", num_frames=40, width=640, height=360, fps=25.0,
+        vehicles_per_frame=3.0), seed=5)
+    sql = ("SELECT id, label FROM poolv CROSS APPLY "
+           "FastRCNNObjectDetector(frame) WHERE id < 30 AND label = 'car';")
+    config = EvaConfig(workers=2, shards=4, store_mode="durable",
+                       store_path=str(tmp_path / "store"))
+    with PoolServer(config, worker_threads=2) as pool:
+        pool.register_video(video)
+        client = pool.connect("c0")
+        assert "FastRCNNObjectDetector" in {
+            row[0] for row in client.execute("SHOW UDFS;").rows}
+        rows = client.execute(sql).rows
+        assert rows
+        metrics = client.last_query_metrics()
+        assert metrics.query_text == sql
+        assert metrics.rows_returned == len(rows)
+        assert client.workload_time() > 0
+        assert client.clock_breakdown()
+        assert client.hit_percentage() == 0.0
+        assert client.execute(sql).rows == rows
+        assert client.hit_percentage() > 0.0
+
+        assert pool.queue_depth() == 0
+        assert sorted(sum(pool._each_worker("clients"), [])) == ["c0"]
+        assert pool.profile_snapshot().models
+        snapshot = pool.store_snapshot()
+        assert snapshot.hot_views + snapshot.warm_views >= 1
+        assert any(record["view"].startswith("mv::")
+                   for record in pool.lineage_records())
+        assert pool.trace_events()
+        assert "eva_" in pool.prometheus_text()
+
+        for method in ("_clients", "__class__", "connect"):
+            with pytest.raises(ServerError, match="is not served"):
+                pool._each_worker(method)
+        for method in ("checkout", "_client", "__init__", "submit"):
+            with pytest.raises(ServerError, match="is not served"):
+                client._rpc(method)
+        assert client.execute(sql).rows == rows
+        client.close()
