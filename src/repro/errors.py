@@ -58,10 +58,6 @@ class UnsupportedPredicateError(EvaError):
     """
 
 
-class UdfError(EvaError):
-    """A user-defined function failed or was mis-declared."""
-
-
 class ServerError(EvaError):
     """Base class for errors raised by the multi-client query server."""
 

@@ -401,6 +401,8 @@ class PoolServer:
         self._socket_dir = tempfile.mkdtemp(prefix="eva-pool-")
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
+        #: Notified once a respawned worker is installed and set up.
+        self._respawned = threading.Condition(self._lock)
         self._workers: dict[int, _Worker] = {}
         self._clients: dict[int, int] = {}
         self._handles: dict[str, "PoolClientHandle"] = {}
@@ -584,8 +586,6 @@ class PoolServer:
         replacement = self._spawn(worker_id, generation)
         with self._lock:
             self._workers[worker_id] = replacement
-            self.respawns[worker_id] = \
-                self.respawns.get(worker_id, 0) + 1
             peers = self._peer_map()
             others = [w for w in self._workers.values()
                       if w.worker_id != worker_id]
@@ -599,34 +599,27 @@ class PoolServer:
                 self._control(worker, "set_peers", peers)
             except WorkerCrashedError:
                 continue  # the monitor will pick that one up too
+        with self._respawned:
+            self.respawns[worker_id] = self.respawns.get(worker_id, 0) + 1
+            self._respawned.notify_all()
 
     def kill_worker(self, worker_id: int, *, wait: bool = True,
                     timeout: float = 60.0) -> None:
         """SIGKILL one worker (crash-recovery testing); with ``wait``,
-        block until its replacement answers a control ping."""
+        block until its replacement is set up and the peers know it."""
         with self._lock:
             worker = self._workers[worker_id]
-            generation = worker.generation
+            respawned = self.respawns.get(worker_id, 0)
         worker.process.kill()
         if not wait:
             return
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                current = self._workers[worker_id]
-            if current.generation > generation:
-                try:
-                    self._control(current, "clients")  # it answers
-                    return
-                except WorkerCrashedError:
-                    pass
-            time.sleep(0.02)
+        with self._respawned:
+            if self._respawned.wait_for(
+                    lambda: self.respawns.get(worker_id, 0) > respawned,
+                    timeout):
+                return
         raise ServerError(
             f"worker {worker_id} was not respawned within {timeout}s")
-
-    def worker_pid(self, worker_id: int) -> int | None:
-        with self._lock:
-            return self._workers[worker_id].process.pid
 
     # -- setup -----------------------------------------------------------------
 

@@ -104,6 +104,8 @@ class EvaServer:
         self._closed = False
         #: Queries admitted but not yet done (queued + running).
         self._pending = 0
+        #: Notified when ``_pending`` falls to zero (bounded shutdown).
+        self._idle = threading.Condition(self._lock)
         self._active_tokens: set[CancelToken] = set()
         #: EWMA of recent query latency, seeds retry_after estimates.
         self._latency_ewma = 0.05
@@ -153,15 +155,11 @@ class EvaServer:
             if timeout is None:
                 executor.shutdown(wait=True, cancel_futures=not drain)
             else:
-                # ThreadPoolExecutor.shutdown has no timeout; emulate by
-                # polling the pending count.
+                # ThreadPoolExecutor.shutdown has no timeout; wait for
+                # the pending count instead.
                 executor.shutdown(wait=False, cancel_futures=not drain)
-                deadline = time.monotonic() + timeout
-                while time.monotonic() < deadline:
-                    with self._lock:
-                        if self._pending == 0:
-                            break
-                    time.sleep(0.005)
+                with self._idle:
+                    self._idle.wait_for(lambda: self._pending == 0, timeout)
         # Workers are quiesced: snapshot and close a durable view store
         # so the next server over this path recovers from snapshots
         # instead of replaying the whole WAL.
@@ -302,6 +300,8 @@ class EvaServer:
             self._pending -= 1
             self._active_tokens.discard(token)
             self._update_queue_depth_locked()
+            if self._pending == 0:
+                self._idle.notify_all()
 
     # -- introspection ---------------------------------------------------------
 

@@ -88,6 +88,7 @@ from repro.storage.view_store import (
     array_key_tuples,
     one_entry,
 )
+from repro.store import attach_reuse_state, open_reuse_state
 
 #: Materialized-view name prefix (see ``UdfHistory.view_name``).
 VIEW_PREFIX = "mv::"
@@ -549,11 +550,6 @@ class ShardedClientViewStore:
                                                group))
         return result
 
-    def save_to(self, directory) -> int:
-        # Administrative export of the *local* shards only; the pool
-        # front-end exports every worker for a full fleet snapshot.
-        return self.state.view_store.save_to(directory)
-
     @property
     def is_durable(self) -> bool:
         return True
@@ -635,15 +631,6 @@ class ShardedViewStore:
             store = self.state.local_store(record["view"])
             if store is not None:
                 store.base.log_lineage([record])
-
-    def save_to(self, directory) -> int:
-        import pathlib
-
-        total = 0
-        for shard, store in sorted(self.state.shard_stores.items()):
-            total += store.save_to(
-                pathlib.Path(directory) / f"shard-{shard}")
-        return total
 
     def commit(self) -> None:
         for store in self.state.shard_stores.values():
@@ -858,24 +845,17 @@ class ShardedWorkerState(SharedReuseState):
                              for kind, resolve in resolvers.items()}
 
     def _init_reuse_state(self) -> None:
-        from repro.store import (PersistentUdfManager, open_view_store,
-                                 restore_udf_histories)
-
         self.shard_stores: dict[int, SharedViewStore] = {}
         self.shard_managers: dict[int, LockedUdfManager] = {}
-        self._base_stores = []
         for shard in self.router.shards_owned_by(self.worker_id):
-            shard_config = replace(
+            base_store, base_manager = open_reuse_state(replace(
                 self.config,
                 store_path=os.path.join(str(self.config.store_path),
                                         f"shard-{shard}"),
-                workers=1)
-            base_store = open_view_store(shard_config)
-            base_manager = PersistentUdfManager(self.symbolic, base_store)
-            restore_udf_histories(base_store, base_manager, self.symbolic)
+                workers=1), self.symbolic)
+            attach_reuse_state(base_store, self.catalog, self.ledger)
             self.shard_stores[shard] = SharedViewStore(base_store)
             self.shard_managers[shard] = LockedUdfManager(base_manager)
-            self._base_stores.append(base_store)
         if not self.shard_stores:
             raise ServerError(
                 f"worker {self.worker_id} owns no shards "

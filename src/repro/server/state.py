@@ -56,6 +56,7 @@ from repro.session import SessionState
 from repro.storage.engine import StorageEngine
 from repro.storage.view_store import (Key, MaterializedView, ViewHits,
                                       ViewStore, array_key_tuples, one_entry)
+from repro.store import attach_reuse_state, open_reuse_state
 from repro.symbolic.dnf import DnfPredicate
 from repro.symbolic.engine import SymbolicEngine
 from repro.video.synthetic import SyntheticVideo
@@ -371,27 +372,14 @@ class SharedViewStore:
             # it must still be able to release cleanly.
         return freed
 
-    def drop_all(self) -> int:
-        return sum(self.drop(name) for name in self.names())
-
-    def save_to(self, directory) -> int:
-        return self._base.save_to(directory)
-
     # -- durability passthrough (no-ops over a memory-backed base) -----------
 
-    def flush(self) -> None:
-        if hasattr(self._base, "flush"):
-            self._base.flush()
-
     def close(self) -> None:
-        if hasattr(self._base, "close"):
-            self._base.close()
+        self._base.close()
 
     def store_snapshot(self):
         """Durable-store health, or None for a memory-backed base."""
-        if hasattr(self._base, "store_snapshot"):
-            return self._base.store_snapshot()
-        return None
+        return self._base.store_snapshot()
 
 
 class ClientViewStore:
@@ -431,27 +419,17 @@ class ClientViewStore:
     def drop(self, name: str, *, reason: str = "drop") -> int:
         return self.shared.drop(name, reason=reason)
 
-    def drop_all(self) -> int:
-        return self.shared.drop_all()
-
-    def save_to(self, directory) -> int:
-        return self.shared.save_to(directory)
-
     # -- lineage / durability passthrough -------------------------------------
 
     @property
     def is_durable(self) -> bool:
-        return bool(getattr(self.shared.base, "is_durable", False))
+        return self.shared.base.is_durable
 
     def log_lineage(self, records) -> None:
-        log = getattr(self.shared.base, "log_lineage", None)
-        if log is not None:
-            log(records)
+        self.shared.base.log_lineage(records)
 
     def commit(self) -> None:
-        commit = getattr(self.shared.base, "commit", None)
-        if commit is not None:
-            commit()
+        self.shared.base.commit()
 
 
 class SharedReuseState:
@@ -465,6 +443,10 @@ class SharedReuseState:
         self.storage = StorageEngine()
         self.symbolic = SymbolicEngine(
             memo_size=self.config.symbolic_memo_size)
+        #: One shared view-provenance ledger: reader attribution must
+        #: span clients (client B reading client A's view is exactly the
+        #: cross-client benefit the ledger quantifies).
+        self.ledger = ViewLedger() if self.config.view_ledger else None
         self._init_reuse_state()
         #: Cross-client inference micro-batching: every client's
         #: ExecutionContext routes model calls through this shared
@@ -498,56 +480,23 @@ class SharedReuseState:
         from repro.executor.fusion import KernelCache
 
         self.kernel_cache = KernelCache(self.config.kernel_cache_size)
-        #: One shared view-provenance ledger: reader attribution must
-        #: span clients (client B reading client A's view is exactly the
-        #: cross-client benefit the ledger quantifies).
-        self.ledger = ViewLedger() if self.config.view_ledger else None
-        self._init_shared_services()
         self._setup_lock = threading.Lock()
 
     def _init_reuse_state(self) -> None:
-        """Build the view store + UDF manager this state serves from.
+        """Open the view store + UDF manager this state serves from.
 
         Sets ``self.view_store`` (a :class:`SharedViewStore` or a
-        duck-typed equivalent), ``self.udf_manager`` (a
-        :class:`LockedUdfManager` contract), and ``self._base_stores``
-        — the list of underlying physical stores the shared services
-        (ledger hookup, eviction wiring) iterate over.  The worker-pool
-        state (:class:`~repro.server.shard.ShardedWorkerState`)
-        overrides this to open one durable partition per owned shard
-        and route by shard key; the default is the single-store layout.
+        duck-typed equivalent) and ``self.udf_manager`` (a
+        :class:`LockedUdfManager` contract).  The worker-pool state
+        (:class:`~repro.server.shard.ShardedWorkerState`) overrides this
+        to open one durable partition per owned shard and route by shard
+        key; the default is the single-store layout.
         """
-        if self.config.store_mode == "durable":
-            from repro.store import (PersistentUdfManager, open_view_store,
-                                     restore_udf_histories)
-
-            base_store = open_view_store(self.config)
-            base_manager = PersistentUdfManager(self.symbolic, base_store)
-            restore_udf_histories(base_store, base_manager, self.symbolic)
-        else:
-            base_store = ViewStore()
-            base_manager = UdfManager(self.symbolic)
+        base_store, base_manager = open_reuse_state(self.config,
+                                                    self.symbolic)
+        attach_reuse_state(base_store, self.catalog, self.ledger)
         self.view_store = SharedViewStore(base_store)
         self.udf_manager = LockedUdfManager(base_manager)
-        self._base_stores = [base_store]
-
-    def _init_shared_services(self) -> None:
-        """Wire the ledger and the eviction cost into every base store.
-
-        Iterates ``self._base_stores`` so the sharded layout (several
-        durable partitions per process) gets the same provenance and
-        tiering treatment per shard as the single-store layout gets for
-        its one store.
-        """
-        for base_store in self._base_stores:
-            if self.ledger is not None:
-                base_store.ledger = self.ledger
-            if getattr(base_store, "is_durable", False):
-                base_store.cost_resolver = self.catalog.per_tuple_cost
-                if self.ledger is not None:
-                    recovered = base_store.recovered_lineage
-                    if recovered:
-                        self.ledger.restore(recovered)
 
     def close_store(self) -> None:
         """Snapshot + close a durable base store (server shutdown)."""

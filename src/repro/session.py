@@ -27,13 +27,14 @@ private.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from repro.cancellation import CancelToken
 from repro.catalog.catalog import Catalog
 from repro.clock import CostCategory, SimulationClock
 from repro.config import EvaConfig
-from repro.errors import CatalogError, EvaError
+from repro.errors import CatalogError, EvaError, StorageError
 from repro.executor.context import ExecutionContext
 from repro.executor.engine import ExecutionEngine
 from repro.metrics import MetricsCollector, QueryMetrics
@@ -57,6 +58,8 @@ from repro.parser.ast_nodes import (
 from repro.parser.parser import parse
 from repro.storage.engine import StorageEngine
 from repro.storage.view_store import ViewStore
+from repro.store import (DurableViewStore, StoreLayout, attach_reuse_state,
+                         copy_views, open_reuse_state, restore_udf_histories)
 from repro.symbolic.engine import SymbolicEngine
 from repro.symbolic.reduce import budget_exhaustions
 from repro.types import QueryResult
@@ -163,17 +166,8 @@ class SessionState:
         """A fully isolated component set (single-user session)."""
         config = config or EvaConfig()
         symbolic = SymbolicEngine(memo_size=config.symbolic_memo_size)
-        if config.store_mode == "durable":
-            from repro.store import (PersistentUdfManager, open_view_store,
-                                     restore_udf_histories)
-
-            view_store = open_view_store(config)
-            udf_manager = PersistentUdfManager(symbolic, view_store)
-            restore_udf_histories(view_store, udf_manager, symbolic)
-        else:
-            view_store = ViewStore()
-            udf_manager = UdfManager(symbolic)
-        return cls(
+        view_store, udf_manager = open_reuse_state(config, symbolic)
+        state = cls(
             config=config,
             catalog=Catalog(zoo or default_zoo()),
             storage=StorageEngine(),
@@ -181,6 +175,8 @@ class SessionState:
             udf_manager=udf_manager,
             symbolic=symbolic,
         )
+        attach_reuse_state(view_store, state.catalog, state.ledger)
+        return state
 
 
 class EvaSession:
@@ -208,12 +204,8 @@ class EvaSession:
         self.tracer = state.tracer
         self.profiler = state.profiler
         #: View provenance ledger; the store emits create/drop events
-        #: into it.  Shared states attach it to the *base* store
-        #: themselves (repro.server.state), so only private stores are
-        #: wired here.
+        #: into it (wired where the store was opened).
         self.ledger = state.ledger
-        if self.ledger is not None and not state.shared:
-            self.view_store.ledger = self.ledger
         self.slow_log = SlowQueryLog(self.config.slow_query_threshold)
         #: Per-query flight recorder (docs/observability.md).  SLO
         #: accounting and aggregate stage rollups live on the state so
@@ -250,20 +242,12 @@ class EvaSession:
             OrderedDict()
         if register_standard_udfs:
             self.register_standard_udfs()
-        if getattr(self.view_store, "is_durable", False) \
-                and not state.shared:
-            if self.view_store.cost_resolver is None:
-                self.view_store.cost_resolver = self.catalog.per_tuple_cost
-            if self.ledger is not None:
-                recovered = getattr(self.view_store,
-                                    "recovered_lineage", None)
-                if recovered:
-                    self.ledger.restore(recovered)
+        if not state.shared:
             self._emit_recovery_span()
 
     def _emit_recovery_span(self) -> None:
         """One ``store-recover`` trace span per store recovery."""
-        report = getattr(self.view_store, "recovery_report", None)
+        report = self.view_store.recovery_report
         if report is None or report.span_emitted:
             return
         report.span_emitted = True
@@ -319,9 +303,7 @@ class EvaSession:
             self.context.cancel = previous
         # One fsync for every control record (UDF history, lineage) the
         # statement appended to a durable store.
-        commit = getattr(self.view_store, "commit", None)
-        if commit is not None:
-            commit()
+        self.view_store.commit()
         return result
 
     def _execute(self, sql: str) -> QueryResult:
@@ -503,15 +485,12 @@ class EvaSession:
 
     def _persist_lineage(self, lineage_ids) -> None:
         """Append the touched ledger records to the durable control log."""
-        store = self.view_store
-        if not lineage_ids or not getattr(store, "is_durable", False):
-            return
-        log = getattr(store, "log_lineage", None)
-        if log is None:
+        if not lineage_ids or not self.view_store.is_durable:
             return
         records = [self.ledger.export_record(lineage_id)
                    for lineage_id in lineage_ids]
-        log([record for record in records if record is not None])
+        self.view_store.log_lineage(
+            [record for record in records if record is not None])
 
     def _observe_flight(self, flight_ctx, sql: str, root,
                         query_metrics: QueryMetrics, rows_returned: int,
@@ -866,57 +845,60 @@ class EvaSession:
         return self.view_store.total_serialized_bytes()
 
     def save_reuse_state(self, directory) -> int:
-        """Persist materialized views and aggregated predicates to disk.
-
-        Returns the number of bytes written.  A later session over the same
-        videos can :meth:`load_reuse_state` and keep reusing results across
-        process restarts.
-        """
-        import json
-        from pathlib import Path
-
-        directory = Path(directory)
-        total = self.view_store.save_to(directory / "views")
-        histories = [
-            {
-                "udf_name": h.signature.udf_name,
-                "sources": list(h.signature.sources),
-                "per_tuple_cost": h.per_tuple_cost,
-                "predicate_sql":
-                    h.aggregated_predicate.to_expression().to_sql(),
-            }
-            for h in self.udf_manager.histories()
-        ]
-        payload = json.dumps(histories, indent=2).encode("utf-8")
-        (directory / "udf_manager.json").write_bytes(payload)
-        return total + len(payload)
+        """Export the views and every ``p_u`` as an ``eva-store-v3``
+        store at ``directory`` (replacing an earlier export there), which
+        :meth:`load_reuse_state` reads and ``repro store check``
+        validates; returns the bytes the export holds on disk."""
+        self._refuse_if_shared("save_reuse_state")
+        directory = self._export_path(directory, "save_reuse_state")
+        # No byte budgets: an export keeps every view.
+        export, manager = open_reuse_state(replace(
+            self.config, store_mode="durable", store_path=str(directory),
+            store_hot_bytes=0, store_warm_bytes=0), self.symbolic)
+        try:
+            export.drop_all()
+            manager.reset()
+            copy_views(self.view_store, export)
+            for history in self.udf_manager.histories():
+                manager.record_execution(history.signature,
+                                         history.aggregated_predicate,
+                                         history.per_tuple_cost)
+        finally:
+            export.close()
+        return sum(path.stat().st_size for path in directory.rglob("*")
+                   if path.is_file())
 
     def load_reuse_state(self, directory) -> None:
-        """Restore state previously written by :meth:`save_reuse_state`."""
-        import json
-        from pathlib import Path
-
-        from repro.optimizer.udf_manager import UdfSignature
-        from repro.parser.parser import parse_predicate
-        from repro.storage.view_store import ViewStore
-
+        """Replace this session's views and ``p_u`` with an export written
+        by :meth:`save_reuse_state`, copied into the session's own store
+        (a durable session logs them)."""
         self._refuse_if_shared("load_reuse_state")
-        directory = Path(directory)
-        self.view_store = ViewStore.load_from(directory / "views")
-        if self.ledger is not None:
-            self.view_store.ledger = self.ledger
-        self.state.view_store = self.view_store
-        self.context.view_store = self.view_store
-        self.udf_manager.reset()
-        manifest = json.loads(
-            (directory / "udf_manager.json").read_text("utf-8"))
-        for entry in manifest:
-            signature = UdfSignature(entry["udf_name"],
-                                     tuple(entry["sources"]))
-            predicate = self.symbolic.analyze(
-                parse_predicate(entry["predicate_sql"]))
-            self.udf_manager.record_execution(
-                signature, predicate, entry["per_tuple_cost"])
+        directory = self._export_path(directory, "load_reuse_state")
+        layout = StoreLayout(directory)
+        meta = layout.read_manifest()["meta"]
+        if meta is None or not layout.control_log_path.exists():
+            raise StorageError(f"no exported reuse state at {directory}")
+        # Its own partitioning: closing the export then rewrites nothing.
+        export = DurableViewStore(
+            directory, partition_frames=meta["partition_frames"])
+        try:
+            self.view_store.drop_all()
+            self.udf_manager.reset()
+            copy_views(export, self.view_store)
+            restore_udf_histories(export, self.udf_manager, self.symbolic)
+            self.view_store.flush()
+        finally:
+            export.close()
+
+    def _export_path(self, directory, operation: str) -> Path:
+        """``directory`` resolved; refuses the session's own store."""
+        directory = Path(directory).resolve()
+        own = self.config.store_path
+        if own and Path(own).resolve() == directory:
+            raise StorageError(
+                f"{operation} cannot use the session's own store {own}; "
+                "export to another directory")
+        return directory
 
     def reset_reuse_state(self) -> None:
         """Drop all materialized state (views, caches, histories, metrics)."""
@@ -942,9 +924,8 @@ class EvaSession:
         to the :class:`~repro.server.EvaServer`, which snapshots it during
         its draining shutdown.  Safe to call more than once.
         """
-        store = self.state.view_store
-        if not self.state.shared and getattr(store, "is_durable", False):
-            store.close()
+        if not self.state.shared:
+            self.state.view_store.close()
 
     def _refuse_if_shared(self, operation: str) -> None:
         if self.state.shared:

@@ -8,14 +8,11 @@ input identity (frame id, or frame id + bounding box).
 """
 
 from repro.storage.batch import Batch
-from repro.storage.columnar import read_table, write_table
 from repro.storage.view_store import MaterializedView, ViewStore
 from repro.storage.engine import StorageEngine, VideoTable
 
 __all__ = [
     "Batch",
-    "read_table",
-    "write_table",
     "MaterializedView",
     "ViewStore",
     "StorageEngine",

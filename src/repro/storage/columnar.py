@@ -1,4 +1,4 @@
-"""A flat columnar on-disk format for tables and materialized views.
+"""A flat columnar on-disk format for materialized views.
 
 Stand-in for the paper's Petastorm/Parquet storage.  Every payload is one
 JSON header line — each column's form and every buffer's size — and then
@@ -8,9 +8,7 @@ or JSON for anything else (:func:`_encode_values`).  Decoding is a handful
 of ``np.frombuffer`` calls with no container format in between, and
 returns exactly the Python values that went in.
 
-A table is a directory with ``manifest.json`` (schema + row count) and
-``columns.bin``, its columns in this format, compressed.  A
-:class:`ColumnBatch` holds materialized-view entries: the unit a view
+A :class:`ColumnBatch` holds materialized-view entries: the unit a view
 appends to its typed columns, the body of a WAL ``puts`` record and,
 compressed whole, a partition snapshot.  Its keys travel as the int64
 array the view indexes — frame ids or packed patch keys
@@ -25,73 +23,16 @@ from __future__ import annotations
 import json
 import zlib
 from itertools import accumulate, starmap
-from pathlib import Path
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.catalog.schema import ColumnType, TableSchema
 from repro.storage.batch import (Batch, BoxColumn, CodedColumn, FloatColumn,
                                  coded, float_array, materialize_column)
 from repro.types import BoundingBox, box_coords
 
-_MANIFEST = "manifest.json"
-_COLUMNS = "columns.bin"
-_MANIFEST_VERSION = 2
 #: What a payload this module did not write raises while being decoded.
 _UNDECODABLE = (ValueError, KeyError, TypeError, IndexError, zlib.error)
-
-
-def write_table(directory: str | Path, schema: TableSchema,
-                batch: Batch) -> int:
-    """Write ``batch`` with ``schema`` into ``directory``.
-
-    Returns:
-        Total bytes written (manifest + column data).
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    forms, buffers = _encode_columns(
-        {col.name: batch.column(col.name) for col in schema.columns})
-    column_bytes = zlib.compress(_frame({"columns": forms}, buffers))
-    (directory / _COLUMNS).write_bytes(column_bytes)
-    manifest = {
-        "version": _MANIFEST_VERSION,
-        "num_rows": batch.num_rows,
-        "columns": [
-            {"name": c.name, "type": c.ctype.value} for c in schema.columns
-        ],
-    }
-    manifest_bytes = json.dumps(manifest, indent=2).encode("utf-8")
-    (directory / _MANIFEST).write_bytes(manifest_bytes)
-    return len(column_bytes) + len(manifest_bytes)
-
-
-def read_table(directory: str | Path) -> tuple[TableSchema, Batch]:
-    """Read a table previously written by :func:`write_table`."""
-    directory = Path(directory)
-    manifest_path = directory / _MANIFEST
-    if not manifest_path.exists():
-        raise StorageError(f"no table at {directory}")
-    manifest = json.loads(manifest_path.read_text("utf-8"))
-    if manifest.get("version") != _MANIFEST_VERSION:
-        raise StorageError(
-            f"unsupported table version {manifest.get('version')}")
-    schema = TableSchema.of(*[
-        (c["name"], ColumnType(c["type"])) for c in manifest["columns"]
-    ])
-    try:
-        header, buffers = _unframe(
-            zlib.decompress((directory / _COLUMNS).read_bytes()))
-        columns = _decode_columns(header["columns"], buffers,
-                                  manifest["num_rows"])
-    except _UNDECODABLE as exc:
-        raise StorageError(f"unreadable table at {directory}: {exc}") \
-            from exc
-    return schema, Batch(columns)
-
-
-# -- materialized-view entries ---------------------------------------------------
 
 
 class ColumnBatch:

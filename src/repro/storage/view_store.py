@@ -30,7 +30,6 @@ append; only keys and columns of no typed form are dumped, as JSON.
 
 from __future__ import annotations
 
-import json
 import threading
 from itertools import chain, count, repeat
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -538,29 +537,31 @@ class MaterializedView:
         """Serialize all entries (the compressed :class:`ColumnBatch`)."""
         return self.batch().encode(compress=True)
 
-    @classmethod
-    def deserialize(cls, name: str, key_columns: list[str],
-                    output_columns: list[str],
-                    payload: bytes) -> "MaterializedView":
-        """Rebuild a view previously produced by :meth:`serialize`."""
-        view = cls(name, key_columns, output_columns)
-        view.restore(ColumnBatch.decode(payload, compressed=True))
-        return view
-
 
 class ViewStore:
-    """All materialized views of a session, by view name."""
+    """All materialized views of a session, by view name.
+
+    It is also the durability surface the owners of reuse state call
+    (sessions, servers, pool shards): an in-memory store is not durable,
+    so its hooks do nothing, and :class:`~repro.store.DurableViewStore`
+    overrides them to log, snapshot and recover.
+    """
+
+    #: Whether the views outlive the process.
+    is_durable = False
+    #: What opening the store recovered (a
+    #: :class:`~repro.store.layout.RecoveryReport`), else None.
+    recovery_report = None
+    #: Persisted lineage ledger records, for ``ViewLedger.restore``.
+    recovered_lineage: tuple = ()
+    #: Model or UDF name -> per-tuple cost (virtual seconds), for
+    #: eviction scoring; wired by ``repro.store.attach_reuse_state``.
+    cost_resolver = None
 
     def __init__(self) -> None:
         self._views: dict[str, MaterializedView] = {}
-        #: Pluggable durability backend (duck-typed; see ``repro.store``):
-        #: gets ``view_created(view)`` after a view is registered and
-        #: ``view_dropped(name)`` after one is removed.  ``None`` (the
-        #: default) keeps the store purely in-memory with zero overhead.
-        self.backend = None
         #: Optional :class:`repro.obs.lineage.ViewLedger`: told about
-        #: creations (generation bump) and drops.  Like ``backend`` it is
-        #: duck-typed and defaults to None for zero overhead.
+        #: creations (generation bump) and drops; None costs nothing.
         self.ledger = None
         #: Guards the name -> view map.  Two threads racing to create the
         #: same view must receive the *same* instance, or one thread's
@@ -573,14 +574,12 @@ class ViewStore:
             view = self._views.get(name)
             if view is None:
                 view = MaterializedView(name, key_columns, output_columns)
-                backend = self.backend
-                if backend is not None:
-                    # Log the creation and attach the WAL listener *before*
-                    # the view becomes reachable through the map — a racing
-                    # writer must never see a view whose puts would miss
-                    # the WAL.  Creation is rare (once per view name), so
-                    # the control-log fsync under the lock is immaterial.
-                    backend.view_created(view)
+                # Log the creation and attach the WAL listener *before*
+                # the view becomes reachable through the map — a racing
+                # writer must never see a view whose puts would miss the
+                # WAL.  Creation is rare (once per view name), so the
+                # control-log fsync under the lock is immaterial.
+                self.view_created(view)
                 ledger = self.ledger
                 if ledger is not None:
                     ledger.on_create(name, key_columns, output_columns)
@@ -633,8 +632,8 @@ class ViewStore:
         container overhead), so truthiness still answers "did it exist".
         Single-view eviction is the primitive the server's storage-budget
         policies build on (drop the coldest view when over budget); the
-        durability backend is told *after* the map removal so the
-        tombstone it logs cannot race a resurrection through
+        :meth:`view_dropped` hook runs *after* the map removal so the
+        tombstone a durable store logs cannot race a resurrection through
         :meth:`create_or_get` (which would re-log a create afterwards).
         """
         with self._lock:
@@ -646,9 +645,7 @@ class ViewStore:
         ledger = self.ledger
         if ledger is not None:
             ledger.on_drop(name, reason=reason)
-        backend = self.backend
-        if backend is not None:
-            backend.view_dropped(name)
+        self.view_dropped(name)
         return freed
 
     def drop_all(self) -> int:
@@ -657,48 +654,29 @@ class ViewStore:
             names = list(self._views)
         return sum(self.drop(name) for name in names)
 
-    # -- persistence -------------------------------------------------------------
+    # -- durability hooks (no-ops in memory) -----------------------------------
 
-    def save_to(self, directory) -> int:
-        """Persist every view under ``directory``; returns bytes written."""
-        from pathlib import Path
+    def view_created(self, view: MaterializedView) -> None:
+        """A view is about to become reachable (store lock held)."""
 
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        manifest = []
-        total = 0
-        for index, (name, view) in enumerate(sorted(self._views.items())):
-            filename = f"view_{index:04d}.npz"
-            payload = view.serialize()
-            (directory / filename).write_bytes(payload)
-            total += len(payload)
-            manifest.append({
-                "name": name,
-                "file": filename,
-                "key_columns": view.key_columns,
-                "output_columns": view.output_columns,
-            })
-        manifest_bytes = json.dumps(manifest, indent=2).encode("utf-8")
-        (directory / "views.json").write_bytes(manifest_bytes)
-        return total + len(manifest_bytes)
+    def view_dropped(self, name: str) -> None:
+        """A view left the map."""
 
-    @classmethod
-    def load_from(cls, directory) -> "ViewStore":
-        """Rebuild a store previously written by :meth:`save_to`."""
-        from pathlib import Path
+    def log_lineage(self, records) -> None:
+        """Persist lineage ledger export records."""
 
-        directory = Path(directory)
-        manifest_path = directory / "views.json"
-        if not manifest_path.exists():
-            raise StorageError(f"no view store at {directory}")
-        store = cls()
-        for entry in json.loads(manifest_path.read_text("utf-8")):
-            payload = (directory / entry["file"]).read_bytes()
-            view = MaterializedView.deserialize(
-                entry["name"], entry["key_columns"],
-                entry["output_columns"], payload)
-            store._views[entry["name"]] = view
-        return store
+    def commit(self) -> None:
+        """Make the statement's control records durable."""
+
+    def flush(self) -> None:
+        """Make every acknowledged write durable."""
+
+    def close(self) -> None:
+        """Snapshot and release the store's files."""
+
+    def store_snapshot(self):
+        """Store health for ``repro store stats``; None without files."""
+        return None
 
 
 def one_entry(key: Key, rows: Iterable[Mapping], output_columns: list[str]

@@ -9,7 +9,9 @@ from repro.costs import DEFAULT_PER_TUPLE_COST
 from repro.store.durable import DurableViewStore, StoreSnapshot
 from repro.store.health import (StoreCheckReport, check_store, render_check,
                                 render_stats, store_stats)
-from repro.store.integration import (PersistentUdfManager, open_view_store,
+from repro.store.integration import (PersistentUdfManager,
+                                     attach_reuse_state, copy_views,
+                                     open_reuse_state, open_view_store,
                                      restore_udf_histories)
 from repro.store.layout import RecoveryReport, StoreLayout
 from repro.store.wal import WalScan, WalWriter, repair_wal, scan_wal
@@ -24,7 +26,10 @@ __all__ = [
     "StoreSnapshot",
     "WalScan",
     "WalWriter",
+    "attach_reuse_state",
     "check_store",
+    "copy_views",
+    "open_reuse_state",
     "open_view_store",
     "render_check",
     "render_stats",

@@ -1,9 +1,8 @@
 """Durable, partitioned view-store backend with tiered eviction.
 
-:class:`DurableViewStore` subclasses the in-memory ``ViewStore`` and acts
-as its own backend/listener: every view creation, drop, and put flows
-into an append-only log, so a restarted process recovers the full reuse
-state (ROADMAP open item 1 — reuse state must outlive the server).
+:class:`DurableViewStore` overrides the ``ViewStore`` durability hooks
+and listens to its views: every view creation, drop, and put flows into
+an append-only log, so a restarted process recovers the full reuse state.
 
 Durability model
 ----------------
@@ -115,10 +114,6 @@ class DurableViewStore(ViewStore):
         self.hot_budget = max(0, int(hot_bytes))
         self.warm_budget = max(0, int(warm_bytes))
         self.recovery_parallelism = max(1, int(recovery_parallelism))
-        #: Resolves a model/UDF name to its per-tuple cost (virtual
-        #: seconds) for eviction scoring; wired by the owning session or
-        #: server.  None, or a None answer, falls back to the default.
-        self.cost_resolver = None
         #: lineage_id -> latest persisted ledger export record (the
         #: ``op: "lineage"`` control-log upserts; see repro.obs.lineage).
         self._lineage_records: dict[str, dict] = {}
@@ -145,7 +140,6 @@ class DurableViewStore(ViewStore):
         self.recovery_report = self._recover()
         self._control = WalWriter(self.layout.control_log_path,
                                   sync_every=0)
-        self.backend = self
         self._write_manifest()
 
     # -- ViewStore interface overrides ------------------------------------------
@@ -219,7 +213,7 @@ class DurableViewStore(ViewStore):
         with self._io_lock:
             return sum(self.drop(name) for name in self.names())
 
-    # -- backend hooks (called by the base ViewStore) ---------------------------
+    # -- durability hooks (called by the base ViewStore) ------------------------
 
     def view_created(self, view: MaterializedView) -> None:
         with self._io_lock:
@@ -272,6 +266,15 @@ class DurableViewStore(ViewStore):
                 return
             self._udf_records[key] = record
             self._control.append(record)
+
+    def reset_udf_histories(self) -> None:
+        """Forget every signature's predicate, durably before returning:
+        the control log is rewritten without UDF records."""
+        with self._io_lock:
+            if self._closed:
+                return
+            self._udf_records.clear()
+            self._compact_control_log()
 
     def udf_history_records(self) -> list[dict]:
         with self._io_lock:

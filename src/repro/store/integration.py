@@ -1,26 +1,27 @@
-"""Glue between the durable store and the session/server components.
+"""Opening the reuse state: the view store and the UDFMANAGER together.
 
-Views alone do not restore reuse: the optimizer plans reuse from the
-UDFMANAGER's aggregated predicates (``p_u``), so a restarted process also
-needs every signature's predicate history.  :class:`PersistentUdfManager`
-writes each post-union predicate through the store's control log, and
-:func:`restore_udf_histories` replays them into a fresh manager — the
-same SQL round-trip ``save_reuse_state``/``load_reuse_state`` uses.
+EVA's reuse state is the views STORE appends to (§4.4) and each UDF
+signature's aggregated predicate ``p_u`` (§4.1): the optimizer plans
+reuse from ``p_u``, so a restarted process needs both.
+:func:`open_reuse_state` is the one place a session, a server or a pool
+shard opens the pair — in memory, or durable with
+:class:`PersistentUdfManager` writing each post-union predicate through
+the store's control log and :func:`restore_udf_histories` replaying
+them — and :func:`attach_reuse_state` wires the opened store to its
+owner's catalog and lineage ledger.  An exported reuse state is such a
+store too (:func:`copy_views`, ``EvaSession.save_reuse_state``).
 """
 
 from __future__ import annotations
 
 from repro.config import EvaConfig
-from repro.errors import StorageError
 from repro.optimizer.udf_manager import UdfManager, UdfSignature
+from repro.storage.view_store import ViewStore
 from repro.store.durable import DurableViewStore
 
 
 def open_view_store(config: EvaConfig) -> DurableViewStore:
-    """Open (and recover) the durable store configured on ``config``."""
-    if not config.store_path:
-        raise StorageError(
-            "store_mode='durable' requires EvaConfig.store_path")
+    """Open (and recover) the durable store at ``config.store_path``."""
     return DurableViewStore(
         config.store_path,
         partition_frames=config.store_partition_frames,
@@ -29,6 +30,40 @@ def open_view_store(config: EvaConfig) -> DurableViewStore:
         hot_bytes=config.store_hot_bytes,
         warm_bytes=config.store_warm_bytes,
         recovery_parallelism=config.store_recovery_parallelism)
+
+
+def open_reuse_state(config: EvaConfig, symbolic
+                     ) -> tuple[ViewStore, UdfManager]:
+    """The view store and UDF manager ``config.store_mode`` asks for; a
+    durable pair comes back with every persisted ``p_u`` restored."""
+    if config.store_mode != "durable":
+        return ViewStore(), UdfManager(symbolic)
+    store = open_view_store(config)
+    manager = PersistentUdfManager(symbolic, store)
+    restore_udf_histories(store, manager, symbolic)
+    return store, manager
+
+
+def attach_reuse_state(store: ViewStore, catalog, ledger) -> None:
+    """Wire an opened store to its owner: eviction prices views with the
+    catalog's believed per-tuple cost, and the lineage ledger hears of
+    every create and drop and gets back the records the store recovered."""
+    store.cost_resolver = catalog.per_tuple_cost
+    if ledger is not None:
+        store.ledger = ledger
+        ledger.restore(store.recovered_lineage)
+
+
+def copy_views(source: ViewStore, target: ViewStore) -> None:
+    """Append every view of ``source`` to ``target``'s view of the same
+    name through ``put_many``, so a durable target logs the entries."""
+    for name in source.names():
+        view = source.get(name)
+        batch = view.batch()
+        target.create_or_get(name, view.key_columns,
+                             view.output_columns).put_many(
+            batch.keys if batch.array is None else batch.array,
+            batch.counts, batch.columns, patch_keys=batch.patch_keys)
 
 
 class PersistentUdfManager(UdfManager):
@@ -50,6 +85,10 @@ class PersistentUdfManager(UdfManager):
             signature.udf_name, list(signature.sources),
             entry.per_tuple_cost, sql)
         return True
+
+    def reset(self) -> None:
+        super().reset()
+        self._store.reset_udf_histories()
 
 
 def restore_udf_histories(store: DurableViewStore, manager: UdfManager,

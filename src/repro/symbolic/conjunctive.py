@@ -74,11 +74,6 @@ class Conjunctive:
             merged[dim] = constraint
         return Conjunctive(merged)
 
-    def without_dimension(self, dim: str) -> "Conjunctive":
-        merged = dict(self.constraints)
-        merged.pop(dim, None)
-        return Conjunctive(merged)
-
     def subset_on_dim(self, other: "Conjunctive", dim: str) -> bool:
         """Is self's constraint on ``dim`` a subset of other's?
 

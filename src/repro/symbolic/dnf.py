@@ -109,10 +109,6 @@ class DnfPredicate:
 
     # -- structure helpers ------------------------------------------------------
 
-    def with_conjunctives(self, conjunctives: tuple[Conjunctive, ...]
-                          ) -> "DnfPredicate":
-        return DnfPredicate(conjunctives, self.terms)
-
     def merged_terms(self, other: "DnfPredicate") -> dict[str, Expression]:
         merged = dict(self.terms)
         merged.update(other.terms)

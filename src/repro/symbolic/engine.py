@@ -173,10 +173,6 @@ class SymbolicEngine:
                              evictions=self._evictions,
                              size=len(self._memo))
 
-    def clear_memo(self) -> None:
-        with self._memo_lock:
-            self._memo.clear()
-
     # -- estimation -----------------------------------------------------------
 
     def estimator(self, resolver: StatsResolver) -> SelectivityEstimator:

@@ -36,10 +36,6 @@ class SelectivityEstimator:
                          if default_selectivity is None
                          else default_selectivity)
 
-    @classmethod
-    def for_table(cls, stats: TableStatistics) -> "SelectivityEstimator":
-        return cls(stats.get)
-
     # -- public API ----------------------------------------------------------
 
     def selectivity(self, predicate: DnfPredicate) -> float:

@@ -176,11 +176,6 @@ class VideoMetadata:
     # generator and matches the statistics reported in section 5.1.
     vehicles_per_frame: float = 0.0
 
-    def duration_seconds(self) -> float:
-        if self.fps <= 0:
-            return 0.0
-        return self.num_frames / self.fps
-
 
 @dataclass
 class QueryResult:

@@ -357,6 +357,23 @@ class TestShutdown:
         assert queued.cancelled() or isinstance(
             queued.exception(), EvaError)
 
+    def test_bounded_drain_returns_once_the_last_query_finishes(self):
+        server, gate, started = gated_server(max_workers=1)
+        server.start()
+        future = server.connect("a").submit(GATED_QUERY)
+        assert started.wait(timeout=10)
+        opener = threading.Timer(0.1, gate.set)
+        opener.start()
+        began = time.monotonic()
+        try:
+            server.shutdown(drain=True, timeout=30)
+        finally:
+            opener.cancel()
+            gate.set()
+        assert time.monotonic() - began < 2.0
+        assert future.done()
+        assert future.result().rows
+
     def test_shutdown_without_start_is_clean(self):
         server = EvaServer()
         server.shutdown()
@@ -424,6 +441,8 @@ class TestSharedSessionGuards:
                     session.reset_reuse_state()
                 with pytest.raises(EvaError, match="shared"):
                     session.load_reuse_state(tmp_path)
+                with pytest.raises(EvaError, match="shared"):
+                    session.save_reuse_state(tmp_path)
 
     def test_clients_have_private_metrics_and_clock(self):
         server = EvaServer(max_workers=2)

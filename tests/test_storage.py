@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.schema import ColumnType, TableSchema
 from repro.errors import ExecutorError, StorageError
 from repro.server.locks import RWLock
 from repro.server.state import ClientViewHandle
@@ -28,7 +27,7 @@ from repro.storage.batch import (
     frame_ids,
     stored_column,
 )
-from repro.storage.columnar import ColumnBatch, read_table, write_table
+from repro.storage.columnar import ColumnBatch
 from repro.storage.engine import StorageEngine, VideoTable
 from repro.storage.view_store import (
     SERIALIZED_BASE_OVERHEAD,
@@ -125,42 +124,6 @@ class TestBatch:
     def test_rename(self):
         batch = Batch({"a": [1]}).rename({"a": "z"})
         assert batch.column_names == ["z"]
-
-
-class TestColumnarFormat:
-    SCHEMA = TableSchema.of(
-        ("id", ColumnType.INTEGER),
-        ("score", ColumnType.FLOAT),
-        ("label", ColumnType.STRING),
-        ("flag", ColumnType.BOOLEAN),
-        ("bbox", ColumnType.BBOX),
-    )
-
-    def _batch(self):
-        return Batch({
-            "id": [1, 2],
-            "score": [0.5, 0.75],
-            "label": ["car", "bus"],
-            "flag": [True, False],
-            "bbox": [BoundingBox(0, 0, 10, 10), BoundingBox(1, 2, 3, 4)],
-        })
-
-    def test_roundtrip(self, tmp_path):
-        nbytes = write_table(tmp_path / "t", self.SCHEMA, self._batch())
-        assert nbytes > 0
-        schema, batch = read_table(tmp_path / "t")
-        assert schema == self.SCHEMA
-        assert batch.to_tuples() == self._batch().to_tuples()
-
-    def test_read_missing_table(self, tmp_path):
-        with pytest.raises(StorageError):
-            read_table(tmp_path / "nope")
-
-    def test_empty_table_roundtrip(self, tmp_path):
-        empty = Batch({c.name: [] for c in self.SCHEMA.columns})
-        write_table(tmp_path / "t", self.SCHEMA, empty)
-        _, batch = read_table(tmp_path / "t")
-        assert batch.num_rows == 0
 
 
 class TestMaterializedView:
@@ -294,8 +257,9 @@ class TestSerializedBytesEstimate:
         view = MaterializedView("v", ["id"], ["label", "bbox"])
         for i in range(30):
             view.put((i,), self._rows(i))
-        restored = MaterializedView.deserialize(
-            "v", ["id"], ["label", "bbox"], view.serialize())
+        restored = MaterializedView("v", ["id"], ["label", "bbox"])
+        restored.restore(ColumnBatch.decode(view.serialize(),
+                                            compressed=True))
         assert restored.serialized_bytes() == view.serialized_bytes()
 
 
@@ -953,6 +917,21 @@ class TestViewStore:
         # Dropping frees the name for a fresh (empty) view.
         fresh = store.create_or_get("gone", ["id"], ["y"])
         assert fresh.num_keys == 0
+
+    def test_a_memory_store_answers_the_durability_surface(self):
+        """Owners of reuse state call the durability hooks on any store;
+        in memory each one is inert."""
+        store = ViewStore()
+        store.create_or_get("v", ["id"], ["x"]).put((1,), [{"x": 1}])
+        assert not store.is_durable
+        assert store.recovery_report is None
+        assert list(store.recovered_lineage) == []
+        assert store.store_snapshot() is None
+        store.log_lineage([{"lineage_id": "v#g1", "view": "v"}])
+        store.commit()
+        store.flush()
+        store.close()
+        assert store.get("v").get((1,)) == ({"x": 1},)
 
 
 class TestVideoTableScan:

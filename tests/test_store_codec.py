@@ -170,8 +170,9 @@ class TestRoundTrip:
         replayed = MaterializedView("v", ["id"], list(_COLUMNS))
         for payload in logged:
             replayed.restore(ColumnBatch.decode(payload))
-        restored = MaterializedView.deserialize(
-            "v", ["id"], list(_COLUMNS), view.serialize())
+        restored = MaterializedView("v", ["id"], list(_COLUMNS))
+        restored.restore(ColumnBatch.decode(view.serialize(),
+                                            compressed=True))
         expected = repr(view.items())
         assert repr(replayed.items()) == expected
         assert repr(restored.items()) == expected
