@@ -34,7 +34,12 @@ from repro.optimizer.plans import (
     replace_child,
     walk_plan,
 )
-from repro.symbolic.dnf import DnfPredicate
+from repro.symbolic.dnf import (
+    DnfPredicate,
+    dnf_conjunction,
+    dnf_from_expression,
+)
+from repro.symbolic.reduce import reduce_predicate
 
 #: Columns available before the detector APPLY (post-binding: timestamps
 #: are rewritten to frame ids).
@@ -134,18 +139,30 @@ def guard_below(node: LogicalNode, ctx: OptimizationContext
             conjuncts.extend(split_conjuncts(part.predicate))
         elif isinstance(part, LogicalFilter):
             conjuncts.extend(split_conjuncts(part.predicate))
-    analyzable = [c for c in conjuncts if _analyzable(c, ctx)]
-    if not analyzable:
+    converted = [dnf for dnf in map(_converted, conjuncts) if dnf is not None]
+    if not converted:
         return DnfPredicate.true()
-    return ctx.engine.analyze(conjunction_of(analyzable))
+    # One conversion per conjunct, one reduction for the guard.  The
+    # product is exactly ``dnf_from_expression(conjunction_of(...))``, so
+    # the guard's memo key, and every p_u built from it, stay the same.
+    return ctx.engine.reduce(dnf_conjunction(converted))
 
 
-def _analyzable(conjunct, ctx: OptimizationContext) -> bool:
+def _converted(conjunct) -> DnfPredicate | None:
+    """``conjunct`` in (unreduced) DNF; None when it is not analyzable.
+
+    A disjunction that puts numeric and categorical constraints on one
+    dimension converts but cannot be reduced, so a conjunct of several
+    conjunctives is also reduced once here (outside the memo) to reject
+    it; a single conjunctive always reduces.
+    """
     try:
-        ctx.engine.analyze(conjunct)
-        return True
+        dnf = dnf_from_expression(conjunct)
+        if len(dnf.conjunctives) > 1:
+            reduce_predicate(dnf)
+        return dnf
     except UnsupportedPredicateError:
-        return False
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +262,7 @@ class MergeFilterIntoGetRule(TransformationRule):
         mergeable, rest = [], []
         for conjunct in split_conjuncts(node.predicate):
             if references_only(conjunct, {"id"}) and \
-                    _analyzable(conjunct, ctx):
+                    _converted(conjunct) is not None:
                 mergeable.append(conjunct)
             else:
                 rest.append(conjunct)

@@ -12,7 +12,7 @@ stated limitation in section 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import UnsupportedPredicateError
 from repro.expressions.analysis import conjunction_of, term_key
@@ -186,12 +186,21 @@ def _to_dnf(expr: Expression) -> DnfPredicate:
         alive = tuple(c for c in conjunctives if not c.is_empty())
         return DnfPredicate(alive, terms)
     if isinstance(expr, And):
-        result = DnfPredicate.true()
-        for operand in expr.operands:
-            part = _to_dnf(operand)
-            result = _cross_product(result, part)
-        return result
+        return dnf_conjunction(_to_dnf(o) for o in expr.operands)
     raise UnsupportedPredicateError(f"cannot convert {expr!r} to DNF")
+
+
+def dnf_conjunction(parts: Iterable[DnfPredicate]) -> DnfPredicate:
+    """AND of converted predicates, distributed to DNF (not reduced).
+
+    The same product :func:`dnf_from_expression` forms for an ``And``, so
+    converting conjuncts one by one and combining them here yields the
+    conversion of their conjunction, conjunctive for conjunctive.
+    """
+    result = DnfPredicate.true()
+    for part in parts:
+        result = _cross_product(result, part)
+    return result
 
 
 def _cross_product(left: DnfPredicate, right: DnfPredicate) -> DnfPredicate:

@@ -30,8 +30,9 @@ from repro.symbolic.dnf import DnfPredicate
 #: (``reduce_union_conjunctives`` calls) per reduction rather than
 #: seconds, so the same input reduces to the same output on any machine
 #: (memo keys, plan-cache keys, WAL SQL and ledger text all derive from
-#: it).  The largest reduction of the four e2e workloads makes 76
-#: comparisons; the 0.5 s this replaces was about 16 000.
+#: it).  The largest reduction of the four e2e workloads makes 17
+#: comparisons (``explore_cold``); the 0.5 s this replaces was about
+#: 16 000.
 MAX_REDUCTION_STEPS = 16384
 
 _exhaustions = 0

@@ -21,7 +21,12 @@ from repro.optimizer.plans import (
     LogicalProject,
     walk_plan,
 )
-from repro.optimizer.reuse_rules import UdfPredicateTransformationRule
+from repro.errors import UnsupportedPredicateError
+from repro.expressions.analysis import conjunction_of, split_conjuncts
+from repro.optimizer.reuse_rules import (
+    REUSE_RULES,
+    UdfPredicateTransformationRule,
+)
 from repro.optimizer.rules import (
     AnnotateApplyGuardRule,
     CANONICAL_RULES,
@@ -32,6 +37,9 @@ from repro.optimizer.rules import (
 )
 from repro.parser.parser import parse
 from repro.session import EvaSession
+from repro.symbolic.dnf import DnfPredicate
+from repro.symbolic.engine import SymbolicEngine, predicate_key
+from repro.vbench.queries import vbench_high
 
 
 @pytest.fixture
@@ -211,3 +219,74 @@ class TestUdfPredicateTransformationRule:
         twice = engine.rewrite(once, [UdfPredicateTransformationRule()],
                                context)
         assert once == twice
+
+
+def where(sql: str):
+    return parse(f"SELECT id FROM tiny WHERE {sql};").where
+
+
+def _analyzed_guard(node, engine: SymbolicEngine) -> DnfPredicate:
+    """The guard as ``engine.analyze`` of the AND of every conjunct below
+    ``node`` that ``engine.analyze`` accepts on its own."""
+    conjuncts = []
+    for part in walk_plan(node):
+        if isinstance(part, (LogicalGet, LogicalFilter)) and \
+                part.predicate is not None:
+            conjuncts.extend(split_conjuncts(part.predicate))
+    analyzable = []
+    for conjunct in conjuncts:
+        try:
+            engine.analyze(conjunct)
+        except UnsupportedPredicateError:
+            continue
+        analyzable.append(conjunct)
+    if not analyzable:
+        return DnfPredicate.true()
+    return engine.analyze(conjunction_of(analyzable))
+
+
+#: (query, its unanalyzable conjunct): ``id = id`` is not axis-aligned;
+#: the disjunction converts but mixes a categorical and a numeric
+#: constraint on ``id``, so it cannot be reduced.
+UNANALYZABLE = [
+    ("SELECT id FROM tiny CROSS APPLY FastRCNNObjectDetector(frame) "
+     "WHERE id < 30 AND id = id;", "id = id"),
+    ("SELECT id FROM tiny CROSS APPLY FastRCNNObjectDetector(frame) "
+     "WHERE (id = 'a' OR id > 20) AND id < 30 AND label = 'car';",
+     "id = 'a' OR id > 20"),
+]
+
+
+class TestGuardIdentity:
+    """One conversion per conjunct plus one reduction gives the guard
+    (and so every ``p_u`` and plan-cache key) that analyzing the whole
+    conjunction gives."""
+
+    @pytest.mark.parametrize(
+        "sql", vbench_high("tiny", 400) + [sql for sql, _ in UNANALYZABLE])
+    def test_guard_below_matches_analyzing_the_conjunction(self, ctx, sql):
+        plan, context = ctx(sql)
+        engine = RuleEngine()
+        plan = engine.rewrite(plan, list(CANONICAL_RULES), context)
+        plan = engine.rewrite(plan, REUSE_RULES, context)
+        reference = SymbolicEngine()
+        nodes = list(walk_plan(plan))
+        assert any(isinstance(n, LogicalApply) for n in nodes)
+        for node in nodes:
+            assert predicate_key(guard_below(node, context)) == \
+                predicate_key(_analyzed_guard(node, reference))
+
+    @pytest.mark.parametrize("sql, conjunct", UNANALYZABLE)
+    def test_unanalyzable_conjunct_stays_out_of_the_scan(self, ctx, sql,
+                                                         conjunct):
+        plan, context = ctx(sql)
+        rewritten = RuleEngine().rewrite(
+            plan, list(CANONICAL_RULES), context)
+        get = next(n for n in walk_plan(rewritten)
+                   if isinstance(n, LogicalGet))
+        assert get.predicate.to_sql() == "id < 30"
+        filtered = [c for n in walk_plan(rewritten)
+                    if isinstance(n, LogicalFilter)
+                    for c in split_conjuncts(n.predicate)]
+        assert where(conjunct) in filtered
+

@@ -8,12 +8,13 @@ from repro.expressions.expr import (
     ColumnRef,
     CompOp,
     Comparison,
+    FunctionCall,
     Literal,
     Not,
     Or,
 )
 from repro.parser.parser import parse
-from repro.symbolic.dnf import dnf_from_expression
+from repro.symbolic.dnf import dimension_of, dnf_from_expression
 from repro.symbolic.operations import (
     difference,
     intersection,
@@ -49,6 +50,28 @@ predicates = st.recursive(
         st.builds(Not, children),
     ),
     max_leaves=6)
+
+#: A UDF term: its dimension is ``udf:cartype(frame,bbox)``.
+CAR_TYPE = FunctionCall("cartype", (ColumnRef("frame"), ColumnRef("bbox")))
+
+polyadic_predicates = st.recursive(
+    st.one_of(atoms(), st.builds(
+        Comparison,
+        st.just(CAR_TYPE),
+        st.sampled_from([CompOp.EQ, CompOp.NE]),
+        st.sampled_from(["Nissan", "Toyota"]).map(Literal))),
+    lambda children: st.one_of(
+        st.builds(lambda a, b: And((a, b)), children, children),
+        st.builds(lambda a, b: Or((a, b)), children, children),
+        st.builds(Not, children),
+    ),
+    max_leaves=8)
+
+#: Every row of x, y in [-8, 8] x label x car type.
+GRID = [{"x": x, "y": y, "label": label, dimension_of(CAR_TYPE): car_type}
+        for x in range(-8, 9) for y in range(-8, 9)
+        for label in ("car", "bus", "van")
+        for car_type in ("Nissan", "Toyota", "Honda")]
 
 rows = st.fixed_dictionaries({
     "x": st.integers(-8, 8),
@@ -89,6 +112,18 @@ class TestDerivedPredicates:
         b = dnf_from_expression(p2)
         assert difference(a, b).satisfied_by(row) == (
             (not a.satisfied_by(row)) and b.satisfied_by(row))
+
+    @settings(max_examples=100, deadline=None)
+    @given(polyadic_predicates, polyadic_predicates)
+    def test_difference_matches_negation_reference(self, p, q):
+        """DIFF by subtraction denotes what the negation form denotes,
+        on the whole grid."""
+        a = dnf_from_expression(p)
+        b = dnf_from_expression(q)
+        fast = difference(a, b)
+        reference = intersection(negation(a), b)
+        assert [fast.satisfied_by(row) for row in GRID] == \
+            [reference.satisfied_by(row) for row in GRID]
 
     @settings(max_examples=150, deadline=None)
     @given(predicates, rows)
