@@ -506,7 +506,7 @@ def run_flight(policy_name: str, dataset: str, sql: str,
     """``repro flight``: run statements and dump their flight records.
 
     Every SELECT yields one wide per-query record (stage breakdown,
-    lock waits, batcher/store-io telemetry, Eq. 3/4 costs);
+    lock waits, inference/store-io telemetry, Eq. 3/4 costs);
     ``--stage`` filters by dominant stage, ``--jsonl`` exports the raw
     records, and ``--slo-p50/--slo-p99`` arm the violation column.
     """

@@ -105,17 +105,6 @@ class EvaConfig:
     #: Minimum *executed* (non-reused) invocations before a model's
     #: observed cost is trusted for drift detection / calibration.
     calibration_min_invocations: int = 32
-    #: Cross-query inference micro-batching (server deployments): maximum
-    #: number of tuples coalesced into one ``predict_batch`` call across
-    #: concurrent clients targeting the same physical model.  Must
-    #: comfortably exceed ``batch_rows`` — a single client's miss
-    #: sub-batch can be a full scan batch, and chunking never splits a
-    #: request, so a budget below ``2 * batch_rows`` can never merge two
-    #: full sub-batches.  The default fits four.
-    micro_batch_max_size: int = 2048
-    #: How long (milliseconds) a leader waits for other clients' miss
-    #: sub-batches to coalesce before dispatching what it has.
-    micro_batch_timeout_ms: float = 2.0
     #: Maximum entries in the FunCache baseline's function cache (LRU
     #: eviction, ``funcache_evictions`` counter).  ``0`` disables the cap;
     #: an unbounded cache is a slow leak across long exploratory sessions.
@@ -169,11 +158,11 @@ class EvaConfig:
     #: shared medium that makes worker crash/respawn lossless.
     workers: int = 1
     #: Number of view-store shards consistent-hashed over the workers.
-    #: Views, UDF histories, and inference dispatch for a given
-    #: (model, video) signature all land on the shard of that
-    #: signature's key, so the owning worker serves probes, appends,
-    #: predicate unions, and coalesced model calls for it.  Must be
-    #: >= ``workers`` (each worker owns >= 1 shard).
+    #: Views and UDF histories for a given (model, video) signature
+    #: land on the shard of that signature's key, so the owning worker
+    #: serves probes, appends and predicate unions for it; model calls
+    #: run in whichever worker executes the query.  Must be >=
+    #: ``workers`` (each worker owns >= 1 shard).
     shards: int = 8
     #: Per-worker admission queue depth (queue-based load leveling):
     #: each worker process admits at most ``worker threads +
@@ -225,14 +214,9 @@ class EvaConfig:
             raise ValueError(
                 f"kernel_cache_size must be >= 1, "
                 f"got {self.kernel_cache_size!r}")
-        if self.micro_batch_max_size < 1:
+        if self.batch_rows < 1:
             raise ValueError(
-                f"micro_batch_max_size must be >= 1, "
-                f"got {self.micro_batch_max_size!r}")
-        if self.micro_batch_timeout_ms < 0:
-            raise ValueError(
-                f"micro_batch_timeout_ms must be >= 0, "
-                f"got {self.micro_batch_timeout_ms!r}")
+                f"batch_rows must be >= 1, got {self.batch_rows!r}")
         if self.funcache_max_entries < 0:
             raise ValueError(
                 f"funcache_max_entries must be >= 0, "

@@ -51,11 +51,6 @@ class ExecutionContext:
     #: to avoid an executor->obs import; operators may attach events to
     #: the active trace through it.  None disables.
     tracer: object | None = None
-    #: Cross-query inference router
-    #: (:class:`repro.server.batcher.InferenceBatcher`), duck-typed to a
-    #: ``submit(model, video, inputs) -> list`` method so the executor
-    #: never imports server code.  None invokes models directly.
-    inference: object | None = None
     #: Process-wide plan→kernel cache
     #: (:class:`repro.executor.fusion.KernelCache`), duck-typed to avoid
     #: a context->fusion import cycle.  Shared by every client of a
@@ -94,23 +89,19 @@ class ExecutionContext:
 
     def invoke_model(self, model, video: SyntheticVideo,
                      inputs: Sequence) -> list:
-        """Run ``model.predict_batch`` through the inference router.
+        """Run ``model.predict_batch`` over ``inputs``.
 
-        Without a router this is a direct call.  With a router (the
-        server's :class:`~repro.server.batcher.InferenceBatcher`), the
-        call may be coalesced with concurrent clients' sub-batches
-        targeting the same physical model — results are identical.
-        Virtual-clock charges are
-        *not* made here: the calling operator already charged
-        ``len(inputs) * per_tuple_cost`` to its own clock, so each
-        client pays for exactly its own tuples no matter how the
-        wall-clock work was shared.
+        The one model seam: every process calls its own models directly
+        (they are deterministic), counting calls and tuples in the
+        ``model_calls`` / ``model_tuples`` counters.  Virtual-clock
+        charges are *not* made here: the calling operator already charged
+        ``len(inputs) * per_tuple_cost`` to its own clock.
         """
+        self.metrics.increment("model_calls")
+        self.metrics.increment("model_tuples", len(inputs))
         flight = current_flight()
         started = time.perf_counter() if flight is not None else 0.0
         try:
-            if self.inference is not None:
-                return self.inference.submit(model, video, inputs)
             return model.predict_batch(video, inputs)
         finally:
             if flight is not None:

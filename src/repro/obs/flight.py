@@ -11,20 +11,20 @@ module anchors:
   :class:`~repro.server.server.EvaServer` before the query runs;
 * **per-lock-class RW-lock wait** — the contention listener installed on
   :class:`~repro.server.locks.RWLock` forwards wait seconds here;
-* **batcher wait** — leader windows vs follower rides and the dispatch
-  window occupancy (:class:`~repro.server.batcher.InferenceBatcher`);
+* **inference** — seconds inside ``predict_batch``
+  (:meth:`~repro.executor.context.ExecutionContext.invoke_model`);
 * **store I/O** — WAL append/fsync, snapshot, and promotion seconds
   (:mod:`repro.store.wal` / :mod:`repro.store.durable`);
 * plus kernel fallbacks, the #TI/#DI hit/miss breakdown, and the summed
   Eq. 3/4 costs of the plan's reuse decisions.
 
 Instrumented components never hold a reference to a recorder: they call
-the module-level hooks (:func:`record_lock_wait`, :func:`record_store_io`,
-:func:`record_inference`, :func:`record_batcher_wait`), which resolve
-the **thread-local** :class:`FlightContext` installed by the session for
-the duration of the query.  With no context installed every hook is a
-dictionary miss — no ``perf_counter`` calls, no allocation — so library
-code paths that never asked for flight data pay nothing.
+the module-level hooks (:func:`record_lock_wait`, :func:`record_store_io`)
+or :func:`current_flight`, which resolve the **thread-local**
+:class:`FlightContext` installed by the session for the duration of the
+query.  With no context installed every hook is a dictionary miss — no
+``perf_counter`` calls, no allocation — so library code paths that never
+asked for flight data pay nothing.
 
 Stage accounting: ``queueing + contention + inference + store-io +
 compute == total_s`` by construction (compute is the residual), where
@@ -45,8 +45,7 @@ from repro.obs.slo import STAGES, SloTracker, attribute
 
 __all__ = [
     "FlightContext", "FlightRecorder", "FlightStats", "STAGES",
-    "current_flight", "record_batcher_wait", "record_inference",
-    "record_lock_wait", "record_store_io",
+    "current_flight", "record_lock_wait", "record_store_io",
 ]
 
 #: Store I/O kinds a context accumulates (fixed so the record — and its
@@ -61,9 +60,7 @@ class FlightContext:
     between ``begin`` and ``finish``.
     """
 
-    __slots__ = ("queue_wait_s", "lock_waits", "store_io", "inference_s",
-                 "leader_windows", "follower_rides", "batcher_wait_s",
-                 "max_window_requests")
+    __slots__ = ("queue_wait_s", "lock_waits", "store_io", "inference_s")
 
     def __init__(self, queue_wait_s: float = 0.0):
         self.queue_wait_s = max(0.0, queue_wait_s)
@@ -71,10 +68,6 @@ class FlightContext:
         self.lock_waits: dict[str, dict] = {}
         self.store_io = {kind: 0.0 for kind in STORE_IO_KINDS}
         self.inference_s = 0.0
-        self.leader_windows = 0
-        self.follower_rides = 0
-        self.batcher_wait_s = 0.0
-        self.max_window_requests = 0
 
     # -- hook targets --------------------------------------------------------
 
@@ -92,16 +85,6 @@ class FlightContext:
 
     def add_inference(self, seconds: float) -> None:
         self.inference_s += seconds
-
-    def add_batcher_wait(self, role: str, seconds: float,
-                         window_requests: int) -> None:
-        if role == "leader":
-            self.leader_windows += 1
-        else:
-            self.follower_rides += 1
-        self.batcher_wait_s += seconds
-        if window_requests > self.max_window_requests:
-            self.max_window_requests = window_requests
 
     # -- derived -------------------------------------------------------------
 
@@ -134,19 +117,6 @@ def record_store_io(kind: str, seconds: float) -> None:
     ctx = current_flight()
     if ctx is not None:
         ctx.add_store_io(kind, seconds)
-
-
-def record_inference(seconds: float) -> None:
-    ctx = current_flight()
-    if ctx is not None:
-        ctx.add_inference(seconds)
-
-
-def record_batcher_wait(role: str, seconds: float,
-                        window_requests: int) -> None:
-    ctx = current_flight()
-    if ctx is not None:
-        ctx.add_batcher_wait(role, seconds, window_requests)
 
 
 class FlightStats:
@@ -312,12 +282,6 @@ class FlightRecorder:
                        "write_s": round(entry["write_s"], 9),
                        "waits": entry["waits"]}
                 for name, entry in sorted(ctx.lock_waits.items())
-            },
-            "batcher": {
-                "leader_windows": ctx.leader_windows,
-                "follower_rides": ctx.follower_rides,
-                "wait_s": round(ctx.batcher_wait_s, 9),
-                "max_window_requests": ctx.max_window_requests,
             },
             "store_io": {
                 **{kind: round(ctx.store_io.get(kind, 0.0), 9)

@@ -256,47 +256,16 @@ def _expose_drift(exp: _Exposition, report) -> None:
 
 
 def _expose_batcher(exp: _Exposition, snapshot) -> None:
-    """Inference micro-batcher coalescing statistics
-    (:class:`~repro.server.batcher.BatcherSnapshot`)."""
+    """Model-call totals (:class:`~repro.server.stats.BatcherSnapshot`)."""
     exp.header("eva_batcher_requests_total",
-               "Client miss sub-batches submitted to the shared "
-               "inference batcher", "counter")
+               "Model calls made by the server's sessions", "counter")
     exp.sample("eva_batcher_requests_total", snapshot.requests)
     exp.header("eva_batcher_tuples_total",
-               "Tuples submitted to the shared inference batcher",
-               "counter")
+               "Tuples passed to the server's model calls", "counter")
     exp.sample("eva_batcher_tuples_total", snapshot.tuples)
     exp.header("eva_batcher_dispatches_total",
-               "Physical predict_batch calls (kind=coalesced carried "
-               "more than one client request)", "counter")
-    exp.sample("eva_batcher_dispatches_total", snapshot.dispatches,
-               kind="all")
-    exp.sample("eva_batcher_dispatches_total",
-               snapshot.coalesced_dispatches, kind="coalesced")
-    exp.header("eva_batcher_batch_requests",
-               "Client requests per physical dispatch "
-               "(stat=mean|max; mean > 1 means cross-client "
-               "coalescing happened)", "gauge")
-    exp.sample("eva_batcher_batch_requests",
-               snapshot.mean_batch_requests, stat="mean")
-    exp.sample("eva_batcher_batch_requests",
-               snapshot.max_batch_requests, stat="max")
-    exp.header("eva_batcher_batch_tuples",
-               "Tuples per physical dispatch (stat=mean|max)", "gauge")
-    exp.sample("eva_batcher_batch_tuples", snapshot.mean_batch_tuples,
-               stat="mean")
-    exp.sample("eva_batcher_batch_tuples", snapshot.max_batch_tuples,
-               stat="max")
-    exp.header("eva_batcher_remote_requests_total",
-               "Miss sub-batches that arrived over the worker pool's "
-               "shard protocol from a non-owner process (> 0 means "
-               "coalescing spans processes)", "counter")
-    exp.sample("eva_batcher_remote_requests_total",
-               snapshot.remote_requests)
-    exp.header("eva_batcher_queue_depth",
-               "Requests currently parked in coalescing windows",
-               "gauge")
-    exp.sample("eva_batcher_queue_depth", snapshot.queue_depth)
+               "Physical predict_batch calls", "counter")
+    exp.sample("eva_batcher_dispatches_total", snapshot.dispatches)
 
 
 def _expose_store(exp: _Exposition, snapshot) -> None:
@@ -523,8 +492,8 @@ def prometheus_text(metrics=None, clock=None, server=None, *,
             (continuous-profiler operator/model rollups).
         drift: a :class:`~repro.obs.calibration.DriftReport`
             (modeled vs observed per-tuple model costs).
-        batcher: a :class:`~repro.server.batcher.BatcherSnapshot`
-            (cross-client inference micro-batching gauges).
+        batcher: a :class:`~repro.server.stats.BatcherSnapshot`
+            (model-call and tuple totals).
         store: a :class:`~repro.store.StoreSnapshot` (durable
             view-store tier sizes, WAL bytes, eviction counters).
         flight: a ``FlightStats.snapshot()`` dict (per-stage wall-time

@@ -25,7 +25,6 @@ See ``docs/server.md`` for the concurrency model and what is shared
 versus per-client.
 """
 
-from repro.server.batcher import BatcherSnapshot, InferenceBatcher
 from repro.server.client import ClientHandle
 from repro.server.pool import PoolClientHandle, PoolServer
 from repro.server.server import EvaServer
@@ -36,6 +35,7 @@ from repro.server.state import (
     SharedViewStore,
 )
 from repro.server.stats import (
+    BatcherSnapshot,
     ClientStatsSnapshot,
     ServerStats,
     ServerStatsSnapshot,
@@ -49,7 +49,6 @@ __all__ = [
     "PoolClientHandle",
     "ShardRouter",
     "ShardedWorkerState",
-    "InferenceBatcher",
     "BatcherSnapshot",
     "SharedReuseState",
     "SharedViewStore",

@@ -30,7 +30,7 @@ view-store partition per owned shard — and fronts them with:
   fail with :class:`~repro.errors.WorkerCrashedError` (never silently
   retried);
 * **fleet-wide observability** — per-worker ``ServerStats`` /
-  profiler / batcher / SLO / flight / ledger snapshots merge through
+  profiler / model-call / SLO / flight / ledger snapshots merge through
   the associative ``merge`` helpers into one view, so ``repro top``,
   the Prometheus exposition and the provenance ledger describe the
   whole fleet.
@@ -65,7 +65,6 @@ from repro.errors import (
     ServerOverloadedError,
     WorkerCrashedError,
 )
-from repro.server.batcher import BatcherSnapshot
 from repro.server.client import ClientHandle
 from repro.server.server import EvaServer
 from repro.server.shard import (
@@ -78,8 +77,8 @@ from repro.server.shard import (
     round_trip,
     serve,
 )
-from repro.server.stats import ServerStats, ServerStatsSnapshot, \
-    merged_clock, merged_metrics
+from repro.server.stats import BatcherSnapshot, ServerStats, \
+    ServerStatsSnapshot, merged_clock, merged_metrics
 from repro.types import QueryResult
 from repro.video.synthetic import SyntheticVideo
 

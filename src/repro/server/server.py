@@ -46,8 +46,8 @@ from repro.models.zoo import ModelZoo
 from repro.obs.sinks import InMemorySink, TraceSink
 from repro.server.client import ClientHandle
 from repro.server.state import SharedReuseState
-from repro.server.stats import ServerStats, ServerStatsSnapshot, \
-    merged_clock, merged_metrics
+from repro.server.stats import BatcherSnapshot, ServerStats, \
+    ServerStatsSnapshot, merged_clock, merged_metrics
 from repro.session import EvaSession
 from repro.types import QueryResult
 from repro.video.synthetic import SyntheticVideo
@@ -379,15 +379,10 @@ class EvaServer:
             min_invocations=config.calibration_min_invocations,
         )
 
-    def batcher_snapshot(self):
-        """Point-in-time statistics of the shared inference batcher.
-
-        Returns a :class:`~repro.server.batcher.BatcherSnapshot`:
-        physical dispatches vs logical requests, coalesced-call counts,
-        and max/mean batch sizes — ``mean_batch_requests > 1`` means
-        concurrent clients actually shared model calls.
-        """
-        return self.state.batcher.snapshot()
+    def batcher_snapshot(self) -> BatcherSnapshot:
+        """Model calls and tuples across every client
+        (:class:`~repro.server.stats.BatcherSnapshot`)."""
+        return BatcherSnapshot.of(self.aggregate_metrics())
 
     def slo_snapshot(self):
         """Fleet-wide SLO accounting: latency quantiles over every
@@ -422,18 +417,19 @@ class EvaServer:
         """The Prometheus exposition for the whole server: merged
         per-UDF #TI/#DI/hit-rate metrics, summed per-client virtual-time
         categories, the admission/backpressure counters, the shared
-        continuous-profiler rollups, the inference micro-batcher's
-        coalescing gauges, the modeled-vs-observed cost-drift gauges,
-        and the flight/SLO/lock-contention families."""
+        continuous-profiler rollups, the model-call totals, the
+        modeled-vs-observed cost-drift gauges, and the
+        flight/SLO/lock-contention families."""
         from repro.obs.prometheus import prometheus_text
 
+        metrics = self.aggregate_metrics()
         return prometheus_text(
-            metrics=self.aggregate_metrics(),
+            metrics=metrics,
             clock=self.aggregate_clock(),
             server=self.stats(),
             profile=self.profile_snapshot(),
             drift=self.drift_report(),
-            batcher=self.batcher_snapshot(),
+            batcher=BatcherSnapshot.of(metrics),
             store=self.store_snapshot(),
             flight=self.flight_stats(),
             slo=self.slo_snapshot(),

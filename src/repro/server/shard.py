@@ -12,11 +12,10 @@ everything keyed by ``(model, video)``:
   signature — the view and the predicate that describes it must never
   be owned by different processes, so both route through the *same*
   canonical key (:func:`shard_key_for_view` strips the ``mv::`` prefix,
-  :meth:`UdfSignature.key` is the key);
-* the **inference dispatch** for the pair — one process owns each
-  ``(model, video)`` queue, so concurrent miss sub-batches from
-  *different* worker processes coalesce into single ``predict_batch``
-  calls exactly as threads coalesce inside one process.
+  :meth:`UdfSignature.key` is the key).
+
+Model calls are not placed: each worker runs its own models, which are
+deterministic, so a miss evaluated on any worker yields the same rows.
 
 Keys map to shards on a hash ring with virtual nodes
 (:class:`HashRing`); hashing is SHA-1-based (:func:`stable_hash`) so
@@ -35,8 +34,8 @@ allow-list (:data:`PEER_METHODS`), calls it, and replies
 ``("ok", payload)`` or ``("err", class_name, message, extra)``
 (:func:`dispatch`, :func:`serve`; :func:`round_trip` is the caller's
 half).  The remote proxies (:class:`RemoteViewHandle`,
-:class:`ShardedUdfManager`, :class:`ShardedInference`) are forwarders
-that preserve the single-process semantics *exactly*:
+:class:`ShardedUdfManager`) are forwarders that preserve the
+single-process semantics *exactly*:
 
 * every view probe executes on the owner through
   ``for_client(prober)``, so hit attribution (prober, owner) and lock
@@ -57,19 +56,16 @@ import bisect
 import hashlib
 import os
 import threading
-import time
 from dataclasses import replace
 from itertools import compress
 from multiprocessing.connection import Client as _ConnClient
-from typing import (Callable, Container, Hashable, Iterable, Mapping,
-                    Sequence)
+from typing import Callable, Container, Hashable, Iterable, Mapping
 
 import numpy as np
 
 import repro.errors as _errors
 from repro.config import EvaConfig
 from repro.errors import ServerError, WorkerCrashedError
-from repro.obs.flight import current_flight, record_batcher_wait
 from repro.obs.lineage import (
     record_view_create,
     record_view_probe,
@@ -121,17 +117,6 @@ def shard_key_for_view(view_name: str) -> str:
     if view_name.startswith(VIEW_PREFIX):
         return view_name[len(VIEW_PREFIX):]
     return view_name
-
-
-def inference_key(model_name: str, video_name: str) -> str:
-    """Canonical routing key of one ``(model, video)`` dispatch queue.
-
-    Matches the detector view key (``<model>@<video>``), so a detector's
-    inference owner is also its view owner; classifier views carry the
-    upstream detector in their key and may route elsewhere — ownership
-    only needs to be *unique*, not colocated, for coalescing to work.
-    """
-    return f"{model_name.lower()}@{video_name}"
 
 
 class HashRing:
@@ -201,8 +186,7 @@ TRANSPORT_ERRORS = (EOFError, OSError)
 #:   :class:`LockedUdfManager`;
 #: * ``("views",)`` / ``("udfs",)`` -- this worker's local-shards facades
 #:   (:class:`ShardedViewStore`, :class:`ShardedUdfManager`), which also
-#:   answer a remote ``create_or_get`` / ``get`` with view metadata;
-#: * ``("inference",)`` -- this worker's :class:`ShardedInference`.
+#:   answer a remote ``create_or_get`` / ``get`` with view metadata.
 PEER_METHODS = {
     "view": frozenset({"get", "get_many", "put_many", "keys_with_prefix",
                        "serialized_bytes"}),
@@ -212,7 +196,6 @@ PEER_METHODS = {
                         "total_serialized_bytes", "view_bytes",
                         "log_lineage"}),
     "udfs": frozenset({"owned_histories"}),
-    "inference": frozenset({"submit_remote"}),
 }
 
 VIEWS = ("views",)
@@ -328,8 +311,8 @@ class ShardClient:
     """Thread-safe RPC stub to one peer worker's listener.
 
     Connections are *per calling thread* (``threading.local``): a
-    remote inference dispatch can hold its connection for a full
-    service round-trip, and serializing every cross-process call of a
+    remote view write can hold its connection while it waits on the
+    owner's view lock, and serializing every cross-process call of a
     worker behind one socket would erase the pool's concurrency.  The
     peer's accept loop starts one service thread per connection, so
     per-thread connections cost one descriptor each and nothing more.
@@ -751,55 +734,6 @@ class ShardedUdfManager:
                 for entry in manager.histories()]
 
 
-# -- sharded inference ---------------------------------------------------------
-
-
-class ShardedInference:
-    """The cross-process micro-batching seam.
-
-    Duck-types the executor's ``inference.submit`` contract: each
-    ``(model, video)`` pair is owned by exactly one dispatcher process;
-    locally-owned pairs ride the local
-    :class:`~repro.server.batcher.InferenceBatcher` window, remote
-    pairs call the owner's :meth:`submit_remote` — the request joins
-    whatever coalescing window is open there, so miss sub-batches from
-    different *processes* share physical ``predict_batch`` dispatches.
-    The requester records its own flight-record batcher wait with the
-    window occupancy the owner reports back.
-    """
-
-    def __init__(self, state: "ShardedWorkerState"):
-        self.state = state
-
-    def submit(self, model, video, inputs: Sequence) -> list:
-        owner = self.state.router.worker_of(
-            inference_key(model.name, video.name))
-        if owner == self.state.worker_id:
-            return self.state.batcher.submit(model, video, inputs)
-        inputs = list(inputs)
-        if not inputs:
-            return []
-        flight = current_flight()
-        started = time.perf_counter() if flight is not None else 0.0
-        outputs, window_requests = self.state.peers.client(owner).call(
-            ("inference",), "submit_remote", model.name, video.name, inputs)
-        if flight is not None:
-            record_batcher_wait("follower",
-                                time.perf_counter() - started,
-                                window_requests)
-        return outputs
-
-    def submit_remote(self, model_name: str, video_name: str,
-                      inputs: list) -> tuple[list, int]:
-        """The owner side of a remote :meth:`submit`: the model and the
-        video travel by name and resolve to this process's own, then
-        join the local batcher's window
-        (:meth:`~repro.server.batcher.InferenceBatcher.submit_remote`)."""
-        return self.state.batcher.submit_remote(
-            self.state.zoo.get(model_name),
-            self.state.storage.table(video_name).video, inputs)
-
-
 # -- the per-worker state ------------------------------------------------------
 
 
@@ -827,17 +761,11 @@ class ShardedWorkerState(SharedReuseState):
         self.router = ShardRouter(config.shards, config.workers)
         self.peers = peers if peers is not None else PeerTable(worker_id)
         super().__init__(config, zoo)
-        # Replace the inference seam *after* the base constructor built
-        # the local batcher: sessions route every (model, video) to its
-        # owning dispatcher process; the local batcher keeps serving
-        # owned pairs and incoming ``submit_remote`` calls.
-        self.inference = ShardedInference(self)
         resolvers = {
             "view": self._view_handle,
             "udf": self._owned_manager,
             "views": lambda: self.view_store,
             "udfs": lambda: self.udf_manager,
-            "inference": lambda: self.inference,
         }
         #: Peer target kind -> ``(allow-list, resolver)`` for
         #: :func:`dispatch`.

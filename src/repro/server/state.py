@@ -50,7 +50,6 @@ from repro.obs.sinks import TraceSink
 from repro.obs.slo import SloTracker
 from repro.obs.trace import Tracer
 from repro.optimizer.udf_manager import UdfHistory, UdfManager, UdfSignature
-from repro.server.batcher import InferenceBatcher
 from repro.server.locks import RWLock
 from repro.session import SessionState
 from repro.storage.engine import StorageEngine
@@ -448,20 +447,6 @@ class SharedReuseState:
         #: cross-client benefit the ledger quantifies).
         self.ledger = ViewLedger() if self.config.view_ledger else None
         self._init_reuse_state()
-        #: Cross-client inference micro-batching: every client's
-        #: ExecutionContext routes model calls through this shared
-        #: batcher, which coalesces concurrent miss sub-batches that
-        #: target the same physical model into single ``predict_batch``
-        #: dispatches (one shared service round-trip each).  Virtual
-        #: clocks are untouched — operators pre-charge their own.
-        self.batcher = InferenceBatcher(
-            max_batch_size=self.config.micro_batch_max_size,
-            timeout_ms=self.config.micro_batch_timeout_ms)
-        #: The inference seam handed to sessions.  Defaults to the local
-        #: batcher; the sharded worker state replaces it with a routing
-        #: proxy that forwards each (model, video) to its owning
-        #: dispatcher process so coalescing spans the whole pool.
-        self.inference = self.batcher
         #: One shared profile store: every client's per-model /
         #: per-operator telemetry rolls up into the same continuous
         #: profile (ProfileStore is internally thread-safe), mirroring
@@ -544,7 +529,6 @@ class SharedReuseState:
             tracer=Tracer(clock=clock, sink=trace_sink,
                           client_id=client_id),
             profiler=self.profiler,
-            inference=self.inference,
             slo=self.slo,
             flight_stats=self.flight_stats,
             kernel_cache=self.kernel_cache,

@@ -302,6 +302,38 @@ class ServerStatsSnapshot:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class BatcherSnapshot:
+    """A server's model calls: ``requests`` and ``dispatches`` count
+    ``predict_batch`` calls, ``tuples`` their inputs.
+
+    Every call goes straight to the model
+    (:meth:`~repro.executor.context.ExecutionContext.invoke_model`), so
+    ``requests == dispatches`` by construction.  The name and the
+    duplicate field stay only until the end-to-end harness stops reading
+    ``batcher_snapshot()`` (ROADMAP item 1).
+    """
+
+    requests: int = 0
+    tuples: int = 0
+    dispatches: int = 0
+
+    @classmethod
+    def of(cls, metrics: MetricsCollector) -> "BatcherSnapshot":
+        """The model-call counters of ``metrics``."""
+        calls = metrics.counters.get("model_calls", 0)
+        return cls(requests=calls, dispatches=calls,
+                   tuples=metrics.counters.get("model_tuples", 0))
+
+    @classmethod
+    def merge(cls, snapshots) -> "BatcherSnapshot":
+        """Field-wise sum of per-process snapshots."""
+        snapshots = [s for s in snapshots if s is not None]
+        return cls(requests=sum(s.requests for s in snapshots),
+                   tuples=sum(s.tuples for s in snapshots),
+                   dispatches=sum(s.dispatches for s in snapshots))
+
+
 class _ClientCounters:
     __slots__ = ("submitted", "completed", "failed", "rejected",
                  "timed_out", "cancelled", "keys_materialized",

@@ -112,13 +112,6 @@ class SessionState:
     #: server substitutes one shared store so every client's telemetry
     #: lands in the same rollups.
     profiler: ProfileStore = field(default_factory=ProfileStore)
-    #: Cross-query inference micro-batcher
-    #: (:class:`repro.server.batcher.InferenceBatcher`), duck-typed to a
-    #: ``submit(model, video, inputs)`` method.  None (the library
-    #: default) invokes models directly; the server shares one batcher
-    #: across every client so concurrent miss sub-batches targeting the
-    #: same physical model coalesce into single ``predict_batch`` calls.
-    inference: object | None = None
     #: Latency SLO accounting (:class:`repro.obs.slo.SloTracker`).
     #: Private per session by default (built from the config's
     #: ``slo_latency_*`` targets); the server substitutes one shared
@@ -230,7 +223,6 @@ class EvaSession:
             metrics=self.metrics,
             config=self.config,
             tracer=state.tracer,
-            inference=state.inference,
             kernel_cache=state.kernel_cache,
         )
         self.engine = ExecutionEngine(self.context)

@@ -21,8 +21,8 @@ from repro.obs.flight import (
     FlightRecorder,
     FlightStats,
     current_flight,
-    record_inference,
     record_lock_wait,
+    record_store_io,
 )
 from repro.obs.schema import SchemaError, load_schema, validate
 from repro.obs.sinks import InMemorySink
@@ -221,7 +221,7 @@ class TestFlightContextHooks:
     def test_hooks_are_noops_without_context(self):
         assert current_flight() is None
         record_lock_wait("view:x", "read", 1.0)   # must not raise
-        record_inference(1.0)
+        record_store_io("fsync", 1.0)
 
     def test_context_accumulates(self):
         tracer_stub = type("T", (), {"client_id": None,
@@ -231,10 +231,8 @@ class TestFlightContextHooks:
         assert current_flight() is ctx
         record_lock_wait("view:x", "read", 0.5)
         record_lock_wait("view:x", "write", 0.25)
-        record_inference(1.5)
-        ctx.add_store_io("fsync", 0.75)
-        ctx.add_batcher_wait("leader", 0.1, 3)
-        ctx.add_batcher_wait("follower", 0.2, 5)
+        ctx.add_inference(1.5)
+        record_store_io("fsync", 0.75)
         assert ctx.contention_s == pytest.approx(0.75)
         assert ctx.store_io_s == pytest.approx(0.75)
         record = recorder.finish(
@@ -256,9 +254,6 @@ class TestFlightContextHooks:
         assert record["total_s"] == pytest.approx(4.25)
         assert sum(stages.values()) == pytest.approx(record["total_s"])
         assert record["dominant_stage"] == "inference"
-        assert record["batcher"] == {
-            "leader_windows": 1, "follower_rides": 1,
-            "wait_s": pytest.approx(0.3), "max_window_requests": 5}
         validate(record, FLIGHT_SCHEMA)
 
     def test_abort_clears_context(self):

@@ -218,6 +218,11 @@ class TestKernelCache:
             KernelCache(capacity=0)
         with pytest.raises(ValueError):
             EvaConfig(kernel_cache_size=0)
+        # A non-positive scan batch would fail inside range() (0) or
+        # silently scan no rows (-3).
+        for batch_rows in (0, -3):
+            with pytest.raises(ValueError, match="batch_rows"):
+                EvaConfig(batch_rows=batch_rows)
 
     def test_plans_differing_only_in_scan_ranges_share_one_key(self):
         from dataclasses import replace

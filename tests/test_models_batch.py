@@ -5,8 +5,9 @@ Python loop over ``BoundingBox.iou``; ``predict_batch`` answers a whole miss
 sub-batch with one numpy pass written in the same operation order.  Here
 ``classify`` is the oracle: every batch answer must equal it exactly, for
 generated boxes of every awkward shape, and must not depend on how inputs
-are grouped into batches — the server's ``InferenceBatcher`` concatenates
-different clients' sub-batches, so that is a serving property too.
+are grouped into batches — a miss sub-batch's grouping follows
+``batch_rows`` and what the views already hold, so that is an execution
+property too.
 """
 
 import random

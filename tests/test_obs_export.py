@@ -177,6 +177,7 @@ class TestPrometheus:
             alice.execute(DETECT)
             bob.execute(DETECT)
             text = server.prometheus_text()
+            calls = server.batcher_snapshot()
         assert 'eva_server_queries_total{outcome="submitted"} 2' in text
         assert 'eva_server_queries_total{outcome="completed"} 2' in text
         assert 'eva_server_queries_total{outcome="rejected"} 0' in text
@@ -189,6 +190,11 @@ class TestPrometheus:
         # per-UDF counters merge across clients
         assert ('eva_udf_invocations_total{disposition="total",'
                 'udf="fasterrcnn_resnet50"} 120') in text
+        # model-call totals: every call goes straight to the model
+        assert calls.requests == calls.dispatches > 0
+        assert f"eva_batcher_requests_total {calls.requests}\n" in text
+        assert f"eva_batcher_dispatches_total {calls.dispatches}\n" in text
+        assert f"eva_batcher_tuples_total {calls.tuples}\n" in text
 
     def test_store_exposition(self, tmp_path):
         from repro.store import DurableViewStore

@@ -247,12 +247,6 @@ def test_pool_matches_single_process_at_every_worker_count(tmp_path):
                           f"workers={workers}/shards={shards}")
         snapshot = pooled["batcher"]
         assert snapshot.requests > 0
-        if workers > 1:
-            # With >1 worker at least one client's (model, video) owner
-            # is a different process, so some inference crossed the
-            # shard protocol.
-            assert snapshot.remote_requests > 0, \
-                "expected cross-process inference routing"
 
 
 # -- breaker + bulkheads -------------------------------------------------------

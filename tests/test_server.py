@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import EvaConfig
+from repro.clock import CostCategory
+from repro.config import EvaConfig, ReusePolicy
 from repro.errors import (
     EvaError,
     QueryTimeoutError,
@@ -164,6 +165,64 @@ class TestConcurrentCorrectness:
         assert server_hit > isolated_hit, (
             f"shared store must beat isolation: {server_hit:.1f}% vs "
             f"{isolated_hit:.1f}%")
+
+    def test_policy_none_clients_match_the_solo_run(self):
+        """Under ``ReusePolicy.NONE`` nothing is shared between clients,
+        so 8 concurrent clients each return the solo run's rows and its
+        non-OPTIMIZE virtual clock, and each makes the solo run's model
+        calls."""
+        def server(workers: int) -> EvaServer:
+            server = EvaServer(EvaConfig(reuse_policy=ReusePolicy.NONE),
+                               max_workers=workers)
+            server.register_video(SyntheticVideo(
+                VideoMetadata(name="shared", num_frames=200, width=960,
+                              height=540, fps=25.0, vehicles_per_frame=8.3),
+                seed=7))
+            return server
+
+        def clock_of(handle) -> dict:
+            with handle.checkout() as session:
+                return {c: s for c, s in session.clock.breakdown().items()
+                        if c is not CostCategory.OPTIMIZE}
+
+        sql = ("SELECT id, label FROM shared CROSS APPLY "
+               "FastRCNNObjectDetector(frame) WHERE label = 'car';")
+        solo = server(1)
+        with solo.start():
+            handle = solo.connect()
+            baseline = handle.execute(sql)
+            baseline_clock = clock_of(handle)
+            solo_calls = solo.batcher_snapshot()
+
+        shared = server(NUM_CLIENTS)
+        results: dict[str, object] = {}
+        with shared.start():
+            handles = [shared.connect() for _ in range(NUM_CLIENTS)]
+
+            def run(handle) -> None:
+                results[handle.client_id] = handle.execute(sql)
+
+            threads = [threading.Thread(target=run, args=(h,))
+                       for h in handles]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            calls = shared.batcher_snapshot()
+            clocks = {h.client_id: clock_of(h) for h in handles}
+
+        assert len(results) == NUM_CLIENTS
+        for client_id, result in results.items():
+            assert tuple(result.rows) == tuple(baseline.rows), client_id
+        for client_id, clock in clocks.items():
+            assert set(clock) == set(baseline_clock), client_id
+            for category, seconds in baseline_clock.items():
+                assert clock[category] == pytest.approx(
+                    seconds, rel=1e-9, abs=1e-12), (client_id, category)
+        assert solo_calls.requests > 0
+        assert calls.requests == calls.dispatches \
+            == NUM_CLIENTS * solo_calls.requests
+        assert calls.tuples == NUM_CLIENTS * solo_calls.tuples
 
     def test_hit_percentage_monotone_across_rounds(self):
         """Re-running the same overlapping workload only adds hits."""

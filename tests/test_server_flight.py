@@ -135,9 +135,8 @@ class TestEightClientFlightRecords:
         assert flight_stats["over_slo_by_stage"]["queueing"] \
             >= len(queued)
 
-    def test_batcher_waits_reach_flight_records(self):
-        server = EvaServer(EvaConfig(micro_batch_timeout_ms=5.0),
-                           max_workers=4, max_queue=32)
+    def test_miss_queries_record_inference_seconds(self):
+        server = EvaServer(EvaConfig(), max_workers=4, max_queue=32)
         server.register_video(make_video("ride", frames=120))
         sql_for = ("SELECT id, label FROM ride CROSS APPLY "
                    "FastRCNNObjectDetector(frame) "
@@ -156,15 +155,14 @@ class TestEightClientFlightRecords:
                 thread.join()
             records = server.trace_events(type="flight")
         assert len(records) == 4
-        roles = [r["batcher"]["leader_windows"]
-                 + r["batcher"]["follower_rides"] for r in records]
-        # Every query that executed misses went through the batcher.
-        assert any(roles)
+        # Model seconds land in the inference stage of exactly the
+        # queries that evaluated misses.
+        assert any(r["invocations"]["executed"] for r in records)
         for record in records:
-            if record["batcher"]["leader_windows"] \
-                    or record["batcher"]["follower_rides"]:
-                assert record["batcher"]["wait_s"] >= 0.0
-                assert record["batcher"]["max_window_requests"] >= 1
+            if record["invocations"]["executed"]:
+                assert record["stages"]["inference"] > 0.0
+            else:
+                assert record["stages"]["inference"] == 0.0
 
 
 class TestWindowedQps:

@@ -32,7 +32,6 @@ from repro.server.shard import (
     decode_error,
     dispatch,
     encode_error,
-    inference_key,
     shard_key_for_view,
 )
 from repro.server.state import (
@@ -783,6 +782,7 @@ class TestPeerRule:
             (("views",), "drop_all", ()),
             (("udfs",), "__dict__", ()),
             (("server",), "shutdown", (False,)),
+            (("inference",), "submit", ("fasterrcnn_resnet50", "inf", [0])),
         ]
         for target, method, args in refused:
             with pytest.raises(ServerError, match="is not served"):
@@ -894,23 +894,6 @@ class TestPeerRule:
                              ("difference_with_history", (probe,))]:
             assert getattr(other.udf_manager, method)(signature, *args) \
                 == getattr(owner.udf_manager, method)(signature, *args)
-
-    def test_remote_inference_joins_the_owners_batcher(self, make_fleet):
-        fleet = make_fleet()
-        video = SyntheticVideo(VideoMetadata(
-            name="inf", num_frames=20, width=640, height=360, fps=25.0,
-            vehicles_per_frame=3.0), seed=3)
-        for state in fleet:
-            state.register_video(video)
-        model = fleet[0].zoo.get("fasterrcnn_resnet50")
-        owner = fleet[fleet[0].router.worker_of(
-            inference_key(model.name, video.name))]
-        other = fleet[1 - owner.worker_id]
-        frames = [0, 3, 4, 19]
-        assert other.inference.submit(model, video, frames) == \
-            model.predict_batch(video, frames)
-        assert owner.batcher.snapshot().remote_requests == 1
-        assert other.batcher.snapshot().requests == 0
 
 
 # -- pool control and client connections -----------------------------------------
