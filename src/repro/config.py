@@ -60,13 +60,13 @@ class EvaConfig:
     costs: CostConstants = field(default_factory=CostConstants)
     #: Rows per execution batch.
     batch_rows: int = 512
-    #: Cache optimized plans per query text, invalidated whenever the
-    #: UdfManager's reuse state changes.  Exploratory analysts re-run
-    #: queries; a repeat skips parsing-to-plan work entirely.
-    enable_plan_cache: bool = True
-    #: Maximum entries in the per-session plan cache (LRU eviction).  An
-    #: unbounded cache keyed by raw SQL is a slow leak under ad-hoc
-    #: exploratory workloads where nearly every statement is distinct.
+    #: Maximum entries in the per-session cache of optimized plans per
+    #: query text (LRU eviction; ``0`` disables it).  Entries are
+    #: invalidated whenever the UdfManager's reuse state changes.
+    #: Exploratory analysts re-run queries; a repeat skips
+    #: parsing-to-plan work entirely.  An unbounded cache keyed by raw
+    #: SQL is a slow leak under ad-hoc exploratory workloads where
+    #: nearly every statement is distinct.
     plan_cache_size: int = 128
     #: Maximum entries in the process-wide plan→kernel cache (LRU).
     #: Keyed structurally (scan ranges stripped) so repeat queries share
@@ -80,7 +80,8 @@ class EvaConfig:
     #: exact view miss, a patch classifier may reuse the stored result of a
     #: spatially close box in the same frame.  Results become approximate.
     fuzzy_reuse: bool = False
-    #: Minimum IoU between the query box and a stored box for fuzzy reuse.
+    #: IoU a stored box must exceed to be fuzzily reused for the query
+    #: box, in ``[0, 1)``.
     fuzzy_iou_threshold: float = 0.80
     #: Execution engine: ``"vectorized"`` runs each plan's streaming
     #: suffix (scan → filter → project → APPLY) as one pipeline of
@@ -214,6 +215,16 @@ class EvaConfig:
             raise ValueError(
                 f"kernel_cache_size must be >= 1, "
                 f"got {self.kernel_cache_size!r}")
+        if self.plan_cache_size < 0:
+            raise ValueError(
+                f"plan_cache_size must be >= 0, "
+                f"got {self.plan_cache_size!r}")
+        if not 0.0 <= self.fuzzy_iou_threshold < 1.0:
+            # At >= 1 no box's IoU exceeds it; below 0 a disjoint box
+            # (IoU 0) would answer for another vehicle.
+            raise ValueError(
+                f"fuzzy_iou_threshold must be in [0, 1), "
+                f"got {self.fuzzy_iou_threshold!r}")
         if self.batch_rows < 1:
             raise ValueError(
                 f"batch_rows must be >= 1, got {self.batch_rows!r}")

@@ -76,28 +76,4 @@ class ExecutionEngine:
 
     def execute(self, plan: PhysicalPlan) -> Batch:
         """Run ``plan`` on the engine, whatever the execution mode."""
-        root = self.build(plan)
-        batch = root.run_to_completion()
-        self.record_kernel_fallbacks(root)
-        return batch
-
-    def record_kernel_fallbacks(self, root: Operator) -> None:
-        """Roll per-operator runtime-fallback counts into the metrics.
-
-        Every operator reports :meth:`Operator.fallback_counts` —
-        batches that started on a compiled kernel but re-ran through the
-        row interpreter, by plan-node label.  Harvesting them once per
-        query (as ``kernel_fallback:<Label>`` counters) keeps the
-        operators free of metrics plumbing while the Prometheus
-        exposition can still report fallbacks per operator
-        (``eva_kernel_fallback_batches_total``).
-        """
-        metrics = self.context.metrics
-        op: Operator | None = root
-        while op is not None:
-            # Instrumented wrappers expose the real operator as .inner.
-            real = getattr(op, "inner", op)
-            for label, count in real.fallback_counts().items():
-                if count:
-                    metrics.increment(f"kernel_fallback:{label}", count)
-            op = getattr(real, "child", None)
+        return self.build(plan).run_to_completion()

@@ -8,20 +8,18 @@ whole suffix runs as one :class:`FusedPipelineOperator`, under every
 reuse policy: compiled expression kernels, a stage tuple, a pruned scan
 column set, and one plain loop that pushes each columnar scan batch
 through the stages.  Nothing is generated or ``exec``-ed; a stage is
-data.  A kernel the expression compiler could not vectorize takes
-``run_kernel_*``'s row fallback inside its stage; APPLY stages never
-fall back — they cut a batch into segments instead.
+data, and the compiled kernels are the only expression evaluator.
 
 Batch size is invisible by contract: a query's rows, the views it
 leaves, its #TI / #reused / #DI and every clock category except APPLY
 (one ``apply_per_batch`` per batch an APPLY stage sees) and OPTIMIZE are
 the same at every ``EvaConfig.batch_rows``, down to one row per batch.
 APPLY stages keep it by cutting batches into segments
-(:func:`~repro.executor.operators.base.segments`); filter groups that
-combine masks speculatively re-run sequentially whenever an upper kernel
-errors, so errors never surface for rows a lower filter would have
-removed; and a project that no batch reached still emits its (empty)
-output schema through the end-of-stream drain.  The rows themselves are
+(:func:`~repro.executor.operators.base.segments`); a run of adjacent
+filters is one ``AND`` kernel, whose per-row short-circuit keeps an
+upper filter's error from surfacing for rows a lower filter removed;
+and a project that no batch reached still emits its (empty) output
+schema through the end-of-stream drain.  The rows themselves are
 held to :mod:`repro.reference`, the row-at-a-time oracle.
 
 The plan→kernel cache
@@ -44,8 +42,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-import numpy as np
-
 from repro.clock import CostCategory
 from repro.config import ReusePolicy
 from repro.executor.context import ExecutionContext
@@ -56,10 +52,10 @@ from repro.expressions.compiler import (
     CompiledKernel,
     compile_expression,
     run_kernel_mask,
-    run_kernel_mask_vectorized,
     run_kernel_values,
 )
-from repro.expressions.expr import ColumnRef, Star
+from repro.expressions.analysis import conjunction_of
+from repro.expressions.expr import ColumnRef, Expression, Star
 from repro.optimizer.plans import (
     PhysClassifierApply,
     PhysDetectorApply,
@@ -170,15 +166,14 @@ class FusedPlan:
 
     Holds only shareable state: the stage tuple (whose compiled
     expression kernels are stateless when run through the
-    ``run_kernel_*`` counters-outside runners) and the pruned scan
-    column set.  Everything per-execution — APPLY operator instances,
-    fallback counters, clocks — lives in the :class:`_FusedRuntime` of
-    the operator running it.
+    ``run_kernel_*`` runners) and the pruned scan column set.
+    Everything per-execution — APPLY operator instances, clocks — lives
+    in the :class:`_FusedRuntime` of the operator running it.
 
     A stage is ``(kind, payload, index)``:
 
-    * ``("filters", ((kernel, label), ...), None)`` — a run of adjacent
-      filters (scan residual included) applied as one mask group;
+    * ``("filter", kernel, None)`` — a run of adjacent filters (scan
+      residual included) compiled as one ``AND`` kernel;
     * ``("detector" | "classifier", label, apply_index)`` — one APPLY,
       run by the runtime's ``ops[apply_index]``;
     * ``("project", ((name, kernel | None), ...), project_index)`` — a
@@ -192,14 +187,11 @@ class FusedPlan:
 class _FusedRuntime:
     """Per-execution state threaded through the stages."""
 
-    __slots__ = ("policy", "ops", "fallbacks", "projects_reached")
+    __slots__ = ("policy", "ops", "projects_reached")
 
     def __init__(self, policy: ReusePolicy, ops: list):
         self.policy = policy
         self.ops = ops
-        #: plan-node label -> batches an expression kernel re-ran through
-        #: the row interpreter (the ``kernel_fallback:<Label>`` metrics).
-        self.fallbacks: dict[str, int] = {}
         #: ``project_index`` of every project stage a batch has reached.
         self.projects_reached: set[int] = set()
 
@@ -209,44 +201,11 @@ class _FusedRuntime:
 # ---------------------------------------------------------------------------
 
 
-def _filter_group(batch: Batch, rt: _FusedRuntime, group: tuple
-                  ) -> Batch | None:
-    """Apply a run of adjacent filters with one combined mask.
-
-    The lowest kernel evaluates with full fallback semantics; the upper
-    kernels evaluate **speculatively** on the unfiltered batch and AND
-    into the combined mask — one ``filter_mask`` instead of one per
-    filter.  Serial short-circuiting is preserved exactly: if the
-    combined mask empties, later kernels never run (serial operators
-    would never see a batch), and if a speculative kernel raises — its
-    error might be caused by a row a lower filter removes — the group
-    demotes and re-runs sequentially, reproducing serial values, errors,
-    and charges (expression kernels never touch the clock).  A lone
-    filter, or a group holding a kernel that did not vectorize, runs
-    sequentially from the start.
-    """
-    if len(group) > 1 and all(kernel.vectorized
-                              for kernel, _ in group[1:]):
-        first_kernel, first_label = group[0]
-        mask = run_kernel_mask(first_kernel, batch, rt.fallbacks,
-                               first_label)
-        combined = np.asarray(mask, dtype=bool)
-        try:
-            for kernel, _label in group[1:]:
-                if not combined.any():
-                    return None
-                combined = combined & run_kernel_mask_vectorized(kernel,
-                                                                 batch)
-            out = batch.filter_mask(combined)
-            return out if out.num_rows else None
-        except Exception:
-            pass  # demote: an upper kernel failed on the full batch
-    for kernel, label in group:
-        mask = run_kernel_mask(kernel, batch, rt.fallbacks, label)
-        batch = batch.filter_mask(mask)
-        if not batch.num_rows:
-            return None
-    return batch
+def _filter_step(batch: Batch, kernel: CompiledKernel) -> Batch | None:
+    """A filter stage: the batch's rows the group's ``AND`` kernel keeps,
+    or None when none survive."""
+    out = batch.filter_mask(run_kernel_mask(kernel, batch))
+    return out if out.num_rows else None
 
 
 def _classifier_step(batch: Batch, rt: _FusedRuntime,
@@ -273,7 +232,7 @@ def _detector_step(batch: Batch, rt: _FusedRuntime,
     return out if out.num_rows else None
 
 
-def _project_batch(batch: Batch, rt: _FusedRuntime, spec: tuple) -> Batch:
+def _project_batch(batch: Batch, spec: tuple) -> Batch:
     """One project stage: the select list over ``batch``."""
     columns: dict[str, list] = {}
     for name, kernel in spec:
@@ -282,8 +241,7 @@ def _project_batch(batch: Batch, rt: _FusedRuntime, spec: tuple) -> Batch:
                 if not column.startswith("__udf::"):
                     columns[column] = batch.column(column)
         else:
-            columns[name] = run_kernel_values(kernel, batch, rt.fallbacks,
-                                              "Project")
+            columns[name] = run_kernel_values(kernel, batch)
     return Batch(columns)
 
 
@@ -365,30 +323,29 @@ def compile_fused_plan(chain: list[PhysicalPlan],
     """Compile a streaming chain (boundary first, scan last)."""
     evaluator = context.evaluator
     stages: list[tuple] = []
-    pending_filters: list[tuple[CompiledKernel, str]] = []
+    pending_filters: list[Expression] = []
     num_applies = 0
     num_projects = 0
 
     def flush_filters() -> None:
         nonlocal pending_filters
         if pending_filters:
-            stages.append(("filters", tuple(pending_filters), None))
+            kernel = compile_expression(conjunction_of(pending_filters),
+                                        evaluator)
+            stages.append(("filter", kernel, None))
             pending_filters = []
 
     for node in reversed(chain):  # bottom-up = execution order
-        label = node_label(node)
         if isinstance(node, PhysScan):
             if node.residual is not None:
-                pending_filters.append(
-                    (compile_expression(node.residual, evaluator), label))
+                pending_filters.append(node.residual)
         elif isinstance(node, PhysFilter):
-            pending_filters.append(
-                (compile_expression(node.predicate, evaluator), label))
+            pending_filters.append(node.predicate)
         elif isinstance(node, (PhysDetectorApply, PhysClassifierApply)):
             flush_filters()
             kind = ("detector" if isinstance(node, PhysDetectorApply)
                     else "classifier")
-            stages.append((kind, label, num_applies))
+            stages.append((kind, node_label(node), num_applies))
             num_applies += 1
         else:  # PhysProject
             flush_filters()
@@ -471,7 +428,6 @@ class FusedPipelineOperator(Operator):
         finally:
             for op in recycling:
                 op._add_recycler_entry()
-            self.kernel_fallback_batches = sum(self.rt.fallbacks.values())
 
     def _run_stages(self, batch: Batch | None) -> Batch | None:
         """Push one scan batch through the stages; None when it dies.
@@ -495,9 +451,9 @@ class FusedPipelineOperator(Operator):
                 if kind == "project" and index not in rt.projects_reached:
                     batch = Batch({name: [] for name, kernel in payload
                                    if kernel is not None})
-            elif kind == "filters":
+            elif kind == "filter":
                 # A filter never yields an empty batch.
-                batch = (_filter_group(batch, rt, payload)
+                batch = (_filter_step(batch, payload)
                          if batch.num_rows else None)
             elif kind == "detector":
                 batch = _detector_step(batch, rt, rt.ops[index])
@@ -505,13 +461,8 @@ class FusedPipelineOperator(Operator):
                 batch = _classifier_step(batch, rt, rt.ops[index])
             else:  # project
                 rt.projects_reached.add(index)
-                batch = _project_batch(batch, rt, payload)
+                batch = _project_batch(batch, payload)
         return batch
-
-    def fallback_counts(self) -> dict[str, int]:
-        """Expression-kernel row-fallback batch counts, keyed by plan-node
-        label."""
-        return dict(self.rt.fallbacks)
 
 
 def build_pipeline(chain: list[PhysicalPlan], context: ExecutionContext

@@ -117,8 +117,6 @@ class OperatorStats:
     #: Kernel mode the operator ran with (see ``Operator.kernel_mode``)
     #: or None when not applicable.
     kernel_mode: str | None = None
-    #: Batches re-run through the row interpreter (runtime fallback).
-    kernel_fallbacks: int = 0
     #: Label of the fusion boundary this node was compiled into, for
     #: nodes a fused pipeline covers (they run as stages of the
     #: boundary's pipeline and have no operator of their own).
@@ -180,7 +178,6 @@ def collect_operator_stats(plan: PhysicalPlan,
                 self_elapsed=max(0.0, stats.elapsed - child_elapsed),
                 self_virtual=max(0.0, stats.virtual - child_virtual),
                 kernel_mode=stats.inner.kernel_mode,
-                kernel_fallbacks=stats.inner.kernel_fallback_batches,
                 fused_ops=len(getattr(stats.inner, "covered_nodes", ())),
             ))
         for child in children:
@@ -215,8 +212,6 @@ def explain_analyze(plan: PhysicalPlan, context: ExecutionContext
             kernel = f" kernel={stats.kernel_mode}"
             if stats.kernel_mode == "fused" and stats.fused_ops:
                 kernel += f" fusion-boundary={stats.fused_ops}ops"
-            if stats.kernel_fallbacks:
-                kernel += f" fallbacks={stats.kernel_fallbacks}"
         annotated.append(
             f"{line}  "
             f"(rows={stats.rows_out} batches={stats.batches_out} "

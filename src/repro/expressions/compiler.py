@@ -6,32 +6,26 @@ hot filter/project path that interpretation overhead dominates real wall-clock
 time.  This module compiles an :class:`~repro.expressions.expr.Expression`
 once into a **batch kernel**: a closure evaluated once *per batch* that
 operates on whole columns — numpy where the operands are numeric, plain list
-comprehensions otherwise.
+comprehensions otherwise.  It is the engine's only expression evaluator.
 
-Semantics are bit-identical to the row interpreter by construction:
+Semantics are identical to the row interpreter by construction:
 
 * comparisons against ``None`` are ``False`` (SQL-ish missing semantics);
 * arithmetic propagates ``None`` and maps division by zero to ``None``;
 * logical operators coerce operands with ``bool(...)``;
+* ``AND`` / ``OR`` short-circuit per row: each operand runs on the whole
+  batch, and only if it raises is it run again on just the rows the
+  earlier operands left undecided — the rows the interpreter's
+  ``all()`` / ``any()`` reach — so an error surfaces exactly when some
+  row the interpreter evaluates raises (its message may name another of
+  the failing rows than the interpreter's first);
 * a :class:`FunctionCall` resolves to its pre-computed UDF column when the
-  plan materialized one, and to the builtin implementation otherwise.
+  plan materialized one, and to the builtin implementation otherwise;
+* an :class:`AggregateCall` (``COUNT(*)`` included) is its GROUP BY
+  output column; a bare ``*`` has no value and raises;
+* a batch of zero rows evaluates nothing and raises nothing.
 
-Two safety nets keep the old behavior reachable:
-
-* **compile-time fallback** — :func:`supports_vectorized` rejects nodes the
-  kernel generator does not understand (``*``, unknown node types); the
-  compiler then returns a kernel that runs the row interpreter, flagged
-  ``vectorized=False``;
-* **runtime fallback** — if a vectorized kernel raises while evaluating a
-  batch (e.g. a type error that the row path would surface mid-evaluation),
-  the kernel transparently re-evaluates that batch through the row
-  interpreter, which reproduces the exact legacy result or error (including
-  short-circuit semantics the columnar path cannot honor).  Fallback batches
-  are counted on the kernel (``fallback_batches``) so EXPLAIN ANALYZE and
-  the obs layer can report them.
-
-Expression evaluation never charges the virtual clock, so a runtime retry is
-cost-neutral and side-effect free.
+Expression evaluation never charges the virtual clock.
 """
 
 from __future__ import annotations
@@ -93,23 +87,8 @@ class _Scalar:
 #: or a broadcast scalar.
 _Col = "list | np.ndarray | _Scalar"
 
-
-def supports_vectorized(expr: Expression) -> bool:
-    """Can every node of ``expr`` be compiled to a batch kernel?
-
-    ``Star`` has no value semantics (it is handled structurally by the
-    project operator) and unknown node types have no kernel generator;
-    everything else — including UDF calls, which resolve to pre-computed
-    columns or builtins at batch time — vectorizes.
-    """
-    supported = (Literal, ColumnRef, Comparison, And, Or, Not, Arithmetic,
-                 FunctionCall, AggregateCall)
-    for node in expr.walk():
-        if isinstance(node, Star):
-            return False
-        if not isinstance(node, supported):
-            return False
-    return True
+#: What a kernel yields for a batch of zero rows.
+_NOTHING = _Scalar(None)
 
 
 class CompiledKernel:
@@ -117,75 +96,35 @@ class CompiledKernel:
 
     Attributes:
         expr: the compiled expression.
-        vectorized: compile-time decision — False means the kernel is a
-            plain row-interpreter wrapper (``row-fallback``).
-        batches: number of batches evaluated.
-        fallback_batches: batches that hit the runtime fallback (the
-            vectorized kernel raised and the row interpreter re-ran them).
+        batches: number of batches evaluated through :meth:`evaluate` /
+            :meth:`evaluate_mask`.
     """
 
-    __slots__ = ("expr", "vectorized", "batches", "fallback_batches",
-                 "_fn", "_evaluator")
+    __slots__ = ("expr", "batches", "_fn")
 
-    def __init__(self, expr: Expression, evaluator: ExpressionEvaluator,
-                 fn: Callable | None):
+    def __init__(self, expr: Expression, fn: Callable):
         self.expr = expr
-        self._evaluator = evaluator
         self._fn = fn
-        self.vectorized = fn is not None
         self.batches = 0
-        self.fallback_batches = 0
-
-    # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, batch: Batch) -> list:
         """The expression's value column for ``batch`` (a Python list)."""
         self.batches += 1
-        if self._fn is not None:
-            try:
-                return _materialize(self._fn(batch), batch.num_rows)
-            except ExecutorError:
-                # Re-run through the row interpreter: it reproduces the
-                # legacy result *or* the legacy error (e.g. short-circuit
-                # semantics the columnar path cannot honor).
-                self.fallback_batches += 1
-        return self._evaluate_rows(batch)
+        return run_kernel_values(self, batch)
 
     def evaluate_mask(self, batch: Batch) -> list[bool]:
         """The expression as a predicate: one ``bool`` per row."""
         self.batches += 1
-        if self._fn is not None:
-            try:
-                return _materialize_mask(self._fn(batch), batch.num_rows)
-            except ExecutorError:
-                self.fallback_batches += 1
-        evaluator = self._evaluator
-        expr = self.expr
-        return [evaluator.evaluate_predicate(expr, row)
-                for row in batch.iter_rows()]
+        return run_kernel_mask(self, batch).tolist()
 
-    def _evaluate_rows(self, batch: Batch) -> list:
-        evaluator = self._evaluator
-        expr = self.expr
-        return [evaluator.evaluate(expr, row) for row in batch.iter_rows()]
-
-    @property
-    def mode(self) -> str:
-        """``vectorized`` or ``row-fallback`` (compile-time decision)."""
-        return "vectorized" if self.vectorized else "row-fallback"
+    def _run(self, batch: Batch):
+        return self._fn(batch) if batch.num_rows else _NOTHING
 
 
 def compile_expression(expr: Expression,
                        evaluator: ExpressionEvaluator) -> CompiledKernel:
-    """Compile ``expr`` into a :class:`CompiledKernel`.
-
-    Falls back to a row-interpreter kernel (``vectorized=False``) when any
-    node fails :func:`supports_vectorized`.
-    """
-    if not supports_vectorized(expr):
-        return CompiledKernel(expr, evaluator, None)
-    fn = _compile_node(expr, evaluator)
-    return CompiledKernel(expr, evaluator, fn)
+    """Compile ``expr`` into a :class:`CompiledKernel`."""
+    return CompiledKernel(expr, _compile_node(expr, evaluator))
 
 
 # ---------------------------------------------------------------------------
@@ -193,62 +132,50 @@ def compile_expression(expr: Expression,
 # ---------------------------------------------------------------------------
 #
 # Fused plans (executor/fusion.py) cache compiled kernels and share them
-# across queries, sessions, and server client threads.  The kernel's own
-# ``batches`` / ``fallback_batches`` counters are per-instance state and
-# would race (and misattribute) under sharing, so the pipeline runs
-# kernels through these functions, which report runtime fallbacks into a
-# caller-owned per-execution ``counts`` dict instead.
+# across queries, sessions, and server client threads, so the pipeline
+# runs kernels through these functions, which leave the kernel's own
+# ``batches`` counter alone.
 
 
-def run_kernel_values(kernel: CompiledKernel, batch: Batch,
-                      counts: dict | None = None, label: str = "") -> list:
-    """:meth:`CompiledKernel.evaluate` with caller-owned fallback counts."""
-    fn = kernel._fn
-    if fn is not None:
-        try:
-            return _materialize(fn(batch), batch.num_rows)
-        except ExecutorError:
-            if counts is not None:
-                counts[label] = counts.get(label, 0) + 1
-    evaluator = kernel._evaluator
-    expr = kernel.expr
-    return [evaluator.evaluate(expr, row) for row in batch.iter_rows()]
+def run_kernel_values(kernel: CompiledKernel, batch: Batch) -> list:
+    """The kernel's value column for ``batch``."""
+    return _materialize(kernel._run(batch), batch.num_rows)
 
 
-def run_kernel_mask(kernel: CompiledKernel, batch: Batch,
-                    counts: dict | None = None,
-                    label: str = "") -> np.ndarray | list[bool]:
-    """:meth:`CompiledKernel.evaluate_mask` with caller-owned counts; a
-    vectorized mask stays a bool array (``Batch.filter_mask`` takes it
-    as is)."""
-    fn = kernel._fn
-    if fn is not None:
-        try:
-            return _as_bool_array(fn(batch), batch.num_rows)
-        except ExecutorError:
-            if counts is not None:
-                counts[label] = counts.get(label, 0) + 1
-    evaluator = kernel._evaluator
-    expr = kernel.expr
-    return [evaluator.evaluate_predicate(expr, row)
-            for row in batch.iter_rows()]
-
-
-def run_kernel_mask_vectorized(kernel: CompiledKernel,
-                               batch: Batch) -> np.ndarray:
-    """The kernel's mask via the vectorized path *only*, as a bool array.
-
-    No fallback: any exception propagates so the caller can demote (used
-    for the speculative evaluation of upper filters in a fused mask
-    group, where errors must not surface for rows a lower filter would
-    have removed).  Requires ``kernel.vectorized``.
-    """
-    return _as_bool_array(kernel._fn(batch), batch.num_rows)
+def run_kernel_mask(kernel: CompiledKernel, batch: Batch) -> np.ndarray:
+    """The kernel as a predicate over ``batch``: a bool array
+    (``Batch.filter_mask`` takes it as is)."""
+    return _as_bool_array(kernel._run(batch), batch.num_rows)
 
 
 # ---------------------------------------------------------------------------
 # kernel generators (one per node type)
 # ---------------------------------------------------------------------------
+
+
+def _short_circuit(operands: list[Callable], batch: Batch,
+                   stop: bool) -> np.ndarray:
+    """Rows on which some operand is ``stop`` (False for AND, True for
+    OR), operands taken in order the way ``all()`` / ``any()`` take them.
+
+    Each operand runs on the whole batch; an operand that raises runs
+    again on the still-undecided rows alone, and a second raise
+    propagates — some row the interpreter evaluates raises.
+    """
+    n = batch.num_rows
+    decided = np.zeros(n, dtype=bool)
+    for fn in operands:
+        undecided = ~decided
+        if not undecided.any():
+            break
+        try:
+            hits = _as_bool_array(fn(batch), n) == stop
+        except ExecutorError:
+            rows = batch.filter_mask(undecided)
+            hits = np.zeros(n, dtype=bool)
+            hits[undecided] = _as_bool_array(fn(rows), rows.num_rows) == stop
+        decided |= hits
+    return decided
 
 
 def _compile_node(expr: Expression,
@@ -279,22 +206,10 @@ def _compile_node(expr: Expression,
         return compare_fn
     if isinstance(expr, And):
         operands = [_compile_node(o, evaluator) for o in expr.operands]
-
-        def and_fn(batch: Batch):
-            masks = [_as_bool_array(fn(batch), batch.num_rows)
-                     for fn in operands]
-            return np.logical_and.reduce(masks)
-
-        return and_fn
+        return lambda batch: ~_short_circuit(operands, batch, False)
     if isinstance(expr, Or):
         operands = [_compile_node(o, evaluator) for o in expr.operands]
-
-        def or_fn(batch: Batch):
-            masks = [_as_bool_array(fn(batch), batch.num_rows)
-                     for fn in operands]
-            return np.logical_or.reduce(masks)
-
-        return or_fn
+        return lambda batch: _short_circuit(operands, batch, True)
     if isinstance(expr, Not):
         operand = _compile_node(expr.operand, evaluator)
 
@@ -347,6 +262,12 @@ def _compile_node(expr: Expression,
                 f"aggregate {sql} outside GROUP BY context")
 
         return aggregate_fn
+    if isinstance(expr, Star):
+
+        def star_fn(batch: Batch):
+            raise ExecutorError("'*' cannot be evaluated as a value")
+
+        return star_fn
     raise ExecutorError(
         f"no kernel generator for {type(expr).__name__}")
 
@@ -491,7 +412,15 @@ def _numeric_operand(col, kinds: frozenset):
         arr = np.asarray(col)
     except (ValueError, TypeError):  # ragged / unconvertible
         return None
-    return arr if arr.dtype.kind in kinds else None
+    if arr.dtype.kind not in kinds:
+        return None
+    if (kinds is _ARITH_KINDS and arr.dtype.kind == "f"
+            and any(isinstance(v, (int, np.integer)) for v in col)):
+        # numpy would compute on the ints as floats, where Python keeps
+        # ``int`` results (``'ab' * (n + 0)`` repeats, ``'ab' * 1.0``
+        # raises).
+        return None
+    return arr
 
 
 def _as_bool_array(col, n: int) -> np.ndarray:
@@ -528,12 +457,3 @@ def _materialize(col, n: int) -> list:
         return col
     return list(col)
 
-
-def _materialize_mask(col, n: int) -> list[bool]:
-    if isinstance(col, _Scalar):
-        return [bool(col.value)] * n
-    if isinstance(col, np.ndarray):
-        if col.dtype.kind != "b":
-            return [bool(v) for v in col.tolist()]
-        return col.tolist()
-    return [bool(v) for v in col]

@@ -15,7 +15,7 @@ module anchors:
   (:meth:`~repro.executor.context.ExecutionContext.invoke_model`);
 * **store I/O** — WAL append/fsync, snapshot, and promotion seconds
   (:mod:`repro.store.wal` / :mod:`repro.store.durable`);
-* plus kernel fallbacks, the #TI/#DI hit/miss breakdown, and the summed
+* plus the #TI/#DI hit/miss breakdown, and the summed
   Eq. 3/4 costs of the plan's reuse decisions.
 
 Instrumented components never hold a reference to a recorder: they call
@@ -234,8 +234,8 @@ class FlightRecorder:
                trace_id: str | None, wall_seconds: float,
                virtual_seconds: float, virtual_breakdown: dict,
                rows_returned: int, cache_hit: bool, reused: bool,
-               kernel_fallbacks: int, invocations: dict,
-               reuse: dict, views: dict | None = None) -> dict:
+               invocations: dict, reuse: dict,
+               views: dict | None = None) -> dict:
         """Assemble, classify, and emit the record; returns it.
 
         Also uninstalls the thread's active context, feeds the shared
@@ -287,7 +287,6 @@ class FlightRecorder:
                 **{kind: round(ctx.store_io.get(kind, 0.0), 9)
                    for kind in STORE_IO_KINDS},
             },
-            "kernel_fallbacks": kernel_fallbacks,
             "invocations": dict(invocations),
             "reuse": dict(reuse),
             "views": {

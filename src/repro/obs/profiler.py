@@ -15,8 +15,8 @@ query:
   the two is exactly what :mod:`repro.obs.calibration` detects and
   (optionally) repairs.
 * **per operator** — self wall seconds, self virtual seconds, rows,
-  batches, kernel-mode counts and row-interpreter fallback batches,
-  aggregated by operator label from the instrumented engine's
+  batches and kernel-mode counts, aggregated by operator label from
+  the instrumented engine's
   :class:`~repro.executor.instrument.OperatorStats`.  Available whenever
   the session runs instrumented (``repro profile`` / ``repro trace``
   turn that on); the per-model rollup needs no instrumentation at all.
@@ -101,10 +101,8 @@ class OperatorProfile:
     self_wall_seconds: float = 0.0
     #: Self virtual seconds.
     self_virtual_seconds: float = 0.0
-    #: Operator instances per kernel mode (vectorized/row-fallback/row).
+    #: Operator instances per kernel mode (fused/vectorized).
     kernel_modes: dict[str, int] = field(default_factory=dict)
-    #: Batches re-run through the row interpreter at runtime.
-    fallback_batches: int = 0
 
     def to_event(self) -> dict:
         return {
@@ -116,7 +114,6 @@ class OperatorProfile:
             "self_wall_seconds": round(self.self_wall_seconds, 9),
             "self_virtual_seconds": round(self.self_virtual_seconds, 9),
             "kernel_modes": dict(sorted(self.kernel_modes.items())),
-            "fallback_batches": self.fallback_batches,
         }
 
 
@@ -176,8 +173,7 @@ class ProfileStore:
                          batches: int = 0,
                          self_wall_seconds: float = 0.0,
                          self_virtual_seconds: float = 0.0,
-                         kernel_mode: str | None = None,
-                         fallback_batches: int = 0) -> None:
+                         kernel_mode: str | None = None) -> None:
         """Fold one operator instance's actuals into its label rollup."""
         with self._lock:
             profile = self._operators.get(operator)
@@ -192,7 +188,6 @@ class ProfileStore:
             if kernel_mode is not None:
                 profile.kernel_modes[kernel_mode] = \
                     profile.kernel_modes.get(kernel_mode, 0) + 1
-            profile.fallback_batches += fallback_batches
 
     def observe_operator_stats(self, stats_list) -> None:
         """Fold a plan's :class:`~repro.executor.instrument.OperatorStats`.
@@ -208,7 +203,6 @@ class ProfileStore:
                 self_wall_seconds=stats.self_elapsed,
                 self_virtual_seconds=stats.self_virtual,
                 kernel_mode=stats.kernel_mode,
-                fallback_batches=stats.kernel_fallbacks,
             )
 
     # -- introspection ------------------------------------------------------
@@ -230,7 +224,7 @@ class ProfileStore:
                 name: OperatorProfile(
                     p.operator, p.calls, p.rows, p.batches,
                     p.self_wall_seconds, p.self_virtual_seconds,
-                    dict(p.kernel_modes), p.fallback_batches)
+                    dict(p.kernel_modes))
                 for name, p in self._operators.items()
             }
             return ProfileSnapshot(self._queries, models, operators)
@@ -298,8 +292,6 @@ class ProfileStore:
                 for mode, count in record.get("kernel_modes", {}).items():
                     profile.kernel_modes[mode] = \
                         profile.kernel_modes.get(mode, 0) + int(count)
-                profile.fallback_batches += \
-                    int(record.get("fallback_batches", 0))
         return store
 
     def merge(self, other: "ProfileStore | ProfileSnapshot") -> None:
@@ -326,7 +318,6 @@ class ProfileStore:
                 for mode, count in p.kernel_modes.items():
                     mine.kernel_modes[mode] = \
                         mine.kernel_modes.get(mode, 0) + count
-                mine.fallback_batches += p.fallback_batches
 
 
 def render_profile(snapshot: ProfileSnapshot, top: int = 10) -> str:
@@ -337,16 +328,14 @@ def render_profile(snapshot: ProfileSnapshot, top: int = 10) -> str:
         lines.append("")
         lines.append(f"top {len(operators)} operators by self wall time:")
         lines.append(f"  {'operator':<20} {'calls':>6} {'rows':>10} "
-                     f"{'self wall':>11} {'self virt':>11} "
-                     f"{'kernels':<24} {'fallback':>8}")
+                     f"{'self wall':>11} {'self virt':>11} kernels")
         for p in operators:
             kernels = ",".join(f"{mode}:{count}" for mode, count
                                in sorted(p.kernel_modes.items())) or "-"
             lines.append(
                 f"  {p.operator:<20} {p.calls:>6} {p.rows:>10} "
                 f"{p.self_wall_seconds * 1000:>9.2f}ms "
-                f"{p.self_virtual_seconds:>10.3f}s "
-                f"{kernels:<24} {p.fallback_batches:>8}")
+                f"{p.self_virtual_seconds:>10.3f}s {kernels}")
     models = snapshot.top_models(top)
     if models:
         lines.append("")

@@ -87,35 +87,14 @@ def _expose_udf_stats(exp: _Exposition, metrics) -> None:
     exp.sample("eva_hit_ratio", metrics.hit_percentage() / 100.0)
 
 
-#: Prefix carved out of the generic event counters: operators bump
-#: ``kernel_fallback:<Operator>`` when a batch falls off the vectorized
-#: fast path, and the exposition reports those under a dedicated metric
-#: (labelled by operator) instead of ``eva_events_total``.
-KERNEL_FALLBACK_PREFIX = "kernel_fallback:"
-
-
 def _expose_counters(exp: _Exposition, metrics) -> None:
-    if not metrics.counters:
-        return
-    events = {name: value for name, value in metrics.counters.items()
-              if not name.startswith(KERNEL_FALLBACK_PREFIX)}
-    fallbacks = {name[len(KERNEL_FALLBACK_PREFIX):]: value
-                 for name, value in metrics.counters.items()
-                 if name.startswith(KERNEL_FALLBACK_PREFIX)}
+    events = metrics.counters
     if events:
         exp.header("eva_events_total",
                    "Named event counters (plan-cache evictions, ...)",
                    "counter")
         for name in sorted(events):
             exp.sample("eva_events_total", events[name], event=name)
-    if fallbacks:
-        exp.header("eva_kernel_fallback_batches_total",
-                   "Batches that fell off the vectorized fast path "
-                   "onto row-at-a-time execution, by operator",
-                   "counter")
-        for operator in sorted(fallbacks):
-            exp.sample("eva_kernel_fallback_batches_total",
-                       fallbacks[operator], operator=operator)
 
 
 def _expose_query_histogram(exp: _Exposition, metrics) -> None:

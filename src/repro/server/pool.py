@@ -184,7 +184,7 @@ def worker_main(spec: WorkerSpec) -> None:
     # worker per lookup — more than replanning these millisecond plans
     # (so the sharded manager keeps no version at all).  Plans are
     # deterministic, so this cannot change results, only real seconds.
-    config = dataclasses.replace(spec.config, enable_plan_cache=False)
+    config = dataclasses.replace(spec.config, plan_cache_size=0)
     zoo = spec.zoo_factory() if spec.zoo_factory is not None else None
     state = ShardedWorkerState(config, zoo, worker_id=spec.worker_id,
                                peers=PeerTable(spec.worker_id, spec.authkey))

@@ -359,7 +359,6 @@ class EvaSession:
         # the wait-time hooks stay dictionary misses.
         flight_ctx = self.flight.begin(queue_wait_s) \
             if tracer.enabled else None
-        kernel_fallbacks_before = self._kernel_fallback_total()
         exhaustions_before = budget_exhaustions()
         # Per-query view-touch accumulator (repro.obs.lineage): the
         # store's probe/write hooks feed it from every executor thread;
@@ -425,7 +424,6 @@ class EvaSession:
             record = self._observe_flight(
                 flight_ctx, sql, root, query_metrics, batch.num_rows,
                 cache_hit=cache_hit, reused=reused, optimized=optimized,
-                kernel_fallbacks_before=kernel_fallbacks_before,
                 views=views)
             if views is not None and views["created"]:
                 self.ledger.attach_flight(views["created"],
@@ -442,11 +440,6 @@ class EvaSession:
             rows=batch.to_tuples(),
             metrics=query_metrics,
         )
-
-    def _kernel_fallback_total(self) -> int:
-        """Cumulative row-fallback batches across all counters."""
-        return sum(value for name, value in self.metrics.counters.items()
-                   if name.startswith("kernel_fallback:"))
 
     def _observe_lineage(self, qlin, sql: str, *, trace_id, audit):
         """Fold the finished query's view touches into the ledger.
@@ -487,7 +480,6 @@ class EvaSession:
     def _observe_flight(self, flight_ctx, sql: str, root,
                         query_metrics: QueryMetrics, rows_returned: int,
                         *, cache_hit: bool, reused: bool, optimized,
-                        kernel_fallbacks_before: int,
                         views: dict | None = None) -> dict:
         """Assemble and emit the query's flight record."""
         from repro.obs.audit import KIND_COST_CALIBRATION, \
@@ -520,8 +512,6 @@ class EvaSession:
             rows_returned=rows_returned,
             cache_hit=cache_hit,
             reused=reused,
-            kernel_fallbacks=self._kernel_fallback_total()
-            - kernel_fallbacks_before,
             invocations={
                 "total": total_invocations,
                 "reused": reused_invocations,
@@ -564,8 +554,6 @@ class EvaSession:
                 tags: dict = {}
                 if stats.kernel_mode is not None:
                     tags["kernel"] = stats.kernel_mode
-                    if stats.kernel_fallbacks:
-                        tags["kernel_fallbacks"] = stats.kernel_fallbacks
                 span = tracer.add_span(
                     f"op:{stats.label}",
                     trace_id=trace_id,
@@ -764,8 +752,7 @@ class EvaSession:
 
     @property
     def _plan_cache_enabled(self) -> bool:
-        return (self.config.enable_plan_cache
-                and self.config.plan_cache_size > 0)
+        return self.config.plan_cache_size > 0
 
     def _cached_plan(self, sql: str):
         """A still-valid cached plan for ``sql``, refreshing its LRU slot."""

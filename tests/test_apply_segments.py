@@ -67,7 +67,6 @@ def _run(tiny_video, warm: list[str], sql: str, batch: Batch, whole: bool,
     parts = [step(part, runtime, op) for part in (
         [batch] if whole else [batch.slice(i, i + 1)
                                for i in range(batch.num_rows)])]
-    assert runtime.fallbacks == {}
     parts = [part for part in parts if part is not None]
     out = Batch.concat(parts) if parts else None
     clock = session.clock.breakdown()

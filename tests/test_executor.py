@@ -48,32 +48,28 @@ class TestRelationalOperators:
     # Filter and project run as stages of the streaming pipeline.
 
     def test_filter(self, tiny_video):
-        from repro.executor.fusion import _FusedRuntime, _filter_group
+        from repro.executor.fusion import _filter_step
 
         kernel = compile_expression(
             Comparison(ColumnRef("a"), CompOp.GT, Literal(4)),
             _context(tiny_video).evaluator)
-        out = _filter_group(Batch({"a": [1, 5, 9]}),
-                            _FusedRuntime(ReusePolicy.NONE, []),
-                            ((kernel, "Filter"),))
+        out = _filter_step(Batch({"a": [1, 5, 9]}), kernel)
         assert out.column("a") == [5, 9]
 
     def test_project_expression(self, tiny_video):
-        from repro.executor.fusion import _FusedRuntime, _project_batch
+        from repro.executor.fusion import _project_batch
 
         kernel = compile_expression(ColumnRef("b"),
                                     _context(tiny_video).evaluator)
         batch = _project_batch(Batch({"a": [1, 2], "b": [3, 4]}),
-                               _FusedRuntime(ReusePolicy.NONE, []),
                                (("bee", kernel),))
         assert batch.column_names == ["bee"]
         assert list(batch.column("bee")) == [3, 4]
 
     def test_project_star_hides_internal_columns(self):
-        from repro.executor.fusion import _FusedRuntime, _project_batch
+        from repro.executor.fusion import _project_batch
 
         batch = _project_batch(Batch({"a": [1], "__udf::x": [2]}),
-                               _FusedRuntime(ReusePolicy.NONE, []),
                                (("*", None),))
         assert batch.column_names == ["a"]
 

@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.expressions.compiler import (
-    CompiledKernel,
-    compile_expression,
-    supports_vectorized,
-)
+from repro.errors import ExecutorError
+from repro.expressions.compiler import compile_expression
 from repro.expressions.evaluator import ExpressionEvaluator
 from repro.expressions.expr import (
     AggregateCall,
@@ -39,22 +37,31 @@ def _mask_reference(expr, evaluator, batch):
             for row in batch.iter_rows()]
 
 
-class TestSupportsVectorized:
-    def test_plain_tree_supported(self):
-        expr = And((Comparison(ColumnRef("id"), CompOp.LT, Literal(5)),
-                    Not(Comparison(ColumnRef("label"), CompOp.EQ,
-                                   Literal("car")))))
-        assert supports_vectorized(expr)
+class TestStar:
+    """``*`` has no value: the kernel raises the interpreter's error on
+    any row, and evaluates nothing over zero rows."""
 
-    def test_star_rejected(self):
-        assert not supports_vectorized(Star())
-        assert not supports_vectorized(
-            Comparison(Star(), CompOp.EQ, Literal(1)))
+    @pytest.mark.parametrize("expr", [
+        Star(), Comparison(Star(), CompOp.EQ, Literal(1))],
+        ids=lambda e: e.to_sql())
+    def test_star_raises_the_interpreters_error(self, evaluator, expr):
+        kernel = compile_expression(expr, evaluator)
+        batch = Batch({"id": [1, 2]})
+        with pytest.raises(ExecutorError, match="cannot be evaluated"):
+            evaluator.evaluate(expr, next(batch.iter_rows()))
+        with pytest.raises(ExecutorError, match="cannot be evaluated"):
+            kernel.evaluate(batch)
+        with pytest.raises(ExecutorError, match="cannot be evaluated"):
+            kernel.evaluate_mask(batch)
+        assert kernel.evaluate(Batch({"id": []})) == []
+        assert kernel.evaluate_mask(Batch({"id": []})) == []
 
-    def test_unsupported_node_falls_back_to_row_kernel(self, evaluator):
-        kernel = compile_expression(Star(), evaluator)
-        assert not kernel.vectorized
-        assert kernel.mode == "row-fallback"
+    def test_count_star_is_its_output_column(self, evaluator):
+        expr = AggregateCall("count", Star())
+        kernel = compile_expression(expr, evaluator)
+        assert kernel.evaluate(Batch({expr.to_sql(): [3, 4]})) == [3, 4]
+        with pytest.raises(ExecutorError, match="outside GROUP BY"):
+            kernel.evaluate(Batch({"id": [1]}))
 
 
 class TestKernelsMatchInterpreter:
@@ -91,10 +98,8 @@ class TestKernelsMatchInterpreter:
     @pytest.mark.parametrize("expr", CASES, ids=lambda e: e.to_sql())
     def test_evaluate_matches(self, evaluator, expr):
         kernel = compile_expression(expr, evaluator)
-        assert kernel.vectorized
         assert kernel.evaluate(self.BATCH) == \
             _rows_reference(expr, evaluator, self.BATCH)
-        assert kernel.fallback_batches == 0
 
     @pytest.mark.parametrize("expr", CASES, ids=lambda e: e.to_sql())
     def test_evaluate_mask_matches(self, evaluator, expr):
@@ -132,41 +137,119 @@ class TestKernelsMatchInterpreter:
         assert kernel.evaluate(batch) == [3, 4]
 
 
-class TestRuntimeFallback:
-    def test_type_error_falls_back_to_row_interpreter(self, evaluator):
-        """A vectorized kernel that raises re-runs the batch row-wise.
+class TestShortCircuit:
+    """AND / OR evaluate an operand only on the rows the interpreter's
+    ``all()`` / ``any()`` reach: an operand that raises on the whole batch
+    runs again on the undecided rows alone."""
 
-        ``id < 'x'`` raises in both paths *unless* short-circuiting hides
-        the bad row — which is exactly when the row interpreter must take
-        over.  Here OR short-circuits on every row, so the row path
-        succeeds while the columnar path (which evaluates both operands
-        eagerly) raises internally.
+    def test_or_skips_the_error_on_rows_it_decided(self, evaluator):
+        """``id < 'x'`` raises on every row it is evaluated on, but OR
+        decides every row on its first operand, so the interpreter never
+        evaluates it — while the whole-batch pass (which evaluates both
+        operands eagerly) raises and is retried on no rows.
         """
         expr = Or((Comparison(ColumnRef("id"), CompOp.GE, Literal(0)),
                    Comparison(ColumnRef("id"), CompOp.LT, Literal("x"))))
         batch = Batch({"id": [1, 2]})
         kernel = compile_expression(expr, evaluator)
-        assert kernel.vectorized
         assert kernel.evaluate_mask(batch) == \
             _mask_reference(expr, evaluator, batch)
-        assert kernel.fallback_batches == 1
         assert kernel.batches == 1
 
-    def test_fallback_counts_accumulate(self, evaluator):
+    def test_batches_count_evaluations(self, evaluator):
         expr = Or((Comparison(ColumnRef("id"), CompOp.GE, Literal(0)),
                    Comparison(ColumnRef("id"), CompOp.LT, Literal("x"))))
         kernel = compile_expression(expr, evaluator)
         batch = Batch({"id": [1]})
         kernel.evaluate_mask(batch)
         kernel.evaluate_mask(batch)
-        assert kernel.fallback_batches == 2
         assert kernel.batches == 2
 
-    def test_row_fallback_kernel_counts_batches(self, evaluator):
-        kernel = CompiledKernel(Literal(1), evaluator, None)
-        assert kernel.evaluate(Batch({"id": [1, 2]})) == [1, 1]
-        assert kernel.batches == 1
-        assert kernel.fallback_batches == 0
+    def test_retry_runs_on_the_undecided_rows(self, evaluator):
+        # Rows 0 and 2 reach ``v * 2 < 10`` (both fine); rows 1 and 3
+        # hold values it cannot compute and are decided by ``id`` first.
+        expr = And((Comparison(ColumnRef("id"), CompOp.NE, Literal(1)),
+                    Or((Comparison(ColumnRef("id"), CompOp.EQ, Literal(3)),
+                        Comparison(Arithmetic(ColumnRef("v"), "*",
+                                              Literal(2)),
+                                   CompOp.LT, Literal(10))))))
+        batch = Batch({"id": [0, 1, 2, 3], "v": [1, "x", 7, 2.5]})
+        kernel = compile_expression(expr, evaluator)
+        assert kernel.evaluate_mask(batch) == [True, False, False, True]
+        assert kernel.evaluate(batch) == \
+            _rows_reference(expr, evaluator, batch)
+
+    def test_error_on_a_reached_row_propagates(self, evaluator):
+        expr = And((Comparison(ColumnRef("id"), CompOp.NE, Literal(1)),
+                    Comparison(ColumnRef("v"), CompOp.LT, Literal(10))))
+        batch = Batch({"id": [0, 1, 2], "v": [1, "x", "y"]})
+        kernel = compile_expression(expr, evaluator)
+        with pytest.raises(ExecutorError, match="cannot compare"):
+            _rows_reference(expr, evaluator, batch)
+        with pytest.raises(ExecutorError, match="cannot compare"):
+            kernel.evaluate_mask(batch)
+
+
+#: Values of the property's columns: int, float, str and None.  Small
+#: ints and binary fractions keep every intermediate exact in int64 and
+#: float64 alike, so numpy and Python agree on the value, not only on
+#: whether it raises.
+_VALUES = st.one_of(st.none(), st.integers(-6, 6),
+                    st.sampled_from([-2.5, -0.5, 0.0, 0.5, 1.5, 3.25]),
+                    st.sampled_from(["", "a", "ab"]))
+_COLUMNS = ("a", "b", "c")
+_ROWS = 6
+_LEAVES = st.one_of(st.sampled_from([ColumnRef(c) for c in _COLUMNS]),
+                    _VALUES.map(Literal))
+
+
+def _extend(children):
+    operands = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        operands.map(And),
+        operands.map(Or),
+        children.map(Not),
+        st.builds(Comparison, children, st.sampled_from(list(CompOp)),
+                  children),
+        st.builds(Arithmetic, children, st.sampled_from("+-*/"), children))
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=8)
+#: A column is of one type or mixes them: one-type columns take numpy's
+#: paths, mixed ones the element-wise path and its errors.
+_COLUMN = st.one_of(
+    st.lists(st.integers(-6, 6), min_size=_ROWS, max_size=_ROWS),
+    st.lists(st.sampled_from([-2.5, 0.5, 1.5, None]),
+             min_size=_ROWS, max_size=_ROWS),
+    st.lists(st.sampled_from(["", "a", "ab", None]),
+             min_size=_ROWS, max_size=_ROWS),
+    st.lists(_VALUES, min_size=_ROWS, max_size=_ROWS))
+_BATCHES = st.fixed_dictionaries({c: _COLUMN for c in _COLUMNS}).map(Batch)
+
+
+def _interpreted(evaluate, expr, batch):
+    """The interpreter's column for ``batch``, or None when some row
+    raises."""
+    try:
+        return [evaluate(expr, row) for row in batch.iter_rows()]
+    except ExecutorError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EXPRESSIONS, _BATCHES)
+def test_kernel_equals_the_interpreter_row_by_row(expr, batch):
+    evaluator = ExpressionEvaluator()
+    kernel = compile_expression(expr, evaluator)
+    for kernel_fn, evaluate in (
+            (kernel.evaluate, evaluator.evaluate),
+            (kernel.evaluate_mask, evaluator.evaluate_predicate)):
+        expected = _interpreted(evaluate, expr, batch)
+        if expected is None:
+            with pytest.raises(ExecutorError):
+                kernel_fn(batch)
+        else:
+            assert list(kernel_fn(batch)) == expected
 
 
 class TestScalarShortcuts:
@@ -211,7 +294,6 @@ class TestComparesOnDictionaryCodes:
             assert batch.column("label")._materialized is None
             assert mask == _mask_reference(expr, evaluator, batch)
             assert values == _rows_reference(expr, evaluator, batch)
-            assert kernel.fallback_batches == 0
 
     @pytest.mark.parametrize("literal", LITERALS, ids=repr)
     @pytest.mark.parametrize("op", [CompOp.EQ, CompOp.NE])

@@ -239,7 +239,6 @@ class TestFlightContextHooks:
             ctx, query="SELECT 1;", trace_id="t000001",
             wall_seconds=4.0, virtual_seconds=2.0, virtual_breakdown={},
             rows_returned=1, cache_hit=False, reused=False,
-            kernel_fallbacks=0,
             invocations={"total": 0, "reused": 0, "executed": 0},
             reuse={"decisions": 0, "reused_decisions": 0, "eq_costs": {}})
         assert current_flight() is None

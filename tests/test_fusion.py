@@ -1,6 +1,6 @@
 """Tests for the streaming pipeline and the zero-copy batch core.
 
-Covers the compiler/pipeline fallback edges: constant-only predicates,
+Covers the compiler/pipeline edges: constant-only predicates,
 ``__udf::`` column resolution inside the pipeline, short-circuit
 semantics preserved across the pipeline boundary, kernel-cache eviction
 and invalidation-on-calibration, and the one-allocation-per-column
@@ -126,7 +126,7 @@ class TestZeroCopyBatches:
 
 
 # ---------------------------------------------------------------------------
-# compiler / fusion fallback edges
+# compiler / fusion edges
 # ---------------------------------------------------------------------------
 
 UDF_QUERY = ("SELECT id, bbox FROM tiny CROSS APPLY "
@@ -152,22 +152,21 @@ class TestFusionEdges:
         # Both runs (miss-heavy, then hit-heavy) went through pipelines.
         assert fused_session.context.kernel_cache.stats()["size"] == 2
 
-    def test_filter_group_demotes_when_upper_kernel_errors(self):
-        from repro.executor.fusion import _FusedRuntime, _filter_group
+    def test_filter_group_skips_upper_errors_on_removed_rows(self):
+        from repro.executor.fusion import _filter_step
         from repro.expressions.compiler import compile_expression
+        from repro.expressions.expr import And
         from repro.parser.parser import parse_predicate
 
         session = make_session()
-        evaluator = session.context.evaluator
-        lower = compile_expression(parse_predicate("id < 3"), evaluator)
-        upper = compile_expression(parse_predicate("x * 2 < 10"), evaluator)
-        # Rows the lower filter removes hold values the upper kernel
-        # cannot evaluate vectorized; serial execution never sees them.
+        group = compile_expression(And((parse_predicate("id < 3"),
+                                        parse_predicate("x * 2 < 10"))),
+                                   session.context.evaluator)
+        # Rows the lower filter removes hold values the upper predicate
+        # cannot evaluate; serial execution never sees them.
         batch = Batch({"id": [0, 1, 2, 5, 6],
                        "x": [1, 2, 3, "boom", object()]})
-        rt = _FusedRuntime(ReusePolicy.EVA, [])
-        out = _filter_group(batch, rt,
-                            ((lower, "Scan"), (upper, "Filter")))
+        out = _filter_step(batch, group)
         assert out.column("id") == [0, 1, 2]
 
     def test_limit_short_circuits_across_fusion_boundary(self):

@@ -6,6 +6,8 @@ but not identical, so exact (frame, bbox) keys miss.  With
 box with IoU above a threshold — trading exactness for fewer evaluations.
 """
 
+import pytest
+
 from repro.config import EvaConfig, ReusePolicy
 from repro.executor.fusion import _classifier_step, _FusedRuntime
 from repro.executor.operators.classifier import ClassifierApplyOperator
@@ -119,19 +121,18 @@ class TestFuzzyReuse:
         drift = abs(len(actual) - len(expected))
         assert drift <= max(3, 0.1 * len(expected))
 
-    def test_threshold_one_disables_fuzzy_hits(self, tiny_video):
-        session = EvaSession(config=EvaConfig(
-            reuse_policy=ReusePolicy.EVA, fuzzy_reuse=True,
-            fuzzy_iou_threshold=1.0))
-        session.register_video(tiny_video)
-        session.execute(FIRST)
-        session.execute(SECOND)
-        reused = session.metrics.udf_stats["car_type"].reused_invocations
-        baseline = _session(tiny_video, fuzzy=False)
-        baseline.execute(FIRST)
-        baseline.execute(SECOND)
-        assert reused == \
-            baseline.metrics.udf_stats["car_type"].reused_invocations
+    @pytest.mark.parametrize("threshold", [1.0, 1.5, -0.1, -1.0])
+    def test_threshold_outside_unit_interval_is_refused(self, threshold):
+        # At >= 1 no IoU exceeds the threshold, so fuzzy reuse would
+        # silently reuse nothing; below 0 a disjoint box (IoU 0) in the
+        # same frame would answer with another vehicle's label.
+        with pytest.raises(ValueError, match="fuzzy_iou_threshold"):
+            EvaConfig(reuse_policy=ReusePolicy.EVA, fuzzy_reuse=True,
+                      fuzzy_iou_threshold=threshold)
+
+    def test_threshold_zero_is_accepted(self):
+        assert EvaConfig(fuzzy_reuse=True,
+                         fuzzy_iou_threshold=0.0).fuzzy_iou_threshold == 0.0
 
 
 class TestFuzzyTies:

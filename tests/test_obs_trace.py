@@ -213,7 +213,9 @@ class TestSessionTracing:
 
         Measured structurally: the per-span bookkeeping cost times the
         number of spans a query emits must be a small fraction of the
-        query's own wall time.
+        query's own wall time.  The per-span cost is the fastest of
+        several rounds (timeit's convention): preemption on a shared
+        machine only ever inflates a round.
         """
         start = time.perf_counter()
         traced_session.execute(DETECT)
@@ -222,11 +224,14 @@ class TestSessionTracing:
 
         tracer = Tracer(clock=SimulationClock())  # NullSink default
         iterations = 2000
-        start = time.perf_counter()
-        for _ in range(iterations):
-            with tracer.span("bench"):
-                pass
-        per_span = (time.perf_counter() - start) / iterations
+        rounds = []
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(iterations):
+                with tracer.span("bench"):
+                    pass
+            rounds.append(time.perf_counter() - start)
+        per_span = min(rounds) / iterations
         overhead = spans_per_query * per_span
         assert overhead < 0.05 * query_wall, (
             f"tracing overhead {overhead * 1e3:.3f}ms vs query "

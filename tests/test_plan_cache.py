@@ -1,5 +1,6 @@
 """Tests for the version-keyed plan cache."""
 
+import pytest
 
 from repro.config import EvaConfig, ReusePolicy
 from repro.optimizer.udf_manager import UdfManager, UdfSignature
@@ -61,14 +62,6 @@ class TestPlanCache:
         assert plan_a is not plan_b
         session.execute(QUERY)
         assert session.last_optimized is plan_a
-
-    def test_cache_can_be_disabled(self, tiny_video):
-        session = _session(tiny_video, ReusePolicy.NONE,
-                           enable_plan_cache=False)
-        session.execute(QUERY)
-        first_plan = session.last_optimized
-        session.execute(QUERY)
-        assert session.last_optimized is not first_plan
 
     def test_reset_clears_cache(self, tiny_video):
         session = _session(tiny_video, ReusePolicy.NONE)
@@ -174,6 +167,10 @@ class TestPlanCacheBound:
         assert session.last_optimized is not first_plan
         assert len(session._plan_cache) == 0
         assert session.metrics.counters["plan_cache_evictions"] == 0
+
+    def test_negative_size_is_refused(self):
+        with pytest.raises(ValueError, match="plan_cache_size"):
+            EvaConfig(plan_cache_size=-1)
 
     def test_eviction_counter_absent_until_first_eviction(self, tiny_video):
         session = _session(tiny_video, ReusePolicy.NONE)

@@ -48,8 +48,7 @@ class TestProfileStore:
                                kernel_mode="vectorized")
         store.observe_operator("Filter", rows=50, batches=1,
                                self_wall_seconds=0.02,
-                               kernel_mode="row-fallback",
-                               fallback_batches=1)
+                               kernel_mode="fused")
         snapshot = store.snapshot()
         assert snapshot.queries == 2
         model = snapshot.models["m"]
@@ -59,8 +58,7 @@ class TestProfileStore:
         op = snapshot.operators["Filter"]
         assert op.calls == 2
         assert op.rows == 150
-        assert op.kernel_modes == {"vectorized": 1, "row-fallback": 1}
-        assert op.fallback_batches == 1
+        assert op.kernel_modes == {"vectorized": 1, "fused": 1}
 
     def test_snapshot_is_isolated(self):
         store = ProfileStore()
