@@ -60,6 +60,9 @@ _ARITH_KINDS = frozenset("iuf")
 #: 0/1 in both Python and numpy, so it is safe here).
 _COMPARE_KINDS = frozenset("iufb")
 
+#: Ints up to this magnitude are exact in float64.
+_EXACT_FLOAT_INT = 1 << 53
+
 _NUMPY_COMPARE = {
     CompOp.LT: np.less,
     CompOp.LE: np.less_equal,
@@ -287,7 +290,8 @@ def _compare(op: CompOp, left, right, n: int, sql: str):
                 f"{type(right.value).__name__} in {sql}") from None
     larr = _numeric_operand(left, _COMPARE_KINDS)
     rarr = _numeric_operand(right, _COMPARE_KINDS)
-    if larr is not None and rarr is not None:
+    if larr is not None and rarr is not None \
+            and _compares_exactly(larr, rarr):
         return _NUMPY_COMPARE[op](larr, rarr)
     if isinstance(right, _Scalar) and op in (CompOp.EQ, CompOp.NE):
         # Scalar (in)equality — e.g. ``label = 'car'`` — never raises
@@ -337,7 +341,8 @@ def _arithmetic(op: str, left, right, n: int, sql: str):
         return _Scalar(_scalar_arith(op, left.value, right.value, sql))
     larr = _numeric_operand(left, _ARITH_KINDS)
     rarr = _numeric_operand(right, _ARITH_KINDS)
-    if larr is not None and rarr is not None:
+    if larr is not None and rarr is not None \
+            and _exact_in_numpy(op, larr, rarr):
         if op == "+":
             return larr + rarr
         if op == "-":
@@ -356,6 +361,57 @@ def _arithmetic(op: str, left, right, n: int, sql: str):
     lvals = _values(left, n)
     rvals = _values(right, n)
     return [_scalar_arith(op, a, b, sql) for a, b in zip(lvals, rvals)]
+
+
+def _is_int(operand) -> bool:
+    """Whether a numeric operand is an int array or a Python int (or
+    bool): a float, or a bool array, is not."""
+    if isinstance(operand, np.ndarray):
+        return operand.dtype.kind in "iu"
+    return not isinstance(operand, float)
+
+
+def _int_bounds(operand) -> tuple[int, int] | None:
+    """``(min, max)`` of an integer operand as Python ints (``(0, 0)``
+    when empty); None for a float one."""
+    if not _is_int(operand):
+        return None
+    if isinstance(operand, np.ndarray):
+        if not len(operand):
+            return 0, 0
+        return int(operand.min()), int(operand.max())
+    return operand, operand
+
+
+def _compares_exactly(left, right) -> bool:
+    """Whether numpy compares ``left`` with ``right`` as Python does: it
+    compares ints with ints exactly, but an int with a float as two
+    float64s, which is exact only while the int is."""
+    if _is_int(left) == _is_int(right):
+        return True
+    lo, hi = _int_bounds(left if _is_int(left) else right)
+    return max(-lo, hi) <= _EXACT_FLOAT_INT
+
+
+def _exact_in_numpy(op: str, left, right) -> bool:
+    """Whether numpy computes ``left op right`` as Python does: an
+    integer result stays in int64 (numpy wraps around, or refuses a
+    Python int beyond it), and an integer quotient's operands are exact
+    in float64 (numpy divides them as floats, Python rounds once)."""
+    bounds = _int_bounds(left), _int_bounds(right)
+    if None in bounds:
+        return True  # a float operand: both convert the ints to float64
+    (llo, lhi), (rlo, rhi) = bounds
+    if op == "/":
+        return max(-llo, lhi, -rlo, rhi) <= _EXACT_FLOAT_INT
+    if op == "+":
+        lo, hi = llo + rlo, lhi + rhi
+    elif op == "-":
+        lo, hi = llo - rhi, lhi - rlo
+    else:
+        products = (llo * rlo, llo * rhi, lhi * rlo, lhi * rhi)
+        lo, hi = min(products), max(products)
+    return -1 << 63 <= lo and hi < 1 << 63
 
 
 def _scalar_arith(op: str, left, right, sql: str):
@@ -410,15 +466,17 @@ def _numeric_operand(col, kinds: frozenset):
         pass
     try:
         arr = np.asarray(col)
-    except (ValueError, TypeError):  # ragged / unconvertible
+    except (ValueError, TypeError, OverflowError):  # ragged / unconvertible
         return None
     if arr.dtype.kind not in kinds:
         return None
-    if (kinds is _ARITH_KINDS and arr.dtype.kind == "f"
-            and any(isinstance(v, (int, np.integer)) for v in col)):
+    if arr.dtype.kind == "f" and (
+            kinds is _ARITH_KINDS
+            or (np.abs(arr) >= _EXACT_FLOAT_INT).any()) \
+            and any(isinstance(v, (int, np.integer)) for v in col):
         # numpy would compute on the ints as floats, where Python keeps
         # ``int`` results (``'ab' * (n + 0)`` repeats, ``'ab' * 1.0``
-        # raises).
+        # raises) and compares ints exactly.
         return None
     return arr
 

@@ -38,6 +38,8 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
+
 #: Materialized-view names are ``mv::<model>[@<source>...]`` (the UDF
 #: signature key); the first two ``@`` segments name model and video.
 VIEW_PREFIX = "mv::"
@@ -147,13 +149,20 @@ def record_view_probe_many(name: str, hits) -> None:
 
 
 def record_view_write(name: str, keys, rows: int) -> None:
-    """The freshly inserted ``keys`` of one put batch and their row total."""
+    """The freshly inserted keys of one put batch and their row total:
+    ``keys`` is their frame ids as an int array
+    (:func:`~repro.storage.view_store.key_frame_ids`), or their key
+    tuples when they have no array form.  The ledger keeps a count and a
+    frame range."""
     ctx = current_lineage()
-    if ctx is None or not keys:
+    if ctx is None or not len(keys):
         return
-    frames = [key[0] for key in keys if key and isinstance(key[0], int)]
-    ctx.record_write(name, len(keys), rows,
-                     min(frames, default=None), max(frames, default=None))
+    if isinstance(keys, np.ndarray):
+        low, high = int(keys.min()), int(keys.max())
+    else:
+        frames = [key[0] for key in keys if key and isinstance(key[0], int)]
+        low, high = min(frames, default=None), max(frames, default=None)
+    ctx.record_write(name, len(keys), rows, low, high)
 
 
 def record_view_create(name: str) -> None:

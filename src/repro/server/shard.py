@@ -81,7 +81,7 @@ from repro.server.state import (
 from repro.storage.view_store import (
     Key,
     ViewHits,
-    array_key_tuples,
+    key_frame_ids,
     one_entry,
 )
 from repro.store import attach_reuse_state, open_reuse_state
@@ -473,8 +473,8 @@ class RemoteViewHandle:
             {col: list(columns[col]) for col in self.output_columns},
             patch_keys)
         if isinstance(keys, np.ndarray):
-            fresh = array_key_tuples(
-                keys[np.array(inserted, dtype=bool)], patch_keys)
+            fresh = key_frame_ids(keys[np.array(inserted, dtype=bool)],
+                                  patch_keys)
         else:
             fresh = list(compress(keys, inserted))
         record_view_write(self.name, fresh, sum(compress(counts, inserted)))

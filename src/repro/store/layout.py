@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.columnar import ColumnBatch
-from repro.storage.view_store import PACKED_FRAME_SHIFT
+from repro.storage.view_store import key_frame_ids
 
 #: Names the record/snapshot encoding.  v3: ``puts`` records and
 #: snapshots are flat column batches — a JSON header, then int64 keys and
@@ -86,8 +86,7 @@ def buckets_of(batch: ColumnBatch, partition_frames: int) -> np.ndarray:
         return np.array([max(key[0], 0) // partition_frames
                          if type(key[0]) is int else 0
                          for key in batch.keys], dtype=object)
-    ids = (batch.array >> PACKED_FRAME_SHIFT if batch.patch_keys
-           else batch.array)
+    ids = key_frame_ids(batch.array, batch.patch_keys)
     return np.maximum(ids, 0) // partition_frames
 
 

@@ -190,17 +190,24 @@ class TestShortCircuit:
             kernel.evaluate_mask(batch)
 
 
-#: Values of the property's columns: int, float, str and None.  Small
-#: ints and binary fractions keep every intermediate exact in int64 and
-#: float64 alike, so numpy and Python agree on the value, not only on
-#: whether it raises.
-_VALUES = st.one_of(st.none(), st.integers(-6, 6),
-                    st.sampled_from([-2.5, -0.5, 0.0, 0.5, 1.5, 3.25]),
-                    st.sampled_from(["", "a", "ab"]))
+#: Values of the property's columns: int, float, str and None.  The
+#: floats are binary fractions, so a sum or product of them with a small
+#: int is exact in float64 as in Python.
+_FLOATS = st.sampled_from([-2.5, -0.5, 0.0, 0.5, 1.5, 3.25])
+_STRS = st.sampled_from(["", "a", "ab"])
+#: Ints at and beyond the ends of int64 (and of the ints float64 holds
+#: exactly), where numpy would wrap around, refuse a Python int or round,
+#: and the kernel must compute as Python does.  They never meet a str:
+#: ``'ab' * 2 ** 40`` is a terabyte, and the interpreter raises a raw
+#: ``OverflowError`` on ``'' * 2 ** 63``.  Eight leaves of at most
+#: ``2 ** 72`` keep every float far from overflow.
+_WIDE_INTS = st.one_of(
+    st.integers(-6, 6),
+    st.sampled_from([2 ** 40, -2 ** 53 - 1, 2 ** 53 + 1, 2 ** 62,
+                     2 ** 63 - 1, -2 ** 63, 2 ** 63, 2 ** 70]),
+    st.integers(-2 ** 72, 2 ** 72))
 _COLUMNS = ("a", "b", "c")
 _ROWS = 6
-_LEAVES = st.one_of(st.sampled_from([ColumnRef(c) for c in _COLUMNS]),
-                    _VALUES.map(Literal))
 
 
 def _extend(children):
@@ -214,17 +221,28 @@ def _extend(children):
         st.builds(Arithmetic, children, st.sampled_from("+-*/"), children))
 
 
-_EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=8)
-#: A column is of one type or mixes them: one-type columns take numpy's
-#: paths, mixed ones the element-wise path and its errors.
-_COLUMN = st.one_of(
-    st.lists(st.integers(-6, 6), min_size=_ROWS, max_size=_ROWS),
-    st.lists(st.sampled_from([-2.5, 0.5, 1.5, None]),
-             min_size=_ROWS, max_size=_ROWS),
-    st.lists(st.sampled_from(["", "a", "ab", None]),
-             min_size=_ROWS, max_size=_ROWS),
-    st.lists(_VALUES, min_size=_ROWS, max_size=_ROWS))
-_BATCHES = st.fixed_dictionaries({c: _COLUMN for c in _COLUMNS}).map(Batch)
+def _cases(ints, others):
+    """``(expression, batch)`` pairs over columns of ``ints``, floats, the
+    ``others`` and None.  A column is of one type or mixes them: one-type
+    columns take numpy's paths, mixed ones the element-wise path and its
+    errors."""
+    values = st.one_of(st.none(), ints, _FLOATS, *others)
+    leaves = st.one_of(st.sampled_from([ColumnRef(c) for c in _COLUMNS]),
+                       values.map(Literal))
+    column = st.one_of(
+        st.lists(ints, min_size=_ROWS, max_size=_ROWS),
+        st.lists(st.sampled_from([-2.5, 0.5, 1.5, None]),
+                 min_size=_ROWS, max_size=_ROWS),
+        *(st.lists(st.one_of(st.none(), other),
+                   min_size=_ROWS, max_size=_ROWS) for other in others),
+        st.lists(values, min_size=_ROWS, max_size=_ROWS))
+    return st.tuples(
+        st.recursive(leaves, _extend, max_leaves=8),
+        st.fixed_dictionaries({c: column for c in _COLUMNS}).map(Batch))
+
+
+_CASES = st.one_of(_cases(st.integers(-6, 6), [_STRS]),
+                   _cases(_WIDE_INTS, []))
 
 
 def _interpreted(evaluate, expr, batch):
@@ -237,8 +255,9 @@ def _interpreted(evaluate, expr, batch):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_EXPRESSIONS, _BATCHES)
-def test_kernel_equals_the_interpreter_row_by_row(expr, batch):
+@given(_CASES)
+def test_kernel_equals_the_interpreter_row_by_row(case):
+    expr, batch = case
     evaluator = ExpressionEvaluator()
     kernel = compile_expression(expr, evaluator)
     for kernel_fn, evaluate in (
@@ -250,6 +269,48 @@ def test_kernel_equals_the_interpreter_row_by_row(expr, batch):
                 kernel_fn(batch)
         else:
             assert list(kernel_fn(batch)) == expected
+
+
+class TestIntsBeyondNumpy:
+    """Integer results that leave int64, and ints float64 does not hold
+    exactly, are computed row by row, as the interpreter computes them.
+    The int columns are Python lists, which numpy reads as int64."""
+
+    A = [2 ** 40, 3]
+
+    @pytest.mark.parametrize("expr, expected", [
+        (Arithmetic(ColumnRef("a"), "*", ColumnRef("a")), [2 ** 80, 9]),
+        (Arithmetic(ColumnRef("a"), "+", Literal(2 ** 70)),
+         [2 ** 70 + 2 ** 40, 2 ** 70 + 3]),
+        (Arithmetic(Literal(-2 ** 63), "-", ColumnRef("a")),
+         [-2 ** 63 - 2 ** 40, -2 ** 63 - 3]),
+        (Arithmetic(ColumnRef("a"), "*", Literal(2 ** 23)),
+         [2 ** 63, 3 * 2 ** 23]),
+        (Arithmetic(ColumnRef("a"), "/", Literal(2 ** 53 + 1)),
+         [2 ** 40 / (2 ** 53 + 1), 3 / (2 ** 53 + 1)]),
+    ], ids=["square", "plus-big-literal", "minus", "product-at-2**63",
+            "quotient"])
+    def test_arithmetic_matches_the_interpreter(self, evaluator, expr,
+                                                expected):
+        batch = Batch({"a": self.A})
+        assert compile_expression(expr, evaluator).evaluate(batch) == \
+            expected == _rows_reference(expr, evaluator, batch)
+
+    def test_in_range_products_stay_on_numpy(self, evaluator):
+        expr = Arithmetic(ColumnRef("a"), "*", Literal(2 ** 22))
+        kernel = compile_expression(expr, evaluator)
+        assert kernel._run(Batch({"a": self.A})).dtype == np.int64
+
+    @pytest.mark.parametrize("op", list(CompOp))
+    def test_int_against_float_compares_exactly(self, evaluator, op):
+        batch = Batch({"a": [2 ** 53 + 1, 5],
+                       "b": [float(2 ** 53), 5.0],
+                       "c": [2 ** 63, 1.5],
+                       "d": [2 ** 53 + 1, 5.5]})
+        for left, right in (("a", "b"), ("c", "b"), ("a", "c"), ("d", "b")):
+            expr = Comparison(ColumnRef(left), op, ColumnRef(right))
+            assert compile_expression(expr, evaluator).evaluate(batch) == \
+                _rows_reference(expr, evaluator, batch)
 
 
 class TestScalarShortcuts:

@@ -279,6 +279,8 @@ class TestServedAttribution:
         get_many, put_many = ClientViewHandle.get_many, \
             ClientViewHandle.put_many
 
+        shared = []  # the running server's SharedViewStore
+
         def per_key_get_many(handle, keys):
             if not isinstance(keys, np.ndarray):
                 keys = list(keys)
@@ -286,7 +288,7 @@ class TestServedAttribution:
             for i in result.hit_positions()[0].tolist():
                 key = (handle._view.key_tuples(keys[i:i + 1])[0]
                        if isinstance(keys, np.ndarray) else keys[i])
-                owner = handle._owners.get(key)
+                owner = shared[-1].owner_of(handle.name, key)
                 hits[handle._client_id, owner or UNKNOWN_OWNER] += 1
             return result
 
@@ -305,6 +307,7 @@ class TestServedAttribution:
                 materialized.clear()
                 server = EvaServer(config, max_workers=2)
                 server.register_video(video)
+                shared.append(server.state.view_store)
                 with server.start():
                     handles = {client: server.connect(client)
                                for client in ("alice", "bob")}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutorError, StorageError
 from repro.server.locks import RWLock
-from repro.server.state import ClientViewHandle
+from repro.server.state import ClientViewHandle, ViewOwners
 from repro.storage.batch import (
     Batch,
     CodedColumn,
@@ -396,17 +396,19 @@ class TestCodecByteCount:
 
 def _view_state(view) -> tuple:
     """Everything an append changes: keys, offsets, every column with its
-    types, the byte count with the JSON lengths behind it, and both array
-    indexes."""
-    frames = view._ordinal_of_frame
-    patches = view._ordinal_of_patch
-    return (list(view.keys()), view._offsets[:view.num_keys + 1].tolist(),
+    types, the byte count with the JSON lengths behind it, and the index:
+    the key form a snapshot takes and the ordinal each key probes to."""
+    keys = list(view.keys())
+    batch = view.batch()
+    return (keys, view._offsets[:view.num_keys + 1].tolist(),
             {name: (type(column), _typed(column))
              for name, column in view._columns.items()},
             (view.serialized_bytes(), view._key_chars,
              dict(view._json_chars)),
-            None if frames is None else frames.tolist(),
-            None if patches is None else dict(patches))
+            (None if batch.array is None else batch.array.tolist(),
+             batch.patch_keys),
+            [view.ordinal_of(key) for key in keys],
+            view.get_many(keys).ordinals.tolist())
 
 
 _FRACTION_BOX = BoundingBox(Fraction(1, 3), 0.0, 1.0, 1.0)
@@ -497,19 +499,26 @@ class TestArrayWrites:
 
         class Listener:
             def view_put_many(self, view, batch):
-                seen.append(batch.keys)
+                seen.append(batch)
 
         view = MaterializedView("v", ["id", "bbox_key"], ["value"])
         view.listener = Listener()
         assert view.put_many(array, [1, 1, 1], columns,
                              patch_keys=patch) == [True, True, False]
-        assert list(view.keys()) == seen[0] == keys[:2]
-        parts = [key[0] for key in seen[0]]
+        # The listener logs the fresh keys as the array, built no tuples.
+        logged, = seen
+        assert logged.keys is None and logged.patch_keys == patch
+        assert logged.array.tolist() == array[:2].tolist()
+        assert list(view.keys()) == view.key_tuples(logged.array) \
+            == keys[:2]
+        parts = [key[0] for key in view.keys()]
         if patch:
-            parts += [coord for key in seen[0] for coord in key[1]]
+            parts += [coord for key in view.keys() for coord in key[1]]
         assert {type(part) for part in parts} == {int}
-        assert (view._ordinal_of_patch is not None) == patch
-        assert (view._ordinal_of_frame is not None) == (not patch)
+        # The view keeps its keys in the writer's array form.
+        snapshot = view.batch()
+        assert snapshot.patch_keys == patch
+        assert snapshot.array.tolist() == array[:2].tolist()
         assert view.get_many(array).counts == [1, 1, 1]
         twin = MaterializedView("v", ["id", "bbox_key"], ["value"])
         twin.put_many(keys, [1, 1, 1], columns)
@@ -525,6 +534,14 @@ class TestArrayWrites:
             with pytest.raises(StorageError):
                 view.put_many(keys, [0], {"value": []}, patch_keys=patch)
         assert view.num_keys == 0
+
+
+def _owners(view) -> ViewOwners:
+    """Owner codes that give the key of ordinal ``n`` client ``c{n % 3}``."""
+    owners = ViewOwners([None, "c0", "c1", "c2"])
+    for ordinal in range(view.num_keys):
+        owners.stamp(ordinal, ordinal + 1, ordinal % 3 + 1)
+    return owners
 
 
 def _probe_result(hits) -> tuple:
@@ -579,8 +596,8 @@ class TestDenseFrameProbe:
                 def record_view_hits(self, name, prober, owners):
                     recorded.append((prober, dict(owners)))
 
-            owners = {key: f"c{n % 3}" for n, key in enumerate(view.keys())}
-            handle = ClientViewHandle(view, RWLock(), owners, "me", Stats())
+            handle = ClientViewHandle(view, RWLock(), _owners(view), 0,
+                                      "me", Stats())
             return _probe_result(handle.get_many(probe)), recorded
 
         assert attribution(np.array(ids, dtype=np.int64)) == \
@@ -708,8 +725,8 @@ class TestTypedColumnsAndPackedProbes:
                 def record_view_hits(self, name, prober, owners):
                     recorded.append((prober, dict(owners)))
 
-            owners = {key: f"c{n % 3}" for n, key in enumerate(view.keys())}
-            handle = ClientViewHandle(view, RWLock(), owners, "me", Stats())
+            handle = ClientViewHandle(view, RWLock(), _owners(view), 0,
+                                      "me", Stats())
             return self._read(handle.get_many(keys)), recorded
 
         assert attribution(packed) == attribution(packable)
@@ -738,17 +755,19 @@ class TestTypedColumnsAndPackedProbes:
             # Every stored key, after every write.
             self._check(view, stored, probe + list(view.keys()))
         packs = all(pack_patch_key(key) is not None for key in stored)
-        assert (view._ordinal_of_patch is not None) == packs
+        assert (view.batch().array is not None) == packs
 
     def test_index_goes_at_the_first_key_that_does_not_pack(self):
         view = MaterializedView("v", ["id", "bbox_key"], ["value"])
-        view.put_many([(1, (0, 0, 4, 4)), (2, (1, 1, 5, 5))], [1, 1],
-                      {"value": ["a", None]})
-        index = view._ordinal_of_patch
-        assert index == {pack_patch_key((1, (0, 0, 4, 4))): 0,
-                         pack_patch_key((2, (1, 1, 5, 5))): 1}
+        keys = [(1, (0, 0, 4, 4)), (2, (1, 1, 5, 5))]
+        view.put_many(keys, [1, 1], {"value": ["a", None]})
+        snapshot = view.batch()
+        assert snapshot.patch_keys and snapshot.array.tolist() == \
+            [pack_patch_key(key) for key in keys]
+        assert [view.ordinal_of(key) for key in keys] == [0, 1]
         view.put((3, (0, 0, 2048, 1)), [{"value": "b"}])
-        assert view._ordinal_of_patch is None
+        assert view.batch().array is None
+        assert view.batch().keys == [*keys, (3, (0, 0, 2048, 1))]
         hits = view.get_many(pack_patch_keys(
             np.array([2, 1, 7]), np.array([[1, 1, 5, 5], [0, 0, 4, 4],
                                            [0, 0, 0, 0]])))
@@ -839,48 +858,62 @@ class TestStoredColumns:
         assert len(column) == 81 and column[80] is None
 
 
-class TestPrefixIndexConsistency:
-    """`put` and the lazily-built `_prefix_index` must agree: keys added
-    before the first prefix probe (index built from entries), after it
-    (index appended incrementally), and re-put keys (no duplicates)."""
+class TestPrefixProbe:
+    """``keys_with_prefix`` must agree with ``put``, in insertion order:
+    keys added before and after a prefix probe, and re-put keys (no
+    duplicates) — over key tuples and over packed patch keys, where a
+    frame's boxes are one range of the sorted keys."""
 
-    def test_index_built_lazily_covers_prior_puts(self):
+    @staticmethod
+    def _key(frame_id: int, i: int, packed: bool):
+        return (frame_id, (i, 0, i + 1, 1)) if packed else (frame_id, i)
+
+    @pytest.mark.parametrize("packed", [False, True],
+                             ids=["tuples", "packed"])
+    def test_prefix_probe_covers_prior_puts(self, packed):
         view = MaterializedView("v", ["id", "crop"], ["label"])
         for i in range(5):
-            view.put((i % 2, i), [{"label": "car"}])
-        assert view._prefix_index is None  # not built yet
-        assert sorted(view.keys_with_prefix(0)) == [(0, 0), (0, 2), (0, 4)]
-        assert view._prefix_index is not None
+            view.put(self._key(i % 2, i, packed), [{"label": "car"}])
+        assert view.keys_with_prefix(0) == [
+            self._key(0, i, packed) for i in (0, 2, 4)]
+        assert (view.batch().array is not None) == packed
 
-    def test_puts_after_build_are_indexed(self):
+    @pytest.mark.parametrize("packed", [False, True],
+                             ids=["tuples", "packed"])
+    def test_puts_after_a_probe_are_found(self, packed):
         view = MaterializedView("v", ["id", "crop"], ["label"])
-        view.put((1, 0), [{"label": "car"}])
-        assert view.keys_with_prefix(1) == [(1, 0)]  # builds the index
-        view.put((1, 1), [{"label": "bus"}])
-        view.put((2, 0), [{"label": "van"}])
-        assert sorted(view.keys_with_prefix(1)) == [(1, 0), (1, 1)]
-        assert view.keys_with_prefix(2) == [(2, 0)]
+        view.put(self._key(1, 9, packed), [{"label": "car"}])
+        assert view.keys_with_prefix(1) == [self._key(1, 9, packed)]
+        view.put(self._key(1, 1, packed), [{"label": "bus"}])
+        view.put(self._key(2, 0, packed), [{"label": "van"}])
+        assert view.keys_with_prefix(1) == [self._key(1, 9, packed),
+                                            self._key(1, 1, packed)]
+        assert view.keys_with_prefix(2) == [self._key(2, 0, packed)]
 
-    def test_re_put_never_duplicates_index_entries(self):
+    @pytest.mark.parametrize("packed", [False, True],
+                             ids=["tuples", "packed"])
+    def test_re_put_never_duplicates_prefix_keys(self, packed):
         view = MaterializedView("v", ["id", "crop"], ["label"])
-        view.put((1, 0), [{"label": "car"}])
-        view.keys_with_prefix(1)  # build
+        view.put(self._key(1, 0, packed), [{"label": "car"}])
+        view.keys_with_prefix(1)
         for _ in range(3):
-            view.put((1, 0), [{"label": "ignored"}])  # idempotent re-put
-        assert view.keys_with_prefix(1) == [(1, 0)]
+            view.put(self._key(1, 0, packed), [{"label": "ignored"}])
+        assert view.keys_with_prefix(1) == [self._key(1, 0, packed)]
 
-    def test_index_matches_keys_for_every_prefix(self):
+    @pytest.mark.parametrize("packed", [False, True],
+                             ids=["tuples", "packed"])
+    def test_prefix_probe_matches_keys_for_every_prefix(self, packed):
         view = MaterializedView("v", ["id", "crop"], ["label"])
-        keys = [(i % 4, i) for i in range(20)]
+        keys = [self._key(i % 4, 19 - i, packed) for i in range(20)]
         half = len(keys) // 2
         for key in keys[:half]:
             view.put(key, [])
-        view.keys_with_prefix(0)  # build mid-stream
+        view.keys_with_prefix(0)  # a probe mid-stream
         for key in keys[half:]:
             view.put(key, [])
-        for prefix in range(4):
-            expected = sorted(k for k in keys if k[0] == prefix)
-            assert sorted(view.keys_with_prefix(prefix)) == expected
+        for prefix in range(5):
+            expected = [k for k in keys if k[0] == prefix]
+            assert view.keys_with_prefix(prefix) == expected
 
 
 class TestViewStore:

@@ -1,8 +1,8 @@
-"""The miss path writes views without JSON: a cold detector + patch
-classifier run hands ``put_many`` the frame-id and packed-key arrays it
-probed with, the view unpacks each array once, and the byte count is
-read from the key arrays and the typed columns — the JSON fallback of
-the count (``json_chars``) never runs."""
+"""The miss path writes views without JSON or key tuples: a cold detector
++ patch classifier run hands ``put_many`` the frame-id and packed-key
+arrays it probed with, the view indexes them as they are (it unpacks
+none), and the byte count is read from the key arrays and the typed
+columns — the JSON fallback of the count (``json_chars``) never runs."""
 
 from __future__ import annotations
 
@@ -72,4 +72,4 @@ def test_cold_run_writes_arrays_and_dumps_nothing(monkeypatch):
     patch_array_puts = [n for name, kind, n in puts
                         if name.startswith("mv::car_type@long")
                         and kind is np.ndarray]
-    assert patch_array_puts and unpacked == patch_array_puts
+    assert patch_array_puts and unpacked == []
