@@ -117,10 +117,11 @@ class Catalog:
 
     def per_tuple_cost(self, name: str) -> float:
         """Eq. 3's ``c_e`` of the model or UDF ``name`` — a view name's
-        model segment: the zoo model's believed per-tuple cost, else the
-        UDF definition's, else :data:`DEFAULT_PER_TUPLE_COST`.  Believed,
-        not observed, so it is the same after a restart; calibration
-        (``cost_calibration="apply"``) is what moves it."""
+        model segment: the zoo model's per-tuple cost, else the UDF
+        definition's, else :data:`DEFAULT_PER_TUPLE_COST`.  Every planner
+        read of ``c_e`` (Rule I ranking, Rule II costing, Algorithm 2)
+        goes through here; for a model it is the amount the executor
+        charges per evaluated tuple."""
         if name in self.zoo:
             return self.zoo.get(name).per_tuple_cost
         if name in self.udfs:

@@ -254,26 +254,16 @@ def run_trace(policy_name: str, dataset: str, sql: str,
 
 
 def run_profile(policy_name: str, workload: str, frames: int,
-                calibration: str, top: int, jsonl: str | None,
-                stdout: IO[str]) -> int:
+                top: int, jsonl: str | None, stdout: IO[str]) -> int:
     """``repro profile``: run a VBENCH workload under the continuous
-    profiler and print the rollups.
-
-    Output: the top-N operator self-time table and per-model table
-    (:func:`repro.obs.profiler.render_profile`), the cost-model drift
-    table (believed Eq. 3 per-tuple costs vs costs observed from the
-    charged virtual time), and — with ``--calibration apply`` — the
-    calibration diff plus any ranking / model-selection decisions the
-    re-fitted constants changed (also emitted as ``cost-calibration``
-    audit records on the trace sink).
+    profiler and print the top-N operator self-time table and per-model
+    table (:func:`repro.obs.profiler.render_profile`).
     """
-    from repro.obs.calibration import detect_drift, modeled_model_costs
     from repro.obs.profiler import render_profile
     from repro.vbench.queries import vbench_high, vbench_low
 
-    config = EvaConfig(reuse_policy=ReusePolicy(policy_name),
-                       cost_calibration=calibration)
-    session = EvaSession(config=config)
+    session = EvaSession(config=EvaConfig(
+        reuse_policy=ReusePolicy(policy_name)))
     video = SyntheticVideo(
         VideoMetadata(name="bench", num_frames=frames, width=960,
                       height=540, fps=25.0, vehicles_per_frame=8.3),
@@ -289,31 +279,8 @@ def run_profile(policy_name: str, workload: str, frames: int,
         except EvaError as error:
             print(f"error: {error}", file=stdout)
             return 1
-    snapshot = session.profiler.snapshot()
-    print(render_profile(snapshot, top=top), file=stdout)
-    report = session.last_drift_report
-    if report is None:
-        # --calibration off never runs the in-session pass; compute the
-        # drift report from the final profile for display.
-        report = detect_drift(
-            snapshot, modeled_model_costs(session.catalog),
-            ratio_threshold=config.drift_ratio_threshold,
-            min_invocations=config.calibration_min_invocations)
-    print(report.render(), file=stdout)
-    for record in session.calibration_events:
-        changes = ", ".join(
-            f"{c['model']}: {c['old_cost']:.6f} -> {c['new_cost']:.6f}"
-            for c in record.chosen)
-        print(f"calibration[{record.trace_id}]: {changes}", file=stdout)
-        for entry in record.candidates:
-            probe = entry.get("probe")
-            if probe and entry.get("changed"):
-                print(f"  decision changed: {probe} "
-                      f"({entry.get('before') or entry.get('changes')}"
-                      f" -> {entry.get('after', '')})", file=stdout)
-    if not session.calibration_events and calibration == "apply":
-        print("calibration: no drift beyond threshold; constants "
-              "unchanged", file=stdout)
+    print(render_profile(session.profiler.snapshot(), top=top),
+          file=stdout)
     if jsonl is not None:
         count = session.profiler.save_jsonl(jsonl)
         print(f"-- {count} profile events written to {jsonl}",
@@ -946,17 +913,12 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="run a VBENCH workload under the continuous profiler and "
-             "print operator/model rollups, the cost-drift table, and "
-             "any calibration diff")
+             "print operator/model rollups")
     profile.add_argument("--policy", default="eva",
                          choices=[p.value for p in ReusePolicy])
     profile.add_argument("--workload", default="high",
                          choices=["high", "low"])
     profile.add_argument("--frames", type=int, default=2000)
-    profile.add_argument("--calibration", default="report",
-                         choices=["off", "report", "apply"],
-                         help="cost-model calibration mode (default: "
-                              "report drift without re-fitting)")
     profile.add_argument("--top", type=int, default=10,
                          help="rows per rollup table")
     profile.add_argument("--jsonl", default=None, metavar="PATH",
@@ -1119,8 +1081,7 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
     if args.command == "profile":
         try:
             return run_profile(args.policy, args.workload, args.frames,
-                               args.calibration, args.top, args.jsonl,
-                               stdout)
+                               args.top, args.jsonl, stdout)
         except ValueError as error:
             print(f"error: {error}", file=stdout)
             return 2

@@ -70,7 +70,7 @@ class EvaConfig:
     plan_cache_size: int = 128
     #: Maximum entries in the process-wide plan→kernel cache (LRU).
     #: Keyed structurally (scan ranges stripped) so repeat queries share
-    #: compiled plans; invalidated by cost-calibration catalog rebuilds.
+    #: compiled plans; invalidated by a reuse-state reset.
     kernel_cache_size: int = 64
     #: Slow-query log threshold in *virtual* seconds: queries whose
     #: virtual time meets it land in the session's
@@ -90,22 +90,6 @@ class EvaConfig:
     #: to :mod:`repro.reference`, the row-at-a-time oracle, which runs
     #: ``ReusePolicy.NONE`` only and charges, records and stores nothing.
     execution_mode: str = "vectorized"
-    #: Cost-model calibration from observed telemetry
-    #: (:mod:`repro.obs.calibration`): ``"off"`` never compares,
-    #: ``"report"`` detects drift after each query and exposes it
-    #: (``session.last_drift_report``, ``repro profile``, Prometheus)
-    #: without touching the planner, ``"apply"`` additionally re-fits the
-    #: catalog's believed per-tuple UDF costs to the observed ones so
-    #: Eq. 3/4 ranking and Algorithm 2 model selection run on measured
-    #: rather than assumed constants (audited as ``cost-calibration``
-    #: records).
-    cost_calibration: str = "off"
-    #: Drift flagging threshold: a model drifts when
-    #: observed/modeled cost >= threshold or <= 1/threshold.
-    drift_ratio_threshold: float = 1.5
-    #: Minimum *executed* (non-reused) invocations before a model's
-    #: observed cost is trusted for drift detection / calibration.
-    calibration_min_invocations: int = 32
     #: Maximum entries in the FunCache baseline's function cache (LRU
     #: eviction, ``funcache_evictions`` counter).  ``0`` disables the cap;
     #: an unbounded cache is a slow leak across long exploratory sessions.
@@ -199,18 +183,6 @@ class EvaConfig:
                 "execution_mode='row' is the reference for ReusePolicy.NONE; "
                 "EVA, FunCache, HashStash and fuzzy_reuse run on the "
                 "pipeline only")
-        if self.cost_calibration not in ("off", "report", "apply"):
-            raise ValueError(
-                f"cost_calibration must be 'off', 'report' or 'apply', "
-                f"got {self.cost_calibration!r}")
-        if self.drift_ratio_threshold < 1.0:
-            raise ValueError(
-                f"drift_ratio_threshold must be >= 1.0, "
-                f"got {self.drift_ratio_threshold!r}")
-        if self.calibration_min_invocations < 1:
-            raise ValueError(
-                f"calibration_min_invocations must be >= 1, "
-                f"got {self.calibration_min_invocations!r}")
         if self.kernel_cache_size < 1:
             raise ValueError(
                 f"kernel_cache_size must be >= 1, "

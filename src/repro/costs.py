@@ -22,14 +22,10 @@ by ``tests/test_vectorized_differential.py``).  Nothing here depends on
 batch size — batching changes real seconds only.
 
 The ``udf_cost`` (c_e) argument of :meth:`CostModel.udf_predicate_cost`
-is supplied by the caller and is the planner's *believed* per-model
-cost: the value snapshotted into the catalog at UDF registration,
-optionally re-fit from observed execution telemetry by
-:mod:`repro.obs.calibration` (``EvaConfig.cost_calibration="apply"``).
-The continuous profiler (:mod:`repro.obs.profiler`) measures the
-observed counterpart — charged virtual seconds per executed invocation
-— and the drift detector flags when the two diverge (see the mapping
-table in ``docs/observability.md``).
+is supplied by the caller from ``Catalog.per_tuple_cost``: the zoo
+model's profiled per-tuple cost, the same number the executor charges
+per evaluated tuple.  The continuous profiler (:mod:`repro.obs.profiler`)
+reports the charged virtual seconds per executed invocation.
 """
 
 from __future__ import annotations

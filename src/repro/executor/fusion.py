@@ -30,8 +30,8 @@ Compilation is off the hot path: a process-wide :class:`KernelCache`
 the chain's node reprs with scan ranges stripped, plus the reuse policy
 — to its ``FusedPlan``.  Stripping the ranges is what lets repeat
 queries over different windows (and every client of a shared server)
-reuse one compiled plan.  Cost-calibration catalog rebuilds invalidate
-the cache the same way they clear the session plan cache.  A context
+reuse one compiled plan.  ``EvaSession.reset_reuse_state`` invalidates
+the cache the same way it clears the session plan cache.  A context
 without a cache compiles the same pipeline on every build.
 """
 
@@ -134,7 +134,7 @@ class KernelCache:
                 self.evictions += 1
 
     def invalidate(self) -> None:
-        """Drop every compiled plan (cost-calibration catalog rebuild)."""
+        """Drop every compiled plan (a session's reuse-state reset)."""
         with self._lock:
             self._entries.clear()
             self.invalidations += 1

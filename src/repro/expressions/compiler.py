@@ -423,11 +423,13 @@ def _scalar_arith(op: str, left, right, sql: str):
         if op == "-":
             return left - right
         if op == "*":
+            if isinstance(left, str) or isinstance(right, str):
+                raise TypeError  # SQL has no string repetition
             return left * right
         if right == 0:
             return None  # SQL-ish: division by zero yields NULL
         return left / right
-    except TypeError:
+    except (TypeError, OverflowError):
         raise ExecutorError(
             f"cannot compute {sql} over {type(left).__name__} and "
             f"{type(right).__name__}") from None
@@ -475,8 +477,8 @@ def _numeric_operand(col, kinds: frozenset):
             or (np.abs(arr) >= _EXACT_FLOAT_INT).any()) \
             and any(isinstance(v, (int, np.integer)) for v in col):
         # numpy would compute on the ints as floats, where Python keeps
-        # ``int`` results (``'ab' * (n + 0)`` repeats, ``'ab' * 1.0``
-        # raises) and compares ints exactly.
+        # ``int`` results (``n + 0`` stays ``2 ** 53 + 1``, which
+        # float64 rounds) and compares ints exactly.
         return None
     return arr
 

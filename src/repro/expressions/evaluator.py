@@ -75,11 +75,13 @@ class ExpressionEvaluator:
                 if expr.op == "-":
                     return left - right
                 if expr.op == "*":
+                    if isinstance(left, str) or isinstance(right, str):
+                        raise TypeError  # SQL has no string repetition
                     return left * right
                 if right == 0:
                     return None  # SQL-ish: division by zero yields NULL
                 return left / right
-            except TypeError:
+            except (TypeError, OverflowError):
                 raise ExecutorError(
                     f"cannot compute {expr.to_sql()} over "
                     f"{type(left).__name__} and {type(right).__name__}"

@@ -27,29 +27,17 @@ reuse decisions.  This package makes those signals first-class:
 * :mod:`repro.obs.profiler` — continuous profiling: rolling per-model /
   per-operator rollups (:class:`~repro.obs.profiler.ProfileStore`) with
   JSONL persistence, shared across all clients under the server.
-* :mod:`repro.obs.calibration` — cost-model drift detection (believed
-  vs observed per-tuple UDF costs) and the opt-in calibration pass that
-  re-fits the planner's constants from telemetry
-  (``EvaConfig.cost_calibration``).
 * :mod:`repro.obs.chrome` — Chrome-trace / Perfetto export of recorded
   spans on a synthetic deterministic timeline.
 
 CLI surfaces: ``repro trace "<query>"`` renders the hierarchical span
 tree with actuals (EXPLAIN ANALYZE, but hierarchical and exportable;
 ``--chrome-trace`` exports the flame-graph JSON), ``repro profile``
-prints the top-N operator/model tables, the drift table and any
-calibration diff, and ``repro metrics-dump`` prints the Prometheus
-exposition.
+prints the top-N operator/model tables, and ``repro metrics-dump``
+prints the Prometheus exposition.
 """
 
 from repro.obs.audit import ReuseAuditTrail, ReuseDecisionRecord
-from repro.obs.calibration import (
-    CalibrationResult,
-    DriftReport,
-    apply_calibration,
-    detect_drift,
-    modeled_model_costs,
-)
 from repro.obs.chrome import chrome_trace_document, write_chrome_trace
 from repro.obs.profiler import (
     ProfileSnapshot,
@@ -84,11 +72,6 @@ __all__ = [
     "ProfileStore",
     "ProfileSnapshot",
     "render_profile",
-    "DriftReport",
-    "CalibrationResult",
-    "detect_drift",
-    "apply_calibration",
-    "modeled_model_costs",
     "chrome_trace_document",
     "write_chrome_trace",
 ]

@@ -25,10 +25,6 @@ KIND_RANKING = "predicate-ranking"
 KIND_CLASSIFIER = "classifier-apply"
 KIND_DETECTOR = "detector-apply"
 KIND_MODEL_SELECTION = "model-selection"
-#: Emitted when a calibration pass re-fits believed UDF costs from
-#: observed telemetry (:mod:`repro.obs.calibration`); the record's
-#: candidates carry the drift entries and before/after decision probes.
-KIND_COST_CALIBRATION = "cost-calibration"
 #: Emitted once per optimization pass that exercised the symbolic
 #: engine's reduction memo; the record's ``costs`` carry the pass's
 #: hit/miss/eviction deltas and the memo's current size, and ``reused``

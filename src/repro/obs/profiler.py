@@ -9,11 +9,8 @@ query:
   materialized views) vs executed (the model actually ran), plus the
   virtual seconds the executor charged for the executed invocations.
   The ratio ``virtual_seconds / executed`` is the *observed* per-tuple
-  cost — what evaluation really costs on the simulation clock, as
-  opposed to the ``c_e`` the planner *believes* (the per-tuple cost
-  snapshotted into the catalog at UDF registration).  The gap between
-  the two is exactly what :mod:`repro.obs.calibration` detects and
-  (optionally) repairs.
+  cost — what evaluation costs on the simulation clock, the same
+  ``c_e`` the planner reads from ``Catalog.per_tuple_cost``.
 * **per operator** — self wall seconds, self virtual seconds, rows,
   batches and kernel-mode counts, aggregated by operator label from
   the instrumented engine's

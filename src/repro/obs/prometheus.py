@@ -205,35 +205,6 @@ def _expose_profile(exp: _Exposition, snapshot) -> None:
                        snapshot.models[name].virtual_seconds, model=name)
 
 
-def _expose_drift(exp: _Exposition, report) -> None:
-    """Cost-model drift (:class:`~repro.obs.calibration.DriftReport`)."""
-    if not report.entries:
-        return
-    exp.header("eva_model_cost_seconds",
-               "Per-tuple model cost (kind=modeled is the planner's "
-               "belief; kind=observed is measured from telemetry)",
-               "gauge")
-    for entry in report.entries:
-        exp.sample("eva_model_cost_seconds", entry.modeled_cost,
-                   model=entry.model, kind="modeled")
-        exp.sample("eva_model_cost_seconds", entry.observed_cost,
-                   model=entry.model, kind="observed")
-    exp.header("eva_model_cost_ratio",
-               "Observed / modeled per-tuple cost (1.0 = calibrated)",
-               "gauge")
-    for entry in report.entries:
-        ratio = entry.ratio
-        exp.sample("eva_model_cost_ratio",
-                   ratio if ratio != float("inf") else 0.0,
-                   model=entry.model)
-    exp.header("eva_model_cost_drifted",
-               "1 when a model's observed cost diverges from the "
-               "planner's belief beyond the configured ratio", "gauge")
-    for entry in report.entries:
-        exp.sample("eva_model_cost_drifted",
-                   1 if entry.drifted else 0, model=entry.model)
-
-
 def _expose_batcher(exp: _Exposition, snapshot) -> None:
     """Model-call totals (:class:`~repro.server.stats.BatcherSnapshot`)."""
     exp.header("eva_batcher_requests_total",
@@ -456,7 +427,7 @@ def _expose_slo(exp: _Exposition, snapshot) -> None:
 
 
 def prometheus_text(metrics=None, clock=None, server=None, *,
-                    profile=None, drift=None, batcher=None,
+                    profile=None, batcher=None,
                     store=None, flight=None, slo=None,
                     views=None) -> str:
     """Render the exposition for any subset of metric sources.
@@ -469,8 +440,6 @@ def prometheus_text(metrics=None, clock=None, server=None, *,
             (admission / backpressure / attribution counters).
         profile: a :class:`~repro.obs.profiler.ProfileSnapshot`
             (continuous-profiler operator/model rollups).
-        drift: a :class:`~repro.obs.calibration.DriftReport`
-            (modeled vs observed per-tuple model costs).
         batcher: a :class:`~repro.server.stats.BatcherSnapshot`
             (model-call and tuple totals).
         store: a :class:`~repro.store.StoreSnapshot` (durable
@@ -495,8 +464,6 @@ def prometheus_text(metrics=None, clock=None, server=None, *,
         _expose_admission_wait(exp, getattr(server, "admission_wait", {}))
     if profile is not None:
         _expose_profile(exp, profile)
-    if drift is not None:
-        _expose_drift(exp, drift)
     if batcher is not None:
         _expose_batcher(exp, batcher)
     if store is not None:

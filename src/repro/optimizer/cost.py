@@ -2,10 +2,7 @@
 config module free of optimizer-package imports).
 
 The per-tuple ``c_e`` values that flow *through* this model at plan time
-are the planner's beliefs — catalog snapshots optionally re-fit from
-observed telemetry by :mod:`repro.obs.calibration` when
-``EvaConfig.cost_calibration="apply"`` is set (see
-``docs/observability.md`` for the Eq. 3 ↔ observed-cost mapping).
+come from ``Catalog.per_tuple_cost``.
 """
 
 from repro.costs import CostConstants, CostModel

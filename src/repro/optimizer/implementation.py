@@ -157,10 +157,10 @@ class PhysicalImplementer:
         if store:
             for source in best_sources:
                 if not source.use_view:
-                    model = self.ctx.catalog.zoo.get(source.model_name)
                     updates.append(PlanUpdate(
                         self.ctx.model_signature(source.model_name),
-                        source.predicate, model.per_tuple_cost))
+                        source.predicate,
+                        self.ctx.catalog.per_tuple_cost(source.model_name)))
         rows = child.rows * self._detections_per_frame()
         return ImplementedPlan(plan, rows, child.cost + best_cost, updates)
 
@@ -260,12 +260,12 @@ class PhysicalImplementer:
                 candidates, guard, ctx.udf_manager, ctx.engine,
                 ctx.estimator, ctx.bound.metadata.num_frames,
                 ctx.cost_model.constants.view_read_per_key,
-                audit=iterations,
-                model_costs={m.name: ctx.model_cost(m) for m in models})
+                audit=iterations)
             self._audit_model_selection(
                 call, logical_type, guard, candidates, iterations, sources)
             return sources
-        cheapest = min(models, key=ctx.model_cost)
+        cheapest = min(models,
+                       key=lambda m: ctx.catalog.per_tuple_cost(m.name))
         signature = ctx.model_signature(cheapest.name)
         if reuse and ctx.udf_manager.known(signature):
             inter = ctx.udf_manager.intersection_with_history(
@@ -299,12 +299,13 @@ class PhysicalImplementer:
             query_predicate=predicate_sql(guard),
             history_predicate=history,
             selectivities={"guard": ctx.estimator.selectivity(guard)},
-            costs={f"model:{c.model.name}": ctx.model_cost(c.model)
+            costs={f"model:{c.model.name}":
+                   ctx.catalog.per_tuple_cost(c.model.name)
                    for c in candidates},
             candidates=[
                 {"model": c.model.name,
                  "accuracy": c.model.accuracy.value,
-                 "per_tuple_cost": ctx.model_cost(c.model),
+                 "per_tuple_cost": ctx.catalog.per_tuple_cost(c.model.name),
                  "known": ctx.udf_manager.known(c.signature)}
                 for c in candidates
             ] + iterations,
@@ -318,27 +319,21 @@ class PhysicalImplementer:
 
     def _detector_cost(self, sources: list[DetectorSource],
                        guard: DnfPredicate, input_rows: float) -> float:
-        """Eq. 3 applied to the chosen source mix.
-
-        Costing runs on the planner's *believed* per-tuple costs
-        (:meth:`OptimizationContext.model_cost` — catalog snapshot plus
-        any calibrated overlay), not the zoo's declared costs; the
-        executor will charge the latter, and the gap between the two is
-        what drift detection measures.
-        """
+        """Eq. 3 applied to the chosen source mix, with each model's
+        ``c_e`` from :meth:`Catalog.per_tuple_cost` — the amount the
+        executor charges per evaluated tuple."""
         guard_selectivity = max(self.ctx.estimator.selectivity(guard), 1e-9)
         cost = 0.0
         for source in sources:
             fraction = min(1.0, self.ctx.estimator.selectivity(
                 source.predicate) / guard_selectivity)
             rows = input_rows * fraction
-            model = self.ctx.catalog.zoo.get(source.model_name)
-            believed = self.ctx.model_cost(model)
+            udf_cost = self.ctx.catalog.per_tuple_cost(source.model_name)
             if source.use_view:
                 cost += self.ctx.cost_model.udf_predicate_cost(
-                    rows, believed, missing_fraction=0.0)
+                    rows, udf_cost, missing_fraction=0.0)
             else:
-                cost += rows * believed
+                cost += rows * udf_cost
         return cost
 
     # -- Rule II: classifier APPLY -----------------------------------------------
@@ -366,10 +361,11 @@ class PhysicalImplementer:
             diff = ctx.udf_manager.difference_with_history(signature, guard)
             missing = min(1.0, ctx.estimator.selectivity(diff)
                           / guard_selectivity)
+        udf_cost = ctx.catalog.per_tuple_cost(definition.model_name)
         cost = ctx.cost_model.udf_predicate_cost(
-            child.rows, definition.per_tuple_cost, missing)
+            child.rows, udf_cost, missing)
         no_reuse_cost = ctx.cost_model.udf_predicate_cost(
-            child.rows, definition.per_tuple_cost, 1.0)
+            child.rows, udf_cost, 1.0)
         selectivities = {"guard": guard_selectivity}
         if inter is not None:
             selectivities["intersection"] = ctx.estimator.selectivity(inter)
@@ -387,7 +383,7 @@ class PhysicalImplementer:
             selectivities=selectivities,
             costs={"reuse": cost, "no-reuse": no_reuse_cost},
             candidates=[{"model": definition.model_name,
-                         "per_tuple_cost": definition.per_tuple_cost}],
+                         "per_tuple_cost": udf_cost}],
             chosen=[{"model": definition.model_name,
                      "use_view": use_view, "store": store,
                      "predicate": predicate_sql(guard)}],
@@ -404,8 +400,7 @@ class PhysicalImplementer:
         )
         updates = list(child.updates)
         if store:
-            updates.append(PlanUpdate(signature, guard,
-                                      definition.per_tuple_cost))
+            updates.append(PlanUpdate(signature, guard, udf_cost))
         return ImplementedPlan(plan, child.rows, child.cost + cost, updates)
 
     # -- relational operators ------------------------------------------------------

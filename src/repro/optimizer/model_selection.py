@@ -95,7 +95,6 @@ def select_physical_udfs(candidates: Sequence[ModelCandidate],
                          view_read_cost_per_tuple: float,
                          use_views: bool = True,
                          audit: list[dict] | None = None,
-                         model_costs: dict[str, float] | None = None,
                          ) -> list[DetectorSource]:
     """Algorithm 2: the optimal ordered set of physical UDFs.
 
@@ -112,12 +111,6 @@ def select_physical_udfs(candidates: Sequence[ModelCandidate],
             (candidate weights W(x, q), the pick, the remaining predicate)
             plus a final entry for the fallback model — the raw material of
             the ``model-selection`` reuse-decision audit record.
-        model_costs: the planner's *believed* per-tuple cost per model
-            (catalog snapshot, possibly re-fit by
-            :mod:`repro.obs.calibration`); models missing from the map
-            fall back to their declared cost.  Line 3's "cheapest
-            physical UDF" and line 8's view-vs-model comparison run on
-            these beliefs.
 
     Returns:
         Ordered :class:`DetectorSource` entries; executors consult them
@@ -127,14 +120,10 @@ def select_physical_udfs(candidates: Sequence[ModelCandidate],
     if not candidates:
         raise OptimizerError("no physical model satisfies the constraints")
 
-    def believed_cost(candidate: ModelCandidate) -> float:
-        if model_costs is not None:
-            return model_costs.get(candidate.model.name,
-                                   candidate.model.per_tuple_cost)
-        return candidate.model.per_tuple_cost
-
     # Line 3: the cheapest physical UDF, used when views stop paying off.
-    cheapest = min(candidates, key=believed_cost)
+    # A candidate's model is the zoo's, so its ``per_tuple_cost`` is the
+    # c_e that Catalog.per_tuple_cost returns and the executor charges.
+    cheapest = min(candidates, key=lambda c: c.model.per_tuple_cost)
     selected: list[DetectorSource] = []
     remaining = query_predicate
     if use_views:
@@ -178,7 +167,7 @@ def select_physical_udfs(candidates: Sequence[ModelCandidate],
                     best_sources = covered
             # Line 8: is the best view cheaper than just running the model?
             if best is None or best_cost_per_tuple >= \
-                    believed_cost(cheapest):
+                    cheapest.model.per_tuple_cost:
                 if audit is not None:
                     audit.append({
                         "iteration": iteration,
@@ -218,7 +207,7 @@ def select_physical_udfs(candidates: Sequence[ModelCandidate],
         if audit is not None:
             audit.append({
                 "fallback": cheapest.model.name,
-                "per_tuple_cost": believed_cost(cheapest),
+                "per_tuple_cost": cheapest.model.per_tuple_cost,
                 "remaining": predicate_sql(remaining),
             })
     return selected

@@ -43,12 +43,6 @@ class OptimizationContext:
     ranking: RankingMode
     model_selection: ModelSelectionMode
     predicate_ordering: PredicateOrdering = PredicateOrdering.RANK
-    #: Calibrated per-model cost overlay (model name -> per-tuple cost),
-    #: filled from observed telemetry when
-    #: ``EvaConfig.cost_calibration="apply"`` re-fits the cost model
-    #: (:mod:`repro.obs.calibration`).  :meth:`model_cost` resolves a
-    #: model's *believed* cost through it.
-    model_costs: dict[str, float] = field(default_factory=dict)
     estimator: SelectivityEstimator = field(init=False)
     # -- outputs the driver reports on OptimizedQuery -----------------------
     predicate_order: list[str] = field(default_factory=list)
@@ -58,9 +52,6 @@ class OptimizationContext:
     audit: ReuseAuditTrail = field(default_factory=ReuseAuditTrail)
 
     def __post_init__(self):
-        from repro.obs.calibration import modeled_model_costs
-
-        self._catalog_model_costs = modeled_model_costs(self.catalog)
         stats = self.catalog.table_statistics(self.bound.table_name)
 
         def resolve(dim: str):
@@ -99,25 +90,6 @@ class OptimizationContext:
 
     def udf_definition(self, call: FunctionCall) -> UdfDefinition:
         return self.catalog.udfs.get(call.name)
-
-    def model_cost(self, model) -> float:
-        """The planner's *believed* per-tuple cost of a physical model.
-
-        Resolution order: the calibrated overlay (observed telemetry,
-        when ``cost_calibration="apply"`` has run), then the cost
-        snapshotted into the catalog's UDF definition at registration,
-        then the model's own declared cost.  The executor always charges
-        the model's *actual* cost; keeping the planner on beliefs is
-        what makes cost drift observable — and calibratable — at all
-        (:mod:`repro.obs.calibration`).
-        """
-        cost = self.model_costs.get(model.name)
-        if cost is not None:
-            return cost
-        cost = self._catalog_model_costs.get(model.name)
-        if cost is not None:
-            return cost
-        return model.per_tuple_cost
 
     # -- signatures (S_u = [N_u; I_u], section 3.1) ----------------------------
 

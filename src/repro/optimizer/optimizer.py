@@ -100,13 +100,6 @@ class Optimizer:
         self.config = config
         self.cost_model = cost_model or CostModel()
         self._rule_engine = RuleEngine()
-        #: Calibrated per-model cost overlay (model name -> per-tuple
-        #: cost).  Filled by the session's calibration pass
-        #: (``EvaConfig.cost_calibration="apply"``;
-        #: :mod:`repro.obs.calibration`) and threaded into every
-        #: optimization context so Algorithm 2 and Eq. 3 costing use
-        #: measured rather than assumed constants.
-        self.calibrated_costs: dict[str, float] = {}
 
     def optimize(self, statement: SelectStatement,
                  tracer=None) -> OptimizedQuery:
@@ -129,7 +122,6 @@ class Optimizer:
             ranking=self.config.ranking,
             model_selection=self.config.model_selection,
             predicate_ordering=self.config.predicate_ordering,
-            model_costs=dict(self.calibrated_costs),
         )
         with _span(tracer, "optimize:build"):
             plan = build_logical_plan(bound, ctx)

@@ -12,14 +12,8 @@ cost with the *expected* cost given the view:
 Predicates are evaluated in ascending rank order; Theorem 4.1 proves this
 order minimizes expected cost under predicate independence.
 
-The ``c_e`` fed into these functions is the planner's *believed*
-per-tuple UDF cost — the catalog snapshot, optionally re-fit from
-observed execution telemetry by :mod:`repro.obs.calibration`
-(``EvaConfig.cost_calibration="apply"``).  For fixed selectivity and
-miss fraction both ranks are monotone in ``c_e``, so calibration changes
-the predicate order exactly when it changes the cost order of the UDFs
-involved — the property the calibration audit record's ranking probe
-exploits.
+The ``c_e`` fed into these functions is the UDF's per-tuple cost from
+``Catalog.per_tuple_cost``.
 """
 
 from __future__ import annotations

@@ -137,18 +137,11 @@ class UdfPredicateTransformationRule(TransformationRule):
                     ctx.engine.analyze(predicate))
             except UnsupportedPredicateError:
                 selectivity = 0.33  # unanalyzable: uninformative default
-            # Believed c_e: the calibrated overlay wins over the cost
-            # snapshotted at registration (repro.obs.calibration keeps
-            # the catalog in sync on apply; the overlay also covers
-            # plans built before a catalog refresh propagates).
-            udf_cost = definition.per_tuple_cost
-            if definition.model_name:
-                udf_cost = ctx.model_costs.get(definition.model_name,
-                                               udf_cost)
             item = RankedPredicate(
                 predicate=predicate,
                 selectivity=selectivity,
-                udf_cost=udf_cost,
+                udf_cost=ctx.catalog.per_tuple_cost(
+                    definition.model_name or definition.name),
                 missing_fraction=missing,
                 read_cost=ctx.cost_model.constants.view_read_per_tuple,
             )

@@ -59,6 +59,7 @@ from multiprocessing.connection import wait as _conn_wait
 
 from repro.config import EvaConfig
 from repro.errors import (
+    CatalogError,
     CircuitOpenError,
     ServerClosedError,
     ServerError,
@@ -358,8 +359,7 @@ class PoolServer:
             comes from ``config.workers`` / ``config.shards`` /
             ``config.worker_queue_depth`` / ``config.breaker_*``.
         zoo_factory: picklable zero-arg callable building each worker's
-            model zoo (and the parent's reference copy for drift
-            reports).  ``None`` uses the default zoo.
+            model zoo.  ``None`` uses the default zoo.
         worker_threads: thread count of each worker's embedded server.
         bulkhead_capacity: in-flight permits per client class at the
             front door; defaults to the whole pool's nominal capacity,
@@ -422,13 +422,6 @@ class PoolServer:
             thread_name_prefix="eva-pool-dispatch")
         #: worker_id -> respawn count (crash supervision telemetry).
         self.respawns: dict[int, int] = {}
-        # Parent-side reference zoo/catalog for drift reports.
-        from repro.catalog.catalog import Catalog
-        from repro.models.zoo import default_zoo
-
-        self._zoo = (zoo_factory() if zoo_factory is not None
-                     else default_zoo())
-        self._catalog = Catalog(self._zoo)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -625,8 +618,11 @@ class PoolServer:
     def register_video(self, video: SyntheticVideo) -> None:
         """Register a video on every worker (and for respawn replay)."""
         with self._lock:
+            if any(v.name.lower() == video.name.lower()
+                   for v in self._videos):
+                raise CatalogError(
+                    f"table {video.name!r} already in catalog")
             self._videos.append(video)
-        self._catalog.register_video(video)
         self._each_worker("register_video", video)
 
     # -- clients ---------------------------------------------------------------
@@ -759,17 +755,6 @@ class PoolServer:
             merged.merge(snapshot)
         return merged.snapshot()
 
-    def drift_report(self):
-        from repro.obs.calibration import detect_drift, \
-            modeled_model_costs
-
-        return detect_drift(
-            self.profile_snapshot(),
-            modeled_model_costs(self._catalog),
-            ratio_threshold=self.config.drift_ratio_threshold,
-            min_invocations=self.config.calibration_min_invocations,
-        )
-
     def batcher_snapshot(self) -> BatcherSnapshot:
         return BatcherSnapshot.merge(self._each_worker("batcher_snapshot"))
 
@@ -813,7 +798,6 @@ class PoolServer:
             clock=self.aggregate_clock(),
             server=self.stats(),
             profile=self.profile_snapshot(),
-            drift=self.drift_report(),
             batcher=self.batcher_snapshot(),
             store=self.store_snapshot(),
             flight=self.flight_stats(),

@@ -366,19 +366,6 @@ class EvaServer:
         """
         return self.state.profiler.snapshot()
 
-    def drift_report(self):
-        """Server-wide cost-model drift: the shared profile's observed
-        per-tuple costs vs the catalog's believed (modeled) costs."""
-        from repro.obs.calibration import detect_drift, modeled_model_costs
-
-        config = self.state.config
-        return detect_drift(
-            self.profile_snapshot(),
-            modeled_model_costs(self.state.catalog),
-            ratio_threshold=config.drift_ratio_threshold,
-            min_invocations=config.calibration_min_invocations,
-        )
-
     def batcher_snapshot(self) -> BatcherSnapshot:
         """Model calls and tuples across every client
         (:class:`~repro.server.stats.BatcherSnapshot`)."""
@@ -417,8 +404,7 @@ class EvaServer:
         """The Prometheus exposition for the whole server: merged
         per-UDF #TI/#DI/hit-rate metrics, summed per-client virtual-time
         categories, the admission/backpressure counters, the shared
-        continuous-profiler rollups, the model-call totals, the
-        modeled-vs-observed cost-drift gauges, and the
+        continuous-profiler rollups, the model-call totals, and the
         flight/SLO/lock-contention families."""
         from repro.obs.prometheus import prometheus_text
 
@@ -428,7 +414,6 @@ class EvaServer:
             clock=self.aggregate_clock(),
             server=self.stats(),
             profile=self.profile_snapshot(),
-            drift=self.drift_report(),
             batcher=BatcherSnapshot.of(metrics),
             store=self.store_snapshot(),
             flight=self.flight_stats(),

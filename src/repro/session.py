@@ -206,10 +206,6 @@ class EvaSession:
         #: per-session deterministic.
         self.flight = FlightRecorder(self.tracer, slo=state.slo,
                                      stats=state.flight_stats)
-        #: Most recent drift report (``cost_calibration != "off"``).
-        self.last_drift_report = None
-        #: ``cost-calibration`` audit records emitted by this session.
-        self.calibration_events: list = []
         #: Per-operator actuals of the last instrumented query.
         self._last_operator_stats: list = []
         self.optimizer = Optimizer(
@@ -404,7 +400,6 @@ class EvaSession:
                 root.tag(rows=batch.num_rows, cache_hit=cache_hit,
                          reused=reused)
                 self._observe_profile(query_metrics)
-                self._maybe_calibrate()
         except BaseException:
             self.flight.abort()
             raise
@@ -482,8 +477,7 @@ class EvaSession:
                         *, cache_hit: bool, reused: bool, optimized,
                         views: dict | None = None) -> dict:
         """Assemble and emit the query's flight record."""
-        from repro.obs.audit import KIND_COST_CALIBRATION, \
-            KIND_SYMBOLIC_MEMO
+        from repro.obs.audit import KIND_SYMBOLIC_MEMO
 
         total_invocations = sum(query_metrics.udf_counts.values())
         reused_invocations = sum(query_metrics.reused_counts.values())
@@ -491,8 +485,7 @@ class EvaSession:
         reused_decisions = 0
         eq_costs: dict[str, float] = {}
         for decision in optimized.audit:
-            if decision.kind in (KIND_SYMBOLIC_MEMO,
-                                 KIND_COST_CALIBRATION):
+            if decision.kind == KIND_SYMBOLIC_MEMO:
                 continue
             decisions += 1
             reused_decisions += bool(decision.reused)
@@ -654,7 +647,7 @@ class EvaSession:
         if entry is not None:
             self.tracer.emit_event(entry.to_event())
 
-    # -- continuous profiling & cost calibration ------------------------------
+    # -- continuous profiling ------------------------------------------------
 
     def _observe_profile(self, query_metrics: QueryMetrics) -> None:
         """Fold the finished query's telemetry into the profile store.
@@ -677,76 +670,6 @@ class EvaSession:
                 stats = self.metrics.udf_stats.get(name)
                 rate = stats.per_tuple_cost if stats is not None else 0.0
             profiler.observe_model(name, count, reused, executed * rate)
-
-    def _maybe_calibrate(self) -> None:
-        """Drift detection / calibration per ``config.cost_calibration``.
-
-        ``"report"`` refreshes :attr:`last_drift_report`; ``"apply"``
-        additionally re-fits the catalog's believed per-tuple costs to
-        the observed ones, primes the optimizer's calibrated-cost
-        overlay, invalidates the plan cache (its entries priced plans
-        with the stale constants), and emits a ``cost-calibration``
-        audit record carrying the drift table and the before/after
-        ranking / model-selection probes.
-        """
-        mode = self.config.cost_calibration
-        if mode == "off":
-            return
-        from repro.obs.calibration import (
-            apply_calibration,
-            detect_drift,
-            modeled_model_costs,
-            probe_decision_changes,
-        )
-
-        modeled = modeled_model_costs(self.catalog)
-        report = detect_drift(
-            self.profiler.snapshot(), modeled,
-            ratio_threshold=self.config.drift_ratio_threshold,
-            min_invocations=self.config.calibration_min_invocations)
-        self.last_drift_report = report
-        if mode != "apply" or not report.has_drift:
-            return
-        result = apply_calibration(self.catalog, report)
-        if not result.changes:
-            return
-        new_costs = dict(modeled)
-        new_costs.update(result.calibrated)
-        result.probes = probe_decision_changes(self.catalog, modeled,
-                                               new_costs)
-        self.optimizer.calibrated_costs.update(result.calibrated)
-        # Cached plans were costed (and their sources chosen) with the
-        # stale constants; the UdfManager version they key on does not
-        # change when the catalog's beliefs do.  Compiled pipelines key
-        # on plan structure: the shapes the rebuild retires would sit
-        # in the kernel cache unhit, so they go with the plans.
-        self._plan_cache.clear()
-        if self.context.kernel_cache is not None:
-            self.context.kernel_cache.invalidate()
-        self.metrics.increment("cost_calibrations")
-        self._emit_calibration_record(result)
-
-    def _emit_calibration_record(self, result) -> None:
-        from repro.obs.audit import KIND_COST_CALIBRATION, \
-            ReuseDecisionRecord
-
-        record = ReuseDecisionRecord(
-            kind=KIND_COST_CALIBRATION,
-            signature="cost-model",
-            costs={change.model: change.new_cost
-                   for change in result.changes},
-            candidates=(
-                [entry.to_dict()
-                 for entry in self.last_drift_report.drifted_entries]
-                + [{"probe": name, **probe}
-                   for name, probe in sorted(result.probes.items())]),
-            chosen=[change.to_dict() for change in result.changes],
-            reused=False,
-            trace_id=self.tracer.current_trace_id,
-            client_id=self.tracer.client_id,
-        )
-        self.calibration_events.append(record)
-        self.tracer.emit_event(record.to_event())
 
     # -- plan cache ----------------------------------------------------------
 

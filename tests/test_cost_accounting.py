@@ -1,6 +1,6 @@
 """Exact cost-accounting tests: every operator charges the clock the
-calibrated amounts.  These guard the calibration that makes benchmark
-ratios comparable with the paper."""
+calibrated amounts, the ones that make benchmark ratios comparable with
+the paper, and the planner costs each model at what it is charged."""
 
 import pytest
 
@@ -79,6 +79,63 @@ class TestUdfCharges:
         session.execute(self.QUERY)
         second = session.metrics.query_metrics[-1]
         assert second.time(CostCategory.MATERIALIZE) == 0.0
+
+
+class TestPlannerCostIsChargedCost:
+    """Every planner read of ``c_e`` goes through
+    ``Catalog.per_tuple_cost``; for each zoo model it is what the
+    executor charges the clock per evaluated tuple."""
+
+    DETECT = ("SELECT id FROM tiny CROSS APPLY "
+              "FastRCNNObjectDetector(frame) WHERE id < 25")
+    #: One query per zoo model that charges UDF time to that model only:
+    #: every query runs after ``DETECT`` filled its view, so the
+    #: classifier queries' detector invocations are reused.
+    QUERIES = {
+        "fasterrcnn_resnet50": "SELECT id FROM tiny CROSS APPLY "
+                               "FastRCNNObjectDetector(frame) "
+                               "WHERE id >= 25 AND id < 50;",
+        "fasterrcnn_resnet101": "SELECT id FROM tiny CROSS APPLY "
+                                "FasterRCNNResnet101(frame) WHERE id < 25;",
+        "yolo_tiny": "SELECT id FROM tiny CROSS APPLY "
+                     "YoloTiny(frame) WHERE id < 25;",
+        "car_type": DETECT + " AND CarType(frame, bbox) = 'Nissan';",
+        "color_det": DETECT + " AND ColorDet(frame, bbox) = 'Red';",
+        "license_reader": DETECT + " AND License(frame, bbox) = 'X';",
+        "vehicle_filter": "SELECT id FROM tiny WHERE id < 25 "
+                          "AND VehicleFilter(frame);",
+    }
+
+    def test_every_zoo_model_has_a_query(self):
+        from repro.models.zoo import default_zoo
+
+        assert sorted(self.QUERIES) == default_zoo().names()
+
+    @pytest.mark.parametrize("model", sorted(QUERIES))
+    def test_planner_cost_equals_charged_cost(self, tiny_video, model):
+        session = _session(tiny_video, ReusePolicy.EVA)
+        session.execute(self.DETECT + ";")
+        session.execute(self.QUERIES[model])
+        metrics = session.last_query_metrics()
+        executed = {name: count - metrics.reused_counts.get(name, 0)
+                    for name, count in metrics.udf_counts.items()}
+        assert executed[model] > 0
+        assert {name for name, n in executed.items() if n} == {model}
+        assert metrics.time(CostCategory.UDF) == pytest.approx(
+            executed[model] * session.catalog.per_tuple_cost(model))
+
+    def test_area_cost_is_the_registered_one_and_never_charged(
+            self, tiny_video):
+        """AREA is a cheap builtin: the planner ranks it by its
+        registered ``c_e``, and the executor evaluates it inside the
+        filter kernel without charging UDF time for it."""
+        session = _session(tiny_video)
+        assert session.catalog.per_tuple_cost("Area") == \
+            session.catalog.udfs.get("Area").per_tuple_cost == 2e-6
+        session.execute(self.DETECT + " AND Area(bbox) > 0.01;")
+        metrics = session.last_query_metrics()
+        assert metrics.time(CostCategory.UDF) == pytest.approx(
+            25 * session.catalog.per_tuple_cost("fasterrcnn_resnet50"))
 
 
 class TestFunCacheCharges:

@@ -197,9 +197,7 @@ _FLOATS = st.sampled_from([-2.5, -0.5, 0.0, 0.5, 1.5, 3.25])
 _STRS = st.sampled_from(["", "a", "ab"])
 #: Ints at and beyond the ends of int64 (and of the ints float64 holds
 #: exactly), where numpy would wrap around, refuse a Python int or round,
-#: and the kernel must compute as Python does.  They never meet a str:
-#: ``'ab' * 2 ** 40`` is a terabyte, and the interpreter raises a raw
-#: ``OverflowError`` on ``'' * 2 ** 63``.  Eight leaves of at most
+#: and the kernel must compute as Python does.  Eight leaves of at most
 #: ``2 ** 72`` keep every float far from overflow.
 _WIDE_INTS = st.one_of(
     st.integers(-6, 6),
@@ -221,28 +219,27 @@ def _extend(children):
         st.builds(Arithmetic, children, st.sampled_from("+-*/"), children))
 
 
-def _cases(ints, others):
-    """``(expression, batch)`` pairs over columns of ``ints``, floats, the
-    ``others`` and None.  A column is of one type or mixes them: one-type
+def _cases():
+    """``(expression, batch)`` pairs over columns of wide ints, floats,
+    strs and None.  A column is of one type or mixes them: one-type
     columns take numpy's paths, mixed ones the element-wise path and its
     errors."""
-    values = st.one_of(st.none(), ints, _FLOATS, *others)
+    values = st.one_of(st.none(), _WIDE_INTS, _FLOATS, _STRS)
     leaves = st.one_of(st.sampled_from([ColumnRef(c) for c in _COLUMNS]),
                        values.map(Literal))
     column = st.one_of(
-        st.lists(ints, min_size=_ROWS, max_size=_ROWS),
+        st.lists(_WIDE_INTS, min_size=_ROWS, max_size=_ROWS),
         st.lists(st.sampled_from([-2.5, 0.5, 1.5, None]),
                  min_size=_ROWS, max_size=_ROWS),
-        *(st.lists(st.one_of(st.none(), other),
-                   min_size=_ROWS, max_size=_ROWS) for other in others),
+        st.lists(st.one_of(st.none(), _STRS),
+                 min_size=_ROWS, max_size=_ROWS),
         st.lists(values, min_size=_ROWS, max_size=_ROWS))
     return st.tuples(
         st.recursive(leaves, _extend, max_leaves=8),
         st.fixed_dictionaries({c: column for c in _COLUMNS}).map(Batch))
 
 
-_CASES = st.one_of(_cases(st.integers(-6, 6), [_STRS]),
-                   _cases(_WIDE_INTS, []))
+_CASES = _cases()
 
 
 def _interpreted(evaluate, expr, batch):
@@ -295,6 +292,20 @@ class TestIntsBeyondNumpy:
         batch = Batch({"a": self.A})
         assert compile_expression(expr, evaluator).evaluate(batch) == \
             expected == _rows_reference(expr, evaluator, batch)
+
+    @pytest.mark.parametrize("text, n", [("", 2 ** 63), ("ab", 2 ** 40)],
+                             ids=["empty-str-past-int64", "str-terabyte"])
+    def test_str_times_int_is_an_error(self, evaluator, text, n):
+        """SQL has no string repetition: both paths refuse ``str * int``
+        without computing it, whichever side the str is on."""
+        batch = Batch({"s": [text, text], "n": [n, 3]})
+        for expr in (Arithmetic(ColumnRef("s"), "*", ColumnRef("n")),
+                     Arithmetic(ColumnRef("n"), "*", ColumnRef("s")),
+                     Arithmetic(Literal(text), "*", Literal(n))):
+            with pytest.raises(ExecutorError, match="cannot compute"):
+                _rows_reference(expr, evaluator, batch)
+            with pytest.raises(ExecutorError, match="cannot compute"):
+                compile_expression(expr, evaluator).evaluate(batch)
 
     def test_in_range_products_stay_on_numpy(self, evaluator):
         expr = Arithmetic(ColumnRef("a"), "*", Literal(2 ** 22))

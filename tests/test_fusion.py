@@ -3,7 +3,7 @@
 Covers the compiler/pipeline edges: constant-only predicates,
 ``__udf::`` column resolution inside the pipeline, short-circuit
 semantics preserved across the pipeline boundary, kernel-cache eviction
-and invalidation-on-calibration, and the one-allocation-per-column
+and invalidation on a reuse-state reset, and the one-allocation-per-column
 ``Batch.concat`` guarantee (via the debug aliasing checker).  Rows are
 compared with :mod:`repro.reference`, the row-at-a-time oracle; the
 oracle-vs-engine sweep lives in ``tests/test_vectorized_differential.py``.
@@ -12,7 +12,6 @@ oracle-vs-engine sweep lives in ``tests/test_vectorized_differential.py``.
 from __future__ import annotations
 
 import ast
-import copy
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,6 @@ from repro.clock import CostCategory
 from repro.config import EvaConfig, ReusePolicy
 from repro.errors import ExecutorError
 from repro.executor.fusion import KernelCache, FusedPlan, fusion_key
-from repro.models.zoo import default_zoo
 from repro.session import EvaSession
 from repro.storage.batch import Batch, ColumnView, aliasing_debug
 from repro.types import VideoMetadata
@@ -250,22 +248,6 @@ class TestKernelCache:
         stats = session.context.kernel_cache.stats()
         assert stats["size"] == 1
         assert stats["evictions"] >= 2
-
-    def test_calibration_rebuild_invalidates_kernel_cache(self):
-        session = EvaSession(config=EvaConfig(cost_calibration="apply"),
-                             zoo=copy.deepcopy(default_zoo()))
-        session.register_video(make_video(name="v", frames=120))
-        # Drift after registration: the post-query calibration pass
-        # rebuilds the catalog's believed costs ...
-        session.catalog.zoo.get("yolo_tiny").per_tuple_cost = 0.2
-        session.execute(
-            "SELECT id FROM v CROSS APPLY ObjectDetector(frame) "
-            "WHERE label = 'car' AND id < 60;")
-        assert session.calibration_events  # calibration fired
-        # ... and the kernel cache dropped its compiled plans with it.
-        stats = session.context.kernel_cache.stats()
-        assert stats["invalidations"] >= 1
-        assert stats["size"] == 0
 
     def test_reset_reuse_state_invalidates(self):
         session = make_session()
