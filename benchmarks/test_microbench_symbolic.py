@@ -49,8 +49,9 @@ def test_microbench_union_and_difference(benchmark):
 
     # The optimizer runs this on every query; it must be milliseconds
     # (measured mean 2.4 ms with DIFF by subtraction; the gate is ~3x
-    # that).
-    assert benchmark.stats.stats.mean < 0.0075
+    # that).  Under --benchmark-disable nothing is timed.
+    if not benchmark.disabled:
+        assert benchmark.stats.stats.mean < 0.0075
 
 
 def test_microbench_full_optimizer_pass(benchmark):
@@ -73,5 +74,6 @@ def test_microbench_full_optimizer_pass(benchmark):
     assert optimized.detector_sources
     # A full materialization-aware optimizer pass stays well under the
     # cost of a single detector invocation batch (measured mean 2.0 ms;
-    # the gate is ~3x that).
-    assert benchmark.stats.stats.mean < 0.006
+    # the gate is ~3x that).  Under --benchmark-disable nothing is timed.
+    if not benchmark.disabled:
+        assert benchmark.stats.stats.mean < 0.006

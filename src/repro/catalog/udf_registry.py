@@ -16,10 +16,6 @@ from typing import Callable
 from repro.errors import CatalogError
 from repro.types import Accuracy
 
-#: UDFs cheaper than this (seconds/tuple) are not worth materializing; the
-#: paper's optimizer "filters out inexpensive UDFs like AREA" (section 3.1).
-MATERIALIZATION_COST_THRESHOLD = 0.001
-
 
 class UdfKind(enum.Enum):
     """How a UDF consumes and produces data."""
@@ -63,10 +59,15 @@ class UdfDefinition:
 
     @property
     def is_expensive(self) -> bool:
-        """Is this UDF a candidate for result materialization?"""
-        if self.is_logical:
-            return True
-        return self.per_tuple_cost >= MATERIALIZATION_COST_THRESHOLD
+        """Is this UDF a candidate for result materialization?
+
+        Every model-backed UDF is, and so is a logical one (a detector
+        resolved to models at plan time), whatever its cost: only an
+        apply operator evaluates a model.  Builtins like AREA are the
+        inexpensive UDFs the paper's optimizer filters out (section 3.1);
+        the filter kernel evaluates them in place.
+        """
+        return self.kind is not UdfKind.BUILTIN
 
     @property
     def is_table_valued(self) -> bool:

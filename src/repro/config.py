@@ -9,6 +9,10 @@ these enums so benchmarks can switch behavior without code changes:
   predicate reordering (Fig. 9).
 * :class:`ModelSelectionMode` — Algorithm 2's greedy set cover vs the
   MIN-COST baseline that always picks the cheapest adequate model (Fig. 10).
+
+The optimizer reads these selectors from the session's :class:`EvaConfig`
+itself.  Rule I always orders UDF predicates by ascending rank, which
+Theorem 4.1 proves optimal under the cost model's independence assumption.
 """
 
 from __future__ import annotations
@@ -36,18 +40,6 @@ class ModelSelectionMode(enum.Enum):
     MIN_COST = "min-cost"
 
 
-class PredicateOrdering(enum.Enum):
-    """How Rule I orders UDF-based predicates.
-
-    RANK sorts by the ranking function (optimal by Theorem 4.1 under
-    predicate independence).  EXHAUSTIVE explores all orders in a
-    Cascades-style memo and keeps the cost-based winner.
-    """
-
-    RANK = "rank"
-    EXHAUSTIVE = "exhaustive"
-
-
 @dataclass
 class EvaConfig:
     """Everything a session needs to know about how to run queries."""
@@ -55,7 +47,6 @@ class EvaConfig:
     reuse_policy: ReusePolicy = ReusePolicy.EVA
     ranking: RankingMode | None = None
     model_selection: ModelSelectionMode = ModelSelectionMode.SET_COVER
-    predicate_ordering: PredicateOrdering = PredicateOrdering.RANK
     #: Virtual-cost calibration.
     costs: CostConstants = field(default_factory=CostConstants)
     #: Rows per execution batch.

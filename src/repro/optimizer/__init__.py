@@ -28,7 +28,7 @@ from repro.optimizer.ranking import (
 )
 from repro.optimizer.udf_manager import UdfManager, UdfSignature
 from repro.optimizer.model_selection import select_physical_udfs
-from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.optimizer.optimizer import Optimizer
 
 __all__ = [
     "PhysicalPlan",
@@ -50,5 +50,4 @@ __all__ = [
     "UdfSignature",
     "select_physical_udfs",
     "Optimizer",
-    "OptimizerConfig",
 ]

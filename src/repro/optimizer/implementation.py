@@ -128,7 +128,7 @@ class PhysicalImplementer:
         definition = self.ctx.udf_definition(node.call)
         guard = node.guard if node.guard is not None else \
             DnfPredicate.true()
-        store = self.ctx.stores_results
+        store = self.ctx.config.uses_views
         alternatives = self._detector_alternatives(
             node.call, definition, guard)
         best_sources, best_cost = None, math.inf
@@ -175,7 +175,7 @@ class PhysicalImplementer:
         model = ctx.catalog.zoo.get(definition.model_name)
         signature = ctx.model_signature(model.name)
         no_reuse = [DetectorSource(model.name, False, guard)]
-        if not ctx.uses_views or not ctx.udf_manager.known(signature):
+        if not ctx.config.uses_views or not ctx.udf_manager.known(signature):
             return [no_reuse]
         inter = ctx.udf_manager.intersection_with_history(signature, guard)
         diff = ctx.udf_manager.difference_with_history(signature, guard)
@@ -249,8 +249,8 @@ class PhysicalImplementer:
             raise OptimizerError(
                 f"no physical model implements {logical_type} at accuracy "
                 f"{call.accuracy}")
-        reuse = ctx.reuse_policy is ReusePolicy.EVA
-        if reuse and ctx.model_selection is ModelSelectionMode.SET_COVER:
+        reuse = ctx.config.reuse_policy is ReusePolicy.EVA
+        if reuse and ctx.config.model_selection is ModelSelectionMode.SET_COVER:
             candidates = [
                 ModelCandidate(m, ctx.model_signature(m.name))
                 for m in models
@@ -349,7 +349,7 @@ class PhysicalImplementer:
         guard = node.guard if node.guard is not None else \
             DnfPredicate.true()
         signature = ctx.classifier_signature(node.call)
-        use_view = ctx.reuse_policy is ReusePolicy.EVA
+        use_view = ctx.config.reuse_policy is ReusePolicy.EVA
         store = use_view
         missing = 1.0
         history = inter = diff = None

@@ -5,15 +5,12 @@ logical vision task reduces to weighted set cover (Theorem 4.2).  The
 greedy algorithm repeatedly picks the view with the lowest cost per covered
 tuple, falling back to the cheapest model that meets the accuracy
 constraint once views stop being worthwhile.
-
-This module also exposes a generic :func:`greedy_weighted_set_cover` so the
-reduction itself can be exercised and tested directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from repro.errors import OptimizerError
 from repro.models.base import ObjectDetectorModel
@@ -23,54 +20,6 @@ from repro.optimizer.udf_manager import UdfManager, UdfSignature
 from repro.symbolic.dnf import DnfPredicate
 from repro.symbolic.engine import SymbolicEngine
 from repro.symbolic.selectivity import SelectivityEstimator
-
-
-# ---------------------------------------------------------------------------
-# Generic greedy weighted set cover
-# ---------------------------------------------------------------------------
-
-
-def greedy_weighted_set_cover(universe: set[Hashable],
-                              sets: Sequence[tuple[frozenset, float]]
-                              ) -> list[int]:
-    """Classic ln(n)-approximate greedy cover.
-
-    Args:
-        universe: elements to cover.
-        sets: (elements, weight) pairs.
-
-    Returns:
-        Indices into ``sets`` forming a cover, in pick order.
-
-    Raises:
-        OptimizerError: when the union of sets cannot cover the universe.
-    """
-    if not universe:
-        return []
-    coverable = set().union(*[s for s, _ in sets]) if sets else set()
-    if not universe <= coverable:
-        raise OptimizerError("sets cannot cover the universe")
-    uncovered = set(universe)
-    picked: list[int] = []
-    available = set(range(len(sets)))
-    while uncovered:
-        best_index = None
-        best_ratio = float("inf")
-        for index in sorted(available):
-            elements, weight = sets[index]
-            gain = len(elements & uncovered)
-            if gain == 0:
-                continue
-            ratio = weight / gain
-            if ratio < best_ratio:
-                best_ratio = ratio
-                best_index = index
-        if best_index is None:  # pragma: no cover - guarded above
-            raise OptimizerError("greedy cover stalled")
-        picked.append(best_index)
-        available.discard(best_index)
-        uncovered -= sets[best_index][0]
-    return picked
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Optimization context: everything rules need while rewriting a query.
 
 One context exists per ``Optimizer.optimize`` call.  It carries the bound
-query, the catalog / UdfManager / symbolic engine handles, the selectivity
-estimator for the query's table, and the scratch state the driver reports
-back (predicate order, detector sources, post-execution updates).
+query, the session's :class:`~repro.config.EvaConfig`, the catalog /
+UdfManager / symbolic engine handles, the selectivity estimator for the
+query's table, and the scratch state the driver reports back (predicate
+order, detector sources, post-execution updates).
 """
 
 from __future__ import annotations
@@ -12,12 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.udf_registry import UdfDefinition
-from repro.config import (
-    ModelSelectionMode,
-    PredicateOrdering,
-    RankingMode,
-    ReusePolicy,
-)
+from repro.config import EvaConfig
 from repro.costs import CostModel
 from repro.expressions.analysis import collect_function_calls
 from repro.obs.audit import ReuseAuditTrail
@@ -39,10 +35,9 @@ class OptimizationContext:
     udf_manager: UdfManager
     engine: SymbolicEngine
     cost_model: CostModel
-    reuse_policy: ReusePolicy
-    ranking: RankingMode
-    model_selection: ModelSelectionMode
-    predicate_ordering: PredicateOrdering = PredicateOrdering.RANK
+    #: The session's configuration: reuse policy, ranking and model
+    #: selection modes.
+    config: EvaConfig
     estimator: SelectivityEstimator = field(init=False)
     # -- outputs the driver reports on OptimizedQuery -----------------------
     predicate_order: list[str] = field(default_factory=list)
@@ -68,15 +63,6 @@ class OptimizationContext:
         self.estimator = SelectivityEstimator(resolve)
 
     # -- convenience lookups --------------------------------------------------
-
-    @property
-    def uses_views(self) -> bool:
-        return self.reuse_policy is ReusePolicy.EVA or \
-            self.reuse_policy is ReusePolicy.HASHSTASH
-
-    @property
-    def stores_results(self) -> bool:
-        return self.uses_views
 
     def expensive_calls(self, expr: Expression) -> list[FunctionCall]:
         """Expensive (materialization-candidate) UDF calls in ``expr``."""

@@ -23,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
-from repro.config import (
-    EvaConfig,
-    ModelSelectionMode,
-    PredicateOrdering,
-    RankingMode,
-    ReusePolicy,
-)
+from repro.config import EvaConfig
 from repro.costs import CostModel
 from repro.obs.audit import ReuseDecisionRecord
 from repro.obs.trace import NOOP_SPAN
@@ -69,30 +63,11 @@ class OptimizedQuery:
     audit: list[ReuseDecisionRecord] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Subset of :class:`~repro.config.EvaConfig` the optimizer reads."""
-
-    reuse_policy: ReusePolicy
-    ranking: RankingMode
-    model_selection: ModelSelectionMode
-    predicate_ordering: PredicateOrdering = PredicateOrdering.RANK
-
-    @classmethod
-    def from_eva_config(cls, config: EvaConfig) -> "OptimizerConfig":
-        return cls(
-            reuse_policy=config.reuse_policy,
-            ranking=config.ranking,
-            model_selection=config.model_selection,
-            predicate_ordering=config.predicate_ordering,
-        )
-
-
 class Optimizer:
     """Produces physical plans with the semantic reuse algorithm applied."""
 
     def __init__(self, catalog: Catalog, udf_manager: UdfManager,
-                 engine: SymbolicEngine, config: OptimizerConfig,
+                 engine: SymbolicEngine, config: EvaConfig,
                  cost_model: CostModel | None = None):
         self.catalog = catalog
         self.udf_manager = udf_manager
@@ -118,10 +93,7 @@ class Optimizer:
             udf_manager=self.udf_manager,
             engine=self.engine,
             cost_model=self.cost_model,
-            reuse_policy=self.config.reuse_policy,
-            ranking=self.config.ranking,
-            model_selection=self.config.model_selection,
-            predicate_ordering=self.config.predicate_ordering,
+            config=self.config,
         )
         with _span(tracer, "optimize:build"):
             plan = build_logical_plan(bound, ctx)

@@ -17,7 +17,7 @@ physical operators with cost-based source selection.
 
 from __future__ import annotations
 
-from repro.config import PredicateOrdering, RankingMode, ReusePolicy
+from repro.config import RankingMode, ReusePolicy
 from repro.errors import UnsupportedPredicateError
 from repro.expressions.analysis import (
     conjunction_of,
@@ -125,7 +125,7 @@ class UdfPredicateTransformationRule(TransformationRule):
                 if not ctx.udf_definition(c).is_table_valued)
             definition = ctx.udf_definition(call)
             missing = 1.0
-            if ctx.reuse_policy is ReusePolicy.EVA:
+            if ctx.config.reuse_policy is ReusePolicy.EVA:
                 signature = ctx.classifier_signature(call)
                 if ctx.udf_manager.known(signature):
                     diff = ctx.udf_manager.difference_with_history(
@@ -147,35 +147,27 @@ class UdfPredicateTransformationRule(TransformationRule):
             )
             ranked.append(item)
             lookup[predicate.to_sql()] = (predicate, call)
-        if ctx.predicate_ordering is PredicateOrdering.EXHAUSTIVE:
-            chosen = self._search_order(ranked, lookup, guard, ctx)
-            self._audit_ranking(ranked, chosen, guard, ctx,
-                                strategy="exhaustive-memo")
-            return chosen
         materialization_aware = (
-            ctx.ranking is RankingMode.MATERIALIZATION_AWARE)
+            ctx.config.ranking is RankingMode.MATERIALIZATION_AWARE)
         ordered = order_udf_predicates(ranked, materialization_aware)
         chosen = [lookup[item.predicate.to_sql()] for item in ordered]
-        self._audit_ranking(
-            ranked, chosen, guard, ctx,
-            strategy=("rank-eq4" if materialization_aware
-                      else "rank-eq2"))
+        self._audit_ranking(ranked, chosen, guard, ctx,
+                            materialization_aware)
         return chosen
 
     @staticmethod
     def _audit_ranking(ranked: list[RankedPredicate],
                        chosen: list[tuple[Expression, FunctionCall]],
                        guard, ctx: OptimizationContext,
-                       strategy: str) -> None:
+                       materialization_aware: bool) -> None:
         """Emit the predicate-ordering decision as an audit record."""
-        materialization_aware = (
-            ctx.ranking is RankingMode.MATERIALIZATION_AWARE)
         ctx.audit.record(ReuseDecisionRecord(
             kind=KIND_RANKING,
             signature=ctx.bound.table_name,
             query_predicate=predicate_sql(guard),
             selectivities={"guard": ctx.estimator.selectivity(guard)},
-            costs={"strategy": strategy},
+            costs={"strategy": ("rank-eq4" if materialization_aware
+                                else "rank-eq2")},
             candidates=[
                 {
                     "predicate": item.predicate.to_sql(),
@@ -192,44 +184,6 @@ class UdfPredicateTransformationRule(TransformationRule):
                     for index, (predicate, call) in enumerate(chosen)],
             reused=any(item.missing_fraction < 1.0 for item in ranked),
         ))
-
-    @staticmethod
-    def _search_order(ranked: list[RankedPredicate],
-                      lookup: dict[str, tuple[Expression, FunctionCall]],
-                      guard, ctx: OptimizationContext
-                      ) -> list[tuple[Expression, FunctionCall]]:
-        """Memo-based exhaustive ordering (the cost-based alternative to
-        Theorem 4.1's rank sort)."""
-        from repro.optimizer.memo import (
-            OrderingCandidate,
-            search_predicate_ordering,
-        )
-
-        candidates = [
-            OrderingCandidate(
-                key=item.predicate.to_sql(),
-                selectivity=item.selectivity,
-                udf_cost=item.udf_cost,
-                missing_fraction=item.missing_fraction,
-            )
-            for item in ranked
-        ]
-        input_rows = (ctx.bound.metadata.num_frames
-                      * max(1.0, ctx.bound.metadata.vehicles_per_frame)
-                      * max(ctx.estimator.selectivity(guard), 1e-9))
-
-        def step_cost(rows: float, candidate: OrderingCandidate) -> float:
-            # In canonical-ranking mode the baseline cost model ignores
-            # materialization: evaluate everything.
-            missing = (candidate.missing_fraction
-                       if ctx.ranking is RankingMode.MATERIALIZATION_AWARE
-                       else 1.0)
-            return ctx.cost_model.udf_predicate_cost(
-                rows, candidate.udf_cost, missing)
-
-        order, _cost, _memo = search_predicate_ordering(
-            candidates, input_rows, step_cost)
-        return [lookup[candidate.key] for candidate in order]
 
     # -- residual handling -----------------------------------------------------
 

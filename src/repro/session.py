@@ -46,7 +46,7 @@ from repro.obs.profiler import ProfileStore
 from repro.obs.slo import SloTracker
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
-from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.udf_manager import UdfManager
 from repro.parser.ast_nodes import (
     CreateUdfStatement,
@@ -209,8 +209,7 @@ class EvaSession:
         #: Per-operator actuals of the last instrumented query.
         self._last_operator_stats: list = []
         self.optimizer = Optimizer(
-            self.catalog, self.udf_manager, self.symbolic,
-            OptimizerConfig.from_eva_config(self.config))
+            self.catalog, self.udf_manager, self.symbolic, self.config)
         self.context = ExecutionContext(
             catalog=self.catalog,
             storage=self.storage,

@@ -13,7 +13,6 @@ from repro.catalog.statistics import (
     UniformIntStatistics,
 )
 from repro.catalog.udf_registry import (
-    MATERIALIZATION_COST_THRESHOLD,
     UdfDefinition,
     UdfKind,
     UdfRegistry,
@@ -198,13 +197,19 @@ class TestUdfRegistry:
             registry.register(udf)
         registry.register(udf, replace=True)  # CREATE OR REPLACE
 
-    def test_expensive_threshold(self):
-        cheap = UdfDefinition("Area", UdfKind.BUILTIN, per_tuple_cost=1e-6)
-        costly = UdfDefinition(
-            "CarType", UdfKind.PATCH_CLASSIFIER,
-            per_tuple_cost=MATERIALIZATION_COST_THRESHOLD)
-        assert not cheap.is_expensive
-        assert costly.is_expensive
+    def test_expensive_is_by_kind_not_cost(self):
+        """Builtins are evaluated in place; every model-backed UDF, and
+        a logical one, is a materialization candidate at any cost."""
+        for cost in (0.0, 1e-6, 0.25):
+            assert not UdfDefinition(
+                "Area", UdfKind.BUILTIN, per_tuple_cost=cost).is_expensive
+        for kind in (UdfKind.DETECTOR, UdfKind.PATCH_CLASSIFIER,
+                     UdfKind.FRAME_FILTER):
+            for cost in (0.0, 1e-5, 0.006):
+                assert UdfDefinition(
+                    "Model", kind, per_tuple_cost=cost).is_expensive
+        assert UdfDefinition("AnyDet", UdfKind.DETECTOR,
+                             is_logical=True).is_expensive
 
     def test_expensive_udfs_listing(self):
         registry = UdfRegistry()

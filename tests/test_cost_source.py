@@ -18,7 +18,7 @@ from repro.models.zoo import default_zoo
 from repro.obs.audit import KIND_CLASSIFIER, KIND_MODEL_SELECTION, \
     KIND_RANKING
 from repro.obs.sinks import InMemorySink
-from repro.session import EvaSession
+from repro.session import STANDARD_MODEL_UDFS, EvaSession
 
 DETECT = ("SELECT id FROM tiny CROSS APPLY "
           "ObjectDetector(frame) WHERE label = 'car' AND id < 40;")
@@ -170,3 +170,50 @@ class TestRuleII:
             if profile.executed:
                 assert profile.observed_per_tuple_cost == pytest.approx(
                     session.catalog.per_tuple_cost(name))
+
+
+class TestCheapModelUdfs:
+    """A model-backed UDF is applied by an operator however cheap its
+    model: only builtins are evaluated inside the filter kernel."""
+
+    TOYOTA_BLUE = ("SELECT id FROM tiny CROSS APPLY "
+                   "FastRCNNObjectDetector(frame) WHERE id < 20 "
+                   "AND CarType(frame, bbox) = 'Toyota' "
+                   "AND ColorDet(frame, bbox) = 'Blue';")
+
+    QUERIES = {
+        "FastRCNNObjectDetector": "SELECT id, label FROM tiny CROSS APPLY "
+                                  "FastRCNNObjectDetector(frame) "
+                                  "WHERE id < 20 AND label = 'car';",
+        "FasterRCNNResnet101": "SELECT id, label FROM tiny CROSS APPLY "
+                               "FasterRCNNResnet101(frame) "
+                               "WHERE id < 20 AND label = 'car';",
+        "YoloTiny": "SELECT id, label FROM tiny CROSS APPLY "
+                    "YoloTiny(frame) WHERE id < 20 AND label = 'car';",
+        "CarType": TOYOTA_BLUE,
+        "ColorDet": TOYOTA_BLUE,
+        "License": "SELECT id, License(frame, bbox) FROM tiny CROSS APPLY "
+                   "FastRCNNObjectDetector(frame) WHERE id < 20 "
+                   "AND License(frame, bbox) != 'X' "
+                   "AND ColorDet(frame, bbox) = 'Blue';",
+        "VehicleFilter": "SELECT id FROM tiny WHERE id < 40 "
+                         "AND VehicleFilter(frame);",
+    }
+
+    def test_every_model_udf_has_a_query(self):
+        assert sorted(self.QUERIES) == sorted(STANDARD_MODEL_UDFS)
+
+    @pytest.mark.parametrize("udf", sorted(QUERIES))
+    def test_cheap_model_udf_returns_the_reference_rows(self, tiny_video,
+                                                        udf):
+        model = STANDARD_MODEL_UDFS[udf]
+        session = _session(tiny_video, {model: 1e-5})
+        assert session.catalog.udfs.get(udf).per_tuple_cost == 1e-5
+        reference = EvaSession(config=EvaConfig(
+            reuse_policy=ReusePolicy.NONE, execution_mode="row"))
+        reference.register_video(tiny_video)
+        sql = self.QUERIES[udf]
+        rows = session.execute(sql).rows
+        assert rows
+        assert rows == reference.execute(sql).rows
+        assert _executed(session)[model] > 0

@@ -1,12 +1,7 @@
 """Unit tests for the physical implementation layer (Rule II + costing)."""
 
 
-from repro.config import (
-    EvaConfig,
-    ModelSelectionMode,
-    RankingMode,
-    ReusePolicy,
-)
+from repro.config import EvaConfig, ReusePolicy
 from repro.costs import CostModel
 from repro.optimizer.binder import bind
 from repro.optimizer.builder import build_logical_plan
@@ -80,9 +75,7 @@ class TestImplementationCosting:
             udf_manager=session.udf_manager,
             engine=session.symbolic,
             cost_model=CostModel(),
-            reuse_policy=policy,
-            ranking=RankingMode.MATERIALIZATION_AWARE,
-            model_selection=ModelSelectionMode.SET_COVER,
+            config=session.config,
         )
         engine = RuleEngine()
         plan = build_logical_plan(bound, ctx)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.clock import CostCategory
-from repro.config import EvaConfig, PredicateOrdering, ReusePolicy
+from repro.config import EvaConfig, ReusePolicy
 from repro.parser.parser import parse
 from repro.server import EvaServer, PoolServer
 from repro.server.stats import merged_metrics
@@ -77,19 +77,6 @@ class TestPolicyEquivalence:
                 reference = outputs
             else:
                 assert outputs == reference, policy
-
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(workload_specs)
-    def test_exhaustive_ordering_matches_rank(self, spec):
-        queries = generate_workload("meta", 160, spec)
-        rank = _run(queries, EvaConfig(
-            reuse_policy=ReusePolicy.EVA,
-            predicate_ordering=PredicateOrdering.RANK))
-        memo = _run(queries, EvaConfig(
-            reuse_policy=ReusePolicy.EVA,
-            predicate_ordering=PredicateOrdering.EXHAUSTIVE))
-        assert memo == rank
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

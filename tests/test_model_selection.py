@@ -1,9 +1,6 @@
-"""Tests for weighted set cover and Algorithm 2 (logical UDF reuse)."""
-
-import itertools
+"""Tests for Algorithm 2 (logical UDF reuse) and the UdfManager."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.catalog.statistics import UniformIntStatistics
 from repro.errors import OptimizerError
@@ -14,7 +11,6 @@ from repro.models.detectors import (
 )
 from repro.optimizer.model_selection import (
     ModelCandidate,
-    greedy_weighted_set_cover,
     select_physical_udfs,
 )
 from repro.optimizer.udf_manager import UdfManager, UdfSignature
@@ -26,50 +22,6 @@ from repro.symbolic.selectivity import SelectivityEstimator
 
 def where(sql: str):
     return parse(f"SELECT id FROM v WHERE {sql};").where
-
-
-class TestGreedyWeightedSetCover:
-    def test_empty_universe(self):
-        assert greedy_weighted_set_cover(set(), []) == []
-
-    def test_single_set(self):
-        picks = greedy_weighted_set_cover({1, 2}, [(frozenset({1, 2}), 1.0)])
-        assert picks == [0]
-
-    def test_prefers_cheap_per_element(self):
-        universe = {1, 2, 3, 4}
-        sets = [
-            (frozenset({1, 2, 3, 4}), 8.0),   # 2.0 per element
-            (frozenset({1, 2}), 2.0),          # 1.0 per element
-            (frozenset({3, 4}), 2.0),          # 1.0 per element
-        ]
-        picks = greedy_weighted_set_cover(universe, sets)
-        assert sorted(picks) == [1, 2]
-
-    def test_uncoverable_universe_raises(self):
-        with pytest.raises(OptimizerError):
-            greedy_weighted_set_cover({1, 2}, [(frozenset({1}), 1.0)])
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(
-        st.tuples(st.sets(st.integers(0, 6), min_size=1), st.floats(0.1, 5)),
-        min_size=1, max_size=5))
-    def test_within_log_factor_of_optimum(self, raw_sets):
-        sets = [(frozenset(s), w) for s, w in raw_sets]
-        universe = set().union(*[s for s, _ in sets])
-        picks = greedy_weighted_set_cover(universe, sets)
-        # Valid cover.
-        assert set().union(*[sets[i][0] for i in picks]) == universe
-        greedy_weight = sum(sets[i][1] for i in picks)
-        # Brute-force optimum over subsets.
-        best = float("inf")
-        for r in range(1, len(sets) + 1):
-            for combo in itertools.combinations(range(len(sets)), r):
-                if set().union(*[sets[i][0] for i in combo]) == universe:
-                    best = min(best, sum(sets[i][1] for i in combo))
-
-        harmonic = sum(1 / k for k in range(1, len(universe) + 1))
-        assert greedy_weight <= best * harmonic + 1e-9
 
 
 class TestAlgorithm2:

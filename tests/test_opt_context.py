@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.config import (
-    EvaConfig,
-    ModelSelectionMode,
-    RankingMode,
-    ReusePolicy,
-)
+from repro.config import EvaConfig, ReusePolicy
 from repro.costs import CostModel
 from repro.optimizer.binder import bind
 from repro.optimizer.opt_context import OptimizationContext
@@ -25,9 +20,7 @@ def make_ctx(tiny_video, sql, policy=ReusePolicy.EVA):
         udf_manager=session.udf_manager,
         engine=session.symbolic,
         cost_model=CostModel(),
-        reuse_policy=policy,
-        ranking=RankingMode.MATERIALIZATION_AWARE,
-        model_selection=ModelSelectionMode.SET_COVER,
+        config=session.config,
     )
 
 
@@ -91,8 +84,9 @@ class TestEstimatorResolution:
 
 class TestPolicyFlags:
     def test_uses_views(self, tiny_video):
-        assert make_ctx(tiny_video, BASE, ReusePolicy.EVA).uses_views
-        assert make_ctx(tiny_video, BASE, ReusePolicy.HASHSTASH).uses_views
-        assert not make_ctx(tiny_video, BASE,
-                            ReusePolicy.FUNCACHE).uses_views
-        assert not make_ctx(tiny_video, BASE, ReusePolicy.NONE).uses_views
+        """The optimizer reads the session's config itself."""
+        for policy in ReusePolicy:
+            ctx = make_ctx(tiny_video, BASE, policy)
+            assert ctx.config.reuse_policy is policy
+            assert ctx.config.uses_views is (
+                policy in (ReusePolicy.EVA, ReusePolicy.HASHSTASH))

@@ -215,7 +215,7 @@ class TestDetectorSources:
         assert sources[-1].predicate.is_false()
 
 
-class TestPredicateOrdering:
+class TestUdfPredicateOrder:
     QUERY = ("SELECT id FROM tiny CROSS APPLY "
              "FastRCNNObjectDetector(frame) WHERE id < 30 AND label='car' "
              "AND CarType(frame,bbox)='Nissan' "

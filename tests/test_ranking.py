@@ -5,14 +5,18 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import EvaConfig, RankingMode, ReusePolicy
 from repro.costs import CostModel
 from repro.expressions.expr import ColumnRef, CompOp, Comparison, Literal
+from repro.obs.audit import KIND_RANKING
 from repro.optimizer.ranking import (
     RankedPredicate,
     canonical_rank,
     materialization_aware_rank,
     order_udf_predicates,
 )
+from repro.parser.parser import parse
+from repro.session import EvaSession
 
 
 def ranked(selectivity, udf_cost, missing, name="p", read_cost=1e-4):
@@ -104,6 +108,60 @@ class TestTheorem41:
             swapped = list(specs)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             assert cost_model.ordering_cost(1000, swapped) >= base - 1e-12
+
+
+    GUARD = ("SELECT id FROM tiny CROSS APPLY "
+             "FastRCNNObjectDetector(frame) WHERE id < 30 AND label = 'car'")
+    UDF_PREDICATES = {
+        "CarType": "CarType(frame, bbox) = 'Nissan'",
+        "ColorDet": "ColorDet(frame, bbox) = 'Gray'",
+        "License": "License(frame, bbox) != 'X'",
+    }
+    #: (UDFs in the query, the one materialized first or None).
+    PLANS = [(udfs, materialized)
+             for udfs in (("CarType", "ColorDet"), ("ColorDet", "License"),
+                          ("CarType", "ColorDet", "License"))
+             for materialized in (None, *udfs)]
+
+    @pytest.mark.parametrize("ranking", list(RankingMode),
+                             ids=lambda mode: mode.value)
+    @pytest.mark.parametrize(
+        "udfs, materialized", PLANS,
+        ids=[f"{'+'.join(udfs)}-{materialized or 'cold'}"
+             for udfs, materialized in PLANS])
+    def test_rule_one_order_is_optimal(self, tiny_video, udfs,
+                                       materialized, ranking):
+        """The order Rule I records has the least T(O, |R|) of all
+        permutations of its candidates, before and after one UDF's
+        results are materialized.  Eq. 2 ignores views, so under
+        CANONICAL every predicate is costed as fully missing."""
+        session = EvaSession(config=EvaConfig(
+            reuse_policy=ReusePolicy.EVA, ranking=ranking))
+        session.register_video(tiny_video)
+        if materialized:
+            session.execute(f"{self.GUARD} AND "
+                            f"{self.UDF_PREDICATES[materialized]};")
+        sql = self.GUARD + "".join(
+            f" AND {self.UDF_PREDICATES[udf]}" for udf in udfs) + ";"
+        (record,) = [r for r in session.optimizer.optimize(parse(sql)).audit
+                     if r.kind == KIND_RANKING]
+        aware = ranking is RankingMode.MATERIALIZATION_AWARE
+        specs = {c["predicate"]: (c["selectivity"], c["udf_cost"],
+                                  c["missing_fraction"] if aware else 1.0)
+                 for c in record.candidates}
+        assert len(specs) == len(udfs)
+        missing = [c["missing_fraction"] < 1.0 for c in record.candidates]
+        assert any(missing) is (materialized is not None)
+        cost_model = CostModel()
+
+        def order_cost(order):
+            return cost_model.ordering_cost(
+                10_000, [specs[predicate] for predicate in order])
+
+        chosen = [entry["predicate"] for entry in record.chosen]
+        assert sorted(chosen) == sorted(specs)
+        best = min(order_cost(p) for p in itertools.permutations(specs))
+        assert order_cost(chosen) == pytest.approx(best, rel=1e-9)
 
 
 class TestCostModel:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.config import (
-    EvaConfig,
-    ModelSelectionMode,
-    RankingMode,
-    ReusePolicy,
-)
+from repro.config import EvaConfig, ReusePolicy
 from repro.costs import CostModel
 from repro.optimizer.binder import bind
 from repro.optimizer.builder import build_logical_plan
@@ -55,9 +50,7 @@ def ctx(tiny_video):
             udf_manager=session.udf_manager,
             engine=session.symbolic,
             cost_model=CostModel(),
-            reuse_policy=ReusePolicy.EVA,
-            ranking=RankingMode.MATERIALIZATION_AWARE,
-            model_selection=ModelSelectionMode.SET_COVER,
+            config=session.config,
         )
         return build_logical_plan(bound, context), context
 
