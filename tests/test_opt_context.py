@@ -85,8 +85,9 @@ class TestEstimatorResolution:
 class TestPolicyFlags:
     def test_uses_views(self, tiny_video):
         """The optimizer reads the session's config itself."""
-        for policy in ReusePolicy:
+        expected = {ReusePolicy.EVA: True, ReusePolicy.HASHSTASH: True,
+                    ReusePolicy.FUNCACHE: False, ReusePolicy.NONE: False}
+        for policy, uses_views in expected.items():
             ctx = make_ctx(tiny_video, BASE, policy)
             assert ctx.config.reuse_policy is policy
-            assert ctx.config.uses_views is (
-                policy in (ReusePolicy.EVA, ReusePolicy.HASHSTASH))
+            assert ctx.config.uses_views is uses_views

@@ -109,7 +109,6 @@ class TestTheorem41:
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             assert cost_model.ordering_cost(1000, swapped) >= base - 1e-12
 
-
     GUARD = ("SELECT id FROM tiny CROSS APPLY "
              "FastRCNNObjectDetector(frame) WHERE id < 30 AND label = 'car'")
     UDF_PREDICATES = {
