@@ -110,6 +110,3 @@ class UdfRegistry:
 
     def definitions(self) -> list[UdfDefinition]:
         return sorted(self._udfs.values(), key=lambda u: u.key())
-
-    def expensive_udfs(self) -> list[UdfDefinition]:
-        return [u for u in self._udfs.values() if u.is_expensive]

@@ -1040,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also validate manifest.jsonl against this "
                             "JSON schema")
     stats = store_sub.add_parser(
-        "stats", help="tier/partition/WAL sizes and audit counters")
+        "stats", help="view/partition/WAL sizes and audit counters")
     stats.add_argument("path", help="store directory")
     return parser
 

@@ -97,12 +97,6 @@ class EvaConfig:
     store_mode: str = "memory"
     #: Directory backing the durable store (required when durable).
     store_path: str | None = None
-    #: Hot-tier (resident views) byte budget; exceeding it demotes the
-    #: cheapest-recompute-per-byte view to the warm tier.  0 = unbounded.
-    store_hot_bytes: int = 0
-    #: Warm-tier (on-disk demoted views) byte budget; exceeding it drops
-    #: the cheapest-recompute-per-byte warm view.  0 = unbounded.
-    store_warm_bytes: int = 0
     #: WAL group-commit interval: fsync after this many appended records.
     store_fsync_every: int = 32
     #: Snapshot a partition after this many WAL records, folding its log
@@ -206,10 +200,6 @@ class EvaConfig:
         if self.store_mode == "durable" and not self.store_path:
             raise ValueError(
                 "store_mode='durable' requires store_path")
-        for name in ("store_hot_bytes", "store_warm_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("store_fsync_every", "store_snapshot_interval",
                      "store_partition_frames",
                      "store_recovery_parallelism"):

@@ -13,7 +13,7 @@ module anchors:
   :class:`~repro.server.locks.RWLock` forwards wait seconds here;
 * **inference** — seconds inside ``predict_batch``
   (:meth:`~repro.executor.context.ExecutionContext.invoke_model`);
-* **store I/O** — WAL append/fsync, snapshot, and promotion seconds
+* **store I/O** — WAL append/fsync and snapshot seconds
   (:mod:`repro.store.wal` / :mod:`repro.store.durable`);
 * plus the #TI/#DI hit/miss breakdown, and the summed
   Eq. 3/4 costs of the plan's reuse decisions.
@@ -50,7 +50,7 @@ __all__ = [
 
 #: Store I/O kinds a context accumulates (fixed so the record — and its
 #: schema — stay wide-but-closed).
-STORE_IO_KINDS = ("wal_append", "fsync", "snapshot", "promotion")
+STORE_IO_KINDS = ("wal_append", "fsync", "snapshot")
 
 
 class FlightContext:

@@ -174,11 +174,9 @@ def record_view_create(name: str) -> None:
 # -- ledger records -----------------------------------------------------------
 
 #: Record lifecycle states.  ``live`` views are readable; ``dropped``
-#: ones were removed explicitly; ``evicted`` ones were dropped by the
-#: durable store's byte-budget policy.
+#: ones were removed.
 STATUS_LIVE = "live"
 STATUS_DROPPED = "dropped"
-STATUS_EVICTED = "evicted"
 
 
 class _Record:
@@ -328,20 +326,12 @@ class ViewLedger:
             record = _Record(name, generation, key_columns, output_columns)
             self._records[record.lineage_id] = record
 
-    def on_drop(self, name: str, reason: str = "drop") -> None:
-        """The current generation of ``name`` left the store.
-
-        ``reason`` maps to the record status (``evicted`` for budget
-        evictions, ``dropped`` otherwise); the first drop wins, so a
-        budget eviction routed through :meth:`ViewStore.drop` is not
-        downgraded to a plain drop afterwards.
-        """
+    def on_drop(self, name: str) -> None:
+        """The current generation of ``name`` left the store."""
         with self._lock:
             record = self._current(name)
-            if record is None or record.status != STATUS_LIVE:
-                return
-            record.status = (STATUS_EVICTED if reason == "evicted"
-                             else STATUS_DROPPED)
+            if record is not None:
+                record.status = STATUS_DROPPED
 
     def _current(self, name: str) -> _Record | None:
         generation = self._gen.get(name)

@@ -220,14 +220,11 @@ def _expose_batcher(exp: _Exposition, snapshot) -> None:
 
 def _expose_store(exp: _Exposition, snapshot) -> None:
     """Durable view-store health (``repro.store.StoreSnapshot``)."""
-    exp.header("eva_store_tier_bytes",
-               "Estimated bytes held per view-store tier "
-               "(hot=resident, warm=demoted to disk)", "gauge")
-    exp.sample("eva_store_tier_bytes", snapshot.hot_bytes, tier="hot")
-    exp.sample("eva_store_tier_bytes", snapshot.warm_bytes, tier="warm")
-    exp.header("eva_store_tier_views", "Views held per tier", "gauge")
-    exp.sample("eva_store_tier_views", snapshot.hot_views, tier="hot")
-    exp.sample("eva_store_tier_views", snapshot.warm_views, tier="warm")
+    exp.header("eva_store_bytes",
+               "Estimated serialized bytes of the store's views", "gauge")
+    exp.sample("eva_store_bytes", snapshot.bytes)
+    exp.header("eva_store_views", "Live views in the store", "gauge")
+    exp.sample("eva_store_views", snapshot.views)
     exp.header("eva_store_wal_bytes",
                "Bytes across all open WAL segments (control log "
                "included); falls back to 0 after the store closes",
@@ -242,19 +239,6 @@ def _expose_store(exp: _Exposition, snapshot) -> None:
                    "written by this process", "gauge")
         exp.sample("eva_store_snapshot_age_seconds",
                    snapshot.snapshot_age_seconds)
-    exp.header("eva_store_evictions_total",
-               "Tier evictions by disposition (demoted=hot->warm, "
-               "dropped=warm budget exceeded)", "counter")
-    exp.sample("eva_store_evictions_total",
-               snapshot.counters.get("demotions", 0), reason="demoted")
-    exp.sample("eva_store_evictions_total",
-               snapshot.counters.get("evicted_dropped", 0),
-               reason="dropped")
-    exp.header("eva_store_promotions_total",
-               "Warm views reloaded into the hot tier on probe",
-               "counter")
-    exp.sample("eva_store_promotions_total",
-               snapshot.counters.get("promotions", 0))
     exp.header("eva_store_wal_records_total",
                "Put records appended to partition WALs", "counter")
     exp.sample("eva_store_wal_records_total",
@@ -443,7 +427,7 @@ def prometheus_text(metrics=None, clock=None, server=None, *,
         batcher: a :class:`~repro.server.stats.BatcherSnapshot`
             (model-call and tuple totals).
         store: a :class:`~repro.store.StoreSnapshot` (durable
-            view-store tier sizes, WAL bytes, eviction counters).
+            view-store view count and bytes, WAL bytes, write counters).
         flight: a ``FlightStats.snapshot()`` dict (per-stage wall-time
             rollups and dominant-stage counts; ``eva_flight_*``).
         slo: a :class:`~repro.obs.slo.SloSnapshot` (latency histogram,

@@ -146,9 +146,7 @@ class ViewOwners:
     is None, the unknown owner of keys no client wrote here (recovered
     from disk at start).  A write stamps the ordinals it appended; a
     probe attributes its hits with one ``np.bincount`` of their codes.
-    A view reloaded from the warm tier replays its keys in ordinal
-    order, so its codes still hold; a view re-created after a drop
-    stamps every ordinal it appends.
+    A view re-created after a drop stamps every ordinal it appends.
     """
 
     __slots__ = ("codes", "clients")
@@ -410,12 +408,12 @@ class SharedViewStore:
     def total_serialized_bytes(self) -> int:
         return self._base.total_serialized_bytes()
 
-    def drop(self, name: str, *, reason: str = "drop") -> int:
+    def drop(self, name: str) -> int:
         """Drop one view; returns the (estimated) bytes freed, 0 if the
         view did not exist (see :meth:`ViewStore.drop`)."""
         lock = self._view_lock(name)
         with lock.write_locked():
-            freed = self._base.drop(name, reason=reason)
+            freed = self._base.drop(name)
         with self._registry_lock:
             self._owners.pop(name, None)
             # The RWLock stays registered: a concurrent reader blocked on
@@ -466,8 +464,8 @@ class ClientViewStore:
     def view_bytes(self, names) -> dict:
         return self.shared.base.view_bytes(names)
 
-    def drop(self, name: str, *, reason: str = "drop") -> int:
-        return self.shared.drop(name, reason=reason)
+    def drop(self, name: str) -> int:
+        return self.shared.drop(name)
 
     # -- lineage / durability passthrough -------------------------------------
 
@@ -530,7 +528,7 @@ class SharedReuseState:
         """
         base_store, base_manager = open_reuse_state(self.config,
                                                     self.symbolic)
-        attach_reuse_state(base_store, self.catalog, self.ledger)
+        attach_reuse_state(base_store, self.ledger)
         self.view_store = SharedViewStore(base_store)
         self.udf_manager = LockedUdfManager(base_manager)
 

@@ -168,7 +168,7 @@ class SessionState:
             udf_manager=udf_manager,
             symbolic=symbolic,
         )
-        attach_reuse_state(view_store, state.catalog, state.ledger)
+        attach_reuse_state(view_store, state.ledger)
         return state
 
 
@@ -241,7 +241,6 @@ class EvaSession:
         with self.tracer.span(
                 "store-recover",
                 views=report.views_recovered,
-                warm_views=report.warm_views,
                 partitions=report.partitions_replayed,
                 records=report.records_replayed,
                 keys=report.keys_recovered,
@@ -447,7 +446,7 @@ class EvaSession:
         names = set(qlin.probes) | set(qlin.writes) | set(qlin.creates)
         # view_bytes (not get + serialize) on purpose: the fold runs
         # after the root span closed, so it must not acquire view locks
-        # (flight contention attribution) or promote warm views.
+        # (flight contention attribution).
         view_bytes = self.view_store.view_bytes(sorted(names))
         return self.ledger.observe_query(
             qlin,
@@ -752,10 +751,9 @@ class EvaSession:
         validates; returns the bytes the export holds on disk."""
         self._refuse_if_shared("save_reuse_state")
         directory = self._export_path(directory, "save_reuse_state")
-        # No byte budgets: an export keeps every view.
         export, manager = open_reuse_state(replace(
-            self.config, store_mode="durable", store_path=str(directory),
-            store_hot_bytes=0, store_warm_bytes=0), self.symbolic)
+            self.config, store_mode="durable", store_path=str(directory)),
+            self.symbolic)
         try:
             export.drop_all()
             manager.reset()

@@ -673,8 +673,8 @@ class MaterializedView:
         size follows from the entries alone, so a view rebuilt from a
         snapshot or a WAL has its writer's.  It over-estimates
         :meth:`serialize` on the benchmark videos' views (see
-        ``SERIALIZED_COMPRESSION_FACTOR``), so byte-budget policies built
-        on it (tier eviction, footprint caps) err conservative.
+        ``SERIALIZED_COMPRESSION_FACTOR``), so the footprint built on it
+        (§5.2's) errs conservative.
         """
         return SERIALIZED_BASE_OVERHEAD + int(
             self._buffer_bytes * SERIALIZED_COMPRESSION_FACTOR)
@@ -700,9 +700,6 @@ class ViewStore:
     recovery_report = None
     #: Persisted lineage ledger records, for ``ViewLedger.restore``.
     recovered_lineage: tuple = ()
-    #: Model or UDF name -> per-tuple cost (virtual seconds), for
-    #: eviction scoring; wired by ``repro.store.attach_reuse_state``.
-    cost_resolver = None
 
     def __init__(self) -> None:
         self._views: dict[str, MaterializedView] = {}
@@ -754,12 +751,11 @@ class ViewStore:
         return sum(v.serialized_bytes() for v in views)
 
     def view_bytes(self, names) -> dict[str, int]:
-        """Serialized sizes of the named resident views.
+        """Serialized sizes of the named views.
 
-        Observability-path accessor: no promotion, no per-view lock
-        acquisition (``serialized_bytes`` is O(1)), so the lineage
-        ledger's post-query fold cannot perturb flight-record stage
-        attribution or the durable store's tiering.
+        Observability-path accessor: no per-view lock acquisition
+        (``serialized_bytes`` is O(1)), so the lineage ledger's
+        post-query fold cannot perturb flight-record stage attribution.
         """
         sizes: dict[str, int] = {}
         with self._lock:
@@ -769,16 +765,13 @@ class ViewStore:
                     sizes[name] = view.serialized_bytes()
         return sizes
 
-    def drop(self, name: str, *, reason: str = "drop") -> int:
-        """Evict one view; returns the (estimated) bytes it freed, 0 if
-        the view did not exist.  ``reason`` feeds the lineage ledger's
-        status (``"evicted"`` marks budget evictions).
+    def drop(self, name: str) -> int:
+        """Drop one view; returns the (estimated) bytes it freed, 0 if
+        the view did not exist.
 
         An existing view always frees a non-zero amount (the serialized
         container overhead), so truthiness still answers "did it exist".
-        Single-view eviction is the primitive the server's storage-budget
-        policies build on (drop the coldest view when over budget); the
-        :meth:`view_dropped` hook runs *after* the map removal so the
+        The :meth:`view_dropped` hook runs *after* the map removal so the
         tombstone a durable store logs cannot race a resurrection through
         :meth:`create_or_get` (which would re-log a create afterwards).
         """
@@ -790,7 +783,7 @@ class ViewStore:
         view.listener = None
         ledger = self.ledger
         if ledger is not None:
-            ledger.on_drop(name, reason=reason)
+            ledger.on_drop(name)
         self.view_dropped(name)
         return freed
 

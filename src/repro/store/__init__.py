@@ -1,11 +1,9 @@
-"""Durable view-store subsystem: WAL + snapshots, partitioned recovery,
-and cost-aware tiered eviction behind the ``ViewStore`` interface.
+"""Durable view-store subsystem: WAL + snapshots and partitioned
+recovery behind the ``ViewStore`` interface.
 
-See ``docs/storage.md`` for the on-disk format and the eviction policy's
-mapping onto the paper's Eq. 3 cost model.
+See ``docs/storage.md`` for the on-disk format and the recovery pass.
 """
 
-from repro.costs import DEFAULT_PER_TUPLE_COST
 from repro.store.durable import DurableViewStore, StoreSnapshot
 from repro.store.health import (StoreCheckReport, check_store, render_check,
                                 render_stats, store_stats)
@@ -17,7 +15,6 @@ from repro.store.layout import RecoveryReport, StoreLayout
 from repro.store.wal import WalScan, WalWriter, repair_wal, scan_wal
 
 __all__ = [
-    "DEFAULT_PER_TUPLE_COST",
     "DurableViewStore",
     "PersistentUdfManager",
     "RecoveryReport",

@@ -1,4 +1,4 @@
-"""Durable, partitioned view-store backend with tiered eviction.
+"""Durable, partitioned view-store backend.
 
 :class:`DurableViewStore` overrides the ``ViewStore`` durability hooks
 and listens to its views: every view creation, drop, and put flows into
@@ -27,20 +27,9 @@ Durability model
   :class:`~repro.errors.StorageError`; the files stay what recovery
   reads.
 
-Tiering
--------
-Hot views are resident ``MaterializedView`` objects; warm views exist
-only as snapshot+WAL files and are promoted (reloaded) when probed.
-When the hot tier exceeds its byte budget, the view with the *lowest*
-eviction score — estimated re-materialization cost per stored byte,
-``num_keys x per-tuple cost / serialized bytes`` (the Eq. 3 numerator
-over the footprint) — is demoted first: it is the cheapest state to
-regenerate should it be needed again.  Per-tuple costs come from a
-pluggable ``cost_resolver``: the owning session or server wires the
-catalog's believed ``c_e`` (``Catalog.per_tuple_cost``), the one the
-lineage ledger prices the view's hits with.  Each decision is recorded
-once, as a ``demote`` / ``evict_drop`` record of ``audit.jsonl`` that
-carries the ledger's net benefit and lineage id.
+Every live (view, generation) stays resident as a ``MaterializedView``:
+STORE only appends (§4.4), and the files exist for durability and
+recovery, never as a second place a view lives.
 """
 
 from __future__ import annotations
@@ -51,10 +40,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.costs import DEFAULT_PER_TUPLE_COST
 from repro.errors import StorageError
 from repro.obs.flight import current_flight
-from repro.obs.lineage import parse_view_name
 from repro.storage.columnar import ColumnBatch
 from repro.storage.view_store import MaterializedView, ViewStore
 from repro.store.layout import (PartitionState, RecoveryReport, StoreLayout,
@@ -71,11 +58,7 @@ class _ViewMeta:
     generation: int
     key_columns: list[str]
     output_columns: list[str]
-    tier: str = "hot"
     partitions: dict[int, PartitionState] = field(default_factory=dict)
-    #: Keys represented on disk (snapshot keys; scoring for warm views).
-    durable_keys: int = 0
-    last_access: int = 0
 
 
 @dataclass(frozen=True)
@@ -83,10 +66,8 @@ class StoreSnapshot:
     """Point-in-time store health for metrics/CLI exposition."""
 
     path: str
-    hot_views: int
-    warm_views: int
-    hot_bytes: int
-    warm_bytes: int
+    views: int
+    bytes: int
     wal_bytes: int
     snapshot_files: int
     snapshot_age_seconds: float | None
@@ -101,7 +82,6 @@ class DurableViewStore(ViewStore):
 
     def __init__(self, path, *, partition_frames: int = 2048,
                  fsync_every: int = 32, snapshot_interval: int = 4096,
-                 hot_bytes: int = 0, warm_bytes: int = 0,
                  recovery_parallelism: int = 4):
         super().__init__()
         self.layout = StoreLayout(path)
@@ -110,16 +90,12 @@ class DurableViewStore(ViewStore):
         self.partition_frames = max(1, int(partition_frames))
         self.fsync_every = max(1, int(fsync_every))
         self.snapshot_interval = max(1, int(snapshot_interval))
-        #: Byte budgets; 0 disables enforcement for that tier.
-        self.hot_budget = max(0, int(hot_bytes))
-        self.warm_budget = max(0, int(warm_bytes))
         self.recovery_parallelism = max(1, int(recovery_parallelism))
         #: lineage_id -> latest persisted ledger export record (the
         #: ``op: "lineage"`` control-log upserts; see repro.obs.lineage).
         self._lineage_records: dict[str, dict] = {}
         self.counters: dict[str, int] = {
-            "wal_records": 0, "snapshots": 0, "promotions": 0,
-            "demotions": 0, "evicted_dropped": 0, "tombstones": 0,
+            "wal_records": 0, "snapshots": 0, "tombstones": 0,
         }
         self._meta: dict[str, _ViewMeta] = {}
         self._wal_writers: dict[str, WalWriter] = {}
@@ -132,7 +108,6 @@ class DurableViewStore(ViewStore):
         #: store's map lock (see ``create_or_get``); re-entrant because
         #: listener callbacks can fire under it.
         self._io_lock = threading.RLock()
-        self._access_clock = 0
         self._audit_seq = 0
         self._audit_handle = None
         self._closed = False
@@ -148,66 +123,13 @@ class DurableViewStore(ViewStore):
         with self._io_lock:
             if self._closed:
                 raise StorageError(f"store {self.layout.root} is closed")
-            self._promote_locked(name)
-            view = super().create_or_get(name, key_columns, output_columns)
-        self._touch(name)
-        self._maybe_evict(exclude=name)
-        return view
+            return super().create_or_get(name, key_columns, output_columns)
 
-    def get(self, name):
-        view = super().get(name)
-        if view is None:
-            with self._io_lock:
-                view = self._promote_locked(name)
-            if view is not None:
-                self._maybe_evict(exclude=name)
-        if view is not None:
-            self._touch(name)
-        return view
-
-    def __contains__(self, name):
-        return super().__contains__(name) or name in self._meta
-
-    def names(self):
+    def drop(self, name: str) -> int:
+        # Under the I/O lock, so a create racing the drop logs its fresh
+        # generation after the tombstone.
         with self._io_lock:
-            with self._lock:
-                return sorted(set(self._views) | set(self._meta))
-
-    def view_bytes(self, names) -> dict[str, int]:
-        """Per-view sizes without promoting warm views (hot=resident
-        estimate, warm=on-disk partition files)."""
-        sizes = super().view_bytes(names)
-        with self._io_lock:
-            for name in names:
-                if name in sizes:
-                    continue
-                meta = self._meta.get(name)
-                if meta is not None and meta.tier == "warm":
-                    sizes[name] = self._warm_file_bytes(meta)
-        return sizes
-
-    def total_serialized_bytes(self) -> int:
-        """Hot-tier resident estimate plus warm-tier on-disk bytes."""
-        with self._io_lock:
-            total = super().total_serialized_bytes()
-            for meta in self._meta.values():
-                if meta.tier == "warm":
-                    total += self._warm_file_bytes(meta)
-        return total
-
-    def drop(self, name: str, *, reason: str = "drop") -> int:
-        with self._io_lock:
-            # resident path; logs tombstone
-            freed = super().drop(name, reason=reason)
-            if freed == 0:
-                meta = self._meta.get(name)
-                if meta is not None:  # warm view: files only
-                    freed = self._warm_file_bytes(meta)
-                    ledger = self.ledger
-                    if ledger is not None:
-                        ledger.on_drop(name, reason=reason)
-                    self.view_dropped(name)
-        return freed
+            return super().drop(name)
 
     def drop_all(self) -> int:
         with self._io_lock:
@@ -232,7 +154,6 @@ class DurableViewStore(ViewStore):
                 })
                 self._control.flush()
                 self._write_manifest()
-            meta.tier = "hot"
             view.listener = self
 
     def view_dropped(self, name: str) -> None:
@@ -242,15 +163,15 @@ class DurableViewStore(ViewStore):
                 return
             # Tombstone first (fsynced): a crash below this line must
             # replay as "dropped", never as a half-deleted view.  The
-            # ledger marked the record dropped/evicted before this hook
-            # ran; its terminal status rides the same fsync.
+            # ledger marked the record dropped before this hook ran; its
+            # terminal status rides the same fsync.
             self._control.append({"op": "drop", "view": name,
                                   "gen": meta.generation})
             self._persist_lineage_status(name)
             self._control.flush()
             self.counters["tombstones"] += 1
             self._remove_partition_files(meta)
-            self._audit("drop", view=name, reason="drop")
+            self._audit("drop", view=name)
             self._write_manifest()
 
     # -- UDF history durability -------------------------------------------------
@@ -379,12 +300,9 @@ class DurableViewStore(ViewStore):
     def store_snapshot(self) -> StoreSnapshot:
         """Health counters for Prometheus / ``repro store stats``."""
         with self._io_lock:
-            hot = [m for m in self._meta.values() if m.tier == "hot"]
-            warm = [m for m in self._meta.values() if m.tier == "warm"]
             with self._lock:
-                hot_bytes = sum(v.serialized_bytes()
-                                for v in self._views.values())
-            warm_bytes = sum(self._warm_file_bytes(m) for m in warm)
+                resident = sum(v.serialized_bytes()
+                               for v in self._views.values())
             wal_bytes = sum(w.size for w in self._wal_writers.values())
             if not self._closed:
                 wal_bytes += self._control.size
@@ -395,9 +313,8 @@ class DurableViewStore(ViewStore):
                 age = time.perf_counter() - self._last_snapshot_at
             report = self.recovery_report
             return StoreSnapshot(
-                path=str(self.layout.root), hot_views=len(hot),
-                warm_views=len(warm), hot_bytes=hot_bytes,
-                warm_bytes=warm_bytes, wal_bytes=wal_bytes,
+                path=str(self.layout.root), views=len(self._meta),
+                bytes=resident, wal_bytes=wal_bytes,
                 snapshot_files=snapshot_files, snapshot_age_seconds=age,
                 counters=dict(self.counters),
                 recovery=report.as_dict() if report else None)
@@ -429,8 +346,6 @@ class DurableViewStore(ViewStore):
                 self._snapshot_view(view, meta,
                                     lambda part: part.bucket in due)
                 self._write_manifest()
-        self._touch(view.name)
-        self._maybe_evict(exclude=view.name)
 
     def _ensure_partition(self, meta: _ViewMeta,
                           bucket: int) -> PartitionState:
@@ -466,8 +381,6 @@ class DurableViewStore(ViewStore):
                 self._snapshot_partition(part,
                                          shards.get(part.bucket, empty))
                 written += 1
-        meta.durable_keys = sum(p.snapshot_keys
-                                for p in meta.partitions.values())
         return written
 
     def _snapshot_partition(self, part: PartitionState,
@@ -514,142 +427,6 @@ class DurableViewStore(ViewStore):
         self._control.close()
         self._control = WalWriter(path, sync_every=0)
 
-    # -- tiering ----------------------------------------------------------------
-
-    def _touch(self, name: str) -> None:
-        meta = self._meta.get(name)
-        if meta is not None:
-            self._access_clock += 1
-            meta.last_access = self._access_clock
-
-    def _promote_locked(self, name: str) -> MaterializedView | None:
-        """Reload a warm view into the hot tier (caller holds _io_lock)."""
-        with self._lock:
-            view = self._views.get(name)
-        if view is not None:
-            return view
-        meta = self._meta.get(name)
-        if meta is None or meta.tier != "warm":
-            return None
-        flight = current_flight()
-        started = time.perf_counter() if flight is not None else 0.0
-        view = self._load_view(meta)
-        view.listener = self
-        meta.tier = "hot"
-        with self._lock:
-            self._views[name] = view
-        if flight is not None:
-            flight.add_store_io("promotion",
-                                time.perf_counter() - started)
-        self.counters["promotions"] += 1
-        self._audit("promote", view=name, bytes=view.serialized_bytes())
-        self._write_manifest()
-        return view
-
-    def _maybe_evict(self, exclude: str | None = None) -> None:
-        if self.hot_budget <= 0 and self.warm_budget <= 0:
-            return
-        with self._io_lock:
-            if self._closed:
-                return
-            if self.hot_budget > 0:
-                self._shrink_hot_tier(exclude)
-            if self.warm_budget > 0:
-                self._shrink_warm_tier(exclude)
-
-    def _shrink_hot_tier(self, exclude: str | None) -> None:
-        while True:
-            with self._lock:
-                resident = dict(self._views)
-            total = sum(v.serialized_bytes() for v in resident.values())
-            if total <= self.hot_budget:
-                return
-            candidates = []
-            for name, view in resident.items():
-                if name == exclude or name not in self._meta:
-                    continue
-                meta = self._meta[name]
-                nbytes = view.serialized_bytes()
-                score = self._eviction_score(name, view.num_keys, nbytes)
-                candidates.append((score, meta.last_access, name, view,
-                                   nbytes))
-            if not candidates:
-                return
-            score, _, name, view, nbytes = min(
-                candidates, key=lambda c: (c[0], c[1]))
-            self._demote(name, view, score=score, nbytes=nbytes)
-
-    def _shrink_warm_tier(self, exclude: str | None) -> None:
-        while True:
-            warm = [(name, meta) for name, meta in self._meta.items()
-                    if meta.tier == "warm" and name != exclude]
-            total = sum(self._warm_file_bytes(m) for _, m in warm)
-            if total <= self.warm_budget or not warm:
-                return
-            scored = [(self._eviction_score(
-                name, meta.durable_keys, self._warm_file_bytes(meta)),
-                meta.last_access, name) for name, meta in warm]
-            score, _, name = min(scored, key=lambda c: (c[0], c[1]))
-            nbytes = self._warm_file_bytes(self._meta[name])
-            ledger = self.ledger
-            if ledger is not None:
-                # Mark evicted *before* view_dropped persists the
-                # record's terminal status.
-                ledger.on_drop(name, reason="evicted")
-            self.view_dropped(name)
-            self.counters["evicted_dropped"] += 1
-            self._audit_tiering("evict_drop", name, reason="warm_budget",
-                                score=score, nbytes=nbytes)
-
-    def _demote(self, name: str, view: MaterializedView, *,
-                score: float, nbytes: int) -> None:
-        """Hot -> warm: snapshot everything, then release the memory.
-
-        The listener stays attached: a straggling handle that still
-        holds the demoted object keeps WAL-ing its puts, so they are
-        replayed into the view at its next promotion.
-        """
-        meta = self._meta[name]
-        self._snapshot_view(view, meta, lambda part: True)
-        with self._lock:
-            self._views.pop(name, None)
-        meta.tier = "warm"
-        self.counters["demotions"] += 1
-        self._audit_tiering("demote", name, reason="hot_budget",
-                            score=score, nbytes=nbytes)
-        self._write_manifest()
-
-    def _audit_tiering(self, event: str, name: str, *, reason: str,
-                       score: float, nbytes: int) -> None:
-        """The one record of a tiering decision: the eviction score
-        (re-materialization cost per byte) beside the ledger's realized
-        net benefit, the two numbers that say whether the budget evicts
-        the right views."""
-        ledger = self.ledger
-        net = None if ledger is None else ledger.net_benefit(name)
-        self._audit(event, view=name, reason=reason, bytes=nbytes,
-                    score=score,
-                    net_benefit=None if net is None else round(net, 9),
-                    lineage_id=(None if ledger is None
-                                else ledger.current_id(name)))
-
-    def _eviction_score(self, name: str, num_keys: int,
-                        nbytes: int) -> float:
-        """Re-materialization cost per stored byte (evict the minimum).
-
-        ``num_keys x per-tuple cost`` is Eq. 3's reuse saving for the
-        view's materialized tuples; dividing by the serialized footprint
-        ranks views by how much recompute work each byte of budget is
-        protecting.  Cheap-to-recompute bulky views go first.
-        """
-        model, _video = parse_view_name(name)
-        cost = None
-        if self.cost_resolver is not None:
-            cost = self.cost_resolver(model or "")
-        if cost is None or cost <= 0:
-            cost = DEFAULT_PER_TUPLE_COST
-        return (num_keys * cost) / max(1, nbytes)
-
     def _remove_partition_files(self, meta: _ViewMeta) -> None:
         for part in meta.partitions.values():
             writer = self._wal_writers.pop(part.pid, None)
@@ -661,17 +438,6 @@ class DurableViewStore(ViewStore):
                     path.unlink()
                 except OSError:
                     pass
-
-    def _warm_file_bytes(self, meta: _ViewMeta) -> int:
-        total = 0
-        for part in meta.partitions.values():
-            for path in (part.snapshot_path(self.layout.root),
-                         part.wal_path(self.layout.root)):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    pass
-        return total
 
     # -- recovery ---------------------------------------------------------------
 
@@ -713,31 +479,26 @@ class DurableViewStore(ViewStore):
                        if current is not None else None)
             if payload.get("lineage_id") != live_id:
                 payload["status"] = "dropped"
-        manifest = self.layout.read_manifest()
-        self._build_metas(live, manifest)
+        self._build_metas(live, self.layout.read_manifest()["partitions"])
         report.stale_files_removed = self._sweep_stale_files()
-        self._replay_hot_views(report)
+        self._replay_views(report)
         report.views_recovered = len(self._meta)
-        report.warm_views = sum(1 for m in self._meta.values()
-                                if m.tier == "warm")
         report.udf_histories = len(self._udf_records)
         report.wall_seconds = time.perf_counter() - start
         if self._meta or report.problems:
             self._audit("recovery", **report.as_dict())
         return report
 
-    def _build_metas(self, live: dict[str, dict], manifest: dict) -> None:
-        partition_infos = dict(manifest["partitions"])
+    def _build_metas(self, live: dict[str, dict],
+                     manifest_partitions: dict[str, dict]) -> None:
+        partition_infos = dict(manifest_partitions)
         for pid in self.layout.scan_partition_files():
             partition_infos.setdefault(pid, {"id": pid})
         crc_to_name = {view_crc(name): name for name in live}
         for name, record in live.items():
-            declared = manifest["views"].get(name, {})
-            meta = _ViewMeta(name, record["gen"],
-                             list(record["key_columns"]),
-                             list(record["output_columns"]),
-                             tier=declared.get("tier", "hot"))
-            self._meta[name] = meta
+            self._meta[name] = _ViewMeta(name, record["gen"],
+                                         list(record["key_columns"]),
+                                         list(record["output_columns"]))
         for pid, info in partition_infos.items():
             parsed = parse_partition_id(pid)
             if parsed is None:
@@ -750,9 +511,6 @@ class DurableViewStore(ViewStore):
                                   snapshot_keys=int(
                                       info.get("snapshot_keys", 0)))
             self._meta[name].partitions[bucket] = part
-        for meta in self._meta.values():
-            meta.durable_keys = sum(p.snapshot_keys
-                                    for p in meta.partitions.values())
 
     def _sweep_stale_files(self) -> int:
         """Delete partition files whose (view, generation) is not live —
@@ -771,11 +529,10 @@ class DurableViewStore(ViewStore):
                     pass
         return removed
 
-    def _replay_hot_views(self, report: RecoveryReport) -> None:
+    def _replay_views(self, report: RecoveryReport) -> None:
         views = {name: MaterializedView(meta.name, meta.key_columns,
                                         meta.output_columns)
-                 for name, meta in self._meta.items()
-                 if meta.tier == "hot"}
+                 for name, meta in self._meta.items()}
         tasks = [(views[name], self._meta[name], part)
                  for name in views
                  for part in self._meta[name].partitions.values()]
@@ -796,7 +553,6 @@ class DurableViewStore(ViewStore):
             view.listener = self
             with self._lock:
                 self._views[name] = view
-            self._touch(name)
 
     def _replay_partition(self, view: MaterializedView, meta: _ViewMeta,
                           part: PartitionState
@@ -833,22 +589,12 @@ class DurableViewStore(ViewStore):
         part.records_since_snapshot = applied
         return applied, keys_added, torn, problem
 
-    def _load_view(self, meta: _ViewMeta) -> MaterializedView:
-        """Warm -> resident: snapshot + WAL replay of every partition
-        (every append is already in the files)."""
-        view = MaterializedView(meta.name, meta.key_columns,
-                                meta.output_columns)
-        for part in meta.partitions.values():
-            self._replay_partition(view, meta, part)
-        return view
-
     # -- manifest / audit -------------------------------------------------------
 
     def _write_manifest(self) -> None:
         views = [{"name": meta.name, "generation": meta.generation,
                   "key_columns": meta.key_columns,
-                  "output_columns": meta.output_columns,
-                  "tier": meta.tier}
+                  "output_columns": meta.output_columns}
                  for meta in self._meta.values()]
         partitions = [{"id": part.pid, "view": part.view,
                        "generation": part.generation,

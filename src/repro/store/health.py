@@ -134,11 +134,6 @@ def store_stats(path) -> dict:
     """Flat stats dict for ``repro store stats`` (read-only)."""
     layout = StoreLayout(path)
     report = check_store(path)
-    manifest = layout.read_manifest()
-    tiers = {"hot": 0, "warm": 0}
-    for record in manifest["views"].values():
-        tier = record.get("tier", "hot")
-        tiers[tier] = tiers.get(tier, 0) + 1
     audit_events = 0
     if layout.audit_path.exists():
         with open(layout.audit_path, encoding="utf-8") as handle:
@@ -147,8 +142,6 @@ def store_stats(path) -> dict:
         "path": report.root,
         "ok": report.ok,
         "views": report.views,
-        "hot_views": tiers.get("hot", 0),
-        "warm_views": tiers.get("warm", 0),
         "partitions": report.partitions,
         "wal_records": report.wal_records,
         "wal_bytes": report.wal_bytes,
@@ -177,7 +170,7 @@ def render_check(report: StoreCheckReport) -> str:
 
 def render_stats(stats: dict) -> str:
     lines = [f"store: {stats['path']}"]
-    for key in ("views", "hot_views", "warm_views", "partitions",
+    for key in ("views", "partitions",
                 "wal_records", "wal_bytes", "snapshot_bytes",
                 "udf_histories", "audit_events"):
         lines.append(f"  {key.replace('_', ' ')}: {stats[key]}")

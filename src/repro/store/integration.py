@@ -8,7 +8,7 @@ shard opens the pair — in memory, or durable with
 :class:`PersistentUdfManager` writing each post-union predicate through
 the store's control log and :func:`restore_udf_histories` replaying
 them — and :func:`attach_reuse_state` wires the opened store to its
-owner's catalog and lineage ledger.  An exported reuse state is such a
+owner's lineage ledger.  An exported reuse state is such a
 store too (:func:`copy_views`, ``EvaSession.save_reuse_state``).
 """
 
@@ -27,8 +27,6 @@ def open_view_store(config: EvaConfig) -> DurableViewStore:
         partition_frames=config.store_partition_frames,
         fsync_every=config.store_fsync_every,
         snapshot_interval=config.store_snapshot_interval,
-        hot_bytes=config.store_hot_bytes,
-        warm_bytes=config.store_warm_bytes,
         recovery_parallelism=config.store_recovery_parallelism)
 
 
@@ -44,11 +42,10 @@ def open_reuse_state(config: EvaConfig, symbolic
     return store, manager
 
 
-def attach_reuse_state(store: ViewStore, catalog, ledger) -> None:
-    """Wire an opened store to its owner: eviction prices views with the
-    catalog's believed per-tuple cost, and the lineage ledger hears of
-    every create and drop and gets back the records the store recovered."""
-    store.cost_resolver = catalog.per_tuple_cost
+def attach_reuse_state(store: ViewStore, ledger) -> None:
+    """Wire an opened store to its owner's lineage ledger: the ledger
+    hears of every create and drop and gets back the records the store
+    recovered."""
     if ledger is not None:
         store.ledger = ledger
         ledger.restore(store.recovered_lineage)

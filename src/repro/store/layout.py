@@ -5,7 +5,7 @@
     <store>/
       manifest.jsonl     # store_meta + one record per view and partition
       control.log        # WAL of create / drop / udf-history records
-      audit.jsonl        # append-only eviction / recovery audit trail
+      audit.jsonl        # append-only drop / recovery audit trail
       wal/<pid>.wal      # per-partition put WALs
       snapshots/<pid>.snap
 
@@ -17,10 +17,10 @@ one bucket's worth of entries.  Partition ids embed the CRC of the view
 name plus the view's generation — files from a dropped generation are
 recognizably stale even if a crash interrupted their deletion.
 
-The manifest is advisory (tier placement, file names for `store check`);
-the control log is the source of truth for which views/generations are
-live.  It is rewritten atomically (tmp + ``os.replace``) on structural
-changes, never appended.
+The manifest is advisory (a listing of views and partitions for
+`store check`); the control log is the source of truth for which
+views/generations are live.  It is rewritten atomically (tmp +
+``os.replace``) on structural changes, never appended.
 """
 
 from __future__ import annotations
@@ -232,7 +232,6 @@ class RecoveryReport:
     """What the startup pass found and repaired."""
 
     views_recovered: int = 0
-    warm_views: int = 0
     partitions_replayed: int = 0
     records_replayed: int = 0
     keys_recovered: int = 0
@@ -248,7 +247,6 @@ class RecoveryReport:
     def as_dict(self) -> dict:
         return {
             "views_recovered": self.views_recovered,
-            "warm_views": self.warm_views,
             "partitions_replayed": self.partitions_replayed,
             "records_replayed": self.records_replayed,
             "keys_recovered": self.keys_recovered,

@@ -211,14 +211,6 @@ class TestUdfRegistry:
         assert UdfDefinition("AnyDet", UdfKind.DETECTOR,
                              is_logical=True).is_expensive
 
-    def test_expensive_udfs_listing(self):
-        registry = UdfRegistry()
-        registry.register(UdfDefinition("A", UdfKind.BUILTIN,
-                                        per_tuple_cost=1e-9))
-        registry.register(UdfDefinition("B", UdfKind.PATCH_CLASSIFIER,
-                                        per_tuple_cost=0.01))
-        assert [u.name for u in registry.expensive_udfs()] == ["B"]
-
     def test_unknown_udf(self):
         with pytest.raises(CatalogError):
             UdfRegistry().get("nope")

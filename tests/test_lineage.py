@@ -91,14 +91,6 @@ class TestLedgerLifecycle:
         assert ledger.export_record("mv::det@tiny#g1") is not None
         assert len(ledger.export_records()) == 2
 
-    def test_eviction_status_and_first_drop_wins(self):
-        ledger = ViewLedger()
-        ledger.on_create("mv::det@tiny", None, None)
-        ledger.on_drop("mv::det@tiny", reason="evicted")
-        assert ledger.export_current("mv::det@tiny")["status"] == "evicted"
-        ledger.on_drop("mv::det@tiny")  # must not downgrade
-        assert ledger.export_current("mv::det@tiny")["status"] == "evicted"
-
     def test_unknown_probed_view_is_adopted(self):
         ledger = ViewLedger()
         qlin = QueryLineage()
@@ -295,7 +287,7 @@ class TestRestore:
         qlin.record_write("mv::det@tiny", 5, 5, 0, 4)
         qlin.record_probe("mv::det@tiny", 2, 0, 2)
         observe(ledger, qlin, client_id="c1")
-        ledger.on_drop("mv::det@tiny", reason="evicted")
+        ledger.on_drop("mv::det@tiny")
         ledger.on_create("mv::det@tiny", ["id"], ["label"])
         exported = ledger.export_records()
 
@@ -438,11 +430,11 @@ class TestRestartEquality:
 
 
 class TestReplayIsNotQueryWork:
-    """Snapshots and warm-tier promotions move stored entries around; a
-    query that happens to trigger one paid for none of them."""
+    """Snapshots move stored entries around; a query that happens to
+    trigger one paid for none of them."""
 
     @staticmethod
-    def _paid(path, video, *, demote_between=False, **store_config):
+    def _paid(path, video, **store_config):
         session = EvaSession(config=EvaConfig(
             store_mode="durable", store_path=str(path), **store_config))
         session.register_video(video)
@@ -450,32 +442,20 @@ class TestReplayIsNotQueryWork:
             session.execute(
                 "SELECT id FROM sparse CROSS APPLY ObjectDetector(frame) "
                 f"WHERE id >= {start} AND id < {start + 100}")
-            if demote_between and start == 0:
-                store = session.view_store
-                store.hot_budget = 1
-                store._maybe_evict()
-                store.hot_budget = 0
-                assert store.counters["demotions"] == 1
         paid = [(record["view"], record["invocations_paid"],
                  record["fresh_rows"])
                 for record in session.ledger.export_records()]
-        promotions = session.view_store.counters["promotions"]
         session.close()
-        return paid, promotions
+        return paid
 
-    def test_ledger_ignores_snapshots_and_promotions(
-            self, tmp_path, sparse_video):
-        expected, _ = self._paid(tmp_path / "rare", sparse_video,
-                                 store_snapshot_interval=4096)
+    def test_ledger_ignores_snapshots(self, tmp_path, sparse_video):
+        expected = self._paid(tmp_path / "rare", sparse_video,
+                              store_snapshot_interval=4096)
         [(_, invocations, rows)] = expected
         assert invocations == 200 and rows > 0
-        every_put, _ = self._paid(tmp_path / "every", sparse_video,
-                                  store_snapshot_interval=1)
+        every_put = self._paid(tmp_path / "every", sparse_video,
+                               store_snapshot_interval=1)
         assert every_put == expected
-        promoted, promotions = self._paid(tmp_path / "tiers", sparse_video,
-                                          demote_between=True)
-        assert promotions == 1
-        assert promoted == expected
 
 
 class TestDifferentialGuard:

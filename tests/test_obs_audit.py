@@ -167,35 +167,29 @@ class TestAuditTrail:
         json.dumps(event)
 
 
-class TestTieringAuditRecord:
-    """A tiering decision is recorded once, in the durable store's
-    ``audit.jsonl``, beside the ledger's view of the evicted view; its
-    eviction score and the ledger price the view with one ``c_e``."""
+class TestDurableStoreAudit:
+    """A durable store's ``audit.jsonl`` holds the store's own events
+    (recovery, drops), one record each; reuse decisions stay in the
+    session's trail."""
 
-    def test_demote_record_carries_the_ledger_economics(self, tmp_path,
-                                                         tiny_video):
+    def test_drop_record_beside_the_reuse_trail(self, tmp_path,
+                                                 tiny_video):
         import json
 
         session = EvaSession(config=EvaConfig(
             store_mode="durable", store_path=str(tmp_path / "store")))
         session.register_video(tiny_video)
         session.tracer.sink = InMemorySink()
-        store = session.view_store
-        assert store.cost_resolver == session.catalog.per_tuple_cost
         session.execute(Q1)
         session.execute(Q2)
-        name = store.names()[0]
-        store.hot_budget = 1
-        store._maybe_evict()
+        name = session.view_store.names()[0]
+        session.view_store.drop(name)
         session.close()
 
         lines = (tmp_path / "store" / "audit.jsonl").read_text()
-        demotes = [record for record in map(json.loads, lines.splitlines())
-                   if record["event"] == "demote"]
-        assert [record["view"] for record in demotes] == [name]
-        assert demotes[0]["lineage_id"] == session.ledger.current_id(name)
-        assert demotes[0]["net_benefit"] == round(
-            session.ledger.net_benefit(name), 9)
+        records = [json.loads(line) for line in lines.splitlines()]
+        assert [(record["event"], record["view"]) for record in records] \
+            == [("drop", name)]
         kinds = {event["kind"] for event in audit_events(session)}
         assert kinds <= {KIND_CLASSIFIER, KIND_DETECTOR,
                          KIND_MODEL_SELECTION, KIND_RANKING,

@@ -204,11 +204,9 @@ class TestPrometheus:
         view.put((1,), [{"label": "car"}])
         text = prometheus_text(store=store.store_snapshot())
         store.close()
-        assert 'eva_store_tier_views{tier="hot"} 1' in text
-        assert 'eva_store_tier_views{tier="warm"} 0' in text
-        assert 'eva_store_tier_bytes{tier="hot"}' in text
+        assert "eva_store_views 1\n" in text
+        assert f"eva_store_bytes {view.serialized_bytes()}\n" in text
         assert "eva_store_wal_records_total 1" in text
-        assert 'eva_store_evictions_total{reason="demoted"} 0' in text
         assert 'eva_store_recovery_info{stat="views_recovered"} 0' in text
         assert "# TYPE eva_store_wal_bytes gauge" in text
 
@@ -223,7 +221,7 @@ class TestPrometheus:
             server.register_video(tiny_video)
             server.connect("alice").execute(DETECT)
             text = server.prometheus_text()
-        assert 'eva_store_tier_views{tier="hot"}' in text
+        assert "eva_store_views " in text
         assert "eva_store_wal_records_total" in text
 
 

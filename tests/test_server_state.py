@@ -610,22 +610,15 @@ class TestSharedViewStore:
     HIT_MATRIX = {("c0", "c0"): 300, ("c0", "c1"): 1132,
                   ("c1", "c0"): 962, ("c1", "c1"): 50}
 
-    def test_two_client_server_hit_matrix(self):
-        """The hit matrix and rows of a two-client ``EvaServer`` run."""
-        _, snapshot, digest = self.run_hit_matrix_queries()
-        assert snapshot.cross_client_hits == self.HIT_MATRIX
-        assert digest == "e373fd587fee1ec3"
-
-    def test_tiered_server_keeps_the_hit_matrix(self, tmp_path):
-        """A one-byte hot tier demotes every view but the one in use and
-        promotes each on its next probe (a new view object replaying its
-        snapshot and WAL): owners are kept by view name and ordinal, so
-        the hit matrix and the rows are the untiered server's."""
-        server, snapshot, digest = self.run_hit_matrix_queries(EvaConfig(
-            store_mode="durable", store_path=str(tmp_path / "store"),
-            store_hot_bytes=1))
-        counters = server.state.view_store.base.counters
-        assert counters["demotions"] > 0 and counters["promotions"] > 0
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["memory", "durable"])
+    def test_two_client_server_hit_matrix(self, durable, tmp_path):
+        """The hit matrix and rows of a two-client ``EvaServer`` run,
+        over an in-memory and over a durable store."""
+        config = EvaConfig(store_mode="durable",
+                           store_path=str(tmp_path / "store")) \
+            if durable else None
+        _, snapshot, digest = self.run_hit_matrix_queries(config)
         assert snapshot.cross_client_hits == self.HIT_MATRIX
         assert digest == "e373fd587fee1ec3"
 
@@ -994,7 +987,7 @@ def test_pool_forwards_each_control_and_client_method(tmp_path):
         assert sorted(sum(pool._each_worker("clients"), [])) == ["c0"]
         assert pool.profile_snapshot().models
         snapshot = pool.store_snapshot()
-        assert snapshot.hot_views + snapshot.warm_views >= 1
+        assert snapshot.views >= 1
         assert any(record["view"].startswith("mv::")
                    for record in pool.lineage_records())
         assert pool.trace_events()
