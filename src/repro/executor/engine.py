@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from repro.errors import ExecutorError
 from repro.executor.context import ExecutionContext
-from repro.executor.fusion import build_pipeline, streaming_suffix_start
+from repro.executor.fusion import (build_pipeline, fusion_key,
+                                   streaming_suffix_start)
 from repro.executor.operators import (
     DistinctOperator,
     GroupByOperator,
@@ -49,11 +50,20 @@ class ExecutionEngine:
     def __init__(self, context: ExecutionContext):
         self.context = context
 
-    def build(self, plan: PhysicalPlan) -> Operator:
+    def fusion_key(self, plan: PhysicalPlan) -> tuple:
+        """The kernel-cache key of ``plan``'s streaming suffix; a caller
+        that runs one plan many times computes it once and passes it to
+        :meth:`run`."""
+        chain = list(walk_plan(plan))
+        return fusion_key(chain[streaming_suffix_start(chain):],
+                          self.context.config)
+
+    def build(self, plan: PhysicalPlan,
+              fusion_key: tuple | None = None) -> Operator:
         chain = list(walk_plan(plan))
         split = streaming_suffix_start(chain)
-        root = self.built(chain[split], build_pipeline(chain[split:],
-                                                       self.context))
+        root = self.built(chain[split], build_pipeline(
+            chain[split:], self.context, fusion_key))
         for node in reversed(chain[:split]):
             operator = BLOCKING_OPERATORS.get(type(node))
             if operator is None:
@@ -67,13 +77,16 @@ class ExecutionEngine:
         instrumented engine wraps it)."""
         return operator
 
-    def run(self, plan: PhysicalPlan) -> Batch:
-        """Execute ``plan`` to completion and return the result batch."""
+    def run(self, plan: PhysicalPlan,
+            fusion_key: tuple | None = None) -> Batch:
+        """Execute ``plan`` to completion and return the result batch.
+        ``fusion_key`` is :meth:`fusion_key` of ``plan``, when known."""
         if self.context.config.execution_mode == "row":
             return Reference(self.context.storage,
                              self.context.catalog).run(plan)
-        return self.execute(plan)
+        return self.execute(plan, fusion_key)
 
-    def execute(self, plan: PhysicalPlan) -> Batch:
+    def execute(self, plan: PhysicalPlan,
+                fusion_key: tuple | None = None) -> Batch:
         """Run ``plan`` on the engine, whatever the execution mode."""
-        return self.build(plan).run_to_completion()
+        return self.build(plan, fusion_key).run_to_completion()

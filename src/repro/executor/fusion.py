@@ -465,18 +465,21 @@ class FusedPipelineOperator(Operator):
         return batch
 
 
-def build_pipeline(chain: list[PhysicalPlan], context: ExecutionContext
-                   ) -> FusedPipelineOperator:
+def build_pipeline(chain: list[PhysicalPlan], context: ExecutionContext,
+                   key: tuple | None = None) -> FusedPipelineOperator:
     """The pipeline operator for a streaming ``chain`` (scan last).
 
-    The compiled plan comes from the context's :class:`KernelCache`;
-    a context without one compiles the chain for this build alone.
+    The compiled plan comes from the context's :class:`KernelCache`,
+    under ``key`` — ``fusion_key(chain, context.config)``, computed here
+    when not given; a context without a cache compiles the chain for
+    this build alone.
     """
     cache: KernelCache | None = context.kernel_cache
     if cache is None:
         fused = compile_fused_plan(chain, context)
     else:
-        key = fusion_key(chain, context.config)
+        if key is None:
+            key = fusion_key(chain, context.config)
         fused = cache.lookup(key)
         if fused is None:
             fused = compile_fused_plan(chain, context)

@@ -78,8 +78,9 @@ class InstrumentedEngine(ExecutionEngine):
         #: instead of silently dropping them.
         self.fused_markers: dict[int, str] = {}
 
-    def run(self, plan: PhysicalPlan) -> Batch:
-        return self.execute(plan)
+    def run(self, plan: PhysicalPlan,
+            fusion_key: tuple | None = None) -> Batch:
+        return self.execute(plan, fusion_key)
 
     def built(self, node: PhysicalPlan, operator: Operator) -> Operator:
         wrapper = InstrumentedOperator(operator, self.context)

@@ -27,36 +27,74 @@ class UdfInvocationStats:
     per_tuple_cost: float = 0.0
     total_invocations: int = 0
     reused_invocations: int = 0
-    #: video name -> the distinct input keys seen on that video.
+    #: video name -> the distinct int keys (frame ids, packed patch keys)
+    #: seen on that video, sorted, as one int64 array.
+    _distinct_ints: dict[str, np.ndarray] = field(default_factory=dict,
+                                                  repr=False)
+    #: video name -> the distinct keys of any other kind (key tuples).
     _distinct_keys: dict[str, set] = field(default_factory=dict,
                                            repr=False)
 
     @property
     def distinct_invocations(self) -> int:
-        return sum(map(len, self._distinct_keys.values()))
+        return (sum(map(len, self._distinct_ints.values()))
+                + sum(map(len, self._distinct_keys.values())))
 
     def record(self, keys, reused: bool, video: str = "") -> None:
         """Record a batch of invocations on ``video`` identified by
-        hashable ``keys`` — or by an int array of frame ids, the same
-        inputs as those ids as Python ints."""
+        hashable ``keys`` — or by an int array, the same inputs as its
+        ints.  An int key counts once however it arrives."""
         count = len(keys)
         self.total_invocations += count
         if reused:
             self.reused_invocations += count
         if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
-        self._distinct_keys.setdefault(video, set()).update(keys)
+            self._add_ints(video, keys)
+            return
+        ints = [key for key in keys if isinstance(key, int)]
+        if ints:
+            self._add_ints(video, np.array(ints, dtype=np.int64))
+        if len(ints) < count:
+            self._distinct_keys.setdefault(video, set()).update(
+                key for key in keys if not isinstance(key, int))
+
+    def _add_ints(self, video: str, keys: np.ndarray) -> None:
+        """Merge the int keys ``video`` has not seen yet into its sorted
+        array: one probe of the array, and a copy only when a key is
+        new."""
+        seen = self._distinct_ints.get(video)
+        if seen is not None and len(seen):
+            at = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+            keys = keys[seen[at] != keys]
+            if not len(keys):
+                return
+        fresh = _sorted_distinct(keys)
+        self._distinct_ints[video] = fresh if seen is None else np.insert(
+            seen, np.searchsorted(seen, fresh), fresh)
 
     def merge(self, other: "UdfInvocationStats") -> None:
         """Fold ``other``'s counts and distinct keys into this one."""
         self.total_invocations += other.total_invocations
         self.reused_invocations += other.reused_invocations
+        for video, keys in other._distinct_ints.items():
+            seen = self._distinct_ints.get(video)
+            self._distinct_ints[video] = keys if seen is None \
+                else _sorted_distinct(np.concatenate((seen, keys)))
         for video, keys in other._distinct_keys.items():
             self._distinct_keys.setdefault(video, set()).update(keys)
 
     @property
     def executed_invocations(self) -> int:
         return self.total_invocations - self.reused_invocations
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted, each once.  (Not ``np.unique``: its first call
+    imports ``numpy.ma``, a megabyte of resident memory.)"""
+    ordered = np.sort(keys)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
 
 
 @dataclass

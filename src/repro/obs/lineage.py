@@ -508,12 +508,6 @@ class ViewLedger:
             return [self._records[k].export()
                     for k in sorted(self._records)]
 
-    def net_benefit(self, name: str) -> float | None:
-        """Net benefit of the live generation of ``name``, if tracked."""
-        with self._lock:
-            record = self._current(name)
-            return record.net_benefit if record is not None else None
-
     def ranking(self) -> list[dict]:
         """Records ranked by ``net_benefit`` (descending, id tiebreak)."""
         records = self.export_records()

@@ -46,7 +46,7 @@ from repro.obs.profiler import ProfileStore
 from repro.obs.slo import SloTracker
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
-from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.optimizer import OptimizedQuery, Optimizer
 from repro.optimizer.udf_manager import UdfManager
 from repro.parser.ast_nodes import (
     CreateUdfStatement,
@@ -172,6 +172,24 @@ class SessionState:
         return state
 
 
+class _PlanEntry:
+    """One plan-cache entry: a SELECT's parsed statement and optimized
+    plan, the :class:`UdfManager` version it was planned at (None with
+    the cache off), and what its runs may reuse — its kernel-cache key,
+    and whether its ``p_u`` updates are recorded at that version."""
+
+    __slots__ = ("version", "statement", "optimized", "fusion_key",
+                 "recorded")
+
+    def __init__(self, version: int | None, statement: SelectStatement,
+                 optimized: OptimizedQuery):
+        self.version = version
+        self.statement = statement
+        self.optimized = optimized
+        self.fusion_key: tuple | None = None
+        self.recorded = False
+
+
 class EvaSession:
     """One VDBMS instance: catalog + storage + optimizer + executor."""
 
@@ -223,10 +241,9 @@ class EvaSession:
         self.engine = ExecutionEngine(self.context)
         #: The OptimizedQuery of the most recent SELECT (introspection).
         self.last_optimized = None
-        #: LRU plan cache: query text -> (UdfManager version,
-        #: OptimizedQuery); bounded by ``config.plan_cache_size``.
-        self._plan_cache: OrderedDict[str, tuple[int, object]] = \
-            OrderedDict()
+        #: LRU plan cache: query text -> :class:`_PlanEntry`; bounded by
+        #: ``config.plan_cache_size``.
+        self._plan_cache: OrderedDict[str, _PlanEntry] = OrderedDict()
         if register_standard_udfs:
             self.register_standard_udfs()
         if not state.shared:
@@ -297,7 +314,10 @@ class EvaSession:
         # statement up front: only SELECTs produce flight records, and a
         # stale wait must never leak onto a later query.
         queue_wait_s = self.flight.take_queue_wait()
-        statement = parse(sql)
+        # Only text that parsed as a SELECT is ever cached, so a cached
+        # entry's statement is what parsing the text again would give.
+        entry = self._plan_cache.get(sql)
+        statement = parse(sql) if entry is None else entry.statement
         if isinstance(statement, CreateUdfStatement):
             return self._execute_create_udf(statement)
         if isinstance(statement, SelectStatement):
@@ -364,28 +384,27 @@ class EvaSession:
             with tracer.span("query", sql=sql) as root:
                 self.metrics.begin_query(sql, self.clock)
                 before = self.clock.snapshot()
-                optimized = self._cached_plan(sql)
-                cache_hit = optimized is not None
-                if optimized is None:
+                entry = self._cached_plan(sql)
+                cache_hit = entry is not None
+                if entry is None:
+                    version = self.udf_manager.version \
+                        if self._plan_cache_enabled else None
                     with tracer.span("optimize"):
                         with self.clock.measure(CostCategory.OPTIMIZE):
                             optimized = self.optimizer.optimize(
                                 statement, tracer=tracer)
                     self._count_memo(optimized)
-                    self._cache_plan(sql, optimized)
+                    entry = _PlanEntry(version, statement, optimized)
+                    self._cache_plan(sql, entry)
+                optimized = entry.optimized
                 self.last_optimized = optimized
                 self._emit_audit(optimized)
                 with tracer.span("execute"):
-                    batch = self._run_plan(optimized.plan)
-                # p_u := UNION(p_u, q) for every UDF whose results were
-                # stored.
+                    batch = self._run_plan(entry)
                 with tracer.span("record-updates",
                                  updates=len(optimized.updates)):
                     with self.clock.measure(CostCategory.OPTIMIZE):
-                        for update in optimized.updates:
-                            self.udf_manager.record_execution(
-                                update.signature, update.guard,
-                                update.per_tuple_cost)
+                        self._record_updates(entry)
                 exhausted = budget_exhaustions() - exhaustions_before
                 if exhausted:
                     # Process-wide deltas: under a server, concurrent
@@ -517,8 +536,24 @@ class EvaSession:
             views=views,
         )
 
-    def _run_plan(self, plan):
-        """Run ``plan``, capturing per-operator spans when asked to.
+    def _record_updates(self, entry: _PlanEntry) -> None:
+        """p_u := UNION(p_u, q) for every UDF whose results the plan
+        stored, unless this plan recorded them at the version the manager
+        still has: no ``p_u`` changed since (any change bumps the
+        version) and UNION is deterministic, so it would change nothing.
+        """
+        manager = self.udf_manager
+        if entry.recorded and entry.version == manager.version:
+            return
+        for update in entry.optimized.updates:
+            manager.record_execution(update.signature, update.guard,
+                                     update.per_tuple_cost)
+        if self._plan_cache_enabled:
+            entry.recorded = entry.version == manager.version
+
+    def _run_plan(self, entry: _PlanEntry):
+        """Run ``entry``'s plan, capturing per-operator spans when asked
+        to.
 
         With ``tracer.capture_operators`` set (``repro trace``), the plan
         runs under the instrumented engine and each operator's *self*
@@ -527,13 +562,16 @@ class EvaSession:
         the plan tree.
         """
         tracer = self.tracer
+        plan = entry.optimized.plan
+        if entry.fusion_key is None:
+            entry.fusion_key = self.engine.fusion_key(plan)
         if not (tracer.enabled and tracer.capture_operators):
             self._last_operator_stats = []
-            return self.engine.run(plan)
+            return self.engine.run(plan, fusion_key=entry.fusion_key)
         from repro.executor.instrument import InstrumentedEngine
 
         engine = InstrumentedEngine(self.context)
-        batch = engine.run(plan)
+        batch = engine.run(plan, fusion_key=entry.fusion_key)
         operator_stats = engine.operator_stats(plan)
         self._last_operator_stats = operator_stats
         self.profiler.observe_operator_stats(operator_stats)
@@ -675,20 +713,18 @@ class EvaSession:
     def _plan_cache_enabled(self) -> bool:
         return self.config.plan_cache_size > 0
 
-    def _cached_plan(self, sql: str):
-        """A still-valid cached plan for ``sql``, refreshing its LRU slot."""
-        if not self._plan_cache_enabled:
-            return None
-        cached = self._plan_cache.get(sql)
-        if cached is None or cached[0] != self.udf_manager.version:
+    def _cached_plan(self, sql: str) -> _PlanEntry | None:
+        """A still-valid cache entry for ``sql``, refreshing its LRU slot."""
+        entry = self._plan_cache.get(sql)
+        if entry is None or entry.version != self.udf_manager.version:
             return None
         self._plan_cache.move_to_end(sql)
-        return cached[1]
+        return entry
 
-    def _cache_plan(self, sql: str, optimized) -> None:
+    def _cache_plan(self, sql: str, entry: _PlanEntry) -> None:
         if not self._plan_cache_enabled:
             return
-        self._plan_cache[sql] = (self.udf_manager.version, optimized)
+        self._plan_cache[sql] = entry
         self._plan_cache.move_to_end(sql)
         while len(self._plan_cache) > self.config.plan_cache_size:
             self._plan_cache.popitem(last=False)

@@ -607,6 +607,7 @@ class DurableViewStore(ViewStore):
 
     def _audit(self, event: str, **fields) -> None:
         if self._audit_handle is None:
+            self._audit_seq = self._last_audit_seq()
             self._audit_handle = open(self.layout.audit_path, "a",
                                       encoding="utf-8")
         self._audit_seq += 1
@@ -614,3 +615,17 @@ class DurableViewStore(ViewStore):
                   "event": event, **fields}
         self._audit_handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._audit_handle.flush()
+
+    def _last_audit_seq(self) -> int:
+        """The ``seq`` of the trail's last whole record, 0 when it has
+        none, so a reopened store numbers on where the last one stopped."""
+        try:
+            lines = self.layout.audit_path.read_bytes().splitlines()
+        except FileNotFoundError:
+            return 0
+        for line in reversed(lines):
+            try:
+                return int(json.loads(line)["seq"])
+            except (ValueError, KeyError, TypeError):
+                continue  # a torn or foreign line
+        return 0

@@ -6,6 +6,8 @@ and server-wide metrics merge the per-video key sets of every client."""
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import EvaConfig
 from repro.metrics import UdfInvocationStats
@@ -113,3 +115,56 @@ class TestUdfInvocationStatsMerge:
         left.merge(right)
         assert (left.total_invocations, left.reused_invocations,
                 left.distinct_invocations) == (5, 2, 4)
+
+
+#: Frame ids collide often; packed patch keys span int64.
+_INTS = st.integers(0, 40) | st.integers(0, 2**62)
+_TUPLES = st.tuples(st.integers(0, 40),
+                    st.tuples(*[st.integers(0, 3)] * 4))
+_RECORDS = st.tuples(
+    st.sampled_from(["array", "ints", "mixed"]),
+    st.sampled_from(["a", "b"]),
+    st.lists(_INTS, max_size=12),
+    st.lists(_TUPLES, max_size=4),
+    st.booleans())
+
+
+def _apply(stats: UdfInvocationStats, reference: dict, record) -> None:
+    """One record into ``stats`` and into the plain-set ``reference``."""
+    kind, video, ints, tuples, reused = record
+    if kind == "array":
+        keys = np.array(ints, dtype=np.int64)
+    elif kind == "ints":
+        keys = list(ints)
+    else:  # a patch classifier's list: packed ints and key tuples
+        keys = list(ints) + list(tuples)
+    stats.record(keys, reused=reused, video=video)
+    reference.setdefault(video, set()).update(
+        keys.tolist() if isinstance(keys, np.ndarray) else keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(
+    _RECORDS.map(lambda record: ("record", record)),
+    st.lists(_RECORDS, max_size=4).map(lambda records: ("merge", records))),
+    max_size=12))
+def test_distinct_invocations_match_a_plain_set(steps):
+    """Int arrays, Python-int lists, key tuples and merges, in any order
+    over two videos, count what one set of keys per video counts."""
+    stats, reference, total = UdfInvocationStats("m"), {}, 0
+    for kind, payload in steps:
+        if kind == "record":
+            _apply(stats, reference, payload)
+            total += len(payload[2]) + (len(payload[3])
+                                        if payload[0] == "mixed" else 0)
+        else:
+            other, other_reference = UdfInvocationStats("m"), {}
+            for record in payload:
+                _apply(other, other_reference, record)
+            stats.merge(other)
+            total += other.total_invocations
+            for video, keys in other_reference.items():
+                reference.setdefault(video, set()).update(keys)
+        assert stats.distinct_invocations == \
+            sum(map(len, reference.values()))
+        assert stats.total_invocations == total

@@ -121,8 +121,6 @@ class TestEquation3Accounting:
         assert record["saved_vs"] == pytest.approx(saved)
         assert record["materialize_vs"] == pytest.approx(cost)
         assert record["net_benefit"] == pytest.approx(saved - cost)
-        assert ledger.net_benefit("mv::det@tiny") == \
-            pytest.approx(saved - cost)
         assert record["readers"] == {"c1": 80}
         assert record["last_access_seq"] == 2
 

@@ -182,3 +182,168 @@ class TestPlanCacheBound:
         for limit in range(1, 21):
             session.execute(_query(limit))
         assert len(session._plan_cache) == 20  # nothing evicted at 128
+
+
+class _Spies:
+    """Counts calls to the work a plan-cache hit should skip: parsing the
+    text, building the kernel-cache key, and recording ``p_u`` updates."""
+
+    def __init__(self, monkeypatch):
+        import repro.executor.engine as engine_module
+        import repro.executor.fusion as fusion_module
+        import repro.session as session_module
+
+        self.calls = {"parse": 0, "fusion_key": 0, "record_execution": 0}
+
+        def spy(name, func):
+            def wrapper(*args, **kwargs):
+                self.calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(session_module, "parse",
+                            spy("parse", session_module.parse))
+        for module in (engine_module, fusion_module):
+            monkeypatch.setattr(module, "fusion_key",
+                                spy("fusion_key", module.fusion_key))
+        monkeypatch.setattr(UdfManager, "record_execution", spy(
+            "record_execution", UdfManager.record_execution))
+
+
+def _settled(tiny_video) -> EvaSession:
+    """An EVA session in which QUERY is fully materialized and cached."""
+    session = _session(tiny_video, ReusePolicy.EVA)
+    for _ in range(3):
+        session.execute(QUERY)
+    return session
+
+
+class TestHitPath:
+    """A valid hit does only the query's data work."""
+
+    def test_valid_hit_parses_keys_and_records_nothing(
+            self, tiny_video, monkeypatch):
+        session = _settled(tiny_video)
+        plan = session.last_optimized
+        expected = session.execute(QUERY).rows
+        spies = _Spies(monkeypatch)
+        assert session.execute(QUERY).rows == expected
+        assert session.last_optimized is plan
+        assert spies.calls == {"parse": 0, "fusion_key": 0,
+                               "record_execution": 0}
+
+    def test_hit_after_a_p_u_change_replans_and_records(
+            self, tiny_video, monkeypatch):
+        session = _settled(tiny_video)
+        settled = session.last_optimized
+        version = session.udf_manager.version
+        session.execute(OTHER)  # widens the detector's and CarType's p_u
+        assert session.udf_manager.version > version
+        spies = _Spies(monkeypatch)
+        session.execute(QUERY)
+        replanned = session.last_optimized
+        assert replanned is not settled
+        # The stale entry still holds the statement: the text is not
+        # parsed again, but the new plan gets its own key and records.
+        assert spies.calls == {
+            "parse": 0, "fusion_key": 1,
+            "record_execution": len(replanned.updates)}
+        assert replanned.updates
+
+    def test_version_moved_during_the_run_records(self, tiny_video,
+                                                  monkeypatch):
+        """Another client's UNION lands while the hit runs: the session
+        records the plan's updates as it would without the cache."""
+        from repro.executor.engine import ExecutionEngine
+
+        session = _settled(tiny_video)
+        plan = session.last_optimized
+        run = ExecutionEngine.run
+
+        def run_and_bump(engine, *args, **kwargs):
+            session.udf_manager.version += 1
+            return run(engine, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionEngine, "run", run_and_bump)
+        spies = _Spies(monkeypatch)
+        session.execute(QUERY)
+        assert session.last_optimized is plan
+        assert spies.calls["record_execution"] == len(plan.updates) > 0
+
+    def test_a_failed_first_run_records_on_the_next_hit(
+            self, tiny_video, monkeypatch):
+        """The plan is cached before its first run; when that run fails,
+        the next hit still records its updates."""
+        from repro.executor.engine import ExecutionEngine
+
+        session = _session(tiny_video, ReusePolicy.NONE)
+        run = ExecutionEngine.run
+
+        def fail(engine, *args, **kwargs):
+            raise RuntimeError("lost")
+
+        monkeypatch.setattr(ExecutionEngine, "run", fail)
+        with pytest.raises(RuntimeError):
+            session.execute(QUERY)
+        monkeypatch.setattr(ExecutionEngine, "run", run)
+        plan = session.last_optimized
+        spies = _Spies(monkeypatch)
+        session.execute(QUERY)
+        session.execute(QUERY)
+        assert session.last_optimized is plan
+        assert spies.calls["record_execution"] == len(plan.updates)
+
+    def test_text_that_fails_to_parse_is_never_cached(self, tiny_video):
+        from repro.errors import EvaError
+
+        session = _session(tiny_video)
+        for _ in range(2):
+            with pytest.raises(EvaError):
+                session.execute("SELEC id FROM tiny;")
+        assert len(session._plan_cache) == 0
+
+
+#: Repeats that settle (the two two-conjunctive CarType queries of
+#: ``test_two_conjunctive_history_keeps_cached_plans`` among them), an
+#: EXPLAIN and SHOW UDFS in between, and wider windows that move a settled
+#: ``p_u`` on again.
+FIRST = QUERY.replace("label = 'car'", "label = 'car' AND area > 0.05")
+SECOND = FIRST.replace("id < 20", "id >= 30 AND id < 50") \
+    .replace("area > 0.05", "score > 0.5")
+SCRIPT = [FIRST, SECOND, FIRST, SECOND, FIRST, SECOND,
+          QUERY, QUERY, QUERY, "EXPLAIN " + QUERY, "SHOW UDFS;", QUERY,
+          OTHER, QUERY, QUERY, OTHER, FIRST, SECOND,
+          OTHER.replace("id < 40", "id < 80"), OTHER, QUERY]
+
+
+def _state(session) -> tuple:
+    from repro.symbolic.engine import predicate_key
+
+    views = {name: sorted(map(repr, session.view_store.get(name).items()))
+             for name in session.view_store.names()}
+    histories = {history.signature.key():
+                 predicate_key(history.aggregated_predicate)
+                 for history in session.udf_manager.histories()}
+    return views, histories, session.udf_manager.version
+
+
+def test_cached_session_matches_a_session_without_the_cache(
+        tiny_video, monkeypatch):
+    from repro.optimizer.optimizer import Optimizer
+
+    optimized: list[int] = []
+    optimize = Optimizer.optimize
+
+    def counting(optimizer, *args, **kwargs):
+        optimized.append(id(optimizer))
+        return optimize(optimizer, *args, **kwargs)
+
+    monkeypatch.setattr(Optimizer, "optimize", counting)
+    cached = _session(tiny_video, ReusePolicy.EVA)
+    uncached = _session(tiny_video, ReusePolicy.EVA, plan_cache_size=0)
+    for sql in SCRIPT:
+        assert cached.execute(sql).rows == uncached.execute(sql).rows, sql
+        assert _state(cached) == _state(uncached), sql
+    # The cache did serve hits in this script.
+    assert optimized.count(id(cached.optimizer)) \
+        < optimized.count(id(uncached.optimizer))

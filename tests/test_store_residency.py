@@ -182,6 +182,14 @@ class TestAuditAndManifest:
         assert recovery["views_recovered"] == 1
         assert recovery["keys_recovered"] == 40
 
+        # Numbering goes on across every close and reopen.
+        reopened = make_store(tmp_path)
+        reopened.drop("mv::cheap@tiny")
+        reopened.close()
+        seqs = [event["seq"] for event in audit_events(tmp_path)]
+        assert len(seqs) == 4
+        assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+
     def test_manifest_view_lines_carry_layout_only(self, tmp_path):
         store = make_store(tmp_path)
         fill(store, "cheap")
