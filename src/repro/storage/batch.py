@@ -37,6 +37,7 @@ the size of the buffers the codec writes for it
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 from itertools import chain
 from operator import attrgetter
@@ -584,6 +585,31 @@ def materialize_column(values) -> list:
     return list(values)
 
 
+class _CollectorPaused:
+    """Automatic cyclic collection off for a ``with`` block, if it was on.
+
+    A row holding a tracked value (a :class:`~repro.types.BoundingBox`)
+    is tracked itself, so building rows starts collections that walk
+    them and the rows already held, though rows make no cycle.  Per
+    thread: a thread that finds the collector off leaves it alone, so it
+    is never off past the block that turned it off (docs/execution.md,
+    "Result rows and the cyclic collector").  A class, not a generator:
+    a generator's exit allocates after ``gc.enable()``, which would run
+    the deferred young-generation pass before the block's caller resumes.
+    """
+
+    __slots__ = ("_paused",)
+
+    def __enter__(self) -> None:
+        self._paused = gc.isenabled()
+        if self._paused:
+            gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._paused:
+            gc.enable()
+
+
 def _view_take(values, indices: np.ndarray, memo: dict):
     """A view of ``values`` at ``indices``, flattening nested views.
 
@@ -757,7 +783,10 @@ class Batch:
                   ) -> list[tuple]:
         names = column_names if column_names is not None else self._names
         columns = [self.column(name) for name in names]
-        return list(zip(*columns)) if names else []
+        if not names:
+            return []
+        with _CollectorPaused():
+            return list(zip(*columns))
 
     # -- transforms ------------------------------------------------------------
 

@@ -94,9 +94,7 @@ class DurableViewStore(ViewStore):
         #: lineage_id -> latest persisted ledger export record (the
         #: ``op: "lineage"`` control-log upserts; see repro.obs.lineage).
         self._lineage_records: dict[str, dict] = {}
-        self.counters: dict[str, int] = {
-            "wal_records": 0, "snapshots": 0, "tombstones": 0,
-        }
+        self.counters: dict[str, int] = {"wal_records": 0, "snapshots": 0}
         self._meta: dict[str, _ViewMeta] = {}
         self._wal_writers: dict[str, WalWriter] = {}
         self._udf_records: dict[str, dict] = {}
@@ -169,7 +167,6 @@ class DurableViewStore(ViewStore):
                                   "gen": meta.generation})
             self._persist_lineage_status(name)
             self._control.flush()
-            self.counters["tombstones"] += 1
             self._remove_partition_files(meta)
             self._audit("drop", view=name)
             self._write_manifest()

@@ -125,7 +125,15 @@ def run_all_policies(video: SyntheticVideo, queries: list[str],
                      ) -> dict[ReusePolicy, WorkloadResult]:
     """Run the same workload under each policy, each from a clean state."""
     return {
-        policy: run_workload(video, queries,
-                             EvaConfig(reuse_policy=policy))
+        policy: run_workload(video, queries, _bench_config(policy))
         for policy in policies
     }
+
+
+def _bench_config(policy: ReusePolicy) -> EvaConfig:
+    """The paper's FunCache is a tuple-level function cache that never
+    evicts, so it runs uncapped (``funcache_max_entries=0``), not with
+    the LRU cap a long-lived session gets by default."""
+    if policy is ReusePolicy.FUNCACHE:
+        return EvaConfig(reuse_policy=policy, funcache_max_entries=0)
+    return EvaConfig(reuse_policy=policy)

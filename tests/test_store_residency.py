@@ -116,8 +116,7 @@ class TestStoreSnapshot:
         snap = store.store_snapshot()
         assert snap.views == 2
         assert snap.bytes == sum(v.serialized_bytes() for v in views)
-        assert snap.counters == {"wal_records": 80, "snapshots": 0,
-                                 "tombstones": 0}
+        assert snap.counters == {"wal_records": 80, "snapshots": 0}
         assert snap.wal_bytes > 0
         assert snap.snapshot_files == 0
         assert snap.snapshot_age_seconds is None
@@ -135,7 +134,6 @@ class TestStoreSnapshot:
         snap = store.store_snapshot()
         assert snap.views == 1
         assert snap.bytes == pricey.serialized_bytes()
-        assert snap.counters["tombstones"] == 1
         assert view_files(tmp_path, "mv::cheap@tiny") == []
         assert view_files(tmp_path, "mv::pricey@tiny")
         assert store.drop("mv::cheap@tiny") == 0
@@ -147,7 +145,6 @@ class TestStoreSnapshot:
         assert store.drop_all() == sum(v.serialized_bytes() for v in views)
         snap = store.store_snapshot()
         assert (snap.views, snap.bytes) == (0, 0)
-        assert snap.counters["tombstones"] == 2
         store.close()
         assert make_store(tmp_path).names() == []
 
@@ -213,13 +210,13 @@ def snapshot(views, bytes_, *, age=None, counters=None, recovery=None,
 class TestMergeStoreSnapshots:
     def test_views_bytes_files_and_counters_add(self):
         merged = merge_store_snapshots([
-            snapshot(2, 100, counters={"wal_records": 5, "tombstones": 1}),
+            snapshot(2, 100, counters={"wal_records": 5, "snapshots": 1}),
             snapshot(3, 50, counters={"wal_records": 7}),
         ], path="fleet")
         assert merged.path == "fleet"
         assert (merged.views, merged.bytes) == (5, 150)
         assert (merged.wal_bytes, merged.snapshot_files) == (50, 5)
-        assert merged.counters == {"wal_records": 12, "tombstones": 1}
+        assert merged.counters == {"wal_records": 12, "snapshots": 1}
         assert merged.recovery is None
 
     def test_oldest_age_wins_and_missing_shards_are_skipped(self):

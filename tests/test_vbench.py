@@ -78,6 +78,22 @@ class TestWorkloadRunner:
         reference = row_counts[ReusePolicy.NONE]
         assert all(counts == reference for counts in row_counts.values())
 
+    def test_funcache_baseline_runs_uncapped(self, bench_video,
+                                             monkeypatch):
+        """The paper's FunCache never evicts; the other policies keep
+        the default configuration."""
+        configs = {}
+
+        def capture(video, queries, config):
+            configs[config.reuse_policy] = config
+
+        monkeypatch.setattr("repro.vbench.workload.run_workload", capture)
+        run_all_policies(bench_video, ["SELECT id FROM bench;"])
+        assert set(configs) == set(ReusePolicy)
+        assert configs.pop(ReusePolicy.FUNCACHE).funcache_max_entries == 0
+        for policy, config in configs.items():
+            assert config == EvaConfig(reuse_policy=policy)
+
     def test_paper_shape_on_small_high_workload(self, bench_video):
         """EVA beats the baselines, which beat no-reuse (Fig. 5 shape)."""
         queries = vbench_high("bench", 700)
