@@ -279,10 +279,10 @@ def run_profile(policy_name: str, workload: str, frames: int,
         except EvaError as error:
             print(f"error: {error}", file=stdout)
             return 1
-    print(render_profile(session.profiler.snapshot(), top=top),
-          file=stdout)
+    print(render_profile(session.profiler.snapshot(), session.metrics,
+                         top=top), file=stdout)
     if jsonl is not None:
-        count = session.profiler.save_jsonl(jsonl)
+        count = session.profiler.save_jsonl(jsonl, session.metrics)
         print(f"-- {count} profile events written to {jsonl}",
               file=stdout)
     return 0

@@ -24,8 +24,9 @@ batch size — batching changes real seconds only.
 The ``udf_cost`` (c_e) argument of :meth:`CostModel.udf_predicate_cost`
 is supplied by the caller from ``Catalog.per_tuple_cost``: the zoo
 model's profiled per-tuple cost, the same number the executor charges
-per evaluated tuple.  The continuous profiler (:mod:`repro.obs.profiler`)
-reports the charged virtual seconds per executed invocation.
+per evaluated tuple.  The metrics collector records that cost once per
+model (``UdfInvocationStats.per_tuple_cost``), and ``repro profile``
+prints it beside the model's executed invocations.
 """
 
 from __future__ import annotations

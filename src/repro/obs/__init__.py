@@ -24,9 +24,9 @@ reuse decisions.  This package makes those signals first-class:
   seconds (the honest cost in this reproduction).
 * :mod:`repro.obs.schema` — a dependency-free JSON-schema validator for
   the exported JSONL event stream (used by CI and tests).
-* :mod:`repro.obs.profiler` — continuous profiling: rolling per-model /
-  per-operator rollups (:class:`~repro.obs.profiler.ProfileStore`) with
-  JSONL persistence, shared across all clients under the server.
+* :mod:`repro.obs.profiler` — continuous profiling: one session's
+  per-operator rollups (:class:`~repro.obs.profiler.ProfileStore`) and
+  the metrics collector's per-model table, exported as JSONL.
 * :mod:`repro.obs.chrome` — Chrome-trace / Perfetto export of recorded
   spans on a synthetic deterministic timeline.
 

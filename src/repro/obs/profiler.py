@@ -1,33 +1,29 @@
-"""Continuous profiling: rolling per-model / per-operator telemetry.
+"""Continuous profiling: per-operator self-time rollups plus the
+per-model table of the session's metrics collector.
 
 The tracer (:mod:`repro.obs.trace`) answers "what happened in *this*
-query"; the profiler answers "what has been happening *lately*".  A
-:class:`ProfileStore` accumulates two rollups across every executed
-query:
+query"; the profiler answers "where has the time been going".  A
+:class:`ProfileStore` folds, by operator label, the instrumented
+engine's :class:`~repro.executor.instrument.OperatorStats`: self wall
+seconds, self virtual seconds, rows, batches and kernel-mode counts.
+It fills only when the session runs instrumented (``repro profile`` /
+``repro trace`` set ``tracer.capture_operators``).
 
-* **per model** — invocation counts split into reused (served from
-  materialized views) vs executed (the model actually ran), plus the
-  virtual seconds the executor charged for the executed invocations.
-  The ratio ``virtual_seconds / executed`` is the *observed* per-tuple
-  cost — what evaluation costs on the simulation clock, the same
-  ``c_e`` the planner reads from ``Catalog.per_tuple_cost``.
-* **per operator** — self wall seconds, self virtual seconds, rows,
-  batches and kernel-mode counts, aggregated by operator label from
-  the instrumented engine's
-  :class:`~repro.executor.instrument.OperatorStats`.  Available whenever
-  the session runs instrumented (``repro profile`` / ``repro trace``
-  turn that on); the per-model rollup needs no instrumentation at all.
+The per-model table is not kept here.  The session's
+:class:`~repro.metrics.MetricsCollector` already counts each model's
+invocations, total and reused, and holds the per-tuple cost ``c_e`` the
+executor charged (``Catalog.per_tuple_cost``), so executed × ``c_e`` is
+the virtual time the model cost.  :func:`render_profile` and
+:meth:`ProfileStore.save_jsonl` read that table from the collector when
+they render it.
 
-The store is thread-safe (the server shares one across all clients) and
-persists to JSONL — one ``profile_meta`` header plus one
-``profile_model`` / ``profile_operator`` record per rollup entry — so
-profiles survive process restarts and merge across runs
-(:meth:`ProfileStore.load_jsonl` / :meth:`ProfileStore.merge`).
+The store is thread-safe and writes JSONL — one ``profile_meta`` header
+plus one ``profile_model`` / ``profile_operator`` record per row
+(``tests/schemas/profile.schema.json``).
 
-This module deliberately does **not** import the legacy
-:mod:`repro.metrics` collector (enforced by ``tests/test_obs_imports.py``):
-sessions push plain numbers into the store, keeping the two metric
-surfaces decoupled.
+This module deliberately does **not** import :mod:`repro.metrics`
+(enforced by ``tests/test_obs_imports.py``): it reads the collector's
+``udf_stats`` and ``query_metrics`` by duck typing.
 """
 
 from __future__ import annotations
@@ -36,54 +32,6 @@ import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-
-
-@dataclass
-class ModelProfile:
-    """Rolling invocation/cost telemetry for one physical model."""
-
-    model: str
-    #: Total invocations observed (#TI contribution).
-    invocations: int = 0
-    #: Invocations served from materialized views.
-    reused: int = 0
-    #: Virtual seconds the executor charged for executed invocations.
-    virtual_seconds: float = 0.0
-
-    @property
-    def executed(self) -> int:
-        """Invocations where the model actually ran."""
-        return self.invocations - self.reused
-
-    @property
-    def observed_per_tuple_cost(self) -> float | None:
-        """Observed c_e: charged virtual seconds per executed invocation.
-
-        ``None`` until at least one invocation executed (a 100% hit-rate
-        model never reveals its true cost).
-        """
-        if self.executed <= 0:
-            return None
-        return self.virtual_seconds / self.executed
-
-    @property
-    def hit_ratio(self) -> float:
-        if self.invocations <= 0:
-            return 0.0
-        return self.reused / self.invocations
-
-    def to_event(self) -> dict:
-        observed = self.observed_per_tuple_cost
-        return {
-            "type": "profile_model",
-            "model": self.model,
-            "invocations": self.invocations,
-            "reused": self.reused,
-            "executed": self.executed,
-            "virtual_seconds": round(self.virtual_seconds, 9),
-            "observed_per_tuple_cost": (round(observed, 12)
-                                        if observed is not None else None),
-        }
 
 
 @dataclass
@@ -118,8 +66,6 @@ class OperatorProfile:
 class ProfileSnapshot:
     """An immutable point-in-time copy of a :class:`ProfileStore`."""
 
-    queries: int
-    models: dict[str, ModelProfile]
     operators: dict[str, OperatorProfile]
 
     def top_operators(self, n: int = 10) -> list[OperatorProfile]:
@@ -127,44 +73,13 @@ class ProfileSnapshot:
         return sorted(self.operators.values(),
                       key=lambda p: (-p.self_wall_seconds, p.operator))[:n]
 
-    def top_models(self, n: int = 10) -> list[ModelProfile]:
-        """Models by charged virtual seconds, descending (name tiebreak)."""
-        return sorted(self.models.values(),
-                      key=lambda p: (-p.virtual_seconds, p.model))[:n]
-
 
 class ProfileStore:
-    """Thread-safe rollup store with JSONL persistence.
-
-    One store per session; the server replaces it with a single shared
-    instance so every client's telemetry lands in the same rollups
-    (mirroring how materialized views are shared).
-    """
+    """Thread-safe per-operator rollup store of one session."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._models: dict[str, ModelProfile] = {}
         self._operators: dict[str, OperatorProfile] = {}
-        self._queries = 0
-
-    # -- ingestion ----------------------------------------------------------
-
-    def observe_query(self) -> None:
-        with self._lock:
-            self._queries += 1
-
-    def observe_model(self, model: str, invocations: int, reused: int,
-                      virtual_seconds: float) -> None:
-        """Fold one query's invocation telemetry for ``model``."""
-        if invocations <= 0:
-            return
-        with self._lock:
-            profile = self._models.get(model)
-            if profile is None:
-                profile = self._models[model] = ModelProfile(model)
-            profile.invocations += invocations
-            profile.reused += reused
-            profile.virtual_seconds += virtual_seconds
 
     def observe_operator(self, operator: str, *, rows: int = 0,
                          batches: int = 0,
@@ -202,124 +117,67 @@ class ProfileStore:
                 kernel_mode=stats.kernel_mode,
             )
 
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def queries(self) -> int:
-        with self._lock:
-            return self._queries
-
     def snapshot(self) -> ProfileSnapshot:
         """A deep, immutable copy safe to read without the lock."""
         with self._lock:
-            models = {
-                name: ModelProfile(p.model, p.invocations, p.reused,
-                                   p.virtual_seconds)
-                for name, p in self._models.items()
-            }
-            operators = {
+            return ProfileSnapshot({
                 name: OperatorProfile(
                     p.operator, p.calls, p.rows, p.batches,
                     p.self_wall_seconds, p.self_virtual_seconds,
                     dict(p.kernel_modes))
                 for name, p in self._operators.items()
-            }
-            return ProfileSnapshot(self._queries, models, operators)
+            })
 
-    def top_operators(self, n: int = 10) -> list[OperatorProfile]:
-        return self.snapshot().top_operators(n)
-
-    def top_models(self, n: int = 10) -> list[ModelProfile]:
-        return self.snapshot().top_models(n)
-
-    # -- persistence --------------------------------------------------------
-
-    def events(self) -> list[dict]:
-        """The JSONL records for this store, deterministically ordered."""
-        snapshot = self.snapshot()
+    def events(self, metrics) -> list[dict]:
+        """The JSONL records of this store and of ``metrics`` (a
+        :class:`~repro.metrics.MetricsCollector`), deterministically
+        ordered."""
+        operators = self.snapshot().operators
+        models = _models(metrics)
         records: list[dict] = [{
             "type": "profile_meta",
-            "queries": snapshot.queries,
-            "models": len(snapshot.models),
-            "operators": len(snapshot.operators),
+            "queries": len(metrics.query_metrics),
+            "models": len(models),
+            "operators": len(operators),
         }]
-        for name in sorted(snapshot.models):
-            records.append(snapshot.models[name].to_event())
-        for name in sorted(snapshot.operators):
-            records.append(snapshot.operators[name].to_event())
+        for stats in models:
+            executed = stats.executed_invocations
+            records.append({
+                "type": "profile_model",
+                "model": stats.name,
+                "invocations": stats.total_invocations,
+                "reused": stats.reused_invocations,
+                "executed": executed,
+                "virtual_seconds": round(executed * stats.per_tuple_cost, 9),
+                "observed_per_tuple_cost": (round(stats.per_tuple_cost, 12)
+                                            if executed > 0 else None),
+            })
+        for name in sorted(operators):
+            records.append(operators[name].to_event())
         return records
 
-    def save_jsonl(self, path) -> int:
-        """Write the rollups as JSONL; returns the record count."""
-        records = self.events()
+    def save_jsonl(self, path, metrics) -> int:
+        """Write :meth:`events` as JSONL; returns the record count."""
+        records = self.events(metrics)
         text = "".join(json.dumps(r, sort_keys=True) + "\n"
                        for r in records)
         Path(path).write_text(text, encoding="utf-8")
         return len(records)
 
-    @classmethod
-    def load_jsonl(cls, path) -> "ProfileStore":
-        """Rebuild a store from :meth:`save_jsonl` output."""
-        store = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "profile_meta":
-                store._queries += int(record.get("queries", 0))
-            elif kind == "profile_model":
-                store.observe_model(
-                    record["model"], int(record["invocations"]),
-                    int(record["reused"]),
-                    float(record["virtual_seconds"]))
-            elif kind == "profile_operator":
-                profile = store._operators.get(record["operator"])
-                if profile is None:
-                    profile = store._operators[record["operator"]] = \
-                        OperatorProfile(record["operator"])
-                profile.calls += int(record["calls"])
-                profile.rows += int(record["rows"])
-                profile.batches += int(record["batches"])
-                profile.self_wall_seconds += \
-                    float(record["self_wall_seconds"])
-                profile.self_virtual_seconds += \
-                    float(record["self_virtual_seconds"])
-                for mode, count in record.get("kernel_modes", {}).items():
-                    profile.kernel_modes[mode] = \
-                        profile.kernel_modes.get(mode, 0) + int(count)
-        return store
 
-    def merge(self, other: "ProfileStore | ProfileSnapshot") -> None:
-        """Fold another store's rollups into this one."""
-        snapshot = (other.snapshot() if isinstance(other, ProfileStore)
-                    else other)
-        with self._lock:
-            self._queries += snapshot.queries
-        for name in sorted(snapshot.models):
-            p = snapshot.models[name]
-            self.observe_model(p.model, p.invocations, p.reused,
-                               p.virtual_seconds)
-        for name in sorted(snapshot.operators):
-            p = snapshot.operators[name]
-            with self._lock:
-                mine = self._operators.get(name)
-                if mine is None:
-                    mine = self._operators[name] = OperatorProfile(name)
-                mine.calls += p.calls
-                mine.rows += p.rows
-                mine.batches += p.batches
-                mine.self_wall_seconds += p.self_wall_seconds
-                mine.self_virtual_seconds += p.self_virtual_seconds
-                for mode, count in p.kernel_modes.items():
-                    mine.kernel_modes[mode] = \
-                        mine.kernel_modes.get(mode, 0) + count
+def _models(metrics) -> list:
+    """The collector's per-model stats of every model that ran, by
+    name."""
+    return [metrics.udf_stats[name] for name in sorted(metrics.udf_stats)
+            if metrics.udf_stats[name].total_invocations > 0]
 
 
-def render_profile(snapshot: ProfileSnapshot, top: int = 10) -> str:
-    """Human-readable profile tables (``repro profile`` output)."""
-    lines = [f"profile over {snapshot.queries} queries"]
+def render_profile(snapshot: ProfileSnapshot, metrics,
+                   top: int = 10) -> str:
+    """Human-readable profile tables (``repro profile`` output):
+    ``snapshot``'s operators and the models of ``metrics`` (a
+    :class:`~repro.metrics.MetricsCollector`)."""
+    lines = [f"profile over {len(metrics.query_metrics)} queries"]
     operators = snapshot.top_operators(top)
     if operators:
         lines.append("")
@@ -333,21 +191,22 @@ def render_profile(snapshot: ProfileSnapshot, top: int = 10) -> str:
                 f"  {p.operator:<20} {p.calls:>6} {p.rows:>10} "
                 f"{p.self_wall_seconds * 1000:>9.2f}ms "
                 f"{p.self_virtual_seconds:>10.3f}s {kernels}")
-    models = snapshot.top_models(top)
+    models = sorted(_models(metrics), key=lambda s: (
+        -s.executed_invocations * s.per_tuple_cost, s.name))[:top]
     if models:
         lines.append("")
         lines.append(f"top {len(models)} models by charged virtual time:")
         lines.append(f"  {'model':<24} {'invoked':>8} {'reused':>8} "
                      f"{'executed':>8} {'hit%':>6} {'virtual':>10} "
                      f"{'observed c_e':>12}")
-        for p in models:
-            observed = p.observed_per_tuple_cost
-            observed_text = (f"{observed:.6f}" if observed is not None
-                             else "-")
+        for s in models:
+            executed = s.executed_invocations
+            cost_text = f"{s.per_tuple_cost:.6f}" if executed > 0 else "-"
             lines.append(
-                f"  {p.model:<24} {p.invocations:>8} {p.reused:>8} "
-                f"{p.executed:>8} {p.hit_ratio * 100:>5.1f}% "
-                f"{p.virtual_seconds:>9.3f}s {observed_text:>12}")
+                f"  {s.name:<24} {s.total_invocations:>8} "
+                f"{s.reused_invocations:>8} {executed:>8} "
+                f"{s.reused_invocations / s.total_invocations * 100:>5.1f}% "
+                f"{executed * s.per_tuple_cost:>9.3f}s {cost_text:>12}")
     if not operators and not models:
         lines.append("(no telemetry recorded)")
     return "\n".join(lines)

@@ -163,48 +163,6 @@ def _expose_server(exp: _Exposition, snapshot) -> None:
                            client=client.client_id, outcome=outcome)
 
 
-def _expose_profile(exp: _Exposition, snapshot) -> None:
-    """Continuous-profiler rollups (:class:`~repro.obs.profiler.ProfileSnapshot`)."""
-    exp.header("eva_profile_queries_total",
-               "Queries observed by the continuous profiler", "counter")
-    exp.sample("eva_profile_queries_total", snapshot.queries)
-    if snapshot.operators:
-        exp.header("eva_profile_operator_self_seconds_total",
-                   "Per-operator self time from instrumented runs "
-                   "(kind=wall|virtual)", "counter")
-        for name in sorted(snapshot.operators):
-            op = snapshot.operators[name]
-            exp.sample("eva_profile_operator_self_seconds_total",
-                       op.self_wall_seconds, operator=name, kind="wall")
-            exp.sample("eva_profile_operator_self_seconds_total",
-                       op.self_virtual_seconds, operator=name,
-                       kind="virtual")
-        exp.header("eva_profile_operator_rows_total",
-                   "Rows produced per operator (instrumented runs)",
-                   "counter")
-        for name in sorted(snapshot.operators):
-            exp.sample("eva_profile_operator_rows_total",
-                       snapshot.operators[name].rows, operator=name)
-    if snapshot.models:
-        exp.header("eva_profile_model_invocations_total",
-                   "Model invocations observed by the profiler "
-                   "(disposition=total|reused|executed)", "counter")
-        for name in sorted(snapshot.models):
-            prof = snapshot.models[name]
-            exp.sample("eva_profile_model_invocations_total",
-                       prof.invocations, model=name, disposition="total")
-            exp.sample("eva_profile_model_invocations_total",
-                       prof.reused, model=name, disposition="reused")
-            exp.sample("eva_profile_model_invocations_total",
-                       prof.executed, model=name, disposition="executed")
-        exp.header("eva_profile_model_virtual_seconds_total",
-                   "Virtual seconds charged to executed model "
-                   "invocations", "counter")
-        for name in sorted(snapshot.models):
-            exp.sample("eva_profile_model_virtual_seconds_total",
-                       snapshot.models[name].virtual_seconds, model=name)
-
-
 def _expose_batcher(exp: _Exposition, snapshot) -> None:
     """Model-call totals (:class:`~repro.server.stats.BatcherSnapshot`)."""
     exp.header("eva_batcher_requests_total",
@@ -411,8 +369,7 @@ def _expose_slo(exp: _Exposition, snapshot) -> None:
 
 
 def prometheus_text(metrics=None, clock=None, server=None, *,
-                    profile=None, batcher=None,
-                    store=None, flight=None, slo=None,
+                    batcher=None, store=None, flight=None, slo=None,
                     views=None) -> str:
     """Render the exposition for any subset of metric sources.
 
@@ -422,8 +379,6 @@ def prometheus_text(metrics=None, clock=None, server=None, *,
         clock: a :class:`~repro.clock.SimulationClock` (category totals).
         server: a :class:`~repro.server.stats.ServerStatsSnapshot`
             (admission / backpressure / attribution counters).
-        profile: a :class:`~repro.obs.profiler.ProfileSnapshot`
-            (continuous-profiler operator/model rollups).
         batcher: a :class:`~repro.server.stats.BatcherSnapshot`
             (model-call and tuple totals).
         store: a :class:`~repro.store.StoreSnapshot` (durable
@@ -446,8 +401,6 @@ def prometheus_text(metrics=None, clock=None, server=None, *,
         _expose_server(exp, server)
         _expose_lock_waits(exp, getattr(server, "lock_waits", {}))
         _expose_admission_wait(exp, getattr(server, "admission_wait", {}))
-    if profile is not None:
-        _expose_profile(exp, profile)
     if batcher is not None:
         _expose_batcher(exp, batcher)
     if store is not None:

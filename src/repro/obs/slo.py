@@ -77,11 +77,10 @@ class HistogramSnapshot:
               ) -> "HistogramSnapshot":
         """Combine per-process snapshots into one fleet histogram.
 
-        Associative and commutative (same contract as
-        :meth:`~repro.obs.profiler.ProfileStore.merge`): bucket counts
-        add, min/max fold, and the quantiles are re-estimated from the
-        merged counts — *never* averaged from the inputs' quantiles,
-        which would not compose.  All inputs must share one bucket grid
+        Associative and commutative: bucket counts add, min/max fold,
+        and the quantiles are re-estimated from the merged counts —
+        *never* averaged from the inputs' quantiles, which would not
+        compose.  All inputs must share one bucket grid
         (every histogram in this codebase uses a fixed, config-free
         grid per call site, so worker processes always agree).
         """
@@ -126,11 +125,9 @@ class HistogramSnapshot:
 
 def _quantile_from_counts(buckets, counts, count: int, maximum: float,
                           q: float) -> float:
-    """Interpolated quantile over raw bucket counts (merge path).
-
-    Mirrors :meth:`LatencyHistogram._quantile_locked` exactly, so a
-    merged snapshot of one input equals that input.
-    """
+    """Interpolated quantile over raw bucket counts: linear within the
+    bucket holding the target rank, capped at ``maximum``; a rank in
+    the open +Inf bucket reports ``maximum``."""
     if count == 0:
         return 0.0
     rank = q * count
@@ -186,36 +183,12 @@ class LatencyHistogram:
             self._count += 1
             self._sum += value
 
-    def _quantile_locked(self, q: float) -> float:
-        if self._count == 0:
-            return 0.0
-        rank = q * self._count
-        cumulative = 0.0
-        for i, upper in enumerate(self._buckets):
-            previous = cumulative
-            cumulative += self._counts[i]
-            if cumulative >= rank:
-                if self._counts[i] == 0:
-                    return upper
-                lower = self._buckets[i - 1] if i else 0.0
-                fraction = (rank - previous) / self._counts[i]
-                return min(lower + (upper - lower) * fraction, self._max)
-        return self._max  # rank fell in the open +Inf bucket
-
-    def quantile(self, q: float) -> float:
-        """Estimated latency at quantile ``q`` (0 < q <= 1)."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError("quantile must be in (0, 1]")
-        with self._lock:
-            return self._quantile_locked(q)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
     def snapshot(self) -> HistogramSnapshot:
         with self._lock:
+            p50, p95, p99 = (
+                _quantile_from_counts(self._buckets, self._counts,
+                                      self._count, self._max, q)
+                for q in (0.50, 0.95, 0.99))
             return HistogramSnapshot(
                 buckets=self._buckets,
                 counts=tuple(self._counts),
@@ -223,9 +196,9 @@ class LatencyHistogram:
                 sum_seconds=self._sum,
                 min_seconds=self._min,
                 max_seconds=self._max,
-                p50=self._quantile_locked(0.50),
-                p95=self._quantile_locked(0.95),
-                p99=self._quantile_locked(0.99),
+                p50=p50,
+                p95=p95,
+                p99=p99,
             )
 
 

@@ -73,7 +73,6 @@ class SlowQueryLog:
         self.threshold = threshold
         self._entries: deque[SlowQueryEntry] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self.observed = 0
 
     def observe(self, query_text: str, virtual_seconds: float, *,
                 breakdown: dict | None = None,
@@ -89,8 +88,6 @@ class SlowQueryLog:
 
         Returns the entry when the query was slow, else None.
         """
-        with self._lock:
-            self.observed += 1
         if self.threshold is None or virtual_seconds < self.threshold:
             return None
         entry = SlowQueryEntry(

@@ -124,8 +124,7 @@ class Optimizer:
         One ``symbolic-memo`` record per pass that exercised the memo.
         Under a shared (server) engine the deltas can include concurrent
         clients' traffic — they are an attribution of *activity during*
-        this pass, not an exact per-pass ledger, which is the same
-        trade the shared profiler makes.
+        this pass, not an exact per-pass ledger.
         """
         delta = self.engine.memo_stats().delta(before)
         if delta.hits == 0 and delta.misses == 0:

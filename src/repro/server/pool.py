@@ -30,7 +30,7 @@ view-store partition per owned shard — and fronts them with:
   fail with :class:`~repro.errors.WorkerCrashedError` (never silently
   retried);
 * **fleet-wide observability** — per-worker ``ServerStats`` /
-  profiler / model-call / SLO / flight / ledger snapshots merge through
+  model-call / SLO / flight / ledger snapshots merge through
   the associative ``merge`` helpers into one view, so ``repro top``,
   the Prometheus exposition and the provenance ledger describe the
   whole fleet.
@@ -116,8 +116,8 @@ class WorkerSpec:
 SERVER_METHODS = frozenset({
     "set_peers", "register_video", "shutdown", "dump_views", "stats",
     "aggregate_metrics", "clock_breakdown", "queue_depth", "clients",
-    "profile_snapshot", "batcher_snapshot", "slo_snapshot", "flight_stats",
-    "store_snapshot", "ledger_snapshot", "lineage_records", "trace_events",
+    "batcher_snapshot", "slo_snapshot", "flight_stats", "store_snapshot",
+    "ledger_snapshot", "trace_events",
 })
 
 #: What a client may call, over its connection, on its worker-side
@@ -747,14 +747,6 @@ class PoolServer:
         """One clock totalling virtual time across the whole fleet."""
         return merged_clock(self._each_worker("clock_breakdown"))
 
-    def profile_snapshot(self):
-        from repro.obs.profiler import ProfileStore
-
-        merged = ProfileStore()
-        for snapshot in self._each_worker("profile_snapshot"):
-            merged.merge(snapshot)
-        return merged.snapshot()
-
     def batcher_snapshot(self) -> BatcherSnapshot:
         return BatcherSnapshot.merge(self._each_worker("batcher_snapshot"))
 
@@ -775,9 +767,6 @@ class PoolServer:
     def ledger_snapshot(self) -> list[dict]:
         return merge_ledger_snapshots(self._each_worker("ledger_snapshot"))
 
-    def lineage_records(self) -> list[dict]:
-        return merge_lineage_records(self._each_worker("lineage_records"))
-
     def trace_events(self, type: str | None = None) -> list[dict]:
         return [event for chunk in self._each_worker("trace_events", type)
                 for event in chunk]
@@ -797,7 +786,6 @@ class PoolServer:
             metrics=self.aggregate_metrics(),
             clock=self.aggregate_clock(),
             server=self.stats(),
-            profile=self.profile_snapshot(),
             batcher=self.batcher_snapshot(),
             store=self.store_snapshot(),
             flight=self.flight_stats(),
@@ -966,68 +954,6 @@ class PoolClientHandle:
 
 
 # -- ledger merges -------------------------------------------------------------
-
-#: Additive counter fields of one lineage export record.
-_LINEAGE_SUMS = ("invocations_paid", "fresh_rows", "materialize_vs",
-                 "hits", "misses", "rows_served", "saved_vs")
-
-
-def merge_lineage_records(record_lists) -> list[dict]:
-    """Fold per-worker ledger exports into one fleet-wide export.
-
-    Each worker's ledger sees its *own clients'* touches of a view
-    (lineage hooks fire on the probing worker), so per-``lineage_id``
-    counters add; creation metadata comes from whichever worker ran
-    the creating query; ``bytes`` takes the owner's figure (the max —
-    non-owners only observe, they never size it); reader maps add per
-    reader and edges union.
-    """
-    merged: dict[str, dict] = {}
-    for records in record_lists:
-        for record in records or []:
-            lineage_id = record["lineage_id"]
-            into = merged.get(lineage_id)
-            if into is None:
-                into = dict(record)
-                into["readers"] = dict(record.get("readers") or {})
-                into["edges"] = list(record.get("edges") or [])
-                merged[lineage_id] = into
-                continue
-            for fieldname in _LINEAGE_SUMS:
-                into[fieldname] = (into.get(fieldname, 0)
-                                   + record.get(fieldname, 0))
-            into["bytes"] = max(into.get("bytes", 0),
-                                record.get("bytes", 0))
-            if not (into.get("created") or {}).get("query") and \
-                    (record.get("created") or {}).get("query"):
-                into["created"] = record["created"]
-                into["status"] = record["status"]
-            for reader, count in (record.get("readers") or {}).items():
-                into["readers"][reader] = \
-                    into["readers"].get(reader, 0) + count
-            seen = {(e["source"], e["op"]) for e in into["edges"]}
-            for edge in record.get("edges") or []:
-                if (edge["source"], edge["op"]) not in seen:
-                    into["edges"].append(edge)
-                    seen.add((edge["source"], edge["op"]))
-            frames = [f for f in (into.get("frame_range"),
-                                  record.get("frame_range")) if f]
-            if frames:
-                into["frame_range"] = [min(f[0] for f in frames),
-                                       max(f[1] for f in frames)]
-            last = [s for s in (into.get("last_access_seq"),
-                                record.get("last_access_seq"))
-                    if s is not None]
-            into["last_access_seq"] = max(last) if last else None
-    for into in merged.values():
-        into["net_benefit"] = (into.get("saved_vs", 0.0)
-                               - into.get("materialize_vs", 0.0))
-        into["readers"] = {k: into["readers"][k]
-                           for k in sorted(into["readers"])}
-        into["edges"] = sorted(into["edges"],
-                               key=lambda e: (e["source"], e["op"]))
-    return [merged[k] for k in sorted(merged)]
-
 
 def merge_ledger_snapshots(snapshot_lists) -> list[dict]:
     """Fold per-worker ``ViewLedger.snapshot()`` gauge rows by id."""

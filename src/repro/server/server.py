@@ -356,16 +356,6 @@ class EvaServer:
         clock holds a lock; its breakdown can travel)."""
         return dict(self.aggregate_clock().breakdown())
 
-    def profile_snapshot(self):
-        """Point-in-time snapshot of the *shared* continuous profiler.
-
-        All clients roll their per-query model/operator telemetry into
-        one :class:`~repro.obs.profiler.ProfileStore` on the shared
-        state, so this is the server-wide profile, not any one
-        client's.
-        """
-        return self.state.profiler.snapshot()
-
     def batcher_snapshot(self) -> BatcherSnapshot:
         """Model calls and tuples across every client
         (:class:`~repro.server.stats.BatcherSnapshot`)."""
@@ -394,18 +384,11 @@ class EvaServer:
         ledger = self.state.ledger
         return ledger.snapshot() if ledger is not None else []
 
-    def lineage_records(self) -> list[dict]:
-        """All provenance records of the shared ledger
-        (:meth:`~repro.obs.lineage.ViewLedger.export_records`)."""
-        ledger = self.state.ledger
-        return ledger.export_records() if ledger is not None else []
-
     def prometheus_text(self) -> str:
         """The Prometheus exposition for the whole server: merged
         per-UDF #TI/#DI/hit-rate metrics, summed per-client virtual-time
-        categories, the admission/backpressure counters, the shared
-        continuous-profiler rollups, the model-call totals, and the
-        flight/SLO/lock-contention families."""
+        categories, the admission/backpressure counters, the model-call
+        totals, and the flight/SLO/lock-contention families."""
         from repro.obs.prometheus import prometheus_text
 
         metrics = self.aggregate_metrics()
@@ -413,7 +396,6 @@ class EvaServer:
             metrics=metrics,
             clock=self.aggregate_clock(),
             server=self.stats(),
-            profile=self.profile_snapshot(),
             batcher=BatcherSnapshot.of(metrics),
             store=self.store_snapshot(),
             flight=self.flight_stats(),

@@ -43,7 +43,6 @@ from repro.models.zoo import ModelZoo, default_zoo
 from repro.obs.flight import FlightStats
 from repro.obs.flight import record_lock_wait as _flight_lock_wait
 from repro.obs.lineage import ViewLedger
-from repro.obs.profiler import ProfileStore
 from repro.obs.sinks import TraceSink
 from repro.obs.slo import SloTracker
 from repro.obs.trace import Tracer
@@ -496,11 +495,6 @@ class SharedReuseState:
         #: cross-client benefit the ledger quantifies).
         self.ledger = ViewLedger() if self.config.view_ledger else None
         self._init_reuse_state()
-        #: One shared profile store: every client's per-model /
-        #: per-operator telemetry rolls up into the same continuous
-        #: profile (ProfileStore is internally thread-safe), mirroring
-        #: how materialized views are shared.
-        self.profiler = ProfileStore()
         #: Server-wide latency SLO tracking and flight-record rollups:
         #: one tracker/stats pair shared by every client session so
         #: quantiles, burn rates and dominant-stage counts describe the
@@ -556,11 +550,10 @@ class SharedReuseState:
         """A per-client :class:`SessionState` over the shared components.
 
         Shared: catalog, storage, view store (through this client's
-        attributed facade), UDF manager, symbolic engine, config, and
-        the continuous profile store (every client's telemetry rolls up
-        into one server-wide profile).  Private: virtual clock, metrics,
-        and tracer (and, inside the session, the plan cache and
-        optimizer instance).  ``trace_sink``
+        attributed facade), UDF manager, symbolic engine and config.
+        Private: virtual clock, metrics, tracer and operator profile
+        (and, inside the session, the plan cache and optimizer
+        instance).  ``trace_sink``
         is the server's shared export sink: per-client tracers stamp
         their ``client_id`` on every span, so one sink carries an
         attributed, interleaved event stream for the whole server.
@@ -577,7 +570,6 @@ class SharedReuseState:
             metrics=MetricsCollector(),
             tracer=Tracer(clock=clock, sink=trace_sink,
                           client_id=client_id),
-            profiler=self.profiler,
             slo=self.slo,
             flight_stats=self.flight_stats,
             kernel_cache=self.kernel_cache,

@@ -165,8 +165,7 @@ class ServerStatsSnapshot:
               ) -> "ServerStatsSnapshot":
         """Fold per-worker-process snapshots into one fleet snapshot.
 
-        Associative, same contract as
-        :meth:`~repro.obs.profiler.ProfileStore.merge`:
+        Associative:
 
         * lifecycle counters and reuse attribution add;
         * the QPS window is ``min(first_activity)`` to

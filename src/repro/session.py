@@ -107,10 +107,8 @@ class SessionState:
     #: overhead).  The server substitutes per-client tracers that share
     #: one export sink.
     tracer: Tracer | None = None
-    #: Rolling per-model / per-operator telemetry
-    #: (:mod:`repro.obs.profiler`).  Private per session by default; the
-    #: server substitutes one shared store so every client's telemetry
-    #: lands in the same rollups.
+    #: Per-operator self-time rollups (:mod:`repro.obs.profiler`); they
+    #: fill only while the tracer captures operators.
     profiler: ProfileStore = field(default_factory=ProfileStore)
     #: Latency SLO accounting (:class:`repro.obs.slo.SloTracker`).
     #: Private per session by default (built from the config's
@@ -416,7 +414,6 @@ class EvaSession:
                 reused = any(r.reused for r in optimized.audit)
                 root.tag(rows=batch.num_rows, cache_hit=cache_hit,
                          reused=reused)
-                self._observe_profile(query_metrics)
         except BaseException:
             self.flight.abort()
             raise
@@ -682,30 +679,6 @@ class EvaSession:
         )
         if entry is not None:
             self.tracer.emit_event(entry.to_event())
-
-    # -- continuous profiling ------------------------------------------------
-
-    def _observe_profile(self, query_metrics: QueryMetrics) -> None:
-        """Fold the finished query's telemetry into the profile store.
-
-        Per-model virtual seconds are reconstructed as ``executed
-        invocations x the model's charged per-tuple cost`` — exactly what
-        the executor charged to the simulation clock (it bills
-        ``len(batch) * per_tuple_cost`` per evaluated sub-batch), without
-        the profiler having to sit on the execution hot path.
-        """
-        profiler = self.profiler
-        profiler.observe_query()
-        for name in sorted(query_metrics.udf_counts):
-            count = query_metrics.udf_counts[name]
-            reused = query_metrics.reused_counts.get(name, 0)
-            executed = count - reused
-            try:
-                rate = self.catalog.zoo.get(name).per_tuple_cost
-            except Exception:
-                stats = self.metrics.udf_stats.get(name)
-                rate = stats.per_tuple_cost if stats is not None else 0.0
-            profiler.observe_model(name, count, reused, executed * rate)
 
     # -- plan cache ----------------------------------------------------------
 

@@ -160,16 +160,18 @@ class TestRuleII:
         assert session.catalog.per_tuple_cost("yolo_tiny") == 0.2
 
     def test_profile_observes_the_planner_cost(self, tiny_video):
-        """The profiler's observed ``c_e`` (charged seconds per executed
-        invocation) is the planner's, for every model that ran."""
+        """The ``c_e`` the metrics collector holds for a model (the one
+        ``repro profile`` prints) is the planner's, for every model that
+        ran."""
         session = _session(tiny_video, {"car_type": 0.03})
         session.execute(CLASSIFY)
-        models = session.profiler.snapshot().models
-        assert {"fasterrcnn_resnet50", "car_type"} <= set(models)
-        for name, profile in models.items():
-            if profile.executed:
-                assert profile.observed_per_tuple_cost == pytest.approx(
-                    session.catalog.per_tuple_cost(name))
+        ran = {name: stats for name, stats
+               in session.metrics.udf_stats.items()
+               if stats.total_invocations > 0}
+        assert {"fasterrcnn_resnet50", "car_type"} <= set(ran)
+        for name, stats in ran.items():
+            assert stats.per_tuple_cost == \
+                session.catalog.per_tuple_cost(name)
 
 
 class TestCheapModelUdfs:

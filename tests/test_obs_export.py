@@ -96,7 +96,7 @@ class TestSlowQueryLog:
         event = entry.to_event()
         assert event["type"] == "slow_query"
         assert event["virtual_breakdown"]["udf"] == 24.0
-        assert log.observed == 2
+        assert [e.query_text for e in log.entries()] == ["slow"]
 
     def test_disabled_when_threshold_none(self):
         log = SlowQueryLog(threshold=None)

@@ -985,11 +985,10 @@ def test_pool_forwards_each_control_and_client_method(tmp_path):
 
         assert pool.queue_depth() == 0
         assert sorted(sum(pool._each_worker("clients"), [])) == ["c0"]
-        assert pool.profile_snapshot().models
         snapshot = pool.store_snapshot()
         assert snapshot.views >= 1
-        assert any(record["view"].startswith("mv::")
-                   for record in pool.lineage_records())
+        assert any(row["view"].startswith("mv::")
+                   for row in pool.ledger_snapshot())
         assert pool.trace_events()
         assert "eva_" in pool.prometheus_text()
 

@@ -146,7 +146,11 @@ class TestStoreSnapshot:
         snap = store.store_snapshot()
         assert (snap.views, snap.bytes) == (0, 0)
         store.close()
-        assert make_store(tmp_path).names() == []
+        reopened = make_store(tmp_path)
+        try:
+            assert reopened.names() == []
+        finally:
+            reopened.close()
 
     def test_closed_store_still_reports_its_snapshot(self, tmp_path):
         store = make_store(tmp_path)
